@@ -18,6 +18,7 @@ import (
 	"antientropy/internal/core"
 	"antientropy/internal/experiments"
 	"antientropy/internal/newscast"
+	"antientropy/internal/overlay"
 	"antientropy/internal/sim"
 	"antientropy/internal/stats"
 	"antientropy/internal/theory"
@@ -386,6 +387,10 @@ func BenchmarkTopologyBarabasiAlbert(b *testing.B) {
 	}
 }
 
+// BenchmarkWireEncodeDecode round-trips one message two ways: through
+// the fresh-storage wrappers, and the way a live node does it — append
+// into a kept buffer, decode into a kept Decoder that resolves addresses
+// it has already interned.
 func BenchmarkWireEncodeDecode(b *testing.B) {
 	msg := &wire.ExchangeRequest{
 		From: "10.1.2.3:7000",
@@ -397,16 +402,37 @@ func BenchmarkWireEncodeDecode(b *testing.B) {
 			}},
 		},
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		data, err := wire.Encode(msg)
-		if err != nil {
-			b.Fatal(err)
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			data, err := wire.Encode(msg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := wire.Decode(data); err != nil {
+				b.Fatal(err)
+			}
 		}
-		if _, err := wire.Decode(data); err != nil {
-			b.Fatal(err)
+	})
+	b.Run("reused", func(b *testing.B) {
+		book := overlay.NewBook()
+		book.Intern(msg.From)
+		for _, d := range msg.View.Entries {
+			book.Intern(d.Addr)
 		}
-	}
+		dec := wire.Decoder{Lookup: book.Canonical}
+		var buf []byte
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var err error
+			if buf, err = wire.AppendEncode(buf[:0], msg, wire.Version); err != nil {
+				b.Fatal(err)
+			}
+			if _, _, err := dec.Decode(buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func BenchmarkPushSumRound(b *testing.B) {

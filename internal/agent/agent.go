@@ -286,7 +286,20 @@ type Node struct {
 	// packedScratch is the reusable packed-view buffer of the gossip
 	// encode path (guarded by mu like the view it snapshots).
 	packedScratch []uint64
-	pending       map[uint64]chan wire.Payload
+	// dec decodes every inbound datagram into storage it reuses; out is
+	// the outgoing message being built, and descScratch/entryScratch back
+	// its lists; absorbScratch backs the entries handed to view.Absorb.
+	// Each is written, encoded or consumed within one hold of mu.
+	dec           wire.Decoder
+	out           wire.Messages
+	descScratch   []wire.Descriptor
+	entryScratch  []wire.MapEntry
+	absorbScratch []overlay.Entry
+	// pending is the outstanding exchange while busy; timeout is the one
+	// timer that expires it (created by the first exchange, re-armed by
+	// every later one).
+	pending exchange
+	timeout *time.Timer
 	// pendingValue overrides cfg.Value once SetValue has been called:
 	// the serving layer feeds value updates through it without holding a
 	// reference into its own store.
@@ -375,15 +388,15 @@ func New(cfg Config) (*Node, error) {
 		}
 	}
 	n := &Node{
-		cfg:     cfg,
-		log:     logger,
-		funcID:  funcID,
-		book:    book,
-		view:    view,
-		peers:   transport.NewSessions(0, func(string) *peerSession { return &peerSession{} }),
-		pending: make(map[uint64]chan wire.Payload),
-		rng:     stats.NewRNG(cfg.Seed),
+		cfg:    cfg,
+		log:    logger,
+		funcID: funcID,
+		book:   book,
+		view:   view,
+		peers:  transport.NewSessions(0, func(string) *peerSession { return &peerSession{} }),
+		rng:    stats.NewRNG(cfg.Seed),
 	}
+	n.dec.Lookup = book.Canonical
 	if cfg.Combiner != nil && cfg.Mode == ModeScalar {
 		n.guard = core.NewMergeGuard(cfg.Combiner, cfg.CombinerK, 1)
 	}
@@ -555,6 +568,12 @@ func (n *Node) Stop() error {
 		return nil
 	}
 	n.stopped = true
+	// Abandon the outstanding exchange: a fire already racing for mu
+	// finds nothing to expire.
+	n.busy = false
+	if n.timeout != nil {
+		n.timeout.Stop()
+	}
 	n.mu.Unlock()
 	n.cancel()
 	err := n.cfg.Endpoint.Close()

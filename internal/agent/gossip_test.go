@@ -122,7 +122,7 @@ func TestLegacyPeerNegotiation(t *testing.T) {
 
 	select {
 	case pkt := <-legacy.Recv():
-		reply, version, err := wire.DecodeExt(pkt.Data)
+		reply, version, err := new(wire.Decoder).Decode(pkt.Data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +216,7 @@ func TestVersionNeverDowngrades(t *testing.T) {
 		}
 		select {
 		case pkt := <-peer.Recv():
-			_, version, err := wire.DecodeExt(pkt.Data)
+			_, version, err := new(wire.Decoder).Decode(pkt.Data)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,8 +1,10 @@
 package agent
 
 import (
+	"cmp"
 	"context"
 	"slices"
+	"sync"
 	"time"
 
 	"antientropy/internal/core"
@@ -37,7 +39,7 @@ func (n *Node) tickLoop(ctx context.Context) {
 			return
 		case now := <-ticker.C:
 			n.advanceEpoch(now)
-			n.initiate(ctx, now)
+			n.initiate(now)
 		}
 	}
 }
@@ -114,11 +116,20 @@ func (n *Node) resetStateLocked() {
 	}
 }
 
+// exchange identifies the push-pull exchange a busy node has
+// outstanding. The busy rule allows one at a time, so this is all the
+// state the reply path and the timeout need.
+type exchange struct {
+	peer            string
+	seq, epoch, xid uint64
+	start           time.Time
+}
+
 // initiate performs the active-thread step: select a peer and run one
 // push-pull exchange, or a membership exchange while not participating.
-func (n *Node) initiate(ctx context.Context, now time.Time) {
+func (n *Node) initiate(now time.Time) {
 	n.mu.Lock()
-	if n.busy {
+	if n.busy || n.stopped {
 		// The previous exchange is still outstanding; §6.2 says skipping
 		// is harmless.
 		n.mu.Unlock()
@@ -139,80 +150,85 @@ func (n *Node) initiate(ctx context.Context, now time.Time) {
 		// next epoch — it still answers peers that are behind, and keeps
 		// the overlay fresh with membership gossip.
 		frame, version := n.frameForLocked(sess, now)
-		msg := &wire.Membership{From: n.Addr(), Seq: seq, View: frame}
+		n.out.Membership = wire.Membership{From: n.Addr(), Seq: seq, View: frame}
+		buf := n.encode(&n.out.Membership, version)
 		n.mu.Unlock()
-		n.send(peer, msg, version)
+		n.transmit(peer, buf)
 		return
 	}
-	n.busy = true
-	ch := make(chan wire.Payload, 1)
-	n.pending[seq] = ch
 	xid := n.xidLocked(seq)
 	payload, version := n.payloadLocked(sess, seq, xid, now)
+	n.out.ExchangeRequest = wire.ExchangeRequest{From: n.Addr(), Payload: payload}
+	buf := n.encode(&n.out.ExchangeRequest, version)
+	start := time.Now()
 	epoch := n.epoch
+	n.busy = true
+	n.pending = exchange{peer: peer, seq: seq, epoch: epoch, xid: xid, start: start}
+	if n.timeout == nil {
+		n.timeout = time.AfterFunc(n.cfg.RequestTimeout, n.expire)
+	} else {
+		n.timeout.Reset(n.cfg.RequestTimeout)
+	}
 	n.metrics.exchangesInitiated.Add(1)
 	n.mu.Unlock()
 
-	start := time.Now()
 	n.trace(obs.TraceInitiate, peer, seq, epoch, xid, start)
-	n.send(peer, &wire.ExchangeRequest{From: n.Addr(), Payload: payload}, version)
-	n.wg.Add(1)
-	go n.awaitReply(ctx, peer, seq, epoch, xid, start, ch)
+	n.transmit(peer, buf)
 }
 
-// awaitReply waits for the push-pull response and applies it (active
-// thread's sp ← UPDATE(sp, sq)).
-func (n *Node) awaitReply(ctx context.Context, peer string, seq, epoch, xid uint64, start time.Time, ch <-chan wire.Payload) {
-	defer n.wg.Done()
-	timer := time.NewTimer(n.cfg.RequestTimeout)
-	defer timer.Stop()
-	var reply wire.Payload
-	ok := false
-	select {
-	case <-ctx.Done():
-	case <-timer.C:
-	case reply = <-ch:
-		ok = true
-	}
-	if ok {
-		// The round trip is measured for every reply, refusals included:
-		// it observes the network and the peer's receive path, not the
-		// merge. Timeouts are accounted separately — mixing the timeout
-		// bound into the latency histogram would fabricate a mode at
-		// RequestTimeout.
-		rtt := time.Since(start)
-		n.metrics.rttSamples.Add(1)
-		n.metrics.rttTotalNanos.Add(int64(rtt))
-		if n.cfg.RTT != nil {
-			n.cfg.RTT.Observe(rtt.Seconds())
-		}
-	}
+// expire is the callback of the node's one exchange timer: the reply did
+// not arrive within RequestTimeout, so the exchange is skipped (§6.2).
+func (n *Node) expire() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	delete(n.pending, seq)
-	n.busy = false
-	if !ok {
-		n.metrics.timeouts.Add(1)
-		n.trace(obs.TraceTimeout, peer, seq, epoch, xid, time.Time{})
+	// A fire can lose the race for mu to the reply it was guarding, and
+	// by the time it runs a later exchange may be outstanding: only an
+	// exchange that has waited out the whole timeout is expired. (The
+	// timer is armed after pending.start is taken, so the exchange's own
+	// fire always passes this check.)
+	if !n.busy || time.Since(n.pending.start) < n.cfg.RequestTimeout {
 		return
+	}
+	n.busy = false
+	n.metrics.timeouts.Add(1)
+	p := n.pending
+	n.trace(obs.TraceTimeout, p.peer, p.seq, p.epoch, p.xid, time.Time{})
+}
+
+// completeLocked applies the reply to the outstanding exchange (active
+// thread's sp ← UPDATE(sp, sq)).
+func (n *Node) completeLocked(reply *wire.Payload, now time.Time) {
+	p := n.pending
+	n.busy = false
+	n.timeout.Stop()
+	// The round trip is measured for every reply, refusals included:
+	// it observes the network and the peer's receive path, not the
+	// merge. Timeouts are accounted separately — mixing the timeout
+	// bound into the latency histogram would fabricate a mode at
+	// RequestTimeout.
+	rtt := now.Sub(p.start)
+	n.metrics.rttSamples.Add(1)
+	n.metrics.rttTotalNanos.Add(int64(rtt))
+	if n.cfg.RTT != nil {
+		n.cfg.RTT.Observe(rtt.Seconds())
 	}
 	if reply.Flags&wire.FlagRefused != 0 {
 		// The peer declined (busy or joining): the exchange is skipped,
 		// exactly as if the link had failed (§6.2).
 		n.metrics.peerDeclined.Add(1)
-		n.trace(obs.TraceDeclined, peer, seq, epoch, xid, time.Time{})
+		n.trace(obs.TraceDeclined, p.peer, p.seq, p.epoch, p.xid, time.Time{})
 		return
 	}
 	// A reply from a different epoch must not be merged: the local
 	// instance it belonged to is gone (its effect equals a lost reply).
-	if reply.Epoch != n.epoch || epoch != n.epoch {
+	if reply.Epoch != n.epoch || p.epoch != n.epoch {
 		n.metrics.staleDropped.Add(1)
-		n.trace(obs.TraceStaleDrop, peer, seq, epoch, xid, time.Time{})
+		n.trace(obs.TraceStaleDrop, p.peer, p.seq, p.epoch, p.xid, time.Time{})
 		return
 	}
 	n.applyLocked(reply)
 	n.metrics.exchangesCompleted.Add(1)
-	n.trace(obs.TraceAbsorb, peer, seq, n.epoch, xid, time.Time{})
+	n.trace(obs.TraceAbsorb, p.peer, p.seq, n.epoch, p.xid, time.Time{})
 }
 
 // trace records one exchange-lifecycle event on the optional ring. A
@@ -226,8 +242,9 @@ func (n *Node) trace(kind obs.TraceKind, peer string, seq, epoch, xid uint64, at
 	})
 }
 
-// applyLocked merges a remote state into ours.
-func (n *Node) applyLocked(remote wire.Payload) {
+// applyLocked merges a remote state into ours. In COUNT mode it
+// reorders remote.Entries, which the caller owns (decoder storage).
+func (n *Node) applyLocked(remote *wire.Payload) {
 	if n.cfg.Mode == ModeScalar {
 		if n.guard != nil {
 			// The combiner defense decides what the peer's reported
@@ -239,11 +256,41 @@ func (n *Node) applyLocked(remote wire.Payload) {
 		n.scalar = next
 		return
 	}
-	theirs := make(core.MapState, len(remote.Entries))
-	for _, e := range remote.Entries {
-		theirs[core.LeaderID(e.Leader)] = e.Value
+	mergeEntries(n.mapState, remote.Entries)
+}
+
+// mergeEntries is core.Merge(ours, theirs) in place, with theirs given
+// as wire entries: leaders the peer lacks are halved, shared ones
+// averaged, peer-only ones inserted at half (§5). The result equals
+// core.Merge bit for bit. It sorts entries; when a hostile payload
+// repeats a leader the last entry wins, as it did when entries were
+// loaded into a map.
+func mergeEntries(ours core.MapState, entries []wire.MapEntry) {
+	slices.SortStableFunc(entries, func(a, b wire.MapEntry) int { return cmp.Compare(a.Leader, b.Leader) })
+	k := 0
+	for i, e := range entries {
+		if i+1 < len(entries) && entries[i+1].Leader == e.Leader {
+			continue
+		}
+		entries[k] = e
+		k++
 	}
-	n.mapState = core.Merge(n.mapState, theirs)
+	entries = entries[:k]
+	// Updating existing keys never grows the map, so after this loop a
+	// leader is present exactly when it was ours before the merge.
+	for l, ea := range ours {
+		i, shared := slices.BinarySearchFunc(entries, int64(l), func(e wire.MapEntry, l int64) int { return cmp.Compare(e.Leader, l) })
+		if shared {
+			ours[l] = (ea + entries[i].Value) / 2
+		} else {
+			ours[l] = ea / 2
+		}
+	}
+	for _, e := range entries {
+		if _, mine := ours[core.LeaderID(e.Leader)]; !mine {
+			ours[core.LeaderID(e.Leader)] = e.Value / 2
+		}
+	}
 }
 
 // payloadLocked snapshots the node's state for the wire, with the
@@ -275,13 +322,14 @@ func (n *Node) payloadLocked(sess *peerSession, seq, xid uint64, now time.Time) 
 		}
 		return p, version
 	}
-	entries := make([]wire.MapEntry, 0, len(n.mapState))
+	entries := n.entryScratch[:0]
 	for l, v := range n.mapState {
 		if len(entries) == wire.MaxMapEntries {
 			break
 		}
 		entries = append(entries, wire.MapEntry{Leader: int64(l), Value: v})
 	}
+	n.entryScratch = entries
 	p.Entries = entries
 	return p, version
 }
@@ -289,10 +337,11 @@ func (n *Node) payloadLocked(sess *peerSession, seq, xid uint64, now time.Time) 
 // viewDescriptorsLocked unpacks the piggybacked NEWSCAST view — cache
 // content plus a fresh self-descriptor — into wire form for a peer at
 // the given wire version (stamps as ticks, or as schedule-derived
-// microseconds for legacy peers), truncated to the wire limit.
+// microseconds for legacy peers), truncated to the wire limit. The list
+// lives in descScratch, like every outgoing descriptor list.
 func (n *Node) viewDescriptorsLocked(now time.Time, version uint8) []wire.Descriptor {
 	packed := n.view.Packed()
-	out := make([]wire.Descriptor, 0, len(packed)+1)
+	out := n.descScratch[:0]
 	// The byte cap (MaxViewBytes) applies here too; the fresh
 	// self-descriptor appended last is always included, so its wire size
 	// is reserved up front.
@@ -314,7 +363,9 @@ func (n *Node) viewDescriptorsLocked(now time.Time, version uint8) []wire.Descri
 			Stamp: n.stampToWire(overlay.UnpackStamp(e), version),
 		})
 	}
-	return append(out, wire.Descriptor{Addr: n.Addr(), Stamp: n.stampToWire(n.tick(now), version)})
+	out = append(out, wire.Descriptor{Addr: n.Addr(), Stamp: n.stampToWire(n.tick(now), version)})
+	n.descScratch = out
+	return out
 }
 
 // frameForLocked builds the outgoing membership frame for one peer
@@ -343,7 +394,8 @@ func (n *Node) frameForLocked(sess *peerSession, now time.Time) (wire.ViewFrame,
 	buf = append(buf, self)
 	buf = append(buf, packed[at:]...)
 	n.packedScratch = buf
-	frame := sess.codec.EncodeViewBudget(buf, n.book.Addr, n.cfg.MaxViewBytes)
+	frame := sess.codec.AppendView(n.descScratch, buf, n.book.Addr, n.cfg.MaxViewBytes)
+	n.descScratch = frame.Entries
 	if frame.Kind == wire.ViewDelta {
 		n.metrics.gossipFramesDelta.Add(1)
 	} else {
@@ -399,13 +451,14 @@ func (n *Node) absorbDescriptorsLocked(ds []wire.Descriptor) {
 	if len(ds) == 0 {
 		return
 	}
-	entries := make([]overlay.Entry, 0, len(ds))
+	entries := n.absorbScratch[:0]
 	for _, d := range ds {
 		if d.Addr == "" {
 			continue
 		}
 		entries = append(entries, overlay.Entry{Key: n.book.Intern(d.Addr), Stamp: n.stampFromWire(d.Stamp)})
 	}
+	n.absorbScratch = entries
 	n.view.Absorb(entries)
 }
 
@@ -414,24 +467,39 @@ func (n *Node) nextSeqLocked() uint64 {
 	return n.seq
 }
 
-// send encodes and transmits a message at the given wire version (0
-// means the current one); transport errors are logged and otherwise
-// treated as loss, per the system model. The caller resolves the
-// version in the same critical section that shaped the message, so a
-// concurrent version observation can never pair a delta frame with a
-// legacy encoding.
-func (n *Node) send(to string, msg wire.Message, version uint8) {
-	if version == 0 {
-		version = wire.Version
-	}
-	data, err := wire.EncodeVersion(msg, version)
+// sendBufs recycles encode buffers. A message is encoded under the node
+// lock (it aliases node-owned scratch) but sent after the lock is
+// released, so the buffer has to outlive the critical section without
+// belonging to the node.
+var sendBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// encode serializes a message at the given wire version into a pooled
+// buffer for transmit, or returns nil after logging when the message
+// cannot be encoded. The caller resolves the version in the same
+// critical section that shaped the message, so a concurrent version
+// observation can never pair a delta frame with a legacy encoding.
+func (n *Node) encode(msg wire.Message, version uint8) *[]byte {
+	bp := sendBufs.Get().(*[]byte)
+	buf, err := wire.AppendEncode((*bp)[:0], msg, version)
 	if err != nil {
+		sendBufs.Put(bp)
 		n.log.Error("encode failed", "type", msg.Type().String(), "err", err)
+		return nil
+	}
+	*bp = buf
+	return bp
+}
+
+// transmit sends an encoded message and recycles its buffer; transport
+// errors are logged and otherwise treated as loss, per the system model.
+func (n *Node) transmit(to string, bp *[]byte) {
+	if bp == nil {
 		return
 	}
-	if err := n.cfg.Endpoint.Send(to, data); err != nil {
-		n.log.Debug("send failed", "to", to, "type", msg.Type().String(), "err", err)
+	if err := n.cfg.Endpoint.Send(to, *bp); err != nil {
+		n.log.Debug("send failed", "to", to, "err", err)
 	}
+	sendBufs.Put(bp)
 }
 
 // sendJoinRequest asks one seed for epoch timing and contacts (§4.2).
@@ -460,9 +528,9 @@ func (n *Node) sendJoinRequest() {
 		return
 	}
 	msg := &wire.JoinRequest{From: n.Addr(), Seq: seq}
-	n.send(seed, msg, version)
+	n.transmit(seed, n.encode(msg, version))
 	if !versionKnown {
-		n.send(seed, msg, wire.VersionDelta)
-		n.send(seed, msg, wire.VersionLegacy)
+		n.transmit(seed, n.encode(msg, wire.VersionDelta))
+		n.transmit(seed, n.encode(msg, wire.VersionLegacy))
 	}
 }

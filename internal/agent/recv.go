@@ -32,43 +32,62 @@ func (n *Node) recvLoop(ctx context.Context) {
 	}
 }
 
-// handle decodes and dispatches one datagram together with the wire
-// version it arrived at. Each handler records the version inside its
-// own critical section (observePeerLocked) — the per-connection
-// negotiation: replies to a legacy peer are encoded at the legacy
-// version with plain full views.
+// handle is the passive thread's one critical section per datagram:
+// under a single hold of mu it decodes into node-owned storage, runs the
+// message's handler and encodes the reply; the reply is sent after the
+// lock is released. The decoded message aliases the decoder's storage
+// (never the datagram), so nothing of it may be kept past the unlock
+// except strings. Each handler records the wire version the datagram
+// arrived at (observePeerLocked) — the per-connection negotiation:
+// replies to a legacy peer are encoded at the legacy version with plain
+// full views.
 func (n *Node) handle(from string, data []byte) {
-	msg, version, err := wire.DecodeExt(data)
+	now := time.Now()
+	n.mu.Lock()
+	msg, version, err := n.dec.Decode(data)
 	if err != nil {
+		n.mu.Unlock()
 		n.metrics.decodeErrors.Add(1)
 		n.trace(obs.TraceDecodeError, from, 0, 0, 0, time.Time{})
 		n.log.Debug("undecodable datagram", "from", from, "err", err)
 		return
 	}
-	now := time.Now()
+	var (
+		to           string
+		reply        wire.Message
+		replyVersion uint8
+	)
 	switch m := msg.(type) {
 	case *wire.ExchangeRequest:
-		n.handleExchangeRequest(m, now, version)
+		to = m.From
+		reply, replyVersion = n.handleExchangeRequestLocked(m, now, version)
 	case *wire.ExchangeReply:
-		n.handleExchangeReply(m, version)
+		n.handleExchangeReplyLocked(m, now, version)
 	case *wire.JoinRequest:
-		n.handleJoinRequest(m, now, version)
+		to = m.From
+		reply, replyVersion = n.handleJoinRequestLocked(m, now, version)
 	case *wire.JoinReply:
-		n.handleJoinReply(m, from, version)
+		n.handleJoinReplyLocked(m, from, version)
 	case *wire.Membership:
-		n.handleMembership(m, now, version)
+		to = m.From
+		reply, replyVersion = n.handleMembershipLocked(m, now, version)
 	case *wire.MembershipReply:
-		n.handleMembershipReply(m, version)
+		n.absorbFrameLocked(n.observePeerLocked(m.From, version), m.View)
 	}
+	var buf *[]byte
+	if reply != nil {
+		buf = n.encode(reply, replyVersion)
+	}
+	n.mu.Unlock()
+	n.transmit(to, buf)
 }
 
-// handleExchangeRequest is the passive thread's core: reply with the
-// local state, then install the merged state (Figure 1b), subject to the
-// epoch rules of §4.2/§4.3 and the busy rule documented on the package.
-func (n *Node) handleExchangeRequest(m *wire.ExchangeRequest, now time.Time, version uint8) {
-	n.mu.Lock()
+// handleExchangeRequestLocked is the passive thread's core: reply with
+// the local state, then install the merged state (Figure 1b), subject to
+// the epoch rules of §4.2/§4.3 and the busy rule documented on the
+// package. It returns the reply (nil for none) built in n.out.
+func (n *Node) handleExchangeRequestLocked(m *wire.ExchangeRequest, now time.Time, version uint8) (wire.Message, uint8) {
 	sess := n.observePeerLocked(m.From, version)
-	peerVersion := sess.version // captured under mu for the refusal sends
 	// Run the frame through the codec now (the reply must acknowledge
 	// it), but absorb its descriptors only after the reply frame is
 	// built: the reply is the pre-merge state (Figure 1b), and a delta
@@ -80,8 +99,7 @@ func (n *Node) handleExchangeRequest(m *wire.ExchangeRequest, now time.Time, ver
 		n.metrics.staleDropped.Add(1)
 		n.trace(obs.TraceStaleDrop, m.From, m.Seq, m.Epoch, m.XID, now)
 		n.absorbDescriptorsLocked(gossip)
-		n.mu.Unlock()
-		return
+		return nil, 0
 	case core.JumpForward:
 		if n.participating || m.Epoch >= n.joinEpoch {
 			// §4.3: adopt the newer epoch immediately, restarting from
@@ -95,103 +113,80 @@ func (n *Node) handleExchangeRequest(m *wire.ExchangeRequest, now time.Time, ver
 	case core.KeepEpoch:
 		// Proceed.
 	}
-	if !n.participating {
+	var refused obs.TraceKind
+	switch {
+	case !n.participating:
 		// §7.1: nodes that joined mid-epoch refuse connections belonging
 		// to the running epoch. The explicit NACK has the same effect as
 		// the paper's timeout — the exchange is skipped — but frees the
 		// initiator immediately.
 		n.metrics.refusedJoining.Add(1)
-		n.trace(obs.TraceRefusedJoining, m.From, m.Seq, m.Epoch, m.XID, now)
-		n.absorbDescriptorsLocked(gossip)
-		n.mu.Unlock()
-		n.send(m.From, refusal(n.Addr(), m.Seq, m.XID, m.Epoch), peerVersion)
-		return
-	}
-	if n.busy {
+		refused = obs.TraceRefusedJoining
+	case n.busy:
 		// Serving now could break mass conservation with our outstanding
 		// exchange; refusing behaves like a failed link (§6.2).
 		n.metrics.refusedBusy.Add(1)
-		n.trace(obs.TraceRefusedBusy, m.From, m.Seq, m.Epoch, m.XID, now)
-		n.absorbDescriptorsLocked(gossip)
-		n.mu.Unlock()
-		n.send(m.From, refusal(n.Addr(), m.Seq, m.XID, m.Epoch), peerVersion)
-		return
-	}
-	if n.epoch != m.Epoch {
+		refused = obs.TraceRefusedBusy
+	case n.epoch != m.Epoch:
 		// Jump was vetoed (we are a joiner for an even later epoch).
 		n.metrics.staleDropped.Add(1)
-		n.trace(obs.TraceStaleDrop, m.From, m.Seq, m.Epoch, m.XID, now)
+		refused = obs.TraceStaleDrop
+	}
+	if refused != 0 {
+		n.trace(refused, m.From, m.Seq, m.Epoch, m.XID, now)
 		n.absorbDescriptorsLocked(gossip)
-		n.mu.Unlock()
-		n.send(m.From, refusal(n.Addr(), m.Seq, m.XID, m.Epoch), peerVersion)
-		return
+		// The decline NACK carries no membership frame: a refusal must
+		// stay cheap, and skipping the codec keeps the generation stream
+		// reserved for frames that carry state. The initiator's exchange
+		// identifier is echoed so the decline stitches into its span.
+		n.out.ExchangeReply = wire.ExchangeReply{From: n.Addr(), Payload: wire.Payload{
+			Seq: m.Seq, XID: m.XID, Epoch: m.Epoch, Flags: wire.FlagRefused,
+		}}
+		return &n.out.ExchangeReply, sess.version
 	}
 	// Reply with the pre-merge state, then update (Figure 1b).
 	payload, replyVersion := n.payloadLocked(sess, m.Seq, m.XID, now)
-	reply := &wire.ExchangeReply{From: n.Addr(), Payload: payload}
+	n.out.ExchangeReply = wire.ExchangeReply{From: n.Addr(), Payload: payload}
 	n.absorbDescriptorsLocked(gossip)
-	n.applyLocked(m.Payload)
+	n.applyLocked(&m.Payload)
 	n.metrics.exchangesServed.Add(1)
 	n.trace(obs.TraceServed, m.From, m.Seq, m.Epoch, m.XID, now)
-	n.mu.Unlock()
-	n.send(m.From, reply, replyVersion)
+	return &n.out.ExchangeReply, replyVersion
 }
 
-// refusal builds the decline NACK for an exchange request. It carries no
-// membership frame: a refusal must stay cheap, and skipping the codec
-// keeps the generation stream reserved for frames that carry state. The
-// initiator's exchange identifier is echoed so the decline stitches
-// into its span.
-func refusal(from string, seq, xid, epoch uint64) *wire.ExchangeReply {
-	return &wire.ExchangeReply{From: from, Payload: wire.Payload{
-		Seq: seq, XID: xid, Epoch: epoch, Flags: wire.FlagRefused,
-	}}
-}
-
-// handleExchangeReply routes the response to the waiting active thread.
-func (n *Node) handleExchangeReply(m *wire.ExchangeReply, version uint8) {
-	n.mu.Lock()
-	sess := n.observePeerLocked(m.From, version)
-	n.absorbFrameLocked(sess, m.View)
-	ch, ok := n.pending[m.Seq]
-	n.mu.Unlock()
-	if !ok {
-		// Late reply: the request already timed out. The responder
-		// updated, we did not — the paper's "lost response" (§7.2).
-		return
-	}
-	select {
-	case ch <- m.Payload:
-	default:
-		// Duplicate reply; first one wins.
+// handleExchangeReplyLocked absorbs the reply's view and, when the reply
+// answers the outstanding exchange, completes it. A late reply — the
+// request already timed out: the responder updated, we did not, the
+// paper's "lost response" (§7.2) — and a duplicate of one already
+// applied both find no matching exchange and are dropped.
+func (n *Node) handleExchangeReplyLocked(m *wire.ExchangeReply, now time.Time, version uint8) {
+	n.absorbFrameLocked(n.observePeerLocked(m.From, version), m.View)
+	if n.busy && m.Seq == n.pending.seq {
+		n.completeLocked(&m.Payload, now)
 	}
 }
 
-// handleJoinRequest serves §4.2: hand out the next epoch identifier, the
-// time until it starts, and bootstrap contacts. Seeds are a plain full
-// descriptor list — a join is first contact, there is no delta base yet.
-func (n *Node) handleJoinRequest(m *wire.JoinRequest, now time.Time, version uint8) {
+// handleJoinRequestLocked serves §4.2: hand out the next epoch
+// identifier, the time until it starts, and bootstrap contacts. Seeds
+// are a plain full descriptor list — a join is first contact, there is
+// no delta base yet.
+func (n *Node) handleJoinRequestLocked(m *wire.JoinRequest, now time.Time, version uint8) (wire.Message, uint8) {
 	info := n.cfg.Schedule.JoinAt(now)
-	n.mu.Lock()
 	sess := n.observePeerLocked(m.From, version)
-	seeds := n.viewDescriptorsLocked(now, sess.version)
-	replyVersion := sess.version
-	n.mu.Unlock()
-	n.send(m.From, &wire.JoinReply{
+	n.out.JoinReply = wire.JoinReply{
 		Seq:        m.Seq,
 		NextEpoch:  info.NextEpoch,
 		WaitMicros: info.WaitFor.Microseconds(),
-		Seeds:      seeds,
-	}, replyVersion)
+		Seeds:      n.viewDescriptorsLocked(now, sess.version),
+	}
+	return &n.out.JoinReply, sess.version
 }
 
-// handleJoinReply installs the join information from a seed. JoinReply
-// carries no From field; the transport-level sender identifies the seed
-// whose wire version the reply demonstrates (this is what resolves the
-// dual-version join probe).
-func (n *Node) handleJoinReply(m *wire.JoinReply, from string, version uint8) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
+// handleJoinReplyLocked installs the join information from a seed.
+// JoinReply carries no From field; the transport-level sender identifies
+// the seed whose wire version the reply demonstrates (this is what
+// resolves the dual-version join probe).
+func (n *Node) handleJoinReplyLocked(m *wire.JoinReply, from string, version uint8) {
 	if from != "" {
 		n.observePeerLocked(from, version)
 	}
@@ -204,23 +199,14 @@ func (n *Node) handleJoinReply(m *wire.JoinReply, from string, version uint8) {
 	n.absorbDescriptorsLocked(m.Seeds)
 }
 
-// handleMembership serves a standalone NEWSCAST exchange: run the frame
-// through the peer's codec, reply with the pre-merge view (acknowledging
-// the received frame), then absorb.
-func (n *Node) handleMembership(m *wire.Membership, now time.Time, version uint8) {
-	n.mu.Lock()
+// handleMembershipLocked serves a standalone NEWSCAST exchange: run the
+// frame through the peer's codec, reply with the pre-merge view
+// (acknowledging the received frame), then absorb.
+func (n *Node) handleMembershipLocked(m *wire.Membership, now time.Time, version uint8) (wire.Message, uint8) {
 	sess := n.observePeerLocked(m.From, version)
 	entries := sess.codec.Observe(m.View)
 	frame, replyVersion := n.frameForLocked(sess, now)
-	reply := &wire.MembershipReply{From: n.Addr(), Seq: m.Seq, View: frame}
+	n.out.MembershipReply = wire.MembershipReply{From: n.Addr(), Seq: m.Seq, View: frame}
 	n.absorbDescriptorsLocked(entries)
-	n.mu.Unlock()
-	n.send(m.From, reply, replyVersion)
-}
-
-// handleMembershipReply absorbs the second half of a membership exchange.
-func (n *Node) handleMembershipReply(m *wire.MembershipReply, version uint8) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.absorbFrameLocked(n.observePeerLocked(m.From, version), m.View)
+	return &n.out.MembershipReply, replyVersion
 }

@@ -50,6 +50,17 @@ func (b *Book) Lookup(addr string) (int32, bool) {
 	return id, ok
 }
 
+// Canonical returns the interned string equal to the address bytes,
+// without assigning an id and without allocating: the hook a decoder
+// uses to resolve the addresses of a datagram it has not validated yet.
+func (b *Book) Canonical(addr []byte) (string, bool) {
+	id, ok := b.ids[string(addr)] // map lookup: the conversion does not allocate
+	if !ok {
+		return "", false
+	}
+	return b.addrs[id], true
+}
+
 // Addr resolves an id back to its address ("" for an unknown id).
 func (b *Book) Addr(id int32) string {
 	if id < 0 || int(id) >= len(b.addrs) {

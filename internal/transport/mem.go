@@ -178,8 +178,8 @@ func (n *MemNetwork) SetLatency(min, max time.Duration) {
 	n.cfg.MinLatency, n.cfg.MaxLatency = min, max
 }
 
-// Close shuts down the network and every endpoint, waiting for in-flight
-// deliveries to drain.
+// Close shuts down the network and every endpoint, waiting for delayed
+// deliveries in flight to drain.
 func (n *MemNetwork) Close() {
 	n.mu.Lock()
 	if n.closed {
@@ -236,14 +236,16 @@ func (n *MemNetwork) send(from, to string, data []byte) error {
 			delay = n.cfg.MinLatency
 		}
 	}
-	// Copy: the caller may reuse its buffer after Send returns.
-	buf := append([]byte(nil), data...)
-	n.wg.Add(1)
-	n.mu.Unlock()
-
-	deliver := func() {
-		defer n.wg.Done()
-		dst.deliver(Packet{From: from, Data: buf})
+	// Copy: the caller may reuse its buffer after Send returns. Gossip-sized
+	// datagrams ride the pooled send buffers, which the receiver's
+	// Packet.Release recycles; larger ones get an exact heap copy rather
+	// than pinning a MaxDatagram buffer per queued packet.
+	p := Packet{From: from}
+	if len(data) <= sendBufSize {
+		p.buf = getSendBuf(len(data))
+		p.Data = (*p.buf)[:copy(*p.buf, data)]
+	} else {
+		p.Data = append([]byte(nil), data...)
 	}
 	if delay <= 0 {
 		// Immediate delivery runs inline: it only enqueues into the
@@ -251,10 +253,16 @@ func (n *MemNetwork) send(from, to string, data []byte) error {
 		// drops), so there is no deadlock risk, and skipping the
 		// goroutine spawn roughly halves the per-datagram cost for
 		// large in-memory fleets.
-		deliver()
-	} else {
-		time.AfterFunc(delay, deliver)
+		n.mu.Unlock()
+		dst.deliver(p)
+		return nil
 	}
+	n.wg.Add(1)
+	n.mu.Unlock()
+	time.AfterFunc(delay, func() {
+		defer n.wg.Done()
+		dst.deliver(p)
+	})
 	return nil
 }
 
@@ -328,6 +336,7 @@ func (e *MemEndpoint) deliver(p Packet) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
+		p.Release()
 		return
 	}
 	select {
@@ -336,6 +345,7 @@ func (e *MemEndpoint) deliver(p Packet) {
 		maxInt64(&e.net.queueDepth, int64(len(e.in)))
 	default:
 		e.dropped++
+		p.Release()
 	}
 }
 

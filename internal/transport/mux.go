@@ -452,12 +452,14 @@ type MuxEndpoint struct {
 	addr string
 	in   chan Packet
 
-	// hmu guards handler and closed. deliver holds the read side for the
-	// whole handler call, so Close (write side) doubles as the barrier
-	// that waits out in-flight deliveries.
+	// hmu guards handler. deliver holds the read side for the whole
+	// handler call, so Close (write side) doubles as the barrier that
+	// waits out in-flight deliveries. closed is written under the write
+	// side but read atomically: a handler's own Send must not re-enter
+	// hmu, or a Close waiting for the write lock in between wedges both.
 	hmu     sync.RWMutex
 	handler func(Packet)
-	closed  bool
+	closed  atomic.Bool
 
 	// queueDrops counts datagrams this endpoint lost at a full queue
 	// (inbound buffer or shared outbound queue); filterDrops counts
@@ -485,7 +487,7 @@ func (ep *MuxEndpoint) FilterDrops() int64 { return ep.filterDrops.Load() }
 // transport's delivery contract.
 func (ep *MuxEndpoint) Send(to string, data []byte) error {
 	m := ep.mux
-	if ep.isClosed() {
+	if ep.closed.Load() {
 		return ErrClosed
 	}
 	if f := m.filter.Load(); f != nil && f.DropOutbound(ep.addr, to) {
@@ -526,7 +528,7 @@ func (ep *MuxEndpoint) Send(to string, data []byte) error {
 func (ep *MuxEndpoint) deliver(p Packet) bool {
 	ep.hmu.RLock()
 	defer ep.hmu.RUnlock()
-	if ep.closed {
+	if ep.closed.Load() {
 		return false
 	}
 	if ep.handler != nil {
@@ -571,19 +573,13 @@ func (ep *MuxEndpoint) Recv() <-chan Packet { return ep.in }
 // again. Safe to call more than once.
 func (ep *MuxEndpoint) Close() error {
 	ep.hmu.Lock()
-	if ep.closed {
+	if ep.closed.Load() {
 		ep.hmu.Unlock()
 		return nil
 	}
-	ep.closed = true
+	ep.closed.Store(true)
 	ep.hmu.Unlock()
 	ep.mux.eps.Delete(ep.id)
 	close(ep.in)
 	return nil
-}
-
-func (ep *MuxEndpoint) isClosed() bool {
-	ep.hmu.RLock()
-	defer ep.hmu.RUnlock()
-	return ep.closed
 }

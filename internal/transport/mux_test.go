@@ -123,6 +123,63 @@ func TestMuxHandlerMode(t *testing.T) {
 	}
 }
 
+// TestMuxCloseDuringHandlerSend pins the Close/deliver/Send ordering
+// that used to wedge: a handler (holding the delivery read lock) sends
+// while a Close is already queued for the write lock. Send must not
+// re-enter the lock, and once Close returns the handler is not invoked
+// again.
+func TestMuxCloseDuringHandlerSend(t *testing.T) {
+	m := newTestMux(t, UDPMuxConfig{Sockets: 1})
+	a, b := muxEndpoint(t, m), muxEndpoint(t, m)
+
+	entered := make(chan struct{}, 16)
+	release := make(chan struct{})
+	sent := make(chan error, 16)
+	var closeReturned atomic.Bool
+	b.SetHandler(func(p Packet) {
+		if closeReturned.Load() {
+			t.Error("handler invoked after Close returned")
+		}
+		entered <- struct{}{}
+		<-release
+		sent <- b.Send(a.Addr(), []byte("reply"))
+		p.Release()
+	})
+	if err := a.Send(b.Addr(), []byte("request")); err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("handler never invoked")
+	}
+	closed := make(chan struct{})
+	go func() {
+		_ = b.Close()
+		closeReturned.Store(true)
+		close(closed)
+	}()
+	// Nothing observable says "Close is now waiting for the lock"; the
+	// pause only makes the old deadlock certain instead of likely.
+	time.Sleep(50 * time.Millisecond)
+	close(release)
+	select {
+	case <-sent:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Send inside the handler deadlocked against Close")
+	}
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close never returned")
+	}
+	// Late traffic for the closed endpoint must not reach the handler.
+	if err := a.Send(b.Addr(), []byte("late")); err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	time.Sleep(50 * time.Millisecond)
+}
+
 func TestMuxEndpointClose(t *testing.T) {
 	m := newTestMux(t, UDPMuxConfig{Sockets: 1})
 	a, b := muxEndpoint(t, m), muxEndpoint(t, m)

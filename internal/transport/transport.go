@@ -21,7 +21,8 @@ type Packet struct {
 	Data []byte
 
 	// buf is the pooled backing buffer, nil for packets whose Data was
-	// heap-allocated (in-memory transport, hand-built test packets).
+	// heap-allocated (oversize in-memory datagrams, hand-built test
+	// packets).
 	buf *[]byte
 }
 
@@ -37,7 +38,7 @@ func (p *Packet) Release() {
 	}
 }
 
-// bufPool recycles MaxDatagram-sized receive buffers across all UDP
+// bufPool recycles MaxDatagram-sized receive buffers across all
 // endpoints and muxes of the process: one Get per datagram in flight,
 // zero allocations in the steady state.
 var bufPool = sync.Pool{New: func() any {

@@ -1,10 +1,13 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"sync"
 	"testing"
 	"time"
+
+	"antientropy/internal/race"
 )
 
 func recvOne(t *testing.T, ep Endpoint, timeout time.Duration) Packet {
@@ -50,6 +53,53 @@ func TestMemSendCopiesBuffer(t *testing.T) {
 	if string(p.Data) != "original" {
 		t.Fatalf("buffer aliasing: got %q", p.Data)
 	}
+}
+
+// TestMemRoundTripAllocs gates the in-memory datagram path: with the
+// consumer releasing its packets, send → recv → Release allocates
+// nothing — datagrams ride the pooled send buffers.
+func TestMemRoundTripAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	net := NewMemNetwork(MemNetworkConfig{Seed: 1})
+	defer net.Close()
+	a, b := net.Endpoint(), net.Endpoint()
+	payload := make([]byte, 1000) // a full-view gossip frame
+	if n := testing.AllocsPerRun(200, func() {
+		if err := a.Send(b.Addr(), payload); err != nil {
+			t.Fatal(err)
+		}
+		p := <-b.Recv()
+		if err := b.Send(a.Addr(), p.Data); err != nil {
+			t.Fatal(err)
+		}
+		p.Release()
+		p = <-a.Recv()
+		p.Release()
+	}); n != 0 {
+		t.Fatalf("mem round trip allocates %.1f times, want 0", n)
+	}
+}
+
+// TestMemOversizeDatagram: datagrams beyond the pooled size class still
+// arrive intact (as a plain copy; Release is then a no-op).
+func TestMemOversizeDatagram(t *testing.T) {
+	net := NewMemNetwork(MemNetworkConfig{Seed: 1})
+	defer net.Close()
+	a, b := net.Endpoint(), net.Endpoint()
+	payload := make([]byte, sendBufSize+1)
+	for i := range payload {
+		payload[i] = byte(i)
+	}
+	if err := a.Send(b.Addr(), payload); err != nil {
+		t.Fatal(err)
+	}
+	p := recvOne(t, b, time.Second)
+	if !bytes.Equal(p.Data, payload) {
+		t.Fatal("oversize datagram corrupted")
+	}
+	p.Release()
 }
 
 func TestMemUnknownPeer(t *testing.T) {

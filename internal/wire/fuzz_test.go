@@ -1,12 +1,16 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 )
 
 // FuzzDecode drives the decoder with arbitrary datagrams: it must never
-// panic, and every successfully decoded message must re-encode. Seeds
+// panic, every successfully decoded message must re-encode, and a
+// Decoder reused across all inputs must agree with the fresh-storage
+// wrapper on every one of them — same message or same error. Seeds
 // cover every message type at the current version — both view-frame
 // kinds included — plus legacy version-1 encodings, whose decoded form
 // (an un-numbered full frame) must re-encode at the current version.
@@ -48,10 +52,19 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte("AE04"))
+	var reused Decoder
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, version, err := DecodeExt(data)
+		m, version, err := new(Decoder).Decode(data)
+		rm, rversion, rerr := reused.Decode(data)
 		if err != nil {
-			return // rejected input is fine; panicking is not
+			// Rejected input is fine; panicking or disagreeing is not.
+			if rerr == nil || rerr.Error() != err.Error() {
+				t.Fatalf("fresh decode failed with %v, reused decoder with %v", err, rerr)
+			}
+			return
+		}
+		if rerr != nil || rversion != version || reflect.TypeOf(rm) != reflect.TypeOf(m) {
+			t.Fatalf("reused decoder disagrees:\n fresh %#v (v%d)\nreused %#v (v%d, %v)", m, version, rm, rversion, rerr)
 		}
 		if version != Version && version != VersionDelta && version != VersionLegacy {
 			t.Fatalf("decoder accepted version %d", version)
@@ -60,6 +73,11 @@ func FuzzDecode(f *testing.F) {
 		re, err := Encode(m)
 		if err != nil {
 			t.Fatalf("decoded %T does not re-encode: %v", m, err)
+		}
+		// Compared by their encodings: a NaN payload is not DeepEqual
+		// to itself.
+		if rre, err := Encode(rm); err != nil || !bytes.Equal(rre, re) {
+			t.Fatalf("reused decoder disagrees (%v):\n fresh %#v\nreused %#v", err, m, rm)
 		}
 		m2, err := Decode(re)
 		if err != nil {
@@ -114,7 +132,7 @@ func TestDecodeUnknownVersionTyped(t *testing.T) {
 		}
 	}
 	// All supported versions still decode.
-	encDelta := func(m Message) ([]byte, error) { return EncodeVersion(m, VersionDelta) }
+	encDelta := func(m Message) ([]byte, error) { return AppendEncode(nil, m, VersionDelta) }
 	for _, enc := range []func(Message) ([]byte, error){Encode, encDelta, EncodeLegacy} {
 		data, err := enc(&JoinRequest{From: "a", Seq: 1})
 		if err != nil {

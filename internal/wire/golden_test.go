@@ -90,7 +90,7 @@ func checkGolden(t *testing.T, msg Message, golden string, version uint8) {
 	if err != nil {
 		t.Fatalf("bad golden literal: %v", err)
 	}
-	got, err := EncodeVersion(msg, version)
+	got, err := AppendEncode(nil, msg, version)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestGoldenLegacy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, version, err := DecodeExt(data)
+	m, version, err := new(Decoder).Decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,10 @@
 package wire
 
-import "antientropy/internal/overlay"
+import (
+	"slices"
+
+	"antientropy/internal/overlay"
+)
 
 // ViewCodec holds one side's delta-gossip state for a single peer
 // connection: which snapshot of our view the peer has acknowledged
@@ -70,18 +74,21 @@ func DescriptorWireSize(addr string) int { return 2 + len(addr) + 8 }
 // otherwise. An unsorted view degrades gracefully: entries the peer has
 // seen may be resent, never lost.
 func (c *ViewCodec) EncodeView(packed []uint64, addr func(int32) string) ViewFrame {
-	return c.EncodeViewBudget(packed, addr, 0)
+	return c.AppendView(nil, packed, addr, 0)
 }
 
-// EncodeViewBudget is EncodeView under a piggyback budget: when
-// maxBytes > 0, the frame carries only the longest prefix of the
-// would-be entries whose descriptors fit in maxBytes encoded bytes
-// (DescriptorWireSize each). The overlay tolerates partial views by
-// design (§4) — a trimmed entry is simply not recorded as pending, so
-// it stays outside the acked snapshot and is resent by a later frame
-// instead of being lost. Under fast peer rotation, where the delta
-// codec degrades to full frames, the budget is the bandwidth backstop.
-func (c *ViewCodec) EncodeViewBudget(packed []uint64, addr func(int32) string, maxBytes int) ViewFrame {
+// AppendView is EncodeView with caller-owned storage and a piggyback
+// budget. The frame's Entries are built in dst[:0] (grown if needed), so
+// a caller that passes the previous frame's Entries back in encodes
+// without allocating. When maxBytes > 0, the frame carries only the
+// longest prefix of the would-be entries whose descriptors fit in
+// maxBytes encoded bytes (DescriptorWireSize each). The overlay
+// tolerates partial views by design (§4) — a trimmed entry is simply not
+// recorded as pending, so it stays outside the acked snapshot and is
+// resent by a later frame instead of being lost. Under fast peer
+// rotation, where the delta codec degrades to full frames, the budget is
+// the bandwidth backstop.
+func (c *ViewCodec) AppendView(dst []Descriptor, packed []uint64, addr func(int32) string, maxBytes int) ViewFrame {
 	c.nextGen++
 	frame := ViewFrame{Kind: ViewFull, Gen: c.nextGen, Ack: c.recvGen}
 	send := packed
@@ -106,7 +113,7 @@ func (c *ViewCodec) EncodeViewBudget(packed []uint64, addr func(int32) string, m
 			send = delta
 		}
 	}
-	entries := make([]Descriptor, 0, len(send))
+	entries := slices.Grow(dst[:0], len(send))
 	budget := maxBytes
 	for _, e := range send {
 		a := addr(overlay.UnpackKey(e))

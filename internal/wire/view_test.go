@@ -181,12 +181,12 @@ func TestViewCodecBudgetTrimsPrefix(t *testing.T) {
 	per := DescriptorWireSize("n1") // all test addrs encode to 12 bytes
 
 	var unlimited ViewCodec
-	if f := unlimited.EncodeViewBudget(view, addrOf, 0); len(f.Entries) != 4 {
+	if f := unlimited.AppendView(nil, view, addrOf, 0); len(f.Entries) != 4 {
 		t.Fatalf("zero budget trimmed to %d entries, want 4", len(f.Entries))
 	}
 
 	var a ViewCodec
-	f := a.EncodeViewBudget(view, addrOf, 2*per+1)
+	f := a.AppendView(nil, view, addrOf, 2*per+1)
 	if len(f.Entries) != 2 {
 		t.Fatalf("budget for 2 descriptors sent %d entries", len(f.Entries))
 	}
@@ -199,7 +199,7 @@ func TestViewCodecBudgetTrimsPrefix(t *testing.T) {
 	}
 	// A budget too small for even one descriptor yields an empty frame —
 	// still a valid generation carrying the Ack.
-	if f := a.EncodeViewBudget(view, addrOf, per-1); len(f.Entries) != 0 {
+	if f := a.AppendView(nil, view, addrOf, per-1); len(f.Entries) != 0 {
 		t.Fatalf("sub-descriptor budget sent %d entries", len(f.Entries))
 	}
 }
@@ -213,7 +213,7 @@ func TestViewCodecBudgetResendsTrimmed(t *testing.T) {
 	per := DescriptorWireSize("n1")
 
 	// Gen 1: budget admits only two of four descriptors; the peer acks.
-	f1 := a.EncodeViewBudget(view, addrOf, 2*per)
+	f1 := a.AppendView(nil, view, addrOf, 2*per)
 	if len(f1.Entries) != 2 {
 		t.Fatalf("first frame sent %d entries, want 2", len(f1.Entries))
 	}
@@ -221,7 +221,7 @@ func TestViewCodecBudgetResendsTrimmed(t *testing.T) {
 
 	// Gen 2, unlimited: the trimmed descriptors must reappear in the
 	// delta — they were sent to nobody and may not be suppressed.
-	f2 := a.EncodeViewBudget(view, addrOf, 0)
+	f2 := a.AppendView(nil, view, addrOf, 0)
 	if f2.Kind != ViewDelta {
 		t.Fatalf("second frame = %+v, want delta", f2)
 	}

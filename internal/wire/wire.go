@@ -45,13 +45,25 @@
 // in the payload head), membership and join messages are unchanged,
 // and version-2 peers keep interoperating: frames sent to them simply
 // omit the XID, and their traces show XID 0.
+//
+// # Ownership
+//
+// The hot path of a live node works on storage its caller owns. A
+// Decoder decodes into buffers it reuses: the message it returns is
+// valid until the next Decode on that decoder, and never aliases the
+// datagram, which may be recycled at once (transport.Packet.Data, for
+// its part, is the receiver's until Packet.Release). AppendEncode and
+// ViewCodec.AppendView write into what the caller passes. Decode, Encode
+// and EncodeView are the same code over fresh storage.
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Magic identifies the protocol ("Anti-Entropy, DSN 2004").
@@ -290,10 +302,11 @@ type MembershipReply struct {
 // Type returns TMembershipReply.
 func (*MembershipReply) Type() MsgType { return TMembershipReply }
 
-// appender accumulates the encoding.
+// appender accumulates the encoding of one message at one wire version.
 type appender struct {
-	buf []byte
-	err error
+	buf     []byte
+	version uint8
+	err     error
 }
 
 func (a *appender) u8(v uint8)   { a.buf = append(a.buf, v) }
@@ -326,7 +339,23 @@ func (a *appender) descriptors(ds []Descriptor) {
 	}
 }
 
-func (a *appender) viewFrame(f ViewFrame) {
+// view writes a membership frame: numbered at version 2 and later, the
+// plain descriptor list at version 1. Only full (or empty) frames can be
+// downgraded: a delta is meaningless to a peer that tracks no
+// generations.
+func (a *appender) view(f *ViewFrame) {
+	if a.version == VersionLegacy {
+		switch f.Kind {
+		case ViewNone:
+			a.descriptors(nil)
+		case ViewFull:
+			a.descriptors(f.Entries)
+		default:
+			a.err = fmt.Errorf("%w: cannot downgrade %s frame to version %d",
+				ErrBadViewKind, f.Kind, VersionLegacy)
+		}
+		return
+	}
 	a.u8(uint8(f.Kind))
 	switch f.Kind {
 	case ViewNone:
@@ -347,21 +376,6 @@ func (a *appender) viewFrame(f ViewFrame) {
 	}
 }
 
-// legacyEntries flattens a view frame into the version-1 descriptor
-// list. Only full (or empty) frames can be downgraded: a delta is
-// meaningless to a peer that tracks no generations.
-func legacyEntries(f ViewFrame) ([]Descriptor, error) {
-	switch f.Kind {
-	case ViewNone:
-		return nil, nil
-	case ViewFull:
-		return f.Entries, nil
-	default:
-		return nil, fmt.Errorf("%w: cannot downgrade %s frame to version %d",
-			ErrBadViewKind, f.Kind, VersionLegacy)
-	}
-}
-
 func (a *appender) mapEntries(es []MapEntry) {
 	if len(es) > MaxMapEntries {
 		a.err = fmt.Errorf("%w: %d map entries", ErrTooLarge, len(es))
@@ -374,9 +388,9 @@ func (a *appender) mapEntries(es []MapEntry) {
 	}
 }
 
-func (a *appender) payloadHead(p Payload, version uint8) {
+func (a *appender) payload(p *Payload) {
 	a.u64(p.Seq)
-	if version >= Version {
+	if a.version >= Version {
 		a.u64(p.XID)
 	}
 	a.u64(p.Epoch)
@@ -384,46 +398,31 @@ func (a *appender) payloadHead(p Payload, version uint8) {
 	a.u8(p.Flags)
 	a.f64(p.Scalar)
 	a.mapEntries(p.Entries)
+	a.view(&p.View)
 }
 
-// Encode serializes a message at the current wire version.
-func Encode(m Message) ([]byte, error) { return EncodeVersion(m, Version) }
+func supported(version uint8) bool {
+	return version == Version || version == VersionDelta || version == VersionLegacy
+}
 
-// EncodeLegacy serializes a message at the pre-delta version 1, for
-// peers that have not demonstrated version-2 support. View frames must
-// be full (or empty); deltas cannot be downgraded.
-func EncodeLegacy(m Message) ([]byte, error) { return EncodeVersion(m, VersionLegacy) }
-
-// EncodeVersion serializes a message at an explicit wire version.
-func EncodeVersion(m Message, version uint8) ([]byte, error) {
-	if version != Version && version != VersionDelta && version != VersionLegacy {
-		return nil, fmt.Errorf("%w: %d", ErrBadVersion, version)
+// AppendEncode appends the encoding of m at an explicit wire version to
+// dst and returns the extended buffer; with a dst of sufficient capacity
+// it does not allocate. On error dst is returned unchanged.
+func AppendEncode(dst []byte, m Message, version uint8) ([]byte, error) {
+	if !supported(version) {
+		return dst, fmt.Errorf("%w: %d", ErrBadVersion, version)
 	}
-	a := &appender{buf: make([]byte, 0, 256)}
+	a := appender{buf: dst, version: version}
 	a.buf = append(a.buf, Magic[:]...)
 	a.u8(version)
 	a.u8(uint8(m.Type()))
-	view := func(f ViewFrame) {
-		if version == VersionLegacy {
-			ds, err := legacyEntries(f)
-			if err != nil {
-				a.err = err
-				return
-			}
-			a.descriptors(ds)
-			return
-		}
-		a.viewFrame(f)
-	}
 	switch v := m.(type) {
 	case *ExchangeRequest:
 		a.str(v.From)
-		a.payloadHead(v.Payload, version)
-		view(v.View)
+		a.payload(&v.Payload)
 	case *ExchangeReply:
 		a.str(v.From)
-		a.payloadHead(v.Payload, version)
-		view(v.View)
+		a.payload(&v.Payload)
 	case *JoinRequest:
 		a.str(v.From)
 		a.u64(v.Seq)
@@ -435,18 +434,72 @@ func EncodeVersion(m Message, version uint8) ([]byte, error) {
 	case *Membership:
 		a.str(v.From)
 		a.u64(v.Seq)
-		view(v.View)
+		a.view(&v.View)
 	case *MembershipReply:
 		a.str(v.From)
 		a.u64(v.Seq)
-		view(v.View)
+		a.view(&v.View)
 	default:
-		return nil, fmt.Errorf("wire: cannot encode %T", m)
+		return dst, fmt.Errorf("wire: cannot encode %T", m)
 	}
 	if a.err != nil {
-		return nil, a.err
+		return dst, a.err
 	}
 	return a.buf, nil
+}
+
+// Encode serializes a message at the current wire version into a fresh
+// buffer.
+func Encode(m Message) ([]byte, error) { return encodeFresh(m, Version) }
+
+// EncodeLegacy serializes a message at the pre-delta version 1, for
+// peers that have not demonstrated version-2 support. View frames must
+// be full (or empty); deltas cannot be downgraded.
+func EncodeLegacy(m Message) ([]byte, error) { return encodeFresh(m, VersionLegacy) }
+
+// encodeScratch recycles the buffers encodeFresh encodes into, so a
+// fresh encoding costs one allocation of exactly its size.
+var encodeScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+func encodeFresh(m Message, version uint8) ([]byte, error) {
+	sp := encodeScratch.Get().(*[]byte)
+	defer encodeScratch.Put(sp)
+	buf, err := AppendEncode((*sp)[:0], m, version)
+	if err != nil {
+		return nil, err
+	}
+	*sp = buf
+	return bytes.Clone(buf), nil
+}
+
+// Messages is caller-owned storage for one message of every type: what a
+// Decoder decodes into, and what a sender that reuses its outgoing
+// messages fills.
+type Messages struct {
+	ExchangeRequest ExchangeRequest
+	ExchangeReply   ExchangeReply
+	JoinRequest     JoinRequest
+	JoinReply       JoinReply
+	Membership      Membership
+	MembershipReply MembershipReply
+}
+
+// Decoder decodes datagrams into storage it owns and reuses: in the
+// steady state — every address known to Lookup — a decode allocates
+// nothing. The message returned by Decode, its descriptor and map-entry
+// lists included, aliases that storage. Address strings are Lookup's
+// canonical strings or fresh copies, never views of the datagram. A
+// Decoder is not safe for concurrent use.
+type Decoder struct {
+	// Lookup, when set, resolves address bytes to an already-interned
+	// string (overlay.Book.Canonical). It must not record anything: it is
+	// called on datagrams that may yet fail validation. A miss allocates
+	// a copy.
+	Lookup func(addr []byte) (string, bool)
+
+	msgs    Messages
+	descs   []Descriptor
+	entries []MapEntry
 }
 
 // reader consumes the encoding.
@@ -454,6 +507,7 @@ type reader struct {
 	buf []byte
 	off int
 	err error
+	dec *Decoder
 }
 
 func (r *reader) take(n int) []byte {
@@ -515,24 +569,45 @@ func (r *reader) str() string {
 	if b == nil {
 		return ""
 	}
+	if r.dec.Lookup != nil {
+		if s, ok := r.dec.Lookup(b); ok {
+			return s
+		}
+	}
 	return string(b)
 }
 
+// descriptors reads a descriptor list into the decoder's storage (a
+// message carries at most one).
 func (r *reader) descriptors() []Descriptor {
 	n := int(r.u16())
 	if n > MaxDescriptors {
 		r.err = fmt.Errorf("%w: %d descriptors", ErrTooLarge, n)
 		return nil
 	}
-	out := make([]Descriptor, 0, n)
+	out := r.dec.descs[:0]
+	if out == nil {
+		out = make([]Descriptor, 0, n)
+	}
 	for i := 0; i < n && r.err == nil; i++ {
 		out = append(out, Descriptor{Addr: r.str(), Stamp: r.i64()})
 	}
+	r.dec.descs = out
 	return out
 }
 
-// viewFrame reads a version-2 frame.
-func (r *reader) viewFrame() ViewFrame {
+// viewFrame reads a membership frame: the numbered form of version 2
+// and later, or a version-1 descriptor list as an un-numbered full frame
+// (an empty list stays the zero frame, matching what version 1 meant by
+// it).
+func (r *reader) viewFrame(version uint8) ViewFrame {
+	if version == VersionLegacy {
+		ds := r.descriptors()
+		if len(ds) == 0 {
+			return ViewFrame{}
+		}
+		return ViewFrame{Kind: ViewFull, Entries: ds}
+	}
 	kind := ViewKind(r.u8())
 	switch kind {
 	case ViewNone:
@@ -549,27 +624,20 @@ func (r *reader) viewFrame() ViewFrame {
 	}
 }
 
-// legacyFrame reads a version-1 descriptor list as an un-numbered full
-// frame (an empty list stays the zero frame, matching what version 1
-// meant by it).
-func (r *reader) legacyFrame() ViewFrame {
-	ds := r.descriptors()
-	if len(ds) == 0 {
-		return ViewFrame{}
-	}
-	return ViewFrame{Kind: ViewFull, Entries: ds}
-}
-
 func (r *reader) mapEntries() []MapEntry {
 	n := int(r.u16())
 	if n > MaxMapEntries {
 		r.err = fmt.Errorf("%w: %d map entries", ErrTooLarge, n)
 		return nil
 	}
-	out := make([]MapEntry, 0, n)
+	out := r.dec.entries[:0]
+	if out == nil {
+		out = make([]MapEntry, 0, n)
+	}
 	for i := 0; i < n && r.err == nil; i++ {
 		out = append(out, MapEntry{Leader: r.i64(), Value: r.f64()})
 	}
+	r.dec.entries = out
 	return out
 }
 
@@ -583,24 +651,22 @@ func (r *reader) payload(version uint8) Payload {
 	p.Flags = r.u8()
 	p.Scalar = r.f64()
 	p.Entries = r.mapEntries()
-	if version == VersionLegacy {
-		p.View = r.legacyFrame()
-	} else {
-		p.View = r.viewFrame()
-	}
+	p.View = r.viewFrame(version)
 	return p
 }
 
-// Decode parses a message. The input slice is not retained.
+// Decode parses a message into fresh storage. The input slice is not
+// retained.
 func Decode(data []byte) (Message, error) {
-	m, _, err := DecodeExt(data)
+	m, _, err := new(Decoder).Decode(data)
 	return m, err
 }
 
-// DecodeExt parses a message and additionally reports the wire version
-// it was encoded at, letting callers track per-peer version support.
-func DecodeExt(data []byte) (Message, uint8, error) {
-	r := &reader{buf: data}
+// Decode parses a message into the decoder's storage and reports the
+// wire version it was encoded at, letting callers track per-peer version
+// support. See Decoder for how long the message stays valid.
+func (d *Decoder) Decode(data []byte) (Message, uint8, error) {
+	r := reader{buf: data, dec: d}
 	magic := r.take(4)
 	if r.err != nil {
 		return nil, 0, r.err
@@ -609,31 +675,33 @@ func DecodeExt(data []byte) (Message, uint8, error) {
 		return nil, 0, ErrBadMagic
 	}
 	version := r.u8()
-	if version != Version && version != VersionDelta && version != VersionLegacy {
+	if !supported(version) {
 		if r.err != nil {
 			return nil, 0, r.err
 		}
 		return nil, 0, fmt.Errorf("%w: %d", ErrBadVersion, version)
 	}
-	frame := r.viewFrame
-	if version == VersionLegacy {
-		frame = r.legacyFrame
-	}
 	t := MsgType(r.u8())
 	var m Message
 	switch t {
 	case TExchangeRequest:
-		m = &ExchangeRequest{From: r.str(), Payload: r.payload(version)}
+		d.msgs.ExchangeRequest = ExchangeRequest{From: r.str(), Payload: r.payload(version)}
+		m = &d.msgs.ExchangeRequest
 	case TExchangeReply:
-		m = &ExchangeReply{From: r.str(), Payload: r.payload(version)}
+		d.msgs.ExchangeReply = ExchangeReply{From: r.str(), Payload: r.payload(version)}
+		m = &d.msgs.ExchangeReply
 	case TJoinRequest:
-		m = &JoinRequest{From: r.str(), Seq: r.u64()}
+		d.msgs.JoinRequest = JoinRequest{From: r.str(), Seq: r.u64()}
+		m = &d.msgs.JoinRequest
 	case TJoinReply:
-		m = &JoinReply{Seq: r.u64(), NextEpoch: r.u64(), WaitMicros: r.i64(), Seeds: r.descriptors()}
+		d.msgs.JoinReply = JoinReply{Seq: r.u64(), NextEpoch: r.u64(), WaitMicros: r.i64(), Seeds: r.descriptors()}
+		m = &d.msgs.JoinReply
 	case TMembership:
-		m = &Membership{From: r.str(), Seq: r.u64(), View: frame()}
+		d.msgs.Membership = Membership{From: r.str(), Seq: r.u64(), View: r.viewFrame(version)}
+		m = &d.msgs.Membership
 	case TMembershipReply:
-		m = &MembershipReply{From: r.str(), Seq: r.u64(), View: frame()}
+		d.msgs.MembershipReply = MembershipReply{From: r.str(), Seq: r.u64(), View: r.viewFrame(version)}
+		m = &d.msgs.MembershipReply
 	default:
 		if r.err != nil {
 			return nil, 0, r.err
