@@ -10,6 +10,7 @@
 package antientropy_test
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -17,7 +18,6 @@ import (
 	"antientropy/internal/baseline"
 	"antientropy/internal/core"
 	"antientropy/internal/experiments"
-	"antientropy/internal/newscast"
 	"antientropy/internal/overlay"
 	"antientropy/internal/sim"
 	"antientropy/internal/stats"
@@ -340,23 +340,79 @@ func BenchmarkSimCycleVector32(b *testing.B) {
 	}
 }
 
-func BenchmarkNewscastExchange(b *testing.B) {
-	x, err := newscast.NewCache[int32](1, 30)
-	if err != nil {
-		b.Fatal(err)
-	}
-	y, err := newscast.NewCache[int32](2, 30)
-	if err != nil {
-		b.Fatal(err)
-	}
+// BenchmarkTableExchange is the engines' NEWSCAST exchange in the shape
+// of the benchmark ladder's overlay.table_exchange_ns rung: N = 20 000
+// warmed views of c = 30, every node initiating once per cycle.
+func BenchmarkTableExchange(b *testing.B) {
+	const n, c = 20000, 30
 	rng := stats.NewRNG(1)
-	for i := 0; i < 40; i++ {
-		x.Absorb([]newscast.Entry[int32]{{Key: int32(rng.Intn(1000)), Stamp: int64(i)}})
-		y.Absorb([]newscast.Entry[int32]{{Key: int32(rng.Intn(1000)), Stamp: int64(i)}})
+	table, err := overlay.NewTable(n, c)
+	if err != nil {
+		b.Fatal(err)
 	}
+	for i := 0; i < n; i++ {
+		table.At(i).SeedRandom(c, n, 0, rng)
+	}
+	var scratch []uint64
+	i, cycle := 0, 1
+	exchange := func() {
+		if j := table.Neighbor(i, rng); j >= 0 {
+			scratch = table.Exchange(scratch, i, j, cycle)
+		}
+		if i++; i == n {
+			i = 0
+			cycle++
+		}
+	}
+	for k := 0; k < 2*n; k++ {
+		exchange()
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		newscast.Exchange(x, y, int64(i))
+	for k := 0; k < b.N; k++ {
+		exchange()
+	}
+}
+
+// BenchmarkMembershipAbsorb is the live agent's merge of a received view
+// into a full c = 30 cache of a 500-node fleet: a 31-entry full frame in
+// storage order, a 2-entry delta frame, and a 31-entry frame in the
+// sender's order (which the merge has to sort first).
+func BenchmarkMembershipAbsorb(b *testing.B) {
+	const c, fleet = 30, 500
+	remotes := func(rng *stats.RNG, size int, sorted bool) [][]uint64 {
+		out := make([][]uint64, 64)
+		picks := make([]int, size)
+		for k := range out {
+			rng.Sample(picks, fleet, func(j int) bool { return j == 0 })
+			for _, key := range picks {
+				out[k] = append(out[k], overlay.Pack(int32(key), int32(k+1)))
+			}
+			if sorted {
+				slices.Sort(out[k])
+			}
+		}
+		return out
+	}
+	for _, bc := range []struct {
+		name   string
+		size   int
+		sorted bool
+	}{{"full31", c + 1, true}, {"delta2", 2, true}, {"unsorted31", c + 1, false}} {
+		b.Run(bc.name, func(b *testing.B) {
+			rng := stats.NewRNG(1)
+			view, err := overlay.NewMembership(0, c)
+			if err != nil {
+				b.Fatal(err)
+			}
+			view.SeedRandom(c, fleet, 0, rng)
+			rs := remotes(rng, bc.size, bc.sorted)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for k := 0; k < b.N; k++ {
+				view.AbsorbPacked(rs[k%len(rs)])
+			}
+		})
 	}
 }
 

@@ -4,6 +4,9 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"antientropy/internal/race"
+	"antientropy/internal/stats"
 )
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -284,6 +287,51 @@ func TestMapStateCombinedSizeNoMass(t *testing.T) {
 	m := MapState{1: 0}
 	if _, err := m.CombinedSize(); err == nil {
 		t.Fatal("massless map produced an estimate")
+	}
+}
+
+// TestCombinedSizeMatchesCombine pins the in-place trim to the reference
+// it replaced — Combine over a freshly collected estimate list — bit for
+// bit, on both sides of the 32-instance stack buffer.
+func TestCombinedSizeMatchesCombine(t *testing.T) {
+	rng := stats.NewRNG(5)
+	for trial := 0; trial < 500; trial++ {
+		m := MapState{}
+		var ests []float64
+		for l := 0; l < 1+rng.Intn(48); l++ {
+			mass := rng.Float64() / 100
+			if rng.Intn(8) == 0 {
+				mass = 0 // estimates +Inf, left out
+			}
+			m[LeaderID(l)] = mass
+			if mass > 0 {
+				ests = append(ests, SizeFromAverage(mass))
+			}
+		}
+		got, err := m.CombinedSize()
+		if len(ests) == 0 {
+			if err == nil {
+				t.Fatalf("trial %d: massless map produced %g", trial, got)
+			}
+			continue
+		}
+		want, _ := Combine(ests)
+		if err != nil || got != want {
+			t.Fatalf("trial %d (%d instances): CombinedSize = %v, %v; Combine = %v", trial, len(ests), got, err, want)
+		}
+	}
+}
+
+func TestCombinedSizeAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	m := MapState{}
+	for l := 0; l < 32; l++ {
+		m[LeaderID(l)] = 1 / float64(90+l)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = m.CombinedSize() }); n != 0 {
+		t.Fatalf("CombinedSize allocates %.1f times for 32 instances", n)
 	}
 }
 

@@ -2,7 +2,10 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
+
+	"antientropy/internal/stats"
 )
 
 // LeaderID identifies the node that started a concurrent COUNT instance.
@@ -85,9 +88,12 @@ func (m MapState) SizeEstimates() map[LeaderID]float64 {
 
 // CombinedSize reduces the per-instance size estimates with the
 // multi-instance combiner of §7.3 (trimmed mean, see Combine). It returns
-// ErrNoEstimate when no instance carries positive mass.
+// ErrNoEstimate when no instance carries positive mass. A live COUNT node
+// calls it about once per exchange, so the estimates are collected in a
+// stack buffer and trimmed in place: no allocation up to 32 instances.
 func (m MapState) CombinedSize() (float64, error) {
-	ests := make([]float64, 0, len(m))
+	var buf [32]float64
+	ests := buf[:0]
 	for _, e := range m {
 		if s := SizeFromAverage(e); !math.IsInf(s, 1) {
 			ests = append(ests, s)
@@ -96,5 +102,10 @@ func (m MapState) CombinedSize() (float64, error) {
 	if len(ests) == 0 {
 		return 0, ErrNoEstimate
 	}
-	return Combine(ests)
+	// Combine on a slice this function owns: sorting it directly is the
+	// copy-then-sort of stats.TrimmedMean, and ⌊len/3⌋ from each end
+	// never trims a non-empty list to nothing.
+	slices.Sort(ests)
+	drop := len(ests) / TrimDivisor
+	return stats.Mean(ests[drop : len(ests)-drop])
 }

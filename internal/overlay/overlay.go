@@ -7,9 +7,20 @@
 // (lifted out of the sharded engine, where it was ~5× faster per
 // exchange than the earlier generic comparator-sorted cache): every
 // descriptor is one uint64, (^stamp)<<32 | key, so that ascending
-// primitive order is "freshest first, key ascending on ties". One
-// primitive sort per merge replaces the comparator sorts that dominated
-// whole-simulation profiles.
+// primitive order is "freshest first, key ascending on ties".
+//
+// Every stored view is kept in that order, strictly ascending, and every
+// merge is one pass of one kernel (mergeDistinct, merge.go): a linear
+// merge of the already-ascending lists — the two views and the pair of
+// fresh self-descriptors — that keeps the first occurrence of each key
+// through a small open-addressed key set and stops once it has one more
+// survivor than the capacity; each view then takes the survivors minus
+// its own key. Nothing is sorted on the way, which is the kernel's
+// precondition: its inputs must be ascending. Stored views always are;
+// a view received from a peer is in the sender's order, so Absorb checks
+// that half in one pass and sorts it (at most a view's worth of entries)
+// only when it has to. Absorbing a handful of descriptors, the live
+// agent's delta frames, inserts them one at a time instead.
 //
 // Determinism contract: a merge keeps the cap freshest distinct keys of
 // the union of both views plus both fresh self-descriptors, excluding
@@ -68,7 +79,11 @@ type Membership struct {
 	// Table alias its shared backing; standalone caches own theirs.
 	entries []uint64
 	n       int32
-	scratch []uint64
+	// scratch is the merge workspace. A standalone cache owns one; the
+	// rows of a Table share the table's, so Absorb and Seed on rows of
+	// one table must not run concurrently (Table.Exchange, which works
+	// on the caller's buffer, may).
+	scratch *[]uint64
 }
 
 // NewMembership returns an empty standalone cache of capacity c for the
@@ -78,7 +93,7 @@ func NewMembership(self int32, c int) (*Membership, error) {
 	if c < 1 {
 		return nil, ErrBadCacheSize
 	}
-	return &Membership{self: self, cap: c, entries: make([]uint64, c)}, nil
+	return &Membership{self: self, cap: c, entries: make([]uint64, c), scratch: new([]uint64)}, nil
 }
 
 // Self returns the owning node's key.
@@ -151,10 +166,11 @@ func (m *Membership) AppendView(dst []uint64, now int32) []uint64 {
 	return append(dst, Pack(m.self, now))
 }
 
-// smallAbsorb is the remote-size threshold below which Absorb updates
-// the view incrementally instead of re-sorting the whole union — the
-// steady-state case for the live agent, whose delta frames carry a
-// handful of descriptors.
+// smallAbsorb is the remote size up to which Absorb updates the view one
+// descriptor at a time instead of running the merge kernel — the steady
+// state of the live agent, whose delta frames carry a handful of
+// descriptors. The kernel costs about the same whatever the remote size
+// (it walks the whole stored view), an insertion about a tenth of that.
 const smallAbsorb = 8
 
 // Absorb merges remote descriptors into the cache: the union of the
@@ -168,16 +184,15 @@ func (m *Membership) Absorb(remote []Entry) {
 		}
 		return
 	}
-	scratch := m.scratch[:0]
-	for _, e := range remote {
-		if e.Key != m.self {
-			scratch = append(scratch, Pack(e.Key, e.Stamp))
-		}
+	stage := m.stage(len(remote))
+	for i, e := range remote {
+		stage[i] = Pack(e.Key, e.Stamp)
 	}
-	m.scratch = m.absorbScratch(scratch)
+	m.absorbScratch(stage)
 }
 
-// AbsorbPacked merges an already-packed remote view into the cache.
+// AbsorbPacked merges an already-packed remote view into the cache. The
+// view may arrive in any order and is not modified.
 func (m *Membership) AbsorbPacked(remote []uint64) {
 	if len(remote) <= smallAbsorb {
 		for _, e := range remote {
@@ -185,13 +200,9 @@ func (m *Membership) AbsorbPacked(remote []uint64) {
 		}
 		return
 	}
-	scratch := m.scratch[:0]
-	for _, e := range remote {
-		if UnpackKey(e) != m.self {
-			scratch = append(scratch, e)
-		}
-	}
-	m.scratch = m.absorbScratch(scratch)
+	stage := m.stage(len(remote))
+	copy(stage, remote)
+	m.absorbScratch(stage)
 }
 
 // absorbOne merges a single descriptor, keeping the view sorted. It is
@@ -226,32 +237,43 @@ func (m *Membership) absorbOne(e uint64) {
 	m.entries[at] = e
 }
 
-// absorbScratch completes a merge whose remote half (self already
-// filtered) sits in scratch: append the current view, sort, keep the
-// first occurrence of each key — ascending packed order makes that the
-// freshest descriptor — and write back at most cap survivors. Returns
-// the scratch buffer for reuse.
-func (m *Membership) absorbScratch(scratch []uint64) []uint64 {
-	scratch = append(scratch, m.Packed()...)
-	slices.Sort(scratch)
+// stage sizes the scratch buffer for one merge and returns its staging
+// area: n words behind the merge's output and key set.
+func (m *Membership) stage(n int) []uint64 {
+	work := workspace(*m.scratch, m.cap+1, n)
+	*m.scratch = work
+	return work[len(work)-n:]
+}
+
+// absorbScratch completes a merge whose remote half sits in the staging
+// area of the scratch buffer. The stored view is ascending already; the
+// remote half is in the sender's order (stamp ties follow its key space,
+// not ours), so it is sorted here — but only when one linear check finds
+// it out of order.
+func (m *Membership) absorbScratch(remote []uint64) {
+	if !slices.IsSorted(remote) {
+		slices.Sort(remote)
+	}
+	m.install(mergeDistinct(*m.scratch, m.cap+1, m.Packed(), remote, nil))
+}
+
+// install replaces the view with the merged survivors minus the node's
+// own descriptor, truncated to cap. Because kept holds the cap+1
+// freshest distinct keys of a union, dropping the node's own key leaves
+// exactly the cap freshest foreign descriptors.
+func (m *Membership) install(kept []uint64) {
 	w := 0
-	for r := 0; r < len(scratch) && w < m.cap; r++ {
-		key := UnpackKey(scratch[r])
-		dup := false
-		for x := 0; x < w; x++ {
-			if UnpackKey(scratch[x]) == key {
-				dup = true
-				break
-			}
+	for _, e := range kept {
+		if UnpackKey(e) == m.self {
+			continue
 		}
-		if !dup {
-			scratch[w] = scratch[r]
-			w++
+		m.entries[w] = e
+		w++
+		if w == m.cap {
+			break
 		}
 	}
-	copy(m.entries, scratch[:w])
 	m.n = int32(w)
-	return scratch[:0]
 }
 
 // Seed bootstraps the cache of a joining node from out-of-band contacts
@@ -320,13 +342,26 @@ func (m *Membership) Oldest() (int32, bool) {
 
 // Exchange performs one full NEWSCAST exchange between two live nodes at
 // logical time now: both merge the union of both views plus both fresh
-// self-descriptors. For standalone caches; engines use Table.Exchange,
-// which is the same merge on shared backing storage.
+// self-descriptors. For standalone caches, on a's scratch buffer; engines
+// use Table.Exchange, which is the same merge on shared backing storage.
 func Exchange(a, b *Membership, now int32) {
-	va := a.AppendView(nil, now)
-	vb := b.AppendView(nil, now)
-	a.AbsorbPacked(vb)
-	b.AbsorbPacked(va)
+	*a.scratch = exchange(*a.scratch, a, b, now)
+}
+
+// exchange merges both stored views and both fresh self-descriptors once,
+// to one more survivor than the larger capacity, and installs the result
+// in both views. It uses and returns the caller's scratch buffer.
+func exchange(scratch []uint64, a, b *Membership, now int32) []uint64 {
+	limit := max(a.cap, b.cap) + 1
+	scratch = workspace(scratch, limit, 0)
+	selfs := [2]uint64{Pack(a.self, now), Pack(b.self, now)}
+	if selfs[0] > selfs[1] {
+		selfs[0], selfs[1] = selfs[1], selfs[0]
+	}
+	kept := mergeDistinct(scratch, limit, selfs[:], a.Packed(), b.Packed())
+	a.install(kept)
+	b.install(kept)
+	return scratch
 }
 
 // Table is a flat array of N packed views sharing one backing slice —
@@ -336,6 +371,7 @@ type Table struct {
 	cap     int
 	rows    []Membership
 	backing []uint64
+	scratch []uint64
 }
 
 // NewTable builds an empty table of n views with capacity c each.
@@ -356,6 +392,7 @@ func NewTable(n, c int) (*Table, error) {
 			self:    int32(i),
 			cap:     c,
 			entries: t.backing[i*c : (i+1)*c : (i+1)*c],
+			scratch: &t.scratch,
 		}
 	}
 	return t, nil
@@ -385,54 +422,7 @@ func (t *Table) Neighbor(i int, rng *stats.RNG) int {
 // j at logical time cycle, using (and returning) the caller's scratch
 // buffer: both views merge the union of both views plus both fresh
 // self-descriptors and keep the freshest cap distinct keys excluding
-// their own. The union is deduplicated with a single primitive sort:
-// ascending packed order is stamp-descending, so the first occurrence of
-// a key is its freshest descriptor and the scan can stop once cap+1
-// survivors are kept.
+// their own.
 func (t *Table) Exchange(scratch []uint64, i, j, cycle int) []uint64 {
-	now := int32(cycle)
-	scratch = scratch[:0]
-	scratch = append(scratch, Pack(int32(i), now), Pack(int32(j), now))
-	scratch = append(scratch, t.rows[i].Packed()...)
-	scratch = append(scratch, t.rows[j].Packed()...)
-	slices.Sort(scratch)
-	w := 0
-	for r := 0; r < len(scratch) && w < t.cap+1; r++ {
-		key := UnpackKey(scratch[r])
-		dup := false
-		for x := 0; x < w; x++ {
-			if UnpackKey(scratch[x]) == key {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			scratch[w] = scratch[r]
-			w++
-		}
-	}
-	kept := scratch[:w]
-	t.writeBack(i, kept)
-	t.writeBack(j, kept)
-	return scratch
-}
-
-// writeBack installs the merged view for node: the kept survivors minus
-// the node's own descriptor, truncated to cap. Because kept holds the
-// cap+1 freshest distinct keys of the union, dropping the node's own key
-// leaves exactly the cap freshest foreign descriptors.
-func (t *Table) writeBack(node int, kept []uint64) {
-	m := &t.rows[node]
-	w := 0
-	for _, entry := range kept {
-		if int(UnpackKey(entry)) == node {
-			continue
-		}
-		m.entries[w] = entry
-		w++
-		if w == t.cap {
-			break
-		}
-	}
-	m.n = int32(w)
+	return exchange(scratch, &t.rows[i], &t.rows[j], int32(cycle))
 }

@@ -156,7 +156,6 @@ func Newscast(c int) OverlayBuilder {
 			alive:         ctx.Alive,
 			rng:           ctx.RNG,
 			perm:          make([]int, ctx.N),
-			scratch:       make([]uint64, 0, 2*c+2),
 			bootstrapSize: min(c, ctx.N-1),
 		}
 		// Seeding keeps the historical sample-without-replacement draws
