@@ -152,12 +152,11 @@ func benchEncodeNode(b *testing.B) (*Node, []string) {
 // deltas.
 func benchAgentCycleEncode(b *testing.B, established bool) {
 	node, contacts := benchEncodeNode(b)
-	const peer = "peer-x:7000"
-	sess := node.peers.Get(peer)
+	sess := node.peers.Get(book.Intern("peer-x:7000"))
 	var peerGen uint32
 	refresh := [2]int32{
-		node.book.Intern(contacts[0]),
-		node.book.Intern(contacts[1]),
+		node.viewKey(book.Intern(contacts[0])),
+		node.viewKey(book.Intern(contacts[1])),
 	}
 	var bytes int64
 	// The benchmark's schedule quantizes ticks at one hour, so a single

@@ -149,7 +149,19 @@ func TestServeExchangeAllocs(t *testing.T) {
 	}
 }
 
-// nodeState is everything a rejected datagram must leave alone.
+// sessionOf returns the node's session for the peer at addr, if it has
+// one. Caller holds mu.
+func (n *Node) sessionOf(addr string) (*peerSession, bool) {
+	id, ok := book.Lookup(addr)
+	if !ok {
+		return nil, false
+	}
+	return n.peers.Peek(id)
+}
+
+// nodeState is everything a rejected datagram must leave alone. bookLen
+// is the size of the process's shared book: no other test's fleet runs
+// while these do.
 type nodeState struct {
 	bookLen int
 	view    []uint64
@@ -163,13 +175,13 @@ func (h handNode) state() nodeState {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	s := nodeState{
-		bookLen: h.book.Len(),
+		bookLen: book.Len(),
 		view:    slices.Clone(h.view.Packed()),
 		peers:   h.peers.Len(),
 		scalar:  h.scalar,
 		metrics: h.Metrics(),
 	}
-	if sess, ok := h.peers.Peek(h.peer.Addr()); ok {
+	if sess, ok := h.sessionOf(h.peer.Addr()); ok {
 		s.codec = fmt.Sprintf("%+v", sess.codec)
 	}
 	return s
@@ -177,8 +189,8 @@ func (h handNode) state() nodeState {
 
 // TestRejectedDatagramLeavesNoTrace: a datagram that names new addresses
 // and then fails validation changes nothing but DecodeErrors — no
-// address is interned, the view, the sessions and the peer's codec stay
-// as they were.
+// address is interned in the process's shared book, the view, the
+// sessions and the peer's codec stay as they were.
 func TestRejectedDatagramLeavesNoTrace(t *testing.T) {
 	h := newHandNode(t, ModeScalar, 0)
 	// One valid exchange first, so the peer has a session and a codec
@@ -226,6 +238,11 @@ func TestRejectedDatagramLeavesNoTrace(t *testing.T) {
 			t.Errorf("%s: rejected datagram changed the node:\nbefore %+v\n after %+v", name, before, after)
 		}
 	}
+	for _, d := range fullFrame("stranger:1", "evil", 2).Entries {
+		if _, known := book.Lookup(d.Addr); known {
+			t.Errorf("the shared book knows %q, which only rejected datagrams named", d.Addr)
+		}
+	}
 	select {
 	case p := <-h.peer.Recv():
 		t.Fatalf("a rejected datagram was answered with %d bytes", len(p.Data))
@@ -259,8 +276,11 @@ func TestDatagramBufferNotAliased(t *testing.T) {
 	if got := h.state(); !reflect.DeepEqual(got, state) {
 		t.Fatalf("node state changed with the datagram buffer:\n got %+v\nwant %+v", got, state)
 	}
-	if _, ok := h.peers.Peek(h.peer.Addr()); !ok {
-		t.Fatal("the peer's session is keyed by a string that aliased the buffer")
+	h.mu.Lock()
+	_, ok := h.sessionOf(h.peer.Addr())
+	h.mu.Unlock()
+	if !ok {
+		t.Fatal("the peer's session cannot be found by its address any more")
 	}
 }
 

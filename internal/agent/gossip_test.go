@@ -1,12 +1,16 @@
 package agent
 
 import (
+	"cmp"
 	"context"
 	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"antientropy/internal/core"
+	"antientropy/internal/race"
 	"antientropy/internal/transport"
 	"antientropy/internal/wire"
 )
@@ -66,7 +70,7 @@ func TestDeltaGossipEngages(t *testing.T) {
 				if peer == n.Addr() {
 					continue
 				}
-				if sess, ok := n.peers.Peek(peer); ok && sess.codec.AckedGen() > 0 {
+				if sess, ok := n.sessionOf(peer); ok && sess.codec.AckedGen() > 0 {
 					engaged++
 					break
 				}
@@ -79,6 +83,83 @@ func TestDeltaGossipEngages(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	t.Fatal("delta handshake never formed: no acknowledged generations after 5s")
+}
+
+// TestSharedBookTieBreakStarvesNobody: all nodes of a process take their
+// ids from one book, and a packed view ranks equal-stamp descriptors by
+// key, so a full cache drops the highest key of the oldest stamp. Were
+// the key the bare id, the address interned last would lose in every
+// cache at once (viewKey has the measurement); salted per node, it must
+// not: after 30 cycles of a 200-node fleet no node has in-degree 0, and
+// the tenth of the fleet with the highest ids is named by at least half
+// as many caches as the tenth with the lowest.
+func TestSharedBookTieBreakStarvesNobody(t *testing.T) {
+	const fleet, contacts, cycles = 200, 30, 30
+	cycle := 40 * time.Millisecond
+	if race.Enabled {
+		cycle = 150 * time.Millisecond // the detector slows an exchange several times over
+	}
+	net := transport.NewMemNetwork(transport.MemNetworkConfig{Seed: 11})
+	defer net.Close()
+	sched := core.Schedule{Start: time.Now(), Delta: time.Hour, CycleLen: cycle, Gamma: 1 << 20}
+	eps := make([]*transport.MemEndpoint, fleet)
+	addrs := make([]string, fleet)
+	for i := range eps {
+		eps[i] = net.Endpoint()
+		addrs[i] = eps[i].Addr()
+	}
+	rng := rand.New(rand.NewSource(11))
+	nodes := make([]*Node, fleet)
+	for i := range nodes {
+		var boot []string
+		for _, j := range rng.Perm(fleet) {
+			if j != i && len(boot) < contacts {
+				boot = append(boot, addrs[j])
+			}
+		}
+		node, err := New(Config{
+			Endpoint: eps[i], Schedule: sched, Value: func() float64 { return 1 },
+			Bootstrap: boot, Seed: uint64(i + 1), Logger: quietLogger(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i] = node
+		if err := node.Start(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer func() {
+		for _, n := range nodes {
+			_ = n.Stop()
+		}
+	}()
+	time.Sleep(time.Until(sched.Start.Add(cycles * cycle)))
+
+	indegree := make(map[string]int, fleet)
+	for _, n := range nodes {
+		for _, a := range n.Peers() {
+			indegree[a]++
+		}
+	}
+	// The fleet's addresses in book-id order, lowest id first.
+	slices.SortFunc(addrs, func(a, b string) int {
+		ia, _ := book.Lookup(a)
+		ib, _ := book.Lookup(b)
+		return cmp.Compare(ia, ib)
+	})
+	var deciles [10]float64
+	for i, a := range addrs {
+		if indegree[a] == 0 {
+			id, _ := book.Lookup(a)
+			t.Errorf("no cache names %s (book id %d) after %d cycles", a, id, cycles)
+		}
+		deciles[i*10/fleet] += float64(indegree[a]) / (fleet / 10)
+	}
+	t.Logf("mean in-degree per decile of book id, lowest ids first: %.1f", deciles)
+	if deciles[9] < deciles[0]/2 {
+		t.Errorf("the highest-id decile has mean in-degree %.1f, less than half the lowest-id decile's %.1f", deciles[9], deciles[0])
+	}
 }
 
 // TestLegacyPeerNegotiation pins the per-connection version negotiation:

@@ -135,13 +135,14 @@ func (n *Node) initiate(now time.Time) {
 		n.mu.Unlock()
 		return
 	}
-	id, ok := n.view.Peer(n.rng)
+	key, ok := n.view.Peer(n.rng)
 	if !ok {
 		n.mu.Unlock()
 		return
 	}
-	peer := n.book.Addr(id)
-	sess := n.peers.Get(peer)
+	id := n.viewKey(key)
+	peer := book.Addr(id)
+	sess := n.peers.Get(id)
 	seq := n.nextSeqLocked()
 	if !n.participating || n.cfg.Schedule.CycleWithin(now) >= n.cfg.Schedule.Gamma {
 		// Joiners integrate into the overlay while they wait (§4.2), and
@@ -350,7 +351,7 @@ func (n *Node) viewDescriptorsLocked(now time.Time, version uint8) []wire.Descri
 		if len(out) == wire.MaxDescriptors-1 {
 			break
 		}
-		a := n.book.Addr(overlay.UnpackKey(e))
+		a := n.keyAddr(overlay.UnpackKey(e))
 		if n.cfg.MaxViewBytes > 0 {
 			sz := wire.DescriptorWireSize(a)
 			if sz > budget {
@@ -394,7 +395,7 @@ func (n *Node) frameForLocked(sess *peerSession, now time.Time) (wire.ViewFrame,
 	buf = append(buf, self)
 	buf = append(buf, packed[at:]...)
 	n.packedScratch = buf
-	frame := sess.codec.AppendView(n.descScratch, buf, n.book.Addr, n.cfg.MaxViewBytes)
+	frame := sess.codec.AppendView(n.descScratch, buf, n.keyAddr, n.cfg.MaxViewBytes)
 	n.descScratch = frame.Entries
 	if frame.Kind == wire.ViewDelta {
 		n.metrics.gossipFramesDelta.Add(1)
@@ -412,8 +413,11 @@ func (n *Node) frameForLocked(sess *peerSession, now time.Time) (wire.ViewFrame,
 // and would drop everything we encode at the newer version.
 const downgradeStreak = 3
 
-// observePeerLocked records the wire version a peer just demonstrated
-// and returns its session. Versions upgrade immediately, but downgrade
+// observePeerLocked records the wire version the sender of the message
+// just decoded demonstrated and returns its session. peer is that
+// message's From field — for a JoinReply, which has none, the
+// transport-level sender; its book id is the one the decoder's lookup
+// found, or a newly interned one. Versions upgrade immediately, but downgrade
 // only after downgradeStreak consecutive datagrams at the same lower
 // version: last-message-wins would let the echo of our own join probe
 // latch two current nodes onto a downlevel wire for good, while never
@@ -422,7 +426,11 @@ const downgradeStreak = 3
 // to v2 (losing only exchange IDs) exactly like a v2 session rolls
 // back to the legacy full-view wire.
 func (n *Node) observePeerLocked(peer string, version uint8) *peerSession {
-	sess := n.peers.Get(peer)
+	id, known := n.dec.Sender()
+	if !known {
+		id = book.Intern(peer)
+	}
+	sess := n.peers.Get(id)
 	switch {
 	case version >= sess.version:
 		sess.version = version
@@ -447,6 +455,8 @@ func (n *Node) absorbFrameLocked(sess *peerSession, f wire.ViewFrame) {
 }
 
 // absorbDescriptorsLocked merges received descriptors into the cache.
+// The decoder resolved every address the book knew while it parsed; the
+// ones it did not are interned here, now that the datagram has validated.
 func (n *Node) absorbDescriptorsLocked(ds []wire.Descriptor) {
 	if len(ds) == 0 {
 		return
@@ -456,7 +466,11 @@ func (n *Node) absorbDescriptorsLocked(ds []wire.Descriptor) {
 		if d.Addr == "" {
 			continue
 		}
-		entries = append(entries, overlay.Entry{Key: n.book.Intern(d.Addr), Stamp: n.stampFromWire(d.Stamp)})
+		id := d.Key
+		if !d.Known {
+			id = book.Intern(d.Addr)
+		}
+		entries = append(entries, overlay.Entry{Key: n.viewKey(id), Stamp: n.stampFromWire(d.Stamp)})
 	}
 	n.absorbScratch = entries
 	n.view.Absorb(entries)
@@ -519,9 +533,11 @@ func (n *Node) sendJoinRequest() {
 	}
 	versionKnown := false
 	version := uint8(wire.Version)
-	if sess, ok := n.peers.Peek(seed); ok && sess.version != 0 {
-		versionKnown = true
-		version = sess.version
+	if id, ok := book.Lookup(seed); ok {
+		if sess, ok := n.peers.Peek(id); ok && sess.version != 0 {
+			versionKnown = true
+			version = sess.version
+		}
 	}
 	n.mu.Unlock()
 	if seed == "" || seed == n.Addr() {

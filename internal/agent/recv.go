@@ -41,6 +41,11 @@ func (n *Node) recvLoop(ctx context.Context) {
 // arrived at (observePeerLocked) — the per-connection negotiation:
 // replies to a legacy peer are encoded at the legacy version with plain
 // full views.
+//
+// Every address of the datagram is resolved once, by the decoder's
+// lookup in the process's book, and nothing is interned until the
+// datagram has validated: observePeerLocked and absorbDescriptorsLocked
+// intern only what that lookup missed.
 func (n *Node) handle(from string, data []byte) {
 	now := time.Now()
 	n.mu.Lock()

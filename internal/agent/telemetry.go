@@ -9,7 +9,8 @@ import "antientropy/internal/obs"
 // supervisor's merged worker totals. Registering funcs (rather than
 // having nodes increment registry counters directly) keeps the per-node
 // counters authoritative, which crash retirement requires, and keeps
-// the hot path at exactly one atomic add per event.
+// the hot path at exactly one atomic add per event. Next to the counters
+// it exports the size of the process's shared address book.
 func RegisterMetrics(reg *obs.Registry, snap func() Metrics) {
 	if reg == nil || snap == nil {
 		return
@@ -62,4 +63,10 @@ func RegisterMetrics(reg *obs.Registry, snap func() Metrics) {
 	counter("agg_adversary_rejected_total",
 		"Peer-reported samples the merge-guard defense rejected or clamped.",
 		func(m Metrics) int64 { return m.DefenseRejected })
+	// Not part of snap: the book is one per process, not one per node. A
+	// process that hosts no nodes (the UDP supervisor) reads its own,
+	// empty one.
+	reg.GaugeFunc("agg_address_book_size",
+		"Distinct addresses interned in this process's address book (it only grows).",
+		func() float64 { return float64(book.Len()) })
 }

@@ -2,6 +2,7 @@ package agent
 
 import (
 	"context"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -146,6 +147,65 @@ func TestRegisterMetricsExportsCanonicalNames(t *testing.T) {
 	// Nil registry and nil snapshot are no-ops, not panics.
 	RegisterMetrics(nil, func() Metrics { return snap })
 	RegisterMetrics(reg, nil)
+}
+
+// TestAddressBookGauge: agg_address_book_size reads the process's shared
+// book, so it rises by at least the fleet's size when a fleet of
+// never-seen addresses starts.
+func TestAddressBookGauge(t *testing.T) {
+	reg := obs.NewRegistry()
+	RegisterMetrics(reg, func() Metrics { return Metrics{} })
+	gauge := func() int {
+		var sb strings.Builder
+		if err := reg.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(sb.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, "agg_address_book_size "); ok {
+				n, err := strconv.Atoi(v)
+				if err != nil {
+					t.Fatalf("agg_address_book_size reads %q", v)
+				}
+				return n
+			}
+		}
+		t.Fatal("agg_address_book_size is not exported")
+		return 0
+	}
+
+	// Earlier tests interned the first addresses every mem network hands
+	// out; take endpoints until eight are new to the book.
+	net := transport.NewMemNetwork(transport.MemNetworkConfig{Seed: 1})
+	t.Cleanup(net.Close)
+	var eps []*transport.MemEndpoint
+	var addrs []string
+	for len(eps) < 8 {
+		ep := net.Endpoint()
+		if _, known := book.Lookup(ep.Addr()); !known {
+			eps = append(eps, ep)
+			addrs = append(addrs, ep.Addr())
+		}
+	}
+	before := gauge()
+	if before != book.Len() {
+		t.Fatalf("gauge reads %d, the book holds %d", before, book.Len())
+	}
+	for _, ep := range eps {
+		node, err := New(Config{
+			Endpoint: ep, Schedule: testSchedule(), Value: func() float64 { return 1 },
+			Bootstrap: addrs, Seed: 1, Logger: quietLogger(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := node.Start(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = node.Stop() })
+	}
+	if after := gauge(); after < before+len(eps) {
+		t.Fatalf("gauge went %d → %d while a fleet of %d new addresses started", before, after, len(eps))
+	}
 }
 
 // TestMetricsSnapshotAllocFree guards the satellite fix: Metrics() must

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync/atomic"
 )
 
@@ -61,6 +61,11 @@ func CombinerByName(name string, clampMin, clampMax float64) (Combiner, error) {
 		return nil, fmt.Errorf("core: unknown combiner %q (want one of %v)", name, CombinerNames())
 	}
 }
+
+// stackSamples is the sample count up to which a merge works in stack
+// buffers and allocates nothing: a MergeGuard window of k ≤ 16 — local
+// value, peer sample and k−2 remembered ones.
+const stackSamples = 16
 
 // finite collects the finite samples of xs into dst (reused when
 // capacity allows).
@@ -147,11 +152,12 @@ func (MedianOfK) Name() string { return CombinerMedianOfK }
 // Combine returns the median of the finite samples (mean of the two
 // central order statistics for even counts).
 func (MedianOfK) Combine(samples []float64) float64 {
-	buf := finite(make([]float64, 0, len(samples)), samples)
+	var stack [stackSamples]float64
+	buf := finite(stack[:0], samples)
 	if len(buf) == 0 {
 		return 0
 	}
-	sort.Float64s(buf)
+	slices.Sort(buf)
 	mid := len(buf) / 2
 	if len(buf)%2 == 1 {
 		return buf[mid]
@@ -178,7 +184,8 @@ func (t TrimmedMean) Combine(samples []float64) float64 {
 	if k <= 0 {
 		k = TrimDivisor
 	}
-	buf := finite(make([]float64, 0, len(samples)), samples)
+	var stack [stackSamples]float64
+	buf := finite(stack[:0], samples)
 	if len(buf) == 0 {
 		return 0
 	}
@@ -186,7 +193,7 @@ func (t TrimmedMean) Combine(samples []float64) float64 {
 	if 2*drop >= len(buf) {
 		return Mean{}.Combine(buf)
 	}
-	sort.Float64s(buf)
+	slices.Sort(buf)
 	return Mean{}.Combine(buf[drop : len(buf)-drop])
 }
 
@@ -246,20 +253,21 @@ func (g *MergeGuard) Merge(node int, local, peer float64) float64 {
 	g.merges.Add(1)
 	w := g.win[node]
 	// The sample buffer is per-call: shards of the parallel engine merge
-	// concurrently, and a guard-level scratch would race.
-	samples := make([]float64, 0, 2+len(w))
-	samples = append(samples, local)
+	// concurrently, and a guard-level scratch would race. It lives on the
+	// stack for the usual window; append moves a longer one to the heap.
+	var stack [stackSamples]float64
+	samples := append(stack[:0], local)
 	if math.IsNaN(peer) || math.IsInf(peer, 0) {
 		g.rejected.Add(1)
 		if len(w) == 0 {
 			return local
 		}
 		samples = append(samples, w...)
-		return g.combiner.Combine(samples)
+		return g.combine(samples)
 	}
 	samples = append(samples, peer)
 	samples = append(samples, w...)
-	out := g.combiner.Combine(samples)
+	out := g.combine(samples)
 	if c, ok := g.combiner.(ClampedMean); ok && (peer < c.Min || peer > c.Max) {
 		g.rejected.Add(1)
 	}
@@ -273,6 +281,24 @@ func (g *MergeGuard) Merge(node int, local, peer float64) float64 {
 		g.win[node] = w
 	}
 	return out
+}
+
+// combine applies the guard's combiner. The shipped combiners are called
+// directly, which lets the compiler see that samples stays on the
+// caller's stack; one it cannot see into gets a copy it may keep.
+func (g *MergeGuard) combine(samples []float64) float64 {
+	switch c := g.combiner.(type) {
+	case Mean:
+		return c.Combine(samples)
+	case ClampedMean:
+		return c.Combine(samples)
+	case MedianOfK:
+		return c.Combine(samples)
+	case TrimmedMean:
+		return c.Combine(samples)
+	default:
+		return c.Combine(slices.Clone(samples))
+	}
 }
 
 // ResetNode clears node's sample window (node replacement / join).

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"antientropy/internal/race"
 )
 
 func TestCombinerByName(t *testing.T) {
@@ -225,6 +227,84 @@ func TestMergeGuardRejectsGarbageAndCounts(t *testing.T) {
 	cg.Merge(0, 0, 50) // clamped, counts as a rejection
 	if cg.Rejected() != 1 {
 		t.Fatalf("clamp rejections = %d, want 1", cg.Rejected())
+	}
+}
+
+// opaque hides a combiner's type from MergeGuard, so its merges take the
+// path for a combiner the guard does not know.
+type opaque struct{ Combiner }
+
+// referenceMerge is MergeGuard.Merge as first written: the samples in a
+// fresh slice, combined through the interface.
+func referenceMerge(c Combiner, k int, win *[]float64, local, peer float64) float64 {
+	samples := []float64{local}
+	if math.IsNaN(peer) || math.IsInf(peer, 0) {
+		if len(*win) == 0 {
+			return local
+		}
+		return c.Combine(append(samples, *win...))
+	}
+	out := c.Combine(append(append(samples, peer), *win...))
+	if k > 2 {
+		if len(*win) >= k-2 {
+			*win = (*win)[1:]
+		}
+		*win = append(*win, peer)
+	}
+	return out
+}
+
+// TestMergeGuardMatchesReference: the stack-buffered merge returns the
+// reference's value bit for bit — every shipped combiner, one the guard
+// cannot see into, windows on both sides of the stack buffer, non-finite
+// peers mixed in.
+func TestMergeGuardMatchesReference(t *testing.T) {
+	combiners := []Combiner{
+		Mean{}, ClampedMean{Min: -2, Max: 2}, MedianOfK{}, TrimmedMean{Divisor: TrimDivisor},
+		opaque{MedianOfK{}},
+	}
+	for _, c := range combiners {
+		for _, k := range []int{2, 3, DefaultMergeK, stackSamples, stackSamples + 1, 40} {
+			rng := rand.New(rand.NewSource(int64(k)))
+			g := NewMergeGuard(c, k, 1)
+			var win []float64
+			local, want := 0.5, 0.5
+			for i := 0; i < 200; i++ {
+				peer := rng.NormFloat64() * 3
+				switch rng.Intn(12) {
+				case 0:
+					peer = math.NaN()
+				case 1:
+					peer = math.Inf(1)
+				}
+				local = g.Merge(0, local, peer)
+				want = referenceMerge(c, k, &win, want, peer)
+				if local != want {
+					t.Fatalf("%s k=%d merge %d: got %v, reference %v", c.Name(), k, i, local, want)
+				}
+			}
+		}
+	}
+}
+
+// TestMergeGuardAllocs gates the defended merge next to the exchange
+// path's other gates: with a window that fits the stack buffer, a merge
+// allocates nothing, whichever shipped combiner screens it.
+func TestMergeGuardAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	for _, c := range []Combiner{Mean{}, ClampedMean{Min: -2, Max: 2}, MedianOfK{}, TrimmedMean{Divisor: TrimDivisor}} {
+		for _, k := range []int{DefaultMergeK, stackSamples} {
+			g := NewMergeGuard(c, k, 1)
+			local := 0.0
+			for i := 0; i < k; i++ { // fill the window
+				local = g.Merge(0, local, float64(i))
+			}
+			if n := testing.AllocsPerRun(100, func() { local = g.Merge(0, local, local+1) }); n != 0 {
+				t.Errorf("%s k=%d: Merge allocates %.1f times, want 0", c.Name(), k, n)
+			}
+		}
 	}
 }
 

@@ -30,10 +30,10 @@ type MemNetworkConfig struct {
 // MemNetwork is an in-memory datagram network connecting MemEndpoints.
 // It is safe for concurrent use.
 type MemNetwork struct {
-	cfg MemNetworkConfig
-
-	mu        sync.Mutex
-	rng       *rand.Rand
+	// mu guards cfg's loss and latency and the routing state below. A
+	// send holds it for reading; only reconfiguration excludes sends.
+	mu        sync.RWMutex
+	cfg       MemNetworkConfig
 	endpoints map[string]*MemEndpoint
 	// partitioned[a][b] marks one-way link cuts a -> b.
 	partitioned map[string]map[string]bool
@@ -45,6 +45,10 @@ type MemNetwork struct {
 	nextAddr int
 	wg       sync.WaitGroup
 	closed   bool
+
+	// rngMu guards rng, the source of the loss and latency draws.
+	rngMu sync.Mutex
+	rng   *rand.Rand
 
 	// queueDepth is the high watermark across all endpoints' inbound
 	// buffers; delivered counts datagrams enqueued network-wide. Both
@@ -198,43 +202,60 @@ func (n *MemNetwork) Close() {
 	}
 }
 
-// send routes a datagram, applying loss, latency and partitions.
-func (n *MemNetwork) send(from, to string, data []byte) error {
-	n.mu.Lock()
+// route decides a datagram's fate: the endpoint to deliver it to and
+// after what delay, or no endpoint and the error Send reports — nil when
+// the network loses the datagram, as a partition or the loss rate does,
+// because the sender cannot tell. It holds the read lock, so datagrams
+// route in parallel; the draws for loss and latency take rngMu, and a
+// network configured for neither takes no exclusive lock at all. A
+// delayed delivery is counted into wg here, under the lock Close
+// excludes before it waits.
+func (n *MemNetwork) route(from, to string) (*MemEndpoint, time.Duration, error) {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
 	if n.closed {
-		n.mu.Unlock()
-		return ErrClosed
+		return nil, 0, ErrClosed
 	}
 	dst, ok := n.endpoints[to]
 	if !ok {
-		n.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrUnknownPeer, to)
+		return nil, 0, fmt.Errorf("%w: %s", ErrUnknownPeer, to)
 	}
 	if n.partitioned[from][to] {
-		// Partition behaves like loss: the sender cannot tell.
-		n.mu.Unlock()
-		return nil
+		return nil, 0, nil
 	}
 	if n.groups != nil {
 		gf, okf := n.groups[from]
 		gt, okt := n.groups[to]
 		if okf && okt && gf != gt {
-			n.mu.Unlock()
-			return nil
+			return nil, 0, nil
 		}
 	}
-	if p := n.cfg.Loss; p > 0 && n.rng.Float64() < p {
-		n.mu.Unlock()
-		return nil
-	}
-	var delay time.Duration
+	var delay, span time.Duration
 	if n.cfg.MaxLatency > 0 {
-		span := n.cfg.MaxLatency - n.cfg.MinLatency
-		if span > 0 {
-			delay = n.cfg.MinLatency + time.Duration(n.rng.Int63n(int64(span)))
-		} else {
-			delay = n.cfg.MinLatency
+		delay, span = n.cfg.MinLatency, n.cfg.MaxLatency-n.cfg.MinLatency
+	}
+	if loss := n.cfg.Loss; loss > 0 || span > 0 {
+		n.rngMu.Lock()
+		lost := loss > 0 && n.rng.Float64() < loss
+		if !lost && span > 0 {
+			delay += time.Duration(n.rng.Int63n(int64(span)))
 		}
+		n.rngMu.Unlock()
+		if lost {
+			return nil, 0, nil
+		}
+	}
+	if delay > 0 {
+		n.wg.Add(1)
+	}
+	return dst, delay, nil
+}
+
+// send routes a datagram, applying loss, latency and partitions.
+func (n *MemNetwork) send(from, to string, data []byte) error {
+	dst, delay, err := n.route(from, to)
+	if dst == nil {
+		return err
 	}
 	// Copy: the caller may reuse its buffer after Send returns. Gossip-sized
 	// datagrams ride the pooled send buffers, which the receiver's
@@ -253,12 +274,9 @@ func (n *MemNetwork) send(from, to string, data []byte) error {
 		// drops), so there is no deadlock risk, and skipping the
 		// goroutine spawn roughly halves the per-datagram cost for
 		// large in-memory fleets.
-		n.mu.Unlock()
 		dst.deliver(p)
 		return nil
 	}
-	n.wg.Add(1)
-	n.mu.Unlock()
 	time.AfterFunc(delay, func() {
 		defer n.wg.Done()
 		dst.deliver(p)

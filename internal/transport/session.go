@@ -3,7 +3,9 @@ package transport
 // Sessions is a bounded per-peer session table for connectionless
 // transports: datagram endpoints have no connection object to hang
 // negotiated protocol state on (wire version, delta-gossip codec state),
-// so the runtime keys that state by peer address here. The table is
+// so the runtime keys that state by peer here — by whatever the caller
+// identifies a peer with: the address string, or the address-book id a
+// node has at hand anyway, which hashes faster. The table is
 // LRU-bounded — a long-lived node meets an unbounded stream of peers,
 // and a session that has been idle longest is the one whose state is
 // cheapest to lose: the protocols layered on top (wire.ViewCodec, the
@@ -11,11 +13,11 @@ package transport
 //
 // Sessions is not safe for concurrent use; callers serialize access
 // under their own lock (the agent holds its node mutex).
-type Sessions[S any] struct {
+type Sessions[K comparable, S any] struct {
 	cap   int
-	newFn func(peer string) *S
+	newFn func(peer K) *S
 	used  uint64
-	m     map[string]*sessionEntry[S]
+	m     map[K]*sessionEntry[S]
 }
 
 type sessionEntry[S any] struct {
@@ -31,17 +33,17 @@ const DefaultSessionCap = 512
 // NewSessions builds a session table holding at most cap peers
 // (DefaultSessionCap when cap < 1); newFn creates the state for a peer
 // seen for the first time (or seen again after eviction).
-func NewSessions[S any](cap int, newFn func(peer string) *S) *Sessions[S] {
+func NewSessions[K comparable, S any](cap int, newFn func(peer K) *S) *Sessions[K, S] {
 	if cap < 1 {
 		cap = DefaultSessionCap
 	}
-	return &Sessions[S]{cap: cap, newFn: newFn, m: make(map[string]*sessionEntry[S])}
+	return &Sessions[K, S]{cap: cap, newFn: newFn, m: make(map[K]*sessionEntry[S])}
 }
 
 // Get returns the session for peer, creating it on first contact and
 // marking it most recently used. When the table is full, the least
 // recently used session is evicted to make room.
-func (s *Sessions[S]) Get(peer string) *S {
+func (s *Sessions[K, S]) Get(peer K) *S {
 	e, ok := s.m[peer]
 	if !ok {
 		if len(s.m) >= s.cap {
@@ -57,7 +59,7 @@ func (s *Sessions[S]) Get(peer string) *S {
 
 // Peek returns the session for peer without creating one or touching
 // recency.
-func (s *Sessions[S]) Peek(peer string) (*S, bool) {
+func (s *Sessions[K, S]) Peek(peer K) (*S, bool) {
 	e, ok := s.m[peer]
 	if !ok {
 		return nil, false
@@ -66,19 +68,19 @@ func (s *Sessions[S]) Peek(peer string) (*S, bool) {
 }
 
 // Forget drops the session for peer, if any.
-func (s *Sessions[S]) Forget(peer string) {
+func (s *Sessions[K, S]) Forget(peer K) {
 	delete(s.m, peer)
 }
 
 // Len returns the number of tracked peers.
-func (s *Sessions[S]) Len() int { return len(s.m) }
+func (s *Sessions[K, S]) Len() int { return len(s.m) }
 
 // evictOldest removes the least recently used entry. A linear scan is
 // deliberate: eviction only happens when the table is at capacity, and
 // the capacity is small enough that a scan beats the bookkeeping of an
 // intrusive list on every Get.
-func (s *Sessions[S]) evictOldest() {
-	var oldestKey string
+func (s *Sessions[K, S]) evictOldest() {
+	var oldestKey K
 	var oldest uint64
 	first := true
 	for k, e := range s.m {

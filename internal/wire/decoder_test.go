@@ -102,8 +102,9 @@ func TestAppendEncodeKeepsPrefix(t *testing.T) {
 
 // TestDecoderOwnership pins the ownership rule: a decoded message never
 // aliases the datagram, known addresses resolve to the book's own
-// strings, unknown ones are copied without being interned, and the next
-// Decode reuses the storage.
+// strings and carry the book's id (the sender's is Decoder.Sender),
+// unknown ones are copied without being interned and carry none, and
+// the next Decode reuses the storage.
 func TestDecoderOwnership(t *testing.T) {
 	msg := fullFrameRequest()
 	book := bookOf(msg)
@@ -122,13 +123,24 @@ func TestDecoderOwnership(t *testing.T) {
 		data[i] = 0xff
 	}
 	got := m.(*ExchangeRequest)
+	if key, known := dec.Sender(); !known || book.Addr(key) != msg.From {
+		t.Fatalf("Sender() = %d, %v; want the id of %q", key, known, msg.From)
+	}
+	for i := range got.View.Entries {
+		d := &got.View.Entries[i]
+		id, interned := book.Lookup(d.Addr)
+		if d.Known != interned || d.Key != id {
+			t.Fatalf("descriptor %q decoded with Key %d, Known %v; the book says %d, %v", d.Addr, d.Key, d.Known, id, interned)
+		}
+		d.Key, d.Known = 0, false // not part of the message
+	}
 	if !reflect.DeepEqual(got, msg) {
 		t.Fatalf("decoded message changed with the datagram:\n got %#v\nwant %#v", got, msg)
 	}
 	if book.Len() != known {
 		t.Fatalf("decoding interned %d addresses", book.Len()-known)
 	}
-	canon, _ := book.Canonical([]byte(msg.From))
+	canon, _, _ := book.Canonical([]byte(msg.From))
 	if unsafe.StringData(got.From) != unsafe.StringData(canon) {
 		t.Fatal("a known address was copied instead of resolved to the interned string")
 	}
@@ -146,6 +158,9 @@ func TestDecoderOwnership(t *testing.T) {
 	}
 	if !reflect.DeepEqual(m2, short) {
 		t.Fatalf("reused decoder returned %#v, want %#v", m2, short)
+	}
+	if _, known := dec.Sender(); known {
+		t.Fatal("Sender() still reports the previous message's sender")
 	}
 	if &m2.(*Membership).View.Entries[0] != &got.View.Entries[0] {
 		t.Fatal("the second decode did not reuse the descriptor storage")

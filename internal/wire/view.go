@@ -47,12 +47,30 @@ type ViewCodec struct {
 	pendingGen    uint32
 	pendingFull   bool
 	pendingPacked []uint64
-	// deltaScratch and mergeScratch are reusable work buffers.
-	deltaScratch []uint64
-	mergeScratch []uint64
 	// recvGen is the newest generation received from the peer — the Ack
 	// our next outgoing frame carries.
 	recvGen uint32
+	// Scratch is the work space of the codec's set arithmetic. A caller
+	// with many codecs that never run concurrently — a node holds one per
+	// peer, all under its lock — points them at one ViewScratch; a codec
+	// left with nil allocates its own on first need.
+	Scratch *ViewScratch
+}
+
+// ViewScratch holds the two work buffers a ViewCodec computes in: the
+// delta of a view against the acked snapshot, and the union of that
+// snapshot with an acknowledged frame. What is in them means nothing
+// after the call (the union's buffer is handed to the codec in exchange
+// for the one its snapshot was in).
+type ViewScratch struct {
+	delta, merge []uint64
+}
+
+func (c *ViewCodec) scratch() *ViewScratch {
+	if c.Scratch == nil {
+		c.Scratch = new(ViewScratch)
+	}
+	return c.Scratch
 }
 
 // ackedSnapshotCap bounds the per-peer snapshot map. A NEWSCAST view
@@ -95,7 +113,8 @@ func (c *ViewCodec) AppendView(dst []Descriptor, packed []uint64, addr func(int3
 	if c.ackedGen != 0 {
 		// Two-pointer sorted set difference: everything in the view the
 		// peer has not confirmed at exactly this freshness.
-		delta := c.deltaScratch[:0]
+		sc := c.scratch()
+		delta := slices.Grow(sc.delta[:0], len(packed))
 		j := 0
 		for _, e := range packed {
 			for j < len(c.acked) && c.acked[j] < e {
@@ -106,7 +125,7 @@ func (c *ViewCodec) AppendView(dst []Descriptor, packed []uint64, addr func(int3
 			}
 			delta = append(delta, e)
 		}
-		c.deltaScratch = delta
+		sc.delta = delta
 		if len(delta) < len(packed) {
 			frame.Kind = ViewDelta
 			frame.Base = c.ackedGen
@@ -133,6 +152,10 @@ func (c *ViewCodec) AppendView(dst []Descriptor, packed []uint64, addr func(int3
 	frame.Entries = entries
 	c.pendingGen = frame.Gen
 	c.pendingFull = frame.Kind == ViewFull
+	if cap(c.pendingPacked) < len(send) {
+		// Room for one whole view, so no later frame to this peer regrows it.
+		c.pendingPacked = make([]uint64, 0, len(packed))
+	}
 	c.pendingPacked = append(c.pendingPacked[:0], send...)
 	return frame
 }
@@ -147,13 +170,15 @@ func (c *ViewCodec) promotePending() {
 		// Full frame — or a snapshot that outgrew its bound (a peer
 		// lifetime of deltas over ever-new addresses): restart from the
 		// sent entries alone. Resending a descriptor the peer has already
-		// seen is harmless, so shrinking the suppression set is safe.
-		c.acked = append(c.acked[:0], c.pendingPacked...)
+		// seen is harmless, so shrinking the suppression set is safe. The
+		// two buffers trade places: a peer met once costs one of them.
+		c.acked, c.pendingPacked = c.pendingPacked, c.acked
 	} else {
 		// Sorted-merge union of the confirmed snapshot and the sent
 		// entries (both sorted; pendingPacked is a subsequence of a
 		// sorted view).
-		merged := c.mergeScratch[:0]
+		sc := c.scratch()
+		merged := slices.Grow(sc.merge[:0], len(c.acked)+len(c.pendingPacked))
 		i, j := 0, 0
 		for i < len(c.acked) && j < len(c.pendingPacked) {
 			switch {
@@ -170,8 +195,9 @@ func (c *ViewCodec) promotePending() {
 		}
 		merged = append(merged, c.acked[i:]...)
 		merged = append(merged, c.pendingPacked[j:]...)
-		c.mergeScratch = c.acked[:0]
-		c.acked = merged
+		// The union becomes the snapshot and the old snapshot's buffer the
+		// work space: buffers move between a node's sessions, none is copied.
+		c.acked, sc.merge = merged, c.acked[:0]
 	}
 	c.pendingGen = 0
 	c.pendingPacked = c.pendingPacked[:0]

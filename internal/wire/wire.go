@@ -52,9 +52,13 @@
 // Decoder decodes into buffers it reuses: the message it returns is
 // valid until the next Decode on that decoder, and never aliases the
 // datagram, which may be recycled at once (transport.Packet.Data, for
-// its part, is the receiver's until Packet.Release). AppendEncode and
-// ViewCodec.AppendView write into what the caller passes. Decode, Encode
-// and EncodeView are the same code over fresh storage.
+// its part, is the receiver's until Packet.Release). Each address is
+// resolved once, by the Decoder's Lookup as it parses, and the id Lookup
+// found comes back with the message (Descriptor.Key, Decoder.Sender);
+// Lookup records nothing, because the datagram may still fail validation
+// further on. AppendEncode and ViewCodec.AppendView write into what the
+// caller passes. Decode, Encode and EncodeView are the same code over
+// fresh storage.
 package wire
 
 import (
@@ -138,6 +142,11 @@ var (
 type Descriptor struct {
 	Addr  string
 	Stamp int64
+	// Key is the id a Decoder's Lookup returned for Addr, valid when Known
+	// is set: the receiver resolves each address once, while decoding.
+	// Neither field travels; encoding ignores them.
+	Key   int32
+	Known bool
 }
 
 // MapEntry is one (leader, estimate) pair of the COUNT map state.
@@ -492,15 +501,24 @@ type Messages struct {
 // Decoder is not safe for concurrent use.
 type Decoder struct {
 	// Lookup, when set, resolves address bytes to an already-interned
-	// string (overlay.Book.Canonical). It must not record anything: it is
-	// called on datagrams that may yet fail validation. A miss allocates
-	// a copy.
-	Lookup func(addr []byte) (string, bool)
+	// string and its id (overlay.Book.Canonical). It must not record
+	// anything: it is called on datagrams that may yet fail validation. A
+	// miss allocates a copy. The id comes back with the message — in each
+	// Descriptor and from Sender — so the caller looks no address up twice.
+	Lookup func(addr []byte) (string, int32, bool)
 
 	msgs    Messages
 	descs   []Descriptor
 	entries []MapEntry
+	// sender is the Lookup result for the From field of the message last
+	// decoded (only Known and Key are used).
+	sender Descriptor
 }
+
+// Sender returns the id Lookup gave for the From address of the message
+// last decoded; known is false when Lookup missed, when there is no
+// Lookup and for a JoinReply, which names no sender.
+func (d *Decoder) Sender() (key int32, known bool) { return d.sender.Key, d.sender.Known }
 
 // reader consumes the encoding.
 type reader struct {
@@ -559,22 +577,31 @@ func (r *reader) i64() int64 { return int64(r.u64()) }
 
 func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
 
-func (r *reader) str() string {
+// addr reads an address string into d.Addr and resolves it through the
+// decoder's Lookup.
+func (r *reader) addr(d *Descriptor) {
 	n := int(r.u16())
 	if n > MaxAddrLen {
 		r.err = fmt.Errorf("%w: address %d bytes", ErrTooLarge, n)
-		return ""
+		return
 	}
 	b := r.take(n)
 	if b == nil {
-		return ""
+		return
 	}
 	if r.dec.Lookup != nil {
-		if s, ok := r.dec.Lookup(b); ok {
-			return s
+		if d.Addr, d.Key, d.Known = r.dec.Lookup(b); d.Known {
+			return
 		}
 	}
-	return string(b)
+	d.Addr = string(b)
+}
+
+// from reads a message's From field, keeping its Lookup result for
+// Decoder.Sender.
+func (r *reader) from() string {
+	r.addr(&r.dec.sender)
+	return r.dec.sender.Addr
 }
 
 // descriptors reads a descriptor list into the decoder's storage (a
@@ -590,7 +617,10 @@ func (r *reader) descriptors() []Descriptor {
 		out = make([]Descriptor, 0, n)
 	}
 	for i := 0; i < n && r.err == nil; i++ {
-		out = append(out, Descriptor{Addr: r.str(), Stamp: r.i64()})
+		var d Descriptor
+		r.addr(&d)
+		d.Stamp = r.i64()
+		out = append(out, d)
 	}
 	r.dec.descs = out
 	return out
@@ -667,6 +697,7 @@ func Decode(data []byte) (Message, error) {
 // support. See Decoder for how long the message stays valid.
 func (d *Decoder) Decode(data []byte) (Message, uint8, error) {
 	r := reader{buf: data, dec: d}
+	d.sender = Descriptor{}
 	magic := r.take(4)
 	if r.err != nil {
 		return nil, 0, r.err
@@ -685,22 +716,22 @@ func (d *Decoder) Decode(data []byte) (Message, uint8, error) {
 	var m Message
 	switch t {
 	case TExchangeRequest:
-		d.msgs.ExchangeRequest = ExchangeRequest{From: r.str(), Payload: r.payload(version)}
+		d.msgs.ExchangeRequest = ExchangeRequest{From: r.from(), Payload: r.payload(version)}
 		m = &d.msgs.ExchangeRequest
 	case TExchangeReply:
-		d.msgs.ExchangeReply = ExchangeReply{From: r.str(), Payload: r.payload(version)}
+		d.msgs.ExchangeReply = ExchangeReply{From: r.from(), Payload: r.payload(version)}
 		m = &d.msgs.ExchangeReply
 	case TJoinRequest:
-		d.msgs.JoinRequest = JoinRequest{From: r.str(), Seq: r.u64()}
+		d.msgs.JoinRequest = JoinRequest{From: r.from(), Seq: r.u64()}
 		m = &d.msgs.JoinRequest
 	case TJoinReply:
 		d.msgs.JoinReply = JoinReply{Seq: r.u64(), NextEpoch: r.u64(), WaitMicros: r.i64(), Seeds: r.descriptors()}
 		m = &d.msgs.JoinReply
 	case TMembership:
-		d.msgs.Membership = Membership{From: r.str(), Seq: r.u64(), View: r.viewFrame(version)}
+		d.msgs.Membership = Membership{From: r.from(), Seq: r.u64(), View: r.viewFrame(version)}
 		m = &d.msgs.Membership
 	case TMembershipReply:
-		d.msgs.MembershipReply = MembershipReply{From: r.str(), Seq: r.u64(), View: r.viewFrame(version)}
+		d.msgs.MembershipReply = MembershipReply{From: r.from(), Seq: r.u64(), View: r.viewFrame(version)}
 		m = &d.msgs.MembershipReply
 	default:
 		if r.err != nil {
