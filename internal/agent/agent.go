@@ -1,9 +1,23 @@
 // Package agent is the live, asynchronous implementation of the paper's
-// practical aggregation protocol (§4): every node runs the active/passive
-// thread pair of Figure 1 on goroutines over a datagram transport, with
-// real δ-cycle timers, exchange timeouts, epoch restarts (§4.1), join
-// handling (§4.2), epidemic epoch synchronization (§4.3) and a NEWSCAST
-// membership service (§4.4) piggybacked on every exchange.
+// practical aggregation protocol (§4): every node is the active/passive
+// pair of Figure 1 over a datagram transport, on real time — δ cycles,
+// exchange timeouts, epoch restarts (§4.1), join handling (§4.2), epidemic
+// epoch synchronization (§4.3) and a NEWSCAST membership service (§4.4)
+// piggybacked on every exchange.
+//
+// Who runs a node. The paper gives every node two threads; a process here
+// hosts hundreds of nodes, so neither half owns a goroutine. The active
+// half of every node of the process is run by one scheduler (scheduler.go):
+// one goroutine, one timer, a heap of next cycles and exchange deadlines.
+// The passive half runs wherever the transport delivers: a handler-mode
+// endpoint (the in-memory network, the UDP mux) calls the node's handler on
+// its own goroutine — for the zero-latency in-memory network that is the
+// sender's, so a whole exchange (request, the peer's merge and reply, the
+// initiator's merge) completes on the scheduler goroutine before initiate
+// returns. Only an endpoint without handler mode (the per-node UDP socket)
+// gets a receive goroutine. The rule that makes inline delivery safe: a
+// node never sends while holding its lock, so a handler may always take
+// the lock of the node it was delivered to.
 //
 // Concurrency note. The paper treats an exchange as atomic; over a real
 // network the initiator's state could drift between sending its estimate
@@ -62,7 +76,10 @@ type Config struct {
 	// Function is the scalar aggregate (ModeScalar; default AVERAGE).
 	Function core.Function
 	// Value supplies the node's current local value, sampled at every
-	// epoch start (ModeScalar). Required in ModeScalar.
+	// epoch start (ModeScalar). Required in ModeScalar. It is called on the
+	// goroutine that runs every node of the process and must not block:
+	// while it runs no other node's cycle starts (agg_tick_lag_seconds
+	// shows the delay).
 	Value func() float64
 	// CacheSize is the NEWSCAST cache capacity c (default 30).
 	CacheSize int
@@ -297,11 +314,9 @@ type Node struct {
 	descScratch   []wire.Descriptor
 	entryScratch  []wire.MapEntry
 	absorbScratch []overlay.Entry
-	// pending is the outstanding exchange while busy; timeout is the one
-	// timer that expires it (created by the first exchange, re-armed by
-	// every later one).
+	// pending is the outstanding exchange while busy. The scheduler
+	// expires it when it is still outstanding at its deadline.
 	pending exchange
-	timeout *time.Timer
 	// pendingValue overrides cfg.Value once SetValue has been called:
 	// the serving layer feeds value updates through it without holding a
 	// reference into its own store.
@@ -319,8 +334,14 @@ type Node struct {
 	// atomics, incremented on the hot paths and snapshot lock-free.
 	metrics counters
 
-	cancel context.CancelFunc
-	wg     sync.WaitGroup
+	// sched is the scheduler's entry for this node, guarded by its lock.
+	sched nodeSchedule
+	// unwatch stops watching Start's context; cancel and wg end and await
+	// the receive goroutine of an endpoint without handler mode. All are
+	// set in Start under mu.
+	unwatch func() bool
+	cancel  context.CancelFunc
+	wg      sync.WaitGroup
 
 	subs []chan Output
 }
@@ -403,6 +424,7 @@ func New(cfg Config) (*Node, error) {
 		salt:    salt,
 		xidBase: xidBase,
 		rng:     stats.NewRNG(cfg.Seed),
+		sched:   nodeSchedule{slot: -1},
 	}
 	n.peers = transport.NewSessions(0, func(int32) *peerSession {
 		return &peerSession{codec: wire.ViewCodec{Scratch: &n.viewScratch}}
@@ -536,8 +558,17 @@ func leaderIDFor(addr string) core.LeaderID {
 // Addr returns the node's transport address.
 func (n *Node) Addr() string { return n.cfg.Endpoint.Addr() }
 
-// Start launches the node's goroutines: the passive thread (receive
-// dispatch) and the active thread (δ ticker). It returns immediately.
+// Start puts the node to work and returns immediately: its handler is
+// attached to the endpoint (or, for an endpoint without handler mode, a
+// receive goroutine started) and the node is queued on the process's
+// scheduler, its first cycle one δ plus a random phase from now. Cancelling
+// ctx ends the cycles (and the receive goroutine); Stop is still needed to
+// close the endpoint.
+//
+// Each node's cycle is offset by a random phase within δ. Without the
+// stagger, nodes started together initiate simultaneously, find each
+// other busy and refuse each other's exchanges every single cycle — the
+// classic synchronized-gossip livelock.
 func (n *Node) Start(ctx context.Context) error {
 	n.mu.Lock()
 	if n.started {
@@ -560,14 +591,18 @@ func (n *Node) Start(ctx context.Context) error {
 		}
 		n.resetStateLocked()
 	}
+	phase := time.Duration(n.rng.Intn(int(n.cfg.Schedule.CycleLen)))
+	n.unwatch = context.AfterFunc(ctx, func() { sched.remove(n) })
+	he, handlerMode := n.cfg.Endpoint.(transport.HandlerEndpoint)
+	if !handlerMode {
+		ctx, n.cancel = context.WithCancel(ctx)
+		n.wg.Add(1)
+	}
 	n.mu.Unlock()
 
-	ctx, cancel := context.WithCancel(ctx)
-	n.cancel = cancel
-	if he, ok := n.cfg.Endpoint.(transport.HandlerEndpoint); ok {
-		// Handler-capable transports (UDPMux) invoke the passive thread
-		// directly on their shared reader goroutines: no per-node receive
-		// goroutine, no channel hop, and the pooled receive buffer is
+	if handlerMode {
+		// The passive half runs on the transport's delivering goroutine:
+		// no receive goroutine, no channel hop, and the pooled buffer is
 		// returned as soon as the datagram is handled. Stop remains safe:
 		// Endpoint.Close is the transport's barrier that waits out any
 		// in-flight handler call before returning.
@@ -575,20 +610,20 @@ func (n *Node) Start(ctx context.Context) error {
 			n.handle(p.From, p.Data)
 			p.Release()
 		})
-		n.wg.Add(1)
 	} else {
-		n.wg.Add(2)
 		go n.recvLoop(ctx)
 	}
-	go n.tickLoop(ctx)
+	sched.add(n, now.Add(n.cfg.Schedule.CycleLen+phase))
 	if len(n.cfg.Seeds) > 0 {
 		n.sendJoinRequest()
 	}
 	return nil
 }
 
-// Stop terminates the node, closes its endpoint and waits for all
-// goroutines. Safe to call more than once.
+// Stop terminates the node: it leaves the scheduler (waiting out a cycle
+// of its own that is running), closes its endpoint (waiting out handler
+// calls in flight) and waits for its receive goroutine, if it has one.
+// Safe to call more than once; not from the node's own Value callback.
 func (n *Node) Stop() error {
 	n.mu.Lock()
 	if !n.started || n.stopped {
@@ -596,14 +631,13 @@ func (n *Node) Stop() error {
 		return nil
 	}
 	n.stopped = true
-	// Abandon the outstanding exchange: a fire already racing for mu
-	// finds nothing to expire.
-	n.busy = false
-	if n.timeout != nil {
-		n.timeout.Stop()
-	}
+	n.busy = false // abandon the outstanding exchange
 	n.mu.Unlock()
-	n.cancel()
+	n.unwatch()
+	sched.remove(n)
+	if n.cancel != nil {
+		n.cancel()
+	}
 	err := n.cfg.Endpoint.Close()
 	n.wg.Wait()
 	n.mu.Lock()
@@ -735,7 +769,9 @@ func (n *Node) Metrics() Metrics {
 // reaching a specific value may trigger the execution of certain
 // operations", §1). The channel is buffered; if the subscriber falls
 // behind, the oldest unread outputs are dropped rather than blocking the
-// protocol. The channel is closed when the node stops.
+// protocol — outputs are published from the goroutine that runs every
+// node of the process, which must never wait for a reader. The channel is
+// closed when the node stops.
 func (n *Node) Subscribe(buffer int) <-chan Output {
 	if buffer < 1 {
 		buffer = 8

@@ -3,6 +3,7 @@ package agent
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -107,6 +108,85 @@ func BenchmarkLiveClusterEpoch(b *testing.B) {
 	b.StopTimer()
 	m := nodes[0].Metrics()
 	b.ReportMetric(float64(m.ExchangesCompleted)/float64(b.N), "exchanges/epoch")
+}
+
+// BenchmarkSchedulerWorkerSlice is the measurement the one-scheduler
+// design is held to: a UDP worker's slice — 3 000 nodes on one mux, the
+// size of transport's BenchmarkUDPWorkerCycle — cycled at δ = 150 ms by
+// the process's single scheduler goroutine. One iteration is one δ. It
+// reports how late cycles started (the upper bound of the histogram bucket
+// holding the 99th percentile of agg_tick_lag_seconds) and the share of
+// initiated exchanges that completed; shard the heap only if lag-p99
+// passes δ/8.
+func BenchmarkSchedulerWorkerSlice(b *testing.B) {
+	const n = 3000
+	delta := 150 * time.Millisecond
+	mux, err := transport.NewUDPMux(transport.UDPMuxConfig{ReadBuffer: 4 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer mux.Close()
+	schedule := core.Schedule{Start: time.Now(), Delta: time.Hour, CycleLen: delta, Gamma: 1 << 20}
+	eps := make([]*transport.MuxEndpoint, n)
+	addrs := make([]string, n)
+	for i := range eps {
+		if eps[i], err = mux.Endpoint(); err != nil {
+			b.Fatal(err)
+		}
+		addrs[i] = eps[i].Addr()
+	}
+	nodes := make([]*Node, n)
+	for i := range nodes {
+		boot := make([]string, 0, 30)
+		for k := 1; k <= 30; k++ {
+			boot = append(boot, addrs[(i+k*97)%n])
+		}
+		v := float64(i)
+		nodes[i], err = New(Config{
+			Endpoint: eps[i], Schedule: schedule, Value: func() float64 { return v },
+			Bootstrap: boot, Seed: uint64(i + 1), Logger: quietLogger(),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := nodes[i].Start(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	defer func() {
+		for _, node := range nodes {
+			_ = node.Stop()
+		}
+	}()
+	time.Sleep(2 * delta) // every node has had its first cycle
+	lagBefore := sched.lag.Snapshot()
+	var before Metrics
+	for _, node := range nodes {
+		before.Accumulate(node.Metrics())
+	}
+	b.ResetTimer()
+	time.Sleep(time.Duration(b.N) * delta)
+	b.StopTimer()
+	lag := sched.lag.Snapshot()
+	var after Metrics
+	for _, node := range nodes {
+		after.Accumulate(node.Metrics())
+	}
+	cycles := lag.Count - lagBefore.Count
+	p99 := math.Inf(1)
+	var seen int64
+	for i, c := range lag.Counts {
+		seen += c - lagBefore.Counts[i]
+		if i < len(lag.Bounds) && float64(seen) >= 0.99*float64(cycles) {
+			p99 = lag.Bounds[i]
+			break
+		}
+	}
+	b.ReportMetric(p99*1e3, "lag-p99-ms")
+	b.ReportMetric((lag.Sum-lagBefore.Sum)/float64(cycles)*1e6, "lag-mean-µs")
+	b.ReportMetric(float64(cycles)/float64(b.N), "cycles/δ")
+	b.ReportMetric(float64(after.ExchangesCompleted-before.ExchangesCompleted)/
+		float64(after.ExchangesInitiated-before.ExchangesInitiated), "completed-share")
 }
 
 // benchEncodeNode builds a node with a full 30-descriptor NEWSCAST view

@@ -18,10 +18,11 @@ import (
 	"antientropy/internal/wire"
 )
 
-// handNode is a started node whose ticker never fires, wired to one peer
-// endpoint the test owns: the test plays the peer by hand — it calls
-// initiate and handle directly and reads what the node sends off the
-// peer endpoint.
+// handNode is a started node whose cycle (δ = 1 h) never comes due, wired
+// to one peer endpoint the test owns and reads through Recv: the test
+// plays the peer by hand — it calls initiate and handle directly, or has
+// the scheduler run a cycle with cycleNow, and reads what the node sends
+// off the peer endpoint.
 type handNode struct {
 	*Node
 	peer *transport.MemEndpoint
@@ -84,15 +85,39 @@ func (h handNode) deliver(t testing.TB, m wire.Message) {
 	h.handle(h.peer.Addr(), data)
 }
 
-// exchange makes the node initiate and returns the request it sent.
+// exchange makes the node initiate and returns the request it sent. The
+// scheduler does not know of the exchange and will not expire it.
 func (h handNode) exchange(t testing.TB) *wire.ExchangeRequest {
 	t.Helper()
 	h.initiate(time.Now())
+	return h.sentRequest(t)
+}
+
+func (h handNode) sentRequest(t testing.TB) *wire.ExchangeRequest {
+	t.Helper()
 	req, ok := h.sent(t).(*wire.ExchangeRequest)
 	if !ok {
-		t.Fatal("initiate sent no exchange request")
+		t.Fatal("the node sent no exchange request")
 	}
 	return req
+}
+
+// cycleNow makes the node's next cycle due at once and returns the request
+// it sent: the exchange is the scheduler's, deadline and all. The cycle
+// after it is one δ away again.
+func (h handNode) cycleNow(t testing.TB) *wire.ExchangeRequest {
+	t.Helper()
+	sched.mu.Lock()
+	if h.sched.slot < 0 {
+		sched.mu.Unlock()
+		t.Fatal("the node is not queued on the scheduler")
+	}
+	sched.removeAt(h.sched.slot)
+	h.sched.nextCycle = schedClock(time.Now())
+	sched.queue(h.Node)
+	sched.kick()
+	sched.mu.Unlock()
+	return h.sentRequest(t)
 }
 
 func (h handNode) reply(req *wire.ExchangeRequest, scalar float64) *wire.ExchangeReply {
@@ -309,14 +334,19 @@ func TestDuplicateReplyAppliedOnce(t *testing.T) {
 // (§7.2) — the state is not merged, but the membership descriptors the
 // late reply carries are as good as any.
 func TestReplyAfterTimeoutAbsorbsViewOnly(t *testing.T) {
-	h := newHandNode(t, ModeScalar, 20*time.Millisecond)
-	req := h.exchange(t)
+	const timeout = 20 * time.Millisecond
+	h := newHandNode(t, ModeScalar, timeout)
+	sent := time.Now()
+	req := h.cycleNow(t)
 	deadline := time.Now().Add(5 * time.Second)
 	for h.Metrics().Timeouts == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("the exchange never timed out")
 		}
 		time.Sleep(time.Millisecond)
+	}
+	if waited := time.Since(sent); waited < timeout {
+		t.Fatalf("the exchange was expired after %v, before its %v timeout", waited, timeout)
 	}
 	late := h.reply(req, 20)
 	late.View = wire.ViewFrame{Kind: wire.ViewFull, Gen: 1,
@@ -357,17 +387,17 @@ func TestStaleEpochReplyDropped(t *testing.T) {
 }
 
 // TestStopWithExchangeOutstanding: Stop abandons the exchange — no
-// goroutine waits for the reply, the timer is disarmed and never counts
-// a timeout.
+// goroutine waits for the reply, its deadline leaves the scheduler with
+// the node and never counts a timeout.
 func TestStopWithExchangeOutstanding(t *testing.T) {
 	before := runtime.NumGoroutine()
 	h := newHandNode(t, ModeScalar, 50*time.Millisecond)
-	h.exchange(t)
+	h.cycleNow(t)
 	if err := h.Stop(); err != nil {
 		t.Fatal(err)
 	}
-	if h.timeout.Stop() {
-		t.Fatal("Stop left the exchange timer armed")
+	if n := sched.size(); n != 0 {
+		t.Fatalf("the scheduler still serves %d nodes after Stop", n)
 	}
 	time.Sleep(100 * time.Millisecond) // past the timeout
 	if m := h.Metrics(); m.Timeouts != 0 {

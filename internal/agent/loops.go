@@ -2,7 +2,6 @@ package agent
 
 import (
 	"cmp"
-	"context"
 	"slices"
 	"sync"
 	"time"
@@ -12,37 +11,6 @@ import (
 	"antientropy/internal/overlay"
 	"antientropy/internal/wire"
 )
-
-// tickLoop is the active thread of Figure 1: every δ it advances the
-// epoch if the schedule says so and initiates one exchange (aggregation
-// when participating, membership-only while waiting to join).
-//
-// Each node's cycle is offset by a random phase within δ. Without the
-// stagger, nodes started together initiate simultaneously, find each
-// other busy and refuse each other's exchanges every single cycle —
-// the classic synchronized-gossip livelock.
-func (n *Node) tickLoop(ctx context.Context) {
-	defer n.wg.Done()
-	n.mu.Lock()
-	phase := time.Duration(n.rng.Intn(int(n.cfg.Schedule.CycleLen)))
-	n.mu.Unlock()
-	select {
-	case <-ctx.Done():
-		return
-	case <-time.After(phase):
-	}
-	ticker := time.NewTicker(n.cfg.Schedule.CycleLen)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case now := <-ticker.C:
-			n.advanceEpoch(now)
-			n.initiate(now)
-		}
-	}
-}
 
 // advanceEpoch applies the schedule: when wall-clock time has entered a
 // later epoch, finish the current instance (recording its output) and
@@ -127,18 +95,23 @@ type exchange struct {
 
 // initiate performs the active-thread step: select a peer and run one
 // push-pull exchange, or a membership exchange while not participating.
-func (n *Node) initiate(now time.Time) {
+// It returns the deadline of the exchange outstanding when it returns,
+// started now or by an earlier cycle — the zero time when there is none,
+// as when the transport delivers inline and the reply has already been
+// applied.
+func (n *Node) initiate(now time.Time) (deadline time.Time) {
 	n.mu.Lock()
 	if n.busy || n.stopped {
 		// The previous exchange is still outstanding; §6.2 says skipping
 		// is harmless.
+		deadline = n.deadlineLocked()
 		n.mu.Unlock()
-		return
+		return deadline
 	}
 	key, ok := n.view.Peer(n.rng)
 	if !ok {
 		n.mu.Unlock()
-		return
+		return deadline
 	}
 	id := n.viewKey(key)
 	peer := book.Addr(id)
@@ -155,7 +128,7 @@ func (n *Node) initiate(now time.Time) {
 		buf := n.encode(&n.out.Membership, version)
 		n.mu.Unlock()
 		n.transmit(peer, buf)
-		return
+		return deadline
 	}
 	xid := n.xidLocked(seq)
 	payload, version := n.payloadLocked(sess, seq, xid, now)
@@ -165,29 +138,36 @@ func (n *Node) initiate(now time.Time) {
 	epoch := n.epoch
 	n.busy = true
 	n.pending = exchange{peer: peer, seq: seq, epoch: epoch, xid: xid, start: start}
-	if n.timeout == nil {
-		n.timeout = time.AfterFunc(n.cfg.RequestTimeout, n.expire)
-	} else {
-		n.timeout.Reset(n.cfg.RequestTimeout)
-	}
 	n.metrics.exchangesInitiated.Add(1)
 	n.mu.Unlock()
 
 	n.trace(obs.TraceInitiate, peer, seq, epoch, xid, start)
 	n.transmit(peer, buf)
+
+	n.mu.Lock()
+	deadline = n.deadlineLocked()
+	n.mu.Unlock()
+	return deadline
 }
 
-// expire is the callback of the node's one exchange timer: the reply did
-// not arrive within RequestTimeout, so the exchange is skipped (§6.2).
-func (n *Node) expire() {
+// deadlineLocked is when the outstanding exchange expires, the zero time
+// when none is outstanding.
+func (n *Node) deadlineLocked() time.Time {
+	if !n.busy {
+		return time.Time{}
+	}
+	return n.pending.start.Add(n.cfg.RequestTimeout)
+}
+
+// expire is what the scheduler runs at an exchange's deadline: if the
+// reply has not arrived within RequestTimeout, the exchange is skipped
+// (§6.2). The reply may have completed the exchange since the deadline
+// was queued; only an exchange that has waited out the whole timeout is
+// expired.
+func (n *Node) expire(now time.Time) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	// A fire can lose the race for mu to the reply it was guarding, and
-	// by the time it runs a later exchange may be outstanding: only an
-	// exchange that has waited out the whole timeout is expired. (The
-	// timer is armed after pending.start is taken, so the exchange's own
-	// fire always passes this check.)
-	if !n.busy || time.Since(n.pending.start) < n.cfg.RequestTimeout {
+	if !n.busy || now.Sub(n.pending.start) < n.cfg.RequestTimeout {
 		return
 	}
 	n.busy = false
@@ -201,7 +181,6 @@ func (n *Node) expire() {
 func (n *Node) completeLocked(reply *wire.Payload, now time.Time) {
 	p := n.pending
 	n.busy = false
-	n.timeout.Stop()
 	// The round trip is measured for every reply, refusals included:
 	// it observes the network and the peer's receive path, not the
 	// merge. Timeouts are accounted separately — mixing the timeout
@@ -506,6 +485,8 @@ func (n *Node) encode(msg wire.Message, version uint8) *[]byte {
 
 // transmit sends an encoded message and recycles its buffer; transport
 // errors are logged and otherwise treated as loss, per the system model.
+// The caller must not hold mu: an inline-delivering transport runs the
+// peer's handler, and through its reply this node's own, inside Send.
 func (n *Node) transmit(to string, bp *[]byte) {
 	if bp == nil {
 		return

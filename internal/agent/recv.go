@@ -9,9 +9,8 @@ import (
 	"antientropy/internal/wire"
 )
 
-// recvLoop is the passive thread of Figure 1: it serves exchange
-// requests, answers joins and membership gossip, and reacts to epoch
-// identifiers (§4.3).
+// recvLoop feeds handle from the Recv channel of an endpoint that has no
+// handler mode (the per-node UDP socket).
 func (n *Node) recvLoop(ctx context.Context) {
 	defer n.wg.Done()
 	for {
@@ -32,15 +31,16 @@ func (n *Node) recvLoop(ctx context.Context) {
 	}
 }
 
-// handle is the passive thread's one critical section per datagram:
-// under a single hold of mu it decodes into node-owned storage, runs the
-// message's handler and encodes the reply; the reply is sent after the
-// lock is released. The decoded message aliases the decoder's storage
-// (never the datagram), so nothing of it may be kept past the unlock
-// except strings. Each handler records the wire version the datagram
-// arrived at (observePeerLocked) — the per-connection negotiation:
-// replies to a legacy peer are encoded at the legacy version with plain
-// full views.
+// handle is the passive thread of Figure 1 — it serves exchange requests,
+// answers joins and membership gossip, and reacts to epoch identifiers
+// (§4.3) — as one critical section per datagram: under a single hold of
+// mu it decodes into node-owned storage, runs the message's handler and
+// encodes the reply; the reply is sent after the lock is released. The
+// decoded message aliases the decoder's storage (never the datagram), so
+// nothing of it may be kept past the unlock except strings. Each handler
+// records the wire version the datagram arrived at (observePeerLocked) —
+// the per-connection negotiation: replies to a legacy peer are encoded at
+// the legacy version with plain full views.
 //
 // Every address of the datagram is resolved once, by the decoder's
 // lookup in the process's book, and nothing is interned until the

@@ -10,7 +10,8 @@ import "antientropy/internal/obs"
 // having nodes increment registry counters directly) keeps the per-node
 // counters authoritative, which crash retirement requires, and keeps
 // the hot path at exactly one atomic add per event. Next to the counters
-// it exports the size of the process's shared address book.
+// it exports what the process has one of: the size of the shared address
+// book, and the scheduler's node count and cycle lateness.
 func RegisterMetrics(reg *obs.Registry, snap func() Metrics) {
 	if reg == nil || snap == nil {
 		return
@@ -69,4 +70,10 @@ func RegisterMetrics(reg *obs.Registry, snap func() Metrics) {
 	reg.GaugeFunc("agg_address_book_size",
 		"Distinct addresses interned in this process's address book (it only grows).",
 		func() float64 { return float64(book.Len()) })
+	reg.GaugeFunc("agg_scheduler_nodes",
+		"Started nodes whose cycles and exchange deadlines this process's scheduler serves.",
+		func() float64 { return float64(sched.size()) })
+	reg.HistogramFunc("agg_tick_lag_seconds",
+		"How late after its due time a node's cycle started: one goroutine runs every node, so a slow cycle delays the ones behind it.",
+		sched.lag.Snapshot)
 }

@@ -1,15 +1,28 @@
+// Package newscast holds the NEWSCAST view laws of the paper's §4.4 — no
+// self entry, capacity respected, freshest stamp wins, deterministic
+// tie-break, crash repair — as tests of overlay.Membership, the one
+// implementation the simulators and the live agent run on. They were
+// written against the generic cache this directory used to export; the
+// cache is gone, the laws are the same. The directory has no non-test
+// code.
 package newscast
 
 import (
 	"testing"
 	"testing/quick"
 
+	"antientropy/internal/overlay"
 	"antientropy/internal/stats"
 )
 
-func mustCache(t *testing.T, self int32, c int) *Cache[int32] {
+type (
+	Cache = overlay.Membership
+	Entry = overlay.Entry
+)
+
+func mustCache(t *testing.T, self int32, c int) *Cache {
 	t.Helper()
-	cache, err := NewCache(self, c)
+	cache, err := overlay.NewMembership(self, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -17,13 +30,13 @@ func mustCache(t *testing.T, self int32, c int) *Cache[int32] {
 }
 
 func TestNewCacheValidation(t *testing.T) {
-	if _, err := NewCache[int32](0, 0); err == nil {
+	if _, err := overlay.NewMembership(0, 0); err == nil {
 		t.Error("capacity 0 accepted")
 	}
-	if _, err := NewCache[int32](0, -1); err == nil {
+	if _, err := overlay.NewMembership(0, -1); err == nil {
 		t.Error("negative capacity accepted")
 	}
-	c, err := NewCache[int32](7, 5)
+	c, err := overlay.NewMembership(7, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +47,7 @@ func TestNewCacheValidation(t *testing.T) {
 
 func TestViewIncludesFreshSelfDescriptor(t *testing.T) {
 	c := mustCache(t, 3, 4)
-	c.Absorb([]Entry[int32]{{Key: 1, Stamp: 10}})
+	c.Absorb([]Entry{{Key: 1, Stamp: 10}})
 	view := c.View(99)
 	foundSelf := false
 	for _, e := range view {
@@ -52,13 +65,13 @@ func TestViewIncludesFreshSelfDescriptor(t *testing.T) {
 
 func TestAbsorbKeepsFreshestPerKey(t *testing.T) {
 	c := mustCache(t, 0, 10)
-	c.Absorb([]Entry[int32]{{Key: 1, Stamp: 5}})
-	c.Absorb([]Entry[int32]{{Key: 1, Stamp: 9}})
+	c.Absorb([]Entry{{Key: 1, Stamp: 5}})
+	c.Absorb([]Entry{{Key: 1, Stamp: 9}})
 	if s, ok := c.Stamp(1); !ok || s != 9 {
 		t.Fatalf("stamp = %d (present=%v), want 9", s, ok)
 	}
 	// An older descriptor must not overwrite a fresher one.
-	c.Absorb([]Entry[int32]{{Key: 1, Stamp: 2}})
+	c.Absorb([]Entry{{Key: 1, Stamp: 2}})
 	if s, _ := c.Stamp(1); s != 9 {
 		t.Fatalf("stale descriptor overwrote fresh one: stamp = %d", s)
 	}
@@ -69,7 +82,7 @@ func TestAbsorbKeepsFreshestPerKey(t *testing.T) {
 
 func TestAbsorbDropsOwnDescriptor(t *testing.T) {
 	c := mustCache(t, 5, 10)
-	c.Absorb([]Entry[int32]{{Key: 5, Stamp: 100}, {Key: 2, Stamp: 1}})
+	c.Absorb([]Entry{{Key: 5, Stamp: 100}, {Key: 2, Stamp: 1}})
 	if c.Contains(5) {
 		t.Fatal("cache stored its own descriptor")
 	}
@@ -80,7 +93,7 @@ func TestAbsorbDropsOwnDescriptor(t *testing.T) {
 
 func TestAbsorbEnforcesCapacityKeepingFreshest(t *testing.T) {
 	c := mustCache(t, 0, 3)
-	c.Absorb([]Entry[int32]{
+	c.Absorb([]Entry{
 		{Key: 1, Stamp: 1}, {Key: 2, Stamp: 9},
 		{Key: 3, Stamp: 5}, {Key: 4, Stamp: 7}, {Key: 5, Stamp: 3},
 	})
@@ -101,8 +114,8 @@ func TestAbsorbDeterministicTieBreak(t *testing.T) {
 	// Equal stamps: lower keys win, independent of insertion order.
 	a := mustCache(t, 0, 2)
 	b := mustCache(t, 0, 2)
-	a.Absorb([]Entry[int32]{{Key: 3, Stamp: 5}, {Key: 1, Stamp: 5}, {Key: 2, Stamp: 5}})
-	b.Absorb([]Entry[int32]{{Key: 2, Stamp: 5}, {Key: 3, Stamp: 5}, {Key: 1, Stamp: 5}})
+	a.Absorb([]Entry{{Key: 3, Stamp: 5}, {Key: 1, Stamp: 5}, {Key: 2, Stamp: 5}})
+	b.Absorb([]Entry{{Key: 2, Stamp: 5}, {Key: 3, Stamp: 5}, {Key: 1, Stamp: 5}})
 	for _, k := range []int32{1, 2} {
 		if !a.Contains(k) || !b.Contains(k) {
 			t.Fatalf("tie-break not deterministic: a=%v b=%v", a.Entries(), b.Entries())
@@ -112,8 +125,8 @@ func TestAbsorbDeterministicTieBreak(t *testing.T) {
 
 func TestSeedReplacesContent(t *testing.T) {
 	c := mustCache(t, 0, 5)
-	c.Absorb([]Entry[int32]{{Key: 9, Stamp: 1}})
-	c.Seed([]Entry[int32]{{Key: 1, Stamp: 2}, {Key: 2, Stamp: 2}})
+	c.Absorb([]Entry{{Key: 9, Stamp: 1}})
+	c.Seed([]Entry{{Key: 1, Stamp: 2}, {Key: 2, Stamp: 2}})
 	if c.Contains(9) {
 		t.Error("Seed kept stale content")
 	}
@@ -124,7 +137,7 @@ func TestSeedReplacesContent(t *testing.T) {
 
 func TestPeerSamplesUniformly(t *testing.T) {
 	c := mustCache(t, 0, 10)
-	c.Absorb([]Entry[int32]{
+	c.Absorb([]Entry{
 		{Key: 1, Stamp: 1}, {Key: 2, Stamp: 1}, {Key: 3, Stamp: 1},
 	})
 	rng := stats.NewRNG(1)
@@ -155,9 +168,9 @@ func TestPeerEmptyCache(t *testing.T) {
 func TestExchangeSharesDescriptors(t *testing.T) {
 	a := mustCache(t, 1, 5)
 	b := mustCache(t, 2, 5)
-	a.Absorb([]Entry[int32]{{Key: 10, Stamp: 3}})
-	b.Absorb([]Entry[int32]{{Key: 20, Stamp: 4}})
-	Exchange(a, b, 7)
+	a.Absorb([]Entry{{Key: 10, Stamp: 3}})
+	b.Absorb([]Entry{{Key: 20, Stamp: 4}})
+	overlay.Exchange(a, b, 7)
 	// Both caches must now know each other and each other's contacts.
 	if !a.Contains(2) || !a.Contains(20) || !a.Contains(10) {
 		t.Fatalf("a incomplete after exchange: %v", a.Entries())
@@ -176,7 +189,7 @@ func TestOldest(t *testing.T) {
 	if _, ok := c.Oldest(); ok {
 		t.Fatal("Oldest on empty cache returned ok")
 	}
-	c.Absorb([]Entry[int32]{{Key: 1, Stamp: 4}, {Key: 2, Stamp: 9}})
+	c.Absorb([]Entry{{Key: 1, Stamp: 4}, {Key: 2, Stamp: 9}})
 	if s, ok := c.Oldest(); !ok || s != 4 {
 		t.Fatalf("Oldest = %d (%v), want 4", s, ok)
 	}
@@ -184,7 +197,7 @@ func TestOldest(t *testing.T) {
 
 func TestEntriesReturnsCopy(t *testing.T) {
 	c := mustCache(t, 0, 5)
-	c.Absorb([]Entry[int32]{{Key: 1, Stamp: 4}})
+	c.Absorb([]Entry{{Key: 1, Stamp: 4}})
 	es := c.Entries()
 	es[0].Key = 99
 	if c.Contains(99) || !c.Contains(1) {
@@ -196,14 +209,14 @@ func TestCrashRepair(t *testing.T) {
 	// A mini NEWSCAST network: node 0 crashes at cycle 10 and must
 	// disappear from every cache once fresher descriptors crowd it out.
 	const n, cap = 30, 5
-	caches := make([]*Cache[int32], n)
+	caches := make([]*Cache, n)
 	for i := range caches {
 		caches[i] = mustCache(t, int32(i), cap)
 	}
 	rng := stats.NewRNG(42)
 	// Bootstrap: everyone knows the next node in a ring.
 	for i := range caches {
-		caches[i].Seed([]Entry[int32]{{Key: int32((i + 1) % n), Stamp: 0}})
+		caches[i].Seed([]Entry{{Key: int32((i + 1) % n), Stamp: 0}})
 	}
 	crashed := 0
 	for cycle := 1; cycle <= 60; cycle++ {
@@ -221,13 +234,13 @@ func TestCrashRepair(t *testing.T) {
 			if int(peer) == i {
 				continue
 			}
-			Exchange(caches[i], caches[peer], int64(cycle))
+			overlay.Exchange(caches[i], caches[peer], int32(cycle))
 		}
 		if cycle <= 10 {
 			// Node 0 actively gossips while alive.
 			peer, ok := caches[0].Peer(rng)
 			if ok && peer != 0 {
-				Exchange(caches[0], caches[peer], int64(cycle))
+				overlay.Exchange(caches[0], caches[peer], int32(cycle))
 			}
 		}
 		crashed = 0
@@ -255,7 +268,7 @@ func TestAbsorbInvariantsProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 200}
 	if err := quick.Check(func(keys []uint8, stamps []int8, capRaw uint8) bool {
 		capacity := int(capRaw%10) + 1
-		c, err := NewCache[int32](0, capacity)
+		c, err := overlay.NewMembership(0, capacity)
 		if err != nil {
 			return false
 		}
@@ -263,9 +276,9 @@ func TestAbsorbInvariantsProperty(t *testing.T) {
 		if len(stamps) < nEntries {
 			nEntries = len(stamps)
 		}
-		remote := make([]Entry[int32], 0, nEntries)
+		remote := make([]Entry, 0, nEntries)
 		for i := 0; i < nEntries; i++ {
-			remote = append(remote, Entry[int32]{Key: int32(keys[i] % 20), Stamp: int64(stamps[i])})
+			remote = append(remote, Entry{Key: int32(keys[i] % 20), Stamp: int32(stamps[i]) + 128}) // logical time is never negative
 		}
 		c.Absorb(remote)
 		if c.Len() > capacity {
@@ -281,7 +294,7 @@ func TestAbsorbInvariantsProperty(t *testing.T) {
 			}
 			seen[e.Key] = true
 			// The kept stamp must be the max stamp of that key in input.
-			max := int64(-1 << 62)
+			max := int32(-1)
 			for _, r := range remote {
 				if r.Key == e.Key && r.Stamp > max {
 					max = r.Stamp
@@ -298,17 +311,18 @@ func TestAbsorbInvariantsProperty(t *testing.T) {
 }
 
 func TestStringKeys(t *testing.T) {
-	// The live runtime uses addresses as keys; exercise the generic path.
-	a, err := NewCache("10.0.0.1:7000", 3)
-	if err != nil {
-		t.Fatal(err)
+	// The live runtime's keys are addresses, interned through a Book.
+	book := overlay.NewBook()
+	addrA, addrB := "10.0.0.1:7000", "10.0.0.2:7000"
+	a := mustCache(t, book.Intern(addrA), 3)
+	b := mustCache(t, book.Intern(addrB), 3)
+	overlay.Exchange(a, b, 1)
+	idA, _ := book.Lookup(addrA)
+	idB, _ := book.Lookup(addrB)
+	if !a.Contains(idB) || !b.Contains(idA) {
+		t.Fatal("address-keyed exchange failed")
 	}
-	b, err := NewCache("10.0.0.2:7000", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	Exchange(a, b, 1)
-	if !a.Contains("10.0.0.2:7000") || !b.Contains("10.0.0.1:7000") {
-		t.Fatal("string-keyed exchange failed")
+	if got := book.Addr(a.Entries()[0].Key); got != addrB {
+		t.Fatalf("a's descriptor resolves to %q, want %q", got, addrB)
 	}
 }

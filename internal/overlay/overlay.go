@@ -25,16 +25,17 @@
 // Determinism contract: a merge keeps the cap freshest distinct keys of
 // the union of both views plus both fresh self-descriptors, excluding
 // the owner's own key; ties on the stamp are broken by ascending key.
-// The packed cache and the legacy generic cache (package newscast, now a
-// shim over Generic in this package) implement the identical contract —
-// pinned by TestPackedMatchesGenericOnStampTies — so the serial engine,
-// the sharded engine and the live agent produce identical merge results
-// for identical inputs.
+// There is one implementation of it, so the serial engine, the sharded
+// engine and the live agent produce identical merge results for identical
+// inputs; TestPackedMatchesGenericOnStampTies pins its tie-breaking
+// against golden vectors frozen from the generic comparator-sorted cache
+// it replaced.
 package overlay
 
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 
 	"antientropy/internal/stats"
@@ -374,13 +375,30 @@ type Table struct {
 	scratch []uint64
 }
 
+// collectAbove is the backing size, in descriptors (1 MiB), from which
+// NewTable collects garbage before it allocates.
+const collectAbove = 1 << 17
+
 // NewTable builds an empty table of n views with capacity c each.
+//
+// A table is an engine's one large allocation, and engines are built one
+// after another — the repetitions of a sweep, a serial and a sharded run
+// of one scenario — each dropping the table before it. Whether the
+// concurrent collector has returned that table by the time the next one
+// asks for its backing is a matter of timing, and the process's peak
+// memory read one, two or three tables from run to run (28–44 MiB for the
+// same seed at N = 20000). A large table therefore collects first: the
+// peak is one table plus what is live, every time, for a few milliseconds
+// on a build that takes tens.
 func NewTable(n, c int) (*Table, error) {
 	if c < 1 {
 		return nil, ErrBadCacheSize
 	}
 	if n < 1 {
 		return nil, fmt.Errorf("overlay: invalid table size %d", n)
+	}
+	if n*c >= collectAbove {
+		runtime.GC()
 	}
 	t := &Table{
 		cap:     c,

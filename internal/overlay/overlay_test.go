@@ -96,12 +96,13 @@ func TestTableExchangeMatchesStandalone(t *testing.T) {
 }
 
 // TestPackedMatchesGenericOnStampTies pins the cross-engine determinism
-// contract: the packed cache (serial engine, sharded engine, live agent)
-// and the legacy generic cache (the newscast compatibility shim) must
-// produce identical merge results descriptor for descriptor — including
-// the equal-stamp cases, where ties break by ascending key. Fixtures
-// deliberately saturate the caches with one shared stamp so every
-// ordering decision is a tie-break.
+// contract on the cases where every ordering decision is a tie-break:
+// fixtures saturate the caches with one shared stamp, and ties break by
+// ascending key. The expected views are golden vectors frozen from the
+// generic reference cache (overlay.Generic, the implementation the
+// newscast package exposed) when it was deleted; the packed cache (serial
+// engine, sharded engine, live agent) must reproduce them descriptor for
+// descriptor, and so must the merge kernel's sort-then-scan oracle.
 func TestPackedMatchesGenericOnStampTies(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -111,36 +112,48 @@ func TestPackedMatchesGenericOnStampTies(t *testing.T) {
 		viewA []Entry // pre-exchange cache of A
 		viewB []Entry // pre-exchange cache of B
 		now   int32
+		wantA []Entry // post-exchange, as the generic cache merged it
+		wantB []Entry
 	}{
 		{
 			name: "all stamps equal, overflow forces tie eviction",
 			cap:  2, selfA: 1, selfB: 2, now: 10,
 			viewA: []Entry{{5, 10}, {6, 10}},
 			viewB: []Entry{{3, 10}, {4, 10}},
+			wantA: []Entry{{2, 10}, {3, 10}},
+			wantB: []Entry{{1, 10}, {3, 10}},
 		},
 		{
 			name: "disjoint views, equal stamps, no overlap with selves",
 			cap:  2, selfA: 1, selfB: 2, now: 10,
 			viewA: []Entry{{5, 10}, {6, 10}},
 			viewB: []Entry{{7, 10}, {8, 10}},
+			wantA: []Entry{{2, 10}, {5, 10}},
+			wantB: []Entry{{1, 10}, {5, 10}},
 		},
 		{
 			name: "duplicate key with equal stamps on both sides",
 			cap:  3, selfA: 0, selfB: 9, now: 4,
 			viewA: []Entry{{7, 4}, {3, 4}, {9, 1}},
 			viewB: []Entry{{7, 4}, {5, 4}, {0, 2}},
+			wantA: []Entry{{3, 4}, {5, 4}, {7, 4}},
+			wantB: []Entry{{0, 4}, {3, 4}, {5, 4}},
 		},
 		{
 			name: "fresh self descriptors tie with cached foreign ones",
 			cap:  3, selfA: 2, selfB: 7, now: 6,
 			viewA: []Entry{{4, 6}, {5, 6}, {6, 6}},
 			viewB: []Entry{{1, 6}, {3, 6}, {8, 6}},
+			wantA: []Entry{{1, 6}, {3, 6}, {4, 6}},
+			wantB: []Entry{{1, 6}, {2, 6}, {3, 6}},
 		},
 		{
 			name: "mixed stamps with a tie exactly at the eviction boundary",
 			cap:  3, selfA: 10, selfB: 11, now: 9,
 			viewA: []Entry{{1, 9}, {2, 5}, {3, 5}},
 			viewB: []Entry{{4, 5}, {5, 5}, {6, 3}},
+			wantA: []Entry{{1, 9}, {11, 9}, {2, 5}},
+			wantB: []Entry{{1, 9}, {10, 9}, {2, 5}},
 		},
 	}
 	for _, tc := range cases {
@@ -149,40 +162,25 @@ func TestPackedMatchesGenericOnStampTies(t *testing.T) {
 			pb, _ := NewMembership(tc.selfB, tc.cap)
 			pa.Seed(tc.viewA)
 			pb.Seed(tc.viewB)
-			ga, _ := NewGeneric(tc.selfA, tc.cap)
-			gb, _ := NewGeneric(tc.selfB, tc.cap)
-			ga.Seed(toGeneric(tc.viewA))
-			gb.Seed(toGeneric(tc.viewB))
+			oracleA, oracleB := oracleExchange(tc.cap, tc.selfA, tc.selfB,
+				slices.Clone(pa.Packed()), slices.Clone(pb.Packed()), tc.now)
 
 			Exchange(pa, pb, tc.now)
-			ExchangeGeneric(ga, gb, int64(tc.now))
 
-			for _, pair := range []struct {
-				p *Membership
-				g *Generic[int32]
-			}{{pa, ga}, {pb, gb}} {
-				got := pair.p.Entries()
-				want := pair.g.Entries()
-				if len(got) != len(want) {
-					t.Fatalf("node %d: packed %v vs generic %v", pair.p.Self(), got, want)
+			for _, node := range []struct {
+				m      *Membership
+				want   []Entry
+				oracle []uint64
+			}{{pa, tc.wantA, oracleA}, {pb, tc.wantB, oracleB}} {
+				if got := node.m.Entries(); !slices.Equal(got, node.want) {
+					t.Errorf("node %d: packed %v, golden %v", node.m.Self(), got, node.want)
 				}
-				for i := range got {
-					if got[i].Key != want[i].Key || int64(got[i].Stamp) != want[i].Stamp {
-						t.Fatalf("node %d entry %d: packed %v vs generic %v",
-							pair.p.Self(), i, got, want)
-					}
+				if got := unpacked(node.oracle); !slices.Equal(got, node.want) {
+					t.Errorf("node %d: oracle %v, golden %v", node.m.Self(), got, node.want)
 				}
 			}
 		})
 	}
-}
-
-func toGeneric(es []Entry) []GenericEntry[int32] {
-	out := make([]GenericEntry[int32], len(es))
-	for i, e := range es {
-		out[i] = GenericEntry[int32]{Key: e.Key, Stamp: int64(e.Stamp)}
-	}
-	return out
 }
 
 func TestSeedRandomDistinctAndSorted(t *testing.T) {

@@ -67,9 +67,10 @@ func (o LiveOptions) withDefaults(fleet int) LiveOptions {
 }
 
 // RunLive executes the scenario against a fleet of real agent nodes over
-// the in-memory transport: every node runs the paper's active/passive
-// goroutine pair with real timers, epochs and joins; partitions, loss and
-// delay bursts are injected at the transport layer. Unlike the simulator
+// the in-memory transport: every node is the paper's active/passive pair
+// on real time — cycles, timeouts, epochs and joins, run by the process's
+// scheduler and the transport's deliveries; partitions, loss and delay
+// bursts are injected at the transport layer. Unlike the simulator
 // executor the run is wall-clock driven and therefore not bit-for-bit
 // deterministic, but it chases the identical scripted value signal, so
 // the two metric streams are directly comparable.

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -315,6 +316,28 @@ func TestSampleNilExclusion(t *testing.T) {
 	seen := map[int]bool{dst[0]: true, dst[1]: true, dst[2]: true}
 	if len(seen) != 3 {
 		t.Fatalf("Sample with n == len(dst) must be a permutation, got %v", dst)
+	}
+}
+
+// TestSampleScanAndSetAgree pins that the allocation-free short path and
+// the set path make the same draws: a long sample's first values are what
+// a short sample from the same generator state reads, and the short path
+// allocates nothing.
+func TestSampleScanAndSetAgree(t *testing.T) {
+	short := make([]int, sampleScanMax)
+	long := make([]int, sampleScanMax+1)
+	skip := func(v int) bool { return v%5 == 0 }
+	for seed := uint64(1); seed <= 20; seed++ {
+		NewRNG(seed).Sample(short, 100, skip)
+		NewRNG(seed).Sample(long, 100, skip)
+		if !slices.Equal(short, long[:len(short)]) {
+			t.Fatalf("seed %d: scan path drew %v, set path %v", seed, short, long[:len(short)])
+		}
+	}
+	r := NewRNG(7)
+	dst := make([]int, 30)
+	if a := testing.AllocsPerRun(100, func() { r.Sample(dst, 20000, nil) }); a != 0 {
+		t.Fatalf("Sample of 30 allocates %v times, want 0", a)
 	}
 }
 

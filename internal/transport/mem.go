@@ -13,17 +13,20 @@ import (
 // MemNetworkConfig tunes the simulated network conditions.
 type MemNetworkConfig struct {
 	// MinLatency and MaxLatency bound the uniformly distributed one-way
-	// delivery delay. Zero values mean synchronous delivery: the datagram
-	// is enqueued into the destination's inbound buffer before Send
-	// returns (receivers still process it on their own goroutine).
+	// delivery delay. Zero values mean synchronous delivery: before Send
+	// returns the datagram has been handled by the destination's handler,
+	// on the sender's goroutine, or sits in the destination's inbound
+	// buffer when it has no handler (see MemEndpoint). A delayed datagram
+	// is delivered the same way from the goroutine of its timer.
 	MinLatency time.Duration
 	MaxLatency time.Duration
 	// Loss is the probability that a datagram silently disappears.
 	Loss float64
 	// Seed drives the loss/latency randomness (0 picks a time seed).
 	Seed int64
-	// QueueLen is each endpoint's inbound buffer; datagrams arriving at a
-	// full buffer are dropped, as a congested socket would. Default 1024.
+	// QueueLen is the inbound buffer of an endpoint read through Recv;
+	// datagrams arriving at a full buffer are dropped, as a congested
+	// socket would. Default 1024. Handler-mode endpoints have no buffer.
 	QueueLen int
 }
 
@@ -81,11 +84,8 @@ func (n *MemNetwork) Endpoint() *MemEndpoint {
 	defer n.mu.Unlock()
 	addr := fmt.Sprintf("mem-%d", n.nextAddr)
 	n.nextAddr++
-	ep := &MemEndpoint{
-		net:  n,
-		addr: addr,
-		in:   make(chan Packet, n.cfg.QueueLen),
-	}
+	ep := &MemEndpoint{net: n, addr: addr, queueLen: n.cfg.QueueLen}
+	ep.idle.L = &ep.mu
 	n.endpoints[addr] = ep
 	return ep
 }
@@ -269,11 +269,11 @@ func (n *MemNetwork) send(from, to string, data []byte) error {
 		p.Data = append([]byte(nil), data...)
 	}
 	if delay <= 0 {
-		// Immediate delivery runs inline: it only enqueues into the
-		// destination's buffered channel (never blocks — a full buffer
-		// drops), so there is no deadlock risk, and skipping the
-		// goroutine spawn roughly halves the per-datagram cost for
-		// large in-memory fleets.
+		// Immediate delivery runs inline, holding no lock of the network
+		// or of the sending endpoint: a channel-mode destination only
+		// enqueues (never blocks — a full buffer drops), a handler-mode
+		// one runs its handler here, and whatever that handler sends is
+		// delivered the same way, nested inside this call.
 		dst.deliver(p)
 		return nil
 	}
@@ -284,43 +284,105 @@ func (n *MemNetwork) send(from, to string, data []byte) error {
 	return nil
 }
 
-// MemEndpoint is one node's attachment to a MemNetwork.
+// MemEndpoint is one node's attachment to a MemNetwork. It delivers in one
+// of two modes. Until SetHandler is called, inbound datagrams queue in a
+// buffered channel read through Recv. After it, each datagram is passed to
+// the handler on the goroutine that delivers it — the sender's own for a
+// zero-latency network, the latency timer's otherwise — with no queue, no
+// channel and no goroutine of the endpoint's.
 type MemEndpoint struct {
-	net  *MemNetwork
-	addr string
+	net      *MemNetwork
+	addr     string
+	queueLen int
 
-	mu     sync.Mutex
-	in     chan Packet
-	closed bool
+	closed  atomic.Bool
+	handler atomic.Pointer[func(Packet)]
+	// inflight counts handler calls in progress. A delivery counts itself
+	// before it checks closed and Close sets closed before it reads the
+	// count, so either the delivery backs out or Close waits for it.
+	inflight atomic.Int64
+
+	// mu guards the channel mode: in, allocated on first use, and dropped.
+	// A channel-mode delivery holds it; SetHandler takes it to switch
+	// modes, so no datagram is queued behind the drain. idle, on mu, wakes
+	// a Close waiting for inflight to reach zero.
+	mu   sync.Mutex
+	idle sync.Cond
+	in   chan Packet
 	// dropped counts datagrams discarded because the inbound buffer was
 	// full.
 	dropped int
 }
 
-var _ Endpoint = (*MemEndpoint)(nil)
+var _ HandlerEndpoint = (*MemEndpoint)(nil)
 
 // Addr returns the endpoint's address.
 func (e *MemEndpoint) Addr() string { return e.addr }
 
-// Send transmits a datagram through the network.
+// Send transmits a datagram through the network. With a zero-latency
+// network and a handler-mode destination, the destination's handler has
+// returned by the time Send does.
 func (e *MemEndpoint) Send(to string, data []byte) error {
 	if len(data) > MaxDatagram {
 		return fmt.Errorf("%w: %d bytes", ErrTooLarge, len(data))
 	}
-	e.mu.Lock()
-	closed := e.closed
-	e.mu.Unlock()
-	if closed {
+	if e.closed.Load() {
 		return ErrClosed
 	}
 	return e.net.send(e.addr, to, data)
 }
 
-// Recv returns the inbound channel.
-func (e *MemEndpoint) Recv() <-chan Packet { return e.in }
+// queueLocked returns the inbound channel, allocating it on first use: a
+// handler-mode endpoint never pays for a buffer it does not read.
+func (e *MemEndpoint) queueLocked() chan Packet {
+	if e.in == nil {
+		e.in = make(chan Packet, e.queueLen)
+		if e.closed.Load() {
+			close(e.in)
+		}
+	}
+	return e.in
+}
+
+// Recv returns the inbound channel; silent once a handler is set, closed
+// when the endpoint closes.
+func (e *MemEndpoint) Recv() <-chan Packet {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.queueLocked()
+}
+
+// SetHandler switches the endpoint to handler-mode delivery and drains
+// anything already buffered on the Recv channel through the handler. The
+// handler may send, also to the endpoint that is delivering to it; it must
+// not close its own endpoint.
+func (e *MemEndpoint) SetHandler(fn func(Packet)) {
+	e.mu.Lock()
+	e.handler.Store(&fn)
+	in := e.in
+	e.mu.Unlock()
+	if in == nil {
+		return
+	}
+	for {
+		select {
+		case p, ok := <-in:
+			if !ok {
+				return
+			}
+			e.call(fn, p)
+		default:
+			return
+		}
+	}
+}
 
 // Close detaches the endpoint: subsequent sends fail and the receive
-// channel is closed.
+// channel is closed. It waits out handler calls in flight, so after Close
+// returns the handler is not invoked again. Deliveries never wait for a
+// Close — one that finds the endpoint closing returns at once — so
+// concurrent Closes of endpoints whose handlers are sending to each other
+// cannot wedge. Safe to call more than once.
 func (e *MemEndpoint) Close() error {
 	e.close(true)
 	return nil
@@ -328,12 +390,17 @@ func (e *MemEndpoint) Close() error {
 
 func (e *MemEndpoint) close(unregister bool) {
 	e.mu.Lock()
-	if e.closed {
+	if e.closed.Load() {
 		e.mu.Unlock()
 		return
 	}
-	e.closed = true
-	close(e.in)
+	e.closed.Store(true)
+	if e.in != nil {
+		close(e.in)
+	}
+	for e.inflight.Load() != 0 {
+		e.idle.Wait()
+	}
 	e.mu.Unlock()
 	if unregister {
 		e.net.mu.Lock()
@@ -343,24 +410,55 @@ func (e *MemEndpoint) close(unregister bool) {
 }
 
 // Dropped reports how many inbound datagrams were discarded due to a full
-// buffer.
+// buffer. A handler-mode endpoint has no buffer and reads 0.
 func (e *MemEndpoint) Dropped() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.dropped
 }
 
+// call runs one handler invocation under the Close barrier.
+func (e *MemEndpoint) call(fn func(Packet), p Packet) {
+	e.inflight.Add(1)
+	if e.closed.Load() {
+		p.Release()
+	} else {
+		e.net.delivered.Add(1)
+		fn(p)
+	}
+	if e.inflight.Add(-1) == 0 && e.closed.Load() {
+		e.mu.Lock()
+		e.idle.Broadcast()
+		e.mu.Unlock()
+	}
+}
+
 func (e *MemEndpoint) deliver(p Packet) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
+	h := e.handler.Load()
+	if h == nil {
+		e.mu.Lock()
+		if h = e.handler.Load(); h == nil {
+			// Channel mode, and SetHandler cannot switch it while mu is
+			// held: nothing is queued behind its drain.
+			e.enqueueLocked(p)
+			e.mu.Unlock()
+			return
+		}
+		e.mu.Unlock()
+	}
+	e.call(*h, p)
+}
+
+func (e *MemEndpoint) enqueueLocked(p Packet) {
+	if e.closed.Load() {
 		p.Release()
 		return
 	}
+	in := e.queueLocked()
 	select {
-	case e.in <- p:
+	case in <- p:
 		e.net.delivered.Add(1)
-		maxInt64(&e.net.queueDepth, int64(len(e.in)))
+		maxInt64(&e.net.queueDepth, int64(len(in)))
 	default:
 		e.dropped++
 		p.Release()
@@ -368,7 +466,8 @@ func (e *MemEndpoint) deliver(p Packet) {
 }
 
 // QueueDepthHighWatermark reports the deepest any endpoint's inbound
-// buffer has been across the network's lifetime.
+// buffer has been across the network's lifetime (0 for a network of
+// handler-mode endpoints: there is no queue).
 func (n *MemNetwork) QueueDepthHighWatermark() int64 { return n.queueDepth.Load() }
 
 // BatchSizes reports the network's datagram deliveries in the shape of

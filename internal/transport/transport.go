@@ -3,8 +3,9 @@
 // unreliable, unordered datagram delivery with unpredictable delays.
 //
 // Two implementations are provided: an in-memory network with
-// configurable latency, loss and partitions (for tests and simulation of
-// deployments), and a UDP transport for real networks.
+// configurable latency, loss and partitions (for tests, simulation of
+// deployments and the fleets a serving daemon hosts), and a UDP transport
+// for real networks.
 package transport
 
 import (
@@ -94,12 +95,16 @@ type Endpoint interface {
 }
 
 // HandlerEndpoint is implemented by endpoints that can deliver inbound
-// packets by calling a handler on the transport's own reader goroutines
-// instead of through the Recv channel — the shared receive pipeline of
-// UDPMux. Once a handler is set the Recv channel stays silent; anything
-// buffered there before the handler existed is drained into it. The
-// handler must be safe for concurrent calls and should Release the
-// packet when done.
+// packets by calling a handler on a goroutine the transport already has
+// instead of through the Recv channel: the shared reader goroutines of a
+// UDPMux; for a MemEndpoint the goroutine that sent the datagram (zero
+// latency — the handler runs nested inside the sender's Send) or the
+// latency timer's. Once a handler is set the Recv channel stays silent;
+// anything buffered there before the handler existed is drained into it.
+// The handler must be safe for concurrent calls, must not hold, while it
+// sends, a lock that a handler delivering to it would take, and should
+// Release the packet when done. Close waits out handler calls in flight:
+// after it returns the handler is not called again.
 type HandlerEndpoint interface {
 	Endpoint
 	SetHandler(fn func(Packet))
