@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -189,6 +190,82 @@ func BenchmarkSchedulerWorkerSlice(b *testing.B) {
 		float64(after.ExchangesInitiated-before.ExchangesInitiated), "completed-share")
 }
 
+// BenchmarkNodeResidentBytes is the rung of the recency bound: what a node
+// keeps, on the heap, after it has met a number of distinct peers — its
+// protocol state, its view and its sessions, which stop at sessionCap
+// however many peers there are. Hand-driven, no clock: each of 200 nodes
+// serves one exchange request, with a full view, from each of its peers;
+// B/node is the growth of the live heap over the fleet, its construction
+// included.
+func BenchmarkNodeResidentBytes(b *testing.B) {
+	for _, peers := range []int{150, 450} {
+		b.Run(fmt.Sprintf("peers=%d", peers), func(b *testing.B) {
+			const fleet = 200
+			net := transport.NewMemNetwork(transport.MemNetworkConfig{Seed: 1})
+			defer net.Close()
+			idle := core.Schedule{Start: time.Now(), Delta: time.Hour, CycleLen: time.Hour, Gamma: 1 << 20}
+			from := make([]string, peers)
+			requests := make([][]byte, peers)
+			for i := range requests {
+				ep := net.Endpoint()
+				ep.SetHandler(func(p transport.Packet) { p.Release() })
+				from[i] = ep.Addr()
+			}
+			for i := range requests {
+				view := make([]wire.Descriptor, 0, 31)
+				for k := 0; k < 31; k++ {
+					view = append(view, wire.Descriptor{Addr: from[(i+k)%peers], Stamp: int64(k)})
+				}
+				data, err := wire.Encode(&wire.ExchangeRequest{From: from[i], Payload: wire.Payload{
+					Seq: 1, FuncID: wire.FuncAverage, Scalar: 2,
+					View: wire.ViewFrame{Kind: wire.ViewFull, Gen: 1, Entries: view},
+				}})
+				if err != nil {
+					b.Fatal(err)
+				}
+				requests[i] = data
+			}
+			var perNode float64
+			for i := 0; i < b.N; i++ {
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				nodes := make([]*Node, fleet)
+				for j := range nodes {
+					node, err := New(Config{
+						Endpoint: net.Endpoint(), Schedule: idle, Value: func() float64 { return 1 },
+						Bootstrap: from[:1], Seed: uint64(j + 1), Logger: quietLogger(),
+					})
+					if err != nil {
+						b.Fatal(err)
+					}
+					if err := node.Start(context.Background()); err != nil {
+						b.Fatal(err)
+					}
+					nodes[j] = node
+					for k, data := range requests {
+						node.handle(from[k], data)
+					}
+				}
+				runtime.GC()
+				runtime.ReadMemStats(&after)
+				perNode = (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / fleet
+				b.StopTimer()
+				var served int64
+				for _, node := range nodes {
+					served += node.Metrics().ExchangesServed
+					_ = node.Stop()
+				}
+				if served != int64(fleet*peers) {
+					b.Fatalf("%d of %d requests served", served, fleet*peers)
+				}
+				b.StartTimer()
+			}
+			b.ReportMetric(perNode, "B/node")
+		})
+	}
+}
+
 // benchEncodeNode builds a node with a full 30-descriptor NEWSCAST view
 // and a schedule whose ticker never fires, so the benchmark drives the
 // gossip encode path by hand.
@@ -244,7 +321,7 @@ func benchAgentCycleEncode(b *testing.B, established bool) {
 	now := time.Now()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		node.mu.Lock()
+		node.lock()
 		// The cycle's view churn: the absorbs of the cycle refreshed two
 		// descriptors.
 		stamp := int32(i + 1)
@@ -254,8 +331,8 @@ func benchAgentCycleEncode(b *testing.B, established bool) {
 		})
 		// Snapshot and encode the outgoing exchange request.
 		payload, _ := node.payloadLocked(sess, uint64(i+1), uint64(i+1), now)
-		node.mu.Unlock()
 		data, err := wire.Encode(&wire.ExchangeRequest{From: node.Addr(), Payload: payload})
+		node.unlock() // the payload's lists are the workspace's
 		if err != nil {
 			b.Fatal(err)
 		}

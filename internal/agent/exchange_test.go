@@ -25,6 +25,7 @@ import (
 // off the peer endpoint.
 type handNode struct {
 	*Node
+	net  *transport.MemNetwork
 	peer *transport.MemEndpoint
 }
 
@@ -54,7 +55,7 @@ func newHandNode(t testing.TB, mode Mode, timeout time.Duration) handNode {
 		_ = node.Stop()
 		net.Close()
 	})
-	return handNode{Node: node, peer: peer}
+	return handNode{Node: node, net: net, peer: peer}
 }
 
 // sent returns the next message the node sent to the peer.

@@ -100,22 +100,22 @@ type exchange struct {
 // as when the transport delivers inline and the reply has already been
 // applied.
 func (n *Node) initiate(now time.Time) (deadline time.Time) {
-	n.mu.Lock()
+	n.lock()
 	if n.busy || n.stopped {
 		// The previous exchange is still outstanding; §6.2 says skipping
 		// is harmless.
 		deadline = n.deadlineLocked()
-		n.mu.Unlock()
+		n.unlock()
 		return deadline
 	}
 	key, ok := n.view.Peer(n.rng)
 	if !ok {
-		n.mu.Unlock()
+		n.unlock()
 		return deadline
 	}
 	id := n.viewKey(key)
 	peer := book.Addr(id)
-	sess := n.peers.Get(id)
+	sess := n.sessionLocked(id)
 	seq := n.nextSeqLocked()
 	if !n.participating || n.cfg.Schedule.CycleWithin(now) >= n.cfg.Schedule.Gamma {
 		// Joiners integrate into the overlay while they wait (§4.2), and
@@ -124,22 +124,22 @@ func (n *Node) initiate(now time.Time) (deadline time.Time) {
 		// next epoch — it still answers peers that are behind, and keeps
 		// the overlay fresh with membership gossip.
 		frame, version := n.frameForLocked(sess, now)
-		n.out.Membership = wire.Membership{From: n.Addr(), Seq: seq, View: frame}
-		buf := n.encode(&n.out.Membership, version)
-		n.mu.Unlock()
+		n.ws.out.Membership = wire.Membership{From: n.Addr(), Seq: seq, View: frame}
+		buf := n.encode(&n.ws.out.Membership, version)
+		n.unlock()
 		n.transmit(peer, buf)
 		return deadline
 	}
 	xid := n.xidLocked(seq)
 	payload, version := n.payloadLocked(sess, seq, xid, now)
-	n.out.ExchangeRequest = wire.ExchangeRequest{From: n.Addr(), Payload: payload}
-	buf := n.encode(&n.out.ExchangeRequest, version)
+	n.ws.out.ExchangeRequest = wire.ExchangeRequest{From: n.Addr(), Payload: payload}
+	buf := n.encode(&n.ws.out.ExchangeRequest, version)
 	start := time.Now()
 	epoch := n.epoch
 	n.busy = true
 	n.pending = exchange{peer: peer, seq: seq, epoch: epoch, xid: xid, start: start}
 	n.metrics.exchangesInitiated.Add(1)
-	n.mu.Unlock()
+	n.unlock()
 
 	n.trace(obs.TraceInitiate, peer, seq, epoch, xid, start)
 	n.transmit(peer, buf)
@@ -302,14 +302,14 @@ func (n *Node) payloadLocked(sess *peerSession, seq, xid uint64, now time.Time) 
 		}
 		return p, version
 	}
-	entries := n.entryScratch[:0]
+	entries := n.ws.entries[:0]
 	for l, v := range n.mapState {
 		if len(entries) == wire.MaxMapEntries {
 			break
 		}
 		entries = append(entries, wire.MapEntry{Leader: int64(l), Value: v})
 	}
-	n.entryScratch = entries
+	n.ws.entries = entries
 	p.Entries = entries
 	return p, version
 }
@@ -318,10 +318,10 @@ func (n *Node) payloadLocked(sess *peerSession, seq, xid uint64, now time.Time) 
 // content plus a fresh self-descriptor — into wire form for a peer at
 // the given wire version (stamps as ticks, or as schedule-derived
 // microseconds for legacy peers), truncated to the wire limit. The list
-// lives in descScratch, like every outgoing descriptor list.
+// lives in the workspace's desc, like every outgoing descriptor list.
 func (n *Node) viewDescriptorsLocked(now time.Time, version uint8) []wire.Descriptor {
 	packed := n.view.Packed()
-	out := n.descScratch[:0]
+	out := n.ws.desc[:0]
 	// The byte cap (MaxViewBytes) applies here too; the fresh
 	// self-descriptor appended last is always included, so its wire size
 	// is reserved up front.
@@ -344,7 +344,7 @@ func (n *Node) viewDescriptorsLocked(now time.Time, version uint8) []wire.Descri
 		})
 	}
 	out = append(out, wire.Descriptor{Addr: n.Addr(), Stamp: n.stampToWire(n.tick(now), version)})
-	n.descScratch = out
+	n.ws.desc = out
 	return out
 }
 
@@ -370,12 +370,16 @@ func (n *Node) frameForLocked(sess *peerSession, now time.Time) (wire.ViewFrame,
 	// diffs sorted packed sets.
 	self := overlay.Pack(n.view.Self(), n.tick(now))
 	at, _ := slices.BinarySearch(packed, self)
-	buf := append(n.packedScratch[:0], packed[:at]...)
+	buf := append(n.ws.packed[:0], packed[:at]...)
 	buf = append(buf, self)
 	buf = append(buf, packed[at:]...)
-	n.packedScratch = buf
-	frame := sess.codec.AppendView(n.descScratch, buf, n.keyAddr, n.cfg.MaxViewBytes)
-	n.descScratch = frame.Entries
+	n.ws.packed = buf
+	// The codec computes in the workspace for this call only: no session
+	// may point into a workspace after the hold that lent it.
+	sess.codec.Scratch = &n.ws.view
+	frame := sess.codec.AppendView(n.ws.desc, buf, n.keyAddr, n.cfg.MaxViewBytes)
+	sess.codec.Scratch = nil
+	n.ws.desc = frame.Entries
 	if frame.Kind == wire.ViewDelta {
 		n.metrics.gossipFramesDelta.Add(1)
 	} else {
@@ -405,11 +409,11 @@ const downgradeStreak = 3
 // to v2 (losing only exchange IDs) exactly like a v2 session rolls
 // back to the legacy full-view wire.
 func (n *Node) observePeerLocked(peer string, version uint8) *peerSession {
-	id, known := n.dec.Sender()
+	id, known := n.ws.dec.Sender()
 	if !known {
 		id = book.Intern(peer)
 	}
-	sess := n.peers.Get(id)
+	sess := n.sessionLocked(id)
 	switch {
 	case version >= sess.version:
 		sess.version = version
@@ -440,7 +444,7 @@ func (n *Node) absorbDescriptorsLocked(ds []wire.Descriptor) {
 	if len(ds) == 0 {
 		return
 	}
-	entries := n.absorbScratch[:0]
+	entries := n.ws.absorb[:0]
 	for _, d := range ds {
 		if d.Addr == "" {
 			continue
@@ -451,7 +455,7 @@ func (n *Node) absorbDescriptorsLocked(ds []wire.Descriptor) {
 		}
 		entries = append(entries, overlay.Entry{Key: n.viewKey(id), Stamp: n.stampFromWire(d.Stamp)})
 	}
-	n.absorbScratch = entries
+	n.ws.absorb = entries
 	n.view.Absorb(entries)
 }
 
@@ -461,9 +465,9 @@ func (n *Node) nextSeqLocked() uint64 {
 }
 
 // sendBufs recycles encode buffers. A message is encoded under the node
-// lock (it aliases node-owned scratch) but sent after the lock is
-// released, so the buffer has to outlive the critical section without
-// belonging to the node.
+// lock (it aliases the hold's workspace) but sent after the lock is
+// released, so the buffer has to outlive the hold, and the workspace with
+// it.
 var sendBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // encode serializes a message at the given wire version into a pooled

@@ -34,13 +34,13 @@ func (n *Node) recvLoop(ctx context.Context) {
 // handle is the passive thread of Figure 1 — it serves exchange requests,
 // answers joins and membership gossip, and reacts to epoch identifiers
 // (§4.3) — as one critical section per datagram: under a single hold of
-// mu it decodes into node-owned storage, runs the message's handler and
-// encodes the reply; the reply is sent after the lock is released. The
-// decoded message aliases the decoder's storage (never the datagram), so
-// nothing of it may be kept past the unlock except strings. Each handler
-// records the wire version the datagram arrived at (observePeerLocked) —
-// the per-connection negotiation: replies to a legacy peer are encoded at
-// the legacy version with plain full views.
+// the lock it decodes into the hold's workspace, runs the message's
+// handler and encodes the reply; the reply is sent after the lock is
+// released. The decoded message aliases the decoder's storage (never the
+// datagram), so nothing of it may be kept past the unlock except strings.
+// Each handler records the wire version the datagram arrived at
+// (observePeerLocked) — the per-connection negotiation: replies to a
+// legacy peer are encoded at the legacy version with plain full views.
 //
 // Every address of the datagram is resolved once, by the decoder's
 // lookup in the process's book, and nothing is interned until the
@@ -48,10 +48,10 @@ func (n *Node) recvLoop(ctx context.Context) {
 // intern only what that lookup missed.
 func (n *Node) handle(from string, data []byte) {
 	now := time.Now()
-	n.mu.Lock()
-	msg, version, err := n.dec.Decode(data)
+	n.lock()
+	msg, version, err := n.ws.dec.Decode(data)
 	if err != nil {
-		n.mu.Unlock()
+		n.unlock()
 		n.metrics.decodeErrors.Add(1)
 		n.trace(obs.TraceDecodeError, from, 0, 0, 0, time.Time{})
 		n.log.Debug("undecodable datagram", "from", from, "err", err)
@@ -83,14 +83,14 @@ func (n *Node) handle(from string, data []byte) {
 	if reply != nil {
 		buf = n.encode(reply, replyVersion)
 	}
-	n.mu.Unlock()
+	n.unlock()
 	n.transmit(to, buf)
 }
 
 // handleExchangeRequestLocked is the passive thread's core: reply with
 // the local state, then install the merged state (Figure 1b), subject to
 // the epoch rules of §4.2/§4.3 and the busy rule documented on the
-// package. It returns the reply (nil for none) built in n.out.
+// package. It returns the reply (nil for none) built in the workspace.
 func (n *Node) handleExchangeRequestLocked(m *wire.ExchangeRequest, now time.Time, version uint8) (wire.Message, uint8) {
 	sess := n.observePeerLocked(m.From, version)
 	// Run the frame through the codec now (the reply must acknowledge
@@ -144,19 +144,19 @@ func (n *Node) handleExchangeRequestLocked(m *wire.ExchangeRequest, now time.Tim
 		// stay cheap, and skipping the codec keeps the generation stream
 		// reserved for frames that carry state. The initiator's exchange
 		// identifier is echoed so the decline stitches into its span.
-		n.out.ExchangeReply = wire.ExchangeReply{From: n.Addr(), Payload: wire.Payload{
+		n.ws.out.ExchangeReply = wire.ExchangeReply{From: n.Addr(), Payload: wire.Payload{
 			Seq: m.Seq, XID: m.XID, Epoch: m.Epoch, Flags: wire.FlagRefused,
 		}}
-		return &n.out.ExchangeReply, sess.version
+		return &n.ws.out.ExchangeReply, sess.version
 	}
 	// Reply with the pre-merge state, then update (Figure 1b).
 	payload, replyVersion := n.payloadLocked(sess, m.Seq, m.XID, now)
-	n.out.ExchangeReply = wire.ExchangeReply{From: n.Addr(), Payload: payload}
+	n.ws.out.ExchangeReply = wire.ExchangeReply{From: n.Addr(), Payload: payload}
 	n.absorbDescriptorsLocked(gossip)
 	n.applyLocked(&m.Payload)
 	n.metrics.exchangesServed.Add(1)
 	n.trace(obs.TraceServed, m.From, m.Seq, m.Epoch, m.XID, now)
-	return &n.out.ExchangeReply, replyVersion
+	return &n.ws.out.ExchangeReply, replyVersion
 }
 
 // handleExchangeReplyLocked absorbs the reply's view and, when the reply
@@ -178,13 +178,13 @@ func (n *Node) handleExchangeReplyLocked(m *wire.ExchangeReply, now time.Time, v
 func (n *Node) handleJoinRequestLocked(m *wire.JoinRequest, now time.Time, version uint8) (wire.Message, uint8) {
 	info := n.cfg.Schedule.JoinAt(now)
 	sess := n.observePeerLocked(m.From, version)
-	n.out.JoinReply = wire.JoinReply{
+	n.ws.out.JoinReply = wire.JoinReply{
 		Seq:        m.Seq,
 		NextEpoch:  info.NextEpoch,
 		WaitMicros: info.WaitFor.Microseconds(),
 		Seeds:      n.viewDescriptorsLocked(now, sess.version),
 	}
-	return &n.out.JoinReply, sess.version
+	return &n.ws.out.JoinReply, sess.version
 }
 
 // handleJoinReplyLocked installs the join information from a seed.
@@ -211,7 +211,7 @@ func (n *Node) handleMembershipLocked(m *wire.Membership, now time.Time, version
 	sess := n.observePeerLocked(m.From, version)
 	entries := sess.codec.Observe(m.View)
 	frame, replyVersion := n.frameForLocked(sess, now)
-	n.out.MembershipReply = wire.MembershipReply{From: n.Addr(), Seq: m.Seq, View: frame}
+	n.ws.out.MembershipReply = wire.MembershipReply{From: n.Addr(), Seq: m.Seq, View: frame}
 	n.absorbDescriptorsLocked(entries)
-	return &n.out.MembershipReply, replyVersion
+	return &n.ws.out.MembershipReply, replyVersion
 }

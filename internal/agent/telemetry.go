@@ -11,7 +11,8 @@ import "antientropy/internal/obs"
 // counters authoritative, which crash retirement requires, and keeps
 // the hot path at exactly one atomic add per event. Next to the counters
 // it exports what the process has one of: the size of the shared address
-// book, and the scheduler's node count and cycle lateness.
+// book, the peer sessions its nodes hold and have recycled, and the
+// scheduler's node count and cycle lateness.
 func RegisterMetrics(reg *obs.Registry, snap func() Metrics) {
 	if reg == nil || snap == nil {
 		return
@@ -70,6 +71,12 @@ func RegisterMetrics(reg *obs.Registry, snap func() Metrics) {
 	reg.GaugeFunc("agg_address_book_size",
 		"Distinct addresses interned in this process's address book (it only grows).",
 		func() float64 { return float64(book.Len()) })
+	reg.GaugeFunc("agg_peer_sessions",
+		"Per-peer sessions (wire version, delta-gossip codec) held by this process's running nodes; each node keeps at most two views' worth.",
+		func() float64 { return float64(peerSessions.Load()) })
+	reg.CounterFunc("agg_session_evictions_total",
+		"Sessions taken from the peer idle longest and recycled for a peer not among a node's most recent; the evicted peer is met again as a first contact.",
+		sessionEvictions.Load)
 	reg.GaugeFunc("agg_scheduler_nodes",
 		"Started nodes whose cycles and exchange deadlines this process's scheduler serves.",
 		func() float64 { return float64(sched.size()) })

@@ -2,7 +2,6 @@ package agent
 
 import (
 	"context"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -155,23 +154,7 @@ func TestRegisterMetricsExportsCanonicalNames(t *testing.T) {
 func TestAddressBookGauge(t *testing.T) {
 	reg := obs.NewRegistry()
 	RegisterMetrics(reg, func() Metrics { return Metrics{} })
-	gauge := func() int {
-		var sb strings.Builder
-		if err := reg.WritePrometheus(&sb); err != nil {
-			t.Fatal(err)
-		}
-		for _, line := range strings.Split(sb.String(), "\n") {
-			if v, ok := strings.CutPrefix(line, "agg_address_book_size "); ok {
-				n, err := strconv.Atoi(v)
-				if err != nil {
-					t.Fatalf("agg_address_book_size reads %q", v)
-				}
-				return n
-			}
-		}
-		t.Fatal("agg_address_book_size is not exported")
-		return 0
-	}
+	gauge := func() int { return int(scrape(t, reg, "agg_address_book_size")) }
 
 	// Earlier tests interned the first addresses every mem network hands
 	// out; take endpoints until eight are new to the book.

@@ -80,10 +80,11 @@ type Membership struct {
 	// Table alias its shared backing; standalone caches own theirs.
 	entries []uint64
 	n       int32
-	// scratch is the merge workspace. A standalone cache owns one; the
-	// rows of a Table share the table's, so Absorb and Seed on rows of
-	// one table must not run concurrently (Table.Exchange, which works
-	// on the caller's buffer, may).
+	// scratch is the merge workspace. A standalone cache owns one unless
+	// its owner lends it one call by call (Lend); the rows of a Table
+	// share the table's, so Absorb and Seed on rows of one table must not
+	// run concurrently (Table.Exchange, which works on the caller's
+	// buffer, may).
 	scratch *[]uint64
 }
 
@@ -96,6 +97,13 @@ func NewMembership(self int32, c int) (*Membership, error) {
 	}
 	return &Membership{self: self, cap: c, entries: make([]uint64, c), scratch: new([]uint64)}, nil
 }
+
+// Lend points the cache's merges (Absorb, AbsorbPacked, Seed) at the
+// caller's buffer, which they grow as they need, until the next Lend. A
+// process that hosts many caches lends each the buffer of whoever is
+// working on it, so a cache at rest is its view and nothing else;
+// Lend(nil) takes the buffer back, and a merge without one panics.
+func (m *Membership) Lend(scratch *[]uint64) { m.scratch = scratch }
 
 // Self returns the owning node's key.
 func (m *Membership) Self() int32 { return m.self }

@@ -242,7 +242,6 @@ func (m *UDPMux) Endpoint() (*MuxEndpoint, error) {
 		id:   id,
 		sock: s,
 		addr: s.addr + "#" + strconv.FormatUint(uint64(id), 10),
-		in:   make(chan Packet, m.cfg.QueueLen),
 	}
 	m.eps.Store(id, ep)
 	return ep, nil
@@ -450,7 +449,14 @@ type MuxEndpoint struct {
 	id   uint32
 	sock *muxSock
 	addr string
-	in   chan Packet
+
+	// qmu guards the inbound channel, which exists from its first use on
+	// (queue): QueueLen packets are 48 KiB at the default, and a
+	// handler-mode endpoint never reads them. qclosed records that Close
+	// has closed it, or will have by the time anyone sees it.
+	qmu     sync.Mutex
+	in      chan Packet
+	qclosed bool
 
 	// hmu guards handler. deliver holds the read side for the whole
 	// handler call, so Close (write side) doubles as the barrier that
@@ -535,9 +541,10 @@ func (ep *MuxEndpoint) deliver(p Packet) bool {
 		ep.handler(p)
 		return true
 	}
+	in := ep.queue()
 	select {
-	case ep.in <- p:
-		maxInt64(&ep.mux.queueDepth, int64(len(ep.in)))
+	case in <- p:
+		maxInt64(&ep.mux.queueDepth, int64(len(in)))
 		return true
 	default:
 		ep.queueDrops.Add(1)
@@ -551,9 +558,15 @@ func (ep *MuxEndpoint) SetHandler(fn func(Packet)) {
 	ep.hmu.Lock()
 	ep.handler = fn
 	ep.hmu.Unlock()
+	ep.qmu.Lock()
+	in := ep.in
+	ep.qmu.Unlock()
+	if in == nil {
+		return
+	}
 	for {
 		select {
-		case p, ok := <-ep.in:
+		case p, ok := <-in:
 			if !ok {
 				return
 			}
@@ -564,9 +577,25 @@ func (ep *MuxEndpoint) SetHandler(fn func(Packet)) {
 	}
 }
 
+// queue returns the inbound channel, allocating it on first use: a
+// handler-mode endpoint never pays for a buffer it does not read.
+func (ep *MuxEndpoint) queue() chan Packet {
+	ep.qmu.Lock()
+	defer ep.qmu.Unlock()
+	switch {
+	case ep.in != nil:
+	case ep.qclosed:
+		ep.in = make(chan Packet)
+		close(ep.in)
+	default:
+		ep.in = make(chan Packet, ep.mux.cfg.QueueLen)
+	}
+	return ep.in
+}
+
 // Recv returns the inbound channel; silent once a handler is set,
 // closed when the endpoint closes.
-func (ep *MuxEndpoint) Recv() <-chan Packet { return ep.in }
+func (ep *MuxEndpoint) Recv() <-chan Packet { return ep.queue() }
 
 // Close detaches the endpoint from the mux. It waits out in-flight
 // handler calls, so after Close returns the handler will not be invoked
@@ -580,6 +609,11 @@ func (ep *MuxEndpoint) Close() error {
 	ep.closed.Store(true)
 	ep.hmu.Unlock()
 	ep.mux.eps.Delete(ep.id)
-	close(ep.in)
+	ep.qmu.Lock()
+	ep.qclosed = true
+	if ep.in != nil {
+		close(ep.in)
+	}
+	ep.qmu.Unlock()
 	return nil
 }

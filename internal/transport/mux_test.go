@@ -92,7 +92,7 @@ func TestMuxHandlerMode(t *testing.T) {
 		t.Fatalf("send: %v", err)
 	}
 	deadline := time.After(5 * time.Second)
-	for len(b.in) == 0 {
+	for len(b.Recv()) == 0 {
 		select {
 		case <-deadline:
 			t.Fatalf("early datagram never buffered")
@@ -616,5 +616,42 @@ func benchWorkerCycles(b *testing.B, nodes int, completed *atomic.Int64, send fu
 			}
 			time.Sleep(50 * time.Microsecond)
 		}
+	}
+}
+
+// TestMuxHandlerEndpointOwnsNoQueue: an endpoint that is given a handler
+// before anything reads its channel never allocates the channel — 48 KiB
+// at the default QueueLen, the largest thing a hosted node would own —
+// and still closes cleanly, a late Recv finding a closed channel.
+func TestMuxHandlerEndpointOwnsNoQueue(t *testing.T) {
+	m := newTestMux(t, UDPMuxConfig{Sockets: 1})
+	a, b := muxEndpoint(t, m), muxEndpoint(t, m)
+	got := make(chan string, 1)
+	b.SetHandler(func(p Packet) {
+		got <- string(p.Data)
+		p.Release()
+	})
+	if err := a.Send(b.Addr(), []byte("ping")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case s := <-got:
+		if s != "ping" {
+			t.Fatalf("handler got %q", s)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the handler was never called")
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b.qmu.Lock()
+	in := b.in
+	b.qmu.Unlock()
+	if in != nil {
+		t.Fatalf("a handler-mode endpoint allocated a queue of %d packets", cap(in))
+	}
+	if _, ok := <-b.Recv(); ok {
+		t.Fatal("Recv after Close returned an open channel")
 	}
 }

@@ -11,15 +11,19 @@ import (
 // (so the next frame can carry only what changed), which frame of the
 // peer we last received (so our next frame acknowledges it), and the
 // running generation counter. The agent keeps one codec per peer in its
-// transport session table; the codec itself is transport- and
-// lock-agnostic.
+// transport session table — a bounded table that recycles the codec of
+// the peer idle longest for a new one (Reset); the codec itself is
+// transport- and lock-agnostic.
 //
 // The codec works directly on the packed uint64 representation of
 // overlay.Membership: both the view and the acknowledged snapshot are
-// kept as sorted packed sets, the delta is a single two-pointer set
+// kept as sorted packed sets, the delta is a single sorted-set
 // difference, and peer addresses are resolved to wire strings only for
 // the descriptors that are actually sent — in the steady state a
-// handful per frame instead of the whole view.
+// handful per frame instead of the whole view. The snapshot is what the
+// peer has confirmed of the view as it was last encoded, never more, so
+// neither of a codec's two buffers outgrows one view however long the
+// connection lives.
 //
 // The protocol is deliberately tolerant of datagram loss and peer
 // restarts: a lost delta only delays descriptors that re-spread
@@ -31,39 +35,70 @@ type ViewCodec struct {
 	// nextGen numbers outgoing frames (1-based).
 	nextGen uint32
 	// ackedGen is the newest generation the peer has confirmed; acked is
-	// the sorted packed snapshot of what that confirmation covers (keys
-	// in the sender's own address-book id space). Suppression is by
-	// exact (key, stamp) match: a descriptor the peer has seen in this
-	// precise freshness is not resent, anything else is — which can only
-	// err toward a harmless resend.
+	// the sorted packed snapshot of what its confirmations cover of the
+	// view last encoded (keys in the sender's own address-book id space).
+	// Suppression is by exact (key, stamp) match: a descriptor the peer
+	// has seen in this precise freshness is not resent, anything else is —
+	// which can only err toward a harmless resend. A descriptor that has
+	// left the view leaves the snapshot with the next frame: it would
+	// never be resent anyway.
 	ackedGen uint32
 	acked    []uint64
 	// pendingGen/pendingFull/pendingPacked is the most recently sent
-	// frame awaiting confirmation; the entries are merged into the acked
-	// snapshot only when (and if) the ack arrives, keeping the per-encode
-	// cost free of snapshot copying. Only the newest in-flight frame is
-	// tracked: gossip is a steady per-cycle stream, so an older ack
+	// frame awaiting confirmation. When (and if) the ack arrives, a full
+	// frame becomes the snapshot on the spot — the two buffers trade
+	// places, a peer met once costs one of them — and a delta is marked
+	// confirmed and folded into the snapshot by the next encode, which
+	// walks both against the view anyway. Only the newest in-flight frame
+	// is tracked: gossip is a steady per-cycle stream, so an older ack
 	// simply keeps the current base.
 	pendingGen    uint32
 	pendingFull   bool
+	confirmed     bool
 	pendingPacked []uint64
 	// recvGen is the newest generation received from the peer — the Ack
 	// our next outgoing frame carries.
 	recvGen uint32
-	// Scratch is the work space of the codec's set arithmetic. A caller
-	// with many codecs that never run concurrently — a node holds one per
-	// peer, all under its lock — points them at one ViewScratch; a codec
-	// left with nil allocates its own on first need.
+	// Scratch is the work space an encode computes in (Observe needs
+	// none). A codec left with nil allocates its own on first need. A
+	// caller with many codecs sets it for the duration of one AppendView
+	// and clears it afterwards, so the codecs of every node a goroutine
+	// runs compute in one work space that stays in cache, and none keeps
+	// a pointer into a work space some other goroutine has since taken
+	// over.
 	Scratch *ViewScratch
 }
 
-// ViewScratch holds the two work buffers a ViewCodec computes in: the
-// delta of a view against the acked snapshot, and the union of that
-// snapshot with an acknowledged frame. What is in them means nothing
-// after the call (the union's buffer is handed to the codec in exchange
-// for the one its snapshot was in).
+// Reset returns the codec to first-contact state for a new peer:
+// generations and the pending frame are forgotten and Scratch is cleared,
+// while the two snapshot buffers are kept, emptied — a recycled codec
+// re-forms its handshake without allocating. The larger buffer becomes
+// pendingPacked, which the first frame to the new peer is recorded in.
+func (c *ViewCodec) Reset() {
+	acked, pending := c.acked[:0], c.pendingPacked[:0]
+	if cap(pending) < cap(acked) {
+		acked, pending = pending, acked
+	}
+	*c = ViewCodec{acked: acked, pendingPacked: pending}
+}
+
+// ViewScratch holds the two work buffers an encode computes in: the part
+// of the view the peer has confirmed, and the rest, the delta. What is in
+// them means nothing after the call (the confirmed part's buffer is
+// handed to the codec in exchange for the one its snapshot was in), so
+// one ViewScratch serves any number of codecs, one call at a time.
 type ViewScratch struct {
-	delta, merge []uint64
+	known, delta []uint64
+}
+
+// sized returns buf emptied, with room for n descriptors and no more
+// than it had or exactly that: buffers trade places between codecs and
+// work spaces, so one grown generously would end up everywhere.
+func sized(buf []uint64, n int) []uint64 {
+	if cap(buf) < n {
+		return make([]uint64, 0, n)
+	}
+	return buf[:0]
 }
 
 func (c *ViewCodec) scratch() *ViewScratch {
@@ -72,11 +107,6 @@ func (c *ViewCodec) scratch() *ViewScratch {
 	}
 	return c.Scratch
 }
-
-// ackedSnapshotCap bounds the per-peer snapshot map. A NEWSCAST view
-// holds at most MaxDescriptors entries, so snapshots stay naturally
-// small; the cap only guards against pathological accumulation.
-const ackedSnapshotCap = 4 * MaxDescriptors
 
 // DescriptorWireSize is the encoded size of one descriptor: a uint16
 // length prefix, the address bytes and the int64 stamp. View-byte
@@ -111,21 +141,32 @@ func (c *ViewCodec) AppendView(dst []Descriptor, packed []uint64, addr func(int3
 	frame := ViewFrame{Kind: ViewFull, Gen: c.nextGen, Ack: c.recvGen}
 	send := packed
 	if c.ackedGen != 0 {
-		// Two-pointer sorted set difference: everything in the view the
-		// peer has not confirmed at exactly this freshness.
+		// One pass over the view against what the peer has confirmed —
+		// the snapshot and, when its ack has come in since, the last
+		// delta: what the peer holds at exactly this freshness is the new
+		// snapshot, everything else the delta.
 		sc := c.scratch()
-		delta := slices.Grow(sc.delta[:0], len(packed))
-		j := 0
+		var last []uint64
+		if c.confirmed {
+			last = c.pendingPacked
+		}
+		known, delta := sized(sc.known, len(packed)), sized(sc.delta, len(packed))
+		j, k := 0, 0
 		for _, e := range packed {
 			for j < len(c.acked) && c.acked[j] < e {
 				j++
 			}
-			if j < len(c.acked) && c.acked[j] == e {
-				continue
+			for k < len(last) && last[k] < e {
+				k++
 			}
-			delta = append(delta, e)
+			if (j < len(c.acked) && c.acked[j] == e) || (k < len(last) && last[k] == e) {
+				known = append(known, e)
+			} else {
+				delta = append(delta, e)
+			}
 		}
-		sc.delta = delta
+		c.acked, sc.known, sc.delta = known, c.acked[:0], delta
+		c.confirmed = false
 		if len(delta) < len(packed) {
 			frame.Kind = ViewDelta
 			frame.Base = c.ackedGen
@@ -160,56 +201,20 @@ func (c *ViewCodec) AppendView(dst []Descriptor, packed []uint64, addr func(int3
 	return frame
 }
 
-// promotePending folds the acknowledged frame into the acked snapshot:
-// what the peer has now seen from us is the sent entries on top of the
-// already-confirmed snapshot (for a full frame the snapshot is the frame
-// itself — older entries are not in our view anymore and would never be
-// resent anyway).
-func (c *ViewCodec) promotePending() {
-	if c.pendingFull || len(c.acked) > ackedSnapshotCap {
-		// Full frame — or a snapshot that outgrew its bound (a peer
-		// lifetime of deltas over ever-new addresses): restart from the
-		// sent entries alone. Resending a descriptor the peer has already
-		// seen is harmless, so shrinking the suppression set is safe. The
-		// two buffers trade places: a peer met once costs one of them.
-		c.acked, c.pendingPacked = c.pendingPacked, c.acked
-	} else {
-		// Sorted-merge union of the confirmed snapshot and the sent
-		// entries (both sorted; pendingPacked is a subsequence of a
-		// sorted view).
-		sc := c.scratch()
-		merged := slices.Grow(sc.merge[:0], len(c.acked)+len(c.pendingPacked))
-		i, j := 0, 0
-		for i < len(c.acked) && j < len(c.pendingPacked) {
-			switch {
-			case c.acked[i] < c.pendingPacked[j]:
-				merged = append(merged, c.acked[i])
-				i++
-			case c.acked[i] > c.pendingPacked[j]:
-				merged = append(merged, c.pendingPacked[j])
-				j++
-			default:
-				merged = append(merged, c.acked[i])
-				i, j = i+1, j+1
-			}
-		}
-		merged = append(merged, c.acked[i:]...)
-		merged = append(merged, c.pendingPacked[j:]...)
-		// The union becomes the snapshot and the old snapshot's buffer the
-		// work space: buffers move between a node's sessions, none is copied.
-		c.acked, sc.merge = merged, c.acked[:0]
-	}
-	c.pendingGen = 0
-	c.pendingPacked = c.pendingPacked[:0]
-}
-
 // Observe processes an incoming frame from the peer: it applies the
 // frame's acknowledgement to our send state, records the frame's
 // generation for our next Ack, and returns the descriptors to absorb.
 func (c *ViewCodec) Observe(f ViewFrame) []Descriptor {
 	if f.Ack != 0 && f.Ack == c.pendingGen {
 		c.ackedGen = f.Ack
-		c.promotePending()
+		c.pendingGen = 0
+		if c.pendingFull {
+			// The snapshot is the frame itself: what else the peer had
+			// confirmed is not in our view any more.
+			c.acked, c.pendingPacked = c.pendingPacked, c.acked[:0]
+		} else {
+			c.confirmed = true
+		}
 	}
 	switch f.Kind {
 	case ViewFull:
@@ -226,6 +231,7 @@ func (c *ViewCodec) Observe(f ViewFrame) []Descriptor {
 				c.ackedGen = 0
 				c.acked = c.acked[:0]
 				c.pendingGen = 0
+				c.confirmed = false
 				c.pendingPacked = c.pendingPacked[:0]
 			}
 			c.recvGen = f.Gen
