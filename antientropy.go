@@ -563,9 +563,11 @@ type (
 	// ScenarioSimOptions tune the simulator executor (engine selection,
 	// shard count, overlay override).
 	ScenarioSimOptions = scenario.SimOptions
-	// ScenarioLiveOptions tune the live-fleet executor.
+	// ScenarioLiveOptions tune the live-fleet executor: one supervisor
+	// and its in-process worker on the in-memory transport.
 	ScenarioLiveOptions = scenario.LiveOptions
-	// ScenarioUDPOptions tune the multi-process UDP executor.
+	// ScenarioUDPOptions tune the multi-process UDP executor: the same
+	// supervisor with forked workers on a shared UDP mux each.
 	ScenarioUDPOptions = scenario.UDPOptions
 	// ScenarioDivergence summarizes how two executions of one scenario
 	// differ cycle by cycle.
@@ -620,7 +622,9 @@ func RunScenarioSimWith(sc Scenario, opts ScenarioSimOptions) (*ScenarioRun, err
 func DivergeScenarioRuns(a, b *ScenarioRun) ScenarioDivergence { return scenario.Diverge(a, b) }
 
 // RunScenarioLive executes a scenario against a fleet of live nodes over
-// the in-memory transport.
+// the in-memory transport: the supervisor of RunScenarioUDP with a single
+// worker that lives in this process, so nodes are built, crashed, joined
+// and sampled by the same code on either wire.
 func RunScenarioLive(ctx context.Context, sc Scenario, opts ScenarioLiveOptions) (*ScenarioRun, error) {
 	return scenario.RunLive(ctx, sc, opts)
 }

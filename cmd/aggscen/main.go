@@ -66,7 +66,6 @@ func run() error {
 		engine   = flag.String("engine", "auto", "sim executor engine: auto (by size), serial, or sharded")
 		shards   = flag.Int("shards", 0, "shard count for -engine sharded (0 = GOMAXPROCS); results are deterministic per seed + shard count")
 		workers  = flag.Int("workers", 3, "udp executor: number of worker processes the fleet is sliced across")
-		udpTrans = flag.String("udp-transport", "", "udp executor datagram layer: mux (shared batched sockets, default) or endpoint (one socket per node)")
 		viewCap  = flag.Int("view-cap", 0, "cap the piggybacked membership view per exchange datagram, in bytes (live/udp executors; 0 = unlimited)")
 		format   = flag.String("format", "csv", "metric output format: csv or json")
 		outPath  = flag.String("out", "", "write metrics to this file instead of stdout")
@@ -120,8 +119,7 @@ func run() error {
 
 	simOpts := antientropy.ScenarioSimOptions{Engine: *engine, Shards: *shards, Obs: reg,
 		Timeline: timeline, Logger: logger}
-	udpOpts := antientropy.ScenarioUDPOptions{Workers: *workers, CycleLen: *cycleLen,
-		Transport: *udpTrans, Obs: reg,
+	udpOpts := antientropy.ScenarioUDPOptions{Workers: *workers, CycleLen: *cycleLen, Obs: reg,
 		TraceCap: *traceCap, Trace: ring, Timeline: timeline, Logger: logger}
 	liveOpts := antientropy.ScenarioLiveOptions{CycleLen: *cycleLen, Obs: reg, Trace: ring,
 		Timeline: timeline, Logger: logger}

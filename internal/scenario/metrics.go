@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"antientropy/internal/stats"
 )
 
-// CycleMetrics is one cycle's observation of a scenario run. Both
-// executors emit the same shape, so their CSV/JSON streams line up
+// CycleMetrics is one cycle's observation of a scenario run. Every
+// executor emits the same shape, so their CSV/JSON streams line up
 // column-for-column.
 type CycleMetrics struct {
 	// Cycle index: 0 is the initialized state, 1..Cycles follow each
@@ -46,7 +48,8 @@ func relError(estimate, truth float64) float64 {
 // RunResult is one executed scenario: metadata plus one CycleMetrics per
 // observed cycle (Cycles+1 rows including cycle 0).
 type RunResult struct {
-	// Scenario name and the executor that ran it ("sim" or "live").
+	// Scenario name and the executor that ran it ("sim", "sim-sharded",
+	// "live" or "udp").
 	Scenario string `json:"scenario"`
 	Executor string `json:"executor"`
 	// N is the initial network size; Slots the total capacity incl. joins.
@@ -56,6 +59,61 @@ type RunResult struct {
 	Seed uint64 `json:"seed"`
 	// PerCycle are the per-cycle observations.
 	PerCycle []CycleMetrics `json:"perCycle"`
+}
+
+// runLog builds a run's per-cycle rows — the one place a CycleMetrics is
+// assembled, whichever executor sampled the fleet — publishes each on the
+// run's telemetry and collects them into the result.
+type runLog struct {
+	sc     Scenario
+	prog   *ValueProgram
+	adv    *advSchedule
+	sobs   *scenarioObs
+	result *RunResult
+
+	prevInitiated int64
+}
+
+func newRunLog(sc Scenario, executor string, prog *ValueProgram, adv *advSchedule, sobs *scenarioObs) *runLog {
+	return &runLog{sc: sc, prog: prog, adv: adv, sobs: sobs, result: &RunResult{
+		Scenario: sc.Name, Executor: executor,
+		N: sc.N, Slots: sc.MaxSlots(), Seed: sc.Seed,
+		PerCycle: make([]CycleMetrics, 0, sc.Cycles+1),
+	}}
+}
+
+// record logs one sampled cycle: est are the participants' estimate
+// moments, isAlive tells which slots the true mean ranges over, proto the
+// fleet-cumulative protocol counters. Under an adversary estimate and
+// truth cover the honest population only — the attack's impact is what
+// leaks into honest estimates, and the value signal attacker-controlled
+// slots would contribute is fake — while alive and participating still
+// count everyone: hostile nodes are real nodes.
+func (l *runLog) record(cycle, alive, participating int, est stats.Moments, isAlive func(slot int) bool, proto protoTotals) {
+	var truth stats.Moments
+	for slot := 0; slot < l.result.Slots; slot++ {
+		if isAlive(slot) && (l.adv == nil || !l.adv.hostile(slot)) {
+			truth.Add(l.prog.Value(slot, cycle))
+		}
+	}
+	epoch := 0
+	if cycle > 0 {
+		epoch = (cycle - 1) / l.sc.EpochLen
+	}
+	row := CycleMetrics{
+		Cycle:          cycle,
+		Epoch:          epoch,
+		Alive:          alive,
+		Participating:  participating,
+		TrueMean:       truth.Mean(),
+		MeanEstimate:   est.Mean(),
+		EstimateStdDev: est.StdDev(),
+		RelError:       relError(est.Mean(), truth.Mean()),
+		Messages:       proto.Initiated - l.prevInitiated,
+	}
+	l.prevInitiated = proto.Initiated
+	l.sobs.observe(row, proto)
+	l.result.PerCycle = append(l.result.PerCycle, row)
 }
 
 // Final returns the last observation.

@@ -122,25 +122,40 @@ func newScenarioObs(reg *obs.Registry, timeline *obs.Timeline, logger *slog.Logg
 	return s
 }
 
+// bindScript hooks the hostile-population gauge and the join-refusal
+// counter to one run's interpreter (a no-op for a run with neither an
+// adversary nor a join cap, which keeps the zero-valued series).
+func (s *scenarioObs) bindScript(sp *script) {
+	if s == nil || s.reg == nil || (sp.adv == nil && sp.sc.Defense.JoinCap == 0) {
+		return
+	}
+	s.reg.GaugeFunc("agg_adversary_nodes", advNodesHelp, func() float64 {
+		if sp.adv == nil {
+			return 0
+		}
+		return float64(sp.adv.HostileCount())
+	})
+	s.reg.CounterFunc("agg_adversary_joins_refused_total", advRefusedHelp, func() int64 {
+		return sp.joinsRefused.Load()
+	})
+}
+
 // bindAdversary hooks the adversary instruments to one simulation run:
 // the agg_adversary_* counters read the run's schedule, guard and join
 // bookkeeping at scrape time, and observe() publishes the bias gauge
-// against the honest-twin baseline (nil baseline = no bias series).
+// against the honest-twin baseline (nil baseline = no bias series). The
+// real fleets bind only the script: their lie and rejection counters are
+// agent metrics, exported by agent.RegisterMetrics.
 func (s *scenarioObs) bindAdversary(d *simDriver, baseline []CycleMetrics) {
 	if s == nil {
 		return
 	}
 	s.baseline = baseline
-	if s.reg == nil || (d.adv == nil && d.guard == nil && d.sc.Defense.JoinCap == 0) {
+	s.bindScript(d.script)
+	if s.reg == nil || (d.adv == nil && d.guard == nil) {
 		return
 	}
 	adv, guard := d.adv, d.guard
-	s.reg.GaugeFunc("agg_adversary_nodes", advNodesHelp, func() float64 {
-		if adv == nil {
-			return 0
-		}
-		return float64(adv.HostileCount())
-	})
 	s.reg.CounterFunc("agg_adversary_lies_total", advLiesHelp, func() int64 {
 		if adv == nil {
 			return 0
@@ -152,9 +167,6 @@ func (s *scenarioObs) bindAdversary(d *simDriver, baseline []CycleMetrics) {
 			return 0
 		}
 		return guard.Rejected()
-	})
-	s.reg.CounterFunc("agg_adversary_joins_refused_total", advRefusedHelp, func() int64 {
-		return d.joinsRefused.Load()
 	})
 }
 

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -87,9 +88,27 @@ func TestSimObsRegistryExports(t *testing.T) {
 	}
 }
 
+// seriesNames lists the metric families of a Prometheus export.
+func seriesNames(t *testing.T, reg *obs.Registry) []string {
+	t.Helper()
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			names = append(names, strings.Fields(rest)[0])
+		}
+	}
+	slices.Sort(names)
+	return names
+}
+
 // TestLiveObsRegistryExports runs a short live fleet with a registry and
 // trace ring attached and checks the agent counters, RTT histogram and
-// trace all populate.
+// trace all populate — and that the live executor exports exactly the
+// series the udp executor does: one fleet host, one schema.
 func TestLiveObsRegistryExports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live fleet test skipped in -short mode")
@@ -127,5 +146,22 @@ func TestLiveObsRegistryExports(t *testing.T) {
 	}
 	if ring.Total() == 0 {
 		t.Error("trace ring recorded no exchange events")
+	}
+
+	udpReg := obs.NewRegistry()
+	udpOpts := udpTestOptions(2)
+	udpOpts.Obs = udpReg
+	tiny := Scenario{Name: "obs-udp", N: 4, Cycles: 2, EpochLen: 2, Seed: 9}.WithDefaults()
+	if _, err := RunUDP(context.Background(), tiny, udpOpts); err != nil {
+		t.Fatal(err)
+	}
+	live, udp := seriesNames(t, reg), seriesNames(t, udpReg)
+	if !slices.Equal(live, udp) {
+		t.Errorf("live and udp export different series:\n live: %v\n udp:  %v", live, udp)
+	}
+	for _, name := range []string{"agg_transport_queue_drops_total", "agg_transport_filter_drops_total"} {
+		if !slices.Contains(live, name) {
+			t.Errorf("series %s missing from the live export", name)
+		}
 	}
 }

@@ -89,8 +89,10 @@ const (
 	// during [At, Until] (Until 0 = to the end of the run).
 	KindLoss Kind = "loss"
 	// KindDelay raises one-way delivery latency to [MinDelayMs,
-	// MaxDelayMs] during [At, Until]. Live executor only: the cycle-driven
-	// simulator has no notion of sub-cycle time and ignores it.
+	// MaxDelayMs] during [At, Until]. Only the live executor can inject
+	// it: the cycle-driven simulator has no notion of sub-cycle time and
+	// the udp executor no userspace latency on a real socket; both log
+	// once that they ignore it.
 	KindDelay Kind = "delay"
 	// KindValueStep adds Delta to every node's local value from At on.
 	KindValueStep Kind = "value-step"

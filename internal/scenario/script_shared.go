@@ -1,18 +1,210 @@
 package scenario
 
-import "antientropy/internal/stats"
+import (
+	"log/slog"
+	"sync/atomic"
+	"time"
 
-// This file holds the script-state machinery the executors share. The
-// three drivers (sim, live-mem, udp) differ only in how an intervention
-// is *performed* — engine hook, direct node call, or control-channel
-// command — while the bookkeeping of who is alive where, which slot a
-// join takes, how a partition slices the fleet and who bridges it after
-// the heal must be identical, or the executors' metric streams stop
-// being comparable.
+	"antientropy/internal/stats"
+)
+
+// This file is the scenario script interpreter. Every executor runs the
+// same script value: it owns each decision a scripted intervention needs
+// — which cycle an event fires in, how many nodes it touches, which slot a
+// join takes, how a partition slices the fleet, when it heals, whether the
+// join cap admits one more identity — and calls a fleet to perform it.
+// Two fleets exist: the simulation engines behind sim.Core (simFleet) and
+// the supervisor of a worker-hosted fleet of real agent nodes (supervisor,
+// which serves the live and the udp executor alike). "Cycle 40: crash 10 %"
+// is therefore the same intervention on every executor by construction.
+
+// fleet performs what the script decides.
+type fleet interface {
+	// aliveCount is the current live population.
+	aliveCount() int
+	// pickAlive draws a uniformly random live slot.
+	pickAlive() int
+	// crash kills the slot's node without warning.
+	crash(slot int)
+	// joinAs brings the slot up as a brand-new identity performing the
+	// §4.2 join. sybil >= 0 names the adversary entry controlling it (the
+	// script has already marked the slot hostile); -1 is an honest joiner.
+	joinAs(slot, sybil int)
+	// split installs a partition: slots talk only within their component.
+	split(groupOf []int)
+	// heal removes the partition and, when one was active, re-introduces
+	// the components to each other out of band (see bridgeContacts).
+	heal(groupOf []int, wasActive bool)
+	// setLoss sets the per-message drop probability for the cycle.
+	setLoss(p float64)
+	// setDelay sets the one-way delivery latency bounds for the cycle and
+	// reports whether the fleet can inject latency at all.
+	setDelay(min, max time.Duration) bool
+}
+
+// script interprets one scenario's event list, cycle by cycle. The rules
+// it settles for every executor:
+//
+//   - crash and churn never take the last node: both stop while
+//     aliveCount() > 1 fails, since a fleet of one has nobody to seed a
+//     replacement from;
+//   - churn reuses the slot it just freed and leaves the crash stack
+//     untouched; restart pops the newest crashed slot; join takes vacant
+//     slots first, then crashed ones;
+//   - honest and sybil joins draw on one epoch-scoped budget
+//     (Defense.JoinCap), and every refusal is counted;
+//   - a partition fires once, at its At cycle, and heals at Until + 1 or
+//     at an explicit heal, whichever comes first;
+//   - loss and delay bursts reach every fleet every cycle; a fleet that
+//     cannot inject latency (simulation engines, socket workers) is named
+//     once on the Logger and the burst is otherwise ignored.
+//
+// The founding fleet is not the script's business, but its rule is stated
+// here with the others: founders bootstrap from bootstrapSubset of the
+// address list on every real fleet.
+type script struct {
+	sc    Scenario
+	slots int
+	// rng is the script RNG: partition components here, and whatever
+	// random picks a fleet needs to perform an action (bridges, seeds) —
+	// except the simulator's victims, which its engine draws.
+	rng    *stats.RNG
+	adv    *advSchedule
+	logger *slog.Logger
+
+	alloc slotAllocator
+	part  partitionState
+
+	// Epoch-scoped join budget; joinsRefused is atomic because telemetry
+	// scrapes read it concurrently.
+	joinEpoch      int
+	joinsThisEpoch int
+	joinsRefused   atomic.Int64
+
+	delayWarned bool
+}
+
+func newScript(sc Scenario, slots int, rng *stats.RNG, adv *advSchedule, logger *slog.Logger) *script {
+	if logger == nil {
+		logger = slog.New(slog.DiscardHandler)
+	}
+	return &script{
+		sc: sc, slots: slots, rng: rng, adv: adv, logger: logger,
+		alloc: slotAllocator{nextJoin: sc.N, capacity: slots},
+	}
+}
+
+// step runs the script for one cycle against the fleet.
+func (s *script) step(cycle int, f fleet) {
+	if epoch := (cycle - 1) / s.sc.EpochLen; epoch != s.joinEpoch {
+		s.joinEpoch, s.joinsThisEpoch = epoch, 0
+	}
+	if s.part.expired(cycle) {
+		s.heal(f)
+	}
+	f.setLoss(s.sc.effectiveLoss(cycle))
+	if min, max := s.sc.effectiveDelay(cycle); !f.setDelay(min, max) && max > 0 && !s.delayWarned {
+		s.delayWarned = true
+		s.logger.Warn("executor cannot inject latency: delay events ignored", "scenario", s.sc.Name)
+	}
+	for _, ev := range s.sc.Events {
+		if !ev.activeAt(cycle, s.sc.Cycles) {
+			continue
+		}
+		switch ev.Kind {
+		case KindCrash:
+			count := ev.resolveCount(f.aliveCount())
+			for k := 0; k < count && f.aliveCount() > 1; k++ {
+				victim := f.pickAlive()
+				f.crash(victim)
+				s.alloc.pushCrashed(victim)
+			}
+		case KindChurn:
+			count := ev.resolveCount(f.aliveCount())
+			for k := 0; k < count && f.aliveCount() > 1; k++ {
+				victim := f.pickAlive()
+				f.crash(victim)
+				f.joinAs(victim, -1) // same slot, brand-new identity
+			}
+		case KindJoin:
+			s.join(f, ev.resolveCount(s.sc.N), -1)
+		case KindRestart:
+			count := ev.resolveCount(f.aliveCount())
+			for k := 0; k < count; k++ {
+				slot, ok := s.alloc.popCrashed()
+				if !ok {
+					break
+				}
+				f.joinAs(slot, -1)
+			}
+		case KindPartition:
+			// Fire once at At: activeAt also matches the [At, Until]
+			// auto-heal window, and re-splitting every cycle would
+			// re-randomize the components, leaking state across the
+			// partition. Every slot gets a component, not just the live
+			// ones, so a node joining mid-partition lands on one side.
+			if cycle == ev.At {
+				s.part.activate(partitionComponents(s.rng, s.slots, ev.Groups), ev.Until)
+				f.split(s.part.groupOf)
+			}
+		case KindHeal:
+			s.heal(f)
+		}
+	}
+	s.sybilJoins(cycle, f)
+}
+
+// sybilJoins lands the active sybil-flood adversaries' identities —
+// ordinary joins as far as the protocol can tell, throttled by the join
+// cap exactly as a flash crowd is.
+func (s *script) sybilJoins(cycle int, f fleet) {
+	if s.adv == nil {
+		return
+	}
+	for ai, a := range s.sc.Adversaries {
+		if a.Behavior == BehaviorSybilFlood && a.activeAt(cycle, s.sc.Cycles) {
+			s.join(f, a.Rate, ai)
+		}
+	}
+}
+
+// admitJoin applies the defense's epoch-scoped join cap. The cap cannot
+// tell an honest joiner from an attacker — that is the point of the sybil
+// attack — so both draw on one budget.
+func (s *script) admitJoin() bool {
+	if cap := s.sc.Defense.JoinCap; cap > 0 && s.joinsThisEpoch >= cap {
+		s.joinsRefused.Add(1)
+		return false
+	}
+	s.joinsThisEpoch++
+	return true
+}
+
+// join lands up to count fresh identities. sybil >= 0 marks each slot
+// hostile before the fleet builds its node, so the value a sybil reports
+// is the attacker's from its first epoch on.
+func (s *script) join(f fleet, count, sybil int) {
+	for k := 0; k < count; k++ {
+		if !s.admitJoin() {
+			continue
+		}
+		slot, ok := s.alloc.takeJoinSlot()
+		if !ok {
+			return
+		}
+		if sybil >= 0 {
+			s.adv.markSybil(slot, sybil)
+		}
+		f.joinAs(slot, sybil)
+	}
+}
+
+func (s *script) heal(f fleet) {
+	f.heal(s.part.groupOf, s.part.clear())
+}
 
 // effectiveLoss resolves the message-loss rate for a cycle: the baseline
-// unless a loss burst is active (the latest active event wins). Every
-// executor applies this same rule.
+// unless a loss burst is active (the latest active event wins).
 func (s Scenario) effectiveLoss(cycle int) float64 {
 	loss := s.MessageLoss
 	for _, ev := range s.Events {
@@ -24,6 +216,21 @@ func (s Scenario) effectiveLoss(cycle int) float64 {
 		}
 	}
 	return loss
+}
+
+// effectiveDelay resolves the one-way latency bounds for a cycle: zero
+// unless a delay burst is active (the latest active event wins).
+func (s Scenario) effectiveDelay(cycle int) (min, max time.Duration) {
+	for _, ev := range s.Events {
+		if ev.Kind != KindDelay {
+			continue
+		}
+		if from, to := ev.window(s.Cycles); cycle >= from && cycle <= to {
+			min = time.Duration(ev.MinDelayMs) * time.Millisecond
+			max = time.Duration(ev.MaxDelayMs) * time.Millisecond
+		}
+	}
+	return min, max
 }
 
 // partitionComponents assigns every slot to a partition component by the
@@ -81,7 +288,7 @@ func (p *partitionState) clear() bool {
 
 // slotAllocator hands out node slots for joins — vacant slots first,
 // then crashed ones, newest first — and tracks the crash stack restart
-// events pop from. All three executors allocate slots through it.
+// events pop from.
 type slotAllocator struct {
 	// nextJoin is the first never-used slot; capacity bounds it.
 	nextJoin int
@@ -90,15 +297,10 @@ type slotAllocator struct {
 	crashed []int
 }
 
-func newSlotAllocator(capacity, initial int) slotAllocator {
-	return slotAllocator{nextJoin: initial, capacity: capacity}
-}
-
 // pushCrashed records a slot as dead and available for restarts.
 func (a *slotAllocator) pushCrashed(slot int) { a.crashed = append(a.crashed, slot) }
 
-// popCrashed hands back the most recently crashed slot, for restarts and
-// for churn (which reuses the slot it just freed).
+// popCrashed hands back the most recently crashed slot.
 func (a *slotAllocator) popCrashed() (int, bool) {
 	if len(a.crashed) == 0 {
 		return 0, false
@@ -118,23 +320,15 @@ func (a *slotAllocator) takeJoinSlot() (int, bool) {
 	return a.popCrashed()
 }
 
-// fleetRoster tracks which slot is alive at which transport address,
-// plus the slot allocator — the script bookkeeping both real-fleet
-// executors (live-mem and udp) share.
+// fleetRoster is the supervisor's picture of a real fleet: which slot is
+// alive, and at which transport address.
 type fleetRoster struct {
 	addr  []string
 	alive []bool
-	slotAllocator
 }
 
-// newFleetRoster allocates slots node slots, the first initial of which
-// are the founding fleet.
-func newFleetRoster(slots, initial int) *fleetRoster {
-	return &fleetRoster{
-		addr:          make([]string, slots),
-		alive:         make([]bool, slots),
-		slotAllocator: newSlotAllocator(slots, initial),
-	}
+func newFleetRoster(slots int) *fleetRoster {
+	return &fleetRoster{addr: make([]string, slots), alive: make([]bool, slots)}
 }
 
 func (r *fleetRoster) aliveCount() int {
@@ -179,12 +373,6 @@ func (r *fleetRoster) seedAddrs(rng *stats.RNG, n int) []string {
 		seeds = append(seeds, r.addr[live[rng.Intn(len(live))]])
 	}
 	return seeds
-}
-
-// markCrashed records a slot's death (caller performs the actual stop).
-func (r *fleetRoster) markCrashed(slot int) {
-	r.alive[slot] = false
-	r.pushCrashed(slot)
 }
 
 // slotContacts hands one slot fresh out-of-band contact addresses.

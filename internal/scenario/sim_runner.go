@@ -3,7 +3,7 @@ package scenario
 import (
 	"fmt"
 	"log/slog"
-	"sync/atomic"
+	"time"
 
 	"antientropy/internal/core"
 	"antientropy/internal/obs"
@@ -103,27 +103,25 @@ func RunSimWith(sc Scenario, opts SimOptions) (*RunResult, error) {
 	}
 }
 
-// newSimDriver builds the shared script driver and the result shell.
-func newSimDriver(sc Scenario, executor string) (*simDriver, *RunResult) {
+// newSimDriver builds the engine-agnostic half of a simulator run: the
+// value program, the Byzantine plan, the defense, the script interpreter
+// and the row log.
+func newSimDriver(sc Scenario, executor string, opts SimOptions) *simDriver {
 	slots := sc.MaxSlots()
 	d := &simDriver{
-		sc:    sc,
-		prog:  NewValueProgram(sc, slots),
-		slots: slots,
-		rng:   stats.NewRNG(sc.Seed ^ 0x7363656e6172696f),
-		alloc: newSlotAllocator(slots, sc.N),
-		adv:   newAdvSchedule(sc, slots),
+		sc:   sc,
+		prog: NewValueProgram(sc, slots),
+		adv:  newAdvSchedule(sc, slots),
 	}
+	d.script = newScript(sc, slots, stats.NewRNG(sc.Seed^0x7363656e6172696f), d.adv, opts.Logger)
 	// The combiner error was already screened by Validate.
 	if c, _ := sc.Defense.combiner(); c != nil {
 		d.guard = core.NewMergeGuard(c, sc.Defense.Samples, slots)
 	}
-	result := &RunResult{
-		Scenario: sc.Name, Executor: executor,
-		N: sc.N, Slots: slots, Seed: sc.Seed,
-		PerCycle: make([]CycleMetrics, 0, sc.Cycles+1),
-	}
-	return d, result
+	sobs := newScenarioObs(opts.Obs, opts.Timeline, opts.Logger)
+	sobs.bindAdversary(d, opts.BiasBaseline)
+	d.log = newRunLog(sc, executor, d.prog, d.adv, sobs)
+	return d
 }
 
 func runSimSerial(sc Scenario, opts SimOptions) (*RunResult, error) {
@@ -131,11 +129,9 @@ func runSimSerial(sc Scenario, opts SimOptions) (*RunResult, error) {
 	if overlay == nil {
 		overlay = sim.Newscast(30)
 	}
-	d, result := newSimDriver(sc, "sim")
-	sobs := newScenarioObs(opts.Obs, opts.Timeline, opts.Logger)
-	sobs.bindAdversary(d, opts.BiasBaseline)
+	d := newSimDriver(sc, "sim", opts)
 	_, err := sim.Run(sim.Config{
-		N:            d.slots,
+		N:            d.log.result.Slots,
 		InitialAlive: sc.N,
 		Cycles:       sc.Cycles,
 		Seed:         sc.Seed,
@@ -148,27 +144,21 @@ func runSimSerial(sc Scenario, opts SimOptions) (*RunResult, error) {
 		LinkFailure:  sc.LinkFailure,
 		BeforeCycle:  func(cycle int, e *sim.Engine) { d.beforeCycle(cycle, e) },
 		Failures:     []sim.FailureModel{sim.Script(sc.Name, d.applyEvents)},
-		Observe: func(cycle int, e *sim.Engine) {
-			row, proto := d.observe(cycle, e)
-			sobs.observe(row, proto)
-			result.PerCycle = append(result.PerCycle, row)
-		},
+		Observe:      func(cycle int, e *sim.Engine) { d.observe(cycle, e) },
 	})
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: sim executor: %w", sc.Name, err)
 	}
-	return result, nil
+	return d.log.result, nil
 }
 
 func runSimSharded(sc Scenario, opts SimOptions) (*RunResult, error) {
 	if opts.Overlay != nil {
 		return nil, fmt.Errorf("scenario %s: the sharded engine does not accept a serial overlay builder", sc.Name)
 	}
-	d, result := newSimDriver(sc, "sim-sharded")
-	sobs := newScenarioObs(opts.Obs, opts.Timeline, opts.Logger)
-	sobs.bindAdversary(d, opts.BiasBaseline)
+	d := newSimDriver(sc, "sim-sharded", opts)
 	_, err := parsim.Run(parsim.Config{
-		N:            d.slots,
+		N:            d.log.result.Slots,
 		InitialAlive: sc.N,
 		Cycles:       sc.Cycles,
 		Seed:         sc.Seed,
@@ -183,46 +173,28 @@ func runSimSharded(sc Scenario, opts SimOptions) (*RunResult, error) {
 		LinkFailure:  sc.LinkFailure,
 		BeforeCycle:  func(cycle int, e *parsim.Engine) { d.beforeCycle(cycle, e) },
 		Script:       func(cycle int, e *parsim.Engine) { d.applyEvents(cycle, e) },
-		Observe: func(cycle int, e *parsim.Engine) {
-			row, proto := d.observe(cycle, e)
-			sobs.observe(row, proto)
-			result.PerCycle = append(result.PerCycle, row)
-		},
+		Observe:      func(cycle int, e *parsim.Engine) { d.observe(cycle, e) },
 	})
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: sharded sim executor: %w", sc.Name, err)
 	}
-	return result, nil
+	return d.log.result, nil
 }
 
-// simDriver holds the mutable state the scripted events act on. It is
+// simDriver binds one scenario run to a simulation engine. It is
 // engine-agnostic: everything goes through sim.Core, so the serial and
-// the sharded engine run the identical script logic.
+// the sharded engine run the identical script.
 type simDriver struct {
-	sc    Scenario
-	prog  *ValueProgram
-	slots int
-	rng   *stats.RNG
-
-	// alloc hands out join slots and tracks the crash stack (shared with
-	// the other executors' drivers).
-	alloc slotAllocator
-
-	part partitionState
+	sc     Scenario
+	prog   *ValueProgram
+	script *script
+	log    *runLog
 
 	// adv is the Byzantine plan (nil for honest scenarios — the nil
 	// schedule keeps the honest paths bit-identical to the legacy
 	// engine); guard is the combiner defense (nil without one).
 	adv   *advSchedule
 	guard *core.MergeGuard
-
-	// joinsThisEpoch enforces the defense's epoch-scoped join cap;
-	// joinsRefused counts over-cap joins (atomic: telemetry scrapes read
-	// it concurrently).
-	joinsThisEpoch int
-	joinsRefused   atomic.Int64
-
-	prevAttempts int64
 }
 
 // initValue resolves a node's (re)start value: the honest scripted value
@@ -250,155 +222,68 @@ func (d *simDriver) advHook() func(cycle, node int, local float64) (float64, boo
 	return d.adv.engineHook()
 }
 
-// admitJoin applies the defense's epoch-scoped join cap to flash-crowd
-// and sybil joins alike (the cap cannot tell an honest joiner from an
-// attacker — that is the point of the sybil attack).
-func (d *simDriver) admitJoin() bool {
-	if cap := d.sc.Defense.JoinCap; cap > 0 && d.joinsThisEpoch >= cap {
-		d.joinsRefused.Add(1)
-		return false
-	}
-	d.joinsThisEpoch++
-	return true
-}
-
 // beforeCycle implements §4.1/§4.2 at epoch boundaries: the protocol
 // restarts from the current scripted values and waiting joiners become
 // participants. Replay-stale attackers snapshot the estimates they will
-// replay just before the restart wipes them, and the join-cap budget
-// renews with the epoch.
+// replay just before the restart wipes them.
 func (d *simDriver) beforeCycle(cycle int, e sim.Core) {
 	if cycle > 1 && (cycle-1)%d.sc.EpochLen == 0 {
 		if d.adv != nil {
 			d.adv.snapshotEpoch(func(node int) float64 { return e.Value(node) })
 		}
-		d.joinsThisEpoch = 0
 		e.Restart(func(node int) float64 { return d.initValue(node, cycle) })
 	}
 }
 
 // applyEvents runs the script for one cycle.
 func (d *simDriver) applyEvents(cycle int, e sim.Core) {
-	if d.part.expired(cycle) {
-		d.heal(e)
-	}
-	e.SetMessageLoss(d.sc.effectiveLoss(cycle))
-	for _, ev := range d.sc.Events {
-		if !ev.activeAt(cycle, d.sc.Cycles) {
-			continue
-		}
-		switch ev.Kind {
-		case KindCrash:
-			count := ev.resolveCount(e.AliveCount())
-			for k := 0; k < count && e.AliveCount() > 1; k++ {
-				victim := e.RandomAlive()
-				e.Kill(victim)
-				d.alloc.pushCrashed(victim)
-			}
-		case KindChurn:
-			count := ev.resolveCount(e.AliveCount())
-			for k := 0; k < count && e.AliveCount() > 0; k++ {
-				victim := e.RandomAlive()
-				e.Kill(victim)
-				e.Replace(victim) // same slot, brand-new identity
-			}
-		case KindJoin:
-			count := ev.resolveCount(d.sc.N)
-			for k := 0; k < count; k++ {
-				if !d.admitJoin() {
-					continue
-				}
-				slot, ok := d.alloc.takeJoinSlot()
-				if !ok {
-					break
-				}
-				e.Replace(slot)
-			}
-		case KindRestart:
-			count := ev.resolveCount(e.AliveCount())
-			for k := 0; k < count; k++ {
-				slot, ok := d.alloc.popCrashed()
-				if !ok {
-					break
-				}
-				e.Replace(slot)
-			}
-		case KindPartition:
-			// Fire once at At: activeAt also matches the [At, Until]
-			// auto-heal window, and re-splitting every cycle would
-			// re-randomize the components, leaking state across the
-			// partition.
-			if cycle == ev.At {
-				d.partition(e, ev)
-			}
-		case KindHeal:
-			d.heal(e)
-		}
-	}
-	d.sybilJoins(cycle, e)
+	d.script.step(cycle, simFleet{e: e, rng: d.script.rng})
 }
 
-// sybilJoins lands the active sybil-flood adversaries' attacker nodes —
-// ordinary joins as far as the protocol can tell, except that the slots
-// are marked hostile (their restart value is the attacker's, and the
-// honest metrics exclude them). The defense's join cap throttles them
-// exactly as it throttles flash crowds.
-func (d *simDriver) sybilJoins(cycle int, e sim.Core) {
-	if d.adv == nil {
-		return
-	}
-	for ai, a := range d.sc.Adversaries {
-		if a.Behavior != BehaviorSybilFlood || !a.activeAt(cycle, d.sc.Cycles) {
-			continue
-		}
-		for k := 0; k < a.Rate; k++ {
-			if !d.admitJoin() {
-				continue
-			}
-			slot, ok := d.alloc.takeJoinSlot()
-			if !ok {
-				break
-			}
-			d.adv.markSybil(slot, ai)
-			e.Replace(slot)
-		}
-	}
+// simFleet performs the script's actions on a simulation engine. Victims
+// are drawn by the engine's own RNG and a heal reseeds overlay views in
+// place, so a seed's rows do not depend on which fleets exist besides
+// this one. A cycle-driven engine has no sub-cycle time to delay.
+type simFleet struct {
+	e   sim.Core
+	rng *stats.RNG
 }
 
-// partition assigns every slot to a component (see partitionComponents)
-// and installs the exchange veto — which both engines also apply to
+func (f simFleet) aliveCount() int                  { return f.e.AliveCount() }
+func (f simFleet) pickAlive() int                   { return f.e.RandomAlive() }
+func (f simFleet) crash(slot int)                   { f.e.Kill(slot) }
+func (f simFleet) joinAs(slot, _ int)               { f.e.Replace(slot) }
+func (f simFleet) setLoss(p float64)                { f.e.SetMessageLoss(p) }
+func (f simFleet) setDelay(_, _ time.Duration) bool { return false }
+
+// split installs the exchange veto — which both engines also apply to
 // NEWSCAST gossip, so the overlay splits along with the aggregation
 // traffic.
-func (d *simDriver) partition(e sim.Core, ev Event) {
-	d.part.activate(partitionComponents(d.rng, d.slots, ev.Groups), ev.Until)
-	groupOf := d.part.groupOf
-	e.SetExchangeFilter(func(i, j int) bool { return groupOf[i] == groupOf[j] })
+func (f simFleet) split(groupOf []int) {
+	f.e.SetExchangeFilter(func(i, j int) bool { return groupOf[i] == groupOf[j] })
 }
 
-// heal removes the active partition and performs the rendezvous refresh
-// the live executor models with out-of-band contacts: a partition longer
-// than the cache lifetime ages every cross-component descriptor out of
-// the NEWSCAST views, so gossip alone can never remerge the overlay.
-// Reseeding a few bridge nodes per component from the global membership
-// restores cross-component descriptors; epidemic gossip spreads the
-// bridges from there.
-func (d *simDriver) heal(e sim.Core) {
-	wasOn := d.part.clear()
-	e.SetExchangeFilter(nil)
-	if !wasOn {
+// heal removes the veto and performs the rendezvous refresh the real
+// fleets model with out-of-band contacts (see bridgeContacts): reseeding
+// a few bridge nodes per component from the global membership restores
+// the cross-component descriptors a long partition aged out of every
+// view; epidemic gossip spreads the bridges from there.
+func (f simFleet) heal(groupOf []int, wasActive bool) {
+	f.e.SetExchangeFilter(nil)
+	if !wasActive {
 		return
 	}
 	const bridgesPerGroup = 4
 	groups := 0
-	for _, g := range d.part.groupOf {
+	for _, g := range groupOf {
 		if g+1 > groups {
 			groups = g + 1
 		}
 	}
 	for g := 0; g < groups; g++ {
-		members := make([]int, 0, d.slots)
-		for slot, sg := range d.part.groupOf {
-			if sg == g && e.Alive(slot) {
+		members := make([]int, 0, len(groupOf))
+		for slot, sg := range groupOf {
+			if sg == g && f.e.Alive(slot) {
 				members = append(members, slot)
 			}
 		}
@@ -406,23 +291,18 @@ func (d *simDriver) heal(e sim.Core) {
 			continue
 		}
 		for b := 0; b < bridgesPerGroup; b++ {
-			e.ReseedOverlay(members[d.rng.Intn(len(members))])
+			f.e.ReseedOverlay(members[f.rng.Intn(len(members))])
 		}
 	}
 }
 
-// observe builds one cycle's metrics row plus the cumulative protocol
-// totals the health rules difference. The simulator has no wall-clock
-// timeouts; every silently lost exchange (link drop, message loss,
-// partition veto) plays the timeout role for the rules, while §7.1
-// refusals map to declines.
-func (d *simDriver) observe(cycle int, e sim.Core) (CycleMetrics, protoTotals) {
-	cur := e.Metrics()
-	messages := cur.Attempts - d.prevAttempts
-	d.prevAttempts = cur.Attempts
-	// Under an adversary the metrics cover the honest population only:
-	// the attack's impact is what leaks into honest estimates, and the
-	// truth signal attacker-controlled slots would contribute is fake.
+// observe logs one cycle's row. The simulator has no wall-clock timeouts;
+// every silently lost exchange (link drop, message loss, partition veto)
+// plays the timeout role for the health rules, while §7.1 refusals map to
+// declines. Under an adversary the estimate moments cover the honest
+// population only: the attack's impact is what leaks into honest
+// estimates.
+func (d *simDriver) observe(cycle int, e sim.Core) {
 	var est stats.Moments
 	if d.adv == nil {
 		est = e.ParticipantMoments()
@@ -433,32 +313,13 @@ func (d *simDriver) observe(cycle int, e sim.Core) (CycleMetrics, protoTotals) {
 			}
 		})
 	}
-	var truth stats.Moments
-	for i := 0; i < d.slots; i++ {
-		if e.Alive(i) && (d.adv == nil || !d.adv.hostile(i)) {
-			truth.Add(d.prog.Value(i, cycle))
-		}
-	}
-	epoch := 0
-	if cycle > 0 {
-		epoch = (cycle - 1) / d.sc.EpochLen
-	}
+	cur := e.Metrics()
 	silent := cur.LinkDrops + cur.RequestLosses + cur.ReplyLosses + cur.PartitionDrops
-	return CycleMetrics{
-			Cycle:          cycle,
-			Epoch:          epoch,
-			Alive:          e.AliveCount(),
-			Participating:  e.ParticipantCount(),
-			TrueMean:       truth.Mean(),
-			MeanEstimate:   est.Mean(),
-			EstimateStdDev: est.StdDev(),
-			RelError:       relError(est.Mean(), truth.Mean()),
-			Messages:       messages,
-		}, protoTotals{
-			Initiated: cur.Attempts,
-			Completed: cur.Completed,
-			Timeouts:  cur.Timeouts + silent,
-			Declined:  cur.Refusals,
-			Drops:     silent,
-		}
+	d.log.record(cycle, e.AliveCount(), e.ParticipantCount(), est, e.Alive, protoTotals{
+		Initiated: cur.Attempts,
+		Completed: cur.Completed,
+		Timeouts:  cur.Timeouts + silent,
+		Declined:  cur.Refusals,
+		Drops:     silent,
+	})
 }

@@ -9,12 +9,17 @@ import (
 
 	"antientropy/internal/agent"
 	"antientropy/internal/obs"
+	"antientropy/internal/stats"
 )
 
-// The UDP executor splits a scenario fleet across worker processes, each
-// owning a contiguous-by-modulo slice of the node slots on real UDP
-// sockets. The supervisor coordinates them over a line-delimited JSON
-// control channel on the workers' stdin/stdout pipes:
+// A fleet executor runs a scenario on real agent nodes hosted by workers,
+// each owning a contiguous-by-modulo slice of the node slots, and one
+// supervisor that interprets the script and coordinates them with the
+// conversation below. For the udp executor the workers are forked
+// processes on UDP sockets and the conversation travels as line-delimited
+// JSON over their stdin/stdout pipes; for the live executor the one worker
+// is a value in the supervisor's process on the in-memory network and each
+// command is a direct call (see workerHandle).
 //
 //	supervisor → worker            worker → supervisor
 //	--------------------           --------------------
@@ -27,7 +32,7 @@ import (
 // Every exchange is strictly request/response per worker, so the
 // supervisor's cycle loop doubles as the barrier: no worker applies cycle
 // c+1 events before every worker has acknowledged cycle c. A worker that
-// hits an unrecoverable error replies with op "fatal" and exits; the
+// hits an unrecoverable error replies with op "fatal" and stops; the
 // supervisor then tears the whole fleet down.
 
 // Control-channel ops.
@@ -45,16 +50,6 @@ const (
 	udpOpFatal    = "fatal"
 )
 
-// Worker transport modes (udpMsg.Transport).
-const (
-	// udpTransportMux shares a small fixed socket set and one batched
-	// reader pool across all slots of a worker (transport.UDPMux).
-	udpTransportMux = "mux"
-	// udpTransportEndpoint binds one socket and one reader goroutine per
-	// slot — the pre-mux baseline, kept for A/B measurement.
-	udpTransportEndpoint = "endpoint"
-)
-
 // udpJoin commands one slot to come up as a brand-new identity performing
 // the §4.2 join against the given seed addresses. Group places the new
 // endpoint into an active partition component (-1: none).
@@ -70,7 +65,7 @@ type udpJoin struct {
 }
 
 // udpContacts hands one slot out-of-band contact addresses (the post-heal
-// rendezvous refresh; see liveDriver.heal).
+// rendezvous refresh; see bridgeContacts).
 type udpContacts struct {
 	Slot  int      `json:"slot"`
 	Addrs []string `json:"addrs"`
@@ -90,11 +85,8 @@ type udpMsg struct {
 	CycleLenUS int64     `json:"cycleLenUs,omitempty"`
 	QueueLen   int       `json:"queueLen,omitempty"`
 	// TraceCap > 0 makes the worker keep a bounded exchange trace ring
-	// of that capacity, dumped to its stderr at shutdown.
+	// of that capacity, drained by every metrics and bye reply.
 	TraceCap int `json:"traceCap,omitempty"`
-	// Transport selects the worker's datagram layer: udpTransportMux
-	// (default when blank) or udpTransportEndpoint.
-	Transport string `json:"transport,omitempty"`
 
 	// start: the shared schedule anchor and the founding address book.
 	AnchorUnixNano int64    `json:"anchorUnixNano,omitempty"`
@@ -103,39 +95,41 @@ type udpMsg struct {
 	// cycle: the barrier tick plus this cycle's scripted interventions.
 	// Loss is always present (the effective rate for the cycle); Groups
 	// non-nil installs a partition, Heal clears it, Assign patches single
-	// addresses in (joiners created while a partition is active).
-	Cycle    int            `json:"cycle"`
-	Loss     float64        `json:"loss"`
-	Groups   map[string]int `json:"groups,omitempty"`
-	Assign   map[string]int `json:"assign,omitempty"`
-	Heal     bool           `json:"heal,omitempty"`
-	Crash    []int          `json:"crash,omitempty"`
-	Joins    []udpJoin      `json:"joins,omitempty"`
-	Contacts []udpContacts  `json:"contacts,omitempty"`
+	// addresses in (joiners created while a partition is active). The
+	// delay bounds are sent only to a worker whose network can inject
+	// latency.
+	Cycle      int            `json:"cycle"`
+	Loss       float64        `json:"loss"`
+	DelayMinMs int            `json:"delayMinMs,omitempty"`
+	DelayMaxMs int            `json:"delayMaxMs,omitempty"`
+	Groups     map[string]int `json:"groups,omitempty"`
+	Assign     map[string]int `json:"assign,omitempty"`
+	Heal       bool           `json:"heal,omitempty"`
+	Crash      []int          `json:"crash,omitempty"`
+	Joins      []udpJoin      `json:"joins,omitempty"`
+	Contacts   []udpContacts  `json:"contacts,omitempty"`
 
 	// ready / ack: slot → freshly bound endpoint address.
 	Addrs map[int]string `json:"addrs,omitempty"`
 
 	// metrics: this worker's partial aggregates for the sampled cycle.
-	// Estimates travel as (n, Σx, Σx²) so the supervisor can merge the
-	// per-worker moments exactly.
-	Alive         int     `json:"alive,omitempty"`
-	Participating int     `json:"participating,omitempty"`
-	EstN          int     `json:"estN,omitempty"`
-	EstSum        float64 `json:"estSum,omitempty"`
-	EstSumSq      float64 `json:"estSumSq,omitempty"`
-	Messages      int64   `json:"messages,omitempty"`
-	QueueDrops    int64   `json:"queueDrops,omitempty"`
-	FilterDrops   int64   `json:"filterDrops,omitempty"`
+	// Est summarizes its honest participants' estimates as (n, mean,
+	// M2 = Σ(x − mean)², min, max), which the supervisor combines with
+	// Moments.Merge: raw sums (n, Σx, Σx²) cancel to a spread of zero once
+	// the fleet has converged to a spread far below its mean.
+	Alive         int           `json:"alive,omitempty"`
+	Participating int           `json:"participating,omitempty"`
+	Est           stats.Moments `json:"est,omitzero"`
+	QueueDrops    int64         `json:"queueDrops,omitempty"`
+	FilterDrops   int64         `json:"filterDrops,omitempty"`
 	// AgentTotals carries the worker's cumulative protocol counters
 	// (live nodes plus crash-retired ones) and RTTHist its exchange
 	// round-trip histogram snapshot, so the supervisor can export one
 	// aggregated fleet on its /metrics endpoint.
 	AgentTotals *agent.Metrics    `json:"agentTotals,omitempty"`
 	RTTHist     *obs.HistSnapshot `json:"rttHist,omitempty"`
-	// TransportQueueDepth is the worker mux's outbound-queue high
-	// watermark and BatchHist its datagrams-per-syscall histogram
-	// (absent in the per-socket transport mode).
+	// TransportQueueDepth is the worker network's queue high watermark
+	// and BatchHist its datagrams-per-operation histogram.
 	TransportQueueDepth int64             `json:"transportQueueDepth,omitempty"`
 	BatchHist           *obs.HistSnapshot `json:"batchHist,omitempty"`
 	// Trace is the worker's exchange-trace increment since its previous

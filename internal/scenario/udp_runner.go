@@ -5,12 +5,11 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"os"
 	"os/exec"
 	"runtime"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"antientropy/internal/agent"
@@ -26,17 +25,13 @@ type UDPOptions struct {
 	Workers int
 	// CycleLen is δ, the wall-clock length of one protocol cycle. The
 	// default scales with the fleet size and the machine's cores like the
-	// live-mem executor's, with a higher floor: real sockets add syscall
-	// and cross-process scheduling cost per exchange.
+	// live executor's, with a higher floor: real sockets add syscall and
+	// cross-process scheduling cost per exchange.
 	CycleLen time.Duration
 	// CacheSize is the NEWSCAST cache capacity (default 30).
 	CacheSize int
 	// QueueLen sizes each endpoint's inbound buffer (default 1024).
 	QueueLen int
-	// Transport selects the workers' datagram layer: "mux" (default)
-	// shares a small batched socket set per worker, "endpoint" binds one
-	// socket per node — the pre-mux baseline, kept for A/B measurement.
-	Transport string
 	// WorkerCmd is the argv that launches one worker process speaking the
 	// control protocol on stdin/stdout (a program calling RunUDPWorker).
 	// Default: the current executable with a single -worker argument —
@@ -79,7 +74,7 @@ func (o UDPOptions) withDefaults(fleet int) (UDPOptions, error) {
 	}
 	if o.CycleLen <= 0 {
 		// Budget ~250µs of single-core compute per node per cycle (the
-		// live-mem executor's 150µs plus UDP syscalls and cross-process
+		// live executor's 150µs plus UDP syscalls and cross-process
 		// wakeups), spread across the cores, with a 25ms floor for timer
 		// accuracy across process boundaries.
 		perCore := 250 * time.Microsecond / time.Duration(runtime.GOMAXPROCS(0))
@@ -93,14 +88,6 @@ func (o UDPOptions) withDefaults(fleet int) (UDPOptions, error) {
 	}
 	if o.QueueLen <= 0 {
 		o.QueueLen = 1024
-	}
-	switch o.Transport {
-	case "":
-		o.Transport = udpTransportMux
-	case udpTransportMux, udpTransportEndpoint:
-	default:
-		return o, fmt.Errorf("scenario: unknown udp transport %q (want %q or %q)",
-			o.Transport, udpTransportMux, udpTransportEndpoint)
 	}
 	if o.ControlTimeout <= 0 {
 		o.ControlTimeout = 60 * time.Second
@@ -129,10 +116,9 @@ func (o UDPOptions) withDefaults(fleet int) (UDPOptions, error) {
 // barriers and scripted events over stdin/stdout JSON, and injects
 // partitions and loss through each worker's UDPFilter — the userspace
 // stand-in for the iptables rules a privileged supervisor would install.
-// Like the live-mem executor the run is wall-clock driven and therefore
-// not bit-for-bit deterministic, but it chases the identical scripted
-// value signal, so its metric stream is directly comparable to the other
-// executors'.
+// The run is wall-clock driven and therefore not bit-for-bit
+// deterministic, but it chases the identical scripted value signal, so
+// its metric stream is directly comparable to the other executors'.
 func RunUDP(ctx context.Context, sc Scenario, opts UDPOptions) (*RunResult, error) {
 	sc = sc.WithDefaults()
 	if err := sc.Validate(); err != nil {
@@ -145,86 +131,36 @@ func RunUDP(ctx context.Context, sc Scenario, opts UDPOptions) (*RunResult, erro
 	if opts.Workers > sc.N {
 		opts.Workers = sc.N
 	}
-
-	slots := sc.MaxSlots()
-	d := &udpDriver{
-		sc:     sc,
-		prog:   NewValueProgram(sc, slots),
-		roster: newFleetRoster(slots, sc.N),
-		rng:    stats.NewRNG(sc.Seed ^ 0x7564702d72756e), // "udp-run"
-		opts:   opts,
-		ctx:    ctx,
-		adv:    newAdvSchedule(sc, slots),
-		sobs:   newScenarioObs(opts.Obs, opts.Timeline, opts.Logger),
-	}
-	d.bindObs(opts.Obs)
+	d := newSupervisor(ctx, sc, opts, "udp")
 	defer d.teardown()
-
-	if err := d.spawnWorkers(); err != nil {
-		return nil, err
-	}
-	if err := d.initWorkers(); err != nil {
-		return nil, err
-	}
-	anchor, err := d.startFleet()
-	if err != nil {
-		return nil, err
-	}
-
-	result := &RunResult{
-		Scenario: sc.Name, Executor: "udp",
-		N: sc.N, Slots: slots, Seed: sc.Seed,
-		PerCycle: make([]CycleMetrics, 0, sc.Cycles+1),
-	}
-
-	// Founding the fleet takes real time, during which the nodes'
-	// wall-clock schedule has been running. Anchor scenario cycle 1 to the
-	// next epoch boundary so scripted cycles line up exactly with the
-	// fleet's epoch restarts (see RunLive).
-	delta := time.Duration(sc.EpochLen) * opts.CycleLen
-	startEpoch := time.Since(anchor)/delta + 1
-	base := anchor.Add(startEpoch * delta)
-
-	if err := sleepUntil(ctx, base.Add(-opts.CycleLen/2)); err != nil {
-		return nil, err
-	}
-	row, err := d.sample(0)
-	if err != nil {
-		return nil, err
-	}
-	result.PerCycle = append(result.PerCycle, row)
-	for cycle := 1; cycle <= sc.Cycles; cycle++ {
-		edge := base.Add(time.Duration(cycle-1) * opts.CycleLen)
-		if err := sleepUntil(ctx, edge); err != nil {
-			return nil, err
-		}
-		if err := d.runCycle(cycle); err != nil {
-			return nil, err
-		}
-		// Sample halfway into the cycle: node epochs flip at the cycle
-		// edges, and sampling during the flip would mix two epochs.
-		if err := sleepUntil(ctx, edge.Add(opts.CycleLen/2)); err != nil {
-			return nil, err
-		}
-		row, err := d.sample(cycle)
+	for i := 0; i < opts.Workers; i++ {
+		p, err := spawnWorkerProc(ctx, opts)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("scenario %s: worker %d: %w", sc.Name, i, err)
 		}
-		result.PerCycle = append(result.PerCycle, row)
+		// Append only fully wired handles: teardown walks d.workers on
+		// every exit path, including a failure earlier in this loop.
+		d.workers = append(d.workers, p)
 	}
-	if err := d.shutdownWorkers(); err != nil {
-		return nil, err
-	}
-	d.opts.Logger.Info("udp executor finished",
-		"scenario", sc.Name, "workers", opts.Workers, "transport", opts.Transport,
-		"queueDrops", d.lastQueueDrops, "filterDrops", d.lastFilterDrops,
-		"decodeErrors", d.lastDecodeErrors)
-	return result, nil
+	return d.run()
 }
 
-// udpWorkerProc is the supervisor's handle on one worker process.
-type udpWorkerProc struct {
-	index int
+// workerHandle is the supervisor's end of one worker's conversation:
+// strictly one reply per command.
+type workerHandle interface {
+	// send delivers a command.
+	send(m udpMsg) error
+	// recv returns the reply to the last command, waiting at most timeout.
+	recv(ctx context.Context, timeout time.Duration) (udpMsg, error)
+	// release lets go of the worker: after its bye (graceful) it waits for
+	// the worker to wind down and reports how that went; otherwise it
+	// stops the worker by force.
+	release(graceful bool) error
+}
+
+// workerProc is a worker in a forked process, spoken to as JSON lines
+// over its stdin/stdout.
+type workerProc struct {
 	cmd   *exec.Cmd
 	conn  *udpConn
 	stdin io.WriteCloser
@@ -235,244 +171,327 @@ type udpWorkerProc struct {
 	readErr error
 }
 
-// udpDriver owns the worker fleet and the mutable script state. The
-// script logic mirrors liveDriver through the shared fleetRoster and
-// partitionState; the actions become control messages.
-type udpDriver struct {
-	sc     Scenario
-	prog   *ValueProgram
-	roster *fleetRoster
-	rng    *stats.RNG
-	opts   UDPOptions
-	ctx    context.Context
+// spawnWorkerProc forks one worker process and wires its pipes.
+func spawnWorkerProc(ctx context.Context, opts UDPOptions) (*workerProc, error) {
+	cmd := exec.CommandContext(ctx, opts.WorkerCmd[0], opts.WorkerCmd[1:]...)
+	cmd.Env = append(os.Environ(), opts.WorkerEnv...)
+	cmd.Stderr = os.Stderr
+	stdin, err := cmd.StdinPipe()
+	if err != nil {
+		return nil, fmt.Errorf("stdin: %w", err)
+	}
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		return nil, fmt.Errorf("stdout: %w", err)
+	}
+	if err := cmd.Start(); err != nil {
+		return nil, fmt.Errorf("starting %q: %w", opts.WorkerCmd[0], err)
+	}
+	p := &workerProc{
+		cmd:   cmd,
+		conn:  newUDPConn(stdout, stdin),
+		stdin: stdin,
+		inbox: make(chan udpMsg, 16),
+	}
+	go func() {
+		for {
+			m, err := p.conn.recv()
+			if err != nil {
+				if err != io.EOF {
+					p.readErr = err
+				}
+				close(p.inbox)
+				return
+			}
+			p.inbox <- m
+		}
+	}()
+	return p, nil
+}
 
-	procs []*udpWorkerProc
+func (p *workerProc) send(m udpMsg) error { return p.conn.send(m) }
 
-	// adv is the run's Byzantine plan (nil for honest scenarios). The
-	// workers rebuild the identical static schedule from the scenario in
-	// their init message; sybil slot assignment happens here and rides
-	// the join commands. The join-cap fields mirror liveDriver's.
-	adv            *advSchedule
-	joinEpoch      int
-	joinsThisEpoch int
-	joinsRefused   atomic.Int64
+func (p *workerProc) recv(ctx context.Context, timeout time.Duration) (udpMsg, error) {
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	select {
+	case <-ctx.Done():
+		return udpMsg{}, ctx.Err()
+	case <-timer.C:
+		return udpMsg{}, fmt.Errorf("no reply within %v", timeout)
+	case m, ok := <-p.inbox:
+		if !ok {
+			if p.readErr != nil {
+				return udpMsg{}, p.readErr
+			}
+			return udpMsg{}, fmt.Errorf("exited mid-run")
+		}
+		return m, nil
+	}
+}
 
-	part partitionState
+func (p *workerProc) release(graceful bool) error {
+	_ = p.stdin.Close()
+	if !graceful && p.cmd.Process != nil {
+		_ = p.cmd.Process.Kill()
+	}
+	// Drain the pump goroutine so it can exit, then reap the process.
+	for range p.inbox {
+	}
+	if err := p.cmd.Wait(); err != nil && graceful {
+		return fmt.Errorf("exit: %w", err)
+	}
+	return nil
+}
+
+// localWorker is a worker in this process: a command is a direct call,
+// with no encoding and no goroutine in between.
+type localWorker struct {
+	w     *udpWorker
+	reply udpMsg
+}
+
+func (l *localWorker) send(m udpMsg) error {
+	reply, err := l.w.handle(m)
+	if err != nil {
+		reply = udpMsg{Op: udpOpFatal, Err: err.Error()}
+	}
+	l.reply = reply
+	return nil
+}
+
+func (l *localWorker) recv(context.Context, time.Duration) (udpMsg, error) { return l.reply, nil }
+
+func (l *localWorker) release(bool) error {
+	l.w.stopAll()
+	return nil
+}
+
+// supervisor hosts a scenario fleet of real agent nodes: it owns the
+// script interpreter and the roster, is the fleet the script acts on —
+// each action becomes part of the cycle's command batch — and runs the
+// one wall-clock loop both fleet executors share. The nodes themselves
+// live in its workers.
+type supervisor struct {
+	sc       Scenario
+	executor string
+	opts     UDPOptions
+	ctx      context.Context
+	roster   *fleetRoster
+	script   *script
+	log      *runLog
+
+	workers []workerHandle
+	// canDelay tells whether the workers' network can inject latency.
+	canDelay bool
+
+	// msgs is the command batch of the cycle being scripted, one message
+	// per worker.
+	msgs []udpMsg
 	// pendingJoin tracks joins commanded this cycle whose addresses are
 	// still unknown (the worker acks them at the barrier); a crash of
 	// such a slot in the same cycle cancels the join instead of racing
 	// it on the worker.
 	pendingJoin map[int]bool
 	// pendingAssign broadcasts mid-partition joiner addresses to every
-	// worker's filter on the next barrier (the owner already knows).
+	// worker's drop rules on the next barrier (the owner already knows).
 	pendingAssign map[string]int
 
-	delayWarned bool
-
-	prevMessages    int64
-	lastQueueDrops  int64
-	lastFilterDrops int64
-
-	// sobs publishes the per-cycle gauges; telMu guards the cached
-	// worker telemetry the registry's scrape-time funcs read (the HTTP
-	// scrape goroutine is concurrent with the driver's control loop).
-	sobs           *scenarioObs
-	telMu          sync.Mutex
-	telTotals      agent.Metrics
-	telRTT         obs.HistSnapshot
-	telQueueDrops  int64
-	telFilterDrops int64
-	telQueueDepth  int64
-	telBatch       obs.HistSnapshot
-
-	lastDecodeErrors int64
+	// tel is the fleet telemetry of the last sample barrier, which the
+	// registry's scrape-time funcs read under telMu (the HTTP scrape
+	// goroutine is concurrent with the control loop).
+	telMu sync.Mutex
+	tel   fleetTelemetry
 }
 
-// fleetAgentMetrics returns the last sampled fleet-wide counter totals —
-// the scrape-time aggregation hook bound by RegisterMetrics.
-func (d *udpDriver) fleetAgentMetrics() agent.Metrics {
+// fleetTelemetry is the workers' merged telemetry at one sample barrier.
+type fleetTelemetry struct {
+	totals      agent.Metrics
+	rtt         obs.HistSnapshot
+	queueDrops  int64
+	filterDrops int64
+	queueDepth  int64
+	batch       obs.HistSnapshot
+}
+
+func newSupervisor(ctx context.Context, sc Scenario, opts UDPOptions, executor string) *supervisor {
+	slots := sc.MaxSlots()
+	adv := newAdvSchedule(sc, slots)
+	sobs := newScenarioObs(opts.Obs, opts.Timeline, opts.Logger)
+	d := &supervisor{
+		sc:       sc,
+		executor: executor,
+		opts:     opts,
+		ctx:      ctx,
+		roster:   newFleetRoster(slots),
+		// The workers rebuild the identical static Byzantine schedule from
+		// the scenario in their init message; sybil slot assignment happens
+		// in the script and rides the join commands.
+		script: newScript(sc, slots, stats.NewRNG(sc.Seed^0x666c6565742d72), adv, opts.Logger), // "fleet-r"
+		log:    newRunLog(sc, executor, NewValueProgram(sc, slots), adv, sobs),
+	}
+	sobs.bindScript(d.script)
+	d.bindObs(opts.Obs)
+	return d
+}
+
+// telemetry returns the last sampled fleet telemetry.
+func (d *supervisor) telemetry() fleetTelemetry {
 	d.telMu.Lock()
 	defer d.telMu.Unlock()
-	return d.telTotals
+	return d.tel
 }
 
 // bindObs registers the fleet aggregates on the supervisor's registry.
-// The funcs read the telemetry cache refreshed at every sample barrier,
-// so scrapes between barriers see the last consistent fleet snapshot.
-func (d *udpDriver) bindObs(reg *obs.Registry) {
+// The funcs read the telemetry refreshed at every sample barrier, so
+// scrapes between barriers see the last consistent fleet snapshot. Lie
+// and rejection counters ride the merged agent totals.
+func (d *supervisor) bindObs(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	if d.adv != nil || d.sc.Defense.JoinCap > 0 {
-		// Rebind the zero-valued adversary series newScenarioObs just
-		// registered. Lie and rejection counters ride the workers' merged
-		// agent totals, exported by RegisterMetrics below.
-		adv := d.adv
-		reg.GaugeFunc("agg_adversary_nodes", advNodesHelp, func() float64 {
-			if adv == nil {
-				return 0
-			}
-			return float64(adv.HostileCount())
-		})
-		reg.CounterFunc("agg_adversary_joins_refused_total", advRefusedHelp, func() int64 {
-			return d.joinsRefused.Load()
-		})
-	}
-	agent.RegisterMetrics(reg, d.fleetAgentMetrics)
+	agent.RegisterMetrics(reg, func() agent.Metrics { return d.telemetry().totals })
 	reg.HistogramFunc("agg_exchange_rtt_seconds",
 		"Exchange round-trip latency, initiate to reply, in seconds.",
-		func() obs.HistSnapshot {
-			d.telMu.Lock()
-			defer d.telMu.Unlock()
-			return d.telRTT
-		})
+		func() obs.HistSnapshot { return d.telemetry().rtt })
 	reg.CounterFunc("agg_transport_queue_drops_total",
 		"Datagrams dropped at full endpoint inbound queues.",
-		func() int64 {
-			d.telMu.Lock()
-			defer d.telMu.Unlock()
-			return d.telQueueDrops
-		})
+		func() int64 { return d.telemetry().queueDrops })
 	reg.CounterFunc("agg_transport_filter_drops_total",
 		"Datagrams dropped by the scripted loss/partition filter.",
-		func() int64 {
-			d.telMu.Lock()
-			defer d.telMu.Unlock()
-			return d.telFilterDrops
-		})
+		func() int64 { return d.telemetry().filterDrops })
 	reg.GaugeFunc("agg_transport_queue_depth",
 		"High watermark of the transport's internal queue depth.",
-		func() float64 {
-			d.telMu.Lock()
-			defer d.telMu.Unlock()
-			return float64(d.telQueueDepth)
-		})
+		func() float64 { return float64(d.telemetry().queueDepth) })
 	reg.HistogramFunc("agg_transport_batch_size",
 		"Datagrams moved per batched socket operation.",
-		func() obs.HistSnapshot {
-			d.telMu.Lock()
-			defer d.telMu.Unlock()
-			return d.telBatch
-		})
+		func() obs.HistSnapshot { return d.telemetry().batch })
+}
+
+// run founds the fleet, plays the script against it on the wall clock and
+// winds it down.
+func (d *supervisor) run() (*RunResult, error) {
+	if err := d.initWorkers(); err != nil {
+		return nil, err
+	}
+	anchor, err := d.startFleet()
+	if err != nil {
+		return nil, err
+	}
+
+	// Founding a large fleet takes real time, during which the nodes'
+	// wall-clock schedule has been running. Anchor scenario cycle 1 to
+	// the next epoch boundary so scripted cycles line up exactly with the
+	// fleet's epoch restarts, and derive every event/sample instant from
+	// that anchor — a free-running ticker would slowly drift into the
+	// restart edges.
+	cycleLen := d.opts.CycleLen
+	delta := time.Duration(d.sc.EpochLen) * cycleLen
+	base := anchor.Add((time.Since(anchor)/delta + 1) * delta)
+
+	if err := sleepUntil(d.ctx, base.Add(-cycleLen/2)); err != nil {
+		return nil, err
+	}
+	if err := d.sample(0); err != nil {
+		return nil, err
+	}
+	for cycle := 1; cycle <= d.sc.Cycles; cycle++ {
+		edge := base.Add(time.Duration(cycle-1) * cycleLen)
+		if err := sleepUntil(d.ctx, edge); err != nil {
+			return nil, err
+		}
+		if err := d.runCycle(cycle); err != nil {
+			return nil, err
+		}
+		// Sample halfway into the cycle: node epochs flip at the cycle
+		// edges (staggered by their random phases), and sampling during
+		// the flip would mix estimates from two epochs.
+		if err := sleepUntil(d.ctx, edge.Add(cycleLen/2)); err != nil {
+			return nil, err
+		}
+		if err := d.sample(cycle); err != nil {
+			return nil, err
+		}
+	}
+	workers := len(d.workers)
+	if err := d.shutdownWorkers(); err != nil {
+		return nil, err
+	}
+	tel := d.telemetry()
+	d.opts.Logger.Info(d.executor+" executor finished",
+		"scenario", d.sc.Name, "workers", workers,
+		"queueDrops", tel.queueDrops, "filterDrops", tel.filterDrops,
+		"decodeErrors", tel.totals.DecodeErrors)
+	return d.log.result, nil
+}
+
+// sleepUntil blocks until the wall-clock instant t or ctx cancellation.
+func sleepUntil(ctx context.Context, t time.Time) error {
+	wait := time.Until(t)
+	if wait <= 0 {
+		return ctx.Err()
+	}
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-timer.C:
+		return nil
+	}
 }
 
 // owner returns the worker index a slot lives in.
-func (d *udpDriver) owner(slot int) int { return slot % d.opts.Workers }
-
-// spawnWorkers forks the worker processes and wires their pipes.
-func (d *udpDriver) spawnWorkers() error {
-	for i := 0; i < d.opts.Workers; i++ {
-		cmd := exec.CommandContext(d.ctx, d.opts.WorkerCmd[0], d.opts.WorkerCmd[1:]...)
-		cmd.Env = append(os.Environ(), d.opts.WorkerEnv...)
-		cmd.Stderr = os.Stderr
-		stdin, err := cmd.StdinPipe()
-		if err != nil {
-			return fmt.Errorf("scenario %s: worker %d stdin: %w", d.sc.Name, i, err)
-		}
-		stdout, err := cmd.StdoutPipe()
-		if err != nil {
-			return fmt.Errorf("scenario %s: worker %d stdout: %w", d.sc.Name, i, err)
-		}
-		if err := cmd.Start(); err != nil {
-			return fmt.Errorf("scenario %s: starting worker %d (%q): %w",
-				d.sc.Name, i, d.opts.WorkerCmd[0], err)
-		}
-		p := &udpWorkerProc{
-			index: i,
-			cmd:   cmd,
-			conn:  newUDPConn(stdout, stdin),
-			stdin: stdin,
-			inbox: make(chan udpMsg, 16),
-		}
-		go func() {
-			for {
-				m, err := p.conn.recv()
-				if err != nil {
-					if err != io.EOF {
-						p.readErr = err
-					}
-					close(p.inbox)
-					return
-				}
-				p.inbox <- m
-			}
-		}()
-		// Append only fully wired handles: teardown walks d.procs on
-		// every exit path, including a failure earlier in this loop.
-		d.procs = append(d.procs, p)
-	}
-	return nil
-}
-
-// recv awaits one reply of the wanted op from a worker.
-func (d *udpDriver) recv(p *udpWorkerProc, want string) (udpMsg, error) {
-	timer := time.NewTimer(d.opts.ControlTimeout)
-	defer timer.Stop()
-	select {
-	case <-d.ctx.Done():
-		return udpMsg{}, d.ctx.Err()
-	case <-timer.C:
-		return udpMsg{}, fmt.Errorf("scenario %s: worker %d: no %s within %v",
-			d.sc.Name, p.index, want, d.opts.ControlTimeout)
-	case m, ok := <-p.inbox:
-		if !ok {
-			if p.readErr != nil {
-				return udpMsg{}, fmt.Errorf("scenario %s: worker %d: %w", d.sc.Name, p.index, p.readErr)
-			}
-			return udpMsg{}, fmt.Errorf("scenario %s: worker %d exited mid-run", d.sc.Name, p.index)
-		}
-		if m.Op == udpOpFatal {
-			return udpMsg{}, fmt.Errorf("scenario %s: worker %d failed: %s", d.sc.Name, p.index, m.Err)
-		}
-		if m.Op != want {
-			return udpMsg{}, fmt.Errorf("scenario %s: worker %d replied %q, want %q",
-				d.sc.Name, p.index, m.Op, want)
-		}
-		return m, nil
-	}
-}
+func (d *supervisor) owner(slot int) int { return slot % len(d.workers) }
 
 // broadcast sends per-worker messages and gathers one reply of the
 // wanted op from each, returning the replies indexed by worker.
-func (d *udpDriver) broadcast(msgs []udpMsg, want string) ([]udpMsg, error) {
-	for i, p := range d.procs {
-		if err := p.conn.send(msgs[i]); err != nil {
+func (d *supervisor) broadcast(msgs []udpMsg, want string) ([]udpMsg, error) {
+	for i, w := range d.workers {
+		if err := w.send(msgs[i]); err != nil {
 			return nil, fmt.Errorf("scenario %s: worker %d: %w", d.sc.Name, i, err)
 		}
 	}
-	replies := make([]udpMsg, len(d.procs))
-	for i, p := range d.procs {
-		m, err := d.recv(p, want)
-		if err != nil {
-			return nil, err
+	replies := make([]udpMsg, len(d.workers))
+	for i, w := range d.workers {
+		m, err := w.recv(d.ctx, d.opts.ControlTimeout)
+		switch {
+		case err != nil:
+			return nil, fmt.Errorf("scenario %s: worker %d: awaiting %s: %w", d.sc.Name, i, want, err)
+		case m.Op == udpOpFatal:
+			return nil, fmt.Errorf("scenario %s: worker %d failed: %s", d.sc.Name, i, m.Err)
+		case m.Op != want:
+			return nil, fmt.Errorf("scenario %s: worker %d replied %q, want %q", d.sc.Name, i, m.Op, want)
 		}
 		replies[i] = m
 	}
 	return replies, nil
 }
 
+// batch makes one message per worker from a template.
+func (d *supervisor) batch(m udpMsg) []udpMsg {
+	msgs := make([]udpMsg, len(d.workers))
+	for i := range msgs {
+		msgs[i] = m
+	}
+	return msgs
+}
+
 // initWorkers distributes the founding slot assignment and collects the
 // bound addresses.
-func (d *udpDriver) initWorkers() error {
-	msgs := make([]udpMsg, d.opts.Workers)
+func (d *supervisor) initWorkers() error {
+	msgs := d.batch(udpMsg{
+		Op:         udpOpInit,
+		Scenario:   &d.sc,
+		CacheSize:  d.opts.CacheSize,
+		CycleLenUS: d.opts.CycleLen.Microseconds(),
+		QueueLen:   d.opts.QueueLen,
+		TraceCap:   d.opts.TraceCap,
+	})
 	for i := range msgs {
-		var assigned []int
-		for slot := 0; slot < d.sc.N; slot++ {
-			if d.owner(slot) == i {
-				assigned = append(assigned, slot)
-			}
-		}
-		sc := d.sc
-		msgs[i] = udpMsg{
-			Op:         udpOpInit,
-			Scenario:   &sc,
-			Worker:     i,
-			Slots:      assigned,
-			CacheSize:  d.opts.CacheSize,
-			CycleLenUS: d.opts.CycleLen.Microseconds(),
-			QueueLen:   d.opts.QueueLen,
-			TraceCap:   d.opts.TraceCap,
-			Transport:  d.opts.Transport,
+		msgs[i].Worker = i
+		for slot := i; slot < d.sc.N; slot += len(msgs) {
+			msgs[i].Slots = append(msgs[i].Slots, slot)
 		}
 	}
 	replies, err := d.broadcast(msgs, udpOpReady)
@@ -480,12 +499,8 @@ func (d *udpDriver) initWorkers() error {
 		return err
 	}
 	for i, m := range replies {
-		for slot, addr := range m.Addrs {
-			if slot < 0 || slot >= d.sc.N || d.owner(slot) != i {
-				return fmt.Errorf("scenario %s: worker %d reported foreign slot %d", d.sc.Name, i, slot)
-			}
-			d.roster.addr[slot] = addr
-			d.roster.alive[slot] = true
+		if err := d.learnAddrs(i, m.Addrs, d.sc.N); err != nil {
+			return err
 		}
 	}
 	for slot := 0; slot < d.sc.N; slot++ {
@@ -496,100 +511,43 @@ func (d *udpDriver) initWorkers() error {
 	return nil
 }
 
-// startFleet anchors the shared schedule and starts every founding node.
-func (d *udpDriver) startFleet() (time.Time, error) {
-	bootstrap := make([]string, d.sc.N)
-	copy(bootstrap, d.roster.addr[:d.sc.N])
-	anchor := time.Now()
-	msgs := make([]udpMsg, d.opts.Workers)
-	for i := range msgs {
-		msgs[i] = udpMsg{
-			Op:             udpOpStart,
-			AnchorUnixNano: anchor.UnixNano(),
-			Bootstrap:      bootstrap,
+// learnAddrs folds the slot → address map of a ready or ack reply into
+// the roster, refusing slots the worker does not own.
+func (d *supervisor) learnAddrs(worker int, addrs map[int]string, limit int) error {
+	for slot, addr := range addrs {
+		if slot < 0 || slot >= limit || d.owner(slot) != worker {
+			return fmt.Errorf("scenario %s: worker %d reported foreign slot %d", d.sc.Name, worker, slot)
+		}
+		d.roster.addr[slot] = addr
+		d.roster.alive[slot] = true
+		if d.script.part.on {
+			if d.pendingAssign == nil {
+				d.pendingAssign = make(map[string]int)
+			}
+			d.pendingAssign[addr] = d.script.part.groupOf[slot]
 		}
 	}
+	return nil
+}
+
+// startFleet anchors the shared schedule and starts every founding node.
+func (d *supervisor) startFleet() (time.Time, error) {
+	anchor := time.Now()
+	msgs := d.batch(udpMsg{
+		Op:             udpOpStart,
+		AnchorUnixNano: anchor.UnixNano(),
+		Bootstrap:      slices.Clone(d.roster.addr[:d.sc.N]),
+	})
 	if _, err := d.broadcast(msgs, udpOpStarted); err != nil {
 		return time.Time{}, err
 	}
 	return anchor, nil
 }
 
-// runCycle builds this cycle's per-worker event commands, runs the
-// barrier, and folds reported joiner addresses back into the roster.
-func (d *udpDriver) runCycle(cycle int) error {
-	msgs := make([]udpMsg, d.opts.Workers)
-	loss := d.sc.effectiveLoss(cycle)
-	for i := range msgs {
-		msgs[i] = udpMsg{Op: udpOpCycle, Cycle: cycle, Loss: loss, Assign: d.pendingAssign}
-	}
-	d.pendingAssign = nil
-	d.pendingJoin = nil
-
-	if epoch := (cycle - 1) / d.sc.EpochLen; epoch != d.joinEpoch {
-		d.joinEpoch, d.joinsThisEpoch = epoch, 0
-	}
-	if d.part.expired(cycle) {
-		d.heal(msgs)
-	}
-	for _, ev := range d.sc.Events {
-		if !ev.activeAt(cycle, d.sc.Cycles) {
-			continue
-		}
-		switch ev.Kind {
-		case KindCrash:
-			count := ev.resolveCount(d.roster.aliveCount())
-			for k := 0; k < count && d.roster.aliveCount() > 1; k++ {
-				d.crash(msgs, d.roster.randomAlive(d.rng))
-			}
-		case KindChurn:
-			count := ev.resolveCount(d.roster.aliveCount())
-			for k := 0; k < count && d.roster.aliveCount() > 1; k++ {
-				slot := d.roster.randomAlive(d.rng)
-				d.crash(msgs, slot)
-				d.join(msgs, slot)
-				d.roster.popCrashed() // slot reused, not available for restarts
-			}
-		case KindJoin:
-			count := ev.resolveCount(d.sc.N)
-			for k := 0; k < count; k++ {
-				if !d.admitJoin() {
-					continue
-				}
-				slot, ok := d.roster.takeJoinSlot()
-				if !ok {
-					break
-				}
-				d.join(msgs, slot)
-			}
-		case KindRestart:
-			count := ev.resolveCount(d.roster.aliveCount())
-			for k := 0; k < count; k++ {
-				slot, ok := d.roster.popCrashed()
-				if !ok {
-					break
-				}
-				d.join(msgs, slot)
-			}
-		case KindPartition:
-			// Fire once at At (see the other executors): re-splitting
-			// every cycle of the window would re-randomize the components.
-			if cycle == ev.At {
-				d.partition(msgs, ev)
-			}
-		case KindHeal:
-			d.heal(msgs)
-		case KindDelay:
-			if !d.delayWarned {
-				d.delayWarned = true
-				d.opts.Logger.Warn("udp executor ignores delay events (no userspace latency injection)",
-					"scenario", d.sc.Name)
-			}
-		}
-	}
-	d.sybilJoins(cycle, msgs)
-
-	acks, err := d.broadcast(msgs, udpOpAck)
+// runCycle scripts this cycle's command batch, runs the barrier, and
+// folds reported joiner addresses back into the roster.
+func (d *supervisor) runCycle(cycle int) error {
+	acks, err := d.broadcast(d.plan(cycle, d), udpOpAck)
 	if err != nil {
 		return err
 	}
@@ -598,64 +556,79 @@ func (d *udpDriver) runCycle(cycle int) error {
 			return fmt.Errorf("scenario %s: worker %d acked cycle %d, want %d",
 				d.sc.Name, i, ack.Cycle, cycle)
 		}
-		for slot, addr := range ack.Addrs {
-			if slot < 0 || slot >= len(d.roster.alive) || d.owner(slot) != i {
-				return fmt.Errorf("scenario %s: worker %d reported foreign joiner slot %d",
-					d.sc.Name, i, slot)
-			}
-			d.roster.addr[slot] = addr
-			if d.part.on {
-				if d.pendingAssign == nil {
-					d.pendingAssign = make(map[string]int)
-				}
-				d.pendingAssign[addr] = d.part.groupOf[slot]
-			}
+		if err := d.learnAddrs(i, ack.Addrs, len(d.roster.alive)); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
+// plan lets the script act for one cycle on f — the supervisor itself,
+// or a test's recorder in front of it — and returns the resulting command
+// batch.
+func (d *supervisor) plan(cycle int, f fleet) []udpMsg {
+	d.msgs = d.batch(udpMsg{Op: udpOpCycle, Cycle: cycle, Assign: d.pendingAssign})
+	d.pendingAssign = nil
+	d.pendingJoin = nil
+	d.script.step(cycle, f)
+	return d.msgs
+}
+
+func (d *supervisor) aliveCount() int { return d.roster.aliveCount() }
+func (d *supervisor) pickAlive() int  { return d.roster.randomAlive(d.script.rng) }
+
+func (d *supervisor) setLoss(p float64) {
+	for i := range d.msgs {
+		d.msgs[i].Loss = p
+	}
+}
+
+func (d *supervisor) setDelay(min, max time.Duration) bool {
+	if !d.canDelay {
+		return false
+	}
+	for i := range d.msgs {
+		d.msgs[i].DelayMinMs = int(min / time.Millisecond)
+		d.msgs[i].DelayMaxMs = int(max / time.Millisecond)
+	}
+	return true
+}
+
 // crash marks a slot dead and routes the stop command to its worker. A
 // slot whose join was commanded earlier in the same cycle has no node on
 // the worker yet, so the join is cancelled instead — the net effect
-// (nothing running, slot available for restart) matches the other
-// executors' sequential join-then-crash.
-func (d *udpDriver) crash(msgs []udpMsg, slot int) {
-	if !d.roster.alive[slot] {
-		return
-	}
-	d.roster.markCrashed(slot)
+// (nothing running, slot available for restart) matches the simulator's
+// sequential join-then-crash.
+func (d *supervisor) crash(slot int) {
+	d.roster.alive[slot] = false
 	w := d.owner(slot)
 	if d.pendingJoin[slot] {
 		delete(d.pendingJoin, slot)
-		joins := msgs[w].Joins
+		joins := d.msgs[w].Joins
 		for i := range joins {
 			if joins[i].Slot == slot {
-				msgs[w].Joins = append(joins[:i], joins[i+1:]...)
+				d.msgs[w].Joins = append(joins[:i], joins[i+1:]...)
 				break
 			}
 		}
 		return
 	}
-	msgs[w].Crash = append(msgs[w].Crash, slot)
+	d.msgs[w].Crash = append(d.msgs[w].Crash, slot)
 }
 
-// join routes a fresh-identity start command to the slot's worker. The
+// joinAs routes a fresh-identity start command to the slot's worker. The
 // new node performs the §4.2 join against live seed contacts; while a
-// partition is active it lands in the slot's component.
-func (d *udpDriver) join(msgs []udpMsg, slot int) { d.joinAs(msgs, slot, -1) }
-
-// joinAs is join with an optional controlling adversary: sybil >= 0
-// marks the joiner attacker-controlled on both the supervisor's
-// schedule and, via the join command, the owning worker's.
-func (d *udpDriver) joinAs(msgs []udpMsg, slot, sybil int) {
+// partition is active it lands in the slot's component. A sybil joiner's
+// controlling adversary rides the command, so the owning worker marks the
+// slot on its schedule too.
+func (d *supervisor) joinAs(slot, sybil int) {
 	group := -1
-	if d.part.on {
-		group = d.part.groupOf[slot]
+	if d.script.part.on {
+		group = d.script.part.groupOf[slot]
 	}
 	w := d.owner(slot)
-	msgs[w].Joins = append(msgs[w].Joins, udpJoin{
-		Slot: slot, Seeds: d.roster.seedAddrs(d.rng, 3), Group: group, Sybil: sybil + 1,
+	d.msgs[w].Joins = append(d.msgs[w].Joins, udpJoin{
+		Slot: slot, Seeds: d.roster.seedAddrs(d.script.rng, 3), Group: group, Sybil: sybil + 1,
 	})
 	if d.pendingJoin == nil {
 		d.pendingJoin = make(map[int]bool)
@@ -667,186 +640,98 @@ func (d *udpDriver) joinAs(msgs []udpMsg, slot, sybil int) {
 	d.roster.addr[slot] = ""
 }
 
-// admitJoin applies the defense's epoch-scoped join cap. The cap cannot
-// tell an honest joiner from an attacker: both draw from one budget.
-func (d *udpDriver) admitJoin() bool {
-	if cap := d.sc.Defense.JoinCap; cap > 0 && d.joinsThisEpoch >= cap {
-		d.joinsRefused.Add(1)
-		return false
-	}
-	d.joinsThisEpoch++
-	return true
-}
-
-// sybilJoins routes the active sybil-flood attackers' joiners for the
-// cycle to their owning workers, subject to the same epoch join cap as
-// honest joins.
-func (d *udpDriver) sybilJoins(cycle int, msgs []udpMsg) {
-	if d.adv == nil {
-		return
-	}
-	for ai, a := range d.sc.Adversaries {
-		if a.Behavior != BehaviorSybilFlood || !a.activeAt(cycle, d.sc.Cycles) {
-			continue
-		}
-		for k := 0; k < a.Rate; k++ {
-			if !d.admitJoin() {
-				continue
-			}
-			slot, ok := d.roster.takeJoinSlot()
-			if !ok {
-				return
-			}
-			d.adv.markSybil(slot, ai)
-			d.joinAs(msgs, slot, ai)
-		}
-	}
-}
-
-// partition splits the fleet: every slot gets a component, and the
-// addr → group map is broadcast so every worker's filter drops
-// cross-component datagrams on both the send and the receive path.
-func (d *udpDriver) partition(msgs []udpMsg, ev Event) {
-	d.part.activate(partitionComponents(d.rng, len(d.roster.alive), ev.Groups), ev.Until)
+// split broadcasts the addr → component map, so every worker's network
+// drops cross-component datagrams on both the send and the receive path.
+func (d *supervisor) split(groupOf []int) {
 	groups := make(map[string]int, len(d.roster.alive))
 	for _, slot := range d.roster.liveSlots() {
 		if d.roster.addr[slot] != "" {
-			groups[d.roster.addr[slot]] = d.part.groupOf[slot]
+			groups[d.roster.addr[slot]] = groupOf[slot]
 		}
 	}
-	for i := range msgs {
-		msgs[i].Groups = groups
+	for i := range d.msgs {
+		d.msgs[i].Groups = groups
 	}
 }
 
-// heal clears the partition on every worker and routes the rendezvous
+// heal clears the partition on every worker — joins commanded earlier in
+// the cycle land in no component after all — and routes the rendezvous
 // refresh (see bridgeContacts) to the bridge slots' owners.
-func (d *udpDriver) heal(msgs []udpMsg) {
-	wasOn := d.part.clear()
-	for i := range msgs {
-		msgs[i].Heal = true
-		msgs[i].Groups = nil
+func (d *supervisor) heal(groupOf []int, wasActive bool) {
+	for i := range d.msgs {
+		d.msgs[i].Heal = true
+		d.msgs[i].Groups = nil
+		for j := range d.msgs[i].Joins {
+			d.msgs[i].Joins[j].Group = -1
+		}
 	}
-	d.pendingAssign = nil
-	if !wasOn {
+	if !wasActive {
 		return
 	}
-	for _, bc := range bridgeContacts(d.rng, d.roster, d.part.groupOf) {
+	for _, bc := range bridgeContacts(d.script.rng, d.roster, groupOf) {
 		w := d.owner(bc.slot)
-		msgs[w].Contacts = append(msgs[w].Contacts, udpContacts{Slot: bc.slot, Addrs: bc.addrs})
+		d.msgs[w].Contacts = append(d.msgs[w].Contacts, udpContacts{Slot: bc.slot, Addrs: bc.addrs})
 	}
 }
 
 // sample gathers the workers' partial aggregates into one metrics row.
-func (d *udpDriver) sample(cycle int) (CycleMetrics, error) {
-	msgs := make([]udpMsg, d.opts.Workers)
-	for i := range msgs {
-		msgs[i] = udpMsg{Op: udpOpSample, Cycle: cycle}
-	}
-	replies, err := d.broadcast(msgs, udpOpMetrics)
+func (d *supervisor) sample(cycle int) error {
+	replies, err := d.broadcast(d.batch(udpMsg{Op: udpOpSample, Cycle: cycle}), udpOpMetrics)
 	if err != nil {
-		return CycleMetrics{}, err
+		return err
 	}
 	d.mergeTraces(replies)
-	var alive, participating, estN int
-	var estSum, estSumSq float64
-	var messages, queueDrops, filterDrops, queueDepth int64
-	var totals agent.Metrics
-	var rtt, batch obs.HistSnapshot
+	var alive, participating int
+	var est stats.Moments
+	var tel fleetTelemetry
 	for _, m := range replies {
 		alive += m.Alive
 		participating += m.Participating
-		estN += m.EstN
-		estSum += m.EstSum
-		estSumSq += m.EstSumSq
-		messages += m.Messages
-		queueDrops += m.QueueDrops
-		filterDrops += m.FilterDrops
-		if m.TransportQueueDepth > queueDepth {
-			queueDepth = m.TransportQueueDepth
-		}
+		est.Merge(m.Est)
+		tel.queueDrops += m.QueueDrops
+		tel.filterDrops += m.FilterDrops
+		tel.queueDepth = max(tel.queueDepth, m.TransportQueueDepth)
 		if m.AgentTotals != nil {
-			totals.Accumulate(*m.AgentTotals)
+			tel.totals.Accumulate(*m.AgentTotals)
 		}
-		if m.RTTHist != nil {
-			if rtt.Counts == nil {
-				rtt = *m.RTTHist
-			} else {
-				rtt = rtt.Merge(*m.RTTHist)
-			}
-		}
-		if m.BatchHist != nil {
-			if batch.Counts == nil {
-				batch = *m.BatchHist
-			} else {
-				batch = batch.Merge(*m.BatchHist)
-			}
-		}
+		tel.rtt = mergeHist(tel.rtt, m.RTTHist)
+		tel.batch = mergeHist(tel.batch, m.BatchHist)
 	}
-	d.lastQueueDrops, d.lastFilterDrops = queueDrops, filterDrops
-	d.lastDecodeErrors = totals.DecodeErrors
 	d.telMu.Lock()
-	d.telTotals, d.telRTT = totals, rtt
-	d.telQueueDrops, d.telFilterDrops = queueDrops, filterDrops
-	d.telQueueDepth, d.telBatch = queueDepth, batch
+	d.tel = tel
 	d.telMu.Unlock()
 	if alive != d.roster.aliveCount() {
-		d.opts.Logger.Warn("udp executor: worker fleet drifted from script state",
+		d.opts.Logger.Warn(d.executor+" executor: worker fleet drifted from script state",
 			"cycle", cycle, "workersAlive", alive, "scriptAlive", d.roster.aliveCount())
 	}
+	d.log.record(cycle, alive, participating, est,
+		func(slot int) bool { return d.roster.alive[slot] },
+		protoTotals{
+			Initiated: tel.totals.ExchangesInitiated,
+			Completed: tel.totals.ExchangesCompleted,
+			Timeouts:  tel.totals.Timeouts,
+			Declined:  tel.totals.PeerDeclined,
+			Drops:     tel.queueDrops + tel.filterDrops,
+		})
+	return nil
+}
 
-	// Under an adversary the truth covers the honest population only,
-	// matching the other executors (the workers filter the estimate
-	// moments the same way); hostile slots still count as alive.
-	var truth stats.Moments
-	for _, slot := range d.roster.liveSlots() {
-		if d.adv != nil && d.adv.hostile(slot) {
-			continue
-		}
-		truth.Add(d.prog.Value(slot, cycle))
+// mergeHist folds one worker's histogram snapshot (nil: none) into acc.
+func mergeHist(acc obs.HistSnapshot, h *obs.HistSnapshot) obs.HistSnapshot {
+	switch {
+	case h == nil:
+		return acc
+	case acc.Counts == nil:
+		return *h
 	}
-	var estMean, estStd float64
-	if estN > 0 {
-		estMean = estSum / float64(estN)
-		if estN > 1 {
-			variance := (estSumSq - estSum*estSum/float64(estN)) / float64(estN-1)
-			if variance > 0 {
-				estStd = math.Sqrt(variance)
-			}
-		}
-	}
-	epoch := 0
-	if cycle > 0 {
-		epoch = (cycle - 1) / d.sc.EpochLen
-	}
-	prev := d.prevMessages
-	d.prevMessages = messages
-	row := CycleMetrics{
-		Cycle:          cycle,
-		Epoch:          epoch,
-		Alive:          alive,
-		Participating:  participating,
-		TrueMean:       truth.Mean(),
-		MeanEstimate:   estMean,
-		EstimateStdDev: estStd,
-		RelError:       relError(estMean, truth.Mean()),
-		Messages:       messages - prev,
-	}
-	d.sobs.observe(row, protoTotals{
-		Initiated: totals.ExchangesInitiated,
-		Completed: totals.ExchangesCompleted,
-		Timeouts:  totals.Timeouts,
-		Declined:  totals.PeerDeclined,
-		Drops:     queueDrops + filterDrops,
-	})
-	return row, nil
+	return acc.Merge(*h)
 }
 
 // mergeTraces folds the workers' exchange-trace increments into the
 // supervisor's fleet-wide ring. Events keep their worker-side
 // timestamps — all workers run on this machine's clock — so the merged
 // ring stitches cross-process spans exactly like a single-process one.
-func (d *udpDriver) mergeTraces(replies []udpMsg) {
+func (d *supervisor) mergeTraces(replies []udpMsg) {
 	if d.opts.Trace == nil {
 		return
 	}
@@ -858,42 +743,28 @@ func (d *udpDriver) mergeTraces(replies []udpMsg) {
 }
 
 // shutdownWorkers winds the fleet down cleanly: shutdown/bye handshake,
-// then process exit.
-func (d *udpDriver) shutdownWorkers() error {
-	msgs := make([]udpMsg, d.opts.Workers)
-	for i := range msgs {
-		msgs[i] = udpMsg{Op: udpOpShutdown}
-	}
-	replies, err := d.broadcast(msgs, udpOpBye)
+// then worker exit.
+func (d *supervisor) shutdownWorkers() error {
+	replies, err := d.broadcast(d.batch(udpMsg{Op: udpOpShutdown}), udpOpBye)
 	if err != nil {
 		return err
 	}
 	d.mergeTraces(replies)
 	var firstErr error
-	for _, p := range d.procs {
-		_ = p.stdin.Close()
-		if err := p.cmd.Wait(); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("scenario %s: worker %d exit: %w", d.sc.Name, p.index, err)
+	for i, w := range d.workers {
+		if err := w.release(true); err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("scenario %s: worker %d %w", d.sc.Name, i, err)
 		}
 	}
-	d.procs = nil
+	d.workers = nil
 	return firstErr
 }
 
-// teardown force-kills any workers still running (error paths; the happy
-// path already waited in shutdownWorkers).
-func (d *udpDriver) teardown() {
-	for _, p := range d.procs {
-		_ = p.stdin.Close()
-		if p.cmd.Process != nil {
-			_ = p.cmd.Process.Kill()
-		}
+// teardown stops by force any workers still held (error paths; the happy
+// path already released them in shutdownWorkers).
+func (d *supervisor) teardown() {
+	for _, w := range d.workers {
+		_ = w.release(false)
 	}
-	for _, p := range d.procs {
-		// Drain the pump goroutine so it can exit, then reap the process.
-		for range p.inbox {
-		}
-		_ = p.cmd.Wait()
-	}
-	d.procs = nil
+	d.workers = nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -41,32 +42,91 @@ func udpTestOptions(workers int) UDPOptions {
 }
 
 // TestUDPWorkerProtocolHandshake drives one worker through the whole
-// control conversation in-process (pipes instead of a fork), pinning the
-// protocol: init/ready with one endpoint per slot, start/started,
-// cycle/ack barriers, sample/metrics aggregates and shutdown/bye.
+// control conversation, pinning the protocol: init/ready with one
+// endpoint per slot, start/started, cycle/ack barriers, sample/metrics
+// aggregates and shutdown/bye. The same conversation runs against both
+// ways a supervisor holds a worker — JSON lines over pipes to a worker on
+// a UDP mux (in-process here, instead of a fork), and direct calls to a
+// worker on the in-memory network — and the replies must have the same
+// shape on both.
 func TestUDPWorkerProtocolHandshake(t *testing.T) {
-	supRead, workerWrite := io.Pipe()
-	workerRead, supWrite := io.Pipe()
-	workerDone := make(chan error, 1)
-	go func() { workerDone <- RunUDPWorker(workerRead, workerWrite) }()
-	conn := newUDPConn(supRead, supWrite)
+	shapes := make(map[string][]string)
+	for _, tc := range []struct {
+		name string
+		open func(t *testing.T) (call func(udpMsg) (udpMsg, error), done func())
+	}{
+		{"pipes+mux", func(t *testing.T) (func(udpMsg) (udpMsg, error), func()) {
+			supRead, workerWrite := io.Pipe()
+			workerRead, supWrite := io.Pipe()
+			workerDone := make(chan error, 1)
+			go func() { workerDone <- RunUDPWorker(workerRead, workerWrite) }()
+			conn := newUDPConn(supRead, supWrite)
+			call := func(m udpMsg) (udpMsg, error) {
+				if err := conn.send(m); err != nil {
+					return udpMsg{}, err
+				}
+				return conn.recv()
+			}
+			return call, func() {
+				supWrite.Close()
+				select {
+				case err := <-workerDone:
+					if err != nil {
+						t.Fatalf("worker exited with %v", err)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatal("worker did not exit after shutdown")
+				}
+			}
+		}},
+		{"direct+mem", func(t *testing.T) (func(udpMsg) (udpMsg, error), func()) {
+			h := &localWorker{w: newUDPWorker(newMemNet)}
+			call := func(m udpMsg) (udpMsg, error) {
+				if err := h.send(m); err != nil {
+					return udpMsg{}, err
+				}
+				return h.recv(context.Background(), time.Second)
+			}
+			return call, func() {
+				if err := h.release(true); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			call, done := tc.open(t)
+			shapes[tc.name] = workerConversation(t, call)
+			done()
+		})
+	}
+	if a, b := shapes["pipes+mux"], shapes["direct+mem"]; !slices.Equal(a, b) {
+		t.Fatalf("reply shapes differ between the worker handles:\n pipes+mux:  %q\n direct+mem: %q", a, b)
+	}
+}
 
-	sc := Scenario{Name: "proto", N: 4, Cycles: 4, EpochLen: 2, Seed: 3}.WithDefaults()
+// workerConversation plays the supervisor's side of a four-founder run
+// and returns the shape of every reply.
+func workerConversation(t *testing.T, call func(udpMsg) (udpMsg, error)) []string {
+	var shapes []string
 	send := func(m udpMsg) udpMsg {
 		t.Helper()
-		if err := conn.send(m); err != nil {
-			t.Fatalf("send %s: %v", m.Op, err)
-		}
-		reply, err := conn.recv()
+		reply, err := call(m)
 		if err != nil {
 			t.Fatalf("reply to %s: %v", m.Op, err)
 		}
 		if reply.Op == udpOpFatal {
 			t.Fatalf("worker failed on %s: %s", m.Op, reply.Err)
 		}
+		// Participation and estimate counts depend on where the wall clock
+		// stands in the epoch; they are asserted below where they are fixed.
+		shapes = append(shapes, fmt.Sprintf("%s cycle=%d addrs=%d alive=%d totals=%t rtt=%t batch=%t trace=%d",
+			reply.Op, reply.Cycle, len(reply.Addrs), reply.Alive,
+			reply.AgentTotals != nil, reply.RTTHist != nil, reply.BatchHist != nil, len(reply.Trace)))
 		return reply
 	}
 
+	sc := Scenario{Name: "proto", N: 4, Cycles: 4, EpochLen: 2, Seed: 3}.WithDefaults()
 	ready := send(udpMsg{
 		Op: udpOpInit, Scenario: &sc, Worker: 0,
 		Slots: []int{0, 1, 2, 3}, CacheSize: 8, CycleLenUS: 20000, QueueLen: 64,
@@ -97,8 +157,17 @@ func TestUDPWorkerProtocolHandshake(t *testing.T) {
 	if metrics.Op != udpOpMetrics || metrics.Alive != 4 {
 		t.Fatalf("metrics = %+v, want 4 alive", metrics)
 	}
-	if metrics.Participating != 4 || metrics.EstN != 4 {
+	if metrics.Participating != 4 || metrics.Est.N() != 4 {
 		t.Fatalf("metrics = %+v, want 4 participating founders with estimates", metrics)
+	}
+	// The estimate partial is a full accumulator: founders draw uniform
+	// values in [0, 100), so after at most one exchange each the four
+	// estimates still spread, and the extremes bracket the mean.
+	if est := metrics.Est; est.Min() > est.Mean() || est.Max() < est.Mean() || est.Variance() < 0 {
+		t.Fatalf("estimate moments inconsistent: %+v", est)
+	}
+	if metrics.AgentTotals == nil || metrics.RTTHist == nil || metrics.BatchHist == nil {
+		t.Fatalf("metrics = %+v, want agent totals and RTT / batch histograms", metrics)
 	}
 
 	// Crash one node, join a fresh identity on a new slot: the ack must
@@ -120,15 +189,7 @@ func TestUDPWorkerProtocolHandshake(t *testing.T) {
 	if bye.Op != udpOpBye {
 		t.Fatalf("bye = %+v", bye)
 	}
-	supWrite.Close()
-	select {
-	case err := <-workerDone:
-		if err != nil {
-			t.Fatalf("worker exited with %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("worker did not exit after shutdown")
-	}
+	return shapes
 }
 
 // TestUDPSpawnFailure pins the error path when a worker binary cannot be

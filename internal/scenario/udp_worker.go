@@ -17,6 +17,13 @@ import (
 	"antientropy/internal/transport"
 )
 
+// A worker hosts one slice of a scenario fleet: real agent nodes on real
+// endpoints, built, crashed, joined, sampled and stopped by the commands
+// of a supervisor (see udp_proto.go). The same worker serves both fleet
+// executors; what differs is where it lives and what network its
+// endpoints attach to — a forked process on a shared UDP mux for udp, a
+// value in the supervisor's process on an in-memory network for live.
+
 // RunUDPWorker is the worker half of the UDP multi-process executor: it
 // runs one fleet slice of live agent nodes on real UDP endpoints, driven
 // by a supervisor (RunUDP) over the line-delimited JSON control channel
@@ -28,13 +35,11 @@ import (
 // binary cannot be re-executed with that flag point UDPOptions.WorkerCmd
 // at any program that calls this function.
 func RunUDPWorker(in io.Reader, out io.Writer) error {
-	w := &udpWorker{
-		conn:  newUDPConn(in, out),
-		nodes: make(map[int]*udpWorkerSlot),
-	}
+	w := newUDPWorker(newSocketNet)
+	conn := newUDPConn(in, out)
 	defer w.stopAll()
 	for {
-		msg, err := w.conn.recv()
+		msg, err := conn.recv()
 		if err != nil {
 			if err == io.EOF {
 				// Supervisor went away: wind the fleet slice down quietly.
@@ -44,10 +49,10 @@ func RunUDPWorker(in io.Reader, out io.Writer) error {
 		}
 		reply, err := w.handle(msg)
 		if err != nil {
-			_ = w.conn.send(udpMsg{Op: udpOpFatal, Err: err.Error()})
+			_ = conn.send(udpMsg{Op: udpOpFatal, Err: err.Error()})
 			return err
 		}
-		if err := w.conn.send(reply); err != nil {
+		if err := conn.send(reply); err != nil {
 			return err
 		}
 		if reply.Op == udpOpBye {
@@ -56,34 +61,104 @@ func RunUDPWorker(in io.Reader, out io.Writer) error {
 	}
 }
 
-// nodeEndpoint is the transport attachment a worker slot runs on: either
-// a dedicated UDP socket (*transport.UDPEndpoint, the legacy baseline) or
-// a virtual endpoint of the worker's shared mux (*transport.MuxEndpoint).
+// nodeEndpoint is the transport attachment a worker slot runs on.
 type nodeEndpoint interface {
 	transport.Endpoint
 	QueueDrops() int64
 	FilterDrops() int64
 }
 
+// fleetNet is the network a worker's endpoints attach to, with the fault
+// injection the supervisor scripts. transport.MemNetwork and the pair
+// transport.UDPMux + transport.UDPFilter already offer the drop rules and
+// the telemetry under the same names; the adapters below add what
+// differs.
+type fleetNet interface {
+	SetLoss(p float64)
+	PartitionGroups(groups map[string]int)
+	AssignGroup(addr string, group int)
+	HealGroups()
+	QueueDepthHighWatermark() int64
+	BatchSizes() obs.HistSnapshot
+
+	endpoint() (nodeEndpoint, error)
+	// setLatency sets the one-way delivery delay bounds where the network
+	// can inject one; the supervisor knows which fleets can.
+	setLatency(min, max time.Duration)
+	close()
+}
+
+// socketNet is a worker process's network: one shared batched UDP mux on
+// loopback, every endpoint behind one filter carrying the scripted drop
+// rules — the userspace stand-in for the iptables rules a privileged
+// supervisor would install. It cannot delay a datagram.
+type socketNet struct {
+	*transport.UDPMux
+	*transport.UDPFilter
+}
+
+func newSocketNet(sc Scenario, worker, queueLen int) (fleetNet, error) {
+	mux, err := transport.NewUDPMux(transport.UDPMuxConfig{QueueLen: queueLen})
+	if err != nil {
+		return nil, err
+	}
+	filter := transport.NewUDPFilter(int64(sc.Seed) + int64(worker) + 2)
+	mux.SetFilter(filter)
+	return socketNet{mux, filter}, nil
+}
+
+func (n socketNet) endpoint() (nodeEndpoint, error) {
+	ep, err := n.UDPMux.Endpoint()
+	if err != nil {
+		return nil, err
+	}
+	return ep, nil
+}
+func (n socketNet) setLatency(_, _ time.Duration) {}
+func (n socketNet) close()                        { _ = n.UDPMux.Close() }
+
+// memNet is the in-process worker's network: the in-memory transport,
+// which loses, partitions and delays datagrams itself.
+type memNet struct{ *transport.MemNetwork }
+
+func newMemNet(sc Scenario, _, queueLen int) (fleetNet, error) {
+	return memNet{transport.NewMemNetwork(transport.MemNetworkConfig{
+		Seed: int64(sc.Seed) + 1, QueueLen: queueLen,
+	})}, nil
+}
+
+func (n memNet) endpoint() (nodeEndpoint, error)   { return memEndpoint{n.MemNetwork.Endpoint()}, nil }
+func (n memNet) setLatency(min, max time.Duration) { n.SetLatency(min, max) }
+func (n memNet) close()                            { n.Close() }
+
+// memEndpoint reports an in-memory endpoint's drops in the shape the UDP
+// endpoints do. The network's own losses happen before any endpoint sees
+// the datagram and are not attributed to one.
+type memEndpoint struct{ *transport.MemEndpoint }
+
+func (e memEndpoint) QueueDrops() int64  { return int64(e.Dropped()) }
+func (e memEndpoint) FilterDrops() int64 { return 0 }
+
 // udpWorkerSlot is one live node of this worker's fleet slice.
 type udpWorkerSlot struct {
 	node *agent.Node
 	ep   nodeEndpoint
-	addr string
 }
 
 // udpWorker executes control messages against its slice of the fleet.
 type udpWorker struct {
-	conn *udpConn
-
 	sc        Scenario
 	prog      *ValueProgram
 	index     int
 	cacheSize int
-	queueLen  int
 	cycleLen  time.Duration
 	sched     core.Schedule
-	transport string
+
+	// newNet builds net, the slice's network, once the init message has
+	// named the scenario; logger receives the nodes' debug events.
+	newNet func(sc Scenario, worker, queueLen int) (fleetNet, error)
+	net    fleetNet
+	logger *slog.Logger
 
 	// cycleNow is the supervisor's cycle clock, advanced by every cycle
 	// message; node Value suppliers read it so epoch restarts sample the
@@ -92,29 +167,25 @@ type udpWorker struct {
 
 	// adv is the worker's copy of the run's Byzantine plan, rebuilt from
 	// the scenario in the init message — a pure function of the seed, so
-	// it matches the supervisor's and the other executors' schedules.
-	// Sybil slot assignment arrives on the join commands. advStale and
-	// combiner mirror liveDriver's.
+	// it matches the supervisor's and the simulator's. Sybil slot
+	// assignment arrives on the join commands. advStale carries the
+	// replay-stale attackers' lagged snapshots from the per-node output
+	// subscriptions to the wire hooks; combiner is the defense's merge
+	// policy handed to every node.
 	adv      *advSchedule
 	advStale []liveStaleState
 	combiner core.Combiner
 
-	// filter carries the supervisor's scripted drop rules; every endpoint
-	// of this worker shares it.
-	filter *transport.UDPFilter
-
-	// mux is the worker's shared batched datagram layer: all slots of the
-	// slice attach as virtual endpoints on a small fixed socket set (see
-	// transport.UDPMux). Nil in the legacy per-socket transport mode,
-	// where every slot binds its own UDP socket.
-	mux *transport.UDPMux
-
 	// rtt is the worker-wide exchange round-trip histogram every node of
-	// this slice feeds; trace is the optional shared exchange trace ring
-	// (nil unless the supervisor sent a TraceCap). traceCursor marks how
-	// far the supervisor has drained the ring (see TraceRing.EventsSince).
+	// this slice feeds. trace is the ring the nodes record exchange events
+	// into (nil: tracing off); drain is that ring when the supervisor has
+	// to fetch it over the control channel — a worker process's own ring,
+	// made on a TraceCap — and nil for the in-process worker, whose nodes
+	// record straight into the caller's ring. traceCursor marks how far
+	// the supervisor has drained (see TraceRing.EventsSince).
 	rtt         *obs.Histogram
 	trace       *obs.TraceRing
+	drain       *obs.TraceRing
 	traceCursor uint64
 
 	nodes map[int]*udpWorkerSlot
@@ -129,6 +200,14 @@ type udpWorker struct {
 	cancel   context.CancelFunc
 	stopping sync.WaitGroup
 	stopped  bool
+}
+
+func newUDPWorker(newNet func(Scenario, int, int) (fleetNet, error)) *udpWorker {
+	return &udpWorker{
+		newNet: newNet,
+		logger: slog.New(slog.DiscardHandler),
+		nodes:  make(map[int]*udpWorkerSlot),
+	}
 }
 
 // handle dispatches one control message and builds the reply.
@@ -148,17 +227,18 @@ func (w *udpWorker) handle(msg udpMsg) (udpMsg, error) {
 		// so the supervisor's merged ring sees the run's final cycles.
 		w.stopAll()
 		bye := udpMsg{Op: udpOpBye}
-		bye.Trace, w.traceCursor = w.trace.EventsSince(w.traceCursor)
+		bye.Trace, w.traceCursor = w.drain.EventsSince(w.traceCursor)
 		return bye, nil
 	default:
-		return udpMsg{}, fmt.Errorf("udp worker: unexpected op %q", msg.Op)
+		return udpMsg{}, fmt.Errorf("worker: unexpected op %q", msg.Op)
 	}
 }
 
-// handleInit binds one UDP endpoint per assigned founding slot.
+// handleInit builds the slice's network and binds one endpoint per
+// assigned founding slot.
 func (w *udpWorker) handleInit(msg udpMsg) (udpMsg, error) {
 	if msg.Scenario == nil {
-		return udpMsg{}, fmt.Errorf("udp worker: init without scenario")
+		return udpMsg{}, fmt.Errorf("worker: init without scenario")
 	}
 	w.sc = msg.Scenario.WithDefaults()
 	if err := w.sc.Validate(); err != nil {
@@ -166,10 +246,9 @@ func (w *udpWorker) handleInit(msg udpMsg) (udpMsg, error) {
 	}
 	w.index = msg.Worker
 	w.cacheSize = msg.CacheSize
-	w.queueLen = msg.QueueLen
 	w.cycleLen = time.Duration(msg.CycleLenUS) * time.Microsecond
 	if w.cycleLen <= 0 {
-		return udpMsg{}, fmt.Errorf("udp worker: non-positive cycle length")
+		return udpMsg{}, fmt.Errorf("worker: non-positive cycle length")
 	}
 	w.prog = NewValueProgram(w.sc, w.sc.MaxSlots())
 	w.adv = newAdvSchedule(w.sc, w.sc.MaxSlots())
@@ -181,51 +260,30 @@ func (w *udpWorker) handleInit(msg udpMsg) (udpMsg, error) {
 	}
 	w.rtt = obs.NewHistogram(obs.RTTBuckets)
 	if msg.TraceCap > 0 {
-		w.trace = obs.NewTraceRing(msg.TraceCap)
+		w.drain = obs.NewTraceRing(msg.TraceCap)
+		w.trace = w.drain
 	}
-	w.filter = transport.NewUDPFilter(int64(w.sc.Seed) + int64(w.index) + 2)
-	// The baseline loss applies from the founding on, exactly as the
-	// other executors do; loss bursts override it cycle by cycle.
-	w.filter.SetLoss(w.sc.MessageLoss)
 	w.ctx, w.cancel = context.WithCancel(context.Background())
 
-	w.transport = msg.Transport
-	if w.transport == "" {
-		w.transport = udpTransportMux
+	net, err := w.newNet(w.sc, w.index, msg.QueueLen)
+	if err != nil {
+		return udpMsg{}, fmt.Errorf("worker %d: network: %w", w.index, err)
 	}
-	if w.transport == udpTransportMux {
-		mux, err := transport.NewUDPMux(transport.UDPMuxConfig{QueueLen: w.queueLen})
-		if err != nil {
-			return udpMsg{}, fmt.Errorf("udp worker %d: mux: %w", w.index, err)
-		}
-		mux.SetFilter(w.filter)
-		w.mux = mux
-	}
+	w.net = net
+	// The baseline loss applies from the founding on, exactly as in the
+	// simulator; loss bursts override it cycle by cycle.
+	w.net.SetLoss(w.sc.MessageLoss)
 
 	addrs := make(map[int]string, len(msg.Slots))
 	for _, slot := range msg.Slots {
-		ep, err := w.newEndpoint()
+		ep, err := w.net.endpoint()
 		if err != nil {
-			return udpMsg{}, fmt.Errorf("udp worker %d: slot %d: %w", w.index, slot, err)
+			return udpMsg{}, fmt.Errorf("worker %d: slot %d: %w", w.index, slot, err)
 		}
-		w.nodes[slot] = &udpWorkerSlot{ep: ep, addr: ep.Addr()}
+		w.nodes[slot] = &udpWorkerSlot{ep: ep}
 		addrs[slot] = ep.Addr()
 	}
 	return udpMsg{Op: udpOpReady, Addrs: addrs}, nil
-}
-
-// newEndpoint attaches one slot to the network in the worker's transport
-// mode: a virtual endpoint on the shared mux, or a dedicated socket.
-func (w *udpWorker) newEndpoint() (nodeEndpoint, error) {
-	if w.mux != nil {
-		return w.mux.Endpoint()
-	}
-	ep, err := transport.ListenUDP("127.0.0.1:0", w.queueLen)
-	if err != nil {
-		return nil, err
-	}
-	ep.SetFilter(w.filter)
-	return ep, nil
 }
 
 // sortedSlots returns the live slot indices in ascending order, so every
@@ -260,7 +318,7 @@ func (w *udpWorker) handleStart(msg udpMsg) (udpMsg, error) {
 	}
 	for _, slot := range slots {
 		if err := w.nodes[slot].node.Start(w.ctx); err != nil {
-			return udpMsg{}, fmt.Errorf("udp worker %d: starting node %d: %w", w.index, slot, err)
+			return udpMsg{}, fmt.Errorf("worker %d: starting node %d: %w", w.index, slot, err)
 		}
 	}
 	return udpMsg{Op: udpOpStarted}, nil
@@ -292,8 +350,10 @@ func bootstrapSubset(all []string, seed uint64, slot, cacheSize int) []string {
 	return out
 }
 
-// newNode builds (but does not start) the agent for a slot, mirroring the
-// live-mem executor's construction so the two fleets are comparable.
+// newNode builds (but does not start) the agent for a slot — the one
+// place a scenario fleet's node is configured. Slot-based adversary wiring
+// happens here, so a Byzantine slot that churns stays Byzantine,
+// mirroring the simulator's slot-indexed schedule.
 func (w *udpWorker) newNode(slot int, ep transport.Endpoint, seeds, bootstrap []string) (*agent.Node, error) {
 	var hook func(uint64, float64) (float64, uint64, bool)
 	if w.adv != nil {
@@ -308,7 +368,7 @@ func (w *udpWorker) newNode(slot int, ep transport.Endpoint, seeds, bootstrap []
 		Seeds:        seeds,
 		Bootstrap:    bootstrap,
 		Seed:         w.sc.Seed + uint64(slot)*0x9e3779b97f4a7c15 + 1,
-		Logger:       slog.New(slog.DiscardHandler),
+		Logger:       w.logger,
 		RTT:          w.rtt,
 		Trace:        w.trace,
 		MaxViewBytes: w.sc.ViewCapBytes,
@@ -317,7 +377,7 @@ func (w *udpWorker) newNode(slot int, ep transport.Endpoint, seeds, bootstrap []
 		CombinerK:    w.sc.Defense.Samples,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("udp worker %d: building node %d: %w", w.index, slot, err)
+		return nil, fmt.Errorf("worker %d: building node %d: %w", w.index, slot, err)
 	}
 	if w.adv != nil {
 		if lag := w.adv.replayLag(slot); lag > 0 {
@@ -331,15 +391,16 @@ func (w *udpWorker) newNode(slot int, ep transport.Endpoint, seeds, bootstrap []
 func (w *udpWorker) handleCycle(msg udpMsg) (udpMsg, error) {
 	w.cycleNow.Store(int64(msg.Cycle))
 	for addr, g := range msg.Assign {
-		w.filter.AssignGroup(addr, g)
+		w.net.AssignGroup(addr, g)
 	}
 	if msg.Heal {
-		w.filter.HealGroups()
+		w.net.HealGroups()
 	}
 	if msg.Groups != nil {
-		w.filter.PartitionGroups(msg.Groups)
+		w.net.PartitionGroups(msg.Groups)
 	}
-	w.filter.SetLoss(msg.Loss)
+	w.net.SetLoss(msg.Loss)
+	w.net.setLatency(time.Duration(msg.DelayMinMs)*time.Millisecond, time.Duration(msg.DelayMaxMs)*time.Millisecond)
 	for _, slot := range msg.Crash {
 		w.crash(slot)
 	}
@@ -362,7 +423,7 @@ func (w *udpWorker) handleCycle(msg udpMsg) (udpMsg, error) {
 	return udpMsg{Op: udpOpAck, Cycle: msg.Cycle, Addrs: addrs}, nil
 }
 
-// crash stops a node ungracefully: its socket closes mid-protocol and
+// crash stops a node ungracefully: its endpoint closes mid-protocol and
 // peers time out, exactly as a process crash looks from the network. The
 // stop completes in the background so one barrier tick can crash many
 // nodes without stalling the fleet clock.
@@ -384,15 +445,15 @@ func (w *udpWorker) crash(slot int) {
 }
 
 // join brings a slot up as a brand-new identity performing the §4.2 join:
-// fresh endpoint (new port), seed contacts, participation from the next
-// epoch on. A positive group places it into the active partition.
+// fresh endpoint (new address), seed contacts, participation from the
+// next epoch on. A non-negative group places it into the active partition.
 func (w *udpWorker) join(j udpJoin) (string, error) {
-	ep, err := w.newEndpoint()
+	ep, err := w.net.endpoint()
 	if err != nil {
-		return "", fmt.Errorf("udp worker %d: joiner %d: %w", w.index, j.Slot, err)
+		return "", fmt.Errorf("worker %d: joiner %d: %w", w.index, j.Slot, err)
 	}
 	if j.Group >= 0 {
-		w.filter.AssignGroup(ep.Addr(), j.Group)
+		w.net.AssignGroup(ep.Addr(), j.Group)
 	}
 	if j.Sybil > 0 && w.adv != nil {
 		// Mark before the node is built so its value supplier reports the
@@ -405,14 +466,14 @@ func (w *udpWorker) join(j udpJoin) (string, error) {
 		return "", err
 	}
 	if err := node.Start(w.ctx); err != nil {
-		return "", fmt.Errorf("udp worker %d: starting joiner %d: %w", w.index, j.Slot, err)
+		return "", fmt.Errorf("worker %d: starting joiner %d: %w", w.index, j.Slot, err)
 	}
-	w.nodes[j.Slot] = &udpWorkerSlot{node: node, ep: ep, addr: ep.Addr()}
+	w.nodes[j.Slot] = &udpWorkerSlot{node: node, ep: ep}
 	return ep.Addr(), nil
 }
 
-// handleSample reports this slice's partial metric aggregates. Estimates
-// travel as (n, Σx, Σx²) for exact cross-worker moment merging; the full
+// handleSample reports this slice's partial metric aggregates. The
+// estimates travel as a stats.Moments the supervisor merges; the full
 // protocol-counter totals and the RTT histogram snapshot ride along so
 // the supervisor's /metrics endpoint exports the whole fleet.
 func (w *udpWorker) handleSample(msg udpMsg) (udpMsg, error) {
@@ -433,28 +494,21 @@ func (w *udpWorker) handleSample(msg udpMsg) (udpMsg, error) {
 			continue
 		}
 		reply.Participating++
-		// Under an adversary the estimate moments cover the honest
-		// population only (matching the other executors); hostile nodes
-		// still count as alive and participating.
+		// Honest participants only; see runLog.record.
 		if w.adv != nil && w.adv.hostile(slot) {
 			continue
 		}
 		if v, ok := s.node.Estimate(); ok {
-			reply.EstN++
-			reply.EstSum += v
-			reply.EstSumSq += v * v
+			reply.Est.Add(v)
 		}
 	}
-	reply.Messages = totals.ExchangesInitiated
 	reply.AgentTotals = &totals
 	rttSnap := w.rtt.Snapshot()
 	reply.RTTHist = &rttSnap
-	if w.mux != nil {
-		reply.TransportQueueDepth = w.mux.QueueDepthHighWatermark()
-		batch := w.mux.BatchSizes()
-		reply.BatchHist = &batch
-	}
-	reply.Trace, w.traceCursor = w.trace.EventsSince(w.traceCursor)
+	reply.TransportQueueDepth = w.net.QueueDepthHighWatermark()
+	batch := w.net.BatchSizes()
+	reply.BatchHist = &batch
+	reply.Trace, w.traceCursor = w.drain.EventsSince(w.traceCursor)
 	return reply, nil
 }
 
@@ -475,8 +529,8 @@ func (w *udpWorker) stopAll() {
 			_ = s.ep.Close()
 		}
 	}
-	if w.mux != nil {
-		_ = w.mux.Close()
+	if w.net != nil {
+		w.net.close()
 	}
 	w.stopping.Wait()
 }

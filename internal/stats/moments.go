@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
 	"sort"
@@ -36,6 +37,61 @@ func (m *Moments) Add(x float64) {
 	delta := x - m.mean
 	m.mean += delta / float64(m.n)
 	m.m2 += delta * (x - m.mean)
+}
+
+// Merge folds another accumulator's observations into m with the
+// pairwise update of Chan, Golub and LeVeque: the result equals adding
+// both samples to one accumulator, without the cancellation that
+// combining raw sums Σx, Σx² suffers once the spread is far below the
+// mean. Partial aggregates computed in different processes merge with it.
+func (m *Moments) Merge(other Moments) {
+	if other.n == 0 {
+		return
+	}
+	if m.n == 0 {
+		*m = other
+		return
+	}
+	n := m.n + other.n
+	delta := other.mean - m.mean
+	m.m2 += other.m2 + delta*delta*float64(m.n)*float64(other.n)/float64(n)
+	m.mean += delta * float64(other.n) / float64(n)
+	if other.min < m.min {
+		m.min = other.min
+	}
+	if other.max > m.max {
+		m.max = other.max
+	}
+	m.n = n
+}
+
+// momentsJSON is the transport form of a Moments: the count, the mean,
+// M2 = Σ(x − mean)² and the extremes — exactly the accumulator's state.
+type momentsJSON struct {
+	N    int     `json:"n"`
+	Mean float64 `json:"mean"`
+	M2   float64 `json:"m2"`
+	Min  float64 `json:"min"`
+	Max  float64 `json:"max"`
+}
+
+// MarshalJSON encodes the accumulator's state, so a partial aggregate
+// can cross a process boundary and be merged on the other side.
+func (m Moments) MarshalJSON() ([]byte, error) {
+	return json.Marshal(momentsJSON{N: m.n, Mean: m.mean, M2: m.m2, Min: m.min, Max: m.max})
+}
+
+// UnmarshalJSON restores an accumulator encoded by MarshalJSON.
+func (m *Moments) UnmarshalJSON(data []byte) error {
+	var j momentsJSON
+	if err := json.Unmarshal(data, &j); err != nil {
+		return err
+	}
+	if j.N < 0 || j.M2 < 0 {
+		return errors.New("stats: moments with a negative count or M2")
+	}
+	*m = Moments{n: j.N, mean: j.Mean, m2: j.M2, min: j.Min, max: j.Max}
+	return nil
 }
 
 // AddAll incorporates every value of xs.

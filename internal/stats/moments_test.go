@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
 	"testing"
@@ -264,5 +265,79 @@ func TestMeanVarianceHelpers(t *testing.T) {
 	lo, hi, err := MinMax([]float64{3, 1, 2})
 	if err != nil || lo != 1 || hi != 3 {
 		t.Fatalf("MinMax = %g, %g, %v", lo, hi, err)
+	}
+}
+
+// TestMomentsMergeMatchesSinglePass: merging the accumulators of any
+// partition of a sample — empty and single-element parts included —
+// equals adding the whole sample to one accumulator. The last case is the
+// converged-fleet regime (spread 1e-9 around mean 50) where combining raw
+// sums Σx, Σx² across parts reads a standard deviation of 0 or 1e-6; there
+// a running mean near 50 resolves to 7e-15, five digits below the spread,
+// so two stable summation orders agree on the variance to 1e-4, not 1e-12.
+func TestMomentsMergeMatchesSinglePass(t *testing.T) {
+	relClose := func(got, want, tol float64) bool {
+		return math.Abs(got-want) <= tol*math.Abs(want)
+	}
+	rng := NewRNG(11)
+	for _, tc := range []struct {
+		name        string
+		mean, sigma float64
+		varTol      float64
+	}{
+		{"unit", 0, 1, 1e-12},
+		{"wide", -3e6, 1e4, 1e-12},
+		{"converged", 50, 1e-9, 1e-4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for trial := 0; trial < 200; trial++ {
+				xs := make([]float64, 1+rng.Intn(64))
+				var whole Moments
+				for i := range xs {
+					xs[i] = tc.mean + tc.sigma*(2*rng.Float64()-1)
+					whole.Add(xs[i])
+				}
+				parts := make([]Moments, 1+rng.Intn(8))
+				for _, x := range xs {
+					parts[rng.Intn(len(parts))].Add(x)
+				}
+				var merged Moments
+				for _, p := range parts {
+					merged.Merge(p)
+				}
+				if merged.N() != whole.N() || merged.Min() != whole.Min() || merged.Max() != whole.Max() {
+					t.Fatalf("trial %d: merged n/min/max = %d/%g/%g, want %d/%g/%g", trial,
+						merged.N(), merged.Min(), merged.Max(), whole.N(), whole.Min(), whole.Max())
+				}
+				if !relClose(merged.Mean(), whole.Mean(), 1e-12) {
+					t.Fatalf("trial %d: merged mean %g, single-pass %g", trial, merged.Mean(), whole.Mean())
+				}
+				if !relClose(merged.Variance(), whole.Variance(), tc.varTol) {
+					t.Fatalf("trial %d (%d values, %d parts): merged variance %g, single-pass %g",
+						trial, len(xs), len(parts), merged.Variance(), whole.Variance())
+				}
+			}
+		})
+	}
+}
+
+// TestMomentsJSONRoundTrip: the transport form restores the accumulator
+// exactly, so a decoded partial merges like the original.
+func TestMomentsJSONRoundTrip(t *testing.T) {
+	var m Moments
+	m.AddAll([]float64{49.5, 49.5000001, 51, -2})
+	data, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Moments
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back != m {
+		t.Fatalf("round trip %s gave %+v, want %+v", data, back, m)
+	}
+	if err := json.Unmarshal([]byte(`{"n":-1}`), &back); err == nil {
+		t.Fatal("negative count accepted")
 	}
 }
