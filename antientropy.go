@@ -51,7 +51,6 @@ import (
 	"antientropy/internal/experiments"
 	"antientropy/internal/obs"
 	"antientropy/internal/overlay"
-	"antientropy/internal/parsim"
 	"antientropy/internal/scenario"
 	"antientropy/internal/serve"
 	"antientropy/internal/sim"
@@ -134,12 +133,15 @@ func NewMergeGuard(c Combiner, k, n int) *MergeGuard { return core.NewMergeGuard
 
 // Simulation API (the paper's PeerSim-equivalent substrate).
 type (
-	// SimConfig configures one simulated epoch.
+	// SimConfig configures one simulation run. Shards > 1 splits the node
+	// space into that many shards run across the cores (for 10⁵–10⁶-node
+	// runs); results are bit-deterministic per (seed, shard count) and
+	// statistically equivalent across shard counts.
 	SimConfig = sim.Config
 	// SimEngine is a running/finished simulation.
 	SimEngine = sim.Engine
-	// OverlayBuilder constructs the overlay for a simulation run.
-	OverlayBuilder = sim.OverlayBuilder
+	// OverlayBuilder selects the overlay for a simulation run.
+	OverlayBuilder = sim.OverlaySpec
 	// FailureModel injects crashes/churn at cycle starts.
 	FailureModel = sim.FailureModel
 	// Moments is a streaming mean/variance/min/max accumulator.
@@ -208,48 +210,9 @@ func SimulateCountEpochs(cfg CountChainConfig) ([]CountEpochResult, error) {
 // control (Engine.Step).
 func NewSimulation(cfg SimConfig) (*SimEngine, error) { return sim.New(cfg) }
 
-// Sharded simulation API: the multi-core engine of internal/parsim,
-// built for 10⁵–10⁶-node runs. The node space is split into K shards
-// with per-shard RNG streams; results are bit-deterministic per
-// (seed, shard count) and statistically equivalent across shard counts.
-type (
-	// ShardedConfig configures one sharded simulation run.
-	ShardedConfig = parsim.Config
-	// ShardedEngine is a running/finished sharded simulation.
-	ShardedEngine = parsim.Engine
-	// ShardedOverlaySpec selects the sharded overlay implementation.
-	ShardedOverlaySpec = parsim.OverlaySpec
-	// SimCore is the engine surface shared by the serial and the sharded
-	// engine — what the scenario executor programs against.
-	SimCore = sim.Core
-)
-
-// SimulateSharded validates cfg and runs all configured cycles on the
-// sharded engine.
-func SimulateSharded(cfg ShardedConfig) (*ShardedEngine, error) { return parsim.Run(cfg) }
-
-// NewShardedSimulation builds a sharded engine without running it, for
-// step-by-step control.
-func NewShardedSimulation(cfg ShardedConfig) (*ShardedEngine, error) { return parsim.New(cfg) }
-
-// ShardedNewscastOverlay selects the sharded NEWSCAST overlay with cache
-// size c for a ShardedConfig.
-func ShardedNewscastOverlay(c int) ShardedOverlaySpec { return parsim.Newscast(c) }
-
-// ShardedCompleteLiveOverlay selects the fully connected overlay over
-// the live membership for a ShardedConfig.
-func ShardedCompleteLiveOverlay() ShardedOverlaySpec { return parsim.CompleteLive() }
-
-// ShardedStaticOverlay selects a fixed generated topology for a
-// ShardedConfig — the sharded counterpart of the static overlay
-// builders (Watts–Strogatz, scale-free, random k-out, complete).
-func ShardedStaticOverlay(build func(n int, rng *RNG) (topology.Graph, error)) ShardedOverlaySpec {
-	return parsim.Static(build)
-}
-
-// ShardedNewscastFrozenOverlay selects a NEWSCAST overlay whose gossip
-// is frozen after bootstrap (ablation A3) for a ShardedConfig.
-func ShardedNewscastFrozenOverlay(c int) ShardedOverlaySpec { return parsim.NewscastFrozen(c) }
+// SimCore is the engine surface the failure models and the scenario
+// executor program against; SimEngine implements it.
+type SimCore = sim.Core
 
 // NewRNG returns a deterministic random generator.
 func NewRNG(seed uint64) *RNG { return stats.NewRNG(seed) }
@@ -261,10 +224,10 @@ func NewRNG(seed uint64) *RNG { return stats.NewRNG(seed) }
 func NewscastOverlay(c int) OverlayBuilder { return sim.Newscast(c) }
 
 // RandomOverlay is a random graph where each node knows `degree` peers.
-func RandomOverlay(degree int) OverlayBuilder { return experiments.RandomOverlay(degree) }
+func RandomOverlay(degree int) OverlayBuilder { return experiments.RandomTopology(degree).Overlay }
 
 // CompleteOverlay is the static fully connected overlay.
-func CompleteOverlay() OverlayBuilder { return experiments.CompleteOverlay() }
+func CompleteOverlay() OverlayBuilder { return experiments.CompleteTopology().Overlay }
 
 // CompleteLiveOverlay is fully connected over the *live* membership
 // (crashed nodes vanish from everyone's neighbor sets).
@@ -273,7 +236,7 @@ func CompleteLiveOverlay() OverlayBuilder { return sim.CompleteLive() }
 // WattsStrogatzOverlay is a small-world overlay with rewiring probability
 // beta and even lattice degree k.
 func WattsStrogatzOverlay(k int, beta float64) OverlayBuilder {
-	return sim.StaticFunc(func(n int, rng *stats.RNG) (topology.Graph, error) {
+	return sim.Static(func(n int, rng *stats.RNG) (topology.Graph, error) {
 		return topology.NewWattsStrogatz(n, k, beta, rng)
 	})
 }
@@ -281,7 +244,7 @@ func WattsStrogatzOverlay(k int, beta float64) OverlayBuilder {
 // ScaleFreeOverlay is a Barabási–Albert preferential-attachment overlay
 // with m edges per new node.
 func ScaleFreeOverlay(m int) OverlayBuilder {
-	return sim.StaticFunc(func(n int, rng *stats.RNG) (topology.Graph, error) {
+	return sim.Static(func(n int, rng *stats.RNG) (topology.Graph, error) {
 		return topology.NewBarabasiAlbert(n, m, rng)
 	})
 }
@@ -289,7 +252,7 @@ func ScaleFreeOverlay(m int) OverlayBuilder {
 // RegularOverlay is a random simple k-regular undirected overlay — the
 // strictest reading of the paper's "regular degree of 20".
 func RegularOverlay(k int) OverlayBuilder {
-	return sim.StaticFunc(func(n int, rng *stats.RNG) (topology.Graph, error) {
+	return sim.Static(func(n int, rng *stats.RNG) (topology.Graph, error) {
 		return topology.NewKRegular(n, k, rng)
 	})
 }
@@ -577,18 +540,19 @@ type (
 // Engine names for ScenarioSimOptions.Engine (and, with the same
 // spelling, ExperimentOptions.Engine).
 const (
-	// ScenarioEngineSerial selects the serial engine of internal/sim.
+	// ScenarioEngineSerial runs the simulation engine with one shard.
 	ScenarioEngineSerial = scenario.EngineSerial
-	// ScenarioEngineSharded selects the sharded engine of internal/parsim.
+	// ScenarioEngineSharded runs it with ScenarioSimOptions.Shards shards
+	// across the cores.
 	ScenarioEngineSharded = scenario.EngineSharded
-	// ScenarioEngineAuto selects the engine by network size: sharded at
+	// ScenarioEngineAuto selects by network size: sharded at
 	// AutoEngineThreshold node slots and above, serial below.
 	ScenarioEngineAuto = scenario.EngineAuto
 )
 
 // AutoEngineThreshold is the network size at or above which engine
-// auto-selection picks the sharded engine.
-const AutoEngineThreshold = parsim.AutoEngineThreshold
+// auto-selection shards a run.
+const AutoEngineThreshold = scenario.AutoEngineThreshold
 
 // ScenarioCSVHeader is the column row of the scenario metric CSV stream.
 const ScenarioCSVHeader = scenario.CSVHeader
@@ -605,7 +569,7 @@ func ScenarioByName(name string) (Scenario, error) { return scenario.ByName(name
 func LoadScenario(r io.Reader) (Scenario, error) { return scenario.Load(r) }
 
 // RunScenarioSim executes a scenario deterministically on the
-// cycle-driven simulator (serial engine).
+// cycle-driven simulator (one shard).
 func RunScenarioSim(sc Scenario) (*ScenarioRun, error) { return scenario.RunSim(sc) }
 
 // RunScenarioSimWith executes a scenario on the selected simulation

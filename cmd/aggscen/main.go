@@ -5,13 +5,13 @@
 // over the in-memory transport, or a multi-process fleet on real UDP
 // loopback sockets.
 //
-// The simulator executor runs on one of two engines: the serial engine
-// (bit-deterministic from the seed alone) or the sharded multi-core
-// engine (deterministic per seed + shard count, built for 10⁵–10⁶-node
-// runs). The default -engine auto picks the sharded engine for
-// scenarios of 20k node slots and up; an explicit -engine serial or
-// -engine sharded always wins, and the executed engine is echoed in the
-// per-run summary ("sim" vs "sim-sharded").
+// The simulator executor has one engine; -engine chooses its shard count
+// K: "serial" is K = 1 (one global exchange order, bit-deterministic from
+// the seed alone), "sharded" is K = -shards run across the cores
+// (deterministic per seed + shard count, built for 10⁵–10⁶-node runs).
+// The default -engine auto shards scenarios of 20k node slots and up; an
+// explicit -engine serial or -engine sharded always wins, and the choice
+// is echoed in the per-run summary ("sim" vs "sim-sharded").
 //
 // The UDP executor forks -workers worker processes (this binary
 // re-executed with the internal -worker flag), each running a slice of
@@ -63,8 +63,8 @@ func run() error {
 		cycles   = flag.Int("cycles", 0, "override the run length")
 		seed     = flag.Uint64("seed", 0, "override the scenario seed")
 		executor = flag.String("executor", "", "executors to use: sim, live, udp, both (= sim,live), all, or a comma list (default: both for -run, sim for -compare)")
-		engine   = flag.String("engine", "auto", "sim executor engine: auto (by size), serial, or sharded")
-		shards   = flag.Int("shards", 0, "shard count for -engine sharded (0 = GOMAXPROCS); results are deterministic per seed + shard count")
+		engine   = flag.String("engine", "auto", "sim executor shard count: serial (one shard), sharded (-shards shards across the cores), or auto (sharded at 20k slots and up)")
+		shards   = flag.Int("shards", 0, "shard count K for -engine sharded (0 = GOMAXPROCS); results are deterministic per seed + shard count")
 		workers  = flag.Int("workers", 3, "udp executor: number of worker processes the fleet is sliced across")
 		viewCap  = flag.Int("view-cap", 0, "cap the piggybacked membership view per exchange datagram, in bytes (live/udp executors; 0 = unlimited)")
 		format   = flag.String("format", "csv", "metric output format: csv or json")

@@ -14,10 +14,11 @@
 // can take a long time for the 10^5–10^6-node sweeps; pass -n to scale
 // down (the paper itself shows the behaviour is size-independent).
 //
-// Every experiment honors -engine: the default "auto" picks the sharded
-// multi-core engine for sweeps of 20k nodes and up and the serial engine
-// below, an explicit "serial"/"sharded" always wins, and the engine each
-// figure ran on is echoed with its result.
+// Every experiment honors -engine, which chooses the one simulation
+// engine's shard count: "serial" is one shard, "sharded" is -shards
+// shards across the cores, the default "auto" shards sweeps of 20k nodes
+// and up; an explicit choice always wins, and the choice each figure ran
+// with is echoed with its result.
 package main
 
 import (
@@ -43,8 +44,8 @@ func run() error {
 		n        = flag.Int("n", 0, "override network size (0 = paper scale)")
 		reps     = flag.Int("reps", 0, "override repetition count (0 = paper scale)")
 		seed     = flag.Uint64("seed", 0, "override master seed (0 = default)")
-		engine   = flag.String("engine", "auto", "simulation engine for every experiment: auto (by size), serial, or sharded")
-		shards   = flag.Int("shards", 0, "shard count for -engine sharded (0 = GOMAXPROCS); results are deterministic per seed + shard count")
+		engine   = flag.String("engine", "auto", "shard count for every experiment's simulation runs: serial (one shard), sharded (-shards shards across the cores), or auto (sharded at 20k nodes and up)")
+		shards   = flag.Int("shards", 0, "shard count K for -engine sharded (0 = GOMAXPROCS); results are deterministic per seed + shard count")
 		csvPath  = flag.String("csv", "", "also write results as CSV to this file")
 		showPlot = flag.Bool("plot", false, "render an ASCII plot of each figure")
 	)

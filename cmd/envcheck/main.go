@@ -2,12 +2,12 @@
 // it compares a figure CSV (the "figure,series,x,mean,min,max,reps"
 // stream cmd/aggsim emits) to a golden envelope of per-point bounds on
 // the mean, and exits non-zero when any point escapes its envelope. The
-// nightly CI workflow regenerates fig2 and fig6b on the sharded engine
-// at reduced paper scale and gates them with the envelopes checked in
+// nightly CI workflow regenerates fig2 and fig6b at 8 shards and
+// reduced paper scale and gates them with the envelopes checked in
 // under testdata/envelopes/.
 //
 // The nightly sweeps pin the seed and the shard count, which makes the
-// sharded engine bit-deterministic, so the envelope margins only need to
+// simulation bit-deterministic, so the envelope margins only need to
 // absorb cross-platform float noise — any larger move means the
 // protocol's behaviour actually changed and someone should look.
 //

@@ -17,12 +17,12 @@ import (
 	"errors"
 	"fmt"
 
-	"antientropy/internal/sim"
 	"antientropy/internal/stats"
+	"antientropy/internal/topology"
 )
 
-// Config describes a baseline run. The overlay builder is shared with the
-// main simulator so comparisons use identical topologies.
+// Config describes a baseline run. The graph builder is shared with the
+// main simulator (sim.Static) so comparisons use identical topologies.
 type Config struct {
 	// N is the node count.
 	N int
@@ -36,8 +36,8 @@ type Config struct {
 	// WInit yields node i's initial weight (1 everywhere for AVERAGE; 1
 	// at a single node and 0 elsewhere for COUNT).
 	WInit func(node int) float64
-	// Overlay builds the neighbor-sampling overlay.
-	Overlay sim.OverlayBuilder
+	// Overlay builds the static neighbor-sampling graph.
+	Overlay func(n int, rng *stats.RNG) (topology.Graph, error)
 	// MessageLoss drops each pushed message with this probability. Lost
 	// push-sum messages remove mass permanently.
 	MessageLoss float64
@@ -71,7 +71,7 @@ func (c Config) validate() error {
 type PushSum struct {
 	cfg     Config
 	rng     *stats.RNG
-	overlay sim.Overlay
+	overlay topology.Graph
 	s, w    []float64
 	// nextS/nextW accumulate the halves delivered during the current
 	// round (synchronous-round semantics, as in the FOCS'03 paper).
@@ -85,11 +85,7 @@ func NewPushSum(cfg Config) (*PushSum, error) {
 		return nil, err
 	}
 	rng := stats.NewRNG(cfg.Seed)
-	overlay, err := cfg.Overlay(sim.OverlayContext{
-		N:     cfg.N,
-		RNG:   rng.Split(),
-		Alive: func(int) bool { return true },
-	})
+	overlay, err := cfg.Overlay(cfg.N, rng.Split())
 	if err != nil {
 		return nil, fmt.Errorf("baseline: building overlay: %w", err)
 	}
@@ -156,7 +152,6 @@ func (ps *PushSum) Step() {
 	}
 	ps.s, ps.nextS = ps.nextS, ps.s
 	ps.w, ps.nextW = ps.nextW, ps.w
-	ps.overlay.Step(ps.round)
 }
 
 // Round returns the number of completed rounds.
@@ -201,7 +196,7 @@ func (ps *PushSum) TotalMass() (sumS, sumW float64) {
 type PushOnly struct {
 	cfg     Config
 	rng     *stats.RNG
-	overlay sim.Overlay
+	overlay topology.Graph
 	x       []float64
 	perm    []int
 	round   int
@@ -216,11 +211,7 @@ func NewPushOnly(cfg Config) (*PushOnly, error) {
 		return nil, err
 	}
 	rng := stats.NewRNG(cfg.Seed)
-	overlay, err := cfg.Overlay(sim.OverlayContext{
-		N:     cfg.N,
-		RNG:   rng.Split(),
-		Alive: func(int) bool { return true },
-	})
+	overlay, err := cfg.Overlay(cfg.N, rng.Split())
 	if err != nil {
 		return nil, fmt.Errorf("baseline: building overlay: %w", err)
 	}
@@ -260,7 +251,6 @@ func (po *PushOnly) Step() {
 		}
 		po.x[j] = (po.x[i] + po.x[j]) / 2
 	}
-	po.overlay.Step(po.round)
 }
 
 // Value returns node's current estimate.

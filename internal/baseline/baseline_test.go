@@ -10,13 +10,13 @@ import (
 	"antientropy/internal/topology"
 )
 
-func overlay(k int) sim.OverlayBuilder {
-	return sim.StaticFunc(func(n int, rng *stats.RNG) (topology.Graph, error) {
+func overlay(k int) func(n int, rng *stats.RNG) (topology.Graph, error) {
+	return func(n int, rng *stats.RNG) (topology.Graph, error) {
 		if k > n-1 {
 			k = n - 1
 		}
 		return topology.NewRandomKOut(n, k, rng)
-	})
+	}
 }
 
 func baseConfig(n int) Config {
@@ -237,7 +237,7 @@ func TestPushPullBeatsPushOnlyOnAccuracy(t *testing.T) {
 		N: n, Cycles: rounds, Seed: 3,
 		Fn:      core.Average,
 		Init:    sim.PeakInit(float64(n), 0),
-		Overlay: overlay(20),
+		Overlay: sim.Static(overlay(20)),
 	}
 	e, err := sim.Run(ppCfg)
 	if err != nil {

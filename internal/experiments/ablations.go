@@ -56,7 +56,7 @@ func RunAblationPushPull(cfg AblationConfig) (*Result, error) {
 	}
 	lossLevels := []float64{0, 0.05, 0.1, 0.2, 0.3}
 	topo := RandomTopology(20)
-	overlay := topo.Overlay
+	overlay := randomGraph(20)
 	result := &Result{
 		ID:     "ablation-pushpull",
 		Title:  "Push-pull vs push-sum vs push-only: relative error vs message loss",

@@ -16,7 +16,6 @@ import (
 	"sort"
 	"strings"
 
-	"antientropy/internal/parsim"
 	"antientropy/internal/plot"
 	"antientropy/internal/sim"
 	"antientropy/internal/stats"
@@ -151,42 +150,35 @@ func summarize(x float64, values []float64) Point {
 }
 
 // TopologySpec names an overlay construction used across the figure
-// sweeps, with one builder per engine: Overlay for the serial engine and
-// Sharded for the sharded one. Every topology family of the evaluation
-// carries both, which is what lets the sweeps dispatch freely.
+// sweeps.
 type TopologySpec struct {
 	Name    string
-	Overlay sim.OverlayBuilder
-	Sharded parsim.OverlaySpec
+	Overlay sim.OverlaySpec
 }
 
-// graphTopology wraps a static graph generator for both engines: the
-// serial engine adapts the graph directly, the sharded engine serves the
-// same packed CSR adjacency to its parallel exchange phases.
-func graphTopology(name string, build func(n int, rng *stats.RNG) (topology.Graph, error)) TopologySpec {
-	return TopologySpec{
-		Name:    name,
-		Overlay: sim.StaticFunc(build),
-		Sharded: parsim.Static(build),
-	}
+// graphBuilder generates a static graph over n nodes.
+type graphBuilder = func(n int, rng *stats.RNG) (topology.Graph, error)
+
+// graphTopology wraps a static graph generator.
+func graphTopology(name string, build graphBuilder) TopologySpec {
+	return TopologySpec{Name: name, Overlay: sim.Static(build)}
 }
 
-// NewscastTopology is the NEWSCAST overlay with cache size c on either
-// engine.
+// NewscastTopology is the NEWSCAST overlay with cache size c.
 func NewscastTopology(c int) TopologySpec {
-	return TopologySpec{Name: "Newscast", Overlay: sim.Newscast(c), Sharded: parsim.Newscast(c)}
+	return TopologySpec{Name: "Newscast", Overlay: sim.Newscast(c)}
 }
 
 // CompleteLiveTopology is the fully connected overlay over the live
-// membership on either engine.
+// membership.
 func CompleteLiveTopology() TopologySpec {
-	return TopologySpec{Name: "CompleteLive", Overlay: sim.CompleteLive(), Sharded: parsim.CompleteLive()}
+	return TopologySpec{Name: "CompleteLive", Overlay: sim.CompleteLive()}
 }
 
 // newscastFrozenTopology is NEWSCAST with gossip disabled after
-// bootstrap (ablation A3) on either engine.
+// bootstrap (ablation A3).
 func newscastFrozenTopology(c int) TopologySpec {
-	return TopologySpec{Name: "NewscastFrozen", Overlay: sim.NewscastFrozen(c), Sharded: parsim.NewscastFrozen(c)}
+	return TopologySpec{Name: "NewscastFrozen", Overlay: sim.NewscastFrozen(c)}
 }
 
 // wattsStrogatzTopology is the small-world family of Figures 3–4.
@@ -196,20 +188,21 @@ func wattsStrogatzTopology(name string, degree int, beta float64) TopologySpec {
 	})
 }
 
-// RandomTopology is the paper's default test overlay on either engine: a
-// random graph where every node knows `degree` random peers.
-func RandomTopology(degree int) TopologySpec {
-	return graphTopology("Random", func(n int, rng *stats.RNG) (topology.Graph, error) {
-		k := degree
-		if k > n-1 {
-			k = n - 1
-		}
-		return topology.NewRandomKOut(n, k, rng)
-	})
+// randomGraph generates the paper's default test overlay: every node
+// knows `degree` random peers.
+func randomGraph(degree int) graphBuilder {
+	return func(n int, rng *stats.RNG) (topology.Graph, error) {
+		return topology.NewRandomKOut(n, min(degree, n-1), rng)
+	}
 }
 
-// CompleteTopology is the static fully connected topology on either
-// engine.
+// RandomTopology is the paper's default test overlay: a random graph
+// where every node knows `degree` random peers.
+func RandomTopology(degree int) TopologySpec {
+	return graphTopology("Random", randomGraph(degree))
+}
+
+// CompleteTopology is the static fully connected topology.
 func CompleteTopology() TopologySpec {
 	return graphTopology("Complete", func(n int, _ *stats.RNG) (topology.Graph, error) {
 		return topology.NewComplete(n)
@@ -240,13 +233,6 @@ func StandardTopologies(degree, newscastC int) []TopologySpec {
 	}
 }
 
-// RandomOverlay is the serial-engine builder of RandomTopology, kept for
-// callers that drive sim.Config directly.
-func RandomOverlay(degree int) sim.OverlayBuilder { return RandomTopology(degree).Overlay }
-
-// CompleteOverlay is the serial-engine builder of CompleteTopology.
-func CompleteOverlay() sim.OverlayBuilder { return CompleteTopology().Overlay }
-
 // fitEvenDegree clamps a lattice degree to something valid for n nodes.
 func fitEvenDegree(degree, n int) int {
 	k := degree
@@ -262,9 +248,9 @@ func fitEvenDegree(degree, n int) int {
 	return k
 }
 
-// measureConvergenceFactor runs the AVERAGE protocol once on the
-// selected engine and returns the average convergence factor over the
-// first `cycles` cycles (the quantity of Figures 3a, 4a, 4b and 7a).
+// measureConvergenceFactor runs the AVERAGE protocol once and returns
+// the average convergence factor over the first `cycles` cycles (the
+// quantity of Figures 3a, 4a, 4b and 7a).
 func measureConvergenceFactor(eng sweepEngine, n, cycles int, seed uint64, topo TopologySpec, pd float64) (float64, error) {
 	var tracker stats.ConvergenceTracker
 	_, err := eng.run(coreConfig{

@@ -63,7 +63,8 @@ func RunExtensionAdaptivity(cfg ExtensionConfig) (*Result, error) {
 				return base + float64(node%100)
 			},
 			Overlay: topo.Overlay,
-			Runner:  eng.runner(topo),
+			Shards:  eng.shards,
+			Workers: eng.workers,
 		})
 		if err != nil {
 			return err
@@ -124,7 +125,8 @@ func RunExtensionCountChain(cfg ExtensionConfig) (*Result, error) {
 			Concurrency:  concurrency,
 			InitialGuess: 2, // deliberately wrong: forces the feedback loop to correct it
 			Overlay:      topo.Overlay,
-			Runner:       eng.runner(topo),
+			Shards:       eng.shards,
+			Workers:      eng.workers,
 		})
 		if err != nil {
 			return err

@@ -4,7 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"antientropy/internal/parsim"
+	"antientropy/internal/scenario"
 )
 
 func TestEngineAutoSelection(t *testing.T) {
@@ -13,11 +13,11 @@ func TestEngineAutoSelection(t *testing.T) {
 		n    int
 		want string
 	}{
-		{EngineSel{}, parsim.AutoEngineThreshold, EngineSharded},
-		{EngineSel{}, parsim.AutoEngineThreshold - 1, EngineSerial},
-		{EngineSel{Engine: EngineAuto}, parsim.AutoEngineThreshold, EngineSharded},
+		{EngineSel{}, scenario.AutoEngineThreshold, EngineSharded},
+		{EngineSel{}, scenario.AutoEngineThreshold - 1, EngineSerial},
+		{EngineSel{Engine: EngineAuto}, scenario.AutoEngineThreshold, EngineSharded},
 		// An explicit choice always wins over size-based selection.
-		{EngineSel{Engine: EngineSerial}, 10 * parsim.AutoEngineThreshold, EngineSerial},
+		{EngineSel{Engine: EngineSerial}, 10 * scenario.AutoEngineThreshold, EngineSerial},
 		{EngineSel{Engine: EngineSharded}, 10, EngineSharded},
 	}
 	for i, tc := range cases {
@@ -34,22 +34,14 @@ func TestEngineAutoSelection(t *testing.T) {
 	}
 }
 
-// The serial and the sharded engine are different (equally valid)
-// executions of the same protocol: trajectories differ per run, but the
-// rep-averaged series a figure plots must agree statistically. These
-// tests run fig2 (the AVERAGE envelope trajectory) and fig6b (COUNT
-// under churn) on both engines at reduced scale and bound the
-// disagreement — the acceptance check for the engine-agnostic sweep
-// layer.
-//
-// Since the unified membership layer both engines now run on the same
-// packed overlay.Membership/Table implementation: a NEWSCAST merge
-// produces identical results descriptor for descriptor on either engine
-// (pinned at the overlay level by TestPackedMatchesGenericOnStampTies),
-// and the only remaining differences are the per-engine RNG stream
-// layouts and the sharded engine's deferred cross-shard exchange order.
-// These parity bounds therefore pin exactly that residue; a widening
-// here would indicate an engine-level regression, not an overlay one.
+// K = 1 (-engine serial) and K = 4 (-engine sharded) are different
+// (equally valid) executions of the same protocol on the one engine:
+// trajectories differ per run, but the rep-averaged series a figure plots
+// must agree statistically. These tests run fig2 (the AVERAGE envelope
+// trajectory) and fig6b (COUNT under churn) at both shard counts at
+// reduced scale and bound the disagreement; the only differences are the
+// RNG stream layout and the deferred cross-shard exchange order, so a
+// widening here would indicate an engine-level regression.
 
 func runBothEngines(t *testing.T, run func(sel EngineSel) (*Result, error)) (serial, sharded *Result) {
 	t.Helper()
@@ -103,7 +95,7 @@ func TestFig2SerialShardedParity(t *testing.T) {
 	for c := 5; c < len(ss.Points); c++ {
 		a, b := ss.Points[c].Mean, ps.Points[c].Mean
 		if a <= 1 || b <= 1 {
-			continue // converged to the floor on both engines
+			continue // converged to the floor at both shard counts
 		}
 		// Compare the decaying excess over the limit on a log scale.
 		ratio := math.Log(a-1+1e-12) - math.Log(b-1+1e-12)

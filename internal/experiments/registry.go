@@ -15,15 +15,15 @@ type Options struct {
 	// Seed overrides the master seed (0 keeps the default — the paper
 	// figures are seeded deterministically).
 	Seed uint64
-	// Engine selects the simulation engine for every experiment — the
-	// figure sweeps, ablations, extensions and scenario-based entries
-	// alike: EngineSerial, EngineSharded, or ""/EngineAuto to pick by the
-	// sweep's largest network size (sharded at
-	// parsim.AutoEngineThreshold and above). The resolved engine is
-	// echoed in Result.Engine.
+	// Engine selects the simulation engine's shard count for every
+	// experiment — the figure sweeps, ablations, extensions and
+	// scenario-based entries alike: EngineSerial (K = 1), EngineSharded
+	// (K = Shards), or ""/EngineAuto to pick by the sweep's largest
+	// network size (sharded at scenario.AutoEngineThreshold and above).
+	// The resolved name is echoed in Result.Engine.
 	Engine string
-	// Shards is the shard count for the sharded engine (0 = GOMAXPROCS).
-	// Sharded results are deterministic per (seed, shard count).
+	// Shards is K for EngineSharded (0 = GOMAXPROCS). Results are
+	// deterministic per (seed, shard count).
 	Shards int
 }
 

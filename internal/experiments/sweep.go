@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"antientropy/internal/core"
-	"antientropy/internal/parsim"
 	"antientropy/internal/scenario"
 	"antientropy/internal/sim"
 )
@@ -15,71 +14,65 @@ import (
 // here (Options zero value auto-selects), but EngineSerial in
 // scenario.SimOptions (whose zero value predates auto-selection).
 const (
-	// EngineAuto selects the engine by network size: sharded at
-	// N >= parsim.AutoEngineThreshold, serial below.
+	// EngineAuto selects by network size: sharded at
+	// N >= scenario.AutoEngineThreshold, serial below.
 	EngineAuto = scenario.EngineAuto
-	// EngineSerial forces the serial engine of internal/sim.
+	// EngineSerial runs the engine at K = 1.
 	EngineSerial = scenario.EngineSerial
-	// EngineSharded forces the sharded multi-core engine of
-	// internal/parsim.
+	// EngineSharded runs the engine at K = EngineSel.Shards.
 	EngineSharded = scenario.EngineSharded
 )
 
-// EngineSel selects the simulation engine of a sweep. Every figure,
-// ablation and extension config embeds it, so Options.Engine and
-// Options.Shards apply uniformly across the whole registry: the paper's
-// entire evaluation runs on either engine.
+// EngineSel selects the shard count of a sweep's simulation runs. Every
+// figure, ablation and extension config embeds it, so Options.Engine and
+// Options.Shards apply uniformly across the whole registry.
 type EngineSel struct {
 	// Engine is "" or EngineAuto (pick by the sweep's largest network
 	// size), EngineSerial, or EngineSharded. An explicit choice always
 	// wins over auto-selection.
 	Engine string
-	// Shards is the shard count for the sharded engine (0 = GOMAXPROCS).
-	// Sharded results are deterministic per (seed, shard count).
+	// Shards is K for EngineSharded (0 = GOMAXPROCS). Results are
+	// deterministic per (seed, shard count).
 	Shards int
 }
 
 // resolve fixes the engine for a sweep whose largest single run has maxN
 // node slots and which executes reps repetitions (concurrently via
 // sim.ParallelReps). Auto-selection is resolved per sweep — one figure
-// never mixes engines across its points.
+// never mixes shard counts across its points.
 func (s EngineSel) resolve(maxN, reps int) (sweepEngine, error) {
-	name := s.Engine
-	switch name {
-	case "", EngineAuto:
-		name = scenario.AutoEngine(maxN)
-	case EngineSerial, EngineSharded:
-	default:
-		return sweepEngine{}, fmt.Errorf("experiments: unknown engine %q (want %q, %q or %q)",
-			s.Engine, EngineAuto, EngineSerial, EngineSharded)
+	engine := s.Engine
+	if engine == "" {
+		engine = EngineAuto
+	}
+	name, shards, err := scenario.ResolveEngine(engine, s.Shards, maxN)
+	if err != nil {
+		return sweepEngine{}, fmt.Errorf("experiments: %w", err)
 	}
 	// sim.ParallelReps already spreads the repetitions across the cores,
-	// so multi-rep sweeps pin the sharded engine to one worker: sharding
-	// still changes the execution (and stays deterministic per shard
-	// count), but engine-level goroutines on top of rep-level parallelism
-	// would only oversubscribe the CPU. Single-rep runs get the machine.
+	// so multi-rep sweeps pin the engine to one worker: sharding still
+	// changes the execution (and stays deterministic per shard count),
+	// but engine-level goroutines on top of rep-level parallelism would
+	// only oversubscribe the CPU. Single-rep runs get the machine.
 	workers := 1
 	if reps <= 1 {
 		workers = 0
 	}
-	return sweepEngine{name: name, shards: s.Shards, workers: workers}, nil
+	return sweepEngine{name: name, shards: shards, workers: workers}, nil
 }
 
-// sweepEngine is a resolved engine choice: every repetition of a sweep
-// dispatches through it, so one coreConfig drives either engine.
+// sweepEngine is a resolved engine choice: the (shards, workers) every
+// repetition of a sweep configures its engine with, and the name echoed
+// in Result.Engine.
 type sweepEngine struct {
 	name    string
 	shards  int
 	workers int
 }
 
-func (se sweepEngine) sharded() bool { return se.name == EngineSharded }
-
-// coreConfig is the engine-agnostic description of one simulation run:
-// the subset of sim.Config the figure sweeps need, with the overlay
-// expressed as a TopologySpec (which carries a builder per engine) and
-// the hooks typed against sim.Core so the identical observer code runs
-// on either engine.
+// coreConfig describes one simulation run of a figure sweep: the subset
+// of sim.Config the sweeps need, with the overlay expressed as a
+// TopologySpec and the observer typed against sim.Core.
 type coreConfig struct {
 	N      int
 	Cycles int
@@ -105,6 +98,7 @@ type coreConfig struct {
 func (se sweepEngine) simConfig(cc coreConfig) sim.Config {
 	cfg := sim.Config{
 		N: cc.N, Cycles: cc.Cycles, Seed: cc.Seed,
+		Shards: se.shards, Workers: se.workers,
 		Fn: cc.Fn, Init: cc.Init,
 		Dim: cc.Dim, Leaders: cc.Leaders, VecInit: cc.VecInit,
 		Overlay:     cc.Topology.Overlay,
@@ -118,65 +112,14 @@ func (se sweepEngine) simConfig(cc coreConfig) sim.Config {
 	return cfg
 }
 
-func (se sweepEngine) parsimConfig(cc coreConfig) parsim.Config {
-	cfg := parsim.Config{
-		N: cc.N, Cycles: cc.Cycles, Seed: cc.Seed,
-		Shards: se.shards, Workers: se.workers,
-		Fn: cc.Fn, Init: cc.Init,
-		Dim: cc.Dim, Leaders: cc.Leaders, VecInit: cc.VecInit,
-		Overlay:     cc.Topology.Sharded,
-		Failures:    cc.Failures,
-		LinkFailure: cc.LinkFailure, MessageLoss: cc.MessageLoss,
-	}
-	if cc.Observe != nil {
-		h := cc.Observe
-		cfg.Observe = func(cycle int, e *parsim.Engine) { h(cycle, e) }
-	}
-	return cfg
-}
-
-// run executes all configured cycles on the selected engine, invoking
-// cc.Observe after initialization and after every cycle, and returns the
-// finished engine.
+// run executes all configured cycles, invoking cc.Observe after
+// initialization and after every cycle, and returns the finished engine.
 func (se sweepEngine) run(cc coreConfig) (sim.Core, error) {
-	if se.sharded() {
-		return parsim.Run(se.parsimConfig(cc))
-	}
 	return sim.Run(se.simConfig(cc))
 }
 
 // start builds the engine without running it, for sweeps that drive
 // cycles manually (early-exit loops like the MIN/MAX extension).
 func (se sweepEngine) start(cc coreConfig) (sim.Core, error) {
-	if se.sharded() {
-		return parsim.New(se.parsimConfig(cc))
-	}
 	return sim.New(se.simConfig(cc))
-}
-
-// runner adapts the engine choice to the multi-epoch chain drivers
-// (sim.RunEpochChain, sim.RunCountEpochChain): the serial engine uses
-// the chain's own sim.Config verbatim, the sharded engine re-expresses
-// it shard-side with topo's sharded overlay in place of the serial
-// builder.
-func (se sweepEngine) runner(topo TopologySpec) sim.RunnerFunc {
-	if !se.sharded() {
-		return sim.SerialRunner
-	}
-	return func(cfg sim.Config) (sim.Core, error) {
-		// The serial-typed hooks cannot run on the sharded engine; fail
-		// loudly rather than silently diverging from the serial runner.
-		if cfg.BeforeCycle != nil || cfg.Observe != nil {
-			return nil, fmt.Errorf("experiments: the sharded runner cannot honor serial-typed BeforeCycle/Observe hooks")
-		}
-		return parsim.Run(parsim.Config{
-			N: cfg.N, InitialAlive: cfg.InitialAlive, Cycles: cfg.Cycles, Seed: cfg.Seed,
-			Shards: se.shards, Workers: se.workers,
-			Fn: cfg.Fn, Init: cfg.Init,
-			Dim: cfg.Dim, Leaders: cfg.Leaders, VecInit: cfg.VecInit,
-			Overlay:     topo.Sharded,
-			Failures:    cfg.Failures,
-			LinkFailure: cfg.LinkFailure, MessageLoss: cfg.MessageLoss,
-		})
-	}
 }

@@ -2,6 +2,7 @@ package parsim
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"antientropy/internal/core"
@@ -11,9 +12,15 @@ import (
 func baseConfig(n, cycles int, seed uint64, shards int) Config {
 	return Config{
 		N: n, Cycles: cycles, Seed: seed, Shards: shards,
-		Fn:   core.Average,
-		Init: func(node int) float64 { return float64(node) },
+		Fn:      core.Average,
+		Init:    func(node int) float64 { return float64(node) },
+		Overlay: Newscast(30),
 	}
+}
+
+// script wraps a per-cycle hook as the engine's one way to script events.
+func script(fn func(cycle int, e sim.Core)) []sim.FailureModel {
+	return []sim.FailureModel{sim.Script("test", fn)}
 }
 
 // run executes cfg and returns the finished engine.
@@ -27,46 +34,63 @@ func run(t *testing.T, cfg Config) *Engine {
 }
 
 func TestConfigValidation(t *testing.T) {
+	zero := func(int) float64 { return 0 }
 	bad := []Config{
 		{},                        // no nodes
 		{N: 10},                   // no function
 		{N: 10, Fn: core.Average}, // no init
-		{N: 10, Cycles: -1, Fn: core.Average, Init: func(int) float64 { return 0 }},
-		{N: 10, InitialAlive: 11, Fn: core.Average, Init: func(int) float64 { return 0 }},
-		{N: 10, MessageLoss: 1.5, Fn: core.Average, Init: func(int) float64 { return 0 }},
-		{N: 10, LinkFailure: -0.1, Fn: core.Average, Init: func(int) float64 { return 0 }},
-		{N: 10, Shards: -2, Fn: core.Average, Init: func(int) float64 { return 0 }},
+		{N: 10, Cycles: -1, Fn: core.Average, Init: zero},
+		{N: 10, InitialAlive: 11, Fn: core.Average, Init: zero},
+		{N: 10, MessageLoss: 1.5, Fn: core.Average, Init: zero},
+		{N: 10, LinkFailure: -0.1, Fn: core.Average, Init: zero},
+		{N: 10, Shards: -2, Fn: core.Average, Init: zero},
 	}
 	for i, cfg := range bad {
+		cfg.Overlay = Newscast(30)
 		if _, err := New(cfg); err == nil {
 			t.Errorf("case %d: invalid config %+v accepted", i, cfg)
 		}
 	}
+	valid := Config{N: 10, Fn: core.Average, Init: zero, Overlay: Newscast(30)}
+	if _, err := New(valid); err != nil {
+		t.Errorf("valid config rejected: %v", err)
+	}
+	valid.Overlay = nil
+	if _, err := New(valid); err == nil {
+		t.Error("config without an overlay accepted: the one rule is that it is required")
+	}
 }
 
-func TestShardLayoutCoversNodeSpace(t *testing.T) {
-	// Every node must belong to exactly the shard whose range holds it,
-	// for awkward N/K combinations included.
-	for _, tc := range []struct{ n, k int }{{10, 3}, {7, 7}, {100, 8}, {5, 16}, {1, 1}, {1000, 13}} {
-		e, err := New(baseConfig(tc.n, 0, 1, tc.k))
-		if err != nil {
-			t.Fatal(err)
+// TestAliasesAreTheOneEngine pins what this package still promises:
+// parsim.New is sim.New — the same estimates bit for bit — except that a
+// zero shard count here means GOMAXPROCS.
+func TestAliasesAreTheOneEngine(t *testing.T) {
+	cfg := baseConfig(400, 10, 5, 1)
+	cfg.MessageLoss = 0.05
+	a, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Shards = 0 // sim reads zero as one shard
+	b, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := 0; c < 10; c++ {
+		a.Step()
+		b.Step()
+	}
+	for i := 0; i < cfg.N; i++ {
+		if a.Value(i) != b.Value(i) {
+			t.Fatalf("node %d: parsim.New(Shards: 1) %v, sim.New %v", i, a.Value(i), b.Value(i))
 		}
-		covered := 0
-		for _, s := range e.shards {
-			if s.lo > s.hi {
-				t.Fatalf("n=%d k=%d: shard %d has inverted range [%d,%d)", tc.n, tc.k, s.index, s.lo, s.hi)
-			}
-			for i := s.lo; i < s.hi; i++ {
-				if got := e.shardOf(i); got != s.index {
-					t.Fatalf("n=%d k=%d: node %d in range of shard %d but shardOf=%d", tc.n, tc.k, i, s.index, got)
-				}
-				covered++
-			}
-		}
-		if covered != tc.n {
-			t.Fatalf("n=%d k=%d: shards cover %d nodes", tc.n, tc.k, covered)
-		}
+	}
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := e.Shards(), runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("parsim.New(Shards: 0) built %d shards, want GOMAXPROCS = %d", got, want)
 	}
 }
 
@@ -141,14 +165,14 @@ func TestMassConservation(t *testing.T) {
 			groupOf[i] = i % 2
 		}
 		cfg := baseConfig(600, 30, 9, shards)
-		cfg.Script = func(cycle int, e *Engine) {
+		cfg.Failures = script(func(cycle int, e sim.Core) {
 			switch cycle {
 			case 5:
 				e.SetExchangeFilter(func(i, j int) bool { return groupOf[i] == groupOf[j] })
 			case 20:
 				e.SetExchangeFilter(nil)
 			}
-		}
+		})
 		cfg.Observe = func(cycle int, e *Engine) {
 			var sum float64
 			for i := 0; i < e.N(); i++ {
@@ -175,7 +199,7 @@ func TestMassConservationUnderKills(t *testing.T) {
 	var expected float64
 	started := false
 	cfg := baseConfig(n, 25, 11, 4)
-	cfg.Script = func(cycle int, e *Engine) {
+	cfg.Failures = script(func(cycle int, e sim.Core) {
 		if cycle%5 != 0 {
 			return
 		}
@@ -184,7 +208,7 @@ func TestMassConservationUnderKills(t *testing.T) {
 			expected -= e.Value(victim)
 			e.Kill(victim)
 		}
-	}
+	})
 	cfg.Observe = func(cycle int, e *Engine) {
 		var sum float64
 		for i := 0; i < n; i++ {
@@ -208,7 +232,7 @@ func TestMassConservationUnderKills(t *testing.T) {
 // engine: a replaced slot refuses the current epoch until Restart.
 func TestJoinerSitsOutEpoch(t *testing.T) {
 	cfg := baseConfig(100, 6, 5, 4)
-	cfg.Script = func(cycle int, e *Engine) {
+	cfg.Failures = script(func(cycle int, e sim.Core) {
 		if cycle == 2 {
 			e.Kill(7)
 			e.Replace(7)
@@ -216,7 +240,7 @@ func TestJoinerSitsOutEpoch(t *testing.T) {
 		if cycle == 4 {
 			e.Restart(nil)
 		}
-	}
+	})
 	cfg.Observe = func(cycle int, e *Engine) {
 		switch {
 		case cycle >= 2 && cycle < 4:
@@ -241,13 +265,13 @@ func TestMetricsAreConsistent(t *testing.T) {
 	cfg := baseConfig(800, 20, 13, 8)
 	cfg.MessageLoss = 0.1
 	cfg.LinkFailure = 0.05
-	cfg.Script = func(cycle int, e *Engine) {
+	cfg.Failures = script(func(cycle int, e sim.Core) {
 		if cycle == 3 {
 			for k := 0; k < 100; k++ {
 				e.Kill(e.RandomAlive())
 			}
 		}
-	}
+	})
 	e := run(t, cfg)
 	m := e.Metrics()
 	outcomes := m.Completed + m.Timeouts + m.Refusals + m.LinkDrops +
@@ -264,14 +288,14 @@ func TestMetricsAreConsistent(t *testing.T) {
 // can occur because only live peers are drawn.
 func TestCompleteLiveOverlay(t *testing.T) {
 	cfg := baseConfig(300, 15, 17, 4)
-	cfg.Overlay = CompleteLive()
-	cfg.Script = func(cycle int, e *Engine) {
+	cfg.Overlay = sim.CompleteLive()
+	cfg.Failures = script(func(cycle int, e sim.Core) {
 		if cycle == 2 {
 			for k := 0; k < 200; k++ {
 				e.Kill(e.RandomAlive())
 			}
 		}
-	}
+	})
 	e := run(t, cfg)
 	if e.Metrics().Timeouts != 0 {
 		t.Fatalf("complete-live overlay produced %d timeouts", e.Metrics().Timeouts)
@@ -334,7 +358,7 @@ func TestMillionNodeSmoke(t *testing.T) {
 	}
 }
 
-// TestShardedMatchesSerialStatistically compares the two engines on the
+// TestShardedMatchesSerialStatistically compares K = 1 and K = 4 on the
 // same workload: their converged estimates must agree to within the
 // protocol's variance, though their trajectories differ.
 func TestShardedMatchesSerialStatistically(t *testing.T) {

@@ -1,221 +1,35 @@
-// Package parsim is the sharded, multi-core counterpart of internal/sim:
-// a cycle-driven simulation engine that partitions the node space into K
-// contiguous shards and runs the per-cycle push-pull exchange loop and
-// the NEWSCAST overlay step across a worker pool. It exists to reach the
-// paper's upper evaluation range — 10⁵–10⁶-node overlays under churn,
-// crashes and partitions — which the serial engine cannot simulate in
-// reasonable wall-clock time.
-//
-// # Execution model
-//
-// Every cycle runs in two phases per subsystem:
-//
-//  1. Parallel phase: each shard, driven exclusively by its own RNG
-//     stream (stats.NewStreamRNG(seed, shard)), processes its local nodes
-//     in a shard-private random order. Exchanges whose peer lives in the
-//     same shard are applied immediately; exchanges that cross a shard
-//     boundary are fully decided (loss draws included) and appended to
-//     the shard's outbox. Shards read shared state (liveness,
-//     participation, the partition filter) but never write outside their
-//     own node range, so the phase is race-free without locks.
-//  2. Deterministic merge: the outboxes are drained serially in shard
-//     order, applying the deferred cross-shard exchanges. A deferred
-//     exchange acts on the peers' then-current estimates — exactly a
-//     message that spent the cycle in flight.
-//
-// # Determinism contract
-//
-// The same seed and the same shard count yield bit-identical runs —
-// estimates, metrics and CSV output — regardless of GOMAXPROCS or
-// worker scheduling, because shard streams are pure functions of
-// (seed, shard index) and the merge order is fixed. Different shard
-// counts are different (equally valid) executions: cross-shard exchanges
-// resolve at merge time rather than in the global initiation order, so
-// per-cycle trajectories differ across shard counts while converging to
-// the same statistics. Pin -shards along with -seed to reproduce a run.
-//
-// The engine implements the same surface the declarative scenario
-// executor consumes (sim.Core), so every scenario runs unchanged on
-// either engine; internal/scenario selects via SimOptions.Engine.
+// Package parsim is the former home of the sharded engine, which now is
+// internal/sim's one engine (K = Config.Shards). The package exists only
+// because bench/sim.go and bench/ladder.go, which a non-benchmark change
+// may not edit, name parsim.Config, parsim.Engine, parsim.New and
+// parsim.Newscast; nothing else imports it.
 package parsim
 
 import (
-	"errors"
-	"fmt"
 	"runtime"
 
-	"antientropy/internal/core"
 	"antientropy/internal/sim"
 )
 
-// AutoEngineThreshold is the network size at or above which size-based
-// engine auto-selection ("auto") picks this sharded engine over the
-// serial one. Below it the serial engine's lower fixed costs win; above
-// it the flat packed overlay and shard parallelism dominate (ROADMAP
-// perf baselines: 8.4× for the 10⁴-node partition-heal scenario and for
-// the fig6b sweep at 2×10⁴ nodes, both on one core).
-const AutoEngineThreshold = 20000
+// Config and Engine are the one engine's types.
+type (
+	Config = sim.Config
+	Engine = sim.Engine
+)
 
-// Config describes one sharded simulation run. It mirrors sim.Config —
-// scalar mode (Fn/Init) or vector mode (Dim with Leaders or VecInit),
-// failure models, loss rates and a pluggable overlay — so the paper's
-// figure sweeps run unchanged on either engine.
-type Config struct {
-	// N is the number of node slots.
-	N int
-	// InitialAlive, when positive, starts only slots [0, InitialAlive)
-	// alive and participating (scenario joins later fill the rest). Zero
-	// means all N slots start alive.
-	InitialAlive int
-	// Cycles is the number of cycles Run executes.
-	Cycles int
-	// Seed drives all randomness: the control stream and every shard
-	// stream derive from it.
-	Seed uint64
-	// Shards is the shard count K. Zero selects GOMAXPROCS. The node
-	// space [0, N) is split into K contiguous ranges of near-equal size;
-	// K is clamped to N.
-	Shards int
-	// Workers bounds the goroutines driving the parallel phases. Zero
-	// selects min(Shards, GOMAXPROCS). One worker degenerates to a
-	// serial loop with no synchronization cost.
-	Workers int
+// Newscast is sim.Newscast.
+func Newscast(c int) sim.OverlaySpec { return sim.Newscast(c) }
 
-	// Fn is the scalar aggregation function (scalar mode). Exactly one of
-	// Fn.Update or Dim must be set.
-	Fn core.Function
-	// Init yields node i's initial estimate (scalar mode).
-	Init func(node int) float64
+// New is sim.New with this package's historical reading of a zero shard
+// count: GOMAXPROCS instead of 1.
+func New(cfg Config) (*Engine, error) { return sim.New(autoShards(cfg)) }
 
-	// Dim > 0 selects vector mode: the state is a Dim-dimensional vector
-	// averaged element-wise — the flattened COUNT map state, exactly as
-	// in sim.Config. Cross-shard exchanges defer the whole vector update
-	// to the merge, so per-component mass is conserved like scalar mass.
-	Dim int
-	// Leaders[d] is the node whose d-th component starts at 1; all other
-	// components start at 0. Exactly one of Leaders and VecInit must be
-	// set in vector mode.
-	Leaders []int
-	// VecInit initializes component d of node i arbitrarily (§5 derived
-	// aggregates).
-	VecInit func(node, dim int) float64
+// Run is sim.Run with New's reading of a zero shard count.
+func Run(cfg Config) (*Engine, error) { return sim.Run(autoShards(cfg)) }
 
-	// Overlay selects the sharded overlay (default: Newscast(30)).
-	Overlay OverlaySpec
-
-	// LinkFailure is P_d, the per-exchange drop probability (§6.2).
-	LinkFailure float64
-	// MessageLoss is the per-message drop probability (§7.2).
-	MessageLoss float64
-
-	// Failures are applied in order at the beginning of every cycle
-	// (after Script), through the shared sim.Core surface — the same
-	// models, with the same semantics, as the serial engine's.
-	Failures []sim.FailureModel
-
-	// Adversary, when non-nil, rewrites the scalar estimate a node
-	// reports to its exchange peer — the Byzantine wire-lying hook, with
-	// the same contract as sim.Config.Adversary. It must be a pure
-	// function of (cycle, node, local): shards call it concurrently.
-	// Scalar mode only.
-	Adversary func(cycle, node int, local float64) (float64, bool)
-
-	// Guard, when non-nil, replaces the hardcoded push-pull average
-	// merge of scalar exchanges with the pluggable Combiner defense,
-	// with the same contract as sim.Config.Guard. Node sample windows
-	// are only touched by the owning shard (intra-shard exchanges) or
-	// the serial merge (cross-shard), so the guard needs no locking.
-	// Scalar mode only.
-	Guard *core.MergeGuard
-
-	// BeforeCycle, when non-nil, runs serially at the start of every
-	// cycle — the scenario engine's epoch-restart hook.
-	BeforeCycle func(cycle int, e *Engine)
-	// Script, when non-nil, runs serially after BeforeCycle — the
-	// scenario engine's event hook (churn, partitions, loss changes).
-	Script func(cycle int, e *Engine)
-	// Observe, when non-nil, is called after initialization (cycle 0)
-	// and after every completed cycle.
-	Observe func(cycle int, e *Engine)
-}
-
-func (c Config) validate() error {
-	if c.N < 1 {
-		return fmt.Errorf("parsim: invalid node count %d", c.N)
+func autoShards(cfg Config) Config {
+	if cfg.Shards == 0 {
+		cfg.Shards = runtime.GOMAXPROCS(0)
 	}
-	if c.Cycles < 0 {
-		return fmt.Errorf("parsim: invalid cycle count %d", c.Cycles)
-	}
-	if c.InitialAlive < 0 || c.InitialAlive > c.N {
-		return fmt.Errorf("parsim: initial alive count %d not in [0, %d]", c.InitialAlive, c.N)
-	}
-	scalar := c.Fn.Update != nil
-	vector := c.Dim > 0
-	if scalar == vector {
-		return errors.New("parsim: exactly one of Fn (scalar mode) and Dim (vector mode) must be set")
-	}
-	if scalar && c.Init == nil {
-		return errors.New("parsim: scalar mode requires Init")
-	}
-	if vector {
-		hasLeaders := len(c.Leaders) > 0
-		hasVecInit := c.VecInit != nil
-		if hasLeaders == hasVecInit {
-			return errors.New("parsim: vector mode requires exactly one of Leaders and VecInit")
-		}
-		if hasLeaders {
-			if len(c.Leaders) != c.Dim {
-				return fmt.Errorf("parsim: vector mode needs exactly Dim=%d leaders, got %d", c.Dim, len(c.Leaders))
-			}
-			live := c.N
-			if c.InitialAlive > 0 {
-				live = c.InitialAlive
-			}
-			for d, l := range c.Leaders {
-				if l < 0 || l >= live {
-					return fmt.Errorf("parsim: leader %d of instance %d out of range", l, d)
-				}
-			}
-		}
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("parsim: invalid shard count %d", c.Shards)
-	}
-	if c.LinkFailure < 0 || c.LinkFailure > 1 {
-		return fmt.Errorf("parsim: link failure probability %g not in [0,1]", c.LinkFailure)
-	}
-	if c.MessageLoss < 0 || c.MessageLoss > 1 {
-		return fmt.Errorf("parsim: message loss probability %g not in [0,1]", c.MessageLoss)
-	}
-	return nil
-}
-
-// shardCount resolves the effective K for this configuration.
-func (c Config) shardCount() int {
-	k := c.Shards
-	if k == 0 {
-		k = runtime.GOMAXPROCS(0)
-	}
-	if k > c.N {
-		k = c.N
-	}
-	if k < 1 {
-		k = 1
-	}
-	return k
-}
-
-// workerCount resolves the goroutine budget for the parallel phases.
-func (c Config) workerCount(shards int) int {
-	w := c.Workers
-	if w == 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > shards {
-		w = shards
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return cfg
 }

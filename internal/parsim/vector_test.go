@@ -17,6 +17,7 @@ func vectorConfig(n, cycles, dim int, seed uint64, shards int) Config {
 		VecInit: func(node, d int) float64 {
 			return float64((node+1)*(d+1)) / float64(n)
 		},
+		Overlay: Newscast(30),
 	}
 }
 
@@ -37,6 +38,7 @@ func TestVectorConfigValidation(t *testing.T) {
 		{N: 10, Dim: 2, Leaders: []int{0, 10}},
 	}
 	for i, cfg := range bad {
+		cfg.Overlay = Newscast(30)
 		if _, err := New(cfg); err == nil {
 			t.Errorf("case %d: invalid vector config accepted", i)
 		}
@@ -44,7 +46,7 @@ func TestVectorConfigValidation(t *testing.T) {
 }
 
 // TestVectorMassConservation is the invariant the COUNT protocol rests
-// on, on the sharded engine: with no loss, every component's total mass
+// on, at every shard count: with no loss, every component's total mass
 // over participants is unchanged by exchanges — intra-shard and
 // cross-shard (deferred merge) alike.
 func TestVectorMassConservation(t *testing.T) {
@@ -97,13 +99,14 @@ func TestVectorDeterminism(t *testing.T) {
 
 // TestVectorCountConverges runs a two-instance COUNT (leaders hold the
 // peak) and checks the combined size estimates converge to N on every
-// shard count, matching the serial engine statistically.
+// shard count.
 func TestVectorCountConverges(t *testing.T) {
 	const n = 1000
 	for _, shards := range []int{1, 2, 8} {
 		cfg := Config{
 			N: n, Cycles: 40, Seed: 7, Shards: shards,
 			Dim: 2, Leaders: []int{0, n / 2},
+			Overlay: Newscast(30),
 		}
 		e := run(t, cfg)
 		m := e.SizeMoments()
@@ -121,7 +124,7 @@ func TestVectorCountConverges(t *testing.T) {
 // RestartVec reinstates everyone with a fresh per-component init.
 func TestVectorReplaceAndRestartVec(t *testing.T) {
 	cfg := vectorConfig(100, 8, 2, 5, 4)
-	cfg.Script = func(cycle int, e *Engine) {
+	cfg.Failures = script(func(cycle int, e sim.Core) {
 		if cycle == 2 {
 			e.Kill(7)
 			e.Replace(7)
@@ -129,7 +132,7 @@ func TestVectorReplaceAndRestartVec(t *testing.T) {
 		if cycle == 5 {
 			e.RestartVec(func(node, d int) float64 { return float64(d) })
 		}
-	}
+	})
 	cfg.Observe = func(cycle int, e *Engine) {
 		switch {
 		case cycle >= 2 && cycle < 5:
@@ -155,7 +158,7 @@ func TestVectorReplaceAndRestartVec(t *testing.T) {
 // TestStaticTopologySharded checks the packed static overlay: a random
 // k-out graph drives the exchanges (deterministically per seed + shard
 // count), the protocol converges to the true mean, and joins/reseeds are
-// no-ops exactly like the serial static overlay.
+// no-ops.
 func TestStaticTopologySharded(t *testing.T) {
 	const n = 800
 	build := func(n int, rng *stats.RNG) (topology.Graph, error) {
@@ -164,7 +167,7 @@ func TestStaticTopologySharded(t *testing.T) {
 	want := float64(n-1) / 2
 	for _, shards := range []int{1, 4} {
 		cfg := baseConfig(n, 40, 13, shards)
-		cfg.Overlay = Static(build)
+		cfg.Overlay = sim.Static(build)
 		a := run(t, cfg)
 		m := a.ParticipantMoments()
 		if math.Abs(m.Mean()-want) > 1e-6 {
@@ -189,7 +192,7 @@ func TestStaticTopologySharded(t *testing.T) {
 func TestFrozenNewscastSharded(t *testing.T) {
 	const n = 500
 	cfg := baseConfig(n, 40, 17, 4)
-	cfg.Overlay = NewscastFrozen(30)
+	cfg.Overlay = sim.NewscastFrozen(30)
 	e := run(t, cfg)
 	m := e.ParticipantMoments()
 	want := float64(n-1) / 2
@@ -197,14 +200,14 @@ func TestFrozenNewscastSharded(t *testing.T) {
 		t.Fatalf("frozen overlay mean %g, want %g", m.Mean(), want)
 	}
 	kill := baseConfig(n, 30, 17, 4)
-	kill.Overlay = NewscastFrozen(30)
-	kill.Script = func(cycle int, e *Engine) {
+	kill.Overlay = sim.NewscastFrozen(30)
+	kill.Failures = script(func(cycle int, e sim.Core) {
 		if cycle == 2 {
 			for k := 0; k < 100; k++ {
 				e.Kill(e.RandomAlive())
 			}
 		}
-	}
+	})
 	froze := run(t, kill)
 	fresh := kill
 	fresh.Overlay = Newscast(30)
@@ -216,8 +219,7 @@ func TestFrozenNewscastSharded(t *testing.T) {
 }
 
 // TestFailureModelsOnShardedEngine drives the paper's failure models
-// through Config.Failures — the same sim.FailureModel values the serial
-// engine uses — and checks their semantics.
+// through Config.Failures at K = 4 and checks their semantics.
 func TestFailureModelsOnShardedEngine(t *testing.T) {
 	const n = 400
 	cfg := baseConfig(n, 10, 19, 4)

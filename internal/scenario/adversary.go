@@ -135,11 +135,11 @@ func (s *advSchedule) initValue(node, cycle int, honest float64) float64 {
 	return honest
 }
 
-// engineHook builds the wire-lying hook the simulation engines install
-// (sim.Config.Adversary / parsim.Config.Adversary), or nil when no
-// configured behavior lies on the wire. The hook is a pure function of
-// (cycle, node, local) plus the serially-updated replay snapshots, so
-// the sharded engine's shards may call it concurrently.
+// engineHook builds the wire-lying hook the simulation engine installs
+// (sim.Config.Adversary), or nil when no configured behavior lies on the
+// wire. The hook is a pure function of (cycle, node, local) plus the
+// serially-updated replay snapshots, so the engine's shards may call it
+// concurrently.
 func (s *advSchedule) engineHook() func(cycle, node int, local float64) (float64, bool) {
 	need := false
 	for _, a := range s.sc.Adversaries {

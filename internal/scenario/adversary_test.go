@@ -89,9 +89,9 @@ func TestHonestTwinZeroBiasWithoutAdversaries(t *testing.T) {
 	}
 }
 
-// TestInjectExtremeBiasAgreesAcrossEngines runs the undefended attack on
-// both engines: the induced bias is an attack property, not an engine
-// artifact, so the two measurements must be close (execution differs,
+// TestInjectExtremeBiasAgreesAcrossEngines runs the undefended attack
+// with one shard and with several: the induced bias is an attack
+// property, not an execution artifact, so the two measurements must be close (execution differs,
 // physics must not).
 func TestInjectExtremeBiasAgreesAcrossEngines(t *testing.T) {
 	sc, err := ByName("inject-extreme")

@@ -3,11 +3,9 @@ package scenario
 import (
 	"bytes"
 	"testing"
-
-	"antientropy/internal/sim"
 )
 
-// TestShardedDeterministicCSV pins the sharded engine's determinism
+// TestShardedDeterministicCSV pins the engine's determinism
 // contract at the executor level: the same seed and the same shard count
 // must yield byte-identical CSV output across runs, at several shard
 // counts.
@@ -35,8 +33,8 @@ func TestShardedDeterministicCSV(t *testing.T) {
 	}
 }
 
-// TestShardedRunsAllCannedScenarios is the engine-parity check: every
-// canned scenario must produce valid metrics on the sharded engine, with
+// TestShardedRunsAllCannedScenarios is the shard-count parity check:
+// every canned scenario must produce valid metrics at K = 4, with
 // the full row count and mass conservation wherever the script is
 // lossless.
 func TestShardedRunsAllCannedScenarios(t *testing.T) {
@@ -69,16 +67,15 @@ func TestShardedRunsAllCannedScenarios(t *testing.T) {
 			// quality is asserted against the honest twin in the adversary
 			// tests — so the tight gate covers honest scenarios only.
 			if !sc.HasAdversary() && f.RelError > 0.05 {
-				t.Fatalf("final rel error %g — sharded engine failed to track the aggregate", f.RelError)
+				t.Fatalf("final rel error %g — the K = 4 run failed to track the aggregate", f.RelError)
 			}
 		})
 	}
 }
 
-// TestShardedPartitionHealConservesMassAndReconverges is the sharded
-// twin of the serial engine's partition test: mass holds through the
-// split at every shard count, and the overlay remerges after the heal
-// (the rendezvous reseed works through sim.Core on either engine).
+// TestShardedPartitionHealConservesMassAndReconverges: mass holds
+// through the split at every shard count, and the overlay remerges after
+// the heal (the rendezvous reseed works through sim.Core).
 func TestShardedPartitionHealConservesMassAndReconverges(t *testing.T) {
 	sc, err := ByName("partition-heal")
 	if err != nil {
@@ -176,7 +173,7 @@ func TestRunSimWithRejectsBadOptions(t *testing.T) {
 	if _, err := RunSimWith(sc, SimOptions{Engine: "warp"}); err == nil {
 		t.Fatal("unknown engine accepted")
 	}
-	if _, err := RunSimWith(sc, SimOptions{Engine: EngineSharded, Overlay: sim.Newscast(30)}); err == nil {
-		t.Fatal("sharded engine accepted a serial overlay builder")
+	if _, err := RunSimWith(sc, SimOptions{Engine: EngineSharded, Shards: -1}); err == nil {
+		t.Fatal("negative shard count accepted")
 	}
 }

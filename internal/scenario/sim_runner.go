@@ -3,56 +3,74 @@ package scenario
 import (
 	"fmt"
 	"log/slog"
+	"runtime"
 	"time"
 
 	"antientropy/internal/core"
 	"antientropy/internal/obs"
-	"antientropy/internal/parsim"
 	"antientropy/internal/sim"
 	"antientropy/internal/stats"
 )
 
-// Engine names for SimOptions.Engine.
+// Engine names for SimOptions.Engine. There is one simulation engine
+// (internal/sim); the names choose its shard count K.
 const (
-	// EngineSerial is the single-threaded engine of internal/sim — the
-	// default, bit-for-bit deterministic from the scenario seed alone.
+	// EngineSerial is K = 1 — the default: every exchange applies at once
+	// in one global random order, bit-for-bit deterministic from the
+	// scenario seed alone.
 	EngineSerial = "serial"
-	// EngineSharded is the sharded multi-core engine of internal/parsim:
-	// deterministic per (seed, shard count), built for 10⁵–10⁶-node runs.
+	// EngineSharded is K = SimOptions.Shards across the cores:
+	// deterministic per (seed, K), built for 10⁵–10⁶-node runs.
 	EngineSharded = "sharded"
 	// EngineAuto selects by scenario size: EngineSharded at
-	// parsim.AutoEngineThreshold slots and above, EngineSerial below. An
-	// explicit engine always wins; the executed engine is visible in
+	// AutoEngineThreshold slots and above, EngineSerial below. An explicit
+	// engine always wins; the resolved choice is visible in
 	// RunResult.Executor ("sim" vs "sim-sharded").
 	EngineAuto = "auto"
 )
 
-// AutoEngine resolves EngineAuto for a run over `slots` node slots.
-func AutoEngine(slots int) string {
-	if slots >= parsim.AutoEngineThreshold {
-		return EngineSharded
+// AutoEngineThreshold is the network size at or above which EngineAuto
+// shards a run across the cores instead of running it at K = 1.
+const AutoEngineThreshold = 20000
+
+// ResolveEngine maps an engine name and a shard option (0 = GOMAXPROCS)
+// for a run over `slots` node slots to the resolved name — EngineSerial
+// or EngineSharded — and the shard count K to configure the engine with.
+// The empty name means EngineSerial.
+func ResolveEngine(engine string, shards, slots int) (string, int, error) {
+	if engine == EngineAuto {
+		engine = EngineSerial
+		if slots >= AutoEngineThreshold {
+			engine = EngineSharded
+		}
 	}
-	return EngineSerial
+	switch engine {
+	case "", EngineSerial:
+		return EngineSerial, 1, nil
+	case EngineSharded:
+		if shards == 0 {
+			shards = runtime.GOMAXPROCS(0)
+		}
+		return EngineSharded, shards, nil
+	default:
+		return "", 0, fmt.Errorf("unknown engine %q (want %q, %q or %q)",
+			engine, EngineAuto, EngineSerial, EngineSharded)
+	}
 }
 
 // SimOptions tune the simulator executor.
 type SimOptions struct {
-	// Overlay overrides the overlay builder of the serial engine
-	// (default: NEWSCAST with the paper's recommended cache size 30).
-	// It is incompatible with the sharded engine, which uses its own
-	// shard-aware NEWSCAST implementation.
-	Overlay sim.OverlayBuilder
-	// Engine selects the executor engine: EngineSerial (also ""),
+	// Engine selects the shard count: EngineSerial (also ""),
 	// EngineSharded, or EngineAuto to pick by scenario size.
 	Engine string
-	// Shards is the shard count for the sharded engine (0 = GOMAXPROCS).
-	// Results are deterministic per shard count: the same seed and the
-	// same shard count reproduce a run bit-for-bit; different shard
-	// counts are statistically equivalent but not identical.
+	// Shards is K for EngineSharded (0 = GOMAXPROCS). Results are
+	// deterministic per shard count: the same seed and the same shard
+	// count reproduce a run bit-for-bit; different shard counts are
+	// statistically equivalent but not identical.
 	Shards int
-	// Workers bounds the sharded engine's goroutines (0 = GOMAXPROCS).
-	// Callers that already parallelize across repetitions set it to 1 to
-	// avoid oversubscribing the cores; it never affects results.
+	// Workers bounds the engine's goroutines (0 = GOMAXPROCS). Callers
+	// that already parallelize across repetitions set it to 1 to avoid
+	// oversubscribing the cores; it never affects results.
 	Workers int
 	// Obs, when set, receives the per-cycle scenario gauges and the
 	// convergence watch (agg_scenario_* / agg_convergence_*), updated as
@@ -76,38 +94,27 @@ type SimOptions struct {
 // with default options.
 func RunSim(sc Scenario) (*RunResult, error) { return RunSimWith(sc, SimOptions{}) }
 
-// RunSimWith executes the scenario on a simulation engine: epoch
-// restarts go through Core.Restart, scripted events through the engines'
-// script hooks, and partitions through the exchange filter (which both
-// engines also forward to NEWSCAST gossip, so a partition splits the
+// RunSimWith executes the scenario on the simulation engine: epoch
+// restarts go through Core.Restart, scripted events through a sim.Script
+// failure model, and partitions through the exchange filter (which the
+// engine also applies to NEWSCAST gossip, so a partition splits the
 // overlay exactly as the live executor's transport partition does). The
 // whole run is reproducible bit-for-bit from the scenario seed — plus
-// the shard count when the sharded engine is selected.
+// the shard count when EngineSharded is selected.
 func RunSimWith(sc Scenario, opts SimOptions) (*RunResult, error) {
 	sc = sc.WithDefaults()
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	engine := opts.Engine
-	if engine == EngineAuto {
-		engine = AutoEngine(sc.MaxSlots())
-	}
-	switch engine {
-	case "", EngineSerial:
-		return runSimSerial(sc, opts)
-	case EngineSharded:
-		return runSimSharded(sc, opts)
-	default:
-		return nil, fmt.Errorf("scenario %s: unknown engine %q (want %q, %q or %q)",
-			sc.Name, opts.Engine, EngineAuto, EngineSerial, EngineSharded)
-	}
-}
-
-// newSimDriver builds the engine-agnostic half of a simulator run: the
-// value program, the Byzantine plan, the defense, the script interpreter
-// and the row log.
-func newSimDriver(sc Scenario, executor string, opts SimOptions) *simDriver {
 	slots := sc.MaxSlots()
+	engine, shards, err := ResolveEngine(opts.Engine, opts.Shards, slots)
+	if err != nil {
+		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
+	}
+	executor := "sim"
+	if engine == EngineSharded {
+		executor = "sim-sharded"
+	}
 	d := &simDriver{
 		sc:   sc,
 		prog: NewValueProgram(sc, slots),
@@ -121,25 +128,18 @@ func newSimDriver(sc Scenario, executor string, opts SimOptions) *simDriver {
 	sobs := newScenarioObs(opts.Obs, opts.Timeline, opts.Logger)
 	sobs.bindAdversary(d, opts.BiasBaseline)
 	d.log = newRunLog(sc, executor, d.prog, d.adv, sobs)
-	return d
-}
-
-func runSimSerial(sc Scenario, opts SimOptions) (*RunResult, error) {
-	overlay := opts.Overlay
-	if overlay == nil {
-		overlay = sim.Newscast(30)
-	}
-	d := newSimDriver(sc, "sim", opts)
-	_, err := sim.Run(sim.Config{
+	_, err = sim.Run(sim.Config{
 		N:            d.log.result.Slots,
 		InitialAlive: sc.N,
 		Cycles:       sc.Cycles,
 		Seed:         sc.Seed,
+		Shards:       shards,
+		Workers:      opts.Workers,
 		Fn:           core.Average,
 		Init:         func(node int) float64 { return d.initValue(node, 0) },
 		Adversary:    d.advHook(),
 		Guard:        d.guard,
-		Overlay:      overlay,
+		Overlay:      sim.Newscast(30),
 		MessageLoss:  sc.MessageLoss,
 		LinkFailure:  sc.LinkFailure,
 		BeforeCycle:  func(cycle int, e *sim.Engine) { d.beforeCycle(cycle, e) },
@@ -147,43 +147,13 @@ func runSimSerial(sc Scenario, opts SimOptions) (*RunResult, error) {
 		Observe:      func(cycle int, e *sim.Engine) { d.observe(cycle, e) },
 	})
 	if err != nil {
-		return nil, fmt.Errorf("scenario %s: sim executor: %w", sc.Name, err)
+		return nil, fmt.Errorf("scenario %s: %s executor: %w", sc.Name, executor, err)
 	}
 	return d.log.result, nil
 }
 
-func runSimSharded(sc Scenario, opts SimOptions) (*RunResult, error) {
-	if opts.Overlay != nil {
-		return nil, fmt.Errorf("scenario %s: the sharded engine does not accept a serial overlay builder", sc.Name)
-	}
-	d := newSimDriver(sc, "sim-sharded", opts)
-	_, err := parsim.Run(parsim.Config{
-		N:            d.log.result.Slots,
-		InitialAlive: sc.N,
-		Cycles:       sc.Cycles,
-		Seed:         sc.Seed,
-		Shards:       opts.Shards,
-		Workers:      opts.Workers,
-		Fn:           core.Average,
-		Init:         func(node int) float64 { return d.initValue(node, 0) },
-		Adversary:    d.advHook(),
-		Guard:        d.guard,
-		Overlay:      parsim.Newscast(30),
-		MessageLoss:  sc.MessageLoss,
-		LinkFailure:  sc.LinkFailure,
-		BeforeCycle:  func(cycle int, e *parsim.Engine) { d.beforeCycle(cycle, e) },
-		Script:       func(cycle int, e *parsim.Engine) { d.applyEvents(cycle, e) },
-		Observe:      func(cycle int, e *parsim.Engine) { d.observe(cycle, e) },
-	})
-	if err != nil {
-		return nil, fmt.Errorf("scenario %s: sharded sim executor: %w", sc.Name, err)
-	}
-	return d.log.result, nil
-}
-
-// simDriver binds one scenario run to a simulation engine. It is
-// engine-agnostic: everything goes through sim.Core, so the serial and
-// the sharded engine run the identical script.
+// simDriver binds one scenario run to the simulation engine. Everything
+// goes through sim.Core, so a script test can substitute a fake.
 type simDriver struct {
 	sc     Scenario
 	prog   *ValueProgram
@@ -256,7 +226,7 @@ func (f simFleet) joinAs(slot, _ int)               { f.e.Replace(slot) }
 func (f simFleet) setLoss(p float64)                { f.e.SetMessageLoss(p) }
 func (f simFleet) setDelay(_, _ time.Duration) bool { return false }
 
-// split installs the exchange veto — which both engines also apply to
+// split installs the exchange veto — which the engine also applies to
 // NEWSCAST gossip, so the overlay splits along with the aggregation
 // traffic.
 func (f simFleet) split(groupOf []int) {

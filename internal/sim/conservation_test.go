@@ -11,21 +11,22 @@ import (
 // TestEngineMassConservationProperty checks the engine's core physical
 // invariant over arbitrary failure-free configurations: with AVERAGE and
 // no crashes or message loss, the sum of all estimates never changes, no
-// matter the topology, seed, size or link-failure rate.
+// matter the topology, seed, size, shard count or link-failure rate.
 func TestEngineMassConservationProperty(t *testing.T) {
-	overlays := []OverlayBuilder{
+	overlays := []OverlaySpec{
 		randomOverlay(8),
 		completeOverlay(),
 		Newscast(8),
 	}
 	cfg := &quick.Config{MaxCount: 30}
-	if err := quick.Check(func(seedRaw uint32, nRaw uint8, overlayPick uint8, pdRaw uint8) bool {
+	if err := quick.Check(func(seedRaw uint32, nRaw, overlayPick, pdRaw, kRaw uint8) bool {
 		n := 50 + int(nRaw)%200
 		pd := float64(pdRaw%90) / 100
 		e, err := Run(Config{
 			N:           n,
 			Cycles:      8,
 			Seed:        uint64(seedRaw) + 1,
+			Shards:      1 + int(kRaw)%8,
 			Fn:          core.Average,
 			Init:        LinearInit(),
 			Overlay:     overlays[int(overlayPick)%len(overlays)],
@@ -48,7 +49,7 @@ func TestEngineMassConservationProperty(t *testing.T) {
 // vector engine: each instance's unit mass is preserved.
 func TestEngineVectorMassConservationProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 25}
-	if err := quick.Check(func(seedRaw uint32, nRaw uint8, dimRaw uint8) bool {
+	if err := quick.Check(func(seedRaw uint32, nRaw, dimRaw, kRaw uint8) bool {
 		n := 50 + int(nRaw)%150
 		dim := 1 + int(dimRaw)%8
 		leaders := make([]int, dim)
@@ -59,6 +60,7 @@ func TestEngineVectorMassConservationProperty(t *testing.T) {
 			N:       n,
 			Cycles:  6,
 			Seed:    uint64(seedRaw) + 1,
+			Shards:  1 + int(kRaw)%8,
 			Dim:     dim,
 			Leaders: leaders,
 			Overlay: randomOverlay(8),
@@ -88,25 +90,28 @@ func TestEngineVectorMassConservationProperty(t *testing.T) {
 // only shrink the spread, so the per-cycle variance sequence must be
 // non-increasing in a failure-free run.
 func TestVarianceNeverIncreasesWithoutFailures(t *testing.T) {
-	var variances []float64
-	_, err := Run(Config{
-		N:       500,
-		Cycles:  25,
-		Seed:    9,
-		Fn:      core.Average,
-		Init:    UniformInit(0, 100, 10),
-		Overlay: Newscast(15),
-		Observe: func(_ int, e *Engine) {
-			m := e.ParticipantMoments()
-			variances = append(variances, m.Variance())
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(variances); i++ {
-		if variances[i] > variances[i-1]*(1+1e-12) {
-			t.Fatalf("variance grew at cycle %d: %g -> %g", i, variances[i-1], variances[i])
+	forEachK(t, func(t *testing.T, k int) {
+		var variances []float64
+		_, err := Run(Config{
+			N:       500,
+			Cycles:  25,
+			Seed:    9,
+			Shards:  k,
+			Fn:      core.Average,
+			Init:    UniformInit(0, 100, 10),
+			Overlay: Newscast(15),
+			Observe: func(_ int, e *Engine) {
+				m := e.ParticipantMoments()
+				variances = append(variances, m.Variance())
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		for i := 1; i < len(variances); i++ {
+			if variances[i] > variances[i-1]*(1+1e-12) {
+				t.Fatalf("variance grew at cycle %d: %g -> %g", i, variances[i-1], variances[i])
+			}
+		}
+	})
 }

@@ -2,11 +2,11 @@ package sim
 
 import "antientropy/internal/stats"
 
-// Core is the engine surface the declarative scenario executor and the
-// figure sweeps consume. Two engines implement it: the serial *Engine in
-// this package and the sharded *parsim.Engine, so one driver (epoch
+// Core is the engine surface the failure models, the declarative
+// scenario executor and the figure sweeps program against (epoch
 // restarts, scripted churn, partitions, loss changes, per-cycle metrics,
-// participant snapshots) runs unchanged on either. All methods are
+// participant snapshots). *Engine is its one implementation; the
+// interface stays so a script test can substitute a fake. All methods are
 // serial-phase operations: they may only be called from the engine's own
 // hooks (BeforeCycle, failure models, Observe) or between cycles, never
 // concurrently with a running cycle.
@@ -14,8 +14,7 @@ import "antientropy/internal/stats"
 // Scalar-mode observation (Value, ForEachParticipant,
 // ParticipantMoments) is only valid when Dim() == 0; vector-mode
 // observation (ForEachParticipantVec, SizeEstimateAt, SizeMoments,
-// RestartVec) only when Dim() > 0 — exactly the contract the concrete
-// engines have always had.
+// RestartVec) only when Dim() > 0.
 type Core interface {
 	// Cycle returns the number of completed cycles.
 	Cycle() int
@@ -82,31 +81,7 @@ type Core interface {
 	ReseedOverlay(node int)
 }
 
-// RunnerFunc executes one configured run on some engine and returns the
-// finished engine as a Core. The multi-epoch chain drivers
-// (RunEpochChain, RunCountEpochChain) accept one so the §4.1 restart and
-// §5 COUNT-lifecycle experiments can run on the sharded engine too: a
-// non-serial runner maps the Config onto its own engine (ignoring the
-// serial-only Overlay builder) and must honor every other field it can
-// express — and reject, rather than drop, any it cannot (the
-// *Engine-typed BeforeCycle/Observe hooks are serial-only).
-type RunnerFunc func(Config) (Core, error)
-
-// SerialRunner is the default RunnerFunc: Run on this package's engine.
-func SerialRunner(cfg Config) (Core, error) { return Run(cfg) }
-
-// GossipFilterable is implemented by overlays whose own descriptor
-// traffic can be vetoed per node pair. Engine.SetExchangeFilter forwards
-// the partition filter to such overlays so a partition blocks membership
-// gossip exactly as it blocks aggregation exchanges — matching the live
-// executor, which drops both at the transport layer.
-type GossipFilterable interface {
-	// SetGossipFilter installs (or removes, with nil) the veto: when the
-	// filter returns false for (i, j), the gossip exchange is skipped.
-	SetGossipFilter(filter func(i, j int) bool)
-}
-
-// DecideExchange classifies one initiated exchange attempt with the
+// decideExchange classifies one initiated exchange attempt with the
 // paper's §6/§7 failure semantics, updating the metric counters. The
 // caller has already resolved the peer j (j ≥ 0, j ≠ i); peerAlive,
 // peerParticipating and allowed describe j's state and the partition
@@ -114,10 +89,10 @@ type GossipFilterable interface {
 // with replyLost telling whether only the responder updates (a lost
 // reply leaves the responder updated but not the initiator, §7.2).
 //
-// Both engines funnel every exchange through this function, so the
-// failure semantics — and the per-attempt RNG consumption order, which
-// fixes the serial engine's bit-exact behavior — live in one place.
-func DecideExchange(rng *stats.RNG, m *Metrics, peerAlive, peerParticipating, allowed bool, linkFailure, messageLoss float64) (proceed, replyLost bool) {
+// Every exchange is funnelled through this function, so the failure
+// semantics — and the per-attempt RNG consumption order, which fixes a
+// run's bit-exact behavior — live in one place.
+func decideExchange(rng *stats.RNG, m *Metrics, peerAlive, peerParticipating, allowed bool, linkFailure, messageLoss float64) (proceed, replyLost bool) {
 	m.Attempts++
 	switch {
 	case !peerAlive:
@@ -143,9 +118,9 @@ func DecideExchange(rng *stats.RNG, m *Metrics, peerAlive, peerParticipating, al
 	return false, false
 }
 
-// Add accumulates other's counters into m — the sharded engine folds its
+// add accumulates other's counters into m — the engine folds its
 // per-shard counters with it after every cycle.
-func (m *Metrics) Add(other Metrics) {
+func (m *Metrics) add(other Metrics) {
 	m.Attempts += other.Attempts
 	m.Completed += other.Completed
 	m.Timeouts += other.Timeouts

@@ -32,15 +32,14 @@ type CountChainConfig struct {
 	// every node; the surplus leaders are subsampled). Default 64.
 	MaxInstances int
 	// Overlay builds the overlay (rebuilt per epoch).
-	Overlay OverlayBuilder
+	Overlay OverlaySpec
 	// Failures are applied within every epoch.
 	Failures []FailureModel
 	// LinkFailure and MessageLoss apply within every epoch.
 	LinkFailure float64
 	MessageLoss float64
-	// Runner executes each epoch's run; nil selects the serial engine.
-	// Engine-agnostic callers inject a sharded runner here.
-	Runner RunnerFunc
+	// Shards and Workers are passed to every epoch's Config.
+	Shards, Workers int
 }
 
 func (c CountChainConfig) validate() error {
@@ -87,10 +86,6 @@ func RunCountEpochChain(cfg CountChainConfig) ([]CountEpochResult, error) {
 	if maxInstances <= 0 {
 		maxInstances = 64
 	}
-	runner := cfg.Runner
-	if runner == nil {
-		runner = SerialRunner
-	}
 	electionRNG := stats.NewRNG(cfg.Seed ^ 0xe1ec7)
 	estimate := cfg.InitialGuess
 	results := make([]CountEpochResult, 0, cfg.Epochs)
@@ -112,10 +107,12 @@ func RunCountEpochChain(cfg CountChainConfig) ([]CountEpochResult, error) {
 		}
 		res.Instances = len(leaders)
 		if len(leaders) > 0 {
-			e, err := runner(Config{
+			e, err := Run(Config{
 				N:           cfg.N,
 				Cycles:      cfg.Gamma,
 				Seed:        RepSeed(cfg.Seed, epoch),
+				Shards:      cfg.Shards,
+				Workers:     cfg.Workers,
 				Dim:         len(leaders),
 				Leaders:     leaders,
 				Overlay:     cfg.Overlay,

@@ -118,8 +118,14 @@ func TestCountChainUnderChurn(t *testing.T) {
 }
 
 func TestCountChainDeterminism(t *testing.T) {
+	forEachK(t, testCountChainDeterminism)
+}
+
+func testCountChainDeterminism(t *testing.T, k int) {
 	run := func() []float64 {
-		results, err := RunCountEpochChain(countChainConfig(500))
+		cfg := countChainConfig(500)
+		cfg.Shards = k
+		results, err := RunCountEpochChain(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

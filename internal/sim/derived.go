@@ -20,7 +20,7 @@ type DerivedConfig struct {
 	// Values yields node i's local value.
 	Values func(node int) float64
 	// Overlay builds the overlay.
-	Overlay OverlayBuilder
+	Overlay OverlaySpec
 	// Leader is the node that holds the COUNT peak (SUM and PRODUCT need
 	// a size estimate).
 	Leader int

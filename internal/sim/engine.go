@@ -5,31 +5,84 @@
 // as in Figure 1 of the paper. Failure models inject node crashes, churn,
 // link failures and message omissions with the paper's §6/§7 semantics.
 //
-// The engine is deterministic: all randomness derives from Config.Seed.
+// # Execution model
+//
+// There is one engine. It partitions the node space into K contiguous
+// shards (Config.Shards; zero means one) and runs the NEWSCAST round and
+// the exchange loop in two phases each:
+//
+//  1. Parallel phase: each shard, driven exclusively by its own RNG
+//     stream (stats.NewStreamRNG(seed, shard+1); stream 0 is the control
+//     stream of the serial hooks), processes its local nodes in a
+//     shard-private random order. Exchanges whose peer lives in the same
+//     shard are applied immediately; exchanges that cross a shard
+//     boundary are fully decided (loss draws included) and appended to
+//     the shard's outbox. Shards read shared state (liveness,
+//     participation, the partition filter) but never write outside their
+//     own node range, so the phase is race-free without locks.
+//  2. Deterministic merge: the outboxes are drained serially in shard
+//     order, applying the deferred cross-shard exchanges. A deferred
+//     exchange acts on the peers' then-current estimates — exactly a
+//     message that spent the cycle in flight.
+//
+// With K = 1 nothing is deferred: every exchange applies at once in one
+// global random order, the paper's serial execution. Larger K reaches the
+// 10⁵–10⁶-node range on several cores.
+//
+// # Determinism contract
+//
+// The same seed and the same K yield bit-identical runs — estimates,
+// metrics and CSV output — regardless of Workers, GOMAXPROCS or
+// scheduling, because shard streams are pure functions of (seed, shard
+// index) and the merge order is fixed. Different K are different (equally
+// valid) executions: per-cycle trajectories differ while converging to
+// the same statistics. Pin K along with the seed to reproduce a run.
+//
+// # Rules that hold at every K
+//
+//   - Config.Overlay is required; c is the paper's one overlay parameter
+//     and no default hides it.
+//   - TrackExchanges/ExchangeCount count inside applyExchange: the
+//     parallel phase touches only its own shard's counters, deferred
+//     exchanges count at the merge.
+//   - Adversary, Guard and every hook take effect at every K; a scripted
+//     event is a FailureModel (Script), applied after BeforeCycle in
+//     Failures order.
 package sim
 
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"antientropy/internal/core"
 	"antientropy/internal/stats"
 )
 
-// Config describes one simulated epoch.
+// Config describes one simulation run.
 type Config struct {
-	// N is the initial number of nodes.
+	// N is the number of node slots.
 	N int
 	// InitialAlive, when positive, starts only the slots [0, InitialAlive)
 	// alive and participating; the remaining slots are vacant and can be
 	// brought up later with Replace (scenario joins and flash crowds).
 	// Zero means all N slots start alive.
 	InitialAlive int
-	// Cycles is the number of cycles to run (γ in the paper; 30 for most
-	// experiments).
+	// Cycles is the number of cycles Run executes (γ in the paper; 30 for
+	// most experiments).
 	Cycles int
-	// Seed drives all randomness of the run.
+	// Seed drives all randomness: the control stream and every shard
+	// stream derive from it.
 	Seed uint64
+	// Shards is the shard count K; zero means 1, so a run's rows never
+	// depend on the machine. The node space [0, N) is split into K
+	// contiguous ranges of near-equal size; K is clamped to N.
+	Shards int
+	// Workers bounds the goroutines driving the parallel phases. Zero
+	// selects min(K, GOMAXPROCS). It never affects results.
+	Workers int
 
 	// Fn is the scalar aggregation function (scalar mode). Exactly one of
 	// Fn.Update or Dim must be set.
@@ -52,9 +105,10 @@ type Config struct {
 	// VARIANCE.
 	VecInit func(node, dim int) float64
 
-	// Overlay builds the overlay for this run.
-	Overlay OverlayBuilder
-	// Failures are applied in order at the beginning of every cycle.
+	// Overlay selects the overlay for this run (required).
+	Overlay OverlaySpec
+	// Failures are applied in order at the beginning of every cycle,
+	// after BeforeCycle.
 	Failures []FailureModel
 
 	// LinkFailure is P_d: each exchange is dropped entirely with this
@@ -72,8 +126,9 @@ type Config struct {
 	// reports to its exchange peer — the Byzantine wire-lying hook the
 	// scenario engine's adversary schedules drive. Local state stays
 	// honest; only the transmitted sample is corrupted. The hook returns
-	// the reported value and whether the node lied this time. Scalar
-	// mode only.
+	// the reported value and whether the node lied this time. It must be
+	// a pure function of (cycle, node, local): shards call it
+	// concurrently. Scalar mode only.
 	Adversary func(cycle, node int, local float64) (float64, bool)
 
 	// Guard, when non-nil, replaces the hardcoded push-pull average
@@ -81,13 +136,14 @@ type Config struct {
 	// each side's new estimate is Guard.Merge(node, local, reportedPeer)
 	// instead of Fn.Update. With the Mean combiner and no sample window
 	// this reproduces the classical (a+b)/2 step; clamped-mean and
-	// median-of-k reject or outvote Byzantine samples. Scalar mode only.
+	// median-of-k reject or outvote Byzantine samples. A node's sample
+	// window is only touched by its own shard or by the serial merge, so
+	// the guard needs no locking. Scalar mode only.
 	Guard *core.MergeGuard
 
-	// BeforeCycle, when non-nil, runs at the start of every cycle, before
-	// the Failures are applied and before the overlay evolves. It is the
-	// scenario engine's hook point: epoch restarts, scripted churn waves,
-	// partitions and failure-rate changes are injected here.
+	// BeforeCycle, when non-nil, runs serially at the start of every
+	// cycle, before the Failures are applied and before the overlay
+	// evolves — the scenario engine's epoch-restart hook.
 	BeforeCycle func(cycle int, e *Engine)
 
 	// Observe, when non-nil, is called after initialization (cycle 0) and
@@ -104,6 +160,9 @@ func (c Config) validate() error {
 	}
 	if c.InitialAlive < 0 || c.InitialAlive > c.N {
 		return fmt.Errorf("sim: initial alive count %d not in [0, %d]", c.InitialAlive, c.N)
+	}
+	if c.Shards < 0 {
+		return fmt.Errorf("sim: invalid shard count %d", c.Shards)
 	}
 	scalar := c.Fn.Update != nil
 	vector := c.Dim > 0
@@ -135,7 +194,7 @@ func (c Config) validate() error {
 		}
 	}
 	if c.Overlay == nil {
-		return errors.New("sim: overlay builder is required")
+		return errors.New("sim: overlay is required")
 	}
 	if c.LinkFailure < 0 || c.LinkFailure > 1 {
 		return fmt.Errorf("sim: link failure probability %g not in [0,1]", c.LinkFailure)
@@ -170,52 +229,115 @@ type Metrics struct {
 	PartitionDrops int64
 }
 
-// Engine runs one epoch of the protocol over a simulated overlay. It
-// implements Core, the surface shared with the sharded engine.
+// Engine runs the protocol over a simulated overlay; it is the one
+// implementation of Core. All exported mutators are serial-phase
+// operations: call them only from the engine's own hooks or between
+// cycles.
 type Engine struct {
-	cfg     Config
-	rng     *stats.RNG
-	overlay Overlay
+	cfg    Config
+	nodes  int
+	shards []*shard
+	// workers bounds the parallel-phase goroutines.
+	workers int
 
-	n     int
-	alive *IndexSet
-	// participating marks nodes taking part in the current epoch; nodes
-	// that join mid-epoch wait for the next one (§4.2).
+	// ctl is the control stream (stream 0): all serial-phase randomness —
+	// scripted victim picks, join reseeds, rendezvous — draws from it, so
+	// scenario scripts are deterministic independent of the shard count's
+	// stream layout.
+	ctl *stats.RNG
+
+	// Global node state. Written only in serial phases (hooks, merge);
+	// the parallel phases read it freely and write scalar/vec/exchanges
+	// only within their own shard range. Exactly one of scalar and vec is
+	// non-nil. participating marks nodes taking part in the current
+	// epoch; nodes that join mid-epoch wait for the next one (§4.2).
+	alive         *IndexSet
 	participating []bool
-
-	scalar []float64
-	vec    []float64 // flattened [node*dim+d], vector mode
-
-	cycle   int
-	perm    []int
-	metrics Metrics
-
-	// filter, when non-nil, vetoes exchanges between node pairs (partition
-	// enforcement; see SetExchangeFilter).
-	filter func(i, j int) bool
+	scalar        []float64
+	vec           []float64 // flattened [node*dim+d], vector mode
 
 	// exchanges[i] counts node i's exchange participations in the current
-	// cycle (reset each cycle; valid when TrackExchanges).
+	// cycle (reset each cycle; non-nil when TrackExchanges).
 	exchanges []int
+
+	overlay overlayImpl
+
+	// filter, when non-nil, vetoes exchanges — aggregation and gossip —
+	// between node pairs (partition enforcement).
+	filter func(i, j int) bool
+
+	cycle   int
+	metrics Metrics
 }
 
-// New validates cfg, builds the overlay, initializes node states and
-// returns an engine positioned before cycle 1.
+// shard owns the contiguous node range [lo, hi) and everything the
+// parallel phases need without touching other shards: a private RNG
+// stream, permutation and merge scratch buffers, outboxes for deferred
+// cross-shard work, and local metric counters.
+type shard struct {
+	index  int
+	lo, hi int
+	rng    *stats.RNG
+
+	// perm holds the shard-local initiation order (offsets into [lo,hi)).
+	perm []int32
+	// out collects decided cross-shard aggregation exchanges.
+	out []crossExchange
+	// gossip collects deferred cross-shard NEWSCAST exchanges.
+	gossip []crossPair
+	// scratch is the overlay merge buffer.
+	scratch []uint64
+
+	metrics Metrics
+}
+
+// crossExchange is a fully decided aggregation exchange whose peer lives
+// in another shard; only the state update is deferred to the merge.
+type crossExchange struct {
+	i, j      int32
+	replyLost bool
+}
+
+// crossPair is a deferred cross-shard gossip exchange.
+type crossPair struct {
+	i, j int32
+}
+
+// permute refills s.perm with a fresh random order of the local nodes.
+func (s *shard) permute() {
+	n := s.hi - s.lo
+	s.perm = s.perm[:n]
+	for i := range s.perm {
+		s.perm[i] = int32(i)
+	}
+	for i := n - 1; i > 0; i-- {
+		j := s.rng.Intn(i + 1)
+		s.perm[i], s.perm[j] = s.perm[j], s.perm[i]
+	}
+}
+
+// New validates cfg, builds the shards and the overlay, and initializes
+// node states, returning an engine positioned before cycle 1.
 func New(cfg Config) (*Engine, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	initialAlive := cfg.N
-	if cfg.InitialAlive > 0 {
-		initialAlive = cfg.InitialAlive
+	k := min(max(cfg.Shards, 1), cfg.N)
+	workers := cfg.Workers
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
 	e := &Engine{
 		cfg:           cfg,
-		rng:           stats.NewRNG(cfg.Seed),
-		n:             cfg.N,
+		nodes:         cfg.N,
+		workers:       min(max(workers, 1), k),
+		ctl:           stats.NewStreamRNG(cfg.Seed, 0),
 		alive:         NewIndexSet(cfg.N, false),
 		participating: make([]bool, cfg.N),
-		perm:          make([]int, cfg.N),
+	}
+	initialAlive := cfg.N
+	if cfg.InitialAlive > 0 {
+		initialAlive = cfg.InitialAlive
 	}
 	for i := 0; i < initialAlive; i++ {
 		e.alive.Add(i)
@@ -224,22 +346,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.TrackExchanges {
 		e.exchanges = make([]int, cfg.N)
 	}
-	overlayRNG := e.rng.Split()
-	ov, err := cfg.Overlay(OverlayContext{
-		N:     cfg.N,
-		RNG:   overlayRNG,
-		Alive: func(i int) bool { return e.alive.Contains(i) },
-		RandomAlive: func(rng *stats.RNG) int {
-			if e.alive.Len() == 0 {
-				return -1
-			}
-			return e.alive.Random(rng)
-		},
-	})
-	if err != nil {
-		return nil, fmt.Errorf("sim: building overlay: %w", err)
-	}
-	e.overlay = ov
 	if cfg.Dim > 0 {
 		e.vec = make([]float64, cfg.N*cfg.Dim)
 		if cfg.VecInit != nil {
@@ -259,6 +365,22 @@ func New(cfg Config) (*Engine, error) {
 			e.scalar[i] = cfg.Init(i)
 		}
 	}
+	e.shards = make([]*shard, k)
+	for s := 0; s < k; s++ {
+		lo := (s*cfg.N + k - 1) / k
+		hi := ((s+1)*cfg.N + k - 1) / k
+		e.shards[s] = &shard{
+			index: s, lo: lo, hi: hi,
+			// Shard streams are 1-based; stream 0 is the control stream.
+			rng:  stats.NewStreamRNG(cfg.Seed, uint64(s)+1),
+			perm: make([]int32, 0, hi-lo),
+		}
+	}
+	ov, err := cfg.Overlay.build(e)
+	if err != nil {
+		return nil, fmt.Errorf("sim: building overlay: %w", err)
+	}
+	e.overlay = ov
 	return e, nil
 }
 
@@ -283,39 +405,44 @@ func (e *Engine) observe() {
 	}
 }
 
-var _ Core = (*Engine)(nil)
-
-// Cycle returns the number of completed cycles.
-func (e *Engine) Cycle() int { return e.cycle }
-
-// N returns the (constant) number of node slots.
-func (e *Engine) N() int { return e.n }
-
-// Dim returns the state-vector dimension (0 in scalar mode).
-func (e *Engine) Dim() int { return e.cfg.Dim }
-
-// AliveCount returns the number of currently live nodes.
-func (e *Engine) AliveCount() int { return e.alive.Len() }
-
-// Alive reports whether node is currently live.
-func (e *Engine) Alive(node int) bool { return e.alive.Contains(node) }
-
-// Participating reports whether node is live and part of the current
-// epoch.
-func (e *Engine) Participating(node int) bool {
-	return e.alive.Contains(node) && e.participating[node]
+// shardOf maps a node to its shard index (floor(i·K/N), matching the
+// contiguous ranges built in New).
+func (e *Engine) shardOf(i int) int {
+	return i * len(e.shards) / e.nodes
 }
 
-// Metrics returns the exchange counters accumulated so far.
-func (e *Engine) Metrics() Metrics { return e.metrics }
+// parallel runs fn over every shard across the worker pool. With one
+// worker (or one shard) it degenerates to a plain loop.
+func (e *Engine) parallel(fn func(s *shard)) {
+	if e.workers <= 1 {
+		for _, s := range e.shards {
+			fn(s)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < e.workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				k := int(next.Add(1)) - 1
+				if k >= len(e.shards) {
+					return
+				}
+				fn(e.shards[k])
+			}
+		}()
+	}
+	wg.Wait()
+}
 
-// Overlay returns the overlay driving this run.
-func (e *Engine) Overlay() Overlay { return e.overlay }
-
-// Step advances the simulation by one full cycle: failures are injected
-// first (the paper's worst case — variance is maximal at cycle start),
-// the overlay evolves, then every live participant initiates one
-// push-pull exchange in random order.
+// Step advances the simulation by one full cycle: the serial hook and the
+// failure models first (the paper's worst case — variance is maximal at
+// cycle start), then the parallel overlay round with its deterministic
+// cross-shard flush, then the parallel exchange phase with its
+// deterministic merge.
 func (e *Engine) Step() {
 	e.cycle++
 	if e.cfg.BeforeCycle != nil {
@@ -324,61 +451,87 @@ func (e *Engine) Step() {
 	for _, f := range e.cfg.Failures {
 		f.Apply(e.cycle, e)
 	}
-	e.overlay.Step(e.cycle)
-	if e.exchanges != nil {
-		for i := range e.exchanges {
-			e.exchanges[i] = 0
+	clear(e.exchanges)
+	e.parallel(func(s *shard) { e.overlay.stepShard(s, e.cycle) })
+	e.overlay.flushCross(e.cycle)
+	e.parallel(e.exchangeShard)
+	for _, s := range e.shards {
+		for _, x := range s.out {
+			e.applyExchange(int(x.i), int(x.j), x.replyLost)
 		}
-	}
-	e.rng.Perm(e.perm)
-	for _, i := range e.perm {
-		if !e.alive.Contains(i) || !e.participating[i] {
-			continue
-		}
-		e.initiateExchange(i)
+		e.metrics.add(s.metrics)
 	}
 }
 
-// initiateExchange performs node i's active-thread step of Figure 1 with
-// the §6/§7 failure semantics (shared with the sharded engine through
-// DecideExchange).
-func (e *Engine) initiateExchange(i int) {
-	j := e.overlay.Neighbor(i, e.rng)
-	if j < 0 || j == i {
-		return
+// exchangeShard runs one shard's slice of the exchange loop: every live
+// local participant performs the active-thread step of Figure 1.
+// Intra-shard exchanges apply immediately; cross-shard exchanges are
+// decided here (all loss draws come from the shard stream) and deferred
+// to the merge.
+func (e *Engine) exchangeShard(s *shard) {
+	s.out = s.out[:0]
+	s.metrics = Metrics{}
+	s.permute()
+	for _, off := range s.perm {
+		i := s.lo + int(off)
+		if !e.alive.Contains(i) || !e.participating[i] {
+			continue
+		}
+		j := e.overlay.neighbor(i, s.rng)
+		if j < 0 || j == i {
+			continue
+		}
+		allowed := e.filter == nil || e.filter(i, j)
+		proceed, replyLost := decideExchange(s.rng, &s.metrics,
+			e.alive.Contains(j), e.participating[j], allowed,
+			e.cfg.LinkFailure, e.cfg.MessageLoss)
+		if !proceed {
+			continue
+		}
+		if e.shardOf(j) == s.index {
+			e.applyExchange(i, j, replyLost)
+		} else {
+			s.out = append(s.out, crossExchange{i: int32(i), j: int32(j), replyLost: replyLost})
+		}
 	}
-	allowed := e.filter == nil || e.filter(i, j)
-	proceed, replyLost := DecideExchange(e.rng, &e.metrics,
-		e.alive.Contains(j), e.participating[j], allowed,
-		e.cfg.LinkFailure, e.cfg.MessageLoss)
-	if !proceed {
-		return
-	}
-	if e.cfg.Dim > 0 {
-		e.exchangeVector(i, j, replyLost)
-	} else {
-		e.exchangeScalar(i, j, replyLost)
-	}
+}
+
+// applyExchange performs the push-pull state update: the responder always
+// updates; the initiator updates only if the reply arrived (§7.2). A
+// deferred cross-shard exchange lands here during the serial merge and
+// acts on the peers' then-current state, so scalar mass — and, in vector
+// mode, every component's mass — is conserved across the merge exactly
+// as within a shard.
+func (e *Engine) applyExchange(i, j int, replyLost bool) {
 	if e.exchanges != nil {
 		e.exchanges[i]++
 		e.exchanges[j]++
 	}
-}
-
-func (e *Engine) exchangeScalar(i, j int, replyLost bool) {
+	if dim := e.cfg.Dim; dim > 0 {
+		vi := e.vec[i*dim : (i+1)*dim]
+		vj := e.vec[j*dim : (j+1)*dim]
+		for d := range vj {
+			m := (vi[d] + vj[d]) / 2
+			if !replyLost {
+				vi[d] = m
+			}
+			vj[d] = m
+		}
+		return
+	}
 	si, sj := e.scalar[i], e.scalar[j]
 	if e.cfg.Adversary == nil && e.cfg.Guard == nil {
 		ni, nj := e.cfg.Fn.Update(si, sj)
-		// The responder received the request and always updates; the
-		// initiator updates only if the reply arrives.
 		e.scalar[j] = nj
 		if !replyLost {
 			e.scalar[i] = ni
 		}
 		return
 	}
-	// Byzantine path: each side sees the peer's *reported* value, which
-	// the adversary hook may have corrupted; local state stays honest.
+	// Byzantine path: each side merges the peer's *reported* value —
+	// possibly corrupted by the adversary hook — while local state stays
+	// honest; the guard, when set, screens the report through the
+	// pluggable Combiner defense (see Config.Guard).
 	ri, rj := si, sj
 	if adv := e.cfg.Adversary; adv != nil {
 		if v, lied := adv(e.cycle, i, si); lied {
@@ -403,18 +556,58 @@ func (e *Engine) exchangeScalar(i, j int, replyLost bool) {
 	}
 }
 
-func (e *Engine) exchangeVector(i, j int, replyLost bool) {
-	dim := e.cfg.Dim
-	vi := e.vec[i*dim : (i+1)*dim]
-	vj := e.vec[j*dim : (j+1)*dim]
-	for d := range vj {
-		m := (vi[d] + vj[d]) / 2
-		vj[d] = m
-		if !replyLost {
-			vi[d] = m
+var _ Core = (*Engine)(nil)
+
+// Cycle returns the number of completed cycles.
+func (e *Engine) Cycle() int { return e.cycle }
+
+// N returns the (constant) number of node slots.
+func (e *Engine) N() int { return e.nodes }
+
+// Dim returns the state-vector dimension (0 in scalar mode).
+func (e *Engine) Dim() int { return e.cfg.Dim }
+
+// Shards returns the effective shard count K.
+func (e *Engine) Shards() int { return len(e.shards) }
+
+// AliveCount returns the number of currently live nodes.
+func (e *Engine) AliveCount() int { return e.alive.Len() }
+
+// Alive reports whether node is currently live.
+func (e *Engine) Alive(node int) bool { return e.alive.Contains(node) }
+
+// Participating reports whether node is live and part of the current
+// epoch.
+func (e *Engine) Participating(node int) bool {
+	return e.alive.Contains(node) && e.participating[node]
+}
+
+// ParticipantCount returns the number of live nodes taking part in the
+// current epoch.
+func (e *Engine) ParticipantCount() int {
+	count := 0
+	for _, id := range e.alive.Items() {
+		if e.participating[id] {
+			count++
 		}
 	}
+	return count
 }
+
+// ParticipantMoments returns streaming moments (count/mean/variance/
+// min/max) of the participants' scalar estimates.
+func (e *Engine) ParticipantMoments() stats.Moments {
+	var m stats.Moments
+	for _, id := range e.alive.Items() {
+		if e.participating[id] {
+			m.Add(e.scalar[id])
+		}
+	}
+	return m
+}
+
+// Metrics returns the exchange counters accumulated so far.
+func (e *Engine) Metrics() Metrics { return e.metrics }
 
 // Value returns node's scalar estimate (scalar mode).
 func (e *Engine) Value(node int) float64 { return e.scalar[node] }
@@ -426,7 +619,7 @@ func (e *Engine) Vector(node int) []float64 {
 }
 
 // ForEachParticipant calls fn for every live, participating node with its
-// scalar estimate.
+// scalar estimate (scalar mode).
 func (e *Engine) ForEachParticipant(fn func(node int, value float64)) {
 	for _, id := range e.alive.Items() {
 		i := int(id)
@@ -437,8 +630,8 @@ func (e *Engine) ForEachParticipant(fn func(node int, value float64)) {
 }
 
 // ForEachParticipantVec calls fn for every live, participating node with
-// a read-only view of its state vector. The slice must not be retained or
-// modified.
+// a read-only view of its state vector (vector mode). The slice must not
+// be retained or modified.
 func (e *Engine) ForEachParticipantVec(fn func(node int, vec []float64)) {
 	dim := e.cfg.Dim
 	for _, id := range e.alive.Items() {
@@ -447,14 +640,6 @@ func (e *Engine) ForEachParticipantVec(fn func(node int, vec []float64)) {
 			fn(i, e.vec[i*dim:(i+1)*dim])
 		}
 	}
-}
-
-// ParticipantMoments returns streaming moments (count/mean/variance/
-// min/max) of the participants' scalar estimates.
-func (e *Engine) ParticipantMoments() stats.Moments {
-	var m stats.Moments
-	e.ForEachParticipant(func(_ int, v float64) { m.Add(v) })
-	return m
 }
 
 // ExchangeCount returns node's number of exchange participations in the
@@ -473,31 +658,29 @@ func (e *Engine) Kill(node int) {
 }
 
 // Replace models churn: the slot is taken over by a brand-new node that
-// may not participate in the current epoch (§4.2) but immediately joins
-// the membership overlay. It also revives a vacant slot (InitialAlive /
-// flash-crowd joins).
+// sits out the current epoch (§4.2) but immediately joins the membership
+// overlay. It also revives a vacant slot (InitialAlive / flash-crowd
+// joins).
 func (e *Engine) Replace(node int) {
 	e.alive.Add(node)
 	e.participating[node] = false
-	if e.cfg.Dim > 0 {
-		dim := e.cfg.Dim
-		for d := 0; d < dim; d++ {
-			e.vec[node*dim+d] = 0
-		}
+	if dim := e.cfg.Dim; dim > 0 {
+		clear(e.vec[node*dim : (node+1)*dim])
 	} else {
 		e.scalar[node] = 0
 	}
 	if e.cfg.Guard != nil {
 		e.cfg.Guard.ResetNode(node)
 	}
-	e.overlay.OnJoin(node, e.cycle)
+	e.overlay.onJoin(node, e.cycle, e.ctl)
 }
 
 // Restart begins a new epoch in place (§4.1 automatic restart): every
 // live node — including joiners that sat out the finished epoch —
 // becomes a participant and, in scalar mode, reloads a fresh local value
-// from init. The scenario engine calls this at epoch boundaries so the
-// tracked aggregate follows the scripted value dynamics.
+// from init when given. The scenario engine calls this at epoch
+// boundaries so the tracked aggregate follows the scripted value
+// dynamics.
 func (e *Engine) Restart(init func(node int) float64) {
 	if e.cfg.Guard != nil {
 		// Peer samples gathered under the previous epoch's value
@@ -543,23 +726,12 @@ func (e *Engine) SetScalar(node int, v float64) {
 // when the filter returns false for a pair (i, j), the exchange is
 // dropped as if the link between them had failed — the scenario engine's
 // network-partition enforcement. A vetoed exchange is a complete no-op,
-// so mass is conserved across a partition until it heals. The filter is
-// forwarded to the overlay when it supports gossip filtering, so a
-// partition also blocks membership gossip — exactly as the live executor
-// drops both message kinds at the transport layer.
+// so mass is conserved across a partition until it heals. The overlay
+// consults the same filter, so a partition blocks membership gossip along
+// with aggregation exchanges — exactly as the live executor drops both
+// message kinds at the transport layer.
 func (e *Engine) SetExchangeFilter(filter func(i, j int) bool) {
 	e.filter = filter
-	if gf, ok := e.overlay.(GossipFilterable); ok {
-		gf.SetGossipFilter(filter)
-	}
-}
-
-// ReseedOverlay refreshes node's overlay view from a random sample of the
-// whole network, modelling the out-of-band rendezvous (seed lists, DNS) a
-// real deployment performs after a long partition has aged every
-// cross-component descriptor out of the caches.
-func (e *Engine) ReseedOverlay(node int) {
-	e.overlay.OnJoin(node, e.cycle)
 }
 
 // SetMessageLoss changes the per-message drop probability mid-run
@@ -568,46 +740,30 @@ func (e *Engine) SetMessageLoss(p float64) {
 	e.cfg.MessageLoss = clamp01(p)
 }
 
-// SetLinkFailure changes the per-exchange drop probability P_d mid-run
-// (the link-failure counterpart of SetMessageLoss, for scripted failure
-// models). Values are clamped to [0, 1].
+// SetLinkFailure changes the per-exchange drop probability P_d mid-run.
+// Values are clamped to [0, 1].
 func (e *Engine) SetLinkFailure(p float64) {
 	e.cfg.LinkFailure = clamp01(p)
 }
 
 func clamp01(p float64) float64 {
-	switch {
-	case p < 0:
-		return 0
-	case p > 1:
-		return 1
-	default:
-		return p
-	}
+	return min(max(p, 0), 1)
 }
 
-// ParticipantCount returns the number of live nodes taking part in the
-// current epoch.
-func (e *Engine) ParticipantCount() int {
-	count := 0
-	for _, id := range e.alive.Items() {
-		if e.participating[id] {
-			count++
-		}
-	}
-	return count
-}
-
-// RandomAlive returns a uniformly random live node, or -1 when none is
-// left. Scenario events use it to pick churn and crash victims from the
-// engine's own deterministic stream.
+// RandomAlive returns a uniformly random live node (control stream), or
+// -1 when none is left. Scenario events use it to pick churn and crash
+// victims from the engine's own deterministic stream.
 func (e *Engine) RandomAlive() int {
 	if e.alive.Len() == 0 {
 		return -1
 	}
-	return e.alive.Random(e.rng)
+	return e.alive.Random(e.ctl)
 }
 
-// RNG exposes the engine's generator to failure models so the whole run
-// stays deterministic under a single seed.
-func (e *Engine) RNG() *stats.RNG { return e.rng }
+// ReseedOverlay refreshes node's overlay view from a random sample of the
+// whole network, modelling the out-of-band rendezvous (seed lists, DNS) a
+// real deployment performs after a long partition has aged every
+// cross-component descriptor out of the caches.
+func (e *Engine) ReseedOverlay(node int) {
+	e.overlay.onJoin(node, e.cycle, e.ctl)
+}

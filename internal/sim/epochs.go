@@ -29,15 +29,14 @@ type EpochChainConfig struct {
 	// Overlay builds the overlay, rebuilt fresh per epoch for static
 	// graphs (NEWSCAST state is also restarted; in a deployment it
 	// persists, which only helps).
-	Overlay OverlayBuilder
+	Overlay OverlaySpec
 	// LinkFailure and MessageLoss apply within every epoch.
 	LinkFailure float64
 	MessageLoss float64
 	// Failures are applied within every epoch.
 	Failures []FailureModel
-	// Runner executes each epoch's run; nil selects the serial engine.
-	// Engine-agnostic callers inject a sharded runner here.
-	Runner RunnerFunc
+	// Shards and Workers are passed to every epoch's Config.
+	Shards, Workers int
 }
 
 func (c EpochChainConfig) validate() error {
@@ -69,20 +68,18 @@ func RunEpochChain(cfg EpochChainConfig) ([]EpochResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	runner := cfg.Runner
-	if runner == nil {
-		runner = SerialRunner
-	}
 	results := make([]EpochResult, 0, cfg.Epochs)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		var truth stats.Moments
 		for i := 0; i < cfg.N; i++ {
 			truth.Add(cfg.ValueAt(epoch, i))
 		}
-		e, err := runner(Config{
+		e, err := Run(Config{
 			N:           cfg.N,
 			Cycles:      cfg.Gamma,
 			Seed:        RepSeed(cfg.Seed, epoch),
+			Shards:      cfg.Shards,
+			Workers:     cfg.Workers,
 			Fn:          core.Average,
 			Init:        func(node int) float64 { return cfg.ValueAt(epoch, node) },
 			Overlay:     cfg.Overlay,

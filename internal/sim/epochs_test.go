@@ -87,9 +87,13 @@ func TestEpochChainWithFailures(t *testing.T) {
 }
 
 func TestEpochChainDeterminism(t *testing.T) {
+	forEachK(t, testEpochChainDeterminism)
+}
+
+func testEpochChainDeterminism(t *testing.T, k int) {
 	run := func() []float64 {
 		results, err := RunEpochChain(EpochChainConfig{
-			N: 200, Epochs: 3, Gamma: 10, Seed: 7,
+			N: 200, Epochs: 3, Gamma: 10, Seed: 7, Shards: k,
 			ValueAt:     func(epoch, node int) float64 { return float64(epoch + node) },
 			Overlay:     Newscast(10),
 			MessageLoss: 0.1,

@@ -4,8 +4,7 @@ import "fmt"
 
 // FailureModel injects failures at the beginning of each cycle (§6.1:
 // crashing nodes at cycle start, when the variance among local values is
-// maximal, is the worst case). Models act through the Core surface, so
-// the same failure scripts drive the serial and the sharded engine.
+// maximal, is the worst case). Models act through the Core surface.
 type FailureModel interface {
 	// Apply injects this cycle's failures into the engine.
 	Apply(cycle int, e Core)

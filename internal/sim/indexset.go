@@ -2,12 +2,11 @@ package sim
 
 import "antientropy/internal/stats"
 
-// IndexSet is a constant-time add/remove/sample set over [0, n). Both the
-// serial engine and the sharded engine (internal/parsim) track their live
-// membership with it. It is not safe for concurrent mutation, but
-// concurrent reads (Contains, Random with caller-owned RNGs) are safe
-// while no writer runs — the property the sharded engine's parallel
-// exchange phase relies on.
+// IndexSet is a constant-time add/remove/sample set over [0, n); the
+// engine tracks its live membership with it. It is not safe for
+// concurrent mutation, but concurrent reads (Contains, Random with
+// caller-owned RNGs) are safe while no writer runs — the property the
+// engine's parallel exchange phase relies on.
 type IndexSet struct {
 	items []int32
 	pos   []int32 // pos[id] = index into items, or -1

@@ -55,63 +55,63 @@ func TestIndexSetModelProperty(t *testing.T) {
 }
 
 func TestCompleteLiveSamplesOnlyAlive(t *testing.T) {
-	// Kill most of the network; the live-complete overlay must never
-	// select a dead neighbor, so no timeouts can occur.
-	e, err := Run(Config{
-		N:        200,
-		Cycles:   10,
-		Seed:     5,
-		Fn:       core.Average,
-		Init:     ConstInit(3),
-		Overlay:  CompleteLive(),
-		Failures: []FailureModel{SuddenDeath{AtCycle: 2, Fraction: 0.9}},
+	forEachK(t, func(t *testing.T, k int) {
+		// Kill most of the network; the live-complete overlay must never
+		// select a dead neighbor, so no timeouts can occur.
+		e, err := Run(Config{
+			N:        200,
+			Cycles:   10,
+			Seed:     5,
+			Shards:   k,
+			Fn:       core.Average,
+			Init:     ConstInit(3),
+			Overlay:  CompleteLive(),
+			Failures: []FailureModel{SuddenDeath{AtCycle: 2, Fraction: 0.9}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Metrics().Timeouts != 0 {
+			t.Fatalf("live-complete overlay produced %d timeouts", e.Metrics().Timeouts)
+		}
+		if e.AliveCount() != 20 {
+			t.Fatalf("alive = %d", e.AliveCount())
+		}
+		m := e.ParticipantMoments()
+		if m.Mean() != 3 {
+			t.Fatalf("constant distribution disturbed: %g", m.Mean())
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Metrics().Timeouts != 0 {
-		t.Fatalf("live-complete overlay produced %d timeouts", e.Metrics().Timeouts)
-	}
-	if e.AliveCount() != 20 {
-		t.Fatalf("alive = %d", e.AliveCount())
-	}
-	m := e.ParticipantMoments()
-	if m.Mean() != 3 {
-		t.Fatalf("constant distribution disturbed: %g", m.Mean())
-	}
 }
 
 func TestCompleteLiveSingleSurvivor(t *testing.T) {
-	// One live node left: Neighbor must return -1 (no one to talk to)
-	// rather than looping forever.
-	e, err := New(Config{
-		N:       4,
-		Cycles:  5,
-		Seed:    6,
-		Fn:      core.Average,
-		Init:    ConstInit(1),
-		Overlay: CompleteLive(),
+	forEachK(t, func(t *testing.T, k int) {
+		// One live node left: Neighbor must return -1 (no one to talk to)
+		// rather than looping forever.
+		e, err := New(Config{
+			N:       4,
+			Cycles:  5,
+			Seed:    6,
+			Shards:  k,
+			Fn:      core.Average,
+			Init:    ConstInit(1),
+			Overlay: CompleteLive(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, victim := range []int{1, 2, 3} {
+			e.Kill(victim)
+		}
+		e.Step() // must terminate
+		if got := e.AliveCount(); got != 1 {
+			t.Fatalf("alive = %d", got)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, victim := range []int{1, 2, 3} {
-		e.Kill(victim)
-	}
-	e.Step() // must terminate
-	if got := e.AliveCount(); got != 1 {
-		t.Fatalf("alive = %d", got)
-	}
 }
 
-func TestCompleteLiveRequiresContext(t *testing.T) {
-	if _, err := CompleteLive()(OverlayContext{N: 5, RNG: stats.NewRNG(1)}); err == nil {
-		t.Fatal("missing RandomAlive accepted")
-	}
-}
-
-func TestStaticFuncPropagatesBuildErrors(t *testing.T) {
-	builder := StaticFunc(func(n int, rng *stats.RNG) (topology.Graph, error) {
+func TestStaticPropagatesBuildErrors(t *testing.T) {
+	builder := Static(func(n int, rng *stats.RNG) (topology.Graph, error) {
 		return nil, errBuild
 	})
 	_, err := New(Config{
