@@ -12,7 +12,7 @@
 //     every figure of the paper (see Experiments / RunExperiment).
 //   - Deployment: NewNode runs a live node — active/passive goroutine
 //     pair, real timeouts, epochs, joins — over an in-memory network
-//     (NewMemNetwork) or UDP (ListenUDP).
+//     (NewMemNetwork) or UDP (an endpoint of NewUDPMux).
 //
 // # Quick start (simulation)
 //
@@ -452,8 +452,6 @@ type (
 	MemNetwork = transport.MemNetwork
 	// MemNetworkConfig tunes the simulated network conditions.
 	MemNetworkConfig = transport.MemNetworkConfig
-	// UDPEndpoint is a real-network UDP endpoint.
-	UDPEndpoint = transport.UDPEndpoint
 	// UDPMux is a shared batched UDP datagram layer: many virtual
 	// endpoints on a small fixed socket set with one pooled reader set.
 	UDPMux = transport.UDPMux
@@ -486,15 +484,12 @@ func NewMemFleet(net *MemNetwork, n int) ([]Endpoint, []string) {
 // the address slice NodeConfig.Bootstrap/Seeds take, trimming blanks.
 func ParseAddrList(s string) []string { return overlay.SplitAddrList(s) }
 
-// ListenUDP opens a UDP endpoint ("host:port"; ":0" picks a free port).
-func ListenUDP(listen string, queueLen int) (*UDPEndpoint, error) {
-	return transport.ListenUDP(listen, queueLen)
-}
-
 // NewUDPMux opens a shared batched UDP layer. Endpoints created from it
 // (UDPMux.Endpoint) are drop-in NodeConfig.Endpoint values: all nodes of
 // the process then share the mux's sockets and reader goroutines, with
-// recvmmsg/sendmmsg batching on Linux.
+// recvmmsg/sendmmsg batching on Linux. A single node on a fixed port is a
+// mux of one: UDPMuxConfig{Listen: "host:7000"} and one Endpoint, at
+// "host:7000#0".
 func NewUDPMux(cfg UDPMuxConfig) (*UDPMux, error) { return transport.NewUDPMux(cfg) }
 
 // Experiment harness (reproduces every figure of the paper).

@@ -475,10 +475,10 @@ func BenchmarkWireEncodeDecode(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			var err error
-			if buf, err = wire.AppendEncode(buf[:0], msg, wire.Version); err != nil {
+			if buf, err = wire.AppendEncode(buf[:0], msg); err != nil {
 				b.Fatal(err)
 			}
-			if _, _, err := dec.Decode(buf); err != nil {
+			if _, err := dec.Decode(buf); err != nil {
 				b.Fatal(err)
 			}
 		}

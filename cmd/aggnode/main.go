@@ -1,13 +1,16 @@
 // Command aggnode runs one live aggregation node over UDP: the paper's
-// practical protocol (§4) on a real network.
+// practical protocol (§4) on a real network. The node is the one endpoint
+// of a UDP mux with one socket, so its address is the listen address with
+// endpoint id 0, "host:port#0"; a contact given as a bare "host:port" is
+// read as that.
 //
-// Start a first node (founding member):
+// Start a first node (founding member; it serves as 127.0.0.1:7000#0):
 //
 //	aggnode -listen 127.0.0.1:7000 -value 10
 //
 // Add more founding members (they all know each other up front):
 //
-//	aggnode -listen 127.0.0.1:7001 -value 20 -bootstrap 127.0.0.1:7000
+//	aggnode -listen 127.0.0.1:7001 -value 20 -bootstrap 127.0.0.1:7000#0
 //
 // Join a running deployment later (waits for the next epoch, §4.2):
 //
@@ -15,7 +18,7 @@
 //
 // Estimate the network size instead of averaging:
 //
-//	aggnode -listen 127.0.0.1:7003 -mode count -join 127.0.0.1:7000
+//	aggnode -listen 127.0.0.1:7003 -mode count -join 127.0.0.1:7000#0
 //
 // All nodes of one deployment must share -delta, -cycle, -gamma and
 // -anchor (the epoch schedule); the default anchor is the Unix epoch so
@@ -73,7 +76,12 @@ func run() error {
 	}
 	logger := tel.Logger
 
-	endpoint, err := antientropy.ListenUDP(*listen, 0)
+	mux, err := antientropy.NewUDPMux(antientropy.UDPMuxConfig{Listen: *listen, Sockets: 1})
+	if err != nil {
+		return err
+	}
+	defer mux.Close() // after the node's deferred Stop
+	endpoint, err := mux.Endpoint()
 	if err != nil {
 		return err
 	}
@@ -112,12 +120,8 @@ func run() error {
 	default:
 		return fmt.Errorf("unknown mode %q", *mode)
 	}
-	if *bootstrap != "" {
-		cfg.Bootstrap = antientropy.ParseAddrList(*bootstrap)
-	}
-	if *join != "" {
-		cfg.Seeds = antientropy.ParseAddrList(*join)
-	}
+	cfg.Bootstrap = muxAddrs(*bootstrap)
+	cfg.Seeds = muxAddrs(*join)
 
 	node, err := antientropy.NewNode(cfg)
 	if err != nil {
@@ -129,14 +133,17 @@ func run() error {
 	if reg != nil {
 		antientropy.RegisterNodeMetrics(reg, node.Metrics)
 		reg.CounterFunc("agg_transport_queue_drops_total",
-			"Datagrams dropped at the full endpoint inbound queue.",
+			"Datagrams the endpoint dropped at a full inbound or outbound queue.",
 			endpoint.QueueDrops)
 		reg.CounterFunc("agg_transport_filter_drops_total",
 			"Datagrams dropped by the endpoint's drop-rule filter.",
 			endpoint.FilterDrops)
 		reg.GaugeFunc("agg_transport_queue_depth",
-			"High watermark of the endpoint's inbound queue depth.",
-			func() float64 { return float64(endpoint.QueueDepthHighWatermark()) })
+			"High watermark of the transport's internal queue depth.",
+			func() float64 { return float64(mux.QueueDepthHighWatermark()) })
+		reg.HistogramFunc("agg_transport_batch_size",
+			"Datagrams moved per batched socket operation.",
+			mux.BatchSizes)
 		srv, err := tel.Serve()
 		if err != nil {
 			return err
@@ -150,8 +157,8 @@ func run() error {
 		return err
 	}
 	// Context-based drain: the signal cancels ctx, the status loop
-	// returns, and the deferred stop ends both protocol goroutines and
-	// closes the endpoint before the deferred telemetry close runs.
+	// returns, and the deferred stop takes the node off the scheduler and
+	// closes its endpoint before the deferred mux and telemetry closes run.
 	defer func() {
 		logger.Info("draining", "addr", node.Addr())
 		if err := node.Stop(); err != nil {
@@ -216,6 +223,19 @@ func run() error {
 			})
 		}
 	}
+}
+
+// muxAddrs parses a comma-separated contact list and completes each bare
+// "host:port" to "host:port#0", the address an aggnode listening there
+// has, so the address book never holds two spellings of one peer.
+func muxAddrs(list string) []string {
+	addrs := antientropy.ParseAddrList(list)
+	for i, a := range addrs {
+		if !strings.Contains(a, "#") {
+			addrs[i] = a + "#0"
+		}
+	}
+	return addrs
 }
 
 // readValues feeds stdin lines into the node's live value via set

@@ -2,6 +2,7 @@ package main
 
 import (
 	"log/slog"
+	"slices"
 	"strings"
 	"testing"
 
@@ -31,6 +32,18 @@ func TestParseAddrList(t *testing.T) {
 				t.Errorf("ParseAddrList(%q)[%d] = %q, want %q", tc.in, i, got[i], tc.want[i])
 			}
 		}
+	}
+}
+
+// TestMuxAddrs: a bare "host:port" contact is completed to the "#0" every
+// aggnode listens on; one with an endpoint id is kept as it is.
+func TestMuxAddrs(t *testing.T) {
+	got := muxAddrs(" 127.0.0.1:7000, 127.0.0.1:7001#0 ,h:1#12,")
+	if want := []string{"127.0.0.1:7000#0", "127.0.0.1:7001#0", "h:1#12"}; !slices.Equal(got, want) {
+		t.Fatalf("muxAddrs = %v, want %v", got, want)
+	}
+	if got := muxAddrs(""); len(got) != 0 {
+		t.Fatalf("muxAddrs(\"\") = %v, want none", got)
 	}
 }
 

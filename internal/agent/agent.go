@@ -9,23 +9,23 @@
 // hosts hundreds of nodes, so neither half owns a goroutine. The active
 // half of every node of the process is run by one scheduler (scheduler.go):
 // one goroutine, one timer, a heap of next cycles and exchange deadlines.
-// The passive half runs wherever the transport delivers: a handler-mode
-// endpoint (the in-memory network, the UDP mux) calls the node's handler on
-// its own goroutine — for the zero-latency in-memory network that is the
-// sender's, so a whole exchange (request, the peer's merge and reply, the
-// initiator's merge) completes on the scheduler goroutine before initiate
-// returns. Only an endpoint without handler mode (the per-node UDP socket)
-// gets a receive goroutine. The rule that makes inline delivery safe: a
-// node never sends while holding its lock, so a handler may always take
-// the lock of the node it was delivered to.
+// The passive half runs wherever the transport delivers: every endpoint a
+// node runs on (the in-memory network, the UDP mux) is a handler-mode one
+// and calls the node's handler on its own goroutine — for the zero-latency
+// in-memory network that is the sender's, so a whole exchange (request,
+// the peer's merge and reply, the initiator's merge) completes on the
+// scheduler goroutine before initiate returns; a node owns no goroutine.
+// The rule that makes inline delivery safe: a node never sends while
+// holding its lock, so a handler may always take the lock of the node it
+// was delivered to.
 //
 // What a node owns. The paper's scalability argument is that a node keeps
 // a constant amount of state whatever the size of the network: an
 // estimate, an epoch, a cache of c descriptors (§4, §4.4). A Node at rest
-// is that — its protocol state, its view, and a session (wire version,
-// delta-gossip codec) for each of the 2(c+1) peers it met last, recycled
-// for whoever it meets next (sessionCap). Everything an exchange computes
-// in — decoder, outgoing message, the codec's and the view's merge buffers
+// is that — its protocol state, its view, and a session (the delta-gossip
+// codec) for each of the 2(c+1) peers it met last, recycled for whoever it
+// meets next (sessionCap). Everything an exchange computes in — decoder,
+// outgoing message, the codec's and the view's merge buffers
 // — is a workspace borrowed for one hold of the node's lock from a pool
 // the whole process shares (workspace.go), so the goroutine that runs 500
 // nodes works in one warm set of buffers, not 500 cold ones.
@@ -76,8 +76,8 @@ const (
 
 // Config describes one live node.
 type Config struct {
-	// Endpoint is the node's transport attachment. The node takes
-	// ownership: Stop closes it.
+	// Endpoint is the node's transport attachment; it must be a
+	// transport.HandlerEndpoint. The node takes ownership: Stop closes it.
 	Endpoint transport.Endpoint
 	// Schedule fixes δ, Δ and γ; all nodes of a deployment share it
 	// (epoch synchronization absorbs clock drift, §4.3).
@@ -311,9 +311,9 @@ type Node struct {
 	view *overlay.Membership
 	salt int32
 	// peers tracks per-peer connection state, by the peer's book id: the
-	// negotiated wire version and the delta-gossip codec (wire.ViewCodec).
-	// It holds the sessionCap(c) peers met most recently and recycles the
-	// idlest one's session, buffers included, for a peer not among them.
+	// delta-gossip codec (wire.ViewCodec). It holds the sessionCap(c)
+	// peers met most recently and recycles the idlest one's session,
+	// buffers included, for a peer not among them.
 	peers *transport.Sessions[int32, peerSession]
 	// ws is the workspace of the hold in progress: set by lock, nil again
 	// after unlock, and nil throughout a hold of the bare mutex.
@@ -340,20 +340,16 @@ type Node struct {
 
 	// sched is the scheduler's entry for this node, guarded by its lock.
 	sched nodeSchedule
-	// unwatch stops watching Start's context; cancel and wg end and await
-	// the receive goroutine of an endpoint without handler mode. All are
-	// set in Start under mu.
+	// unwatch stops watching Start's context; set in Start under mu.
 	unwatch func() bool
-	cancel  context.CancelFunc
-	wg      sync.WaitGroup
 
 	subs []chan Output
 }
 
 // New validates cfg and builds a node (not yet started).
 func New(cfg Config) (*Node, error) {
-	if cfg.Endpoint == nil {
-		return nil, errors.New("agent: endpoint is required")
+	if _, ok := cfg.Endpoint.(transport.HandlerEndpoint); !ok {
+		return nil, fmt.Errorf("agent: endpoint %T cannot deliver to a handler", cfg.Endpoint)
 	}
 	if err := cfg.Schedule.Validate(); err != nil {
 		return nil, err
@@ -495,23 +491,14 @@ func (n *Node) xidLocked(seq uint64) uint64 {
 func sessionCap(c int) int { return 2 * (c + 1) }
 
 // peerSession is the per-peer connection state kept in the transport
-// session table: the wire version the peer demonstrated (0 until it
-// speaks, meaning "assume current") and the delta-gossip codec.
+// session table: the delta-gossip codec.
 type peerSession struct {
-	version uint8
-	// downStreak counts consecutive datagrams at downVersion from a
-	// peer whose session is at a newer version (see observePeerLocked).
-	downStreak  uint8
-	downVersion uint8
-	codec       wire.ViewCodec
+	codec wire.ViewCodec
 }
 
 // Reset is what the session table calls to hand an evicted peer's session
 // to a new one: first-contact state, the codec's buffers kept.
-func (s *peerSession) Reset() {
-	s.version, s.downStreak, s.downVersion = 0, 0, 0
-	s.codec.Reset()
-}
+func (s *peerSession) Reset() { s.codec.Reset() }
 
 // peerSessions and sessionEvictions count over every node of the process:
 // the sessions held now (a stopped node's leave the count) and the
@@ -531,16 +518,6 @@ func (n *Node) sessionLocked(id int32) *peerSession {
 	return sess
 }
 
-// wireVersion resolves the version to encode messages to this peer at:
-// the demonstrated one, or the current version while the peer has not
-// spoken yet.
-func (s *peerSession) wireVersion() uint8 {
-	if s.version == 0 {
-		return wire.Version
-	}
-	return s.version
-}
-
 // tick converts wall-clock time into the logical NEWSCAST stamp: whole
 // cycles since the shared schedule anchor — exactly the paper's logical
 // time, comparable across every node of a deployment because the
@@ -558,32 +535,11 @@ func (n *Node) tick(now time.Time) int32 {
 	return int32(t)
 }
 
-// stampFromWire converts a received descriptor stamp into the packed
-// int32 tick space. Version-2 peers send ticks directly; version-1
-// peers stamped with wall-clock microseconds, which are recognized by
-// being far outside the tick range (2³¹ µs is 35 minutes past the Unix
-// epoch — no real clock) and converted through the shared schedule, so
-// legacy descriptors age correctly instead of poisoning the
-// freshest-wins merge as permanently-fresh entries.
-func (n *Node) stampFromWire(stamp int64) int32 {
-	if stamp > math.MaxInt32 {
-		return n.tick(time.UnixMicro(stamp))
-	}
-	if stamp < 0 {
-		return 0
-	}
-	return int32(stamp)
-}
-
-// stampToWire converts a tick stamp for a peer at the given wire
-// version: ticks verbatim for current peers, schedule-derived wall-clock
-// microseconds for legacy peers (whose merges compare against their own
-// UnixMicro stamps).
-func (n *Node) stampToWire(stamp int32, version uint8) int64 {
-	if version != wire.VersionLegacy {
-		return int64(stamp)
-	}
-	return n.cfg.Schedule.Start.Add(time.Duration(stamp) * n.cfg.Schedule.CycleLen).UnixMicro()
+// stampFromWire converts a received descriptor stamp, a tick on the wire,
+// into the packed int32 tick space: a hostile stamp outside [0, 2³¹) is
+// clamped into it rather than wrapped.
+func stampFromWire(stamp int64) int32 {
+	return int32(min(max(stamp, 0), math.MaxInt32))
 }
 
 // leaderIDFor derives the COUNT instance id from the node address, as the
@@ -598,11 +554,9 @@ func leaderIDFor(addr string) core.LeaderID {
 func (n *Node) Addr() string { return n.cfg.Endpoint.Addr() }
 
 // Start puts the node to work and returns immediately: its handler is
-// attached to the endpoint (or, for an endpoint without handler mode, a
-// receive goroutine started) and the node is queued on the process's
+// attached to the endpoint and the node is queued on the process's
 // scheduler, its first cycle one δ plus a random phase from now. Cancelling
-// ctx ends the cycles (and the receive goroutine); Stop is still needed to
-// close the endpoint.
+// ctx ends the cycles; Stop is still needed to close the endpoint.
 //
 // Each node's cycle is offset by a random phase within δ. Without the
 // stagger, nodes started together initiate simultaneously, find each
@@ -632,26 +586,17 @@ func (n *Node) Start(ctx context.Context) error {
 	}
 	phase := time.Duration(n.rng.Intn(int(n.cfg.Schedule.CycleLen)))
 	n.unwatch = context.AfterFunc(ctx, func() { sched.remove(n) })
-	he, handlerMode := n.cfg.Endpoint.(transport.HandlerEndpoint)
-	if !handlerMode {
-		ctx, n.cancel = context.WithCancel(ctx)
-		n.wg.Add(1)
-	}
 	n.unlock()
 
-	if handlerMode {
-		// The passive half runs on the transport's delivering goroutine:
-		// no receive goroutine, no channel hop, and the pooled buffer is
-		// returned as soon as the datagram is handled. Stop remains safe:
-		// Endpoint.Close is the transport's barrier that waits out any
-		// in-flight handler call before returning.
-		he.SetHandler(func(p transport.Packet) {
-			n.handle(p.From, p.Data)
-			p.Release()
-		})
-	} else {
-		go n.recvLoop(ctx)
-	}
+	// The passive half runs on the transport's delivering goroutine: no
+	// receive goroutine, no channel hop, and the pooled buffer is returned
+	// as soon as the datagram is handled. Stop remains safe: Endpoint.Close
+	// is the transport's barrier that waits out any in-flight handler call
+	// before returning.
+	n.cfg.Endpoint.(transport.HandlerEndpoint).SetHandler(func(p transport.Packet) {
+		n.handle(p.From, p.Data)
+		p.Release()
+	})
 	sched.add(n, now.Add(n.cfg.Schedule.CycleLen+phase))
 	if len(n.cfg.Seeds) > 0 {
 		n.sendJoinRequest()
@@ -660,9 +605,9 @@ func (n *Node) Start(ctx context.Context) error {
 }
 
 // Stop terminates the node: it leaves the scheduler (waiting out a cycle
-// of its own that is running), closes its endpoint (waiting out handler
-// calls in flight) and waits for its receive goroutine, if it has one.
-// Safe to call more than once; not from the node's own Value callback.
+// of its own that is running) and closes its endpoint (waiting out handler
+// calls in flight). Safe to call more than once; not from the node's own
+// Value callback.
 func (n *Node) Stop() error {
 	n.mu.Lock()
 	if !n.started || n.stopped {
@@ -674,11 +619,7 @@ func (n *Node) Stop() error {
 	n.mu.Unlock()
 	n.unwatch()
 	sched.remove(n)
-	if n.cancel != nil {
-		n.cancel()
-	}
 	err := n.cfg.Endpoint.Close()
-	n.wg.Wait()
 	n.mu.Lock()
 	n.closeSubsLocked()
 	peerSessions.Add(-int64(n.peers.Len()))

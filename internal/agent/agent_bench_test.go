@@ -330,7 +330,7 @@ func benchAgentCycleEncode(b *testing.B, established bool) {
 			{Key: refresh[1], Stamp: stamp},
 		})
 		// Snapshot and encode the outgoing exchange request.
-		payload, _ := node.payloadLocked(sess, uint64(i+1), uint64(i+1), now)
+		payload := node.payloadLocked(sess, uint64(i+1), uint64(i+1), now)
 		data, err := wire.Encode(&wire.ExchangeRequest{From: node.Addr(), Payload: payload})
 		node.unlock() // the payload's lists are the workspace's
 		if err != nil {

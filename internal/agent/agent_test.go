@@ -494,18 +494,23 @@ func TestNoGoroutineLeak(t *testing.T) {
 	t.Fatalf("goroutines: before %d, after %d", before, runtime.NumGoroutine())
 }
 
+// TestClusterOverUDP runs each node on a mux of its own with one socket:
+// the deployment shape of aggnode, one node per process.
 func TestClusterOverUDP(t *testing.T) {
 	const n = 5
 	sched := testSchedule()
-	eps := make([]*transport.UDPEndpoint, n)
+	eps := make([]*transport.MuxEndpoint, n)
 	addrs := make([]string, n)
 	for i := range eps {
-		ep, err := transport.ListenUDP("127.0.0.1:0", 0)
+		mux, err := transport.NewUDPMux(transport.UDPMuxConfig{Sockets: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		eps[i] = ep
-		addrs[i] = ep.Addr()
+		defer mux.Close()
+		if eps[i], err = mux.Endpoint(); err != nil {
+			t.Fatal(err)
+		}
+		addrs[i] = eps[i].Addr()
 	}
 	nodes := make([]*Node, n)
 	for i := range nodes {

@@ -3,8 +3,10 @@ package agent
 import (
 	"cmp"
 	"context"
-	"errors"
+	"encoding/hex"
+	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -162,24 +164,61 @@ func TestSharedBookTieBreakStarvesNobody(t *testing.T) {
 	}
 }
 
-// TestLegacyPeerNegotiation pins the per-connection version negotiation:
-// a peer that speaks wire version 1 gets version-1 replies carrying a
-// plain full view, and its message still updates our cache.
+// TestLegacyPeerNegotiation: there is nothing to negotiate. The earlier
+// wire versions' golden datagrams (internal/wire's oldVersions: a
+// Membership from "n1" naming "n2" and "n3" at versions 1 and 2, an
+// ExchangeRequest from "n1" at version 2) each count one decode error and
+// leave the node as it was, counters included, which every reply path
+// moves: no reply, nothing absorbed. The Membership at Version is answered
+// at Version and absorbed.
 func TestLegacyPeerNegotiation(t *testing.T) {
+	h := newHandNode(t, ModeScalar, 0)
+	for _, old := range []string{
+		"414530340105" + "00026e31" + "0000000000000007" + "0002" +
+			"00026e32" + "0000000000000010" + "00026e33" + "0000000000000011",
+		"414530340205" + "00026e31" + "0000000000000007" + "01" + "00000001" + "00000000" + "0002" +
+			"00026e32" + "0000000000000010" + "00026e33" + "0000000000000011",
+		"414530340201" + "00026e31" + "0000000000000002" + "0000000000000003" + "01" + "00" +
+			"3ff8000000000000" + "0000" + "02" + "00000005" + "00000004" + "00000003" + "0001" +
+			"00026e39" + "0000000000000012",
+	} {
+		data, err := hex.DecodeString(old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := h.state()
+		h.handle("n1", data)
+		after := h.state()
+		if after.metrics.DecodeErrors != before.metrics.DecodeErrors+1 {
+			t.Errorf("version %d: DecodeErrors %d → %d, want one more", data[4], before.metrics.DecodeErrors, after.metrics.DecodeErrors)
+		}
+		before.metrics.DecodeErrors = after.metrics.DecodeErrors
+		if !reflect.DeepEqual(before, after) {
+			t.Errorf("a version %d datagram changed the node:\nbefore %+v\n after %+v", data[4], before, after)
+		}
+	}
+	h.deliver(t, &wire.Membership{From: h.peer.Addr(), Seq: 7, View: wire.ViewFrame{Kind: wire.ViewFull, Gen: 1,
+		Entries: []wire.Descriptor{{Addr: "n2", Stamp: 16}, {Addr: "n3", Stamp: 17}}}})
+	if reply, v := h.sentVersion(t); v != wire.Version || reply.Type() != wire.TMembershipReply {
+		t.Fatalf("the current hello was answered with a %v at version %d", reply.Type(), v)
+	}
+	if peers := h.Peers(); !containsAddr(peers, "n2") || !containsAddr(peers, "n3") {
+		t.Fatalf("the current hello's view was not absorbed: %v", peers)
+	}
+}
+
+// TestJoinSendsOneRequest: a join is one JoinRequest, at Version — not
+// one per wire version the seed might speak.
+func TestJoinSendsOneRequest(t *testing.T) {
 	net := transport.NewMemNetwork(transport.MemNetworkConfig{Seed: 9})
 	defer net.Close()
-	legacy := net.Endpoint() // the old node, driven by hand
-	ep := net.Endpoint()
+	seed := net.Endpoint()
 	node, err := New(Config{
-		Endpoint: ep,
-		Schedule: core.Schedule{
-			Start: time.Now(), Delta: time.Hour,
-			CycleLen: time.Hour, Gamma: 1 << 20, // ticker never fires
-		},
-		Value:     func() float64 { return 1 },
-		Bootstrap: []string{legacy.Addr()},
-		Seed:      3,
-		Logger:    quietLogger(),
+		Endpoint: net.Endpoint(),
+		Schedule: core.Schedule{Start: time.Now(), Delta: time.Hour, CycleLen: time.Hour, Gamma: 1 << 20},
+		Value:    func() float64 { return 1 },
+		Seeds:    []string{seed.Addr()},
+		Logger:   quietLogger(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -188,60 +227,13 @@ func TestLegacyPeerNegotiation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer node.Stop()
-
-	msg := &wire.Membership{From: legacy.Addr(), Seq: 1, View: wire.ViewFrame{
-		Kind:    wire.ViewFull,
-		Entries: []wire.Descriptor{{Addr: "third:1", Stamp: 2}},
-	}}
-	data, err := wire.EncodeLegacy(msg)
-	if err != nil {
-		t.Fatal(err)
+	// Start sends the request inline, and the cycle is an hour away.
+	if n := len(seed.Recv()); n != 1 {
+		t.Fatalf("the join sent the seed %d datagrams, want 1", n)
 	}
-	if err := legacy.Send(ep.Addr(), data); err != nil {
-		t.Fatal(err)
-	}
-
-	select {
-	case pkt := <-legacy.Recv():
-		reply, version, err := new(wire.Decoder).Decode(pkt.Data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if version != wire.VersionLegacy {
-			t.Fatalf("reply version = %d, want %d", version, wire.VersionLegacy)
-		}
-		mr, ok := reply.(*wire.MembershipReply)
-		if !ok {
-			t.Fatalf("reply is %T", reply)
-		}
-		if mr.View.Kind != wire.ViewFull || mr.View.Gen != 0 {
-			t.Fatalf("legacy reply frame = %+v, want un-numbered full view", mr.View)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("no membership reply")
-	}
-
-	// The legacy peer's gossip landed in the cache.
-	deadline := time.Now().Add(time.Second)
-	for {
-		if containsAddr(node.Peers(), "third:1") {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("legacy gossip not absorbed; peers = %v", node.Peers())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestLegacyEncodeRejectsDelta documents the downgrade rule the agent
-// relies on: a delta frame cannot be encoded at the legacy version.
-func TestLegacyEncodeRejectsDelta(t *testing.T) {
-	_, err := wire.EncodeLegacy(&wire.Membership{From: "a", Seq: 1, View: wire.ViewFrame{
-		Kind: wire.ViewDelta, Gen: 2, Base: 1,
-	}})
-	if !errors.Is(err, wire.ErrBadViewKind) {
-		t.Fatalf("EncodeLegacy(delta) = %v, want ErrBadViewKind", err)
+	p := <-seed.Recv()
+	if m, err := wire.Decode(p.Data); err != nil || m.Type() != wire.TJoinRequest || p.Data[4] != wire.Version {
+		t.Fatalf("the join sent %v (%v) at version %d", m, err, p.Data[4])
 	}
 }
 
@@ -254,78 +246,48 @@ func containsAddr(addrs []string, want string) bool {
 	return false
 }
 
-// TestVersionNeverDowngrades pins the upgrade-only negotiation rule: a
-// peer that once demonstrated wire version 2 keeps receiving version-2
-// replies even if a later version-1 datagram arrives bearing its
-// address (the echo of our own dual-version join probe, or a reordered
-// legacy frame) — last-message-wins would latch two current nodes onto
-// legacy full-view gossip permanently.
+// TestVersionNeverDowngrades: whatever version byte arrives, the node
+// speaks Version. A stream of hellos relabelled to the earlier versions —
+// what a peer rolled back to an older binary would send — draws no reply,
+// and the next current hello is answered at Version as the first was.
 func TestVersionNeverDowngrades(t *testing.T) {
-	net := transport.NewMemNetwork(transport.MemNetworkConfig{Seed: 11})
-	defer net.Close()
-	peer := net.Endpoint()
-	ep := net.Endpoint()
-	node, err := New(Config{
-		Endpoint: ep,
-		Schedule: core.Schedule{
-			Start: time.Now(), Delta: time.Hour,
-			CycleLen: time.Hour, Gamma: 1 << 20,
-		},
-		Value:     func() float64 { return 1 },
-		Bootstrap: []string{peer.Addr()},
-		Seed:      5,
-		Logger:    quietLogger(),
-	})
+	h := newHandNode(t, ModeScalar, 0)
+	data, err := wire.Encode(&wire.Membership{From: h.peer.Addr(), Seq: 1, View: wire.ViewFrame{Kind: wire.ViewFull, Gen: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := node.Start(context.Background()); err != nil {
-		t.Fatal(err)
+	hello := func(version byte) {
+		d := slices.Clone(data)
+		d[4] = version
+		h.handle(h.peer.Addr(), d)
 	}
-	defer node.Stop()
+	hello(wire.Version)
+	if _, v := h.sentVersion(t); v != wire.Version {
+		t.Fatalf("a current hello was answered at version %d", v)
+	}
+	for _, version := range []byte{1, 2, 1, 1, 2, 2} {
+		hello(version)
+	}
+	select {
+	case p := <-h.peer.Recv():
+		t.Fatalf("an old-version hello was answered at version %d", p.Data[4])
+	default: // delivery is inline: a reply would be queued by now
+	}
+	if m := h.Metrics(); m.DecodeErrors != 6 {
+		t.Fatalf("%d decode errors for 6 old-version hellos", m.DecodeErrors)
+	}
+	hello(wire.Version)
+	if _, v := h.sentVersion(t); v != wire.Version {
+		t.Fatalf("after the old-version stream a current hello was answered at version %d", v)
+	}
+}
 
-	sendAt := func(encode func(wire.Message) ([]byte, error), seq uint64) uint8 {
-		t.Helper()
-		data, err := encode(&wire.Membership{From: peer.Addr(), Seq: seq,
-			View: wire.ViewFrame{Kind: wire.ViewFull, Gen: uint32(seq),
-				Entries: []wire.Descriptor{{Addr: "x:1", Stamp: 1}}}})
-		if err != nil {
-			t.Fatal(err)
+// TestStampFromWireClamps: a stamp outside the tick range [0, 2³¹) is
+// clamped into it, not wrapped.
+func TestStampFromWireClamps(t *testing.T) {
+	for stamp, want := range map[int64]int32{-1: 0, 0: 0, 7: 7, math.MaxInt32: math.MaxInt32, 1 << 40: math.MaxInt32} {
+		if got := stampFromWire(stamp); got != want {
+			t.Errorf("stampFromWire(%d) = %d, want %d", stamp, got, want)
 		}
-		if err := peer.Send(ep.Addr(), data); err != nil {
-			t.Fatal(err)
-		}
-		select {
-		case pkt := <-peer.Recv():
-			_, version, err := new(wire.Decoder).Decode(pkt.Data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return version
-		case <-time.After(2 * time.Second):
-			t.Fatal("no reply")
-			return 0
-		}
-	}
-
-	if v := sendAt(wire.Encode, 1); v != wire.Version {
-		t.Fatalf("v2 message answered at version %d", v)
-	}
-	// A stray legacy datagram must not downgrade the connection…
-	if v := sendAt(wire.EncodeLegacy, 2); v != wire.Version {
-		t.Fatalf("legacy echo downgraded the connection to version %d", v)
-	}
-	// …but a steady legacy stream means the peer really rolled back to a
-	// legacy binary, and staying at version 2 would blackhole it.
-	var last uint8
-	for seq := uint64(3); seq < 3+uint64(downgradeStreak); seq++ {
-		last = sendAt(wire.EncodeLegacy, seq)
-	}
-	if last != wire.VersionLegacy {
-		t.Fatalf("persistent legacy stream not honored: still replying at version %d", last)
-	}
-	// And the rolled-back peer can upgrade again.
-	if v := sendAt(wire.Encode, 99); v != wire.Version {
-		t.Fatalf("re-upgrade failed: version %d", v)
 	}
 }

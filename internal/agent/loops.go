@@ -123,17 +123,15 @@ func (n *Node) initiate(now time.Time) (deadline time.Time) {
 		// estimate is this epoch's output and the node idles until the
 		// next epoch — it still answers peers that are behind, and keeps
 		// the overlay fresh with membership gossip.
-		frame, version := n.frameForLocked(sess, now)
-		n.ws.out.Membership = wire.Membership{From: n.Addr(), Seq: seq, View: frame}
-		buf := n.encode(&n.ws.out.Membership, version)
+		n.ws.out.Membership = wire.Membership{From: n.Addr(), Seq: seq, View: n.frameForLocked(sess, now)}
+		buf := n.encode(&n.ws.out.Membership)
 		n.unlock()
 		n.transmit(peer, buf)
 		return deadline
 	}
 	xid := n.xidLocked(seq)
-	payload, version := n.payloadLocked(sess, seq, xid, now)
-	n.ws.out.ExchangeRequest = wire.ExchangeRequest{From: n.Addr(), Payload: payload}
-	buf := n.encode(&n.ws.out.ExchangeRequest, version)
+	n.ws.out.ExchangeRequest = wire.ExchangeRequest{From: n.Addr(), Payload: n.payloadLocked(sess, seq, xid, now)}
+	buf := n.encode(&n.ws.out.ExchangeRequest)
 	start := time.Now()
 	epoch := n.epoch
 	n.busy = true
@@ -274,19 +272,14 @@ func mergeEntries(ours core.MapState, entries []wire.MapEntry) {
 }
 
 // payloadLocked snapshots the node's state for the wire, with the
-// membership frame addressed to the exchange peer's session. It returns
-// the wire version the payload was built for — the frame shape and the
-// encoding version must be decided at the same instant, under the same
-// lock, or a concurrent version observation could pair a delta frame
-// with a legacy encoding.
-func (n *Node) payloadLocked(sess *peerSession, seq, xid uint64, now time.Time) (wire.Payload, uint8) {
-	frame, version := n.frameForLocked(sess, now)
+// membership frame addressed to the exchange peer's session.
+func (n *Node) payloadLocked(sess *peerSession, seq, xid uint64, now time.Time) wire.Payload {
 	p := wire.Payload{
 		Seq:    seq,
 		XID:    xid,
 		Epoch:  n.epoch,
 		FuncID: n.funcID,
-		View:   frame,
+		View:   n.frameForLocked(sess, now),
 	}
 	if n.cfg.Mode == ModeScalar {
 		p.Scalar = n.scalar
@@ -300,7 +293,7 @@ func (n *Node) payloadLocked(sess *peerSession, seq, xid uint64, now time.Time) 
 				n.metrics.adversaryLies.Add(1)
 			}
 		}
-		return p, version
+		return p
 	}
 	entries := n.ws.entries[:0]
 	for l, v := range n.mapState {
@@ -311,15 +304,14 @@ func (n *Node) payloadLocked(sess *peerSession, seq, xid uint64, now time.Time) 
 	}
 	n.ws.entries = entries
 	p.Entries = entries
-	return p, version
+	return p
 }
 
-// viewDescriptorsLocked unpacks the piggybacked NEWSCAST view — cache
-// content plus a fresh self-descriptor — into wire form for a peer at
-// the given wire version (stamps as ticks, or as schedule-derived
-// microseconds for legacy peers), truncated to the wire limit. The list
-// lives in the workspace's desc, like every outgoing descriptor list.
-func (n *Node) viewDescriptorsLocked(now time.Time, version uint8) []wire.Descriptor {
+// viewDescriptorsLocked unpacks the NEWSCAST view — cache content plus a
+// fresh self-descriptor — into wire form, stamps as ticks, truncated to
+// the wire limit: the seeds of a JoinReply. The list lives in the
+// workspace's desc, like every outgoing descriptor list.
+func (n *Node) viewDescriptorsLocked(now time.Time) []wire.Descriptor {
 	packed := n.view.Packed()
 	out := n.ws.desc[:0]
 	// The byte cap (MaxViewBytes) applies here too; the fresh
@@ -340,28 +332,20 @@ func (n *Node) viewDescriptorsLocked(now time.Time, version uint8) []wire.Descri
 		}
 		out = append(out, wire.Descriptor{
 			Addr:  a,
-			Stamp: n.stampToWire(overlay.UnpackStamp(e), version),
+			Stamp: int64(overlay.UnpackStamp(e)),
 		})
 	}
-	out = append(out, wire.Descriptor{Addr: n.Addr(), Stamp: n.stampToWire(n.tick(now), version)})
+	out = append(out, wire.Descriptor{Addr: n.Addr(), Stamp: int64(n.tick(now))})
 	n.ws.desc = out
 	return out
 }
 
 // frameForLocked builds the outgoing membership frame for one peer
-// session, and returns the wire version to encode the carrying message
-// at. The per-peer delta codec decides between a first-contact full
+// session. The per-peer delta codec decides between a first-contact full
 // view and a delta against the peer's last-acknowledged snapshot,
 // straight off the packed view so addresses are resolved only for the
-// entries actually sent. Peers that spoke the legacy wire version get a
-// plain un-numbered full view — they track no generations.
-func (n *Node) frameForLocked(sess *peerSession, now time.Time) (wire.ViewFrame, uint8) {
-	if sess.version == wire.VersionLegacy {
-		frame := wire.ViewFrame{Kind: wire.ViewFull, Entries: n.viewDescriptorsLocked(now, sess.version)}
-		n.metrics.gossipFramesFull.Add(1)
-		n.metrics.gossipEntriesSent.Add(int64(len(frame.Entries)))
-		return frame, wire.VersionLegacy
-	}
+// entries actually sent.
+func (n *Node) frameForLocked(sess *peerSession, now time.Time) wire.ViewFrame {
 	packed := n.view.Packed()
 	if len(packed) > wire.MaxDescriptors-1 {
 		packed = packed[:wire.MaxDescriptors-1]
@@ -386,48 +370,18 @@ func (n *Node) frameForLocked(sess *peerSession, now time.Time) (wire.ViewFrame,
 		n.metrics.gossipFramesFull.Add(1)
 	}
 	n.metrics.gossipEntriesSent.Add(int64(len(frame.Entries)))
-	return frame, sess.wireVersion()
+	return frame
 }
 
-// downgradeStreak is how many consecutive lower-version datagrams a
-// session tolerates before downgrading: one or two are the echo of our
-// own multi-version join probe or a reordered frame, a steady stream
-// means the peer really is running an older binary again (a rollback)
-// and would drop everything we encode at the newer version.
-const downgradeStreak = 3
-
-// observePeerLocked records the wire version the sender of the message
-// just decoded demonstrated and returns its session. peer is that
-// message's From field — for a JoinReply, which has none, the
-// transport-level sender; its book id is the one the decoder's lookup
-// found, or a newly interned one. Versions upgrade immediately, but downgrade
-// only after downgradeStreak consecutive datagrams at the same lower
-// version: last-message-wins would let the echo of our own join probe
-// latch two current nodes onto a downlevel wire for good, while never
-// downgrading would permanently blackhole a peer rolled back to an
-// older binary. The rule is version-agnostic — a v3 session rolls back
-// to v2 (losing only exchange IDs) exactly like a v2 session rolls
-// back to the legacy full-view wire.
-func (n *Node) observePeerLocked(peer string, version uint8) *peerSession {
+// senderSessionLocked returns the session of the sender of the message
+// just decoded, whose From field is from: its book id is the one the
+// decoder's lookup found, or a newly interned one.
+func (n *Node) senderSessionLocked(from string) *peerSession {
 	id, known := n.ws.dec.Sender()
 	if !known {
-		id = book.Intern(peer)
+		id = book.Intern(from)
 	}
-	sess := n.sessionLocked(id)
-	switch {
-	case version >= sess.version:
-		sess.version = version
-		sess.downStreak = 0
-	default:
-		if sess.downVersion != version {
-			sess.downVersion, sess.downStreak = version, 0
-		}
-		if sess.downStreak++; sess.downStreak >= downgradeStreak {
-			sess.version = version
-			sess.downStreak = 0
-		}
-	}
-	return sess
+	return n.sessionLocked(id)
 }
 
 // absorbFrameLocked runs a received membership frame through the peer
@@ -453,7 +407,7 @@ func (n *Node) absorbDescriptorsLocked(ds []wire.Descriptor) {
 		if !d.Known {
 			id = book.Intern(d.Addr)
 		}
-		entries = append(entries, overlay.Entry{Key: n.viewKey(id), Stamp: n.stampFromWire(d.Stamp)})
+		entries = append(entries, overlay.Entry{Key: n.viewKey(id), Stamp: stampFromWire(d.Stamp)})
 	}
 	n.ws.absorb = entries
 	n.view.Absorb(entries)
@@ -470,14 +424,11 @@ func (n *Node) nextSeqLocked() uint64 {
 // it.
 var sendBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// encode serializes a message at the given wire version into a pooled
-// buffer for transmit, or returns nil after logging when the message
-// cannot be encoded. The caller resolves the version in the same
-// critical section that shaped the message, so a concurrent version
-// observation can never pair a delta frame with a legacy encoding.
-func (n *Node) encode(msg wire.Message, version uint8) *[]byte {
+// encode serializes a message into a pooled buffer for transmit, or
+// returns nil after logging when the message cannot be encoded.
+func (n *Node) encode(msg wire.Message) *[]byte {
 	bp := sendBufs.Get().(*[]byte)
-	buf, err := wire.AppendEncode((*bp)[:0], msg, version)
+	buf, err := wire.AppendEncode((*bp)[:0], msg)
 	if err != nil {
 		sendBufs.Put(bp)
 		n.log.Error("encode failed", "type", msg.Type().String(), "err", err)
@@ -502,13 +453,6 @@ func (n *Node) transmit(to string, bp *[]byte) {
 }
 
 // sendJoinRequest asks one seed for epoch timing and contacts (§4.2).
-// While the seed's wire version is unknown, the request goes out at
-// every supported version: a downlevel seed silently drops datagrams
-// encoded at versions it does not know and, as the contacted party,
-// would never speak first — so the passive per-connection negotiation
-// needs this active probe to bootstrap a mixed-version join. Its reply
-// pins the version for all subsequent traffic; duplicate JoinReplies
-// are harmlessly idempotent.
 func (n *Node) sendJoinRequest() {
 	n.mu.Lock()
 	seq := n.nextSeqLocked()
@@ -516,22 +460,9 @@ func (n *Node) sendJoinRequest() {
 	if len(n.cfg.Seeds) > 0 {
 		seed = n.cfg.Seeds[n.rng.Intn(len(n.cfg.Seeds))]
 	}
-	versionKnown := false
-	version := uint8(wire.Version)
-	if id, ok := book.Lookup(seed); ok {
-		if sess, ok := n.peers.Peek(id); ok && sess.version != 0 {
-			versionKnown = true
-			version = sess.version
-		}
-	}
 	n.mu.Unlock()
 	if seed == "" || seed == n.Addr() {
 		return
 	}
-	msg := &wire.JoinRequest{From: n.Addr(), Seq: seq}
-	n.transmit(seed, n.encode(msg, version))
-	if !versionKnown {
-		n.transmit(seed, n.encode(msg, wire.VersionDelta))
-		n.transmit(seed, n.encode(msg, wire.VersionLegacy))
-	}
+	n.transmit(seed, n.encode(&wire.JoinRequest{From: n.Addr(), Seq: seq}))
 }

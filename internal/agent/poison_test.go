@@ -77,7 +77,7 @@ var poisonMessages, poisonDatagrams = func() (wire.Messages, [][]byte) {
 // payloads NaN, packed descriptors all ones, and every buffer is empty.
 func poisonWorkspace(ws *workspace) {
 	for _, data := range poisonDatagrams {
-		if _, _, err := ws.dec.Decode(data); err != nil {
+		if _, err := ws.dec.Decode(data); err != nil {
 			panic(err)
 		}
 	}
@@ -118,7 +118,7 @@ func TestPoisonReachesEveryBuffer(t *testing.T) {
 	ws := workspaces.Get().(*workspace)
 	defer workspaces.Put(ws)
 	poisonWorkspace(ws)
-	m, _, err := ws.dec.Decode(h.requestFrom(t, h.peer, fullFrame(h.peer.Addr(), "crowd", 1)))
+	m, err := ws.dec.Decode(h.requestFrom(t, h.peer, fullFrame(h.peer.Addr(), "crowd", 1)))
 	if err != nil {
 		t.Fatal(err)
 	}

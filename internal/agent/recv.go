@@ -1,35 +1,12 @@
 package agent
 
 import (
-	"context"
 	"time"
 
 	"antientropy/internal/core"
 	"antientropy/internal/obs"
 	"antientropy/internal/wire"
 )
-
-// recvLoop feeds handle from the Recv channel of an endpoint that has no
-// handler mode (the per-node UDP socket).
-func (n *Node) recvLoop(ctx context.Context) {
-	defer n.wg.Done()
-	for {
-		select {
-		case <-ctx.Done():
-			// Drain until the endpoint closes its channel.
-			for pkt := range n.cfg.Endpoint.Recv() {
-				pkt.Release() // discard: we are shutting down
-			}
-			return
-		case pkt, ok := <-n.cfg.Endpoint.Recv():
-			if !ok {
-				return
-			}
-			n.handle(pkt.From, pkt.Data)
-			pkt.Release()
-		}
-	}
-}
 
 // handle is the passive thread of Figure 1 — it serves exchange requests,
 // answers joins and membership gossip, and reacts to epoch identifiers
@@ -38,18 +15,15 @@ func (n *Node) recvLoop(ctx context.Context) {
 // handler and encodes the reply; the reply is sent after the lock is
 // released. The decoded message aliases the decoder's storage (never the
 // datagram), so nothing of it may be kept past the unlock except strings.
-// Each handler records the wire version the datagram arrived at
-// (observePeerLocked) — the per-connection negotiation: replies to a
-// legacy peer are encoded at the legacy version with plain full views.
 //
 // Every address of the datagram is resolved once, by the decoder's
 // lookup in the process's book, and nothing is interned until the
-// datagram has validated: observePeerLocked and absorbDescriptorsLocked
+// datagram has validated: senderSessionLocked and absorbDescriptorsLocked
 // intern only what that lookup missed.
 func (n *Node) handle(from string, data []byte) {
 	now := time.Now()
 	n.lock()
-	msg, version, err := n.ws.dec.Decode(data)
+	msg, err := n.ws.dec.Decode(data)
 	if err != nil {
 		n.unlock()
 		n.metrics.decodeErrors.Add(1)
@@ -58,30 +32,29 @@ func (n *Node) handle(from string, data []byte) {
 		return
 	}
 	var (
-		to           string
-		reply        wire.Message
-		replyVersion uint8
+		to    string
+		reply wire.Message
 	)
 	switch m := msg.(type) {
 	case *wire.ExchangeRequest:
 		to = m.From
-		reply, replyVersion = n.handleExchangeRequestLocked(m, now, version)
+		reply = n.handleExchangeRequestLocked(m, now)
 	case *wire.ExchangeReply:
-		n.handleExchangeReplyLocked(m, now, version)
+		n.handleExchangeReplyLocked(m, now)
 	case *wire.JoinRequest:
 		to = m.From
-		reply, replyVersion = n.handleJoinRequestLocked(m, now, version)
+		reply = n.handleJoinRequestLocked(m, now)
 	case *wire.JoinReply:
-		n.handleJoinReplyLocked(m, from, version)
+		n.handleJoinReplyLocked(m)
 	case *wire.Membership:
 		to = m.From
-		reply, replyVersion = n.handleMembershipLocked(m, now, version)
+		reply = n.handleMembershipLocked(m, now)
 	case *wire.MembershipReply:
-		n.absorbFrameLocked(n.observePeerLocked(m.From, version), m.View)
+		n.absorbFrameLocked(n.senderSessionLocked(m.From), m.View)
 	}
 	var buf *[]byte
 	if reply != nil {
-		buf = n.encode(reply, replyVersion)
+		buf = n.encode(reply)
 	}
 	n.unlock()
 	n.transmit(to, buf)
@@ -91,8 +64,8 @@ func (n *Node) handle(from string, data []byte) {
 // the local state, then install the merged state (Figure 1b), subject to
 // the epoch rules of §4.2/§4.3 and the busy rule documented on the
 // package. It returns the reply (nil for none) built in the workspace.
-func (n *Node) handleExchangeRequestLocked(m *wire.ExchangeRequest, now time.Time, version uint8) (wire.Message, uint8) {
-	sess := n.observePeerLocked(m.From, version)
+func (n *Node) handleExchangeRequestLocked(m *wire.ExchangeRequest, now time.Time) wire.Message {
+	sess := n.senderSessionLocked(m.From)
 	// Run the frame through the codec now (the reply must acknowledge
 	// it), but absorb its descriptors only after the reply frame is
 	// built: the reply is the pre-merge state (Figure 1b), and a delta
@@ -104,7 +77,7 @@ func (n *Node) handleExchangeRequestLocked(m *wire.ExchangeRequest, now time.Tim
 		n.metrics.staleDropped.Add(1)
 		n.trace(obs.TraceStaleDrop, m.From, m.Seq, m.Epoch, m.XID, now)
 		n.absorbDescriptorsLocked(gossip)
-		return nil, 0
+		return nil
 	case core.JumpForward:
 		if n.participating || m.Epoch >= n.joinEpoch {
 			// §4.3: adopt the newer epoch immediately, restarting from
@@ -147,16 +120,15 @@ func (n *Node) handleExchangeRequestLocked(m *wire.ExchangeRequest, now time.Tim
 		n.ws.out.ExchangeReply = wire.ExchangeReply{From: n.Addr(), Payload: wire.Payload{
 			Seq: m.Seq, XID: m.XID, Epoch: m.Epoch, Flags: wire.FlagRefused,
 		}}
-		return &n.ws.out.ExchangeReply, sess.version
+		return &n.ws.out.ExchangeReply
 	}
 	// Reply with the pre-merge state, then update (Figure 1b).
-	payload, replyVersion := n.payloadLocked(sess, m.Seq, m.XID, now)
-	n.ws.out.ExchangeReply = wire.ExchangeReply{From: n.Addr(), Payload: payload}
+	n.ws.out.ExchangeReply = wire.ExchangeReply{From: n.Addr(), Payload: n.payloadLocked(sess, m.Seq, m.XID, now)}
 	n.absorbDescriptorsLocked(gossip)
 	n.applyLocked(&m.Payload)
 	n.metrics.exchangesServed.Add(1)
 	n.trace(obs.TraceServed, m.From, m.Seq, m.Epoch, m.XID, now)
-	return &n.ws.out.ExchangeReply, replyVersion
+	return &n.ws.out.ExchangeReply
 }
 
 // handleExchangeReplyLocked absorbs the reply's view and, when the reply
@@ -164,8 +136,8 @@ func (n *Node) handleExchangeRequestLocked(m *wire.ExchangeRequest, now time.Tim
 // request already timed out: the responder updated, we did not, the
 // paper's "lost response" (§7.2) — and a duplicate of one already
 // applied both find no matching exchange and are dropped.
-func (n *Node) handleExchangeReplyLocked(m *wire.ExchangeReply, now time.Time, version uint8) {
-	n.absorbFrameLocked(n.observePeerLocked(m.From, version), m.View)
+func (n *Node) handleExchangeReplyLocked(m *wire.ExchangeReply, now time.Time) {
+	n.absorbFrameLocked(n.senderSessionLocked(m.From), m.View)
 	if n.busy && m.Seq == n.pending.seq {
 		n.completeLocked(&m.Payload, now)
 	}
@@ -175,26 +147,19 @@ func (n *Node) handleExchangeReplyLocked(m *wire.ExchangeReply, now time.Time, v
 // identifier, the time until it starts, and bootstrap contacts. Seeds
 // are a plain full descriptor list — a join is first contact, there is
 // no delta base yet.
-func (n *Node) handleJoinRequestLocked(m *wire.JoinRequest, now time.Time, version uint8) (wire.Message, uint8) {
+func (n *Node) handleJoinRequestLocked(m *wire.JoinRequest, now time.Time) wire.Message {
 	info := n.cfg.Schedule.JoinAt(now)
-	sess := n.observePeerLocked(m.From, version)
 	n.ws.out.JoinReply = wire.JoinReply{
 		Seq:        m.Seq,
 		NextEpoch:  info.NextEpoch,
 		WaitMicros: info.WaitFor.Microseconds(),
-		Seeds:      n.viewDescriptorsLocked(now, sess.version),
+		Seeds:      n.viewDescriptorsLocked(now),
 	}
-	return &n.ws.out.JoinReply, sess.version
+	return &n.ws.out.JoinReply
 }
 
 // handleJoinReplyLocked installs the join information from a seed.
-// JoinReply carries no From field; the transport-level sender identifies
-// the seed whose wire version the reply demonstrates (this is what
-// resolves the dual-version join probe).
-func (n *Node) handleJoinReplyLocked(m *wire.JoinReply, from string, version uint8) {
-	if from != "" {
-		n.observePeerLocked(from, version)
-	}
+func (n *Node) handleJoinReplyLocked(m *wire.JoinReply) {
 	if n.participating {
 		return // already integrated
 	}
@@ -207,11 +172,10 @@ func (n *Node) handleJoinReplyLocked(m *wire.JoinReply, from string, version uin
 // handleMembershipLocked serves a standalone NEWSCAST exchange: run the
 // frame through the peer's codec, reply with the pre-merge view
 // (acknowledging the received frame), then absorb.
-func (n *Node) handleMembershipLocked(m *wire.Membership, now time.Time, version uint8) (wire.Message, uint8) {
-	sess := n.observePeerLocked(m.From, version)
+func (n *Node) handleMembershipLocked(m *wire.Membership, now time.Time) wire.Message {
+	sess := n.senderSessionLocked(m.From)
 	entries := sess.codec.Observe(m.View)
-	frame, replyVersion := n.frameForLocked(sess, now)
-	n.ws.out.MembershipReply = wire.MembershipReply{From: n.Addr(), Seq: m.Seq, View: frame}
+	n.ws.out.MembershipReply = wire.MembershipReply{From: n.Addr(), Seq: m.Seq, View: n.frameForLocked(sess, now)}
 	n.absorbDescriptorsLocked(entries)
-	return &n.ws.out.MembershipReply, replyVersion
+	return &n.ws.out.MembershipReply
 }

@@ -171,25 +171,22 @@ func TestFirstContactAllocs(t *testing.T) {
 	}
 }
 
-// TestEvictionIsFirstContactForVersions: what the version handshake does
-// with a peer whose session was evicted is what it does with a peer never
-// seen. A version-1 peer met again is answered at version 1, because the
-// version a datagram arrives at is observed before its reply is encoded;
-// our own first request to it goes out at the current version with a
-// full frame of generation 1, the opening the peer's codec reads as a
-// restart.
+// TestEvictionIsFirstContactForVersions: what the node does with a peer
+// whose session was evicted is what it does with a peer never seen, at the
+// one version there is: its hello is answered at Version with a full
+// frame of generation 1 before and after the eviction, and our own first
+// request after it goes out at Version with a full frame of generation 1,
+// ack 0, the opening the peer's codec reads as a restart.
 func TestEvictionIsFirstContactForVersions(t *testing.T) {
 	h := newHandNode(t, ModeScalar, 0)
 	bound := sessionCap(overlay.DefaultCacheSize)
-	legacyHello := func(seq uint64) (wire.Message, uint8) {
+	hello := func(seq uint64) {
 		t.Helper()
-		data, err := wire.EncodeLegacy(&wire.Membership{From: h.peer.Addr(), Seq: seq,
-			View: wire.ViewFrame{Kind: wire.ViewFull}})
-		if err != nil {
-			t.Fatal(err)
+		h.deliver(t, &wire.Membership{From: h.peer.Addr(), Seq: seq, View: wire.ViewFrame{Kind: wire.ViewFull, Gen: uint32(seq)}})
+		reply, v := h.sentVersion(t)
+		if mr, ok := reply.(*wire.MembershipReply); !ok || v != wire.Version || mr.View.Kind != wire.ViewFull || mr.View.Gen != 1 {
+			t.Fatalf("hello %d was answered at version %d with %+v, want version %d and a full frame of generation 1", seq, v, reply, wire.Version)
 		}
-		h.handle(h.peer.Addr(), data)
-		return h.sentVersion(t)
 	}
 	evictPeer := func() {
 		t.Helper()
@@ -202,18 +199,9 @@ func TestEvictionIsFirstContactForVersions(t *testing.T) {
 		}
 	}
 
-	if _, v := legacyHello(1); v != wire.VersionLegacy {
-		t.Fatalf("a version-1 hello was answered at version %d", v)
-	}
+	hello(1)
 	evictPeer()
-	reply, v := legacyHello(2)
-	if v != wire.VersionLegacy {
-		t.Fatalf("after eviction a version-1 hello was answered at version %d", v)
-	}
-	if mr, ok := reply.(*wire.MembershipReply); !ok || mr.View.Kind != wire.ViewFull || mr.View.Gen != 0 {
-		t.Fatalf("after eviction the version-1 peer was answered with %+v, want an un-numbered full view", reply)
-	}
-
+	hello(2)
 	evictPeer()
 	h.initiate(time.Now()) // the peer is all the view holds
 	msg, v := h.sentVersion(t)
@@ -228,12 +216,13 @@ func TestEvictionIsFirstContactForVersions(t *testing.T) {
 }
 
 // sentVersion returns the next message the node sent to the peer and the
-// wire version it was encoded at.
+// version byte it was encoded with.
 func (h handNode) sentVersion(t testing.TB) (wire.Message, uint8) {
 	t.Helper()
 	select {
 	case p := <-h.peer.Recv():
-		m, version, err := new(wire.Decoder).Decode(p.Data)
+		version := p.Data[4]
+		m, err := wire.Decode(p.Data)
 		p.Release()
 		if err != nil {
 			t.Fatal(err)

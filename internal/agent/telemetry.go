@@ -72,7 +72,7 @@ func RegisterMetrics(reg *obs.Registry, snap func() Metrics) {
 		"Distinct addresses interned in this process's address book (it only grows).",
 		func() float64 { return float64(book.Len()) })
 	reg.GaugeFunc("agg_peer_sessions",
-		"Per-peer sessions (wire version, delta-gossip codec) held by this process's running nodes; each node keeps at most two views' worth.",
+		"Per-peer sessions (delta-gossip codec state) held by this process's running nodes; each node keeps at most two views' worth.",
 		func() float64 { return float64(peerSessions.Load()) })
 	reg.CounterFunc("agg_session_evictions_total",
 		"Sessions taken from the peer idle longest and recycled for a peer not among a node's most recent; the evicted peer is met again as a first contact.",

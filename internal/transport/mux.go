@@ -21,13 +21,10 @@ import (
 // carrying thousands of agent.Nodes shares the sockets, the receive
 // buffers (pooled, no per-datagram copy) and one resolve/address cache.
 //
-// Mux endpoints address each other as "host:port#id": the socket's
-// address plus a per-mux endpoint id carried in a 10-byte frame header
-// on every datagram (magic "MX", destination id, source id, all
-// big-endian). Sending to a plain "host:port" address transmits the
-// payload unframed, so a mux endpoint can talk to a legacy UDPEndpoint
-// or aggnode; the reverse direction needs the peer to understand the
-// "#id" suffix and is mux-to-mux only.
+// Every address is "host:port#id": the socket's address plus a per-mux
+// endpoint id carried in a 10-byte frame header on every datagram (magic
+// "MX", destination id, source id, all big-endian). A process with one
+// node is a mux of one socket and one endpoint, "host:port#0".
 //
 // On linux/amd64 and linux/arm64 the sockets use recvmmsg/sendmmsg to
 // move up to Batch datagrams per syscall; elsewhere a portable
@@ -76,7 +73,9 @@ type UDPMuxConfig struct {
 	// default "127.0.0.1:0" picks free ports).
 	Listen string
 	// Sockets is the number of sockets (and reader/flusher goroutine
-	// pairs). Default min(GOMAXPROCS, 4).
+	// pairs). Default min(GOMAXPROCS, 4), or 1 when Listen names a fixed
+	// port: without SO_REUSEPORT one port binds one socket, so more than
+	// one on a fixed port is an error.
 	Sockets int
 	// Batch is the number of datagrams moved per syscall on the batched
 	// path and the flush coalescing limit. Default 64.
@@ -92,11 +91,18 @@ type UDPMuxConfig struct {
 	ReadBuffer int
 }
 
-func (c *UDPMuxConfig) withDefaults() {
+func (c *UDPMuxConfig) withDefaults() error {
 	if c.Listen == "" {
 		c.Listen = "127.0.0.1:0"
 	}
-	if c.Sockets <= 0 {
+	_, port, err := net.SplitHostPort(c.Listen)
+	fixed := err == nil && port != "0" && port != ""
+	switch {
+	case c.Sockets > 1 && fixed:
+		return fmt.Errorf("transport: %d sockets on %q: a fixed port binds one socket; listen on port 0 for more", c.Sockets, c.Listen)
+	case c.Sockets <= 0 && fixed:
+		c.Sockets = 1
+	case c.Sockets <= 0:
 		c.Sockets = min(runtime.GOMAXPROCS(0), 4)
 	}
 	if c.Batch <= 0 {
@@ -108,6 +114,7 @@ func (c *UDPMuxConfig) withDefaults() {
 	if c.OutQueueLen <= 0 {
 		c.OutQueueLen = 4096
 	}
+	return nil
 }
 
 // muxHeaderLen is the frame header: 2 magic bytes + dst id + src id.
@@ -126,7 +133,7 @@ type muxSock struct {
 }
 
 // outMsg is one queued outbound datagram; buf is pooled and holds the
-// framed bytes in (*buf)[:n].
+// header and payload in (*buf)[:n].
 type outMsg struct {
 	buf  *[]byte
 	n    int
@@ -135,9 +142,8 @@ type outMsg struct {
 
 // muxDst is a resolved Send target.
 type muxDst struct {
-	ap     netip.AddrPort
-	id     uint32
-	framed bool
+	ap netip.AddrPort
+	id uint32
 }
 
 // fromKey identifies a remote mux endpoint for From-string interning.
@@ -166,7 +172,9 @@ type batchConn interface {
 // NewUDPMux opens the shared sockets and starts the reader/flusher
 // goroutine pairs.
 func NewUDPMux(cfg UDPMuxConfig) (*UDPMux, error) {
-	cfg.withDefaults()
+	if err := cfg.withDefaults(); err != nil {
+		return nil, err
+	}
 	m := &UDPMux{
 		cfg:        cfg,
 		done:       make(chan struct{}),
@@ -204,9 +212,8 @@ func NewUDPMux(cfg UDPMuxConfig) (*UDPMux, error) {
 	return m, nil
 }
 
-// Addr returns the first socket's address: where unframed traffic for
-// this mux would originate. Individual endpoints have their own
-// "host:port#id" addresses.
+// Addr returns the first socket's address. Individual endpoints have
+// their own "host:port#id" addresses.
 func (m *UDPMux) Addr() string { return m.socks[0].addr }
 
 // SetFilter installs (or, with nil, removes) the drop-rule filter shared
@@ -299,7 +306,7 @@ func (m *UDPMux) readLoop(s *muxSock) {
 				release()
 				return
 			}
-			// Transient read errors are loss, as on the per-node path.
+			// Transient read errors (an ICMP unreachable surfacing) are loss.
 			continue
 		}
 		m.batchSizes.Observe(float64(n))
@@ -407,29 +414,25 @@ func (m *UDPMux) fromString(src netip.AddrPort, id uint32) string {
 	return s
 }
 
-// resolve turns a Send target into a wire destination, caching mux-wide.
+// resolve turns a "host:port#id" Send target into a wire destination,
+// caching mux-wide.
 func (m *UDPMux) resolve(to string) (muxDst, error) {
 	if v, ok := m.resolved.Load(to); ok {
 		return v.(muxDst), nil
 	}
-	var d muxDst
-	if i := strings.LastIndexByte(to, '#'); i >= 0 {
-		id, err := strconv.ParseUint(to[i+1:], 10, 32)
-		if err != nil {
-			return muxDst{}, fmt.Errorf("transport: bad mux address %q: %w", to, err)
-		}
-		ap, err := resolveAddrPort(to[:i])
-		if err != nil {
-			return muxDst{}, err
-		}
-		d = muxDst{ap: ap, id: uint32(id), framed: true}
-	} else {
-		ap, err := resolveAddrPort(to)
-		if err != nil {
-			return muxDst{}, err
-		}
-		d = muxDst{ap: ap}
+	i := strings.LastIndexByte(to, '#')
+	if i < 0 {
+		return muxDst{}, fmt.Errorf("transport: mux address %q has no #id", to)
 	}
+	id, err := strconv.ParseUint(to[i+1:], 10, 32)
+	if err != nil {
+		return muxDst{}, fmt.Errorf("transport: bad mux address %q: %w", to, err)
+	}
+	ap, err := resolveAddrPort(to[:i])
+	if err != nil {
+		return muxDst{}, err
+	}
+	d := muxDst{ap: ap, id: uint32(id)}
 	// Bound the cache so a hostile peer list cannot grow it without
 	// limit.
 	if m.resolvedN.Load() < 65536 {
@@ -440,10 +443,47 @@ func (m *UDPMux) resolve(to string) (muxDst, error) {
 	return d, nil
 }
 
+// resolveAddrPort turns a "host:port" peer string into a sendable
+// netip.AddrPort, going through the resolver only for non-literal hosts.
+func resolveAddrPort(to string) (netip.AddrPort, error) {
+	if ap, err := netip.ParseAddrPort(to); err == nil {
+		return unmapAddrPort(ap), nil
+	}
+	a, err := net.ResolveUDPAddr("udp", to)
+	if err != nil {
+		return netip.AddrPort{}, fmt.Errorf("transport: resolving peer %q: %w", to, err)
+	}
+	return unmapAddrPort(a.AddrPort()), nil
+}
+
+// unmapAddrPort strips an IPv4-mapped IPv6 wrapper so equal peers
+// compare equal as map keys regardless of which API produced them.
+func unmapAddrPort(ap netip.AddrPort) netip.AddrPort {
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
+}
+
+// addrPortString renders an AddrPort the way net.UDPAddr.String renders
+// the same peer, with IPv4-mapped IPv6 addresses unmapped first — Send
+// targets and Packet.From values must agree for filter rules keyed on
+// address strings.
+func addrPortString(ap netip.AddrPort) string {
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port()).String()
+}
+
+// maxInt64 raises *w to at least v (atomic high-watermark update).
+func maxInt64(w *atomic.Int64, v int64) {
+	for {
+		cur := w.Load()
+		if v <= cur || w.CompareAndSwap(cur, v) {
+			return
+		}
+	}
+}
+
 // MuxEndpoint is one node's attachment to a UDPMux. It satisfies
 // HandlerEndpoint: with SetHandler, inbound packets are delivered on the
-// mux's shared reader goroutines and the per-node recv goroutine (and
-// its channel hop) disappears.
+// mux's shared reader goroutines, with no receive goroutine or channel
+// hop of the endpoint's.
 type MuxEndpoint struct {
 	mux  *UDPMux
 	id   uint32
@@ -487,10 +527,9 @@ func (ep *MuxEndpoint) QueueDrops() int64 { return ep.queueDrops.Load() }
 // endpoint, outbound and inbound combined.
 func (ep *MuxEndpoint) FilterDrops() int64 { return ep.filterDrops.Load() }
 
-// Send queues one datagram. Mux targets ("host:port#id") are framed;
-// plain "host:port" targets go out raw for legacy peers. A full
-// outbound queue behaves as loss (counted in QueueDrops), matching the
-// transport's delivery contract.
+// Send frames one datagram for a "host:port#id" target and queues it. A
+// full outbound queue behaves as loss (counted in QueueDrops), matching
+// the transport's delivery contract.
 func (ep *MuxEndpoint) Send(to string, data []byte) error {
 	m := ep.mux
 	if ep.closed.Load() {
@@ -504,20 +543,13 @@ func (ep *MuxEndpoint) Send(to string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	max := MaxDatagram
-	if dst.framed {
-		max -= muxHeaderLen
-	}
-	if len(data) > max {
+	if len(data) > MaxDatagram-muxHeaderLen {
 		return fmt.Errorf("%w: %d bytes", ErrTooLarge, len(data))
 	}
 	buf := getSendBuf(len(data) + muxHeaderLen)
-	b := (*buf)[:0]
-	if dst.framed {
-		b = append(b, 'M', 'X')
-		b = binary.BigEndian.AppendUint32(b, dst.id)
-		b = binary.BigEndian.AppendUint32(b, ep.id)
-	}
+	b := append((*buf)[:0], 'M', 'X')
+	b = binary.BigEndian.AppendUint32(b, dst.id)
+	b = binary.BigEndian.AppendUint32(b, ep.id)
 	b = append(b, data...)
 	select {
 	case ep.sock.out <- outMsg{buf: buf, n: len(b), addr: dst.ap}:

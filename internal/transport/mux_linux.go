@@ -46,6 +46,14 @@ type mmsgConn struct {
 	whdrs  []mmsghdr
 	wiovs  []syscall.Iovec
 	wnames []syscall.RawSockaddrAny
+
+	// rcall/wcall are the callbacks RawConn.Read/Write run, bound once: a
+	// closure per batch would cost three allocations a syscall. Each takes
+	// the datagram count from rn/wn and leaves there the count moved, and
+	// the syscall's error in rerr/werr.
+	rcall, wcall func(fd uintptr) bool
+	rn, wn       int
+	rerr, werr   syscall.Errno
 }
 
 func newMMsgConn(c *net.UDPConn) (*mmsgConn, error) {
@@ -55,7 +63,23 @@ func newMMsgConn(c *net.UDPConn) (*mmsgConn, error) {
 	}
 	laddr, _ := c.LocalAddr().(*net.UDPAddr)
 	v6 := laddr != nil && laddr.IP.To4() == nil
-	return &mmsgConn{c: c, rc: rc, v6: v6}, nil
+	m := &mmsgConn{c: c, rc: rc, v6: v6}
+	m.rcall = func(fd uintptr) bool { return mmsg(sysRECVMMSG, fd, m.rhdrs, &m.rn, &m.rerr) }
+	m.wcall = func(fd uintptr) bool { return mmsg(sysSENDMMSG, fd, m.whdrs, &m.wn, &m.werr) }
+	return m, nil
+}
+
+// mmsg runs one non-blocking recvmmsg or sendmmsg over hdrs[:*n]. It
+// reports false on EAGAIN, for the runtime poller to wait and call again;
+// otherwise it stores the datagrams moved in *n and the error in *errno.
+func mmsg(trap, fd uintptr, hdrs []mmsghdr, n *int, errno *syscall.Errno) bool {
+	r, _, e := syscall.Syscall6(trap, fd, uintptr(unsafe.Pointer(&hdrs[0])), uintptr(*n),
+		uintptr(syscall.MSG_DONTWAIT), 0, 0)
+	if e == syscall.EAGAIN {
+		return false
+	}
+	*n, *errno = int(r), e
+	return true
 }
 
 func (m *mmsgConn) ReadBatch(ms []ioMsg) (int, error) {
@@ -79,24 +103,14 @@ func (m *mmsgConn) ReadBatch(ms []ioMsg) (int, error) {
 		m.rhdrs[i].hdr.Iovlen = 1
 		m.rhdrs[i].len = 0
 	}
-	var got int
-	var errno syscall.Errno
-	err := m.rc.Read(func(fd uintptr) bool {
-		r, _, e := syscall.Syscall6(sysRECVMMSG, fd,
-			uintptr(unsafe.Pointer(&m.rhdrs[0])), uintptr(n),
-			uintptr(syscall.MSG_DONTWAIT), 0, 0)
-		if e == syscall.EAGAIN {
-			return false
-		}
-		got, errno = int(r), e
-		return true
-	})
-	if err != nil {
+	m.rn = n
+	if err := m.rc.Read(m.rcall); err != nil {
 		return 0, err
 	}
-	if errno != 0 {
-		return 0, errno
+	if m.rerr != 0 {
+		return 0, m.rerr
 	}
+	got := m.rn
 	for i := 0; i < got; i++ {
 		ms[i].N = int(m.rhdrs[i].len)
 		ms[i].Addr = sockaddrToAddrPort(&m.rnames[i])
@@ -135,25 +149,14 @@ func (m *mmsgConn) WriteBatch(ms []ioMsg) (int, error) {
 	if k == 0 {
 		return 1, nil
 	}
-	var sent int
-	var errno syscall.Errno
-	err := m.rc.Write(func(fd uintptr) bool {
-		r, _, e := syscall.Syscall6(sysSENDMMSG, fd,
-			uintptr(unsafe.Pointer(&m.whdrs[0])), uintptr(k),
-			uintptr(syscall.MSG_DONTWAIT), 0, 0)
-		if e == syscall.EAGAIN {
-			return false
-		}
-		sent, errno = int(r), e
-		return true
-	})
-	if err != nil {
+	m.wn = k
+	if err := m.rc.Write(m.wcall); err != nil {
 		return 0, err
 	}
-	if errno != 0 {
-		return 0, errno
+	if m.werr != 0 {
+		return 0, m.werr
 	}
-	return sent, nil
+	return m.wn, nil
 }
 
 // sockaddrToAddrPort decodes a kernel-filled source address.

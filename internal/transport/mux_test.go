@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -281,29 +282,31 @@ func TestMuxFilterPartition(t *testing.T) {
 	}
 }
 
+// TestMuxPlainSendToLegacyEndpoint: every mux address is "host:port#id";
+// a bare "host:port" target is an error, not an unframed datagram.
 func TestMuxPlainSendToLegacyEndpoint(t *testing.T) {
 	m := newTestMux(t, UDPMuxConfig{Sockets: 1})
 	a := muxEndpoint(t, m)
-	legacy, err := ListenUDP("127.0.0.1:0", 0)
-	if err != nil {
-		t.Fatalf("ListenUDP: %v", err)
+	if err := a.Send(m.Addr(), []byte("raw")); err == nil {
+		t.Fatalf("a send to %q without #id succeeded", m.Addr())
 	}
-	defer legacy.Close()
+}
 
-	// A plain "host:port" target goes out unframed so legacy endpoints
-	// (aggnode deployments) read the raw payload.
-	if err := a.Send(legacy.Addr(), []byte("raw")); err != nil {
-		t.Fatalf("send: %v", err)
+// TestMuxFixedPort: a mux on a fixed port opens one socket on it, whatever
+// GOMAXPROCS says, and asking for more than one socket there is refused
+// up front.
+func TestMuxFixedPort(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	probe := newTestMux(t, UDPMuxConfig{Sockets: 1})
+	listen := probe.Addr()
+	probe.Close() // the port is free again
+	m := newTestMux(t, UDPMuxConfig{Listen: listen})
+	if ep := muxEndpoint(t, m); len(m.socks) != 1 || ep.Addr() != listen+"#0" {
+		t.Fatalf("%d sockets, first endpoint %s; want 1 socket and %s#0", len(m.socks), ep.Addr(), listen)
 	}
-	p := muxRecvOne(t, legacy)
-	if string(p.Data) != "raw" {
-		t.Fatalf("legacy endpoint got %q, want %q", p.Data, "raw")
+	if _, err := NewUDPMux(UDPMuxConfig{Listen: "127.0.0.1:1", Sockets: 2}); err == nil || !strings.Contains(err.Error(), "fixed port binds one socket") {
+		t.Fatalf("two sockets on a fixed port: %v", err)
 	}
-	// The legacy endpoint sees the socket address, not the "#id" form.
-	if p.From != a.sock.addr {
-		t.Fatalf("legacy From = %q, want mux socket addr %q", p.From, a.sock.addr)
-	}
-	p.Release()
 }
 
 // TestMuxSharedReaderRace hammers one mux from many goroutines — mixed
@@ -425,20 +428,12 @@ func TestMuxQueueDepthWatermark(t *testing.T) {
 	}
 }
 
-// TestUDPEndpointRecvAllocs guards the pooled receive path of the legacy
-// per-node endpoint: once caches are warm, a send+recv+release round
-// must not allocate per datagram (the old path copied every datagram).
+// TestUDPEndpointRecvAllocs guards the pooled receive path of an
+// endpoint read through its channel: once caches are warm, a
+// send+recv+release round must not allocate per datagram.
 func TestUDPEndpointRecvAllocs(t *testing.T) {
-	a, err := ListenUDP("127.0.0.1:0", 0)
-	if err != nil {
-		t.Fatalf("ListenUDP: %v", err)
-	}
-	defer a.Close()
-	b, err := ListenUDP("127.0.0.1:0", 0)
-	if err != nil {
-		t.Fatalf("ListenUDP: %v", err)
-	}
-	defer b.Close()
+	eps := udpEndpoints(t, 2, 0)
+	a, b := eps[0], eps[1]
 
 	payload := []byte("steady-state datagram")
 	// Warm the resolve and From-string caches.
@@ -505,87 +500,42 @@ func BenchmarkUDPMuxRoundTrip(b *testing.B) {
 	}
 }
 
-// BenchmarkUDPWorkerCycle is the tentpole gate: one "cycle" has every
-// node of a worker-sized slice fire one request at a fixed peer and the
-// peer answer, i.e. 2·nodes datagrams through the transport. The mux
-// sub-benchmark shares a handful of sockets and reader goroutines; the
-// endpoint sub-benchmark is the old architecture — one socket, one
-// reader goroutine and one consumer goroutine per node.
+// BenchmarkUDPWorkerCycle is the worker-slice gate: one "cycle" has
+// every node of a worker-sized slice fire one request at a fixed peer and
+// the peer answer, i.e. 2·nodes datagrams through a handful of shared
+// sockets and reader goroutines.
 func BenchmarkUDPWorkerCycle(b *testing.B) {
 	const nodes = 3000
-	b.Run("mux", func(b *testing.B) {
-		m, err := NewUDPMux(UDPMuxConfig{ReadBuffer: 1 << 22})
-		if err != nil {
-			b.Fatalf("NewUDPMux: %v", err)
+	m, err := NewUDPMux(UDPMuxConfig{ReadBuffer: 1 << 22})
+	if err != nil {
+		b.Fatalf("NewUDPMux: %v", err)
+	}
+	defer m.Close()
+	eps := make([]*MuxEndpoint, nodes)
+	for i := range eps {
+		if eps[i], err = m.Endpoint(); err != nil {
+			b.Fatalf("endpoint %d: %v", i, err)
 		}
-		defer m.Close()
-		eps := make([]*MuxEndpoint, nodes)
-		for i := range eps {
-			if eps[i], err = m.Endpoint(); err != nil {
-				b.Fatalf("endpoint %d: %v", i, err)
+	}
+	var completed atomic.Int64
+	for i := range eps {
+		ep := eps[i]
+		ep.SetHandler(func(p Packet) {
+			if len(p.Data) > 0 && p.Data[0] == 0 {
+				reply := []byte{1}
+				_ = ep.Send(p.From, reply)
+			} else {
+				completed.Add(1)
 			}
-		}
-		var completed atomic.Int64
-		for i := range eps {
-			ep := eps[i]
-			ep.SetHandler(func(p Packet) {
-				if len(p.Data) > 0 && p.Data[0] == 0 {
-					reply := []byte{1}
-					_ = ep.Send(p.From, reply)
-				} else {
-					completed.Add(1)
-				}
-				p.Release()
-			})
-		}
-		addrs := make([]string, nodes)
-		for i, ep := range eps {
-			addrs[i] = ep.Addr()
-		}
-		benchWorkerCycles(b, nodes, &completed, func(i int) {
-			_ = eps[i].Send(addrs[(i+1)%nodes], []byte{0})
+			p.Release()
 		})
-	})
-	b.Run("endpoint", func(b *testing.B) {
-		eps := make([]*UDPEndpoint, nodes)
-		var wg sync.WaitGroup
-		defer func() {
-			for _, ep := range eps {
-				if ep != nil {
-					ep.Close()
-				}
-			}
-			wg.Wait()
-		}()
-		var completed atomic.Int64
-		for i := range eps {
-			ep, err := ListenUDP("127.0.0.1:0", 0)
-			if err != nil {
-				// Per-node sockets need nodes+ file descriptors; skip
-				// (rather than fail) on fd-limited machines.
-				b.Skipf("per-node sockets unavailable at %d nodes: %v", nodes, err)
-			}
-			eps[i] = ep
-			wg.Add(1)
-			go func(ep *UDPEndpoint) {
-				defer wg.Done()
-				for p := range ep.Recv() {
-					if len(p.Data) > 0 && p.Data[0] == 0 {
-						_ = ep.Send(p.From, []byte{1})
-					} else {
-						completed.Add(1)
-					}
-					p.Release()
-				}
-			}(ep)
-		}
-		addrs := make([]string, nodes)
-		for i, ep := range eps {
-			addrs[i] = ep.Addr()
-		}
-		benchWorkerCycles(b, nodes, &completed, func(i int) {
-			_ = eps[i].Send(addrs[(i+1)%nodes], []byte{0})
-		})
+	}
+	addrs := make([]string, nodes)
+	for i, ep := range eps {
+		addrs[i] = ep.Addr()
+	}
+	benchWorkerCycles(b, nodes, &completed, func(i int) {
+		_ = eps[i].Send(addrs[(i+1)%nodes], []byte{0})
 	})
 }
 

@@ -2,8 +2,8 @@ package transport
 
 // Sessions is a bounded per-peer session table for connectionless
 // transports: datagram endpoints have no connection object to hang
-// negotiated protocol state on (wire version, delta-gossip codec state),
-// so the runtime keys that state by peer here — by whatever the caller
+// per-peer protocol state on (the delta-gossip codec's), so the runtime
+// keys that state by peer here — by whatever the caller
 // identifies a peer with: the address string, or the address-book id a
 // node has at hand anyway, which compares faster.
 //
@@ -18,9 +18,9 @@ package transport
 // nothing.
 //
 // Eviction means first contact: an evicted peer that is met again starts
-// from the state a never-seen peer starts from. The protocols layered on
-// top (wire.ViewCodec, the version handshake) are built to re-establish
-// themselves from nothing, and have to be anyway for a peer that
+// from the state a never-seen peer starts from. The protocol layered on
+// top (wire.ViewCodec's handshake) is built to re-establish itself
+// from nothing, and has to be anyway for a peer that
 // restarts. How much state a node keeps is therefore the caller's choice
 // of cap, not a function of how many peers exist: the agent sizes it by
 // its view, because a session older than a few view turnovers has

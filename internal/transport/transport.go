@@ -4,8 +4,11 @@
 //
 // Two implementations are provided: an in-memory network with
 // configurable latency, loss and partitions (for tests, simulation of
-// deployments and the fleets a serving daemon hosts), and a UDP transport
-// for real networks.
+// deployments and the fleets a serving daemon hosts), and for real
+// networks a UDP mux (UDPMux), whose endpoints share a few batched
+// sockets — thousands per worker process, or one for a single node. Both
+// deliver to handlers (HandlerEndpoint); UDPFilter scripts drop rules
+// over the mux as MemNetwork does over memory.
 package transport
 
 import (

@@ -555,16 +555,8 @@ func TestMemConcurrentCloseUnderCrossTraffic(t *testing.T) {
 }
 
 func TestUDPLoopback(t *testing.T) {
-	a, err := ListenUDP("127.0.0.1:0", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := ListenUDP("127.0.0.1:0", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
+	eps := udpEndpoints(t, 2, 0)
+	a, b := eps[0], eps[1]
 	if err := a.Send(b.Addr(), []byte("over udp")); err != nil {
 		t.Fatal(err)
 	}
@@ -578,16 +570,8 @@ func TestUDPLoopback(t *testing.T) {
 }
 
 func TestUDPBidirectional(t *testing.T) {
-	a, err := ListenUDP("127.0.0.1:0", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := ListenUDP("127.0.0.1:0", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
+	eps := udpEndpoints(t, 2, 0)
+	a, b := eps[0], eps[1]
 	if err := a.Send(b.Addr(), []byte("ping")); err != nil {
 		t.Fatal(err)
 	}
@@ -602,17 +586,14 @@ func TestUDPBidirectional(t *testing.T) {
 }
 
 func TestUDPClose(t *testing.T) {
-	a, err := ListenUDP("127.0.0.1:0", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := udpEndpoints(t, 1, 0)[0]
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Close(); err != nil {
 		t.Fatal("double close:", err)
 	}
-	if err := a.Send("127.0.0.1:9", []byte("x")); !errors.Is(err, ErrClosed) {
+	if err := a.Send("127.0.0.1:9#0", []byte("x")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("send after close: %v", err)
 	}
 	if _, ok := <-a.Recv(); ok {
@@ -621,26 +602,19 @@ func TestUDPClose(t *testing.T) {
 }
 
 func TestUDPTooLarge(t *testing.T) {
-	a, err := ListenUDP("127.0.0.1:0", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	if err := a.Send("127.0.0.1:9", make([]byte, MaxDatagram+1)); !errors.Is(err, ErrTooLarge) {
+	a := udpEndpoints(t, 1, 0)[0]
+	if err := a.Send("127.0.0.1:9#0", make([]byte, MaxDatagram+1)); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestUDPBadAddress(t *testing.T) {
-	if _, err := ListenUDP("not-an-address", 0); err == nil {
+	if m, err := NewUDPMux(UDPMuxConfig{Listen: "not-an-address"}); err == nil {
+		m.Close()
 		t.Fatal("bad listen address accepted")
 	}
-	a, err := ListenUDP("127.0.0.1:0", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	if err := a.Send("::::bad::::", []byte("x")); err == nil {
+	a := udpEndpoints(t, 1, 0)[0]
+	if err := a.Send("::::bad::::#0", []byte("x")); err == nil {
 		t.Fatal("bad peer address accepted")
 	}
 }

@@ -7,36 +7,20 @@ import (
 	"time"
 )
 
-// udpEndpoints opens n loopback endpoints and tears them down with the
-// test.
-func udpEndpoints(t *testing.T, n, queueLen int) []*UDPEndpoint {
+// udpEndpoints opens n loopback endpoints, each on a mux of its own with
+// one socket — the shape of a process that hosts one node — and tears
+// them down with the test.
+func udpEndpoints(t *testing.T, n, queueLen int) []*MuxEndpoint {
 	t.Helper()
-	eps := make([]*UDPEndpoint, n)
+	eps := make([]*MuxEndpoint, n)
 	for i := range eps {
-		e, err := ListenUDP("127.0.0.1:0", queueLen)
-		if err != nil {
-			t.Fatalf("ListenUDP: %v", err)
-		}
-		t.Cleanup(func() { _ = e.Close() })
-		eps[i] = e
+		eps[i] = muxEndpoint(t, newTestMux(t, UDPMuxConfig{Sockets: 1, QueueLen: queueLen}))
 	}
 	return eps
 }
 
-// udpRecvOne waits for one packet or fails.
-func udpRecvOne(t *testing.T, e *UDPEndpoint) Packet {
-	t.Helper()
-	select {
-	case p := <-e.Recv():
-		return p
-	case <-time.After(5 * time.Second):
-		t.Fatalf("endpoint %s: no packet within 5s", e.Addr())
-		return Packet{}
-	}
-}
-
 // udpExpectNone asserts no packet arrives within the window.
-func udpExpectNone(t *testing.T, e *UDPEndpoint, window time.Duration) {
+func udpExpectNone(t *testing.T, e Endpoint, window time.Duration) {
 	t.Helper()
 	select {
 	case p := <-e.Recv():
@@ -50,7 +34,7 @@ func TestUDPFilterPartitionGroups(t *testing.T) {
 	a, b, c := eps[0], eps[1], eps[2]
 	f := NewUDPFilter(1)
 	for _, e := range eps {
-		e.SetFilter(f)
+		e.mux.SetFilter(f)
 	}
 	f.PartitionGroups(map[string]int{a.Addr(): 0, b.Addr(): 1, c.Addr(): 0})
 
@@ -61,7 +45,7 @@ func TestUDPFilterPartitionGroups(t *testing.T) {
 	if err := a.Send(c.Addr(), []byte("same")); err != nil {
 		t.Fatalf("same-group send: %v", err)
 	}
-	if got := string(udpRecvOne(t, c).Data); got != "same" {
+	if got := string(muxRecvOne(t, c).Data); got != "same" {
 		t.Fatalf("same-group payload = %q", got)
 	}
 	udpExpectNone(t, b, 200*time.Millisecond)
@@ -71,7 +55,7 @@ func TestUDPFilterPartitionGroups(t *testing.T) {
 
 	// A node learning of the partition late is still protected by the
 	// receiver-side rule: clear the sender's filter, keep the receiver's.
-	a.SetFilter(nil)
+	a.mux.SetFilter(nil)
 	if err := a.Send(b.Addr(), []byte("straggler")); err != nil {
 		t.Fatalf("unfiltered send: %v", err)
 	}
@@ -79,14 +63,14 @@ func TestUDPFilterPartitionGroups(t *testing.T) {
 	if b.FilterDrops() == 0 {
 		t.Fatal("inbound filter drop not counted")
 	}
-	a.SetFilter(f)
+	a.mux.SetFilter(f)
 
 	// Heal: everything flows again.
 	f.HealGroups()
 	if err := a.Send(b.Addr(), []byte("healed")); err != nil {
 		t.Fatalf("post-heal send: %v", err)
 	}
-	if got := string(udpRecvOne(t, b).Data); got != "healed" {
+	if got := string(muxRecvOne(t, b).Data); got != "healed" {
 		t.Fatalf("post-heal payload = %q", got)
 	}
 }
@@ -95,8 +79,8 @@ func TestUDPFilterAssignGroupAndLoss(t *testing.T) {
 	eps := udpEndpoints(t, 2, 0)
 	a, b := eps[0], eps[1]
 	f := NewUDPFilter(7)
-	a.SetFilter(f)
-	b.SetFilter(f)
+	a.mux.SetFilter(f)
+	b.mux.SetFilter(f)
 
 	// AssignGroup creates the partition incrementally (joiners landing on
 	// one side of an active split).
@@ -114,7 +98,7 @@ func TestUDPFilterAssignGroupAndLoss(t *testing.T) {
 	if err := a.Send(b.Addr(), []byte("clear")); err != nil {
 		t.Fatalf("send after loss cleared: %v", err)
 	}
-	if got := string(udpRecvOne(t, b).Data); got != "clear" {
+	if got := string(muxRecvOne(t, b).Data); got != "clear" {
 		t.Fatalf("payload = %q", got)
 	}
 }
@@ -123,7 +107,7 @@ func TestUDPFilterDropPredicate(t *testing.T) {
 	eps := udpEndpoints(t, 2, 0)
 	a, b := eps[0], eps[1]
 	f := NewUDPFilter(3)
-	a.SetFilter(f)
+	a.mux.SetFilter(f)
 	blocked := b.Addr()
 	f.SetDrop(func(local, peer string) bool { return peer == blocked })
 	_ = a.Send(b.Addr(), []byte("x"))
@@ -132,7 +116,7 @@ func TestUDPFilterDropPredicate(t *testing.T) {
 	if err := a.Send(b.Addr(), []byte("open")); err != nil {
 		t.Fatalf("send after predicate removed: %v", err)
 	}
-	if got := string(udpRecvOne(t, b).Data); got != "open" {
+	if got := string(muxRecvOne(t, b).Data); got != "open" {
 		t.Fatalf("payload = %q", got)
 	}
 }
@@ -170,16 +154,8 @@ func TestUDPCloseSendRace(t *testing.T) {
 // TestUDPQueueDropCounter fills a tiny inbound buffer and checks the
 // overflow is accounted instead of silently discarded.
 func TestUDPQueueDropCounter(t *testing.T) {
-	src, err := ListenUDP("127.0.0.1:0", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	dst, err := ListenUDP("127.0.0.1:0", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dst.Close()
+	eps := udpEndpoints(t, 2, 1)
+	src, dst := eps[0], eps[1]
 
 	deadline := time.Now().Add(5 * time.Second)
 	for dst.QueueDrops() == 0 {
@@ -194,5 +170,5 @@ func TestUDPQueueDropCounter(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	// The buffered packet is still deliverable.
-	udpRecvOne(t, dst)
+	muxRecvOne(t, dst)
 }

@@ -46,7 +46,7 @@ func TestDecoderAllocs(t *testing.T) {
 	}
 	dec := Decoder{Lookup: bookOf(msg).Canonical}
 	if n := testing.AllocsPerRun(200, func() {
-		if _, _, err := dec.Decode(data); err != nil {
+		if _, err := dec.Decode(data); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
@@ -64,7 +64,7 @@ func TestAppendEncodeAllocs(t *testing.T) {
 	buf := make([]byte, 0, 2048)
 	if n := testing.AllocsPerRun(200, func() {
 		var err error
-		if buf, err = AppendEncode(buf[:0], msg, Version); err != nil {
+		if buf, err = AppendEncode(buf[:0], msg); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
@@ -87,7 +87,7 @@ func TestAppendEncodeKeepsPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := AppendEncode([]byte("prefix"), msg, Version)
+	got, err := AppendEncode([]byte("prefix"), msg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestAppendEncodeKeepsPrefix(t *testing.T) {
 		t.Fatal("AppendEncode did not append the Encode bytes after the prefix")
 	}
 	msg.View.Kind = 9
-	if got, err := AppendEncode([]byte("prefix"), msg, Version); err == nil || string(got) != "prefix" {
+	if got, err := AppendEncode([]byte("prefix"), msg); err == nil || string(got) != "prefix" {
 		t.Fatalf("failed AppendEncode returned %q, %v; want the untouched prefix and an error", got, err)
 	}
 }
@@ -115,9 +115,9 @@ func TestDecoderOwnership(t *testing.T) {
 	}
 	known := book.Len()
 	dec := Decoder{Lookup: book.Canonical}
-	m, version, err := dec.Decode(data)
-	if err != nil || version != Version {
-		t.Fatalf("Decode = version %d, %v", version, err)
+	m, err := dec.Decode(data)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for i := range data { // the pooled buffer's next user
 		data[i] = 0xff
@@ -152,7 +152,7 @@ func TestDecoderOwnership(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, _, err := dec.Decode(data)
+	m2, err := dec.Decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}

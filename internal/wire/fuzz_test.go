@@ -2,18 +2,19 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"reflect"
 	"testing"
 )
 
 // FuzzDecode drives the decoder with arbitrary datagrams: it must never
-// panic, every successfully decoded message must re-encode, and a
-// Decoder reused across all inputs must agree with the fresh-storage
-// wrapper on every one of them — same message or same error. Seeds
-// cover every message type at the current version — both view-frame
-// kinds included — plus legacy version-1 encodings, whose decoded form
-// (an un-numbered full frame) must re-encode at the current version.
+// panic, it must accept no version but Version, every successfully
+// decoded message must re-encode, and a Decoder reused across all inputs
+// must agree with the fresh-storage wrapper on every one of them — same
+// message or same error. Seeds cover every message type — both
+// view-frame kinds included — plus the earlier versions' golden bytes,
+// which must be rejected.
 func FuzzDecode(f *testing.F) {
 	fullView := ViewFrame{Kind: ViewFull, Gen: 1,
 		Entries: []Descriptor{{Addr: "b:2", Stamp: 9}}}
@@ -26,11 +27,15 @@ func FuzzDecode(f *testing.F) {
 		&ExchangeRequest{From: "a:2", Payload: Payload{Seq: 4, Epoch: 2, FuncID: FuncAverage,
 			View: deltaView}},
 		&ExchangeReply{From: "b:2", Payload: Payload{Seq: 1, Flags: FlagRefused}},
+		&ExchangeReply{From: "b:3", Payload: Payload{Seq: 2, XID: 7, Epoch: 2, FuncID: FuncCount,
+			Entries: []MapEntry{{Leader: 3, Value: 0.25}, {Leader: 5, Value: 1}}, View: deltaView}},
 		&JoinRequest{From: "c:3", Seq: 7},
 		&JoinReply{Seq: 7, NextEpoch: 8, WaitMicros: 100, Seeds: []Descriptor{{Addr: "d:4", Stamp: 1}}},
+		&JoinReply{Seq: 8, NextEpoch: 9},
 		&Membership{From: "e:5", Seq: 9, View: fullView},
 		&Membership{From: "e:6", Seq: 10, View: deltaView},
 		&MembershipReply{From: "g:7", Seq: 9},
+		&MembershipReply{From: "g:8", Seq: 10, View: fullView},
 	}
 	for _, m := range seeds {
 		data, err := Encode(m)
@@ -39,12 +44,8 @@ func FuzzDecode(f *testing.F) {
 		}
 		f.Add(data)
 	}
-	// Legacy version-1 encodings (deltas cannot be downgraded — skip).
-	for _, m := range seeds {
-		data, err := EncodeLegacy(m)
-		if errors.Is(err, ErrBadViewKind) {
-			continue
-		}
+	for _, old := range oldVersions {
+		data, err := hex.DecodeString(old)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -54,8 +55,8 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte("AE04"))
 	var reused Decoder
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, version, err := new(Decoder).Decode(data)
-		rm, rversion, rerr := reused.Decode(data)
+		m, err := new(Decoder).Decode(data)
+		rm, rerr := reused.Decode(data)
 		if err != nil {
 			// Rejected input is fine; panicking or disagreeing is not.
 			if rerr == nil || rerr.Error() != err.Error() {
@@ -63,13 +64,13 @@ func FuzzDecode(f *testing.F) {
 			}
 			return
 		}
-		if rerr != nil || rversion != version || reflect.TypeOf(rm) != reflect.TypeOf(m) {
-			t.Fatalf("reused decoder disagrees:\n fresh %#v (v%d)\nreused %#v (v%d, %v)", m, version, rm, rversion, rerr)
+		if rerr != nil || reflect.TypeOf(rm) != reflect.TypeOf(m) {
+			t.Fatalf("reused decoder disagrees:\n fresh %#v\nreused %#v (%v)", m, rm, rerr)
 		}
-		if version != Version && version != VersionDelta && version != VersionLegacy {
-			t.Fatalf("decoder accepted version %d", version)
+		if data[4] != Version {
+			t.Fatalf("decoder accepted version %d", data[4])
 		}
-		// Decoded messages must round-trip at the current version.
+		// Decoded messages must round-trip.
 		re, err := Encode(m)
 		if err != nil {
 			t.Fatalf("decoded %T does not re-encode: %v", m, err)
@@ -117,29 +118,21 @@ func FuzzViewCodec(f *testing.F) {
 }
 
 // TestDecodeUnknownVersionTyped pins the typed rejection: any version
-// other than the supported ones must fail with ErrBadVersion, for both
-// past (0) and future (4, 99) numbers.
+// other than Version must fail with ErrBadVersion, the earlier ones (1,
+// 2) as much as the unknown past (0) and future (4, 99, 255) ones.
 func TestDecodeUnknownVersionTyped(t *testing.T) {
 	valid, err := Encode(&JoinRequest{From: "a", Seq: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, version := range []byte{0, 4, 99, 255} {
+	if _, err := Decode(valid); err != nil {
+		t.Fatalf("Version rejected: %v", err)
+	}
+	for _, version := range []byte{0, 1, 2, 4, 99, 255} {
 		data := append([]byte(nil), valid...)
 		data[4] = version
 		if _, err := Decode(data); !errors.Is(err, ErrBadVersion) {
 			t.Errorf("version %d: Decode = %v, want ErrBadVersion", version, err)
-		}
-	}
-	// All supported versions still decode.
-	encDelta := func(m Message) ([]byte, error) { return AppendEncode(nil, m, VersionDelta) }
-	for _, enc := range []func(Message) ([]byte, error){Encode, encDelta, EncodeLegacy} {
-		data, err := enc(&JoinRequest{From: "a", Seq: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Decode(data); err != nil {
-			t.Errorf("supported version rejected: %v", err)
 		}
 	}
 }

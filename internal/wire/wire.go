@@ -6,20 +6,21 @@
 // Layout (big endian):
 //
 //	magic   [4]byte  "AE04"
-//	version uint8    (currently 3; versions 2 and 1 are decoded for compatibility)
+//	version uint8    3, the one version; any other is ErrBadVersion
 //	type    uint8    message type tag
 //	body    ...      type-specific fields
 //
 // Strings are uint16 length + bytes; descriptor and map-entry lists are
 // uint16 count + records, capped to keep every message inside a single
-// UDP datagram.
+// UDP datagram. Every node speaks this one version and nothing is
+// negotiated: the earlier layouts (version 1's plain descriptor lists,
+// version 2's payload without an XID) are not decoded.
 //
-// # Versioned view codec (version 2)
+// # View frames
 //
-// Version 1 piggybacked the full NEWSCAST view — ~30 descriptors, most
-// of them unchanged since the previous cycle — on every exchange, and
-// that encode/decode dominated the live runtime's per-cycle CPU.
-// Version 2 replaces the plain descriptor list with a ViewFrame: a full
+// A full NEWSCAST view — ~30 descriptors, most of them unchanged since
+// the previous cycle — on every exchange would dominate the live
+// runtime's per-cycle CPU, so the view travels as a ViewFrame: a full
 // packed view is sent only on first contact (or when a delta would not
 // be smaller), and subsequent frames carry only the descriptors that are
 // new or fresher than the snapshot the peer last acknowledged. Frames
@@ -28,23 +29,16 @@
 // on both sides. Because NEWSCAST absorption is a merge that keeps the
 // freshest descriptor per key, a lost delta never corrupts a view — the
 // peer merely misses entries that re-spread epidemically — so the codec
-// needs no retransmission machinery. Version 1 messages decode into the
-// same structures (their descriptor list becomes an un-numbered full
-// frame) and EncodeLegacy emits them, so mixed-version deployments
-// interoperate at full-view rates.
+// needs no retransmission machinery.
 //
-// # Exchange identifiers (version 3)
+// # Exchange identifiers
 //
-// Version 3 extends the exchange payload with a 64-bit exchange ID
-// (XID), stamped by the initiator and echoed verbatim in every reply
+// The exchange payload carries a 64-bit exchange ID (XID) directly after
+// Seq, stamped by the initiator and echoed verbatim in every reply
 // (including refusal NACKs). The ID exists purely for observability:
 // it lets the initiate, served and absorb/timeout trace events of one
 // exchange — recorded on different nodes, possibly in different
-// processes — stitch into a single causal span. The body layout is
-// otherwise identical to version 2 (the XID rides directly after Seq
-// in the payload head), membership and join messages are unchanged,
-// and version-2 peers keep interoperating: frames sent to them simply
-// omit the XID, and their traces show XID 0.
+// processes — stitch into a single causal span.
 //
 // # Ownership
 //
@@ -73,17 +67,9 @@ import (
 // Magic identifies the protocol ("Anti-Entropy, DSN 2004").
 var Magic = [4]byte{'A', 'E', '0', '4'}
 
-// Version is the current wire version (delta-encoded membership views
-// plus traceable per-exchange identifiers).
+// Version is the wire version (delta-encoded membership views plus
+// traceable per-exchange identifiers).
 const Version = 3
-
-// VersionDelta is the delta-view wire version without exchange IDs,
-// still fully supported for mixed-version deployments.
-const VersionDelta = 2
-
-// VersionLegacy is the pre-delta wire version, still decoded (and, via
-// EncodeLegacy, encoded) for compatibility with old nodes.
-const VersionLegacy = 1
 
 // Limits that keep any message within one UDP datagram.
 const (
@@ -191,8 +177,7 @@ type ViewFrame struct {
 	// Kind selects full, delta or no view.
 	Kind ViewKind
 	// Gen numbers this frame within the sender→receiver connection
-	// (1-based; 0 means the sender does not track generations, e.g. a
-	// frame synthesized from a legacy version-1 message).
+	// (1-based; 0 means the sender does not track generations).
 	Gen uint32
 	// Ack echoes the highest Gen received from the peer (0 = none yet);
 	// it is what promotes the sender's pending snapshot on the other
@@ -209,9 +194,9 @@ type ViewFrame struct {
 type Payload struct {
 	// Seq matches replies to requests.
 	Seq uint64
-	// XID is the fleet-wide exchange identifier (wire version 3):
-	// stamped by the initiator, echoed in replies, recorded in trace
-	// events on both sides. Zero on pre-v3 wires.
+	// XID is the fleet-wide exchange identifier: stamped by the
+	// initiator, echoed in replies, recorded in trace events on both
+	// sides.
 	XID uint64
 	// Epoch tags the protocol instance (§4.1).
 	Epoch uint64
@@ -311,11 +296,10 @@ type MembershipReply struct {
 // Type returns TMembershipReply.
 func (*MembershipReply) Type() MsgType { return TMembershipReply }
 
-// appender accumulates the encoding of one message at one wire version.
+// appender accumulates the encoding of one message.
 type appender struct {
-	buf     []byte
-	version uint8
-	err     error
+	buf []byte
+	err error
 }
 
 func (a *appender) u8(v uint8)   { a.buf = append(a.buf, v) }
@@ -348,23 +332,8 @@ func (a *appender) descriptors(ds []Descriptor) {
 	}
 }
 
-// view writes a membership frame: numbered at version 2 and later, the
-// plain descriptor list at version 1. Only full (or empty) frames can be
-// downgraded: a delta is meaningless to a peer that tracks no
-// generations.
+// view writes a membership frame.
 func (a *appender) view(f *ViewFrame) {
-	if a.version == VersionLegacy {
-		switch f.Kind {
-		case ViewNone:
-			a.descriptors(nil)
-		case ViewFull:
-			a.descriptors(f.Entries)
-		default:
-			a.err = fmt.Errorf("%w: cannot downgrade %s frame to version %d",
-				ErrBadViewKind, f.Kind, VersionLegacy)
-		}
-		return
-	}
 	a.u8(uint8(f.Kind))
 	switch f.Kind {
 	case ViewNone:
@@ -399,9 +368,7 @@ func (a *appender) mapEntries(es []MapEntry) {
 
 func (a *appender) payload(p *Payload) {
 	a.u64(p.Seq)
-	if a.version >= Version {
-		a.u64(p.XID)
-	}
+	a.u64(p.XID)
 	a.u64(p.Epoch)
 	a.u8(p.FuncID)
 	a.u8(p.Flags)
@@ -410,20 +377,13 @@ func (a *appender) payload(p *Payload) {
 	a.view(&p.View)
 }
 
-func supported(version uint8) bool {
-	return version == Version || version == VersionDelta || version == VersionLegacy
-}
-
-// AppendEncode appends the encoding of m at an explicit wire version to
-// dst and returns the extended buffer; with a dst of sufficient capacity
-// it does not allocate. On error dst is returned unchanged.
-func AppendEncode(dst []byte, m Message, version uint8) ([]byte, error) {
-	if !supported(version) {
-		return dst, fmt.Errorf("%w: %d", ErrBadVersion, version)
-	}
-	a := appender{buf: dst, version: version}
+// AppendEncode appends the encoding of m to dst and returns the extended
+// buffer; with a dst of sufficient capacity it does not allocate. On
+// error dst is returned unchanged.
+func AppendEncode(dst []byte, m Message) ([]byte, error) {
+	a := appender{buf: dst}
 	a.buf = append(a.buf, Magic[:]...)
-	a.u8(version)
+	a.u8(Version)
 	a.u8(uint8(m.Type()))
 	switch v := m.(type) {
 	case *ExchangeRequest:
@@ -457,23 +417,15 @@ func AppendEncode(dst []byte, m Message, version uint8) ([]byte, error) {
 	return a.buf, nil
 }
 
-// Encode serializes a message at the current wire version into a fresh
-// buffer.
-func Encode(m Message) ([]byte, error) { return encodeFresh(m, Version) }
-
-// EncodeLegacy serializes a message at the pre-delta version 1, for
-// peers that have not demonstrated version-2 support. View frames must
-// be full (or empty); deltas cannot be downgraded.
-func EncodeLegacy(m Message) ([]byte, error) { return encodeFresh(m, VersionLegacy) }
-
-// encodeScratch recycles the buffers encodeFresh encodes into, so a
-// fresh encoding costs one allocation of exactly its size.
+// encodeScratch recycles the buffers Encode encodes into, so a fresh
+// encoding costs one allocation of exactly its size.
 var encodeScratch = sync.Pool{New: func() any { return new([]byte) }}
 
-func encodeFresh(m Message, version uint8) ([]byte, error) {
+// Encode serializes a message into a fresh buffer.
+func Encode(m Message) ([]byte, error) {
 	sp := encodeScratch.Get().(*[]byte)
 	defer encodeScratch.Put(sp)
-	buf, err := AppendEncode((*sp)[:0], m, version)
+	buf, err := AppendEncode((*sp)[:0], m)
 	if err != nil {
 		return nil, err
 	}
@@ -626,18 +578,8 @@ func (r *reader) descriptors() []Descriptor {
 	return out
 }
 
-// viewFrame reads a membership frame: the numbered form of version 2
-// and later, or a version-1 descriptor list as an un-numbered full frame
-// (an empty list stays the zero frame, matching what version 1 meant by
-// it).
-func (r *reader) viewFrame(version uint8) ViewFrame {
-	if version == VersionLegacy {
-		ds := r.descriptors()
-		if len(ds) == 0 {
-			return ViewFrame{}
-		}
-		return ViewFrame{Kind: ViewFull, Entries: ds}
-	}
+// viewFrame reads a membership frame.
+func (r *reader) viewFrame() ViewFrame {
 	kind := ViewKind(r.u8())
 	switch kind {
 	case ViewNone:
@@ -671,55 +613,50 @@ func (r *reader) mapEntries() []MapEntry {
 	return out
 }
 
-func (r *reader) payload(version uint8) Payload {
+func (r *reader) payload() Payload {
 	p := Payload{Seq: r.u64()}
-	if version >= Version {
-		p.XID = r.u64()
-	}
+	p.XID = r.u64()
 	p.Epoch = r.u64()
 	p.FuncID = r.u8()
 	p.Flags = r.u8()
 	p.Scalar = r.f64()
 	p.Entries = r.mapEntries()
-	p.View = r.viewFrame(version)
+	p.View = r.viewFrame()
 	return p
 }
 
 // Decode parses a message into fresh storage. The input slice is not
 // retained.
 func Decode(data []byte) (Message, error) {
-	m, _, err := new(Decoder).Decode(data)
-	return m, err
+	return new(Decoder).Decode(data)
 }
 
-// Decode parses a message into the decoder's storage and reports the
-// wire version it was encoded at, letting callers track per-peer version
-// support. See Decoder for how long the message stays valid.
-func (d *Decoder) Decode(data []byte) (Message, uint8, error) {
+// Decode parses a message into the decoder's storage. See Decoder for
+// how long the message stays valid.
+func (d *Decoder) Decode(data []byte) (Message, error) {
 	r := reader{buf: data, dec: d}
 	d.sender = Descriptor{}
 	magic := r.take(4)
 	if r.err != nil {
-		return nil, 0, r.err
+		return nil, r.err
 	}
 	if [4]byte(magic) != Magic {
-		return nil, 0, ErrBadMagic
+		return nil, ErrBadMagic
 	}
-	version := r.u8()
-	if !supported(version) {
+	if version := r.u8(); version != Version {
 		if r.err != nil {
-			return nil, 0, r.err
+			return nil, r.err
 		}
-		return nil, 0, fmt.Errorf("%w: %d", ErrBadVersion, version)
+		return nil, fmt.Errorf("%w: %d", ErrBadVersion, version)
 	}
 	t := MsgType(r.u8())
 	var m Message
 	switch t {
 	case TExchangeRequest:
-		d.msgs.ExchangeRequest = ExchangeRequest{From: r.from(), Payload: r.payload(version)}
+		d.msgs.ExchangeRequest = ExchangeRequest{From: r.from(), Payload: r.payload()}
 		m = &d.msgs.ExchangeRequest
 	case TExchangeReply:
-		d.msgs.ExchangeReply = ExchangeReply{From: r.from(), Payload: r.payload(version)}
+		d.msgs.ExchangeReply = ExchangeReply{From: r.from(), Payload: r.payload()}
 		m = &d.msgs.ExchangeReply
 	case TJoinRequest:
 		d.msgs.JoinRequest = JoinRequest{From: r.from(), Seq: r.u64()}
@@ -728,24 +665,24 @@ func (d *Decoder) Decode(data []byte) (Message, uint8, error) {
 		d.msgs.JoinReply = JoinReply{Seq: r.u64(), NextEpoch: r.u64(), WaitMicros: r.i64(), Seeds: r.descriptors()}
 		m = &d.msgs.JoinReply
 	case TMembership:
-		d.msgs.Membership = Membership{From: r.from(), Seq: r.u64(), View: r.viewFrame(version)}
+		d.msgs.Membership = Membership{From: r.from(), Seq: r.u64(), View: r.viewFrame()}
 		m = &d.msgs.Membership
 	case TMembershipReply:
-		d.msgs.MembershipReply = MembershipReply{From: r.from(), Seq: r.u64(), View: r.viewFrame(version)}
+		d.msgs.MembershipReply = MembershipReply{From: r.from(), Seq: r.u64(), View: r.viewFrame()}
 		m = &d.msgs.MembershipReply
 	default:
 		if r.err != nil {
-			return nil, 0, r.err
+			return nil, r.err
 		}
-		return nil, 0, fmt.Errorf("%w: %d", ErrBadType, uint8(t))
+		return nil, fmt.Errorf("%w: %d", ErrBadType, uint8(t))
 	}
 	if r.err != nil {
-		return nil, 0, r.err
+		return nil, r.err
 	}
 	if r.off != len(data) {
-		return nil, 0, fmt.Errorf("wire: %d trailing bytes", len(data)-r.off)
+		return nil, fmt.Errorf("wire: %d trailing bytes", len(data)-r.off)
 	}
-	return m, version, nil
+	return m, nil
 }
 
 // FuncIDFor maps a core function name to its wire id.
