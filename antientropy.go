@@ -378,8 +378,6 @@ type (
 	ServeEstimate = serve.Estimate
 	// ServeLimits are the static creation bounds (instance and fleet caps).
 	ServeLimits = serve.Limits
-	// ServeTransport selects the embedded fleets' wire.
-	ServeTransport = serve.Transport
 	// ServeAPI is the versioned /v1 HTTP JSON handler.
 	ServeAPI = serve.API
 	// ServeAPIConfig wires a ServeAPI.
@@ -394,16 +392,6 @@ type (
 	ServeLimit = serve.Limit
 	// ServeMetrics is the agg_serve_* instrument set.
 	ServeMetrics = serve.Metrics
-)
-
-// Fleet transports for ServeRegistryConfig.Transport.
-const (
-	// ServeTransportMem runs each instance fleet on its own in-memory
-	// datagram network (the default).
-	ServeTransportMem = serve.TransportMem
-	// ServeTransportUDP runs each instance fleet on a shared batched UDP
-	// mux over loopback sockets.
-	ServeTransportUDP = serve.TransportUDP
 )
 
 // ServeFunctions lists the aggregation functions an instance can host
@@ -447,8 +435,8 @@ func RegisterNodeMetrics(reg *MetricsRegistry, snap func() NodeMetrics) {
 type (
 	// Endpoint is a node's transport attachment.
 	Endpoint = transport.Endpoint
-	// MemNetwork is an in-memory datagram network with loss/latency/
-	// partition injection.
+	// MemNetwork is an in-memory datagram network with latency injection;
+	// it loses datagrams through a UDPFilter (MemNetwork.SetFilter).
 	MemNetwork = transport.MemNetwork
 	// MemNetworkConfig tunes the simulated network conditions.
 	MemNetworkConfig = transport.MemNetworkConfig
@@ -459,6 +447,10 @@ type (
 	UDPMuxConfig = transport.UDPMuxConfig
 	// MuxEndpoint is one virtual endpoint of a UDPMux.
 	MuxEndpoint = transport.MuxEndpoint
+	// UDPFilter is the drop policy of both networks — group partitions,
+	// a custom predicate and a loss probability — installed with
+	// MemNetwork.SetFilter or UDPMux.SetFilter.
+	UDPFilter = transport.UDPFilter
 )
 
 // NewMemNetwork creates an in-memory network.
@@ -491,6 +483,10 @@ func ParseAddrList(s string) []string { return overlay.SplitAddrList(s) }
 // mux of one: UDPMuxConfig{Listen: "host:7000"} and one Endpoint, at
 // "host:7000#0".
 func NewUDPMux(cfg UDPMuxConfig) (*UDPMux, error) { return transport.NewUDPMux(cfg) }
+
+// NewUDPFilter creates an all-pass drop-rule filter; seed drives its loss
+// draws (0 picks a time seed).
+func NewUDPFilter(seed int64) *UDPFilter { return transport.NewUDPFilter(seed) }
 
 // Experiment harness (reproduces every figure of the paper).
 type (

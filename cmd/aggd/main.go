@@ -74,7 +74,6 @@ func run() error {
 	var tenants tenantFlags
 	var (
 		listen       = flag.String("listen", "127.0.0.1:8080", "HTTP listen address for the /v1 API and the telemetry surfaces")
-		transportSel = flag.String("transport", "mem", "fleet transport: mem (in-memory) or udp (shared batched mux on loopback)")
 		rate         = flag.Float64("rate", 0, "default tenant request rate in req/s when no -tenant is configured (0: unlimited)")
 		burst        = flag.Float64("burst", 0, "default tenant burst when no -tenant is configured")
 		maxInstances = flag.Int("max-instances", 64, "cap on live instances")
@@ -90,16 +89,6 @@ func run() error {
 	}
 	logger := tel.Logger
 
-	var tr antientropy.ServeTransport
-	switch *transportSel {
-	case "mem":
-		tr = antientropy.ServeTransportMem
-	case "udp":
-		tr = antientropy.ServeTransportUDP
-	default:
-		return fmt.Errorf("unknown transport %q (want mem or udp)", *transportSel)
-	}
-
 	if len(tenants) == 0 {
 		tenants = tenantFlags{{Name: "default", Limit: antientropy.ServeLimit{Rate: *rate, Burst: *burst}}}
 	}
@@ -113,9 +102,8 @@ func run() error {
 	}
 
 	registry := antientropy.NewServeRegistry(antientropy.ServeRegistryConfig{
-		Transport: tr,
-		Limits:    antientropy.ServeLimits{MaxInstances: *maxInstances, MaxFleet: *maxFleet},
-		Logger:    logger,
+		Limits: antientropy.ServeLimits{MaxInstances: *maxInstances, MaxFleet: *maxFleet},
+		Logger: logger,
 	})
 	api := antientropy.NewServeAPI(antientropy.ServeAPIConfig{
 		Registry: registry,
@@ -134,7 +122,7 @@ func run() error {
 		return err
 	}
 	logger.Info("aggd serving", "url", fmt.Sprintf("http://%s/v1/instances", srv.Addr()),
-		"metrics", fmt.Sprintf("http://%s/metrics", srv.Addr()), "transport", *transportSel)
+		"metrics", fmt.Sprintf("http://%s/metrics", srv.Addr()))
 
 	// -metrics-addr additionally serves the telemetry surfaces on a
 	// second listener, exactly as it does on aggnode — for deployments

@@ -1,6 +1,7 @@
 // Command agglocal runs a whole live deployment inside one process: N
 // asynchronous aggregation nodes (goroutine active/passive pairs) over
-// the in-memory network with configurable loss and latency. It is the
+// the in-memory network, which delays datagrams and loses them through a
+// drop-rule filter (the one a UDP mux applies). It is the
 // quickest way to watch the practical protocol (§4) work end to end, and
 // doubles as a stress tool: it can crash a fraction of the nodes midway
 // and show the next epoch absorbing the damage.
@@ -58,10 +59,12 @@ func run() error {
 
 	net := antientropy.NewMemNetwork(antientropy.MemNetworkConfig{
 		MaxLatency: *latency,
-		Loss:       *loss,
 		Seed:       int64(*seed),
 	})
 	defer net.Close()
+	filter := antientropy.NewUDPFilter(int64(*seed))
+	filter.SetLoss(*loss)
+	net.SetFilter(filter)
 	schedule := antientropy.Schedule{
 		Start:    time.Now().Truncate(time.Second),
 		Delta:    time.Duration(*gamma) * *cycleLen,
@@ -152,14 +155,7 @@ func run() error {
 
 	var agg antientropy.NodeMetrics
 	for _, node := range alive {
-		nm := node.Metrics()
-		agg.ExchangesInitiated += nm.ExchangesInitiated
-		agg.ExchangesCompleted += nm.ExchangesCompleted
-		agg.ExchangesServed += nm.ExchangesServed
-		agg.Timeouts += nm.Timeouts
-		agg.RefusedBusy += nm.RefusedBusy
-		agg.PeerDeclined += nm.PeerDeclined
-		agg.EpochJumps += nm.EpochJumps
+		agg.Accumulate(node.Metrics())
 	}
 	fmt.Printf("\ncluster totals: %+v\n", agg)
 	return nil

@@ -1,8 +1,9 @@
 // Live network: real asynchronous nodes (goroutine active/passive thread
-// pairs, §4 of the paper) gossiping over a lossy in-memory network with
-// latency. Demonstrates epochs and automatic restart (the aggregate
-// adapts when local values change), plus a §4.2 join: a node arriving
-// mid-epoch waits for the next epoch before participating.
+// pairs, §4 of the paper) gossiping over an in-memory network with
+// latency, losing datagrams through a drop-rule filter. Demonstrates
+// epochs and automatic restart (the aggregate adapts when local values
+// change), plus a §4.2 join: a node arriving mid-epoch waits for the next
+// epoch before participating.
 package main
 
 import (
@@ -18,14 +19,17 @@ import (
 
 func main() {
 	// A lossy, slow network: 1–5 ms latency and 5% message loss — the
-	// protocol shrugs it off (§6.2, §7.2).
+	// protocol shrugs it off (§6.2, §7.2). The network delays datagrams;
+	// the filter, the same one a UDP mux takes, loses them.
 	net := antientropy.NewMemNetwork(antientropy.MemNetworkConfig{
 		MinLatency: time.Millisecond,
 		MaxLatency: 5 * time.Millisecond,
-		Loss:       0.05,
 		Seed:       1,
 	})
 	defer net.Close()
+	loss := antientropy.NewUDPFilter(1)
+	loss.SetLoss(0.05)
+	net.SetFilter(loss)
 
 	schedule := antientropy.Schedule{
 		Start:    time.Now().Truncate(time.Second),

@@ -10,12 +10,13 @@ import (
 	"antientropy/internal/transport"
 )
 
-// launchLossyCluster starts founding nodes over a network with loss and
-// latency.
-func launchLossyCluster(t *testing.T, n int, netCfg transport.MemNetworkConfig,
-	sched core.Schedule, values func(i int) float64) ([]*Node, *transport.MemNetwork) {
+// launchLossyCluster starts founding nodes over a network with latency
+// that loses datagrams through filter.
+func launchLossyCluster(t *testing.T, n int, netCfg transport.MemNetworkConfig, filter *transport.UDPFilter,
+	sched core.Schedule, values func(i int) float64) []*Node {
 	t.Helper()
 	net := transport.NewMemNetwork(netCfg)
+	net.SetFilter(filter)
 	eps := make([]*transport.MemEndpoint, n)
 	addrs := make([]string, n)
 	for i := range eps {
@@ -48,7 +49,7 @@ func launchLossyCluster(t *testing.T, n int, netCfg transport.MemNetworkConfig,
 		}
 		net.Close()
 	})
-	return nodes, net
+	return nodes
 }
 
 func TestClusterConvergesUnderLossAndLatency(t *testing.T) {
@@ -61,12 +62,13 @@ func TestClusterConvergesUnderLossAndLatency(t *testing.T) {
 		CycleLen: 10 * time.Millisecond,
 		Gamma:    40,
 	}
-	nodes, _ := launchLossyCluster(t, 10, transport.MemNetworkConfig{
-		Loss:       0.1,
+	loss := transport.NewUDPFilter(7)
+	loss.SetLoss(0.1)
+	nodes := launchLossyCluster(t, 10, transport.MemNetworkConfig{
 		MinLatency: 500 * time.Microsecond,
 		MaxLatency: 2 * time.Millisecond,
 		Seed:       7,
-	}, sched, func(i int) float64 { return float64(i) })
+	}, loss, sched, func(i int) float64 { return float64(i) })
 	want := 4.5
 	deadline := time.Now().Add(6 * time.Second)
 	for time.Now().Before(deadline) {
@@ -98,12 +100,15 @@ func TestPartitionHealsAndEstimatesRecover(t *testing.T) {
 		CycleLen: 10 * time.Millisecond,
 		Gamma:    30,
 	}
-	nodes, net := launchLossyCluster(t, 6, transport.MemNetworkConfig{Seed: 8},
+	split := transport.NewUDPFilter(8)
+	nodes := launchLossyCluster(t, 6, transport.MemNetworkConfig{Seed: 8}, split,
 		sched, func(i int) float64 { return float64(i * 2) }) // avg 5
 	victim := nodes[5]
+	groups := map[string]int{victim.Addr(): 1}
 	for _, other := range nodes[:5] {
-		net.PartitionBoth(victim.Addr(), other.Addr())
+		groups[other.Addr()] = 0
 	}
+	split.PartitionGroups(groups)
 	// The victim's exchanges time out; the rest of the cluster still
 	// completes its epochs and the five connected nodes' epoch outputs
 	// agree among themselves. Instantaneous estimates are racy against
@@ -136,9 +141,7 @@ func TestPartitionHealsAndEstimatesRecover(t *testing.T) {
 		t.Fatal("partitioned node recorded no timeouts")
 	}
 	// Heal and wait: within two epochs everyone agrees again.
-	for _, other := range nodes[:5] {
-		net.HealBoth(victim.Addr(), other.Addr())
-	}
+	split.HealGroups()
 	deadline := time.Now().Add(4 * time.Second)
 	for time.Now().Before(deadline) {
 		time.Sleep(100 * time.Millisecond)

@@ -105,19 +105,25 @@ func seriesNames(t *testing.T, reg *obs.Registry) []string {
 	return names
 }
 
-// TestLiveObsRegistryExports runs a short live fleet with a registry and
-// trace ring attached and checks the agent counters, RTT histogram and
-// trace all populate — and that the live executor exports exactly the
-// series the udp executor does: one fleet host, one schema.
+// TestLiveObsRegistryExports runs partition-heal on a live fleet with a
+// registry, trace ring and timeline attached and checks the agent counters,
+// RTT histogram, trace and the partition's filter drops all populate — and
+// that the live executor exports exactly the series the udp executor does:
+// one fleet host, one schema.
 func TestLiveObsRegistryExports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live fleet test skipped in -short mode")
 	}
-	sc := Scenario{Name: "obs-live", N: 24, Cycles: 12, EpochLen: 6, Seed: 9}.WithDefaults()
+	sc, err := ByName("partition-heal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.N = 48
 	reg := obs.NewRegistry()
 	ring := obs.NewTraceRing(512)
+	timeline := obs.NewTimeline(sc.Cycles + 1)
 	res, err := RunLive(context.Background(), sc, LiveOptions{
-		CycleLen: 20 * time.Millisecond, Obs: reg, Trace: ring,
+		CycleLen: 20 * time.Millisecond, Obs: reg, Trace: ring, Timeline: timeline,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -143,6 +149,12 @@ func TestLiveObsRegistryExports(t *testing.T) {
 	}
 	if strings.Contains(out, "agg_exchanges_initiated_total 0\n") {
 		t.Error("fleet initiated counter still zero after the run")
+	}
+	if strings.Contains(out, "\nagg_transport_filter_drops_total 0\n") {
+		t.Error("the partition dropped nothing on agg_transport_filter_drops_total")
+	}
+	if !slices.ContainsFunc(timeline.Entries(), func(e obs.TimelineEntry) bool { return e.Drops > 0 }) {
+		t.Error("no timeline entry counted a drop")
 	}
 	if ring.Total() == 0 {
 		t.Error("trace ring recorded no exchange events")

@@ -68,16 +68,11 @@ type nodeEndpoint interface {
 	FilterDrops() int64
 }
 
-// fleetNet is the network a worker's endpoints attach to, with the fault
-// injection the supervisor scripts. transport.MemNetwork and the pair
-// transport.UDPMux + transport.UDPFilter already offer the drop rules and
-// the telemetry under the same names; the adapters below add what
-// differs.
+// fleetNet is the network a worker's endpoints attach to. The scripted
+// drop rules live in the worker's filter, which the network applies;
+// transport.MemNetwork and transport.UDPMux already offer the telemetry
+// under the same names, and the adapters below add what differs.
 type fleetNet interface {
-	SetLoss(p float64)
-	PartitionGroups(groups map[string]int)
-	AssignGroup(addr string, group int)
-	HealGroups()
 	QueueDepthHighWatermark() int64
 	BatchSizes() obs.HistSnapshot
 
@@ -89,22 +84,18 @@ type fleetNet interface {
 }
 
 // socketNet is a worker process's network: one shared batched UDP mux on
-// loopback, every endpoint behind one filter carrying the scripted drop
-// rules — the userspace stand-in for the iptables rules a privileged
-// supervisor would install. It cannot delay a datagram.
-type socketNet struct {
-	*transport.UDPMux
-	*transport.UDPFilter
-}
+// loopback, every endpoint behind the worker's filter — the userspace
+// stand-in for the iptables rules a privileged supervisor would install.
+// It cannot delay a datagram.
+type socketNet struct{ *transport.UDPMux }
 
-func newSocketNet(sc Scenario, worker, queueLen int) (fleetNet, error) {
+func newSocketNet(_ Scenario, queueLen int, filter *transport.UDPFilter) (fleetNet, error) {
 	mux, err := transport.NewUDPMux(transport.UDPMuxConfig{QueueLen: queueLen})
 	if err != nil {
 		return nil, err
 	}
-	filter := transport.NewUDPFilter(int64(sc.Seed) + int64(worker) + 2)
 	mux.SetFilter(filter)
-	return socketNet{mux, filter}, nil
+	return socketNet{mux}, nil
 }
 
 func (n socketNet) endpoint() (nodeEndpoint, error) {
@@ -118,26 +109,27 @@ func (n socketNet) setLatency(_, _ time.Duration) {}
 func (n socketNet) close()                        { _ = n.UDPMux.Close() }
 
 // memNet is the in-process worker's network: the in-memory transport,
-// which loses, partitions and delays datagrams itself.
+// which delays datagrams itself and loses them through the worker's
+// filter.
 type memNet struct{ *transport.MemNetwork }
 
-func newMemNet(sc Scenario, _, queueLen int) (fleetNet, error) {
-	return memNet{transport.NewMemNetwork(transport.MemNetworkConfig{
+func newMemNet(sc Scenario, queueLen int, filter *transport.UDPFilter) (fleetNet, error) {
+	net := transport.NewMemNetwork(transport.MemNetworkConfig{
 		Seed: int64(sc.Seed) + 1, QueueLen: queueLen,
-	})}, nil
+	})
+	net.SetFilter(filter)
+	return memNet{net}, nil
 }
 
 func (n memNet) endpoint() (nodeEndpoint, error)   { return memEndpoint{n.MemNetwork.Endpoint()}, nil }
 func (n memNet) setLatency(min, max time.Duration) { n.SetLatency(min, max) }
 func (n memNet) close()                            { n.Close() }
 
-// memEndpoint reports an in-memory endpoint's drops in the shape the UDP
-// endpoints do. The network's own losses happen before any endpoint sees
-// the datagram and are not attributed to one.
+// memEndpoint reports an in-memory endpoint's inbound-buffer drops in the
+// shape the UDP endpoints do.
 type memEndpoint struct{ *transport.MemEndpoint }
 
-func (e memEndpoint) QueueDrops() int64  { return int64(e.Dropped()) }
-func (e memEndpoint) FilterDrops() int64 { return 0 }
+func (e memEndpoint) QueueDrops() int64 { return int64(e.Dropped()) }
 
 // udpWorkerSlot is one live node of this worker's fleet slice.
 type udpWorkerSlot struct {
@@ -155,9 +147,12 @@ type udpWorker struct {
 	sched     core.Schedule
 
 	// newNet builds net, the slice's network, once the init message has
-	// named the scenario; logger receives the nodes' debug events.
-	newNet func(sc Scenario, worker, queueLen int) (fleetNet, error)
+	// named the scenario; the network applies filter, which carries the
+	// scripted partitions and loss. logger receives the nodes' debug
+	// events.
+	newNet func(sc Scenario, queueLen int, filter *transport.UDPFilter) (fleetNet, error)
 	net    fleetNet
+	filter *transport.UDPFilter
 	logger *slog.Logger
 
 	// cycleNow is the supervisor's cycle clock, advanced by every cycle
@@ -202,7 +197,7 @@ type udpWorker struct {
 	stopped  bool
 }
 
-func newUDPWorker(newNet func(Scenario, int, int) (fleetNet, error)) *udpWorker {
+func newUDPWorker(newNet func(Scenario, int, *transport.UDPFilter) (fleetNet, error)) *udpWorker {
 	return &udpWorker{
 		newNet: newNet,
 		logger: slog.New(slog.DiscardHandler),
@@ -265,14 +260,15 @@ func (w *udpWorker) handleInit(msg udpMsg) (udpMsg, error) {
 	}
 	w.ctx, w.cancel = context.WithCancel(context.Background())
 
-	net, err := w.newNet(w.sc, w.index, msg.QueueLen)
+	// The baseline loss applies from the founding on, exactly as in the
+	// simulator; loss bursts override it cycle by cycle.
+	w.filter = transport.NewUDPFilter(int64(w.sc.Seed) + int64(w.index) + 2)
+	w.filter.SetLoss(w.sc.MessageLoss)
+	net, err := w.newNet(w.sc, msg.QueueLen, w.filter)
 	if err != nil {
 		return udpMsg{}, fmt.Errorf("worker %d: network: %w", w.index, err)
 	}
 	w.net = net
-	// The baseline loss applies from the founding on, exactly as in the
-	// simulator; loss bursts override it cycle by cycle.
-	w.net.SetLoss(w.sc.MessageLoss)
 
 	addrs := make(map[int]string, len(msg.Slots))
 	for _, slot := range msg.Slots {
@@ -391,15 +387,15 @@ func (w *udpWorker) newNode(slot int, ep transport.Endpoint, seeds, bootstrap []
 func (w *udpWorker) handleCycle(msg udpMsg) (udpMsg, error) {
 	w.cycleNow.Store(int64(msg.Cycle))
 	for addr, g := range msg.Assign {
-		w.net.AssignGroup(addr, g)
+		w.filter.AssignGroup(addr, g)
 	}
 	if msg.Heal {
-		w.net.HealGroups()
+		w.filter.HealGroups()
 	}
 	if msg.Groups != nil {
-		w.net.PartitionGroups(msg.Groups)
+		w.filter.PartitionGroups(msg.Groups)
 	}
-	w.net.SetLoss(msg.Loss)
+	w.filter.SetLoss(msg.Loss)
 	w.net.setLatency(time.Duration(msg.DelayMinMs)*time.Millisecond, time.Duration(msg.DelayMaxMs)*time.Millisecond)
 	for _, slot := range msg.Crash {
 		w.crash(slot)
@@ -453,7 +449,7 @@ func (w *udpWorker) join(j udpJoin) (string, error) {
 		return "", fmt.Errorf("worker %d: joiner %d: %w", w.index, j.Slot, err)
 	}
 	if j.Group >= 0 {
-		w.net.AssignGroup(ep.Addr(), j.Group)
+		w.filter.AssignGroup(ep.Addr(), j.Group)
 	}
 	if j.Sybil > 0 && w.adv != nil {
 		// Mark before the node is built so its value supplier reports the

@@ -5,14 +5,13 @@
 // telemetry on the shared obs registry.
 //
 // Each instance embeds a fleet of live agent.Nodes gossiping the
-// paper's practical protocol (§4) over an in-memory transport (or a
-// shared UDP mux): fed values become the nodes' local values at the
-// next epoch restart (§4.1), the converged per-epoch estimate is what
-// the API serves, and epoch restarts surface as API-visible generation
-// numbers so clients can detect re-convergence after an update. The
-// protocol underneath is exactly the one the simulators and the
-// scenario executors run — the serving layer adds only lifecycle,
-// admission and naming.
+// paper's practical protocol (§4) over an in-memory transport: fed
+// values become the nodes' local values at the next epoch restart
+// (§4.1), the converged per-epoch estimate is what the API serves, and
+// epoch restarts surface as API-visible generation numbers so clients
+// can detect re-convergence after an update. The protocol underneath is
+// exactly the one the simulators and the scenario executors run — the
+// serving layer adds only lifecycle, admission and naming.
 package serve
 
 import (
@@ -50,19 +49,16 @@ func Functions() []string {
 	return []string{FuncAverage, FuncCount, FuncSum, FuncVariance}
 }
 
-// Transport selects the wire the embedded fleets gossip over.
+// Transport names the wire the embedded fleets gossip over.
+//
+// Deprecated: every fleet runs on its own in-memory network; the type
+// remains for RegistryConfig.Transport.
 type Transport string
 
-// Available transports.
-const (
-	// TransportMem runs each fleet on its own in-memory datagram
-	// network — the default: no sockets, no syscalls.
-	TransportMem Transport = "mem"
-	// TransportUDP runs each fleet on a shared batched UDP mux over
-	// loopback sockets — the same transport the UDP scenario executor
-	// uses, for serving deployments that want real datagrams.
-	TransportUDP Transport = "udp"
-)
+// TransportMem is the in-memory datagram network every fleet runs on.
+//
+// Deprecated: it is the only fleet wire; setting it changes nothing.
+const TransportMem Transport = "mem"
 
 // InstanceConfig describes one aggregation instance. JSON tags match
 // the POST /v1/instances request body.
@@ -128,9 +124,8 @@ var (
 // Registry owns the live instances of one daemon. All methods are safe
 // for concurrent use.
 type Registry struct {
-	transport Transport
-	limits    Limits
-	logger    *slog.Logger
+	limits Limits
+	logger *slog.Logger
 
 	mu        sync.Mutex
 	instances map[string]*Instance
@@ -139,7 +134,9 @@ type Registry struct {
 
 // RegistryConfig tunes a Registry.
 type RegistryConfig struct {
-	// Transport selects the fleet wire (default TransportMem).
+	// Transport is ignored.
+	//
+	// Deprecated: every fleet runs on its own in-memory network.
 	Transport Transport
 	// Limits bound instance creation.
 	Limits Limits
@@ -149,15 +146,11 @@ type RegistryConfig struct {
 
 // NewRegistry builds an empty instance registry.
 func NewRegistry(cfg RegistryConfig) *Registry {
-	if cfg.Transport == "" {
-		cfg.Transport = TransportMem
-	}
 	cfg.Limits.withDefaults()
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
 	}
 	return &Registry{
-		transport: cfg.Transport,
 		limits:    cfg.Limits,
 		logger:    cfg.Logger,
 		instances: make(map[string]*Instance),
@@ -276,7 +269,7 @@ func (r *Registry) Create(cfg InstanceConfig, tenant string) (*Instance, error) 
 	r.instances[cfg.Name] = nil
 	r.mu.Unlock()
 
-	inst, err := newInstance(cfg, tenant, r.transport, r.logger)
+	inst, err := newInstance(cfg, tenant, r.logger)
 	r.mu.Lock()
 	if err != nil {
 		delete(r.instances, cfg.Name)
@@ -372,25 +365,19 @@ func (r *Registry) Close() {
 	}
 }
 
-// fleet is one embedded set of protocol nodes plus the transport it
-// owns. An instance has one fleet (average/count/sum) or two
-// (variance: x and x²).
+// fleet is one embedded set of protocol nodes plus the network it owns.
+// An instance has one fleet (average/count/sum) or two (variance: x and
+// x²).
 type fleet struct {
 	nodes []*agent.Node
 	mem   *transport.MemNetwork
-	mux   *transport.UDPMux
 }
 
 func (f *fleet) stop() {
 	for _, n := range f.nodes {
 		_ = n.Stop()
 	}
-	if f.mem != nil {
-		f.mem.Close()
-	}
-	if f.mux != nil {
-		_ = f.mux.Close()
-	}
+	f.mem.Close()
 }
 
 // Instance is one named, long-running aggregate: an embedded protocol
@@ -411,7 +398,7 @@ type Instance struct {
 }
 
 // newInstance builds and starts the instance's fleet(s).
-func newInstance(cfg InstanceConfig, tenant string, tr Transport, logger *slog.Logger) (*Instance, error) {
+func newInstance(cfg InstanceConfig, tenant string, logger *slog.Logger) (*Instance, error) {
 	now := time.Now()
 	cycle := time.Duration(cfg.CycleMS) * time.Millisecond
 	gamma := cfg.EpochMS / cfg.CycleMS
@@ -444,7 +431,7 @@ func newInstance(cfg InstanceConfig, tenant string, tr Transport, logger *slog.L
 	quiet = slog.New(quiet.Handler()).With("instance", cfg.Name)
 
 	var err error
-	inst.primary, err = inst.launchFleet(ctx, tr, quiet, func(i int) func() float64 {
+	inst.primary, err = inst.launchFleet(ctx, quiet, func(i int) func() float64 {
 		if cfg.Function == FuncCount {
 			return nil
 		}
@@ -455,7 +442,7 @@ func newInstance(cfg InstanceConfig, tenant string, tr Transport, logger *slog.L
 		return nil, err
 	}
 	if cfg.Function == FuncVariance {
-		inst.squared, err = inst.launchFleet(ctx, tr, quiet, func(i int) func() float64 {
+		inst.squared, err = inst.launchFleet(ctx, quiet, func(i int) func() float64 {
 			return func() float64 { return inst.slotValue(i, true) }
 		})
 		if err != nil {
@@ -467,35 +454,17 @@ func newInstance(cfg InstanceConfig, tenant string, tr Transport, logger *slog.L
 	return inst, nil
 }
 
-// launchFleet opens one transport, builds FleetSize founding nodes on
-// it and starts them. value(i) supplies node i's value source; nil
-// selects ModeCount.
-func (in *Instance) launchFleet(ctx context.Context, tr Transport, logger *slog.Logger, value func(i int) func() float64) (*fleet, error) {
-	f := &fleet{}
+// launchFleet opens one in-memory network, builds FleetSize founding
+// nodes on it and starts them. value(i) supplies node i's value source;
+// nil selects ModeCount.
+func (in *Instance) launchFleet(ctx context.Context, logger *slog.Logger, value func(i int) func() float64) (*fleet, error) {
+	f := &fleet{mem: transport.NewMemNetwork(transport.MemNetworkConfig{QueueLen: 256})}
 	n := in.cfg.FleetSize
-	endpoints := make([]transport.Endpoint, n)
+	endpoints := make([]*transport.MemEndpoint, n)
 	addrs := make([]string, n)
-	switch tr {
-	case TransportUDP:
-		mux, err := transport.NewUDPMux(transport.UDPMuxConfig{Listen: "127.0.0.1:0"})
-		if err != nil {
-			return nil, fmt.Errorf("serve: opening udp mux: %w", err)
-		}
-		f.mux = mux
-		for i := range endpoints {
-			ep, err := mux.Endpoint()
-			if err != nil {
-				f.stop()
-				return nil, fmt.Errorf("serve: opening mux endpoint: %w", err)
-			}
-			endpoints[i], addrs[i] = ep, ep.Addr()
-		}
-	default:
-		f.mem = transport.NewMemNetwork(transport.MemNetworkConfig{QueueLen: 256})
-		for i := range endpoints {
-			ep := f.mem.Endpoint()
-			endpoints[i], addrs[i] = ep, ep.Addr()
-		}
+	for i := range endpoints {
+		endpoints[i] = f.mem.Endpoint()
+		addrs[i] = endpoints[i].Addr()
 	}
 	for i := range endpoints {
 		cfg := agent.Config{

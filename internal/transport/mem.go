@@ -20,9 +20,7 @@ type MemNetworkConfig struct {
 	// is delivered the same way from the goroutine of its timer.
 	MinLatency time.Duration
 	MaxLatency time.Duration
-	// Loss is the probability that a datagram silently disappears.
-	Loss float64
-	// Seed drives the loss/latency randomness (0 picks a time seed).
+	// Seed drives the latency randomness (0 picks a time seed).
 	Seed int64
 	// QueueLen is the inbound buffer of an endpoint read through Recv;
 	// datagrams arriving at a full buffer are dropped, as a congested
@@ -31,25 +29,24 @@ type MemNetworkConfig struct {
 }
 
 // MemNetwork is an in-memory datagram network connecting MemEndpoints.
-// It is safe for concurrent use.
+// It delays datagrams itself; which ones it loses — partitions, loss
+// rates, custom rules — is decided by the UDPFilter installed with
+// SetFilter, the same drop policy a UDPMux applies. It is safe for
+// concurrent use.
 type MemNetwork struct {
-	// mu guards cfg's loss and latency and the routing state below. A
-	// send holds it for reading; only reconfiguration excludes sends.
+	// mu guards cfg's latency and the endpoint table. A send holds it for
+	// reading; only reconfiguration excludes sends.
 	mu        sync.RWMutex
 	cfg       MemNetworkConfig
 	endpoints map[string]*MemEndpoint
-	// partitioned[a][b] marks one-way link cuts a -> b.
-	partitioned map[string]map[string]bool
-	// groups assigns addresses to partition groups: datagrams between
-	// addresses in different groups are dropped. Addresses absent from the
-	// map communicate freely. Group-based partitions compose with the
-	// pairwise cuts above and cost O(1) per send instead of O(N²) state.
-	groups   map[string]int
-	nextAddr int
-	wg       sync.WaitGroup
-	closed   bool
+	nextAddr  int
+	wg        sync.WaitGroup
+	closed    bool
 
-	// rngMu guards rng, the source of the loss and latency draws.
+	// filter, when set, drops datagrams by its scripted rules.
+	filter atomic.Pointer[UDPFilter]
+
+	// rngMu guards rng, the source of the latency draws.
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
@@ -70,12 +67,16 @@ func NewMemNetwork(cfg MemNetworkConfig) *MemNetwork {
 		seed = time.Now().UnixNano()
 	}
 	return &MemNetwork{
-		cfg:         cfg,
-		rng:         rand.New(rand.NewSource(seed)),
-		endpoints:   make(map[string]*MemEndpoint),
-		partitioned: make(map[string]map[string]bool),
+		cfg:       cfg,
+		rng:       rand.New(rand.NewSource(seed)),
+		endpoints: make(map[string]*MemEndpoint),
 	}
 }
+
+// SetFilter installs (or, with nil, removes) the drop-rule filter every
+// send on the network passes through. A filter drop is counted on the
+// sending endpoint (MemEndpoint.FilterDrops).
+func (n *MemNetwork) SetFilter(f *UDPFilter) { n.filter.Store(f) }
 
 // Endpoint registers and returns a new endpoint with a generated address
 // of the form "mem-N".
@@ -88,83 +89,6 @@ func (n *MemNetwork) Endpoint() *MemEndpoint {
 	ep.idle.L = &ep.mu
 	n.endpoints[addr] = ep
 	return ep
-}
-
-// Partition cuts the one-way link from a to b (datagrams silently
-// dropped). Heal restores it.
-func (n *MemNetwork) Partition(a, b string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.partitioned[a] == nil {
-		n.partitioned[a] = make(map[string]bool)
-	}
-	n.partitioned[a][b] = true
-}
-
-// Heal restores the one-way link from a to b.
-func (n *MemNetwork) Heal(a, b string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.partitioned[a], b)
-}
-
-// PartitionBoth cuts the link in both directions.
-func (n *MemNetwork) PartitionBoth(a, b string) {
-	n.Partition(a, b)
-	n.Partition(b, a)
-}
-
-// HealBoth restores the link in both directions.
-func (n *MemNetwork) HealBoth(a, b string) {
-	n.Heal(a, b)
-	n.Heal(b, a)
-}
-
-// PartitionGroups splits the network into groups: datagrams between
-// addresses assigned to different groups are silently dropped, exactly as
-// a network partition loses them. Addresses missing from the map are
-// unrestricted. The assignment replaces any previous group partition; the
-// map is copied.
-func (n *MemNetwork) PartitionGroups(groups map[string]int) {
-	cp := make(map[string]int, len(groups))
-	for addr, g := range groups {
-		cp[addr] = g
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.groups = cp
-}
-
-// AssignGroup places one address into a partition group, creating the
-// group partition if none is active (nodes joining mid-partition).
-func (n *MemNetwork) AssignGroup(addr string, group int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.groups == nil {
-		n.groups = make(map[string]int)
-	}
-	n.groups[addr] = group
-}
-
-// HealGroups removes the group partition: all groups can talk again.
-func (n *MemNetwork) HealGroups() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.groups = nil
-}
-
-// SetLoss changes the datagram loss probability mid-run (scenario loss
-// bursts). Values are clamped to [0, 1].
-func (n *MemNetwork) SetLoss(p float64) {
-	switch {
-	case p < 0:
-		p = 0
-	case p > 1:
-		p = 1
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.cfg.Loss = p
 }
 
 // SetLatency changes the one-way delivery delay bounds mid-run (scenario
@@ -204,13 +128,17 @@ func (n *MemNetwork) Close() {
 
 // route decides a datagram's fate: the endpoint to deliver it to and
 // after what delay, or no endpoint and the error Send reports — nil when
-// the network loses the datagram, as a partition or the loss rate does,
-// because the sender cannot tell. It holds the read lock, so datagrams
-// route in parallel; the draws for loss and latency take rngMu, and a
-// network configured for neither takes no exclusive lock at all. A
-// delayed delivery is counted into wg here, under the lock Close
-// excludes before it waits.
-func (n *MemNetwork) route(from, to string) (*MemEndpoint, time.Duration, error) {
+// the filter drops the datagram, because the sender cannot tell. The
+// filter is asked first, as on the mux, under no lock of the network's.
+// Then route holds the read lock, so datagrams route in parallel; only
+// the latency draw takes rngMu, and a network without latency takes no
+// exclusive lock of its own. A delayed delivery is counted into wg here,
+// under the lock Close excludes before it waits.
+func (n *MemNetwork) route(from *MemEndpoint, to string) (*MemEndpoint, time.Duration, error) {
+	if f := n.filter.Load(); f != nil && f.DropOutbound(from.addr, to) {
+		from.filterDrops.Add(1)
+		return nil, 0, nil
+	}
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	if n.closed {
@@ -220,29 +148,13 @@ func (n *MemNetwork) route(from, to string) (*MemEndpoint, time.Duration, error)
 	if !ok {
 		return nil, 0, fmt.Errorf("%w: %s", ErrUnknownPeer, to)
 	}
-	if n.partitioned[from][to] {
-		return nil, 0, nil
-	}
-	if n.groups != nil {
-		gf, okf := n.groups[from]
-		gt, okt := n.groups[to]
-		if okf && okt && gf != gt {
-			return nil, 0, nil
-		}
-	}
-	var delay, span time.Duration
+	var delay time.Duration
 	if n.cfg.MaxLatency > 0 {
-		delay, span = n.cfg.MinLatency, n.cfg.MaxLatency-n.cfg.MinLatency
-	}
-	if loss := n.cfg.Loss; loss > 0 || span > 0 {
-		n.rngMu.Lock()
-		lost := loss > 0 && n.rng.Float64() < loss
-		if !lost && span > 0 {
+		delay = n.cfg.MinLatency
+		if span := n.cfg.MaxLatency - delay; span > 0 {
+			n.rngMu.Lock()
 			delay += time.Duration(n.rng.Int63n(int64(span)))
-		}
-		n.rngMu.Unlock()
-		if lost {
-			return nil, 0, nil
+			n.rngMu.Unlock()
 		}
 	}
 	if delay > 0 {
@@ -251,8 +163,8 @@ func (n *MemNetwork) route(from, to string) (*MemEndpoint, time.Duration, error)
 	return dst, delay, nil
 }
 
-// send routes a datagram, applying loss, latency and partitions.
-func (n *MemNetwork) send(from, to string, data []byte) error {
+// send routes a datagram, applying the filter and the latency.
+func (n *MemNetwork) send(from *MemEndpoint, to string, data []byte) error {
 	dst, delay, err := n.route(from, to)
 	if dst == nil {
 		return err
@@ -261,7 +173,7 @@ func (n *MemNetwork) send(from, to string, data []byte) error {
 	// datagrams ride the pooled send buffers, which the receiver's
 	// Packet.Release recycles; larger ones get an exact heap copy rather
 	// than pinning a MaxDatagram buffer per queued packet.
-	p := Packet{From: from}
+	p := Packet{From: from.addr}
 	if len(data) <= sendBufSize {
 		p.buf = getSendBuf(len(data))
 		p.Data = (*p.buf)[:copy(*p.buf, data)]
@@ -312,6 +224,9 @@ type MemEndpoint struct {
 	// dropped counts datagrams discarded because the inbound buffer was
 	// full.
 	dropped int
+	// filterDrops counts this endpoint's sends the network's filter
+	// consumed.
+	filterDrops atomic.Int64
 }
 
 var _ HandlerEndpoint = (*MemEndpoint)(nil)
@@ -329,7 +244,7 @@ func (e *MemEndpoint) Send(to string, data []byte) error {
 	if e.closed.Load() {
 		return ErrClosed
 	}
-	return e.net.send(e.addr, to, data)
+	return e.net.send(e, to, data)
 }
 
 // queueLocked returns the inbound channel, allocating it on first use: a
@@ -416,6 +331,10 @@ func (e *MemEndpoint) Dropped() int {
 	defer e.mu.Unlock()
 	return e.dropped
 }
+
+// FilterDrops reports datagrams this endpoint sent that the network's
+// drop-rule filter consumed.
+func (e *MemEndpoint) FilterDrops() int64 { return e.filterDrops.Load() }
 
 // call runs one handler invocation under the Close barrier.
 func (e *MemEndpoint) call(fn func(Packet), p Packet) {

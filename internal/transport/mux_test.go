@@ -253,33 +253,14 @@ func TestMuxTooLarge(t *testing.T) {
 	}
 }
 
+// TestMuxFilterPartition: a group split drops cross-group datagrams,
+// counted on the sender, and lets same-group ones through — on the mux
+// and, through the same filter, on the in-memory network.
 func TestMuxFilterPartition(t *testing.T) {
-	m := newTestMux(t, UDPMuxConfig{Sockets: 1})
-	a, b, c := muxEndpoint(t, m), muxEndpoint(t, m), muxEndpoint(t, m)
-
-	f := NewUDPFilter(1)
-	f.PartitionGroups(map[string]int{a.Addr(): 0, b.Addr(): 1, c.Addr(): 0})
-	m.SetFilter(f)
-
-	if err := a.Send(b.Addr(), []byte("cut")); err != nil {
-		t.Fatalf("send: %v", err)
-	}
-	if err := a.Send(c.Addr(), []byte("same-group")); err != nil {
-		t.Fatalf("send: %v", err)
-	}
-	p := muxRecvOne(t, c)
-	if string(p.Data) != "same-group" {
-		t.Fatalf("payload = %q", p.Data)
-	}
-	p.Release()
-	select {
-	case q := <-b.Recv():
-		t.Fatalf("partitioned datagram delivered: %q from %q", q.Data, q.From)
-	case <-time.After(100 * time.Millisecond):
-	}
-	if a.FilterDrops() == 0 {
-		t.Fatalf("filter drop not counted on sending endpoint")
-	}
+	w := newFilterWires(t)
+	w.replay(t, []filterStep{
+		{func() { w.f.PartitionGroups(w.addrs(map[string]int{"a": 0, "b": 1, "c": 0})) }, "a>b a>c", "x."},
+	})
 }
 
 // TestMuxPlainSendToLegacyEndpoint: every mux address is "host:port#id";

@@ -3,12 +3,13 @@
 // unreliable, unordered datagram delivery with unpredictable delays.
 //
 // Two implementations are provided: an in-memory network with
-// configurable latency, loss and partitions (for tests, simulation of
-// deployments and the fleets a serving daemon hosts), and for real
-// networks a UDP mux (UDPMux), whose endpoints share a few batched
-// sockets — thousands per worker process, or one for a single node. Both
-// deliver to handlers (HandlerEndpoint); UDPFilter scripts drop rules
-// over the mux as MemNetwork does over memory.
+// configurable latency (for tests, simulation of deployments and the
+// fleets a serving daemon hosts), and for real networks a UDP mux
+// (UDPMux), whose endpoints share a few batched sockets — thousands per
+// worker process, or one for a single node. Both deliver to handlers
+// (HandlerEndpoint), and both lose datagrams through one UDPFilter:
+// partitions, loss and custom drop rules are scripted once for either
+// wire.
 package transport
 
 import (

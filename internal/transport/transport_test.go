@@ -150,10 +150,19 @@ func TestMemTooLarge(t *testing.T) {
 	}
 }
 
+// filteredMem opens an in-memory network behind a fresh drop-rule filter.
+func filteredMem(t *testing.T, cfg MemNetworkConfig) (*MemNetwork, *UDPFilter) {
+	net := NewMemNetwork(cfg)
+	t.Cleanup(net.Close)
+	f := NewUDPFilter(cfg.Seed)
+	net.SetFilter(f)
+	return net, f
+}
+
 func TestMemLoss(t *testing.T) {
 	memModes(t, func(t *testing.T, inbox func(*MemEndpoint) <-chan Packet) {
-		net := NewMemNetwork(MemNetworkConfig{Loss: 1, Seed: 1})
-		defer net.Close()
+		net, f := filteredMem(t, MemNetworkConfig{Seed: 1})
+		f.SetLoss(1)
 		a, b := net.Endpoint(), net.Endpoint()
 		in := inbox(b)
 		for i := 0; i < 50; i++ {
@@ -166,13 +175,16 @@ func TestMemLoss(t *testing.T) {
 			t.Fatalf("100%% loss delivered %+v", p)
 		case <-time.After(50 * time.Millisecond):
 		}
+		if got := a.FilterDrops(); got != 50 {
+			t.Fatalf("sender counted %d filter drops, want 50", got)
+		}
 	})
 }
 
 func TestMemPartialLossStatistics(t *testing.T) {
 	memModes(t, func(t *testing.T, inbox func(*MemEndpoint) <-chan Packet) {
-		net := NewMemNetwork(MemNetworkConfig{Loss: 0.5, Seed: 7, QueueLen: 4096})
-		defer net.Close()
+		net, f := filteredMem(t, MemNetworkConfig{Seed: 7, QueueLen: 4096})
+		f.SetLoss(0.5)
 		a, b := net.Endpoint(), net.Endpoint()
 		in := inbox(b)
 		const sends = 2000
@@ -209,13 +221,14 @@ func TestMemLatency(t *testing.T) {
 	})
 }
 
+// TestMemPartition: a drop predicate cuts one link both ways until removed.
 func TestMemPartition(t *testing.T) {
 	memModes(t, func(t *testing.T, inbox func(*MemEndpoint) <-chan Packet) {
-		net := NewMemNetwork(MemNetworkConfig{Seed: 1})
-		defer net.Close()
+		net, f := filteredMem(t, MemNetworkConfig{Seed: 1})
 		a, b := net.Endpoint(), net.Endpoint()
 		in := inbox(b)
-		net.PartitionBoth(a.Addr(), b.Addr())
+		cut := map[string]bool{a.Addr(): true, b.Addr(): true}
+		f.SetDrop(func(local, peer string) bool { return cut[local] && cut[peer] })
 		if err := a.Send(b.Addr(), []byte("x")); err != nil {
 			t.Fatal(err) // partition looks like loss, not like an error
 		}
@@ -224,7 +237,7 @@ func TestMemPartition(t *testing.T) {
 			t.Fatal("partitioned message delivered")
 		case <-time.After(50 * time.Millisecond):
 		}
-		net.HealBoth(a.Addr(), b.Addr())
+		f.SetDrop(nil)
 		if err := a.Send(b.Addr(), []byte("y")); err != nil {
 			t.Fatal(err)
 		}
@@ -239,8 +252,7 @@ func TestMemPartition(t *testing.T) {
 // address, HealGroups ends it.
 func TestMemPartitionGroups(t *testing.T) {
 	memModes(t, func(t *testing.T, inbox func(*MemEndpoint) <-chan Packet) {
-		net := NewMemNetwork(MemNetworkConfig{Seed: 1})
-		defer net.Close()
+		net, f := filteredMem(t, MemNetworkConfig{Seed: 1})
 		a, b, c, free := net.Endpoint(), net.Endpoint(), net.Endpoint(), net.Endpoint()
 		ins := map[*MemEndpoint]<-chan Packet{a: inbox(a), b: inbox(b), c: inbox(c), free: inbox(free)}
 		arrives := func(from, to *MemEndpoint) bool {
@@ -255,18 +267,18 @@ func TestMemPartitionGroups(t *testing.T) {
 				return false
 			}
 		}
-		net.PartitionGroups(map[string]int{a.Addr(): 0, b.Addr(): 1, c.Addr(): 0})
+		f.PartitionGroups(map[string]int{a.Addr(): 0, b.Addr(): 1, c.Addr(): 0})
 		if arrives(a, b) || arrives(b, a) || arrives(b, c) {
 			t.Fatal("a datagram crossed the group partition")
 		}
 		if !arrives(a, c) || !arrives(free, b) || !arrives(a, free) {
 			t.Fatal("a datagram inside a group, or of an ungrouped address, was lost")
 		}
-		net.AssignGroup(c.Addr(), 1)
+		f.AssignGroup(c.Addr(), 1)
 		if arrives(a, c) || !arrives(b, c) {
 			t.Fatal("AssignGroup did not move the address to the other side")
 		}
-		net.HealGroups()
+		f.HealGroups()
 		if !arrives(a, b) || !arrives(b, a) {
 			t.Fatal("HealGroups left the partition in place")
 		}

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -29,33 +30,16 @@ func udpExpectNone(t *testing.T, e Endpoint, window time.Duration) {
 	}
 }
 
+// TestUDPFilterPartitionGroups: across muxes, the receiver-side rule
+// holds a group partition even against a sender that has not learnt of it
+// (no filter on its mux), and a heal lets traffic through again. The
+// sender-side verdicts are TestUDPFilterSameVerdictsOnBothWires'.
 func TestUDPFilterPartitionGroups(t *testing.T) {
-	eps := udpEndpoints(t, 3, 0)
-	a, b, c := eps[0], eps[1], eps[2]
+	eps := udpEndpoints(t, 2, 0)
+	a, b := eps[0], eps[1]
 	f := NewUDPFilter(1)
-	for _, e := range eps {
-		e.mux.SetFilter(f)
-	}
-	f.PartitionGroups(map[string]int{a.Addr(): 0, b.Addr(): 1, c.Addr(): 0})
-
-	// Cross-group traffic drops silently, same-group traffic flows.
-	if err := a.Send(b.Addr(), []byte("cross")); err != nil {
-		t.Fatalf("cross-group send errored (should look like loss): %v", err)
-	}
-	if err := a.Send(c.Addr(), []byte("same")); err != nil {
-		t.Fatalf("same-group send: %v", err)
-	}
-	if got := string(muxRecvOne(t, c).Data); got != "same" {
-		t.Fatalf("same-group payload = %q", got)
-	}
-	udpExpectNone(t, b, 200*time.Millisecond)
-	if a.FilterDrops() == 0 {
-		t.Fatal("outbound filter drop not counted")
-	}
-
-	// A node learning of the partition late is still protected by the
-	// receiver-side rule: clear the sender's filter, keep the receiver's.
-	a.mux.SetFilter(nil)
+	b.mux.SetFilter(f)
+	f.PartitionGroups(map[string]int{a.Addr(): 0, b.Addr(): 1})
 	if err := a.Send(b.Addr(), []byte("straggler")); err != nil {
 		t.Fatalf("unfiltered send: %v", err)
 	}
@@ -63,9 +47,6 @@ func TestUDPFilterPartitionGroups(t *testing.T) {
 	if b.FilterDrops() == 0 {
 		t.Fatal("inbound filter drop not counted")
 	}
-	a.mux.SetFilter(f)
-
-	// Heal: everything flows again.
 	f.HealGroups()
 	if err := a.Send(b.Addr(), []byte("healed")); err != nil {
 		t.Fatalf("post-heal send: %v", err)
@@ -76,48 +57,145 @@ func TestUDPFilterPartitionGroups(t *testing.T) {
 }
 
 func TestUDPFilterAssignGroupAndLoss(t *testing.T) {
-	eps := udpEndpoints(t, 2, 0)
-	a, b := eps[0], eps[1]
-	f := NewUDPFilter(7)
-	a.mux.SetFilter(f)
-	b.mux.SetFilter(f)
-
-	// AssignGroup creates the partition incrementally (joiners landing on
-	// one side of an active split).
-	f.AssignGroup(a.Addr(), 0)
-	f.AssignGroup(b.Addr(), 1)
-	_ = a.Send(b.Addr(), []byte("x"))
-	udpExpectNone(t, b, 200*time.Millisecond)
-	f.HealGroups()
-
-	// Loss 1 drops everything, loss 0 restores delivery.
-	f.SetLoss(1)
-	_ = a.Send(b.Addr(), []byte("lost"))
-	udpExpectNone(t, b, 200*time.Millisecond)
-	f.SetLoss(0)
-	if err := a.Send(b.Addr(), []byte("clear")); err != nil {
-		t.Fatalf("send after loss cleared: %v", err)
-	}
-	if got := string(muxRecvOne(t, b).Data); got != "clear" {
-		t.Fatalf("payload = %q", got)
-	}
+	w := newFilterWires(t)
+	w.replay(t, []filterStep{
+		// AssignGroup creates the partition incrementally (joiners landing
+		// on one side of an active split).
+		{func() { w.assign(map[string]int{"a": 0, "b": 1}) }, "a>b b>a", "xx"},
+		{w.f.HealGroups, "a>b", "."},
+		// Loss 1 drops everything, loss 0 restores delivery.
+		{func() { w.f.SetLoss(1) }, "a>b b>a", "xx"},
+		{func() { w.f.SetLoss(0) }, "a>b", "."},
+	})
 }
 
 func TestUDPFilterDropPredicate(t *testing.T) {
-	eps := udpEndpoints(t, 2, 0)
-	a, b := eps[0], eps[1]
-	f := NewUDPFilter(3)
-	a.mux.SetFilter(f)
-	blocked := b.Addr()
-	f.SetDrop(func(local, peer string) bool { return peer == blocked })
-	_ = a.Send(b.Addr(), []byte("x"))
-	udpExpectNone(t, b, 200*time.Millisecond)
-	f.SetDrop(nil)
-	if err := a.Send(b.Addr(), []byte("open")); err != nil {
-		t.Fatalf("send after predicate removed: %v", err)
+	w := newFilterWires(t)
+	w.replay(t, []filterStep{
+		{func() { w.f.SetDrop(w.touches("b")) }, "a>b b>a a>c", "xx."},
+		{func() { w.f.SetDrop(nil) }, "a>b b>a", ".."},
+	})
+}
+
+// TestUDPFilterSameVerdictsOnBothWires replays every rule kind on both wires.
+func TestUDPFilterSameVerdictsOnBothWires(t *testing.T) {
+	w := newFilterWires(t)
+	w.replay(t, []filterStep{
+		{func() { w.f.PartitionGroups(w.addrs(map[string]int{"a": 0, "b": 1, "c": 0})) }, "a>b b>a a>c b>c free>b", "xx.x."},
+		{func() { w.assign(map[string]int{"late": 1}) }, "late>a late>b a>late", "x.x"},
+		{func() { w.f.SetDrop(w.touches("c")) }, "a>c c>a free>c a>free", "xxx."},
+		{w.f.HealGroups, "a>b b>a late>a c>a", "...x"},
+		{func() { w.f.SetDrop(nil); w.f.SetLoss(1) }, "a>b c>a", "xx"},
+		{func() { w.f.SetLoss(0) }, "a>b c>a", ".."},
+	})
+}
+
+// filterWires is one filter attached to a MemNetwork and to a UDPMux,
+// each wire carrying the nodes a, b, c, free and late.
+type filterWires struct {
+	f   *UDPFilter
+	eps [2]map[string]filteredEndpoint
+}
+
+type filteredEndpoint interface {
+	Endpoint
+	FilterDrops() int64
+}
+
+// filterStep is one rule change and the "from>to" sends after it; want
+// holds one verdict per send, x for dropped and . for delivered.
+type filterStep struct {
+	rule        func()
+	sends, want string
+}
+
+func newFilterWires(t *testing.T) *filterWires {
+	w := &filterWires{f: NewUDPFilter(5), eps: [2]map[string]filteredEndpoint{{}, {}}}
+	mem := NewMemNetwork(MemNetworkConfig{Seed: 5})
+	t.Cleanup(mem.Close)
+	mux := newTestMux(t, UDPMuxConfig{Sockets: 1})
+	mem.SetFilter(w.f)
+	mux.SetFilter(w.f)
+	for _, name := range []string{"a", "b", "c", "free", "late"} {
+		w.eps[0][name], w.eps[1][name] = mem.Endpoint(), muxEndpoint(t, mux)
 	}
-	if got := string(muxRecvOne(t, b).Data); got != "open" {
-		t.Fatalf("payload = %q", got)
+	return w
+}
+
+// addrs maps named nodes to groups by their addresses on both wires: one
+// filter holds both wires' rules.
+func (w *filterWires) addrs(groups map[string]int) map[string]int {
+	out := make(map[string]int)
+	for name, g := range groups {
+		out[w.eps[0][name].Addr()], out[w.eps[1][name].Addr()] = g, g
+	}
+	return out
+}
+
+func (w *filterWires) assign(groups map[string]int) {
+	for addr, g := range w.addrs(groups) {
+		w.f.AssignGroup(addr, g)
+	}
+}
+
+// touches drops every datagram to or from the named node. On a mux the
+// inbound check passes the receiver as local, so a predicate meant to act
+// alike on both wires is symmetric.
+func (w *filterWires) touches(name string) func(local, peer string) bool {
+	on := w.addrs(map[string]int{name: 0})
+	return func(local, peer string) bool {
+		_, l := on[local]
+		_, p := on[peer]
+		return l || p
+	}
+}
+
+// replay runs a script on both wires: every send must get the step's
+// verdict on each, and each wire's endpoints must count one filter drop
+// per x. Both wires decide at Send (the mux checks the outbound path
+// before it queues), so a drop shows as the sender's FilterDrops moving;
+// each delivery is received before the script goes on.
+func (w *filterWires) replay(t *testing.T, steps []filterStep) {
+	t.Helper()
+	var dropped int64
+	for i, st := range steps {
+		st.rule()
+		dropped += int64(strings.Count(st.want, "x"))
+		for wire, eps := range w.eps {
+			var got []byte
+			for _, send := range strings.Fields(st.sends) {
+				from, to, _ := strings.Cut(send, ">")
+				src, dst := eps[from], eps[to]
+				before := src.FilterDrops()
+				if err := src.Send(dst.Addr(), []byte(send)); err != nil {
+					t.Fatalf("step %d wire %d: %s: %v", i, wire, send, err)
+				}
+				if src.FilterDrops() > before {
+					got = append(got, 'x')
+					continue
+				}
+				got = append(got, '.')
+				if p := muxRecvOne(t, dst); string(p.Data) != send {
+					t.Fatalf("step %d wire %d: received %q, want %q", i, wire, p.Data, send)
+				}
+			}
+			if string(got) != st.want {
+				t.Errorf("step %d wire %d: verdicts %q, want %q for %q", i, wire, got, st.want, st.sends)
+			}
+		}
+	}
+	time.Sleep(100 * time.Millisecond)
+	for wire, eps := range w.eps {
+		var total int64
+		for name, ep := range eps {
+			total += ep.FilterDrops()
+			if n := len(ep.Recv()); n != 0 {
+				t.Errorf("wire %d: %s received %d datagrams the filter dropped", wire, name, n)
+			}
+		}
+		if total != dropped {
+			t.Errorf("wire %d counted %d filter drops, want %d", wire, total, dropped)
+		}
 	}
 }
 

@@ -6,19 +6,21 @@ import (
 	"time"
 )
 
-// UDPFilter is a process-local packet filter for UDP endpoints: the
+// UDPFilter is the drop policy of both transports: a process-local packet
+// filter that decides, by group partition, custom predicate and loss
+// probability, which datagrams a network loses. On a UDPMux it is the
 // userspace stand-in for the iptables drop rules a root supervisor would
-// install. Scenario supervisors use it to script partitions and loss
-// bursts over real sockets — every endpoint of a worker process shares
-// one filter, and the supervisor's control channel updates it, so the
-// same scripted events apply identically to the in-memory and the UDP
-// transport (mirroring MemNetwork.PartitionGroups/SetLoss).
+// install; a MemNetwork applies the same filter to every send, so one
+// scripted partition or loss burst reaches either wire through the same
+// rules. Install it with UDPMux.SetFilter or MemNetwork.SetFilter; every
+// endpoint counts what it lost to it (FilterDrops).
 //
 // Deterministic rules (partition groups, the predicate) are evaluated on
-// both the outbound and the inbound path, so a partition holds even while
-// a rule update is still propagating to the other end. The probabilistic
-// loss rule fires on the outbound path only — applying it on both sides
-// would square the delivery probability.
+// both the outbound and the inbound path of a mux, so a partition holds
+// even while a rule update is still propagating to the other end. The
+// in-memory network has one hop and checks the outbound path only. The
+// probabilistic loss rule fires on the outbound path only — applying it
+// on both sides would square the delivery probability.
 //
 // A UDPFilter is safe for concurrent use; the zero value is unusable, use
 // NewUDPFilter.
@@ -88,7 +90,9 @@ func (f *UDPFilter) HealGroups() {
 
 // SetDrop installs a custom drop predicate evaluated on both paths with
 // (local address, peer address); nil removes it. It composes with the
-// group partition: a datagram is dropped when either rule matches.
+// group partition: a datagram is dropped when either rule matches. A
+// mux's inbound check passes the receiver as local, so a predicate that
+// should act alike on both transports is symmetric in its arguments.
 func (f *UDPFilter) SetDrop(pred func(local, peer string) bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
