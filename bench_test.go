@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"antientropy"
-	"antientropy/internal/baseline"
 	"antientropy/internal/core"
 	"antientropy/internal/experiments"
 	"antientropy/internal/overlay"
@@ -139,6 +138,13 @@ func BenchmarkAblationPeerSelection(b *testing.B) {
 func BenchmarkFig2Sharded(b *testing.B) {
 	runFigure(b, "fig2", antientropy.ExperimentOptions{
 		N: benchN, Reps: benchReps,
+		Engine: antientropy.ScenarioEngineSharded, Shards: 8,
+	})
+}
+
+func BenchmarkAblationPushPullSharded(b *testing.B) {
+	runFigure(b, "ablation-pushpull", antientropy.ExperimentOptions{
+		N: 5000, Reps: 3,
 		Engine: antientropy.ScenarioEngineSharded, Shards: 8,
 	})
 }
@@ -485,21 +491,29 @@ func BenchmarkWireEncodeDecode(b *testing.B) {
 	})
 }
 
+// BenchmarkPushSumRound steps the engine one cycle under the push-sum
+// rule, (s, w) = (i, 1), on the random 20-out graph.
 func BenchmarkPushSumRound(b *testing.B) {
-	ps, err := baseline.NewPushSum(baseline.Config{
-		N: benchN, Rounds: 1 << 30, Seed: 1,
-		SInit: func(i int) float64 { return float64(i) },
-		WInit: func(int) float64 { return 1 },
-		Overlay: func(n int, rng *stats.RNG) (topology.Graph, error) {
-			return topology.NewRandomKOut(n, 20, rng)
+	e, err := sim.New(sim.Config{
+		N: benchN, Seed: 1,
+		Dim: 2,
+		VecInit: func(i, d int) float64 {
+			if d == 0 {
+				return float64(i)
+			}
+			return 1
 		},
+		Overlay: sim.Static(func(n int, rng *stats.RNG) (topology.Graph, error) {
+			return topology.NewRandomKOut(n, 20, rng)
+		}),
+		Rule: sim.PushSum,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ps.Step()
+		e.Step()
 	}
 }
 

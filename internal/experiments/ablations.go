@@ -4,15 +4,14 @@ import (
 	"fmt"
 	"math"
 
-	"antientropy/internal/baseline"
 	"antientropy/internal/core"
 	"antientropy/internal/sim"
 	"antientropy/internal/stats"
 )
 
-// AblationConfig parameterizes the design-choice ablations (DESIGN.md
-// A1–A3). They are not paper figures, but quantify the decisions the
-// paper argues for in §3, §7.3 and §4.4.
+// AblationConfig parameterizes the design-choice ablations A1–A3 (README,
+// "Reproducing the paper"). They are not paper figures, but quantify the
+// decisions the paper argues for in §3, §7.3 and §4.4.
 type AblationConfig struct {
 	// N is the network size.
 	N int
@@ -22,10 +21,8 @@ type AblationConfig struct {
 	Reps int
 	// Seed is the master seed.
 	Seed uint64
-	// EngineSel selects the simulation engine for the protocol runs. The
-	// push-sum/push-only reference baselines of A1 always execute on
-	// their own serial implementations — they are comparison yardsticks,
-	// not engine workloads.
+	// EngineSel selects the shard count of every run, A1's push-sum and
+	// push-only rules included.
 	EngineSel
 }
 
@@ -45,7 +42,9 @@ func (c AblationConfig) validate() error {
 // RunAblationPushPull contrasts the paper's push-pull scheme with the
 // Kempe et al. push-sum baseline and naive push-only averaging (A1): for
 // each loss level, the mean relative error of the final estimates on the
-// uniform [0,1) workload.
+// uniform [0,1) workload. The three are exchange rules of the one engine
+// (sim.Config.Rule), and each (loss, rep) seed is shared by all three, so
+// they see the same values and the same graph instance.
 func RunAblationPushPull(cfg AblationConfig) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -55,8 +54,6 @@ func RunAblationPushPull(cfg AblationConfig) (*Result, error) {
 		return nil, err
 	}
 	lossLevels := []float64{0, 0.05, 0.1, 0.2, 0.3}
-	topo := RandomTopology(20)
-	overlay := randomGraph(20)
 	result := &Result{
 		ID:     "ablation-pushpull",
 		Title:  "Push-pull vs push-sum vs push-only: relative error vs message loss",
@@ -64,86 +61,16 @@ func RunAblationPushPull(cfg AblationConfig) (*Result, error) {
 		YLabel: "mean |estimate − truth| / truth",
 		Engine: eng.name,
 	}
-	type runner struct {
+	rules := []struct {
 		label string
-		run   func(seed uint64, loss float64) (float64, error)
-	}
-	// Truth: uniform values with known per-seed mean, measured directly.
-	values := func(seed uint64, n int) []float64 {
-		init := sim.UniformInit(0, 1, seed^0x7777)
-		vals := make([]float64, n)
-		for i := range vals {
-			vals[i] = init(i)
-		}
-		return vals
-	}
-	meanError := func(est stats.Moments, truth float64) float64 {
-		if est.N() == 0 {
-			return math.Inf(1)
-		}
-		return math.Abs(est.Mean()-truth) / truth
-	}
-	runners := []runner{
-		{"push-pull", func(seed uint64, loss float64) (float64, error) {
-			vals := values(seed, cfg.N)
-			truth, err := stats.Mean(vals)
-			if err != nil {
-				return 0, err
-			}
-			e, err := eng.run(coreConfig{
-				N: cfg.N, Cycles: cfg.Cycles, Seed: seed,
-				Fn:          core.Average,
-				Init:        func(i int) float64 { return vals[i] },
-				Topology:    topo,
-				MessageLoss: loss,
-			})
-			if err != nil {
-				return 0, err
-			}
-			return meanError(e.ParticipantMoments(), truth), nil
-		}},
-		{"push-sum", func(seed uint64, loss float64) (float64, error) {
-			vals := values(seed, cfg.N)
-			truth, err := stats.Mean(vals)
-			if err != nil {
-				return 0, err
-			}
-			ps, err := baseline.RunPushSum(baseline.Config{
-				N: cfg.N, Rounds: cfg.Cycles, Seed: seed,
-				SInit:       func(i int) float64 { return vals[i] },
-				WInit:       func(int) float64 { return 1 },
-				Overlay:     overlay,
-				MessageLoss: loss,
-			})
-			if err != nil {
-				return 0, err
-			}
-			return meanError(ps.Moments(), truth), nil
-		}},
-		{"push-only", func(seed uint64, loss float64) (float64, error) {
-			vals := values(seed, cfg.N)
-			truth, err := stats.Mean(vals)
-			if err != nil {
-				return 0, err
-			}
-			po, err := baseline.RunPushOnly(baseline.Config{
-				N: cfg.N, Rounds: cfg.Cycles, Seed: seed,
-				SInit:       func(i int) float64 { return vals[i] },
-				Overlay:     overlay,
-				MessageLoss: loss,
-			})
-			if err != nil {
-				return 0, err
-			}
-			return meanError(po.Moments(), truth), nil
-		}},
-	}
-	for _, r := range runners {
+		rule  sim.Rule
+	}{{"push-pull", sim.PushPull}, {"push-sum", sim.PushSum}, {"push-only", sim.PushOnly}}
+	for _, r := range rules {
 		series := Series{Label: r.label, Points: make([]Point, 0, len(lossLevels))}
 		for li, loss := range lossLevels {
-			seed := cfg.Seed ^ hashLabel(r.label) ^ (uint64(li+1) << 12)
+			seed := cfg.Seed ^ (uint64(li+1) << 12)
 			vals, err := repValues(cfg.Reps, seed, func(_ int, s uint64) (float64, error) {
-				return r.run(s, loss)
+				return ruleError(eng, cfg, r.rule, s, loss)
 			})
 			if err != nil {
 				return nil, fmt.Errorf("experiments: ablation A1 %s loss=%g: %w", r.label, loss, err)
@@ -153,6 +80,56 @@ func RunAblationPushPull(cfg AblationConfig) (*Result, error) {
 		result.Series = append(result.Series, series)
 	}
 	return result, nil
+}
+
+// ruleError runs one A1 repetition under rule and returns the relative
+// error of the participants' mean estimate against the true average.
+func ruleError(eng sweepEngine, cfg AblationConfig, rule sim.Rule, seed uint64, loss float64) (float64, error) {
+	init := sim.UniformInit(0, 1, seed^0x7777)
+	vals := make([]float64, cfg.N)
+	for i := range vals {
+		vals[i] = init(i)
+	}
+	truth, err := stats.Mean(vals)
+	if err != nil {
+		return 0, err
+	}
+	cc := coreConfig{
+		N: cfg.N, Cycles: cfg.Cycles, Seed: seed,
+		Topology:    RandomTopology(20),
+		MessageLoss: loss,
+		Rule:        rule,
+	}
+	if rule == sim.PushSum {
+		// (s, w) = (value, 1): the estimate s/w tends to the average.
+		cc.Dim = 2
+		cc.VecInit = func(i, d int) float64 {
+			if d == 0 {
+				return vals[i]
+			}
+			return 1
+		}
+	} else {
+		cc.Fn, cc.Init = core.Average, func(i int) float64 { return vals[i] }
+	}
+	e, err := eng.run(cc)
+	if err != nil {
+		return 0, err
+	}
+	var est stats.Moments
+	if rule == sim.PushSum {
+		e.ForEachParticipantVec(func(_ int, sw []float64) {
+			if sw[1] > 0 {
+				est.Add(sw[0] / sw[1])
+			}
+		})
+	} else {
+		est = e.ParticipantMoments()
+	}
+	if est.N() == 0 {
+		return math.Inf(1), nil
+	}
+	return math.Abs(est.Mean()-truth) / truth, nil
 }
 
 // RunAblationCombiner contrasts the §7.3 trimmed-mean combiner with a

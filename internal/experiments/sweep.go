@@ -91,6 +91,7 @@ type coreConfig struct {
 
 	LinkFailure float64
 	MessageLoss float64
+	Rule        sim.Rule
 
 	Observe func(cycle int, e sim.Core)
 }
@@ -104,6 +105,7 @@ func (se sweepEngine) simConfig(cc coreConfig) sim.Config {
 		Overlay:     cc.Topology.Overlay,
 		Failures:    cc.Failures,
 		LinkFailure: cc.LinkFailure, MessageLoss: cc.MessageLoss,
+		Rule: cc.Rule,
 	}
 	if cc.Observe != nil {
 		h := cc.Observe

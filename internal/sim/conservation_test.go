@@ -46,10 +46,11 @@ func TestEngineMassConservationProperty(t *testing.T) {
 }
 
 // TestEngineVectorMassConservationProperty is the same invariant for the
-// vector engine: each instance's unit mass is preserved.
+// vector engine: each instance's unit mass is preserved, under push-pull
+// and under push-sum, whose failure-free pushes all arrive.
 func TestEngineVectorMassConservationProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 25}
-	if err := quick.Check(func(seedRaw uint32, nRaw, dimRaw, kRaw uint8) bool {
+	if err := quick.Check(func(seedRaw uint32, nRaw, dimRaw, kRaw, ruleRaw uint8) bool {
 		n := 50 + int(nRaw)%150
 		dim := 1 + int(dimRaw)%8
 		leaders := make([]int, dim)
@@ -64,6 +65,7 @@ func TestEngineVectorMassConservationProperty(t *testing.T) {
 			Dim:     dim,
 			Leaders: leaders,
 			Overlay: randomOverlay(8),
+			Rule:    []Rule{PushPull, PushSum}[ruleRaw%2],
 		})
 		if err != nil {
 			t.Log(err)
@@ -84,6 +86,39 @@ func TestEngineVectorMassConservationProperty(t *testing.T) {
 	}, cfg); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestTotalMessageLossLedger: with every message lost, a push-sum sender
+// still gives up the half it pushed, so every node's s and w — and with
+// them Σw — halve exactly once per cycle, while push-pull and push-only
+// exchanges that never arrive change nothing.
+func TestTotalMessageLossLedger(t *testing.T) {
+	forEachK(t, func(t *testing.T, k int) {
+		for _, rule := range []Rule{PushPull, PushOnly, PushSum} {
+			_, err := Run(Config{
+				N: 200, Cycles: 6, Seed: 5, Shards: k,
+				Dim:         2,
+				VecInit:     func(i, d int) float64 { return float64(i*(1-d) + d) }, // (s, w) = (i, 1)
+				Overlay:     randomOverlay(10),
+				MessageLoss: 1,
+				Rule:        rule,
+				Observe: func(cycle int, e *Engine) {
+					scale := 1.0
+					if rule == PushSum {
+						scale = math.Ldexp(1, -cycle)
+					}
+					e.ForEachParticipantVec(func(i int, v []float64) {
+						if v[0] != float64(i)*scale || v[1] != scale {
+							t.Fatalf("rule %d, cycle %d: node %d holds %v, want (%g, %g)", rule, cycle, i, v, float64(i)*scale, scale)
+						}
+					})
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}, 1, 4)
 }
 
 // TestVarianceNeverIncreasesWithoutFailures: each AVERAGE exchange can

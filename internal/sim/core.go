@@ -87,12 +87,14 @@ type Core interface {
 // peerParticipating and allowed describe j's state and the partition
 // filter's verdict. It returns proceed = true when the exchange happens,
 // with replyLost telling whether only the responder updates (a lost
-// reply leaves the responder updated but not the initiator, §7.2).
+// reply leaves the responder updated but not the initiator, §7.2). A
+// push (push-only or push-sum) draws loss once and has no reply, so a
+// delivered push always returns replyLost.
 //
 // Every exchange is funnelled through this function, so the failure
 // semantics — and the per-attempt RNG consumption order, which fixes a
 // run's bit-exact behavior — live in one place.
-func decideExchange(rng *stats.RNG, m *Metrics, peerAlive, peerParticipating, allowed bool, linkFailure, messageLoss float64) (proceed, replyLost bool) {
+func decideExchange(rng *stats.RNG, m *Metrics, peerAlive, peerParticipating, allowed bool, linkFailure, messageLoss float64, push bool) (proceed, replyLost bool) {
 	m.Attempts++
 	switch {
 	case !peerAlive:
@@ -106,6 +108,9 @@ func decideExchange(rng *stats.RNG, m *Metrics, peerAlive, peerParticipating, al
 	case rng.Bool(messageLoss):
 		// The initiating message never arrived: nothing happened.
 		m.RequestLosses++
+	case push:
+		m.Completed++
+		return true, true
 	default:
 		replyLost = rng.Bool(messageLoss)
 		if replyLost {

@@ -1,9 +1,10 @@
 // Package sim is the cycle-driven overlay simulator used to reproduce the
 // paper's evaluation — the Go equivalent of the authors' PeerSim setup
 // (§7). Time advances in cycles; in every cycle each live node initiates
-// one push-pull exchange with a neighbor drawn from the overlay, exactly
-// as in Figure 1 of the paper. Failure models inject node crashes, churn,
-// link failures and message omissions with the paper's §6/§7 semantics.
+// one exchange with a neighbor drawn from the overlay — push-pull, exactly
+// as in Figure 1 of the paper, unless Config.Rule selects one of the §8
+// baselines. Failure models inject node crashes, churn, link failures and
+// message omissions with the paper's §6/§7 semantics.
 //
 // # Execution model
 //
@@ -59,6 +60,34 @@ import (
 
 	"antientropy/internal/core"
 	"antientropy/internal/stats"
+)
+
+// Rule is the exchange rule every initiated exchange follows: the paper's
+// push-pull scheme or one of the designs it positions itself against
+// (§8). All rules meet crashes, churn, partitions, link failure and
+// message loss through the same decision path, at every K.
+type Rule uint8
+
+const (
+	// PushPull is the paper's scheme (Figure 1): the initiator sends its
+	// estimate, the peer replies with its own and both keep the average.
+	// A failure-free exchange conserves mass; a lost reply leaves the
+	// responder updated but not the initiator (§7.2).
+	PushPull Rule = iota
+	// PushOnly is naive push-only averaging: the initiator pushes its
+	// estimate and only the peer moves to the midpoint. The initiator
+	// never learns the peer's value, so an exchange conserves the global
+	// sum only in expectation — which is why push-pull and Kempe's
+	// weighted variant exist. A lost push changes nothing.
+	PushOnly
+	// PushSum is Kempe, Dobra & Gehrke's push-sum (FOCS'03) in vector
+	// mode: the sender keeps half of every component and pushes the
+	// other half, which the peer adds. With component 0 = s and 1 = w the
+	// estimate is s/w, read through ForEachParticipantVec (w = 1
+	// everywhere averages, w = 1 at one node counts). Mass is conserved
+	// only while pushes arrive: an undelivered push — dead, refusing or
+	// partitioned peer, link failure or message loss — loses its half.
+	PushSum
 )
 
 // Config describes one simulation run.
@@ -122,6 +151,9 @@ type Config struct {
 	// TrackExchanges enables per-node exchange counting (§4.5 validation).
 	TrackExchanges bool
 
+	// Rule selects the exchange rule; the zero value is push-pull.
+	Rule Rule
+
 	// Adversary, when non-nil, rewrites the scalar estimate a node
 	// reports to its exchange peer — the Byzantine wire-lying hook the
 	// scenario engine's adversary schedules drive. Local state stays
@@ -172,6 +204,12 @@ func (c Config) validate() error {
 	if scalar && c.Init == nil {
 		return errors.New("sim: scalar mode requires Init")
 	}
+	if c.Rule > PushSum {
+		return fmt.Errorf("sim: unknown exchange rule %d", c.Rule)
+	}
+	if c.Rule == PushSum && !vector {
+		return errors.New("sim: push-sum requires vector mode")
+	}
 	if vector {
 		hasLeaders := len(c.Leaders) > 0
 		hasVecInit := c.VecInit != nil
@@ -209,7 +247,8 @@ func (c Config) validate() error {
 type Metrics struct {
 	// Attempts counts initiated exchange attempts.
 	Attempts int64
-	// Completed counts fully successful push-pull exchanges.
+	// Completed counts fully successful push-pull exchanges (delivered
+	// pushes under a push rule).
 	Completed int64
 	// Timeouts counts attempts aimed at crashed peers.
 	Timeouts int64
@@ -484,8 +523,11 @@ func (e *Engine) exchangeShard(s *shard) {
 		allowed := e.filter == nil || e.filter(i, j)
 		proceed, replyLost := decideExchange(s.rng, &s.metrics,
 			e.alive.Contains(j), e.participating[j], allowed,
-			e.cfg.LinkFailure, e.cfg.MessageLoss)
+			e.cfg.LinkFailure, e.cfg.MessageLoss, e.cfg.Rule != PushPull)
 		if !proceed {
+			if e.cfg.Rule == PushSum {
+				e.pushSum(i, -1)
+			}
 			continue
 		}
 		if e.shardOf(j) == s.index {
@@ -496,16 +538,22 @@ func (e *Engine) exchangeShard(s *shard) {
 	}
 }
 
-// applyExchange performs the push-pull state update: the responder always
-// updates; the initiator updates only if the reply arrived (§7.2). A
-// deferred cross-shard exchange lands here during the serial merge and
-// acts on the peers' then-current state, so scalar mass — and, in vector
-// mode, every component's mass — is conserved across the merge exactly
-// as within a shard.
+// applyExchange performs the state update of a delivered exchange: the
+// responder always updates; the initiator updates only if the reply
+// arrived (§7.2). A push has no reply, so it always arrives with
+// replyLost set and leaves a push-only initiator unchanged. A deferred
+// cross-shard exchange lands here during the serial merge and acts on the
+// peers' then-current state, so scalar mass — and, in vector mode, every
+// component's mass — is conserved across the merge exactly as within a
+// shard.
 func (e *Engine) applyExchange(i, j int, replyLost bool) {
 	if e.exchanges != nil {
 		e.exchanges[i]++
 		e.exchanges[j]++
+	}
+	if e.cfg.Rule == PushSum {
+		e.pushSum(i, j)
+		return
 	}
 	if dim := e.cfg.Dim; dim > 0 {
 		vi := e.vec[i*dim : (i+1)*dim]
@@ -553,6 +601,19 @@ func (e *Engine) applyExchange(i, j int, replyLost bool) {
 	e.scalar[j] = nj
 	if !replyLost {
 		e.scalar[i] = ni
+	}
+}
+
+// pushSum halves every component of node i and adds the pushed half to
+// node j; with j < 0 the push was not delivered and its half is lost.
+func (e *Engine) pushSum(i, j int) {
+	dim := e.cfg.Dim
+	vi := e.vec[i*dim : (i+1)*dim]
+	for d := range vi {
+		vi[d] /= 2
+		if j >= 0 {
+			e.vec[j*dim+d] += vi[d]
+		}
 	}
 }
 
