@@ -343,8 +343,15 @@ func BenchmarkSimCycleVector32(b *testing.B) {
 // BenchmarkTableExchange is the engines' NEWSCAST exchange in the shape
 // of the benchmark ladder's overlay.table_exchange_ns rung: N = 20 000
 // warmed views of c = 30, every node initiating once per cycle.
-func BenchmarkTableExchange(b *testing.B) {
-	const n, c = 20000, 30
+func BenchmarkTableExchange(b *testing.B) { benchTableExchange(b, 20000) }
+
+// BenchmarkTableExchangeMillion is the same exchange at the paper's
+// largest scale, N = 10⁶: the views (240 MB) fit in no cache, and the
+// merge's per-key flags are 1 MB per workspace.
+func BenchmarkTableExchangeMillion(b *testing.B) { benchTableExchange(b, 1000000) }
+
+func benchTableExchange(b *testing.B, n int) {
+	const c = 30
 	rng := stats.NewRNG(1)
 	table, err := overlay.NewTable(n, c)
 	if err != nil {

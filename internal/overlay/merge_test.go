@@ -107,8 +107,8 @@ func TestMergeKernelMatchesOracle(t *testing.T) {
 		b := sorted(randomList(rng, rng.Intn(limit+2), keys, 4))
 		c := sorted(randomList(rng, rng.Intn(3), keys, 4))
 		want := oracleDistinct(limit, a, b, c)
-		work = workspace(work, limit, 0)
-		if got := mergeDistinct(work, limit, a, b, c); !slices.Equal(got, want) {
+		work = workspace(work, limit, keys, 0)
+		if got := mergeDistinct(work, limit, 0, a, b, c); !slices.Equal(got, want) {
 			t.Fatalf("trial %d limit %d\n a=%x\n b=%x\n c=%x\n got  %x\n want %x", trial, limit, a, b, c, got, want)
 		}
 	}
@@ -131,9 +131,75 @@ func TestMergeKernelExtremeValues(t *testing.T) {
 		{{Pack(0, 7), Pack(-1, 7), top}, {Pack(0, 2)}, nil},
 	} {
 		want := oracleDistinct(4, lists[0], lists[1], lists[2])
-		got := mergeDistinct(workspace(nil, 4, 0), 4, lists[0], lists[1], lists[2])
+		got := mergeDistinct(workspace(nil, 4, 8, 0), 4, 0, lists[0], lists[1], lists[2])
 		if !slices.Equal(got, want) {
 			t.Errorf("lists %x: got %x, want %x", lists, got, want)
+		}
+	}
+}
+
+// TestMergeWorkspaceReuse drives one buffer through every way a caller
+// reuses a workspace — other limits, key ranges that shrink and grow,
+// keys past the flags, salted keys, a buffer overwritten with all ones —
+// and checks every merge against the oracle. A kernel that trusted flags
+// it did not clear itself would drop keys here.
+func TestMergeWorkspaceReuse(t *testing.T) {
+	const salt = 1 << 30
+	rng := stats.NewRNG(19)
+	var work []uint64
+	for _, s := range []struct {
+		limit, keys int    // workspace arguments
+		mask        uint32 // mergeDistinct argument
+		lo, hi      int    // keys are drawn from [lo, hi)
+		spare       int    // room to grow into without reallocating
+		poison      bool
+		minSpan     int // indices the flags cover at least, after the step
+	}{
+		{limit: 2, keys: 64, hi: 64},
+		{limit: 31, keys: 20000, hi: 20000},
+		{limit: 51, keys: 64, hi: 64},
+		{limit: 31, keys: 64, hi: 20000}, // past the span the caller asked for
+		// Past the span the buffer holds, where its output words were:
+		// the flags grow over them.
+		{limit: 31, lo: 20000, hi: 20400, spare: 64, minSpan: 20400 - 93},
+		{limit: 31, hi: 40000, minSpan: 40000 - 93},
+		// Salted keys: without the salt as mask every index is past
+		// maxLearnedSpan and the flags do not grow; with it they are small.
+		{limit: 31, lo: salt, hi: salt + 500},
+		{limit: 31, mask: salt, lo: salt + maxLearnedSpan, hi: salt + maxLearnedSpan + 500},
+		{limit: 31, mask: salt, lo: salt, hi: salt + 500, poison: true, minSpan: 500 - 93},
+		{limit: 51, keys: 64, hi: 64, poison: true},
+		{limit: 2, keys: 20000, hi: 20000, poison: true},
+		{limit: 31, hi: 64},
+	} {
+		work = slices.Grow(work, s.spare)
+		if s.poison {
+			work = work[:cap(work)]
+			for i := range work {
+				work[i] = ^uint64(0)
+			}
+		}
+		for trial := 0; trial < 300; trial++ {
+			// A window of 3·limit keys somewhere in the range, so that
+			// duplicates are common wherever the keys fall.
+			width := min(3*s.limit, s.hi-s.lo)
+			base := s.lo + rng.Intn(s.hi-s.lo-width+1)
+			list := func(n int) []uint64 {
+				l := randomList(rng, n, width, 4)
+				for i, e := range l {
+					l[i] = Pack(UnpackKey(e)+int32(base), UnpackStamp(e))
+				}
+				return sorted(l)
+			}
+			a, b, c := list(s.limit+1), list(s.limit+1), list(2)
+			want := oracleDistinct(s.limit, a, b, c)
+			work = workspace(work, s.limit, s.keys, 0)
+			if got := mergeDistinct(work, s.limit, s.mask, a, b, c); !slices.Equal(got, want) {
+				t.Fatalf("%+v trial %d\n a=%x\n b=%x\n c=%x\n got  %x\n want %x", s, trial, a, b, c, got, want)
+			}
+		}
+		if span := int(uint32(workspace(work, s.limit, 0, 0)[0])); span < s.minSpan || span > maxLearnedSpan {
+			t.Fatalf("%+v: flags span %d indices", s, span)
 		}
 	}
 }
@@ -155,7 +221,7 @@ func FuzzMergeKernel(f *testing.F) {
 		limit := int(limitRaw%51) + 1
 		a, b, c := list(ra), list(rb), list(rc)
 		want := oracleDistinct(limit, a, b, c)
-		got := mergeDistinct(workspace(nil, limit, 0), limit, a, b, c)
+		got := mergeDistinct(workspace(nil, limit, int(limitRaw), 0), limit, 0, a, b, c)
 		if !slices.Equal(got, want) {
 			t.Fatalf("limit %d\n a=%x\n b=%x\n c=%x\n got  %x\n want %x", limit, a, b, c, got, want)
 		}

@@ -13,9 +13,11 @@
 // merge is one pass of one kernel (mergeDistinct, merge.go): a linear
 // merge of the already-ascending lists — the two views and the pair of
 // fresh self-descriptors — that keeps the first occurrence of each key
-// through a small open-addressed key set and stops once it has one more
-// survivor than the capacity; each view then takes the survivors minus
-// its own key. Nothing is sorted on the way, which is the kernel's
+// by marking a byte flag indexed by the key, and stops once it has one
+// more survivor than the capacity; each view then takes the survivors
+// minus its own key. The flags live in the caller's merge buffer, one
+// per node of a table, and the kernel clears the ones it set before it
+// returns. Nothing is sorted on the way, which is the kernel's
 // precondition: its inputs must be ascending. Stored views always are;
 // a view received from a peer is in the sender's order, so Absorb checks
 // that half in one pass and sorts it (at most a view's worth of entries)
@@ -247,9 +249,9 @@ func (m *Membership) absorbOne(e uint64) {
 }
 
 // stage sizes the scratch buffer for one merge and returns its staging
-// area: n words behind the merge's output and key set.
+// area: n words behind the merge's flags and output.
 func (m *Membership) stage(n int) []uint64 {
-	work := workspace(*m.scratch, m.cap+1, n)
+	work := workspace(*m.scratch, m.cap+1, 0, n)
 	*m.scratch = work
 	return work[len(work)-n:]
 }
@@ -263,7 +265,7 @@ func (m *Membership) absorbScratch(remote []uint64) {
 	if !slices.IsSorted(remote) {
 		slices.Sort(remote)
 	}
-	m.install(mergeDistinct(*m.scratch, m.cap+1, m.Packed(), remote, nil))
+	m.install(mergeDistinct(*m.scratch, m.cap+1, uint32(m.self), m.Packed(), remote, nil))
 }
 
 // install replaces the view with the merged survivors minus the node's
@@ -354,20 +356,21 @@ func (m *Membership) Oldest() (int32, bool) {
 // self-descriptors. For standalone caches, on a's scratch buffer; engines
 // use Table.Exchange, which is the same merge on shared backing storage.
 func Exchange(a, b *Membership, now int32) {
-	*a.scratch = exchange(*a.scratch, a, b, now)
+	*a.scratch = exchange(*a.scratch, 0, uint32(a.self), a, b, now)
 }
 
 // exchange merges both stored views and both fresh self-descriptors once,
 // to one more survivor than the larger capacity, and installs the result
-// in both views. It uses and returns the caller's scratch buffer.
-func exchange(scratch []uint64, a, b *Membership, now int32) []uint64 {
+// in both views. It uses and returns the caller's scratch buffer, with
+// flags for at least keys key indices under mask (see merge.go).
+func exchange(scratch []uint64, keys int, mask uint32, a, b *Membership, now int32) []uint64 {
 	limit := max(a.cap, b.cap) + 1
-	scratch = workspace(scratch, limit, 0)
+	scratch = workspace(scratch, limit, keys, 0)
 	selfs := [2]uint64{Pack(a.self, now), Pack(b.self, now)}
 	if selfs[0] > selfs[1] {
 		selfs[0], selfs[1] = selfs[1], selfs[0]
 	}
-	kept := mergeDistinct(scratch, limit, selfs[:], a.Packed(), b.Packed())
+	kept := mergeDistinct(scratch, limit, mask, selfs[:], a.Packed(), b.Packed())
 	a.install(kept)
 	b.install(kept)
 	return scratch
@@ -450,5 +453,5 @@ func (t *Table) Neighbor(i int, rng *stats.RNG) int {
 // self-descriptors and keep the freshest cap distinct keys excluding
 // their own.
 func (t *Table) Exchange(scratch []uint64, i, j, cycle int) []uint64 {
-	return exchange(scratch, &t.rows[i], &t.rows[j], int32(cycle))
+	return exchange(scratch, len(t.rows), 0, &t.rows[i], &t.rows[j], int32(cycle))
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"antientropy/internal/obs"
+	"antientropy/internal/race"
 )
 
 func quietLogger() *slog.Logger {
@@ -151,6 +153,47 @@ func TestAPITenantAuth(t *testing.T) {
 	spoof := map[string]string{"X-Resolved-Tenant": "alpha"}
 	if w := doJSON(t, api, "GET", "/v1/instances", "", spoof); w.Code != http.StatusUnauthorized {
 		t.Fatalf("spoofed tenant header = %d, want 401", w.Code)
+	}
+}
+
+// TestResolveKeylessAllocs: a request without a key resolves to the open
+// tenant without allocating. Asking Header.Get for a non-canonical name
+// such as X-API-Key allocates on every such request.
+func TestResolveKeylessAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	tenants, err := NewTenants(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest("GET", "/v1/instances", nil)
+	if got := testing.AllocsPerRun(100, func() {
+		if _, ok := tenants.Resolve(req); !ok {
+			t.Fatal("keyless request not resolved to the open tenant")
+		}
+	}); got != 0 {
+		t.Errorf("Resolve allocates %.1f times per keyless request", got)
+	}
+}
+
+// TestEstimateWithoutReportersEncodes: a fleet where no node reports — a
+// COUNT epoch that elected no leader — still answers a decodable body
+// with ok false, and a value JSON cannot hold answers 500 with an error
+// instead of 200 and nothing.
+func TestEstimateWithoutReportersEncodes(t *testing.T) {
+	_, spread, reporting, _, _ := fleetMoments(&fleet{})
+	w := httptest.NewRecorder()
+	writeJSON(w, http.StatusOK, Estimate{RelSpread: spread, OK: reporting > 0})
+	var est Estimate
+	if err := json.Unmarshal(w.Body.Bytes(), &est); w.Code != http.StatusOK || err != nil || est.OK {
+		t.Fatalf("no reporters: code %d, body %q (%v)", w.Code, w.Body.String(), err)
+	}
+	w = httptest.NewRecorder()
+	writeJSON(w, http.StatusOK, Estimate{RelSpread: math.Inf(1)})
+	var body map[string]string
+	if err := json.Unmarshal(w.Body.Bytes(), &body); w.Code != http.StatusInternalServerError || err != nil || body["error"] == "" {
+		t.Fatalf("+Inf spread: code %d, body %q (%v)", w.Code, w.Body.String(), err)
 	}
 }
 

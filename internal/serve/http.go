@@ -81,7 +81,9 @@ func (t *Tenants) Resolve(r *http.Request) (*Tenant, bool) {
 		key, _ = strings.CutPrefix(auth, "Bearer ")
 	}
 	if key == "" {
-		key = r.Header.Get("X-API-Key")
+		// The canonical spelling of X-API-Key: Get would allocate to
+		// canonicalize any other on every keyless request.
+		key = r.Header.Get("X-Api-Key")
 	}
 	if key == "" {
 		if t.open != nil {
@@ -320,10 +322,18 @@ func decodeJSON(r *http.Request, dst any) error {
 	return nil
 }
 
+// writeJSON encodes v before it sends the status, so a value JSON cannot
+// hold (a NaN or an infinity) answers 500 instead of code and no body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		// A map of strings always encodes.
+		body, _ = json.Marshal(map[string]string{"error": "encoding response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(body, '\n'))
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {

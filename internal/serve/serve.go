@@ -619,8 +619,9 @@ type Estimate struct {
 	Generation uint64 `json:"generation"`
 	// RelSpread is the dispersion of per-node estimates relative to
 	// their mean — the paper's variance-reduction measure applied as a
-	// convergence signal; Confidence is 1 bounded away by the spread,
-	// and Converged reports spread below the serving threshold.
+	// convergence signal, 0 while no node reports (OK false);
+	// Confidence is 1 bounded away by the spread, and Converged reports
+	// spread below the serving threshold.
 	RelSpread  float64 `json:"rel_spread"`
 	Confidence float64 `json:"confidence"`
 	Converged  bool    `json:"converged"`
@@ -641,7 +642,9 @@ type Estimate struct {
 // plateau, loose enough for small fleets' COUNT jitter.
 const convergedSpread = 0.02
 
-// fleetMoments reads every node snapshot of a fleet and reduces it.
+// fleetMoments reads every node snapshot of a fleet and reduces it. With
+// no node reporting there is no spread to measure, and it is 0: JSON has
+// no +Inf, and reporting is what says the estimate is missing.
 func fleetMoments(f *fleet) (mean, spread float64, reporting int, epoch uint64, newestOut time.Time) {
 	var sum, sumSq float64
 	for _, n := range f.nodes {
@@ -660,7 +663,7 @@ func fleetMoments(f *fleet) (mean, spread float64, reporting int, epoch uint64, 
 		sumSq += s.Estimate * s.Estimate
 	}
 	if reporting == 0 {
-		return 0, math.Inf(1), 0, epoch, newestOut
+		return 0, 0, 0, epoch, newestOut
 	}
 	mean = sum / float64(reporting)
 	variance := sumSq/float64(reporting) - mean*mean
@@ -704,7 +707,7 @@ func (in *Instance) Estimate() Estimate {
 			est.OK = false
 		}
 	}
-	if est.OK && !math.IsInf(est.RelSpread, 1) {
+	if est.OK {
 		est.Converged = est.RelSpread <= convergedSpread
 		est.Confidence = 1 / (1 + est.RelSpread)
 	}
