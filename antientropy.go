@@ -520,8 +520,8 @@ type (
 	// ScenarioLiveOptions tune the live-fleet executor: one supervisor
 	// and its in-process worker on the in-memory transport.
 	ScenarioLiveOptions = scenario.LiveOptions
-	// ScenarioUDPOptions tune the multi-process UDP executor: the same
-	// supervisor with forked workers on a shared UDP mux each.
+	// ScenarioUDPOptions tune the UDP executor: the same supervisor
+	// with its workers on a UDP mux each, all in this process.
 	ScenarioUDPOptions = scenario.UDPOptions
 	// ScenarioDivergence summarizes how two executions of one scenario
 	// differ cycle by cycle.
@@ -578,28 +578,19 @@ func DivergeScenarioRuns(a, b *ScenarioRun) ScenarioDivergence { return scenario
 
 // RunScenarioLive executes a scenario against a fleet of live nodes over
 // the in-memory transport: the supervisor of RunScenarioUDP with a single
-// worker that lives in this process, so nodes are built, crashed, joined
+// worker on the in-memory network, so nodes are built, crashed, joined
 // and sampled by the same code on either wire.
 func RunScenarioLive(ctx context.Context, sc Scenario, opts ScenarioLiveOptions) (*ScenarioRun, error) {
 	return scenario.RunLive(ctx, sc, opts)
 }
 
 // RunScenarioUDP executes a scenario against a fleet of live nodes on
-// real UDP loopback sockets, sliced across worker processes. The
-// supervisor coordinates cycle barriers and scripted events over the
-// workers' stdin/stdout pipes and injects partitions and loss through
-// per-process drop-rule filters (see transport.UDPFilter).
+// real UDP loopback sockets, sliced across in-process workers with one
+// UDP mux each. The supervisor calls the workers directly at every cycle
+// barrier and injects partitions and loss through per-mux drop-rule
+// filters (see transport.UDPFilter).
 func RunScenarioUDP(ctx context.Context, sc Scenario, opts ScenarioUDPOptions) (*ScenarioRun, error) {
 	return scenario.RunUDP(ctx, sc, opts)
-}
-
-// RunScenarioUDPWorker runs the worker half of the UDP executor on the
-// given control channel (normally os.Stdin/os.Stdout). cmd/aggscen calls
-// it in its hidden -worker mode; embedders whose binary cannot be
-// re-executed with that flag point ScenarioUDPOptions.WorkerCmd at any
-// program calling this.
-func RunScenarioUDPWorker(in io.Reader, out io.Writer) error {
-	return scenario.RunUDPWorker(in, out)
 }
 
 // ScenarioSchemaVersion is the current scenario JSON schema version.

@@ -2,8 +2,7 @@
 // scripted churn waves, correlated crashes, flash crowds, network
 // partitions, loss/delay bursts and value dynamics, executed against
 // the deterministic cycle-driven simulator, a fleet of live agent nodes
-// over the in-memory transport, or a multi-process fleet on real UDP
-// loopback sockets.
+// over the in-memory transport, or a fleet on real UDP loopback sockets.
 //
 // The simulator executor has one engine; -engine chooses its shard count
 // K: "serial" is K = 1 (one global exchange order, bit-deterministic from
@@ -13,11 +12,10 @@
 // explicit -engine serial or -engine sharded always wins, and the choice
 // is echoed in the per-run summary ("sim" vs "sim-sharded").
 //
-// The UDP executor forks -workers worker processes (this binary
-// re-executed with the internal -worker flag), each running a slice of
-// the fleet on real sockets; partitions and loss are injected through
-// per-process drop rules, so the same scripts apply to all three
-// executors.
+// The UDP executor slices the fleet across -workers UDP muxes in this
+// process, each running its nodes on its own sockets; partitions and
+// loss are injected through per-mux drop rules, so the same scripts
+// apply to all three executors.
 //
 // Usage:
 //
@@ -65,12 +63,11 @@ func run() error {
 		executor = flag.String("executor", "", "executors to use: sim, live, udp, both (= sim,live), all, or a comma list (default: both for -run, sim for -compare)")
 		engine   = flag.String("engine", "auto", "sim executor shard count: serial (one shard), sharded (-shards shards across the cores), or auto (sharded at 20k slots and up)")
 		shards   = flag.Int("shards", 0, "shard count K for -engine sharded (0 = GOMAXPROCS); results are deterministic per seed + shard count")
-		workers  = flag.Int("workers", 3, "udp executor: number of worker processes the fleet is sliced across")
+		workers  = flag.Int("workers", 3, "udp executor: number of UDP muxes the fleet is sliced across")
 		viewCap  = flag.Int("view-cap", 0, "cap the piggybacked membership view per exchange datagram, in bytes (live/udp executors; 0 = unlimited)")
 		format   = flag.String("format", "csv", "metric output format: csv or json")
 		outPath  = flag.String("out", "", "write metrics to this file instead of stdout")
 		cycleLen = flag.Duration("cycle-len", 0, "live/udp executors: wall-clock cycle length (0 = scale with fleet size and cores)")
-		worker   = flag.Bool("worker", false, "internal: run as a UDP-executor worker process, speaking the control protocol on stdin/stdout")
 
 		metricsAddr = flag.String("metrics-addr", "", "serve Prometheus /metrics, /debug/trace, /debug/timeline and /debug/pprof on this address for the duration of the run (empty: off)")
 		traceCap    = flag.Int("trace", 0, "retain the newest N exchange trace events fleet-wide (served on /debug/trace and dumped to stderr at the end of the run; 0: off)")
@@ -82,10 +79,6 @@ func run() error {
 	logger, err := newLogger(*logLevel)
 	if err != nil {
 		return err
-	}
-
-	if *worker {
-		return antientropy.RunScenarioUDPWorker(os.Stdin, os.Stdout)
 	}
 
 	// Telemetry is shared across every executor of the invocation: one
@@ -120,7 +113,7 @@ func run() error {
 	simOpts := antientropy.ScenarioSimOptions{Engine: *engine, Shards: *shards, Obs: reg,
 		Timeline: timeline, Logger: logger}
 	udpOpts := antientropy.ScenarioUDPOptions{Workers: *workers, CycleLen: *cycleLen, Obs: reg,
-		TraceCap: *traceCap, Trace: ring, Timeline: timeline, Logger: logger}
+		Trace: ring, Timeline: timeline, Logger: logger}
 	liveOpts := antientropy.ScenarioLiveOptions{CycleLen: *cycleLen, Obs: reg, Trace: ring,
 		Timeline: timeline, Logger: logger}
 	switch {

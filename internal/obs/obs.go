@@ -7,9 +7,9 @@
 // The registry is deliberately minimal: metric instruments are plain
 // atomics so the protocol hot paths (one exchange is ~1µs of work) pay
 // one uncontended atomic add per event and never allocate. Aggregation
-// across many instruments — a worker process summing per-node counters,
-// a supervisor summing per-worker snapshots — happens at scrape time
-// through func-backed metrics, not on the hot path.
+// across many instruments — a scenario supervisor summing its workers'
+// per-node counters at every sample — happens off the hot path, read at
+// scrape time through func-backed metrics.
 package obs
 
 import (
@@ -109,7 +109,7 @@ func (h *Histogram) Observe(v float64) {
 func (h *Histogram) Bounds() []float64 { return h.bounds }
 
 // HistSnapshot is one consistent-enough read of a histogram, also the
-// wire shape worker processes forward to a supervisor. Counts are
+// shape in which per-network histograms are merged. Counts are
 // per-bucket (not cumulative) with the +Inf bucket last.
 type HistSnapshot struct {
 	Bounds []float64 `json:"bounds"`
@@ -446,8 +446,9 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 }
 
 // HistogramFunc registers (or rebinds) a histogram whose snapshot is
-// computed at scrape time — how a supervisor exports the merged
-// per-worker RTT histograms it received over the control channel.
+// computed at scrape time — how a scenario supervisor exports the RTT
+// and batch-size histograms it merged from its workers at the last
+// sample.
 func (r *Registry) HistogramFunc(name, help string, fn func() HistSnapshot) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

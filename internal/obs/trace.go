@@ -65,10 +65,9 @@ func (k TraceKind) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON parses a kind from its name (or, for forward
-// compatibility, a raw number) — trace events round-trip through JSON
-// on the UDP supervisor's control channel. Unknown names decode to 0
-// rather than failing: one alien event must not poison a whole
-// control-channel sample.
+// compatibility, a raw number), so a /debug/trace dump reads back into
+// events. Unknown names decode to 0 rather than failing: one alien
+// event must not poison a whole dump.
 func (k *TraceKind) UnmarshalJSON(data []byte) error {
 	var name string
 	if err := json.Unmarshal(data, &name); err == nil {
@@ -168,12 +167,11 @@ func (t *TraceRing) Events() []TraceEvent {
 
 // EventsSince returns, oldest first, the retained events whose
 // all-time record index is >= cursor, plus the new cursor (pass 0 on
-// the first call, then the returned cursor on subsequent calls). This
-// is the incremental-pull shape the UDP supervisor uses to drain
-// worker rings over the control channel without re-shipping events:
-// each pull returns only what was recorded since the last one. Events
-// that were overwritten before being pulled are silently lost, which
-// is the ring's retention contract.
+// the first call, then the returned cursor on subsequent calls): a
+// reader follows the ring without re-reading events, each pull
+// returning only what was recorded since the last one. Events that
+// were overwritten before being pulled are silently lost, which is the
+// ring's retention contract.
 func (t *TraceRing) EventsSince(cursor uint64) ([]TraceEvent, uint64) {
 	if t == nil {
 		return nil, cursor

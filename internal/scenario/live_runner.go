@@ -66,33 +66,27 @@ func (o LiveOptions) withDefaults(fleet int) LiveOptions {
 // on real time — cycles, timeouts, epochs and joins, run by the process's
 // scheduler and the transport's deliveries; partitions, loss and delay
 // bursts are injected at the transport layer. It is the fleet executor
-// (see supervisor) with a single worker that lives in this process: the
-// same supervisor, script and worker code as RunUDP, minus the fork, the
-// pipes and the sockets. Unlike the simulator executor the run is
-// wall-clock driven and therefore not bit-for-bit deterministic, but it
-// chases the identical scripted value signal, so the two metric streams
-// are directly comparable.
+// (see supervisor) with a single worker on the in-memory network: the
+// same supervisor, script and worker code as RunUDP, minus the sockets.
+// Unlike the simulator executor the run is wall-clock driven and
+// therefore not bit-for-bit deterministic, but it chases the identical
+// scripted value signal, so the two metric streams are directly
+// comparable.
 func RunLive(ctx context.Context, sc Scenario, opts LiveOptions) (*RunResult, error) {
 	sc = sc.WithDefaults()
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
 	opts = opts.withDefaults(sc.MaxSlots())
-
-	w := newUDPWorker(newMemNet)
-	// The worker shares this process, so its nodes log and trace straight
-	// into the caller's logger and ring; nothing is drained over the
-	// control conversation.
-	w.logger, w.trace = opts.Logger, opts.Trace
 	d := newSupervisor(ctx, sc, UDPOptions{
+		Workers:   1,
 		CycleLen:  opts.CycleLen,
 		CacheSize: opts.CacheSize,
 		Logger:    opts.Logger,
 		Obs:       opts.Obs,
+		Trace:     opts.Trace,
 		Timeline:  opts.Timeline,
-	}, "live")
-	d.workers = []workerHandle{&localWorker{w: w}}
+	}, "live", newMemNet)
 	d.canDelay = true
-	defer d.teardown()
 	return d.run()
 }

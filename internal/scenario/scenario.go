@@ -447,6 +447,9 @@ func (s Scenario) Validate() error {
 	if err := s.validateDefense(); err != nil {
 		return fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
+	if s.MaxSlots() > slotLimit {
+		return fmt.Errorf("scenario %s: nodes, joins and sybils need more than %d node slots", s.Name, slotLimit)
+	}
 	return nil
 }
 
@@ -545,35 +548,43 @@ func (s Scenario) validateEvent(ev Event) error {
 	return nil
 }
 
+// slotLimit bounds a scenario's node-slot total, far above the paper's
+// 10⁶ nodes: every executor allocates slot-indexed state before the run,
+// so a larger total is a malformed script, not a bigger run.
+const slotLimit = 1 << 23
+
 // MaxSlots returns the node-slot capacity the scenario needs: the initial
-// size plus every join the script can perform.
+// size plus every join the script can perform, counted exactly as the
+// script resolves them. The sum saturates at slotLimit+1, which Validate
+// rejects, so no count or window can overflow it.
 func (s Scenario) MaxSlots() int {
-	slots := s.N
+	slots := min(s.N, slotLimit+1)
+	add := func(count, times int) {
+		if count <= 0 || times <= 0 {
+			return
+		}
+		if count > (slotLimit+1-slots)/times {
+			slots = slotLimit + 1
+			return
+		}
+		slots += count * times
+	}
 	for _, ev := range s.Events {
 		if ev.Kind != KindJoin {
 			continue
 		}
-		count := ev.Count
-		if count == 0 {
-			count = int(ev.Fraction * float64(s.N))
-		}
 		from, to := ev.window(s.Cycles)
 		firings := 1
 		if to > from {
-			step := ev.Every
-			if step < 1 {
-				step = 1
-			}
-			firings = (to-from)/step + 1
+			firings = (to-from)/max(ev.Every, 1) + 1
 		}
-		slots += count * firings
+		add(ev.resolveCount(s.N), firings)
 	}
 	for _, a := range s.Adversaries {
-		if a.Behavior != BehaviorSybilFlood {
-			continue
+		if a.Behavior == BehaviorSybilFlood {
+			from, to := a.window(s.Cycles)
+			add(a.Rate, to-from+1)
 		}
-		from, to := a.window(s.Cycles)
-		slots += a.Rate * (to - from + 1)
 	}
 	return slots
 }

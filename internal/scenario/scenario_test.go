@@ -2,10 +2,12 @@ package scenario
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestCannedLibrary(t *testing.T) {
@@ -67,6 +69,10 @@ func TestLoadJSONRejectsBadInput(t *testing.T) {
 			"events":[{"kind":"loss","at":1,"rate":1}]}`,
 		"crash without size": `{"name":"x","n":10,"cycles":5,
 			"events":[{"kind":"crash","at":1}]}`,
+		"join count overflows": hostileJoinDoc,
+		"network too large":    `{"name":"x","n":9000000000,"cycles":5}`,
+		"sybil rate too large": `{"version":2,"name":"x","n":10,"cycles":5,
+			"adversaries":[{"behavior":"sybil-flood","at":1,"until":4000000000000000000,"rate":9}]}`,
 	}
 	for name, raw := range cases {
 		if _, err := Load(strings.NewReader(raw)); err == nil {
@@ -85,6 +91,63 @@ func TestMaxSlotsCountsJoins(t *testing.T) {
 	}.WithDefaults()
 	if got := sc.MaxSlots(); got != 100+50+9 {
 		t.Fatalf("MaxSlots = %d, want 159", got)
+	}
+}
+
+// hostileJoinDoc passes every per-field check, but its join total
+// overflows int: before the slot total was bounded, loading it panicked
+// allocating the value program.
+const hostileJoinDoc = `{"version":2,"name":"big","n":10,"cycles":10,"epochLen":5,` +
+	`"values":{"kind":"linear"},"events":[{"kind":"join","at":1,"until":4,"count":2305843009213693952}]}`
+
+// FuzzLoad feeds arbitrary documents to the strict loader: whatever it
+// accepts has a positive slot total within slotLimit, on which the value
+// program can be built.
+func FuzzLoad(f *testing.F) {
+	for _, sc := range Canned() {
+		data, err := sc.JSON()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(hostileJoinDoc))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sc, err := LoadJSON(data)
+		if err != nil {
+			return
+		}
+		slots := sc.MaxSlots()
+		if slots <= 0 || slots > slotLimit {
+			t.Fatalf("accepted scenario needs %d slots, want 1..%d", slots, slotLimit)
+		}
+		NewValueProgram(sc, slots)
+	})
+}
+
+// TestFractionalJoinFillsEverySlot: a fractional join resolves to the
+// rounded count, and the slot capacity must hold every one of those
+// joiners on odd and even N, on the simulator and on a live fleet.
+func TestFractionalJoinFillsEverySlot(t *testing.T) {
+	for _, n := range []int{48, 49} {
+		sc := Scenario{
+			Name: "half-joins", N: n, Cycles: 3, EpochLen: 2, Seed: 2,
+			Events: []Event{{Kind: KindJoin, At: 2, Fraction: 0.5}},
+		}.WithDefaults()
+		want := n + int(math.Round(float64(n)/2))
+		sim, err := RunSim(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live, err := RunLive(context.Background(), sc, LiveOptions{CycleLen: 20 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, res := range []*RunResult{sim, live} {
+			if got := res.Final().Alive; got != want {
+				t.Errorf("N=%d on %s: %d alive after joining half, want %d", n, res.Executor, got, want)
+			}
+		}
 	}
 }
 

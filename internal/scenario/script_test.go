@@ -473,8 +473,7 @@ func TestScriptBackendsAgree(t *testing.T) {
 			onSim := newRecFleet(simScript, 7)
 			onSim.inner = simFleet{e: core, rng: simScript.rng}
 
-			sup := newSupervisor(context.Background(), sc, UDPOptions{}, "test")
-			sup.workers = make([]workerHandle, 2)
+			sup := newSupervisor(context.Background(), sc, UDPOptions{Workers: 2}, "test", newMemNet)
 			onSup := newRecFleet(sup.script, 7)
 			onSup.inner = sup
 			for slot := 0; slot < sc.N; slot++ {
@@ -491,16 +490,14 @@ func TestScriptBackendsAgree(t *testing.T) {
 				simScript.step(cycle, onSim)
 
 				contacts := 0
-				for w, m := range sup.plan(cycle, onSup) {
+				for _, m := range sup.plan(cycle, onSup) {
 					contacts += len(m.Contacts)
 					// The workers' ack: every commanded joiner has an address.
 					addrs := make(map[int]string)
 					for _, j := range m.Joins {
 						addrs[j.Slot] = fmt.Sprintf("joiner-%d-c%d", j.Slot, cycle)
 					}
-					if err := sup.learnAddrs(w, addrs, slots); err != nil {
-						t.Fatal(err)
-					}
+					sup.learnAddrs(addrs)
 				}
 
 				if a, b := traceStrings(onSim.trace), traceStrings(onSup.trace); !slices.Equal(a, b) {
@@ -510,8 +507,8 @@ func TestScriptBackendsAgree(t *testing.T) {
 				if !slices.Equal(core.alive, sup.roster.alive) || !slices.Equal(core.alive, onSim.alive) {
 					t.Fatalf("cycle %d: backends disagree on who is alive", cycle)
 				}
-				if core.loss != sup.msgs[0].Loss {
-					t.Fatalf("cycle %d: loss %g on sim, %g on the supervisor", cycle, core.loss, sup.msgs[0].Loss)
+				if core.loss != sup.cmds[0].Loss {
+					t.Fatalf("cycle %d: loss %g on sim, %g on the supervisor", cycle, core.loss, sup.cmds[0].Loss)
 				}
 				if (core.filter != nil) != sup.script.part.on || simScript.part.on != sup.script.part.on {
 					t.Fatalf("cycle %d: backends disagree on whether the fleet is split", cycle)
@@ -551,15 +548,14 @@ func TestScriptSplitMatchesVeto(t *testing.T) {
 	simFleet{e: core}.split(groupOf)
 
 	sc := Scenario{Name: "split", N: 6, Cycles: 1}.WithDefaults()
-	sup := newSupervisor(context.Background(), sc, UDPOptions{}, "test")
-	sup.workers = make([]workerHandle, 2)
+	sup := newSupervisor(context.Background(), sc, UDPOptions{Workers: 2}, "test", newMemNet)
 	for slot, a := range core.alive {
 		sup.roster.alive[slot] = a
 		sup.roster.addr[slot] = fmt.Sprint("a", slot)
 	}
-	sup.msgs = sup.batch(udpMsg{Op: udpOpCycle})
+	sup.cmds = make([]cycleCmd, 2)
 	sup.split(groupOf)
-	for w, m := range sup.msgs {
+	for w, m := range sup.cmds {
 		if len(m.Groups) != 5 {
 			t.Fatalf("worker %d got %d grouped addresses, want the 5 live ones", w, len(m.Groups))
 		}

@@ -70,14 +70,13 @@ func TestSimTimelineHealthAlerts(t *testing.T) {
 // theoretical reduction factor (HealthConfig.StallRatio × theory).
 const theoryRhoStallFloor = 2 * 0.303
 
-// TestUDPExecutorCrossProcessTrace pins the tentpole end to end over
-// real processes: with one node per worker every exchange crosses a
-// process boundary, and the supervisor's merged trace ring must stitch
-// the initiator's and responder's events into one span via the shared
-// exchange ID.
+// TestUDPExecutorCrossProcessTrace pins trace stitching end to end over
+// real sockets: with one node per worker every exchange crosses from one
+// mux to another, and the fleet's trace ring must stitch the initiator's
+// and responder's events into one span via the shared exchange ID.
 func TestUDPExecutorCrossProcessTrace(t *testing.T) {
 	if testing.Short() {
-		t.Skip("multi-process UDP fleet test skipped in -short mode")
+		t.Skip("UDP fleet test skipped in -short mode")
 	}
 	sc := Scenario{Name: "udp-xproc-trace", N: 2, Cycles: 10, EpochLen: 5, Seed: 4}.WithDefaults()
 	opts := udpTestOptions(2)
@@ -91,14 +90,14 @@ func TestUDPExecutorCrossProcessTrace(t *testing.T) {
 	}
 	events := opts.Trace.Events()
 	if len(events) == 0 {
-		t.Fatal("supervisor merged no trace events from the workers")
+		t.Fatal("the workers' nodes recorded no trace events")
 	}
 	nodes := make(map[string]bool)
 	for _, ev := range events {
 		nodes[ev.Node] = true
 	}
 	if len(nodes) != 2 {
-		t.Fatalf("merged trace covers nodes %v, want both workers' nodes", nodes)
+		t.Fatalf("trace covers nodes %v, want both workers' nodes", nodes)
 	}
 
 	stitched := 0
@@ -115,6 +114,6 @@ func TestUDPExecutorCrossProcessTrace(t *testing.T) {
 		stitched++
 	}
 	if stitched == 0 {
-		t.Fatal("no completed cross-process span: XIDs did not stitch across workers")
+		t.Fatal("no completed cross-worker span: XIDs did not stitch across workers")
 	}
 }

@@ -2,216 +2,213 @@ package scenario
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"io"
 	"os"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"antientropy/internal/obs"
+	"antientropy/internal/transport"
 )
 
-// udpWorkerEnv gates the re-exec helper: the supervisor tests relaunch
-// this test binary with it set, turning the process into a UDP worker.
-const udpWorkerEnv = "ANTIENTROPY_UDP_WORKER"
-
-// TestUDPWorkerHelper is not a test: it is the worker process of the
-// two-process executor tests, entered only when the supervisor re-execs
-// the test binary with udpWorkerEnv set.
-func TestUDPWorkerHelper(t *testing.T) {
-	if os.Getenv(udpWorkerEnv) != "1" {
-		t.Skip("helper process for the UDP executor tests")
-	}
-	if err := RunUDPWorker(os.Stdin, os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "udp worker helper:", err)
-		os.Exit(1)
-	}
-	os.Exit(0)
-}
-
-// udpTestOptions relaunches this test binary as the worker processes.
+// udpTestOptions slices the fleet across the given number of muxes.
 func udpTestOptions(workers int) UDPOptions {
-	return UDPOptions{
-		Workers:   workers,
-		CycleLen:  25 * time.Millisecond,
-		WorkerCmd: []string{os.Args[0], "-test.run=^TestUDPWorkerHelper$"},
-		WorkerEnv: []string{udpWorkerEnv + "=1"},
-	}
+	return UDPOptions{Workers: workers, CycleLen: 25 * time.Millisecond}
 }
 
 // TestUDPWorkerProtocolHandshake drives one worker through the whole
-// control conversation, pinning the protocol: init/ready with one
-// endpoint per slot, start/started, cycle/ack barriers, sample/metrics
-// aggregates and shutdown/bye. The same conversation runs against both
-// ways a supervisor holds a worker — JSON lines over pipes to a worker on
-// a UDP mux (in-process here, instead of a fork), and direct calls to a
-// worker on the in-memory network — and the replies must have the same
-// shape on both.
+// conversation a supervisor holds with it, pinning the protocol: init
+// with one endpoint per slot, start, cycle barriers with a crash and a
+// join, samples with partial aggregates, and stop. The same conversation
+// runs against a worker on a UDP mux and a worker on the in-memory
+// network, and the replies must have the same shape on both.
 func TestUDPWorkerProtocolHandshake(t *testing.T) {
 	shapes := make(map[string][]string)
 	for _, tc := range []struct {
-		name string
-		open func(t *testing.T) (call func(udpMsg) (udpMsg, error), done func())
-	}{
-		{"pipes+mux", func(t *testing.T) (func(udpMsg) (udpMsg, error), func()) {
-			supRead, workerWrite := io.Pipe()
-			workerRead, supWrite := io.Pipe()
-			workerDone := make(chan error, 1)
-			go func() { workerDone <- RunUDPWorker(workerRead, workerWrite) }()
-			conn := newUDPConn(supRead, supWrite)
-			call := func(m udpMsg) (udpMsg, error) {
-				if err := conn.send(m); err != nil {
-					return udpMsg{}, err
-				}
-				return conn.recv()
-			}
-			return call, func() {
-				supWrite.Close()
-				select {
-				case err := <-workerDone:
-					if err != nil {
-						t.Fatalf("worker exited with %v", err)
-					}
-				case <-time.After(5 * time.Second):
-					t.Fatal("worker did not exit after shutdown")
-				}
-			}
-		}},
-		{"direct+mem", func(t *testing.T) (func(udpMsg) (udpMsg, error), func()) {
-			h := &localWorker{w: newUDPWorker(newMemNet)}
-			call := func(m udpMsg) (udpMsg, error) {
-				if err := h.send(m); err != nil {
-					return udpMsg{}, err
-				}
-				return h.recv(context.Background(), time.Second)
-			}
-			return call, func() {
-				if err := h.release(true); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}},
-	} {
+		name   string
+		newNet netBuilder
+	}{{"direct+mux", newSocketNet}, {"direct+mem", newMemNet}} {
 		t.Run(tc.name, func(t *testing.T) {
-			call, done := tc.open(t)
-			shapes[tc.name] = workerConversation(t, call)
-			done()
+			sc := Scenario{Name: "proto", N: 4, Cycles: 4, EpochLen: 2, Seed: 3}.WithDefaults()
+			opts := UDPOptions{CacheSize: 8, CycleLen: 20 * time.Millisecond, QueueLen: 64}.withDefaults(sc.N)
+			w := newUDPWorker(sc, 0, opts, obs.NewHistogram(obs.RTTBuckets), tc.newNet)
+			defer w.stop()
+			shapes[tc.name] = workerConversation(t, w)
 		})
 	}
-	if a, b := shapes["pipes+mux"], shapes["direct+mem"]; !slices.Equal(a, b) {
-		t.Fatalf("reply shapes differ between the worker handles:\n pipes+mux:  %q\n direct+mem: %q", a, b)
+	if a, b := shapes["direct+mux"], shapes["direct+mem"]; !slices.Equal(a, b) {
+		t.Fatalf("reply shapes differ between the networks:\n mux: %q\n mem: %q", a, b)
 	}
 }
 
 // workerConversation plays the supervisor's side of a four-founder run
 // and returns the shape of every reply.
-func workerConversation(t *testing.T, call func(udpMsg) (udpMsg, error)) []string {
+func workerConversation(t *testing.T, w *udpWorker) []string {
 	var shapes []string
-	send := func(m udpMsg) udpMsg {
+	must := func(addrs map[int]string, err error) map[int]string {
 		t.Helper()
-		reply, err := call(m)
 		if err != nil {
-			t.Fatalf("reply to %s: %v", m.Op, err)
+			t.Fatal(err)
 		}
-		if reply.Op == udpOpFatal {
-			t.Fatalf("worker failed on %s: %s", m.Op, reply.Err)
-		}
+		return addrs
+	}
+	sample := func() fleetSample {
+		var s fleetSample
+		w.sample(&s)
 		// Participation and estimate counts depend on where the wall clock
 		// stands in the epoch; they are asserted below where they are fixed.
-		shapes = append(shapes, fmt.Sprintf("%s cycle=%d addrs=%d alive=%d totals=%t rtt=%t batch=%t trace=%d",
-			reply.Op, reply.Cycle, len(reply.Addrs), reply.Alive,
-			reply.AgentTotals != nil, reply.RTTHist != nil, reply.BatchHist != nil, len(reply.Trace)))
-		return reply
+		shapes = append(shapes, fmt.Sprintf("sample alive=%d batch=%t", s.alive, s.batch.Counts != nil))
+		return s
 	}
 
-	sc := Scenario{Name: "proto", N: 4, Cycles: 4, EpochLen: 2, Seed: 3}.WithDefaults()
-	ready := send(udpMsg{
-		Op: udpOpInit, Scenario: &sc, Worker: 0,
-		Slots: []int{0, 1, 2, 3}, CacheSize: 8, CycleLenUS: 20000, QueueLen: 64,
-	})
-	if ready.Op != udpOpReady || len(ready.Addrs) != 4 {
-		t.Fatalf("ready = %+v, want 4 bound addresses", ready)
-	}
+	ready := must(w.init([]int{0, 1, 2, 3}))
+	shapes = append(shapes, fmt.Sprintf("init addrs=%d", len(ready)))
 	bootstrap := make([]string, 0, 4)
 	for slot := 0; slot < 4; slot++ {
-		addr, ok := ready.Addrs[slot]
+		addr, ok := ready[slot]
 		if !ok || addr == "" {
-			t.Fatalf("slot %d missing from ready addrs %v", slot, ready.Addrs)
+			t.Fatalf("slot %d missing from init addrs %v", slot, ready)
 		}
 		bootstrap = append(bootstrap, addr)
 	}
-
-	started := send(udpMsg{Op: udpOpStart, AnchorUnixNano: time.Now().UnixNano(), Bootstrap: bootstrap})
-	if started.Op != udpOpStarted {
-		t.Fatalf("started = %+v", started)
+	if err := w.start(time.Now(), bootstrap); err != nil {
+		t.Fatal(err)
 	}
 
-	ack := send(udpMsg{Op: udpOpCycle, Cycle: 1, Loss: 0})
-	if ack.Op != udpOpAck || ack.Cycle != 1 {
-		t.Fatalf("ack = %+v", ack)
+	if joined := must(w.cycle(cycleCmd{Cycle: 1})); len(joined) != 0 {
+		t.Fatalf("cycle without joins reported addresses %v", joined)
 	}
-
-	metrics := send(udpMsg{Op: udpOpSample, Cycle: 1})
-	if metrics.Op != udpOpMetrics || metrics.Alive != 4 {
-		t.Fatalf("metrics = %+v, want 4 alive", metrics)
-	}
-	if metrics.Participating != 4 || metrics.Est.N() != 4 {
-		t.Fatalf("metrics = %+v, want 4 participating founders with estimates", metrics)
+	s := sample()
+	if s.alive != 4 || s.participating != 4 || s.est.N() != 4 {
+		t.Fatalf("sample = %+v, want 4 participating founders with estimates", s)
 	}
 	// The estimate partial is a full accumulator: founders draw uniform
 	// values in [0, 100), so after at most one exchange each the four
 	// estimates still spread, and the extremes bracket the mean.
-	if est := metrics.Est; est.Min() > est.Mean() || est.Max() < est.Mean() || est.Variance() < 0 {
+	if est := s.est; est.Min() > est.Mean() || est.Max() < est.Mean() || est.Variance() < 0 {
 		t.Fatalf("estimate moments inconsistent: %+v", est)
 	}
-	if metrics.AgentTotals == nil || metrics.RTTHist == nil || metrics.BatchHist == nil {
-		t.Fatalf("metrics = %+v, want agent totals and RTT / batch histograms", metrics)
-	}
 
-	// Crash one node, join a fresh identity on a new slot: the ack must
-	// carry the joiner's freshly bound address.
-	ack = send(udpMsg{
-		Op: udpOpCycle, Cycle: 2,
+	// Crash one node, join a fresh identity on a new slot: the cycle must
+	// report the joiner's freshly bound address.
+	joined := must(w.cycle(cycleCmd{
+		Cycle: 2,
 		Crash: []int{1},
 		Joins: []udpJoin{{Slot: 4, Seeds: bootstrap[:2], Group: -1}},
-	})
-	if len(ack.Addrs) != 1 || ack.Addrs[4] == "" {
-		t.Fatalf("ack after join = %+v, want the joiner address for slot 4", ack)
+	}))
+	shapes = append(shapes, fmt.Sprintf("cycle joined=%d", len(joined)))
+	if len(joined) != 1 || joined[4] == "" {
+		t.Fatalf("joined = %v, want the joiner address for slot 4", joined)
 	}
-	metrics = send(udpMsg{Op: udpOpSample, Cycle: 2})
-	if metrics.Alive != 4 {
-		t.Fatalf("alive after crash+join = %d, want 4", metrics.Alive)
+	if s := sample(); s.alive != 4 {
+		t.Fatalf("alive after crash+join = %d, want 4", s.alive)
 	}
 
-	bye := send(udpMsg{Op: udpOpShutdown})
-	if bye.Op != udpOpBye {
-		t.Fatalf("bye = %+v", bye)
-	}
+	w.stop()
+	w.stop() // idempotent
 	return shapes
 }
 
-// TestUDPSpawnFailure pins the error path when a worker binary cannot be
-// launched: RunUDP must surface the spawn error (not panic in teardown
-// on a half-initialized worker table).
-func TestUDPSpawnFailure(t *testing.T) {
-	sc := Scenario{Name: "udp-spawn-fail", N: 4, Cycles: 2, EpochLen: 2, Seed: 1}.WithDefaults()
-	opts := udpTestOptions(2)
-	opts.WorkerCmd = []string{"/nonexistent/aggscen-worker-binary"}
-	if _, err := RunUDP(context.Background(), sc, opts); err == nil {
-		t.Fatal("RunUDP with an unlaunchable worker binary returned nil error")
+// openFDs counts the process's open file descriptors, or returns -1 where
+// /proc is unavailable.
+func openFDs() int {
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return -1
+	}
+	return len(fds)
+}
+
+// leakCheck snapshots the goroutine count and the open fds, and returns a
+// check that both are back at those values. Nodes, mux readers and the
+// process's scheduler wind down asynchronously after their Stop, so the
+// check polls for a while before it fails.
+func leakCheck(t *testing.T) func() {
+	goroutines, fds := runtime.NumGoroutine(), openFDs()
+	return func() {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			g, f := runtime.NumGoroutine(), openFDs()
+			if g <= goroutines && f <= fds {
+				return
+			}
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<16)
+				buf = buf[:runtime.Stack(buf, true)]
+				t.Fatalf("fleet left %d goroutines (was %d) and %d fds (was %d) behind:\n%s", g, goroutines, f, fds, buf)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
 	}
 }
 
+// TestFleetsLeaveNothingBehind runs both fleet executors to completion and
+// cancels them mid-run: every node, endpoint, socket and goroutine they
+// made must be gone once they return.
+func TestFleetsLeaveNothingBehind(t *testing.T) {
+	sc := Scenario{
+		Name: "leak", N: 12, Cycles: 4, EpochLen: 2, Seed: 4,
+		Events: []Event{{Kind: KindJoin, At: 2, Count: 2}, {Kind: KindCrash, At: 3, Count: 2}},
+	}.WithDefaults()
+	executors := map[string]func(context.Context) (*RunResult, error){
+		"udp": func(ctx context.Context) (*RunResult, error) { return RunUDP(ctx, sc, udpTestOptions(3)) },
+		"live": func(ctx context.Context) (*RunResult, error) {
+			return RunLive(ctx, sc, LiveOptions{CycleLen: 20 * time.Millisecond})
+		},
+	}
+	for _, name := range []string{"udp", "live"} {
+		run := executors[name]
+		t.Run(name+"/clean", func(t *testing.T) {
+			check := leakCheck(t)
+			if _, err := run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			check()
+		})
+		t.Run(name+"/cancel", func(t *testing.T) {
+			check := leakCheck(t)
+			ctx, cancel := context.WithCancel(context.Background())
+			// A run waits out one epoch before its first cycle, so it
+			// is past its founding and short of its end at 50ms.
+			time.AfterFunc(50*time.Millisecond, cancel)
+			if _, err := run(ctx); !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled run returned %v, want context.Canceled", err)
+			}
+			check()
+		})
+	}
+}
+
+// TestUDPSpawnFailure pins the error path when one worker's network
+// cannot be built after another worker has bound its sockets: the run
+// must surface the error, not panic tearing down a half-initialized
+// fleet, and leave nothing behind.
+func TestUDPSpawnFailure(t *testing.T) {
+	check := leakCheck(t)
+	sc := Scenario{Name: "udp-spawn-fail", N: 4, Cycles: 2, EpochLen: 2, Seed: 1}.WithDefaults()
+	d := newSupervisor(context.Background(), sc, udpTestOptions(2).withDefaults(sc.MaxSlots()), "udp", newSocketNet)
+	d.workers[1].newNet = func(Scenario, int, *transport.UDPFilter) (fleetNet, error) {
+		return nil, errors.New("no sockets left")
+	}
+	if _, err := d.run(); err == nil || !strings.Contains(err.Error(), "worker 1: network: no sockets left") {
+		t.Fatalf("run with an unbuildable network returned %v", err)
+	}
+	check()
+}
+
 // TestUDPExecutorPartitionHeal runs a miniature partition-and-heal
-// scenario across real worker processes on UDP loopback. Like the
+// scenario across two UDP muxes on loopback. Like the
 // live-mem equivalent the run is wall-clock driven, so assertions are
 // deliberately loose: the point is that a multi-process fleet on real
 // sockets survives a scripted partition and re-converges after the heal.
 func TestUDPExecutorPartitionHeal(t *testing.T) {
 	if testing.Short() {
-		t.Skip("multi-process UDP fleet test skipped in -short mode")
+		t.Skip("UDP fleet test skipped in -short mode")
 	}
 	sc := Scenario{
 		Name: "udp-partition-heal", N: 24, Cycles: 24, EpochLen: 8, Seed: 9,
@@ -243,12 +240,12 @@ func TestUDPExecutorPartitionHeal(t *testing.T) {
 }
 
 // TestUDPExecutorChurnJoinCrash exercises the remaining scripted event
-// kinds across worker processes: churn, a join wave, a crash and a loss
+// kinds across three muxes: churn, a join wave, a crash and a loss
 // burst, checking the supervisor's fleet bookkeeping against the
 // workers' reports.
 func TestUDPExecutorChurnJoinCrash(t *testing.T) {
 	if testing.Short() {
-		t.Skip("multi-process UDP fleet test skipped in -short mode")
+		t.Skip("UDP fleet test skipped in -short mode")
 	}
 	sc := Scenario{
 		Name: "udp-mixed", N: 20, Cycles: 20, EpochLen: 10, Seed: 6,
@@ -276,14 +273,14 @@ func TestUDPExecutorChurnJoinCrash(t *testing.T) {
 	}
 }
 
-// TestUDPExecutorLieEstimateTraceStitches is the multi-process half of
-// the wire-lying acceptance: Byzantine workers corrupt their replies at
-// the wire layer without touching the exchange ID, so the supervisor's
-// merged fleet trace still stitches cross-process spans to completion,
-// and the merged worker metrics surface the lie count.
+// TestUDPExecutorLieEstimateTraceStitches is the UDP half of the
+// wire-lying acceptance: Byzantine nodes corrupt their replies at the
+// wire layer without touching the exchange ID, so the fleet's one trace
+// ring still stitches spans to completion, and the merged worker metrics
+// surface the lie count.
 func TestUDPExecutorLieEstimateTraceStitches(t *testing.T) {
 	if testing.Short() {
-		t.Skip("multi-process UDP fleet test skipped in -short mode")
+		t.Skip("UDP fleet test skipped in -short mode")
 	}
 	sc := Scenario{
 		Name: "udp-lie", N: 20, Cycles: 16, EpochLen: 8, Seed: 7,
@@ -309,7 +306,7 @@ func TestUDPExecutorLieEstimateTraceStitches(t *testing.T) {
 		}
 	}
 	if completed == 0 {
-		t.Fatalf("no completed spans stitched from %d merged events — lying broke exchange identity",
+		t.Fatalf("no completed spans stitched from %d events — lying broke exchange identity",
 			len(ring.Events()))
 	}
 	var sb strings.Builder

@@ -3,8 +3,6 @@ package scenario
 import (
 	"context"
 	"fmt"
-	"io"
-	"log/slog"
 	"math/rand/v2"
 	"sort"
 	"sync"
@@ -18,47 +16,48 @@ import (
 )
 
 // A worker hosts one slice of a scenario fleet: real agent nodes on real
-// endpoints, built, crashed, joined, sampled and stopped by the commands
-// of a supervisor (see udp_proto.go). The same worker serves both fleet
-// executors; what differs is where it lives and what network its
-// endpoints attach to — a forked process on a shared UDP mux for udp, a
-// value in the supervisor's process on an in-memory network for live.
+// endpoints, built, crashed, joined, sampled and stopped by direct calls
+// from the supervisor, which lives in the same process. The same worker
+// serves both fleet executors; what differs is the network its endpoints
+// attach to — a UDP mux of its own for udp, the in-memory network for
+// live.
 
-// RunUDPWorker is the worker half of the UDP multi-process executor: it
-// runs one fleet slice of live agent nodes on real UDP endpoints, driven
-// by a supervisor (RunUDP) over the line-delimited JSON control channel
-// on in/out (normally the process's stdin/stdout). It returns when the
-// supervisor sends shutdown or closes the channel; a non-nil error means
-// the worker died mid-run (after reporting a fatal message upstream).
-//
-// cmd/aggscen exposes it as the hidden -worker mode; embedders whose
-// binary cannot be re-executed with that flag point UDPOptions.WorkerCmd
-// at any program that calls this function.
-func RunUDPWorker(in io.Reader, out io.Writer) error {
-	w := newUDPWorker(newSocketNet)
-	conn := newUDPConn(in, out)
-	defer w.stopAll()
-	for {
-		msg, err := conn.recv()
-		if err != nil {
-			if err == io.EOF {
-				// Supervisor went away: wind the fleet slice down quietly.
-				return nil
-			}
-			return err
-		}
-		reply, err := w.handle(msg)
-		if err != nil {
-			_ = conn.send(udpMsg{Op: udpOpFatal, Err: err.Error()})
-			return err
-		}
-		if err := conn.send(reply); err != nil {
-			return err
-		}
-		if reply.Op == udpOpBye {
-			return nil
-		}
-	}
+// cycleCmd is one worker's share of a cycle's scripted interventions,
+// which the script fills in before the barrier. Loss is always set (the
+// effective rate for the cycle); Groups non-nil installs a partition,
+// Heal clears it, Assign patches single addresses in (joiners created
+// while a partition is active). The delay bounds are set only for a
+// worker whose network can inject latency.
+type cycleCmd struct {
+	Cycle              int
+	Loss               float64
+	DelayMin, DelayMax time.Duration
+	Groups, Assign     map[string]int
+	Heal               bool
+	Crash              []int
+	Joins              []udpJoin
+	Contacts           []udpContacts
+}
+
+// udpJoin commands one slot to come up as a brand-new identity performing
+// the §4.2 join against the given seed addresses. Group places the new
+// endpoint into an active partition component (-1: none).
+type udpJoin struct {
+	Slot  int
+	Seeds []string
+	Group int
+	// Sybil marks an attacker join: the controlling adversary's index
+	// plus one (0 = honest joiner). Sybil slot assignment is runtime
+	// state only the script knows, so it rides the join command; the
+	// worker's own schedule covers the static Byzantine picks.
+	Sybil int
+}
+
+// udpContacts hands one slot out-of-band contact addresses (the post-heal
+// rendezvous refresh; see bridgeContacts).
+type udpContacts struct {
+	Slot  int
+	Addrs []string
 }
 
 // nodeEndpoint is the transport attachment a worker slot runs on.
@@ -83,7 +82,10 @@ type fleetNet interface {
 	close()
 }
 
-// socketNet is a worker process's network: one shared batched UDP mux on
+// netBuilder builds a worker's network around its filter.
+type netBuilder func(sc Scenario, queueLen int, filter *transport.UDPFilter) (fleetNet, error)
+
+// socketNet is a udp worker's network: its own batched UDP mux on
 // loopback, every endpoint behind the worker's filter — the userspace
 // stand-in for the iptables rules a privileged supervisor would install.
 // It cannot delay a datagram.
@@ -108,9 +110,8 @@ func (n socketNet) endpoint() (nodeEndpoint, error) {
 func (n socketNet) setLatency(_, _ time.Duration) {}
 func (n socketNet) close()                        { _ = n.UDPMux.Close() }
 
-// memNet is the in-process worker's network: the in-memory transport,
-// which delays datagrams itself and loses them through the worker's
-// filter.
+// memNet is the live worker's network: the in-memory transport, which
+// delays datagrams itself and loses them through the worker's filter.
 type memNet struct{ *transport.MemNetwork }
 
 func newMemNet(sc Scenario, queueLen int, filter *transport.UDPFilter) (fleetNet, error) {
@@ -137,51 +138,42 @@ type udpWorkerSlot struct {
 	ep   nodeEndpoint
 }
 
-// udpWorker executes control messages against its slice of the fleet.
+// udpWorker runs the supervisor's commands against its slice of the
+// fleet: init, start, cycle and sample, then stop.
 type udpWorker struct {
-	sc        Scenario
-	prog      *ValueProgram
-	index     int
-	cacheSize int
-	cycleLen  time.Duration
-	sched     core.Schedule
+	sc    Scenario
+	prog  *ValueProgram
+	index int
+	// opts carries the fleet-wide tuning the supervisor resolved: cache
+	// size, cycle length, queue length, and the logger and trace ring the
+	// nodes write into.
+	opts  UDPOptions
+	sched core.Schedule
 
-	// newNet builds net, the slice's network, once the init message has
-	// named the scenario; the network applies filter, which carries the
-	// scripted partitions and loss. logger receives the nodes' debug
-	// events.
-	newNet func(sc Scenario, queueLen int, filter *transport.UDPFilter) (fleetNet, error)
+	// newNet builds net, the slice's network, at init; the network
+	// applies filter, which carries the scripted partitions and loss.
+	newNet netBuilder
 	net    fleetNet
 	filter *transport.UDPFilter
-	logger *slog.Logger
 
 	// cycleNow is the supervisor's cycle clock, advanced by every cycle
-	// message; node Value suppliers read it so epoch restarts sample the
+	// command; node Value suppliers read it so epoch restarts sample the
 	// scripted signal at the current cycle.
 	cycleNow atomic.Int64
 
-	// adv is the worker's copy of the run's Byzantine plan, rebuilt from
-	// the scenario in the init message — a pure function of the seed, so
-	// it matches the supervisor's and the simulator's. Sybil slot
-	// assignment arrives on the join commands. advStale carries the
-	// replay-stale attackers' lagged snapshots from the per-node output
-	// subscriptions to the wire hooks; combiner is the defense's merge
-	// policy handed to every node.
+	// adv is the worker's own copy of the run's Byzantine plan — a pure
+	// function of the seed, so it matches the supervisor's and the
+	// simulator's, while its nodes read it without sharing the script's.
+	// Sybil slot assignment arrives on the join commands. advStale
+	// carries the replay-stale attackers' lagged snapshots from the
+	// per-node output subscriptions to the wire hooks; combiner is the
+	// defense's merge policy handed to every node.
 	adv      *advSchedule
 	advStale []liveStaleState
 	combiner core.Combiner
 
-	// rtt is the worker-wide exchange round-trip histogram every node of
-	// this slice feeds. trace is the ring the nodes record exchange events
-	// into (nil: tracing off); drain is that ring when the supervisor has
-	// to fetch it over the control channel — a worker process's own ring,
-	// made on a TraceCap — and nil for the in-process worker, whose nodes
-	// record straight into the caller's ring. traceCursor marks how far
-	// the supervisor has drained (see TraceRing.EventsSince).
-	rtt         *obs.Histogram
-	trace       *obs.TraceRing
-	drain       *obs.TraceRing
-	traceCursor uint64
+	// rtt is the exchange round-trip histogram every node feeds.
+	rtt *obs.Histogram
 
 	nodes map[int]*udpWorkerSlot
 
@@ -197,89 +189,51 @@ type udpWorker struct {
 	stopped  bool
 }
 
-func newUDPWorker(newNet func(Scenario, int, *transport.UDPFilter) (fleetNet, error)) *udpWorker {
-	return &udpWorker{
+func newUDPWorker(sc Scenario, index int, opts UDPOptions, rtt *obs.Histogram, newNet netBuilder) *udpWorker {
+	slots := sc.MaxSlots()
+	w := &udpWorker{
+		sc:     sc,
+		prog:   NewValueProgram(sc, slots),
+		index:  index,
+		opts:   opts,
 		newNet: newNet,
-		logger: slog.New(slog.DiscardHandler),
+		adv:    newAdvSchedule(sc, slots),
+		rtt:    rtt,
 		nodes:  make(map[int]*udpWorkerSlot),
 	}
-}
-
-// handle dispatches one control message and builds the reply.
-func (w *udpWorker) handle(msg udpMsg) (udpMsg, error) {
-	switch msg.Op {
-	case udpOpInit:
-		return w.handleInit(msg)
-	case udpOpStart:
-		return w.handleStart(msg)
-	case udpOpCycle:
-		return w.handleCycle(msg)
-	case udpOpSample:
-		return w.handleSample(msg)
-	case udpOpShutdown:
-		// Stop the fleet slice first, then drain the trace tail: the
-		// bye reply carries every event recorded since the last sample,
-		// so the supervisor's merged ring sees the run's final cycles.
-		w.stopAll()
-		bye := udpMsg{Op: udpOpBye}
-		bye.Trace, w.traceCursor = w.drain.EventsSince(w.traceCursor)
-		return bye, nil
-	default:
-		return udpMsg{}, fmt.Errorf("worker: unexpected op %q", msg.Op)
-	}
-}
-
-// handleInit builds the slice's network and binds one endpoint per
-// assigned founding slot.
-func (w *udpWorker) handleInit(msg udpMsg) (udpMsg, error) {
-	if msg.Scenario == nil {
-		return udpMsg{}, fmt.Errorf("worker: init without scenario")
-	}
-	w.sc = msg.Scenario.WithDefaults()
-	if err := w.sc.Validate(); err != nil {
-		return udpMsg{}, err
-	}
-	w.index = msg.Worker
-	w.cacheSize = msg.CacheSize
-	w.cycleLen = time.Duration(msg.CycleLenUS) * time.Microsecond
-	if w.cycleLen <= 0 {
-		return udpMsg{}, fmt.Errorf("worker: non-positive cycle length")
-	}
-	w.prog = NewValueProgram(w.sc, w.sc.MaxSlots())
-	w.adv = newAdvSchedule(w.sc, w.sc.MaxSlots())
 	if w.adv != nil {
-		w.advStale = make([]liveStaleState, w.sc.MaxSlots())
+		w.advStale = make([]liveStaleState, slots)
 	}
-	if c, err := w.sc.Defense.combiner(); err == nil {
+	if c, err := sc.Defense.combiner(); err == nil {
 		w.combiner = c // err pre-screened by Validate
 	}
-	w.rtt = obs.NewHistogram(obs.RTTBuckets)
-	if msg.TraceCap > 0 {
-		w.drain = obs.NewTraceRing(msg.TraceCap)
-		w.trace = w.drain
-	}
-	w.ctx, w.cancel = context.WithCancel(context.Background())
+	return w
+}
 
+// init builds the slice's network and binds one endpoint per founding
+// slot, returning slot → bound address.
+func (w *udpWorker) init(slots []int) (map[int]string, error) {
+	w.ctx, w.cancel = context.WithCancel(context.Background())
 	// The baseline loss applies from the founding on, exactly as in the
 	// simulator; loss bursts override it cycle by cycle.
 	w.filter = transport.NewUDPFilter(int64(w.sc.Seed) + int64(w.index) + 2)
 	w.filter.SetLoss(w.sc.MessageLoss)
-	net, err := w.newNet(w.sc, msg.QueueLen, w.filter)
+	net, err := w.newNet(w.sc, w.opts.QueueLen, w.filter)
 	if err != nil {
-		return udpMsg{}, fmt.Errorf("worker %d: network: %w", w.index, err)
+		return nil, fmt.Errorf("network: %w", err)
 	}
 	w.net = net
 
-	addrs := make(map[int]string, len(msg.Slots))
-	for _, slot := range msg.Slots {
+	addrs := make(map[int]string, len(slots))
+	for _, slot := range slots {
 		ep, err := w.net.endpoint()
 		if err != nil {
-			return udpMsg{}, fmt.Errorf("worker %d: slot %d: %w", w.index, slot, err)
+			return nil, fmt.Errorf("slot %d: %w", slot, err)
 		}
 		w.nodes[slot] = &udpWorkerSlot{ep: ep}
 		addrs[slot] = ep.Addr()
 	}
-	return udpMsg{Op: udpOpReady, Addrs: addrs}, nil
+	return addrs, nil
 }
 
 // sortedSlots returns the live slot indices in ascending order, so every
@@ -294,30 +248,31 @@ func (w *udpWorker) sortedSlots() []int {
 	return slots
 }
 
-// handleStart builds and starts the founding nodes on the shared
-// schedule, NEWSCAST-bootstrapped from the full founding address book.
-func (w *udpWorker) handleStart(msg udpMsg) (udpMsg, error) {
+// start builds and starts the founding nodes on the shared schedule
+// anchored at anchor, NEWSCAST-bootstrapped from the founding address
+// book.
+func (w *udpWorker) start(anchor time.Time, bootstrap []string) error {
 	w.sched = core.Schedule{
-		Start:    time.Unix(0, msg.AnchorUnixNano),
-		Delta:    time.Duration(w.sc.EpochLen) * w.cycleLen,
-		CycleLen: w.cycleLen,
+		Start:    anchor,
+		Delta:    time.Duration(w.sc.EpochLen) * w.opts.CycleLen,
+		CycleLen: w.opts.CycleLen,
 		Gamma:    w.sc.EpochLen,
 	}
 	slots := w.sortedSlots()
 	for _, slot := range slots {
 		s := w.nodes[slot]
-		node, err := w.newNode(slot, s.ep, nil, bootstrapSubset(msg.Bootstrap, w.sc.Seed, slot, w.cacheSize))
+		node, err := w.newNode(slot, s.ep, nil, bootstrapSubset(bootstrap, w.sc.Seed, slot, w.opts.CacheSize))
 		if err != nil {
-			return udpMsg{}, err
+			return err
 		}
 		s.node = node
 	}
 	for _, slot := range slots {
 		if err := w.nodes[slot].node.Start(w.ctx); err != nil {
-			return udpMsg{}, fmt.Errorf("worker %d: starting node %d: %w", w.index, slot, err)
+			return fmt.Errorf("starting node %d: %w", slot, err)
 		}
 	}
-	return udpMsg{Op: udpOpStarted}, nil
+	return nil
 }
 
 // bootstrapSubset deterministically samples one node's founding contacts
@@ -360,20 +315,20 @@ func (w *udpWorker) newNode(slot int, ep transport.Endpoint, seeds, bootstrap []
 		Schedule:     w.sched,
 		Function:     core.Average,
 		Value:        liveValueSupplier(w.adv, w.prog, slot, &w.cycleNow),
-		CacheSize:    w.cacheSize,
+		CacheSize:    w.opts.CacheSize,
 		Seeds:        seeds,
 		Bootstrap:    bootstrap,
 		Seed:         w.sc.Seed + uint64(slot)*0x9e3779b97f4a7c15 + 1,
-		Logger:       w.logger,
+		Logger:       w.opts.Logger,
 		RTT:          w.rtt,
-		Trace:        w.trace,
+		Trace:        w.opts.Trace,
 		MaxViewBytes: w.sc.ViewCapBytes,
 		Adversary:    hook,
 		Combiner:     w.combiner,
 		CombinerK:    w.sc.Defense.Samples,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("worker %d: building node %d: %w", w.index, slot, err)
+		return nil, fmt.Errorf("building node %d: %w", slot, err)
 	}
 	if w.adv != nil {
 		if lag := w.adv.replayLag(slot); lag > 0 {
@@ -383,40 +338,38 @@ func (w *udpWorker) newNode(slot int, ep transport.Endpoint, seeds, bootstrap []
 	return node, nil
 }
 
-// handleCycle applies one cycle's scripted interventions to this slice.
-func (w *udpWorker) handleCycle(msg udpMsg) (udpMsg, error) {
-	w.cycleNow.Store(int64(msg.Cycle))
-	for addr, g := range msg.Assign {
+// cycle applies one cycle's scripted interventions to this slice and
+// returns slot → address of the joiners it brought up.
+func (w *udpWorker) cycle(cmd cycleCmd) (map[int]string, error) {
+	w.cycleNow.Store(int64(cmd.Cycle))
+	for addr, g := range cmd.Assign {
 		w.filter.AssignGroup(addr, g)
 	}
-	if msg.Heal {
+	if cmd.Heal {
 		w.filter.HealGroups()
 	}
-	if msg.Groups != nil {
-		w.filter.PartitionGroups(msg.Groups)
+	if cmd.Groups != nil {
+		w.filter.PartitionGroups(cmd.Groups)
 	}
-	w.filter.SetLoss(msg.Loss)
-	w.net.setLatency(time.Duration(msg.DelayMinMs)*time.Millisecond, time.Duration(msg.DelayMaxMs)*time.Millisecond)
-	for _, slot := range msg.Crash {
+	w.filter.SetLoss(cmd.Loss)
+	w.net.setLatency(cmd.DelayMin, cmd.DelayMax)
+	for _, slot := range cmd.Crash {
 		w.crash(slot)
 	}
-	var addrs map[int]string
-	for _, j := range msg.Joins {
+	addrs := make(map[int]string, len(cmd.Joins))
+	for _, j := range cmd.Joins {
 		addr, err := w.join(j)
 		if err != nil {
-			return udpMsg{}, err
-		}
-		if addrs == nil {
-			addrs = make(map[int]string, len(msg.Joins))
+			return nil, err
 		}
 		addrs[j.Slot] = addr
 	}
-	for _, c := range msg.Contacts {
+	for _, c := range cmd.Contacts {
 		if s, ok := w.nodes[c.Slot]; ok {
 			s.node.AddContacts(c.Addrs)
 		}
 	}
-	return udpMsg{Op: udpOpAck, Cycle: msg.Cycle, Addrs: addrs}, nil
+	return addrs, nil
 }
 
 // crash stops a node ungracefully: its endpoint closes mid-protocol and
@@ -446,7 +399,7 @@ func (w *udpWorker) crash(slot int) {
 func (w *udpWorker) join(j udpJoin) (string, error) {
 	ep, err := w.net.endpoint()
 	if err != nil {
-		return "", fmt.Errorf("worker %d: joiner %d: %w", w.index, j.Slot, err)
+		return "", fmt.Errorf("joiner %d: %w", j.Slot, err)
 	}
 	if j.Group >= 0 {
 		w.filter.AssignGroup(ep.Addr(), j.Group)
@@ -462,54 +415,48 @@ func (w *udpWorker) join(j udpJoin) (string, error) {
 		return "", err
 	}
 	if err := node.Start(w.ctx); err != nil {
-		return "", fmt.Errorf("worker %d: starting joiner %d: %w", w.index, j.Slot, err)
+		return "", fmt.Errorf("starting joiner %d: %w", j.Slot, err)
 	}
 	w.nodes[j.Slot] = &udpWorkerSlot{node: node, ep: ep}
 	return ep.Addr(), nil
 }
 
-// handleSample reports this slice's partial metric aggregates. The
-// estimates travel as a stats.Moments the supervisor merges; the full
-// protocol-counter totals and the RTT histogram snapshot ride along so
-// the supervisor's /metrics endpoint exports the whole fleet.
-func (w *udpWorker) handleSample(msg udpMsg) (udpMsg, error) {
-	reply := udpMsg{
-		Op:          udpOpMetrics,
-		Cycle:       msg.Cycle,
-		Alive:       len(w.nodes),
-		QueueDrops:  w.retiredQueueDrops,
-		FilterDrops: w.retiredFilterDrops,
-	}
-	totals := w.retiredAgent
+// sample adds this slice's share of the fleet's state to s: node counts,
+// the honest participants' estimates, the cumulative protocol counters
+// (live nodes plus crash-retired ones) and the transport telemetry.
+func (w *udpWorker) sample(s *fleetSample) {
+	s.alive += len(w.nodes)
+	s.totals.Accumulate(w.retiredAgent)
+	s.queueDrops += w.retiredQueueDrops
+	s.filterDrops += w.retiredFilterDrops
 	for _, slot := range w.sortedSlots() {
-		s := w.nodes[slot]
-		totals.Accumulate(s.node.Metrics())
-		reply.QueueDrops += s.ep.QueueDrops()
-		reply.FilterDrops += s.ep.FilterDrops()
-		if !s.node.Participating() {
+		n := w.nodes[slot]
+		s.totals.Accumulate(n.node.Metrics())
+		s.queueDrops += n.ep.QueueDrops()
+		s.filterDrops += n.ep.FilterDrops()
+		if !n.node.Participating() {
 			continue
 		}
-		reply.Participating++
+		s.participating++
 		// Honest participants only; see runLog.record.
 		if w.adv != nil && w.adv.hostile(slot) {
 			continue
 		}
-		if v, ok := s.node.Estimate(); ok {
-			reply.Est.Add(v)
+		if v, ok := n.node.Estimate(); ok {
+			s.est.Add(v)
 		}
 	}
-	reply.AgentTotals = &totals
-	rttSnap := w.rtt.Snapshot()
-	reply.RTTHist = &rttSnap
-	reply.TransportQueueDepth = w.net.QueueDepthHighWatermark()
-	batch := w.net.BatchSizes()
-	reply.BatchHist = &batch
-	reply.Trace, w.traceCursor = w.drain.EventsSince(w.traceCursor)
-	return reply, nil
+	s.queueDepth = max(s.queueDepth, w.net.QueueDepthHighWatermark())
+	if b := w.net.BatchSizes(); s.batch.Counts == nil {
+		s.batch = b
+	} else {
+		s.batch = s.batch.Merge(b)
+	}
 }
 
-// stopAll terminates the fleet slice and waits for background stops.
-func (w *udpWorker) stopAll() {
+// stop terminates the fleet slice and waits for background stops. It is
+// safe on a worker whose init failed or never ran, and idempotent.
+func (w *udpWorker) stop() {
 	if w.stopped {
 		return
 	}

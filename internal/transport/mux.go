@@ -17,7 +17,7 @@ import (
 
 // UDPMux multiplexes many lightweight endpoints over a small fixed set
 // of UDP sockets: one reader goroutine and one flusher goroutine per
-// socket instead of one socket + goroutine per node. A worker process
+// socket instead of one socket + goroutine per node. A scenario worker
 // carrying thousands of agent.Nodes shares the sockets, the receive
 // buffers (pooled, no per-datagram copy) and one resolve/address cache.
 //

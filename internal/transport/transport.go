@@ -6,7 +6,7 @@
 // configurable latency (for tests, simulation of deployments and the
 // fleets a serving daemon hosts), and for real networks a UDP mux
 // (UDPMux), whose endpoints share a few batched sockets — thousands per
-// worker process, or one for a single node. Both deliver to handlers
+// scenario worker, or one for a single node. Both deliver to handlers
 // (HandlerEndpoint), and both lose datagrams through one UDPFilter:
 // partitions, loss and custom drop rules are scripted once for either
 // wire.
