@@ -10,6 +10,7 @@
 package antientropy_test
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 	"testing"
@@ -318,6 +319,30 @@ func BenchmarkSimCycleNewscast(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Step()
+	}
+}
+
+// BenchmarkSimCycleNewscast200k is one NEWSCAST cycle at N = 200 000,
+// where the views (48 MB) fit in no core's cache, at K = 1 and K = 4:
+// the K = 1 rung times the row layout and the merge kernel against
+// memory, the K = 4 rung adds the level-parallel cross-shard drain.
+func BenchmarkSimCycleNewscast200k(b *testing.B) {
+	for _, k := range []int{1, 4} {
+		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
+			e, err := sim.New(sim.Config{
+				N: 200000, Cycles: 1 << 30, Seed: 1, Shards: k,
+				Fn:      core.Average,
+				Init:    sim.LinearInit(),
+				Overlay: sim.Newscast(30),
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Step()
+			}
+		})
 	}
 }
 

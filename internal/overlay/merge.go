@@ -7,7 +7,9 @@ import "unsafe"
 //	work[0]                   header: flagsClean<<32 | span
 //	work[1 : 1+span/8]        one flag byte per key index in [0, span)
 //	next limit words          the merge's output
-//	rest                      staging (Membership.stage)
+//	rest                      staging: an absorb's remote half
+//	                          (Membership.stage) or an exchange's copy of
+//	                          one view with the fresh self-descriptors
 //
 // A key's index is key ^ mask, with the mask the caller's: 0 for a
 // table, whose keys are node ids, and the owner's own key for a cache,
@@ -63,73 +65,58 @@ func workspace(scratch []uint64, limit, keys, extra int) []uint64 {
 	return scratch
 }
 
-// mergeDistinct is the one NEWSCAST merge: a linear three-way merge of
-// packed lists that keeps the first occurrence of each key — in ascending
-// packed order that is the key's freshest descriptor — and stops at limit
-// survivors. It returns them in ascending order in the workspace's
-// output words.
-//
-// A key whose index key^mask lies in the flag span is deduplicated by its
-// flag byte; any other by a scan of the survivors so far, after which the
+// mergeDistinct is the one NEWSCAST merge: a linear merge of two packed
+// lists that keeps the first occurrence of each key — in ascending packed
+// order that is the key's freshest descriptor — and stops at limit
+// survivors, which it returns in ascending order in the workspace's
+// output words. Which list holds the smaller head is a coin toss, so the
+// comparison selects it arithmetically instead of by a branch. A key
+// whose index key^mask lies in the flag span is deduplicated by its flag
+// byte; any other by a scan of the survivors so far, after which the
 // header asks the next workspace call to widen the span (up to
 // maxLearnedSpan).
 //
 // Precondition: work comes from workspace with at least limit output
-// words, and a, b and c are each ascending (duplicates allowed) and do
-// not alias its header, flags or output.
-func mergeDistinct(work []uint64, limit int, mask uint32, a, b, c []uint64) []uint64 {
+// words, and a and b are each ascending (duplicates allowed) and do not
+// alias its header, flags or output.
+func mergeDistinct(work []uint64, limit int, mask uint32, a, b []uint64) []uint64 {
 	span := uint32(work[0])
 	// The flags are the bytes of the words before out, whose bounds
 	// check therefore covers them too.
 	out := work[1+span/8 : 1+int(span/8)+limit]
 	flags := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(work[1:]))), span)
-	// Heads of the three lists; an exhausted list reads as the largest
-	// packed value, which a real entry can only equal at the very end.
-	const exhausted = ^uint64(0)
-	head := func(l []uint64) uint64 {
-		if len(l) > 0 {
-			return l[0]
-		}
-		return exhausted
-	}
-	ha, hb, hc := head(a), head(b), head(c)
-	w, grow := 0, 0
-merge:
-	for w < len(out) {
-		var e uint64
-		switch {
-		case ha <= hb && ha <= hc && len(a) > 0:
-			e, a = ha, a[1:]
-			ha = head(a)
-		case hb <= hc && len(b) > 0:
-			e, b = hb, b[1:]
-			hb = head(b)
-		case len(c) > 0:
-			e, c = hc, c[1:]
-			hc = head(c)
-		default:
-			break merge
-		}
-		k := int(uint32(e) ^ mask)
-		if k < len(flags) {
-			// Whether a key repeats is unpredictable, so the flag is not
-			// branched on: a repeat fills the next slot but does not
-			// claim it.
+	i, j, w, grow := 0, 0, 0, 0
+	for w < len(out) && i < len(a) && j < len(b) {
+		x, y := a[i], b[j]
+		t := b2i(x <= y)
+		e := y ^ ((x ^ y) & -uint64(t))
+		i += t
+		j += 1 - t
+		if k := int(uint32(e) ^ mask); k < len(flags) {
+			// Nor is a repeat branched on: it fills the next slot but
+			// does not claim it.
 			out[w] = e
 			w += int(1 - flags[k])
 			flags[k] = 1
-			continue
+		} else {
+			w, grow = emitUnflagged(out, w, e, k, grow)
 		}
-		for _, x := range out[:w] {
-			if uint32(x) == uint32(e) {
-				continue merge
-			}
+	}
+	rest := a[i:]
+	if i == len(a) {
+		rest = b[j:]
+	}
+	for _, e := range rest {
+		if w == len(out) {
+			break
 		}
-		if k < maxLearnedSpan {
-			grow = max(grow, k+1)
+		if k := int(uint32(e) ^ mask); k < len(flags) {
+			out[w] = e
+			w += int(1 - flags[k])
+			flags[k] = 1
+		} else {
+			w, grow = emitUnflagged(out, w, e, k, grow)
 		}
-		out[w] = e
-		w++
 	}
 	for _, e := range out[:w] {
 		if k := int(uint32(e) ^ mask); k < len(flags) {
@@ -140,4 +127,27 @@ merge:
 		work[0] = flagsGrow<<32 | uint64(grow)
 	}
 	return out[:w]
+}
+
+// emitUnflagged is mergeDistinct's step for a key with no flag, at index
+// k: it is kept unless a survivor so far has it, and grow learns k.
+func emitUnflagged(out []uint64, w int, e uint64, k, grow int) (int, int) {
+	for _, x := range out[:w] {
+		if uint32(x) == uint32(e) {
+			return w, grow
+		}
+	}
+	if k < maxLearnedSpan {
+		grow = max(grow, k+1)
+	}
+	out[w] = e
+	return w + 1, grow
+}
+
+// b2i compiles to a flag set, not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -10,19 +10,28 @@
 // primitive order is "freshest first, key ascending on ties".
 //
 // Every stored view is kept in that order, strictly ascending, and every
-// merge is one pass of one kernel (mergeDistinct, merge.go): a linear
-// merge of the already-ascending lists — the two views and the pair of
-// fresh self-descriptors — that keeps the first occurrence of each key
-// by marking a byte flag indexed by the key, and stops once it has one
-// more survivor than the capacity; each view then takes the survivors
-// minus its own key. The flags live in the caller's merge buffer, one
-// per node of a table, and the kernel clears the ones it set before it
-// returns. Nothing is sorted on the way, which is the kernel's
-// precondition: its inputs must be ascending. Stored views always are;
-// a view received from a peer is in the sender's order, so Absorb checks
-// that half in one pass and sorts it (at most a view's worth of entries)
-// only when it has to. Absorbing a handful of descriptors, the live
-// agent's delta frames, inserts them one at a time instead.
+// merge is one pass of one kernel (mergeDistinct, merge.go): a
+// branch-free linear merge of two ascending lists — an exchange's are one
+// view copied with the pair of fresh self-descriptors merged in and the
+// other view, an absorb's the view and the remote half — that keeps the
+// first occurrence of each key by marking a byte flag indexed by the key,
+// and stops once it has one more survivor than the capacity; each view
+// then takes the survivors minus its own key. The flags live in the
+// caller's merge buffer, one per node of a table, and the kernel clears
+// the ones it set before it returns. Nothing is sorted on the way, which
+// is the kernel's precondition: its inputs must be ascending. Stored
+// views always are; a view received from a peer is in the sender's
+// order, so Absorb checks that half in one pass and sorts it (at most a
+// view's worth of entries) only when it has to. Absorbing a handful of
+// descriptors, the live agent's delta frames, inserts them one at a time
+// instead.
+//
+// A Table has no per-row header: row i is backing[i·c:(i+1)·c] and
+// lens[i], found from i alone, and a Membership's count is a pointer —
+// a standalone cache owns it, a table row's points into lens.
+// Table.Prefetch issues PREFETCHT0 over a row's first four cache lines
+// (amd64 assembly, a no-op elsewhere) so the engine can start loading a
+// view a few nodes before it needs it.
 //
 // Determinism contract: a merge keeps the cap freshest distinct keys of
 // the union of both views plus both fresh self-descriptors, excluding
@@ -76,12 +85,14 @@ func UnpackStamp(e uint64) int32 { return int32(^uint32(e >> 32)) }
 // capacity. Membership is not safe for concurrent use.
 type Membership struct {
 	self int32
+	own  int32 // a standalone cache's count, which n points to
 	cap  int
-	// entries is the full-capacity backing array; the first n slots hold
+	// entries is the full-capacity backing array; the first *n slots hold
 	// the view in packed ascending order (freshest first). Rows of a
-	// Table alias its shared backing; standalone caches own theirs.
+	// Table alias its shared backing and count in its lens; standalone
+	// caches own both.
 	entries []uint64
-	n       int32
+	n       *int32
 	// scratch is the merge workspace. A standalone cache owns one unless
 	// its owner lends it one call by call (Lend); the rows of a Table
 	// share the table's, so Absorb and Seed on rows of one table must not
@@ -97,7 +108,9 @@ func NewMembership(self int32, c int) (*Membership, error) {
 	if c < 1 {
 		return nil, ErrBadCacheSize
 	}
-	return &Membership{self: self, cap: c, entries: make([]uint64, c), scratch: new([]uint64)}, nil
+	m := &Membership{self: self, cap: c, entries: make([]uint64, c), scratch: new([]uint64)}
+	m.n = &m.own
+	return m, nil
 }
 
 // Lend points the cache's merges (Absorb, AbsorbPacked, Seed) at the
@@ -114,19 +127,19 @@ func (m *Membership) Self() int32 { return m.self }
 func (m *Membership) Capacity() int { return m.cap }
 
 // Len returns the number of descriptors currently cached.
-func (m *Membership) Len() int { return int(m.n) }
+func (m *Membership) Len() int { return int(*m.n) }
 
 // Packed is the escape hatch: the live packed view, freshest first, key
 // ascending on ties. The slice aliases the cache — callers must not
 // modify it and must not retain it across mutations. It is what the
 // engines' exchange loops and the agent's wire encoder consume without
 // any per-call allocation.
-func (m *Membership) Packed() []uint64 { return m.entries[:m.n] }
+func (m *Membership) Packed() []uint64 { return m.entries[:*m.n] }
 
 // Entries returns an unpacked copy of the cached descriptors, freshest
 // first.
 func (m *Membership) Entries() []Entry {
-	out := make([]Entry, m.n)
+	out := make([]Entry, m.Len())
 	for i, e := range m.Packed() {
 		out[i] = Entry{Key: UnpackKey(e), Stamp: UnpackStamp(e)}
 	}
@@ -153,17 +166,17 @@ func (m *Membership) Stamp(key int32) (int32, bool) {
 // GETNEIGHBOR of the aggregation protocol and by NEWSCAST itself. The
 // second result is false when the cache is empty.
 func (m *Membership) Peer(rng *stats.RNG) (int32, bool) {
-	if m.n == 0 {
+	if *m.n == 0 {
 		return 0, false
 	}
-	return UnpackKey(m.entries[rng.Intn(int(m.n))]), true
+	return UnpackKey(m.entries[rng.Intn(int(*m.n))]), true
 }
 
 // View returns what the node sends in an exchange: its cache content
 // plus its own descriptor stamped now. Nodes continuously inject their
 // own fresh descriptor this way; crashed nodes, by definition, stop.
 func (m *Membership) View(now int32) []Entry {
-	out := make([]Entry, 0, m.n+1)
+	out := make([]Entry, 0, m.Len()+1)
 	for _, e := range m.Packed() {
 		out = append(out, Entry{Key: UnpackKey(e), Stamp: UnpackStamp(e)})
 	}
@@ -233,18 +246,18 @@ func (m *Membership) absorbOne(e uint64) {
 		if x <= e {
 			return // cached descriptor is at least as fresh
 		}
-		copy(m.entries[i:m.n-1], m.entries[i+1:m.n])
-		m.n--
+		copy(m.entries[i:*m.n-1], m.entries[i+1:*m.n])
+		*m.n--
 		break
 	}
-	at, _ := slices.BinarySearch(m.entries[:m.n], e)
+	at, _ := slices.BinarySearch(m.Packed(), e)
 	if at == m.cap {
 		return // staler than a full view's every entry
 	}
-	if int(m.n) < m.cap {
-		m.n++
+	if int(*m.n) < m.cap {
+		*m.n++
 	}
-	copy(m.entries[at+1:m.n], m.entries[at:m.n-1])
+	copy(m.entries[at+1:*m.n], m.entries[at:*m.n-1])
 	m.entries[at] = e
 }
 
@@ -265,7 +278,7 @@ func (m *Membership) absorbScratch(remote []uint64) {
 	if !slices.IsSorted(remote) {
 		slices.Sort(remote)
 	}
-	m.install(mergeDistinct(*m.scratch, m.cap+1, uint32(m.self), m.Packed(), remote, nil))
+	m.install(mergeDistinct(*m.scratch, m.cap+1, uint32(m.self), m.Packed(), remote))
 }
 
 // install replaces the view with the merged survivors minus the node's
@@ -273,25 +286,22 @@ func (m *Membership) absorbScratch(remote []uint64) {
 // freshest distinct keys of a union, dropping the node's own key leaves
 // exactly the cap freshest foreign descriptors.
 func (m *Membership) install(kept []uint64) {
-	w := 0
-	for _, e := range kept {
-		if UnpackKey(e) == m.self {
-			continue
-		}
-		m.entries[w] = e
-		w++
-		if w == m.cap {
-			break
-		}
+	at := 0
+	for at < len(kept) && UnpackKey(kept[at]) != m.self {
+		at++
 	}
-	m.n = int32(w)
+	w := copy(m.entries, kept[:at])
+	if at < len(kept) {
+		w += copy(m.entries[w:], kept[at+1:])
+	}
+	*m.n = int32(w)
 }
 
 // Seed bootstraps the cache of a joining node from out-of-band contacts
 // (§4.2 assumes such a discovery mechanism exists). Existing content is
 // replaced.
 func (m *Membership) Seed(entries []Entry) {
-	m.n = 0
+	*m.n = 0
 	m.Absorb(entries)
 }
 
@@ -299,14 +309,17 @@ func (m *Membership) Seed(entries []Entry) {
 // uniformly from [0, total), excluding the node itself, all stamped now —
 // the engines' warmed-up bootstrap. Like a real joiner's out-of-band
 // contact list, the sample may briefly include a dead slot; NEWSCAST
-// repairs that within a cycle or two. The rejection-sampling draw order
-// is part of the sharded engine's determinism contract — do not reorder.
+// repairs that within a cycle or two. size is clamped to the capacity and
+// to the candidates there are. The rejection-sampling draw order is part
+// of the engine's determinism contract — do not reorder.
 func (m *Membership) SeedRandom(size, total int, now int32, rng *stats.RNG) {
-	if size > m.cap {
-		size = m.cap
+	candidates := total
+	if m.self >= 0 && int(m.self) < total {
+		candidates--
 	}
+	size = min(size, m.cap, candidates)
 	if size < 1 {
-		m.n = 0
+		*m.n = 0
 		return
 	}
 	w := 0
@@ -331,19 +344,19 @@ func (m *Membership) SeedRandom(size, total int, now int32, rng *stats.RNG) {
 	// Restore the freshest-first, key-ascending storage order (all
 	// stamps are equal here, so this is a key sort).
 	slices.Sort(m.entries[:w])
-	m.n = int32(w)
+	*m.n = int32(w)
 }
 
 // Oldest returns the smallest stamp in the cache (0, false when empty);
 // used to monitor overlay freshness and in tests of crash repair.
 func (m *Membership) Oldest() (int32, bool) {
-	if m.n == 0 {
+	if *m.n == 0 {
 		return 0, false
 	}
 	// Packed order is freshest first, so the minimum stamp is near the
 	// end — but equal-stamp runs sort by key, so scan the whole view.
 	min := UnpackStamp(m.entries[0])
-	for _, e := range m.entries[1:m.n] {
+	for _, e := range m.entries[1:*m.n] {
 		if s := UnpackStamp(e); s < min {
 			min = s
 		}
@@ -362,26 +375,44 @@ func Exchange(a, b *Membership, now int32) {
 // exchange merges both stored views and both fresh self-descriptors once,
 // to one more survivor than the larger capacity, and installs the result
 // in both views. It uses and returns the caller's scratch buffer, with
-// flags for at least keys key indices under mask (see merge.go).
+// flags for at least keys key indices under mask (see merge.go); the
+// fresh self-descriptors go into a copy of a's view in its staging words,
+// so the kernel merges two lists.
 func exchange(scratch []uint64, keys int, mask uint32, a, b *Membership, now int32) []uint64 {
 	limit := max(a.cap, b.cap) + 1
-	scratch = workspace(scratch, limit, keys, 0)
-	selfs := [2]uint64{Pack(a.self, now), Pack(b.self, now)}
-	if selfs[0] > selfs[1] {
-		selfs[0], selfs[1] = selfs[1], selfs[0]
+	scratch = workspace(scratch, limit, keys, a.cap+2)
+	lo, hi := Pack(a.self, now), Pack(b.self, now)
+	if lo > hi {
+		lo, hi = hi, lo
 	}
-	kept := mergeDistinct(scratch, limit, mask, selfs[:], a.Packed(), b.Packed())
+	view := a.Packed()
+	stage := scratch[len(scratch)-len(view)-2:]
+	p := 0
+	for p < len(view) && view[p] < lo {
+		p++
+	}
+	q := p
+	for q < len(view) && view[q] < hi {
+		q++
+	}
+	copy(stage, view[:p])
+	stage[p] = lo
+	copy(stage[p+1:], view[p:q])
+	stage[q+1] = hi
+	copy(stage[q+2:], view[q:])
+	kept := mergeDistinct(scratch, limit, mask, stage, b.Packed())
 	a.install(kept)
 	b.install(kept)
 	return scratch
 }
 
 // Table is a flat array of N packed views sharing one backing slice —
-// the engines' representation. Row i is node i's Membership with
-// self = i; a 10⁶-node table is two allocations.
+// the engines' representation. Row i is node i's view with self = i: its
+// c descriptors are backing[i·c:(i+1)·c] and its length lens[i], so a
+// row is addressed from i alone, with no per-row header to load first.
 type Table struct {
 	cap     int
-	rows    []Membership
+	lens    []int32
 	backing []uint64
 	scratch []uint64
 }
@@ -411,41 +442,56 @@ func NewTable(n, c int) (*Table, error) {
 	if n*c >= collectAbove {
 		runtime.GC()
 	}
-	t := &Table{
-		cap:     c,
-		rows:    make([]Membership, n),
-		backing: make([]uint64, n*c),
-	}
-	for i := range t.rows {
-		t.rows[i] = Membership{
-			self:    int32(i),
-			cap:     c,
-			entries: t.backing[i*c : (i+1)*c : (i+1)*c],
-			scratch: &t.scratch,
-		}
-	}
-	return t, nil
+	return &Table{cap: c, lens: make([]int32, n), backing: make([]uint64, n*c)}, nil
 }
 
 // N returns the number of views.
-func (t *Table) N() int { return len(t.rows) }
+func (t *Table) N() int { return len(t.lens) }
 
 // Cap returns the per-view capacity c.
 func (t *Table) Cap() int { return t.cap }
 
+// row is node i's view as a Membership value, for the table's own
+// methods to use on the stack.
+func (t *Table) row(i int) Membership {
+	c := t.cap
+	return Membership{
+		self:    int32(i),
+		cap:     c,
+		entries: t.backing[i*c : (i+1)*c : (i+1)*c],
+		n:       &t.lens[i],
+		scratch: &t.scratch,
+	}
+}
+
 // At returns node i's Membership. The handle is live: it reads and
 // writes the table's storage.
-func (t *Table) At(i int) *Membership { return &t.rows[i] }
+func (t *Table) At(i int) *Membership {
+	m := t.row(i)
+	return &m
+}
+
+// SeedRandom is At(i).SeedRandom without building the handle.
+func (t *Table) SeedRandom(i, size, total int, now int32, rng *stats.RNG) {
+	m := t.row(i)
+	m.SeedRandom(size, total, now, rng)
+}
 
 // Neighbor draws a uniform member of node i's current view (-1 when the
 // view is empty) — GETNEIGHBOR on the table without the tuple return.
 func (t *Table) Neighbor(i int, rng *stats.RNG) int {
-	m := &t.rows[i]
-	if m.n == 0 {
+	n := t.lens[i]
+	if n == 0 {
 		return -1
 	}
-	return int(UnpackKey(m.entries[rng.Intn(int(m.n))]))
+	return int(UnpackKey(t.backing[i*t.cap+rng.Intn(int(n))]))
 }
+
+// Prefetch asks the CPU to start loading node i's row, so that a
+// Neighbor or Exchange on it a few nodes later finds it in cache. It
+// has no effect on results, and none at all on architectures without a
+// prefetch instruction here.
+func (t *Table) Prefetch(i int) { prefetchRow(&t.backing[i*t.cap]) }
 
 // Exchange performs one full NEWSCAST exchange between live nodes i and
 // j at logical time cycle, using (and returning) the caller's scratch
@@ -453,5 +499,6 @@ func (t *Table) Neighbor(i int, rng *stats.RNG) int {
 // self-descriptors and keep the freshest cap distinct keys excluding
 // their own.
 func (t *Table) Exchange(scratch []uint64, i, j, cycle int) []uint64 {
-	return exchange(scratch, len(t.rows), 0, &t.rows[i], &t.rows[j], int32(cycle))
+	a, b := t.row(i), t.row(j)
+	return exchange(scratch, len(t.lens), 0, &a, &b, int32(cycle))
 }

@@ -3,6 +3,7 @@ package overlay
 import (
 	"slices"
 	"testing"
+	"time"
 
 	"antientropy/internal/stats"
 )
@@ -204,6 +205,40 @@ func TestSeedRandomDistinctAndSorted(t *testing.T) {
 	}
 	if !slices.IsSorted(m.Packed()) {
 		t.Fatal("packed view not in storage order")
+	}
+}
+
+// TestSeedRandomClampsToCandidates: asked for more peers than [0, total)
+// holds besides the node itself, SeedRandom seeds every candidate and
+// returns — on a standalone cache and on a table row.
+func TestSeedRandomClampsToCandidates(t *testing.T) {
+	done := make(chan [3][]Entry, 1)
+	go func() {
+		rng := stats.NewRNG(1)
+		m, _ := NewMembership(0, 30)
+		m.SeedRandom(5, 5, 0, rng)
+		outside, _ := NewMembership(7, 30) // a self outside [0, total) excludes nothing
+		outside.SeedRandom(9, 5, 0, rng)
+		tbl, _ := NewTable(5, 30)
+		tbl.SeedRandom(2, 30, 5, 0, rng)
+		done <- [3][]Entry{m.Entries(), outside.Entries(), tbl.At(2).Entries()}
+	}()
+	select {
+	case got := <-done:
+		keys := func(es []Entry) []int32 {
+			var out []int32
+			for _, e := range es {
+				out = append(out, e.Key)
+			}
+			return out
+		}
+		for i, want := range [][]int32{{1, 2, 3, 4}, {0, 1, 2, 3, 4}, {0, 1, 3, 4}} {
+			if !slices.Equal(keys(got[i]), want) {
+				t.Errorf("case %d: seeded %v, want keys %v", i, got[i], want)
+			}
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("SeedRandom did not return with size above the candidates")
 	}
 }
 

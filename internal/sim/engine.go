@@ -21,10 +21,16 @@
 //     the shard's outbox. Shards read shared state (liveness,
 //     participation, the partition filter) but never write outside their
 //     own node range, so the phase is race-free without locks.
-//  2. Deterministic merge: the outboxes are drained serially in shard
-//     order, applying the deferred cross-shard exchanges. A deferred
-//     exchange acts on the peers' then-current estimates — exactly a
-//     message that spent the cycle in flight.
+//  2. Deterministic merge: the outboxes are drained in shard order,
+//     applying the deferred cross-shard exchanges. A deferred exchange
+//     acts on the peers' then-current state — exactly a message that
+//     spent the cycle in flight. The exchange round's outbox is drained
+//     serially. The overlay round's, which carries most of a sharded
+//     cycle's work, is drained level by level when there is more than one
+//     worker: a pair's level is one more than the levels of the last
+//     pairs before it that touched either node, so one level's pairs touch
+//     disjoint views and are split across the workers, and every view
+//     meets its pairs in drain order.
 //
 // With K = 1 nothing is deferred: every exchange applies at once in one
 // global random order, the paper's serial execution. Larger K reaches the
@@ -367,13 +373,28 @@ func New(cfg Config) (*Engine, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	e := &Engine{
-		cfg:           cfg,
-		nodes:         cfg.N,
-		workers:       min(max(workers, 1), k),
-		ctl:           stats.NewStreamRNG(cfg.Seed, 0),
-		alive:         NewIndexSet(cfg.N, false),
-		participating: make([]bool, cfg.N),
+		cfg:     cfg,
+		nodes:   cfg.N,
+		workers: min(max(workers, 1), k),
+		ctl:     stats.NewStreamRNG(cfg.Seed, 0),
+		shards:  make([]*shard, k),
 	}
+	for s := range e.shards {
+		lo, hi := (s*cfg.N+k-1)/k, ((s+1)*cfg.N+k-1)/k
+		// Shard streams are 1-based; stream 0 is the control stream.
+		e.shards[s] = &shard{index: s, lo: lo, hi: hi, rng: stats.NewStreamRNG(cfg.Seed, uint64(s)+1)}
+	}
+	// The overlay's table is the engine's largest allocation; it comes
+	// first, while its predecessor's space is still one free run.
+	ov, err := cfg.Overlay.build(e)
+	if err != nil {
+		return nil, fmt.Errorf("sim: building overlay: %w", err)
+	}
+	e.overlay = ov
+	for _, s := range e.shards {
+		s.perm = make([]int32, 0, s.hi-s.lo)
+	}
+	e.alive, e.participating = NewIndexSet(cfg.N, false), make([]bool, cfg.N)
 	initialAlive := cfg.N
 	if cfg.InitialAlive > 0 {
 		initialAlive = cfg.InitialAlive
@@ -404,22 +425,6 @@ func New(cfg Config) (*Engine, error) {
 			e.scalar[i] = cfg.Init(i)
 		}
 	}
-	e.shards = make([]*shard, k)
-	for s := 0; s < k; s++ {
-		lo := (s*cfg.N + k - 1) / k
-		hi := ((s+1)*cfg.N + k - 1) / k
-		e.shards[s] = &shard{
-			index: s, lo: lo, hi: hi,
-			// Shard streams are 1-based; stream 0 is the control stream.
-			rng:  stats.NewStreamRNG(cfg.Seed, uint64(s)+1),
-			perm: make([]int32, 0, hi-lo),
-		}
-	}
-	ov, err := cfg.Overlay.build(e)
-	if err != nil {
-		return nil, fmt.Errorf("sim: building overlay: %w", err)
-	}
-	e.overlay = ov
 	return e, nil
 }
 
@@ -511,7 +516,10 @@ func (e *Engine) exchangeShard(s *shard) {
 	s.out = s.out[:0]
 	s.metrics = Metrics{}
 	s.permute()
-	for _, off := range s.perm {
+	for k, off := range s.perm {
+		if k+4 < len(s.perm) {
+			e.overlay.prefetch(s.lo + int(s.perm[k+4]))
+		}
 		i := s.lo + int(off)
 		if !e.alive.Contains(i) || !e.participating[i] {
 			continue

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"sync"
 
 	"antientropy/internal/overlay"
 	"antientropy/internal/stats"
@@ -18,12 +19,14 @@ type OverlaySpec interface {
 
 // overlayImpl is the engine's internal view of an overlay. neighbor must
 // only read the node's own view (it runs in the parallel phase) and
-// returns -1 when the node knows no peer; stepShard runs one shard's
-// slice of the overlay round, deferring cross-shard work; flushCross
-// drains the deferred work serially; onJoin seeds the view of a
-// (re)joining node from the given serial-phase stream.
+// returns -1 when the node knows no peer; prefetch starts loading the
+// view neighbor will read; stepShard runs one shard's slice of the
+// overlay round, deferring cross-shard work; flushCross drains the
+// deferred work; onJoin seeds the view of a (re)joining node from the
+// given serial-phase stream.
 type overlayImpl interface {
 	neighbor(node int, rng *stats.RNG) int
+	prefetch(node int)
 	stepShard(s *shard, cycle int)
 	flushCross(cycle int)
 	onJoin(node, cycle int, rng *stats.RNG)
@@ -33,6 +36,7 @@ type overlayImpl interface {
 // joins.
 type fixedLinks struct{}
 
+func (fixedLinks) prefetch(int)                {}
 func (fixedLinks) stepShard(*shard, int)       {}
 func (fixedLinks) flushCross(int)              {}
 func (fixedLinks) onJoin(int, int, *stats.RNG) {}
@@ -78,9 +82,18 @@ func (sp newscastSpec) build(e *Engine) (overlayImpl, error) {
 	// build parallelizes like a cycle does.
 	e.parallel(func(s *shard) {
 		for i := s.lo; i < s.hi; i++ {
-			t.At(i).SeedRandom(o.bootstrapSize, e.nodes, 0, s.rng)
+			t.SeedRandom(i, o.bootstrapSize, e.nodes, 0, s.rng)
 		}
 	})
+	if len(e.shards) > 1 && e.workers > 1 && !sp.frozen {
+		// A node initiates at most one gossip a cycle: at most N pairs.
+		o.level, o.pairLevel = make([]int32, e.nodes), make([]int32, e.nodes)
+		o.ends, o.byLevel = make([]int32, e.nodes+1), make([]crossPair, e.nodes)
+		o.helpers = make([]crossJob, e.workers-1)
+		for h := range o.helpers {
+			o.helpers[h].o = o
+		}
+	}
 	return o, nil
 }
 
@@ -101,12 +114,22 @@ type newscast struct {
 	// scratch is the serial-phase merge buffer (flushCross); the parallel
 	// phase uses the per-shard scratch.
 	scratch []uint64
+
+	// flushCross's level schedule, when several workers drain several
+	// shards: per node, per pair in drain order, the end of each level in
+	// byLevel, the pairs grouped by level; the other workers' shares.
+	level, pairLevel, ends []int32
+	byLevel                []crossPair
+	helpers                []crossJob
+	helping                sync.WaitGroup
 }
 
 // neighbor draws a uniform member of the node's current view.
 func (o *newscast) neighbor(node int, rng *stats.RNG) int {
 	return o.t.Neighbor(node, rng)
 }
+
+func (o *newscast) prefetch(node int) { o.t.Prefetch(node) }
 
 // stepShard runs one shard's gossip initiations: intra-shard exchanges
 // apply immediately, cross-shard ones are deferred to flushCross. Only
@@ -119,13 +142,20 @@ func (o *newscast) stepShard(s *shard, cycle int) {
 	e := o.e
 	s.gossip = s.gossip[:0]
 	s.permute()
-	for _, off := range s.perm {
+	for k, off := range s.perm {
+		if k+2 < len(s.perm) {
+			o.t.Prefetch(s.lo + int(s.perm[k+2]))
+		}
 		i := s.lo + int(off)
 		if !e.alive.Contains(i) {
 			continue
 		}
 		j := o.neighbor(i, s.rng)
-		if j < 0 || !e.alive.Contains(j) {
+		if j < 0 {
+			continue
+		}
+		o.t.Prefetch(j)
+		if !e.alive.Contains(j) {
 			continue
 		}
 		if e.filter != nil && !e.filter(i, j) {
@@ -139,14 +169,107 @@ func (o *newscast) stepShard(s *shard, cycle int) {
 	}
 }
 
-// flushCross applies the deferred cross-shard gossip exchanges in shard
-// order — the deterministic merge step of the overlay round.
+// flushCross applies the deferred cross-shard gossip exchanges as if in
+// shard order — the deterministic merge step of the overlay round. One
+// worker drains them in that order; several apply them level by level
+// (see the package comment), each level split across the workers, and
+// the views come out the same.
 func (o *newscast) flushCross(cycle int) {
+	if o.level == nil {
+		for _, s := range o.e.shards {
+			o.scratch = applyPairs(o.t, o.scratch, s.gossip, cycle)
+		}
+		return
+	}
+	n, top := 0, int32(0)
 	for _, s := range o.e.shards {
 		for _, p := range s.gossip {
-			o.scratch = o.t.Exchange(o.scratch, int(p.i), int(p.j), cycle)
+			l := max(o.level[p.i], o.level[p.j]) + 1
+			o.level[p.i], o.level[p.j] = l, l
+			o.pairLevel[n] = l
+			o.ends[l]++
+			top = max(top, l)
+			n++
 		}
 	}
+	// Counts become starts, and placing the pairs turns them into ends.
+	start := int32(0)
+	for l := int32(1); l <= top; l++ {
+		start, o.ends[l] = start+o.ends[l], start
+	}
+	n = 0
+	for _, s := range o.e.shards {
+		for _, p := range s.gossip {
+			l := o.pairLevel[n]
+			o.byLevel[o.ends[l]] = p
+			o.ends[l]++
+			o.level[p.i], o.level[p.j] = 0, 0
+			n++
+		}
+	}
+	start = 0
+	for l := int32(1); l <= top; l++ {
+		o.applyLevel(o.byLevel[start:o.ends[l]], cycle)
+		start, o.ends[l] = o.ends[l], 0
+	}
+}
+
+// crossShare is the fewest pairs worth a helper: a share is a hundred
+// microseconds or more of exchanges, a helper's start a few.
+const crossShare = 256
+
+// applyLevel applies one level's pairs, which touch disjoint views,
+// across up to the engine's workers.
+func (o *newscast) applyLevel(pairs []crossPair, cycle int) {
+	parts := min(len(o.helpers)+1, len(pairs)/crossShare)
+	if parts <= 1 {
+		o.scratch = applyPairs(o.t, o.scratch, pairs, cycle)
+		return
+	}
+	share := (len(pairs) + parts - 1) / parts
+	o.helping.Add(parts - 1)
+	for h := range parts - 1 {
+		job := &o.helpers[h]
+		job.pairs, job.cycle = pairs[(h+1)*share:min((h+2)*share, len(pairs))], cycle
+		go crossHelper()
+		crossJobs <- job
+	}
+	o.scratch = applyPairs(o.t, o.scratch, pairs[:share], cycle)
+	o.helping.Wait()
+}
+
+// crossJob is a helper's share of a level and its own merge buffer.
+type crossJob struct {
+	o       *newscast
+	pairs   []crossPair
+	cycle   int
+	scratch []uint64
+}
+
+// crossJobs hands each started crossHelper its job: a goroutine that
+// captures nothing starts without an allocation. Any helper may take any
+// engine's job; each takes exactly one. The buffer lets a level's shares
+// go out without waiting for each helper to be scheduled; a send that
+// finds it full waits for an already started helper.
+var crossJobs = make(chan *crossJob, 64)
+
+func crossHelper() {
+	job := <-crossJobs
+	job.scratch = applyPairs(job.o.t, job.scratch, job.pairs, job.cycle)
+	job.o.helping.Done()
+}
+
+// applyPairs exchanges the pairs in order on the given merge buffer,
+// prefetching the views two pairs ahead.
+func applyPairs(t *overlay.Table, scratch []uint64, pairs []crossPair, cycle int) []uint64 {
+	for k, p := range pairs {
+		if k+2 < len(pairs) {
+			t.Prefetch(int(pairs[k+2].i))
+			t.Prefetch(int(pairs[k+2].j))
+		}
+		scratch = t.Exchange(scratch, int(p.i), int(p.j), cycle)
+	}
+	return scratch
 }
 
 // onJoin reseeds the view of a node that took over a slot (churn, joins)
@@ -154,7 +277,7 @@ func (o *newscast) flushCross(cycle int) {
 // from the whole slot space, so a joiner may briefly hold a dead contact
 // — NEWSCAST repairs that within a cycle or two, as in a real deployment.
 func (o *newscast) onJoin(node, cycle int, rng *stats.RNG) {
-	o.t.At(node).SeedRandom(o.bootstrapSize, o.e.nodes, int32(cycle), rng)
+	o.t.SeedRandom(node, o.bootstrapSize, o.e.nodes, int32(cycle), rng)
 }
 
 // CompleteLive selects the fully connected overlay over the live

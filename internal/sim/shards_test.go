@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"antientropy/internal/core"
+	"antientropy/internal/race"
 )
 
 func TestShardLayoutCoversNodeSpace(t *testing.T) {
@@ -127,16 +128,18 @@ func TestOneShardConservesMassExactly(t *testing.T) {
 
 // TestRowsIndependentOfWorkersAndGOMAXPROCS pins the determinism
 // contract: per (seed, K), neither the worker budget nor the cores of
-// the machine may change a single estimate or counter.
+// the machine may change a single estimate or counter. At N = 500 every
+// level of the cross-shard drain runs inline; at N = 4000 the first
+// levels split across the workers.
 func TestRowsIndependentOfWorkersAndGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	forEachK(t, func(t *testing.T, k int) {
+	rows := func(t *testing.T, n, k int, workers []int) {
 		var ref *Engine
 		for _, procs := range []int{1, 4} {
 			runtime.GOMAXPROCS(procs)
-			for _, workers := range []int{0, 1, 4} {
+			for _, w := range workers {
 				cfg := Config{
-					N: 500, Cycles: 12, Seed: 24, Shards: k, Workers: workers,
+					N: n, Cycles: 12, Seed: 24, Shards: k, Workers: w,
 					Fn: core.Average, Init: LinearInit(), Overlay: Newscast(10),
 					MessageLoss: 0.05,
 					Failures:    []FailureModel{Churn{PerCycle: 4}},
@@ -150,16 +153,48 @@ func TestRowsIndependentOfWorkersAndGOMAXPROCS(t *testing.T) {
 					continue
 				}
 				if e.Metrics() != ref.Metrics() {
-					t.Fatalf("GOMAXPROCS=%d workers=%d: metrics %+v, want %+v", procs, workers, e.Metrics(), ref.Metrics())
+					t.Fatalf("GOMAXPROCS=%d workers=%d: metrics %+v, want %+v", procs, w, e.Metrics(), ref.Metrics())
 				}
 				for i := 0; i < cfg.N; i++ {
 					if e.Value(i) != ref.Value(i) {
-						t.Fatalf("GOMAXPROCS=%d workers=%d: node %d estimate %v, want %v", procs, workers, i, e.Value(i), ref.Value(i))
+						t.Fatalf("GOMAXPROCS=%d workers=%d: node %d estimate %v, want %v", procs, w, i, e.Value(i), ref.Value(i))
 					}
 				}
 			}
 		}
-	}, 1, 4)
+	}
+	forEachK(t, func(t *testing.T, k int) { rows(t, 500, k, []int{0, 1, 4}) }, 1, 4)
+	t.Run("N=4000", func(t *testing.T) {
+		forEachK(t, func(t *testing.T, k int) { rows(t, 4000, k, []int{1, 2, 4}) }, 4, 8)
+	})
+}
+
+// TestStepAllocs bounds the allocations of a steady-state cycle on the
+// NEWSCAST overlay: the two parallel phases' closures and, at K = 4,
+// their worker goroutines. The cross-shard drain adds none, however many
+// levels it splits across the workers.
+func TestStepAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	for _, tc := range []struct {
+		k     int
+		limit float64
+	}{{1, 2}, {4, 10}} {
+		e, err := New(Config{
+			N: 20000, Seed: 25, Shards: tc.k, Workers: 2,
+			Fn: core.Average, Init: LinearInit(), Overlay: Newscast(30),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := 0; c < 3; c++ { // sizes the outboxes and merge buffers
+			e.Step()
+		}
+		if got := testing.AllocsPerRun(10, e.Step); got > tc.limit {
+			t.Errorf("K=%d: Step allocates %.1f times, want at most %v", tc.k, got, tc.limit)
+		}
+	}
 }
 
 // TestExchangeCountsMatchMetrics: at every K the per-node counters of a

@@ -10,6 +10,7 @@ package stats
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -96,30 +97,15 @@ func (r *RNG) Intn(n int) int {
 	// Lemire's multiply-shift rejection method (unbiased).
 	un := uint64(n)
 	v := r.Uint64()
-	hi, lo := mul64(v, un)
+	hi, lo := bits.Mul64(v, un)
 	if lo < un {
 		thresh := (-un) % un
 		for lo < thresh {
 			v = r.Uint64()
-			hi, lo = mul64(v, un)
+			hi, lo = bits.Mul64(v, un)
 		}
 	}
 	return int(hi)
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	a0, a1 := a&mask32, a>>32
-	b0, b1 := b&mask32, b>>32
-	w0 := a0 * b0
-	t := a1*b0 + w0>>32
-	w1 := t & mask32
-	w2 := t >> 32
-	w1 += a0 * b1
-	hi = a1*b1 + w2 + w1>>32
-	lo = a * b
-	return hi, lo
 }
 
 // Float64 returns a uniform float64 in [0, 1).

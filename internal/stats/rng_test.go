@@ -128,6 +128,50 @@ func TestIntnBounds(t *testing.T) {
 	}
 }
 
+// TestIntnGolden pins Intn's outputs to values recorded from the
+// hand-rolled 128-bit product it used before math/bits.Mul64: the first
+// draw at each bound, then a fold of a thousand more. The bounds near
+// 2⁶² and 3·2⁶¹ reject a quarter of their words, so the rejection loop
+// runs, which the word count below checks.
+func TestIntnGolden(t *testing.T) {
+	bounds := []int{1, 2, 3, 7, 30, 1000, 20000, 1 << 31, 1<<62 + 1, 3 << 61, 1<<63 - 1}
+	for _, g := range []struct {
+		seed  uint64
+		first []int
+		fold  uint64
+	}{
+		{seed: 0x1, first: []int{0, 1, 0, 5, 5, 590, 19737, 1124029156, 619320757017230085, 6366759041830352475, 3168237733809651673}, fold: 0x7c15a9827fdc1647},
+		{seed: 0x2a, first: []int{0, 0, 2, 4, 23, 588, 2507, 1299490563, 957926376162554673, 6456455779173252175, 5160840725889760416}, fold: 0x848d7898d0c9a5ee},
+		{seed: 0xdeadbeef, first: []int{0, 0, 2, 2, 26, 263, 10235, 1408720901, 1142973665063031890, 345729576296757445, 1229080057287007830}, fold: 0x6b2f3cf089e2c729},
+	} {
+		r := NewRNG(g.seed)
+		var first []int
+		for _, n := range bounds {
+			first = append(first, r.Intn(n))
+		}
+		if !slices.Equal(first, g.first) {
+			t.Errorf("seed %#x: first draws %v, want %v", g.seed, first, g.first)
+		}
+		var fold uint64
+		words := 0 // consumed by the thousand draws at 3·2⁶¹
+		for _, n := range bounds {
+			twin := *r
+			for k := 0; k < 1000; k++ {
+				fold = fold*31 + uint64(r.Intn(n))
+			}
+			for ; n == 3<<61 && twin != *r; words++ {
+				twin.Uint64()
+			}
+		}
+		if fold != g.fold {
+			t.Errorf("seed %#x: fold %#x, want %#x", g.seed, fold, g.fold)
+		}
+		if words <= 1000 {
+			t.Errorf("seed %#x: a thousand draws at 3·2⁶¹ took %d words: the rejection loop never ran", g.seed, words)
+		}
+	}
+}
+
 func TestIntnPanicsOnNonPositive(t *testing.T) {
 	defer func() {
 		if recover() == nil {
