@@ -26,11 +26,10 @@
 //     acts on the peers' then-current state — exactly a message that
 //     spent the cycle in flight. The exchange round's outbox is drained
 //     serially. The overlay round's, which carries most of a sharded
-//     cycle's work, is drained level by level when there is more than one
-//     worker: a pair's level is one more than the levels of the last
-//     pairs before it that touched either node, so one level's pairs touch
-//     disjoint views and are split across the workers, and every view
-//     meets its pairs in drain order.
+//     cycle's work, is drained level by level: a pair's level is one more
+//     than the levels of the last pairs before it that touched either
+//     node, so one level's pairs touch disjoint views and are split
+//     across the workers, and every view meets its pairs in drain order.
 //
 // With K = 1 nothing is deferred: every exchange applies at once in one
 // global random order, the paper's serial execution. Larger K reaches the
@@ -65,6 +64,7 @@ import (
 	"sync/atomic"
 
 	"antientropy/internal/core"
+	"antientropy/internal/overlay"
 	"antientropy/internal/stats"
 )
 
@@ -516,9 +516,14 @@ func (e *Engine) exchangeShard(s *shard) {
 	s.out = s.out[:0]
 	s.metrics = Metrics{}
 	s.permute()
+	// A NEWSCAST view is one table row per node, worth loading ahead.
+	var rows *overlay.Table
+	if nc, ok := e.overlay.(*newscast); ok {
+		rows = nc.t
+	}
 	for k, off := range s.perm {
-		if k+4 < len(s.perm) {
-			e.overlay.prefetch(s.lo + int(s.perm[k+4]))
+		if rows != nil && k+4 < len(s.perm) {
+			rows.Prefetch(s.lo + int(s.perm[k+4]))
 		}
 		i := s.lo + int(off)
 		if !e.alive.Contains(i) || !e.participating[i] {

@@ -126,31 +126,46 @@ func TestOneShardConservesMassExactly(t *testing.T) {
 	}
 }
 
+// serialDrain is the reference for the overlay round's cross-shard
+// drain: the deferred pairs applied one at a time, in shard order.
+type serialDrain struct{ *newscast }
+
+func (o serialDrain) flushCross(cycle int) {
+	for _, s := range o.e.shards {
+		o.scratch = applyPairs(o.t, o.scratch, s.gossip, cycle)
+	}
+}
+
 // TestRowsIndependentOfWorkersAndGOMAXPROCS pins the determinism
 // contract: per (seed, K), neither the worker budget nor the cores of
-// the machine may change a single estimate or counter. At N = 500 every
-// level of the cross-shard drain runs inline; at N = 4000 the first
-// levels split across the workers.
+// the machine may change a single estimate or counter, and the level
+// drain gives the rows of a serial drain. At N = 500 every level of the
+// cross-shard drain runs inline; at N = 4000 the first levels split
+// across the workers.
 func TestRowsIndependentOfWorkersAndGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rows := func(t *testing.T, n, k int, workers []int) {
-		var ref *Engine
+		cfg := Config{
+			N: n, Cycles: 12, Seed: 24, Shards: k, Workers: 1,
+			Fn: core.Average, Init: LinearInit(), Overlay: Newscast(10),
+			MessageLoss: 0.05,
+			Failures:    []FailureModel{Churn{PerCycle: 4}},
+		}
+		ref, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref.overlay = serialDrain{ref.overlay.(*newscast)}
+		for ref.cycle < cfg.Cycles {
+			ref.Step()
+		}
 		for _, procs := range []int{1, 4} {
 			runtime.GOMAXPROCS(procs)
 			for _, w := range workers {
-				cfg := Config{
-					N: n, Cycles: 12, Seed: 24, Shards: k, Workers: w,
-					Fn: core.Average, Init: LinearInit(), Overlay: Newscast(10),
-					MessageLoss: 0.05,
-					Failures:    []FailureModel{Churn{PerCycle: 4}},
-				}
+				cfg.Workers = w
 				e, err := Run(cfg)
 				if err != nil {
 					t.Fatal(err)
-				}
-				if ref == nil {
-					ref = e
-					continue
 				}
 				if e.Metrics() != ref.Metrics() {
 					t.Fatalf("GOMAXPROCS=%d workers=%d: metrics %+v, want %+v", procs, w, e.Metrics(), ref.Metrics())
