@@ -577,18 +577,18 @@ func RunScenarioSimWith(sc Scenario, opts ScenarioSimOptions) (*ScenarioRun, err
 func DivergeScenarioRuns(a, b *ScenarioRun) ScenarioDivergence { return scenario.Diverge(a, b) }
 
 // RunScenarioLive executes a scenario against a fleet of live nodes over
-// the in-memory transport: the supervisor of RunScenarioUDP with a single
-// worker on the in-memory network, so nodes are built, crashed, joined
-// and sampled by the same code on either wire.
+// the in-memory transport: the supervisor of RunScenarioUDP on the
+// in-memory network, so nodes are built, crashed, joined and sampled by
+// the same code on either wire.
 func RunScenarioLive(ctx context.Context, sc Scenario, opts ScenarioLiveOptions) (*ScenarioRun, error) {
 	return scenario.RunLive(ctx, sc, opts)
 }
 
 // RunScenarioUDP executes a scenario against a fleet of live nodes on
-// real UDP loopback sockets, sliced across in-process workers with one
-// UDP mux each. The supervisor calls the workers directly at every cycle
-// barrier and injects partitions and loss through per-mux drop-rule
-// filters (see transport.UDPFilter).
+// real UDP loopback sockets, their endpoints spread over in-process UDP
+// muxes. The supervisor performs each scripted action on the fleet the
+// moment the script decides it and injects partitions and loss through
+// one drop-rule filter every mux applies (see transport.UDPFilter).
 func RunScenarioUDP(ctx context.Context, sc Scenario, opts ScenarioUDPOptions) (*ScenarioRun, error) {
 	return scenario.RunUDP(ctx, sc, opts)
 }

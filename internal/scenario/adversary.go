@@ -26,8 +26,9 @@ type advSchedule struct {
 	// [0, N); sybil attackers instead mark the join slots they take.
 	byzOf []int
 	// sybilOf[slot] is the adversary index of the sybil attacker
-	// occupying the slot (-1 = none), marked as sybil joins land.
-	sybilOf []int
+	// occupying the slot (-1 = none), marked as sybil joins land. The
+	// script marks it while a live fleet's nodes read it, hence atomics.
+	sybilOf []atomic.Int32
 
 	// stale[slot] is the estimate a replay-stale attacker currently
 	// replays; staleQ buffers the per-epoch-boundary snapshots until the
@@ -55,14 +56,14 @@ func newAdvSchedule(sc Scenario, slots int) *advSchedule {
 		sc:        sc,
 		total:     sc.Cycles,
 		byzOf:     make([]int, slots),
-		sybilOf:   make([]int, slots),
+		sybilOf:   make([]atomic.Int32, slots),
 		stale:     make([]float64, slots),
 		haveStale: make([]bool, slots),
 		staleQ:    make([][]float64, slots),
 	}
 	for i := range s.byzOf {
 		s.byzOf[i] = -1
-		s.sybilOf[i] = -1
+		s.sybilOf[i].Store(-1)
 	}
 	// The attacker picks are a pure function of the scenario: a dedicated
 	// stream (decorrelated from the driver, value and engine streams)
@@ -100,7 +101,7 @@ func newAdvSchedule(sc Scenario, slots int) *advSchedule {
 // the behavior, not the sample-set filtering — so the honest population
 // the metrics are computed over never shifts mid-run.
 func (s *advSchedule) hostile(node int) bool {
-	return s.byzOf[node] >= 0 || s.sybilOf[node] >= 0
+	return s.byzOf[node] >= 0 || s.sybilOf[node].Load() >= 0
 }
 
 // HostileCount returns the number of attacker-controlled slots so far
@@ -112,7 +113,7 @@ func (s *advSchedule) Lies() int64 { return s.lies.Load() }
 
 // markSybil records a sybil attacker landing on a join slot.
 func (s *advSchedule) markSybil(slot, adversary int) {
-	s.sybilOf[slot] = adversary
+	s.sybilOf[slot].Store(int32(adversary))
 	s.sybilN.Add(1)
 }
 
@@ -123,7 +124,7 @@ func (s *advSchedule) markSybil(slot, adversary int) {
 // passed in so the schedule never touches the ValueProgram — the truth
 // signal stays honest.
 func (s *advSchedule) initValue(node, cycle int, honest float64) float64 {
-	if ai := s.sybilOf[node]; ai >= 0 {
+	if ai := s.sybilOf[node].Load(); ai >= 0 {
 		return s.sc.Adversaries[ai].Value
 	}
 	if ai := s.byzOf[node]; ai >= 0 {

@@ -66,8 +66,8 @@ func (o LiveOptions) withDefaults(fleet int) LiveOptions {
 // on real time — cycles, timeouts, epochs and joins, run by the process's
 // scheduler and the transport's deliveries; partitions, loss and delay
 // bursts are injected at the transport layer. It is the fleet executor
-// (see supervisor) with a single worker on the in-memory network: the
-// same supervisor, script and worker code as RunUDP, minus the sockets.
+// (see supervisor) on one in-memory network: the same supervisor, script
+// and node table as RunUDP, minus the sockets.
 // Unlike the simulator executor the run is wall-clock driven and
 // therefore not bit-for-bit deterministic, but it chases the identical
 // scripted value signal, so the two metric streams are directly
@@ -78,7 +78,7 @@ func RunLive(ctx context.Context, sc Scenario, opts LiveOptions) (*RunResult, er
 		return nil, err
 	}
 	opts = opts.withDefaults(sc.MaxSlots())
-	d := newSupervisor(ctx, sc, UDPOptions{
+	return newSupervisor(ctx, sc, UDPOptions{
 		Workers:   1,
 		CycleLen:  opts.CycleLen,
 		CacheSize: opts.CacheSize,
@@ -86,7 +86,5 @@ func RunLive(ctx context.Context, sc Scenario, opts LiveOptions) (*RunResult, er
 		Obs:       opts.Obs,
 		Trace:     opts.Trace,
 		Timeline:  opts.Timeline,
-	}, "live", newMemNet)
-	d.canDelay = true
-	return d.run()
+	}, "live", newMemNet).run()
 }

@@ -4,16 +4,19 @@
 // message-loss and delay bursts, and value dynamics that move the tracked
 // aggregate while the protocol runs.
 //
-// One Scenario drives two executors against the same script:
+// One Scenario drives three executors against the same script:
 //
 //   - RunSim executes it on the deterministic cycle-driven engine of
 //     internal/sim (partitions enforced via the engine's exchange filter,
 //     epoch restarts via Engine.Restart),
 //   - RunLive executes it on a fleet of real internal/agent nodes over the
-//     in-memory transport (partitions and loss injected at the transport
-//     layer).
+//     in-memory transport, and RunUDP on the same fleet over UDP muxes on
+//     loopback. One supervisor runs both: it performs each scripted
+//     action on the fleet the moment the script decides it, and injects
+//     partitions and loss through one transport.UDPFilter that every
+//     network applies.
 //
-// Both emit the same per-cycle metrics (estimate mean/spread/error,
+// All emit the same per-cycle metrics (estimate mean/spread/error,
 // message counts, live-node count), so simulator predictions can be
 // compared directly against live-runtime behaviour. A standard library of
 // canned scenarios lives in Canned; cmd/aggscen lists, runs and compares

@@ -14,9 +14,10 @@ import (
 // join takes, how a partition slices the fleet, when it heals, whether the
 // join cap admits one more identity — and calls a fleet to perform it.
 // Two fleets exist: the simulation engines behind sim.Core (simFleet) and
-// the supervisor of a worker-hosted fleet of real agent nodes (supervisor,
-// which serves the live and the udp executor alike). "Cycle 40: crash 10 %"
-// is therefore the same intervention on every executor by construction.
+// the supervisor of a fleet of real agent nodes (supervisor, which serves
+// the live and the udp executor alike). Both perform each action the
+// moment the script calls, so "cycle 40: crash 10 %" is the same
+// intervention on every executor by construction.
 
 // fleet performs what the script decides.
 type fleet interface {
@@ -56,7 +57,7 @@ type fleet interface {
 //   - a partition fires once, at its At cycle, and heals at Until + 1 or
 //     at an explicit heal, whichever comes first;
 //   - loss and delay bursts reach every fleet every cycle; a fleet that
-//     cannot inject latency (simulation engines, socket workers) is named
+//     cannot inject latency (simulation engines, UDP muxes) is named
 //     once on the Logger and the burst is otherwise ignored.
 //
 // The founding fleet is not the script's business, but its rule is stated
@@ -356,15 +357,9 @@ func (r *fleetRoster) randomAlive(rng *stats.RNG) int {
 	return live[rng.Intn(len(live))]
 }
 
-// seedAddrs samples up to n live contact addresses. Slots whose address
-// is not known yet (a join still in flight on a worker) are skipped.
+// seedAddrs samples up to n live contact addresses.
 func (r *fleetRoster) seedAddrs(rng *stats.RNG, n int) []string {
-	live := make([]int, 0, len(r.alive))
-	for i, a := range r.alive {
-		if a && r.addr[i] != "" {
-			live = append(live, i)
-		}
-	}
+	live := r.liveSlots()
 	if len(live) == 0 {
 		return nil
 	}
@@ -392,9 +387,6 @@ func bridgeContacts(rng *stats.RNG, r *fleetRoster, groupOf []int) []slotContact
 	byGroup := make(map[int][]int)
 	groups := 0
 	for _, slot := range r.liveSlots() {
-		if r.addr[slot] == "" {
-			continue
-		}
 		g := groupOf[slot]
 		byGroup[g] = append(byGroup[g], slot)
 		if g+1 > groups {

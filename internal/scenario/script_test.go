@@ -32,14 +32,17 @@ func (a action) String() string {
 
 // recFleet records the script's actions. Victims come from its own pick
 // stream, so a (scenario, pick seed) pair fixes the whole trace. inner,
-// when set, is a real backend every call is forwarded to.
+// when set, is a real backend every call is forwarded to; healDraws
+// counts the heals during which it drew on the script RNG — the bridge
+// picks of a heal.
 type recFleet struct {
-	s     *script
-	inner fleet
-	alive []bool
-	picks *stats.RNG
-	cycle int
-	trace []action
+	s         *script
+	inner     fleet
+	alive     []bool
+	picks     *stats.RNG
+	cycle     int
+	trace     []action
+	healDraws int
 }
 
 func newRecFleet(s *script, pickSeed uint64) *recFleet {
@@ -112,7 +115,11 @@ func (f *recFleet) split(groupOf []int) {
 func (f *recFleet) heal(groupOf []int, wasActive bool) {
 	f.rec("heal", -1, -1, fmt.Sprint(wasActive))
 	if f.inner != nil {
+		rng := *f.s.rng
 		f.inner.heal(groupOf, wasActive)
+		if *f.s.rng != rng {
+			f.healDraws++
+		}
 	}
 }
 
@@ -458,11 +465,12 @@ func (c *fakeCore) SetMessageLoss(p float64)                { c.loss = p }
 func (c *fakeCore) ReseedOverlay(int)                       { c.reseeds++ }
 
 // TestScriptBackendsAgree drives the two real backends — the simulator's
-// and the supervisor's — with the same script and the same live-slot
-// picks: the script must ask both for the same actions, and after every
-// cycle both must hold the same fleet: who is alive, whether and how it is
-// split, what the loss rate is. A heal with no partition active performs
-// no bridge picks on either.
+// and the supervisor's, on a real in-memory fleet of two workers — with
+// the same script and the same live-slot picks: the script must ask both
+// for the same actions, and after every cycle both must hold the same
+// fleet: who is alive (and, on the supervisor, a node on exactly those
+// slots), whether and how it is split, what the loss rate is. A heal with
+// no partition active performs no bridge picks on either.
 func TestScriptBackendsAgree(t *testing.T) {
 	for _, sc := range testScripts(t) {
 		t.Run(sc.Name, func(t *testing.T) {
@@ -473,31 +481,30 @@ func TestScriptBackendsAgree(t *testing.T) {
 			onSim := newRecFleet(simScript, 7)
 			onSim.inner = simFleet{e: core, rng: simScript.rng}
 
-			sup := newSupervisor(context.Background(), sc, UDPOptions{Workers: 2}, "test", newMemNet)
+			sup := newSupervisor(context.Background(), sc, UDPOptions{Workers: 2}.withDefaults(slots), "test", sharedMemNet())
+			defer sup.stop()
+			if err := sup.init(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sup.start(); err != nil {
+				t.Fatal(err)
+			}
 			onSup := newRecFleet(sup.script, 7)
 			onSup.inner = sup
 			for slot := 0; slot < sc.N; slot++ {
 				core.alive[slot] = true
-				sup.roster.alive[slot] = true
-				sup.roster.addr[slot] = fmt.Sprintf("founder-%d", slot)
 			}
 
 			for cycle := 1; cycle <= sc.Cycles; cycle++ {
 				onSim.cycle, onSup.cycle = cycle, cycle
 				simRNG, supRNG := *simScript.rng, *sup.script.rng
-				reseeds := core.reseeds
+				reseeds, bridged := core.reseeds, onSup.healDraws
 
 				simScript.step(cycle, onSim)
-
-				contacts := 0
-				for _, m := range sup.plan(cycle, onSup) {
-					contacts += len(m.Contacts)
-					// The workers' ack: every commanded joiner has an address.
-					addrs := make(map[int]string)
-					for _, j := range m.Joins {
-						addrs[j.Slot] = fmt.Sprintf("joiner-%d-c%d", j.Slot, cycle)
-					}
-					sup.learnAddrs(addrs)
+				sup.cycleNow.Store(int64(cycle))
+				sup.script.step(cycle, onSup)
+				if sup.err != nil {
+					t.Fatal(sup.err)
 				}
 
 				if a, b := traceStrings(onSim.trace), traceStrings(onSup.trace); !slices.Equal(a, b) {
@@ -507,21 +514,39 @@ func TestScriptBackendsAgree(t *testing.T) {
 				if !slices.Equal(core.alive, sup.roster.alive) || !slices.Equal(core.alive, onSim.alive) {
 					t.Fatalf("cycle %d: backends disagree on who is alive", cycle)
 				}
-				if core.loss != sup.cmds[0].Loss {
-					t.Fatalf("cycle %d: loss %g on sim, %g on the supervisor", cycle, core.loss, sup.cmds[0].Loss)
+				for slot, n := range sup.nodes {
+					if (n.node != nil) != sup.roster.alive[slot] {
+						t.Fatalf("cycle %d: slot %d has node %v, roster alive %t", cycle, slot, n.node, sup.roster.alive[slot])
+					}
+				}
+				if core.loss != sup.filter.Loss() {
+					t.Fatalf("cycle %d: loss %g on sim, %g on the supervisor", cycle, core.loss, sup.filter.Loss())
 				}
 				if (core.filter != nil) != sup.script.part.on || simScript.part.on != sup.script.part.on {
 					t.Fatalf("cycle %d: backends disagree on whether the fleet is split", cycle)
+				}
+				// The supervisor's filter drops exactly the pairs of live
+				// slots its script puts in different components, joiners
+				// of this cycle included.
+				live := sup.roster.liveSlots()
+				part := sup.script.part
+				for x, i := range live {
+					for _, j := range live[x+1:] {
+						split := part.on && part.groupOf[i] != part.groupOf[j]
+						if drop := sup.filter.DropInbound(sup.roster.addr[i], sup.roster.addr[j]); drop != split {
+							t.Fatalf("cycle %d: slots %d,%d: split %t, supervisor drops %t", cycle, i, j, split, drop)
+						}
+					}
 				}
 				for _, a := range onSim.trace {
 					if a.cycle != cycle || a.op != "heal" {
 						continue
 					}
-					if a.arg == "true" && (core.reseeds == reseeds || contacts == 0) {
-						t.Fatalf("cycle %d: active heal without bridges (sim reseeds %d, supervisor contacts %d)",
-							cycle, core.reseeds-reseeds, contacts)
+					if a.arg == "true" && (core.reseeds == reseeds || onSup.healDraws == bridged) {
+						t.Fatalf("cycle %d: active heal without bridges (sim reseeds %d, supervisor bridge picks %d)",
+							cycle, core.reseeds-reseeds, onSup.healDraws-bridged)
 					}
-					if a.arg == "false" && (core.reseeds != reseeds || contacts != 0) {
+					if a.arg == "false" && (core.reseeds != reseeds || onSup.healDraws != bridged) {
 						t.Fatalf("cycle %d: inactive heal picked bridges", cycle)
 					}
 				}
@@ -540,8 +565,9 @@ func TestScriptBackendsAgree(t *testing.T) {
 	}
 }
 
-// TestScriptSplitMatchesVeto: the supervisor's addr → component map and
-// the simulator's exchange veto describe the same split.
+// TestScriptSplitMatchesVeto: the supervisor's filter and the simulator's
+// exchange veto describe the same split, and a dead slot's address stays
+// out of the filter's components.
 func TestScriptSplitMatchesVeto(t *testing.T) {
 	groupOf := []int{0, 1, 1, 0, 1, 0}
 	core := &fakeCore{alive: []bool{true, true, true, true, false, true}}
@@ -553,19 +579,18 @@ func TestScriptSplitMatchesVeto(t *testing.T) {
 		sup.roster.alive[slot] = a
 		sup.roster.addr[slot] = fmt.Sprint("a", slot)
 	}
-	sup.cmds = make([]cycleCmd, 2)
 	sup.split(groupOf)
-	for w, m := range sup.cmds {
-		if len(m.Groups) != 5 {
-			t.Fatalf("worker %d got %d grouped addresses, want the 5 live ones", w, len(m.Groups))
-		}
-		for i := range groupOf {
-			for j := range groupOf {
-				gi, iok := m.Groups[fmt.Sprint("a", i)]
-				gj, jok := m.Groups[fmt.Sprint("a", j)]
-				if iok && jok && (gi == gj) != core.filter(i, j) {
-					t.Fatalf("slots %d,%d: same component %t on the supervisor, veto allows %t", i, j, gi == gj, core.filter(i, j))
+	for i := range groupOf {
+		for j := range groupOf {
+			ai, aj := fmt.Sprint("a", i), fmt.Sprint("a", j)
+			if !core.alive[i] || !core.alive[j] {
+				if sup.filter.DropOutbound(ai, aj) {
+					t.Fatalf("slots %d,%d: the dead slot's address is in a component", i, j)
 				}
+				continue
+			}
+			if sup.filter.DropOutbound(ai, aj) == core.filter(i, j) {
+				t.Fatalf("slots %d,%d: supervisor drops %t, veto allows %t", i, j, sup.filter.DropOutbound(ai, aj), core.filter(i, j))
 			}
 		}
 	}

@@ -7,19 +7,22 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"antientropy/internal/agent"
+	"antientropy/internal/core"
 	"antientropy/internal/obs"
 	"antientropy/internal/stats"
+	"antientropy/internal/transport"
 )
 
 // UDPOptions tune the UDP executor.
 type UDPOptions struct {
-	// Workers is the number of UDP muxes the fleet is sliced across
-	// (default 3, capped at the scenario's initial size), one socket set
-	// and one drop filter each. Slot i lives in worker i mod Workers for
-	// the whole run.
+	// Workers is the number of UDP muxes the fleet's endpoints are spread
+	// over (default 3, capped at the scenario's initial size), one socket
+	// set each; one drop filter serves them all. Slot i binds on mux
+	// i mod Workers whenever it (re)joins.
 	Workers int
 	// CycleLen is δ, the wall-clock length of one protocol cycle. The
 	// default scales with the fleet size and the machine's cores like the
@@ -34,13 +37,13 @@ type UDPOptions struct {
 	// accounting (default: discard).
 	Logger *slog.Logger
 	// Obs, when set, exposes the whole fleet on one metrics registry: the
-	// workers' cumulative protocol counters, the fleet's RTT histogram and
-	// the transport series, merged at every sample, alongside the
+	// nodes' cumulative protocol counters, the fleet's RTT histogram and
+	// the muxes' transport series, merged at every sample, alongside the
 	// per-cycle scenario gauges and the convergence watch.
 	Obs *obs.Registry
-	// Trace, when set, receives the exchange-trace events of every node
-	// of every worker: events sharing an exchange identifier stitch into
-	// causal spans across workers (see obs.StitchSpans).
+	// Trace, when set, receives the exchange-trace events of every node:
+	// events sharing an exchange identifier stitch into causal spans
+	// across muxes (see obs.StitchSpans).
 	Trace *obs.TraceRing
 	// Timeline, when set, receives one flight-recorder snapshot per
 	// sampled cycle (see obs.Timeline). Health rules are evaluated
@@ -78,14 +81,14 @@ func (o UDPOptions) withDefaults(fleet int) UDPOptions {
 // RunUDP executes the scenario against a fleet of real agent nodes over
 // UDP loopback sockets: the paper's runtime on a real network stack, with
 // kernel scheduling, packet reordering and socket-buffer pressure in the
-// loop. The fleet is sliced across Workers in-process workers, each on
-// its own batched UDP mux; the supervisor coordinates cycle barriers and
-// scripted events by direct calls, and injects partitions and loss
-// through each worker's UDPFilter — the userspace stand-in for the
-// iptables rules a privileged supervisor would install. The run is
-// wall-clock driven and therefore not bit-for-bit deterministic, but it
-// chases the identical scripted value signal, so its metric stream is
-// directly comparable to the other executors'.
+// loop. The fleet's endpoints are spread over Workers batched UDP muxes
+// in this process; the supervisor acts on the fleet directly as the
+// script decides, and injects partitions and loss through the one
+// UDPFilter every mux applies — the userspace stand-in for the iptables
+// rules a privileged supervisor would install. The run is wall-clock
+// driven and therefore not bit-for-bit deterministic, but it chases the
+// identical scripted value signal, so its metric stream is directly
+// comparable to the other executors'.
 func RunUDP(ctx context.Context, sc Scenario, opts UDPOptions) (*RunResult, error) {
 	sc = sc.WithDefaults()
 	if err := sc.Validate(); err != nil {
@@ -96,16 +99,14 @@ func RunUDP(ctx context.Context, sc Scenario, opts UDPOptions) (*RunResult, erro
 	return newSupervisor(ctx, sc, opts, "udp", newSocketNet).run()
 }
 
-// supervisor hosts a scenario fleet of real agent nodes: it owns the
-// script interpreter and the roster, is the fleet the script acts on —
-// each action becomes part of the cycle's command batch — and runs the
-// one wall-clock loop both fleet executors share. The nodes themselves
-// live in its workers, which it calls in turn at every barrier: init
-// (bind the founding slots), start (anchor and bootstrap), cycle (the
-// scripted interventions) and sample (the partial aggregates), then stop.
-// The calls are sequential, so the supervisor's cycle loop doubles as the
-// barrier: no worker applies cycle c+1 events before every worker has
-// applied cycle c.
+// supervisor hosts a scenario fleet of real agent nodes and is the fleet
+// the script acts on: a crash, join, split, heal, loss or delay takes
+// effect the moment the script decides it, as on the simulator. It owns
+// the script interpreter, the roster, a slot-indexed node table and the
+// one value program, Byzantine schedule, drop filter and cycle clock the
+// whole fleet shares; the nodes' endpoints come from its workers'
+// networks, slot i from worker i mod Workers. Its cycle loop is the one
+// wall-clock loop both fleet executors share.
 type supervisor struct {
 	sc       Scenario
 	executor string
@@ -115,32 +116,52 @@ type supervisor struct {
 	script   *script
 	log      *runLog
 
+	// workers hold the networks; every one applies filter, which carries
+	// the scripted partitions and loss.
 	workers []*udpWorker
-	// canDelay tells whether the workers' network can inject latency.
-	canDelay bool
+	filter  *transport.UDPFilter
+
+	// sched is the fleet's schedule, anchored at start. cycleNow is the
+	// script's cycle clock; node value suppliers and wire hooks read it,
+	// so epoch restarts sample the scripted signal at the current cycle.
+	sched    core.Schedule
+	cycleNow atomic.Int64
+	prog     *ValueProgram
+	// adv is the run's Byzantine plan: the script marks sybil joins on it
+	// and the nodes read it. advStale carries the replay-stale attackers'
+	// lagged snapshots from the per-node output subscriptions to the wire
+	// hooks; combiner is the defense's merge policy handed to every node.
+	adv      *advSchedule
+	advStale []liveStaleState
+	combiner core.Combiner
 	// rtt is the fleet's exchange round-trip histogram, fed by every node.
 	rtt *obs.Histogram
 
-	// cmds is the command batch of the cycle being scripted, one command
-	// per worker.
-	cmds []cycleCmd
-	// pendingJoin tracks joins commanded this cycle whose addresses are
-	// still unknown (the worker reports them at the barrier); a crash of
-	// such a slot in the same cycle cancels the join instead of racing
-	// it on the worker.
-	pendingJoin map[int]bool
-	// pendingAssign broadcasts mid-partition joiner addresses to every
-	// worker's drop rules on the next barrier (the owner already knows).
-	pendingAssign map[string]int
+	// nodes holds a node on exactly the roster's live slots (a founder
+	// has only its endpoint until start).
+	nodes []fleetNode
+	// retired keeps the counters of crashed nodes, so the cumulative
+	// fleet metrics stay monotonic.
+	retired fleetTelemetry
+	// err is the first failed join, which runCycle reports.
+	err      error
+	stopping sync.WaitGroup
+	stopped  bool
 
-	// tel is the fleet telemetry of the last sample barrier, which the
-	// registry's scrape-time funcs read under telMu (the HTTP scrape
-	// goroutine is concurrent with the control loop).
+	// tel is the fleet telemetry of the last sample, which the registry's
+	// scrape-time funcs read under telMu (the HTTP scrape goroutine is
+	// concurrent with the control loop).
 	telMu sync.Mutex
 	tel   fleetTelemetry
 }
 
-// fleetTelemetry is the fleet's merged telemetry at one sample barrier.
+// fleetNode is one slot of the node table.
+type fleetNode struct {
+	node *agent.Node
+	ep   nodeEndpoint
+}
+
+// fleetTelemetry is the fleet's merged telemetry at one sample.
 type fleetTelemetry struct {
 	totals      agent.Metrics
 	rtt         obs.HistSnapshot
@@ -150,11 +171,10 @@ type fleetTelemetry struct {
 	batch       obs.HistSnapshot
 }
 
-// fleetSample is the fleet's state at one sample barrier, which every
-// worker adds its slice to. est summarizes the honest participants'
-// estimates as (n, mean, M2 = Σ(x − mean)², min, max), which merges
-// without the cancellation raw sums (n, Σx, Σx²) suffer once the fleet
-// has converged to a spread far below its mean.
+// fleetSample is the fleet's state at one sample. est summarizes the
+// honest participants' estimates as (n, mean, M2 = Σ(x − mean)², min,
+// max), which stays exact where raw sums (n, Σx, Σx²) cancel once the
+// fleet has converged to a spread far below its mean.
 type fleetSample struct {
 	alive, participating int
 	est                  stats.Moments
@@ -162,10 +182,11 @@ type fleetSample struct {
 }
 
 // newSupervisor builds the supervisor of a validated scenario with
-// opts.Workers workers, each on a network from newNet.
+// opts.Workers networks from newNet.
 func newSupervisor(ctx context.Context, sc Scenario, opts UDPOptions, executor string, newNet netBuilder) *supervisor {
 	slots := sc.MaxSlots()
 	adv := newAdvSchedule(sc, slots)
+	prog := NewValueProgram(sc, slots)
 	sobs := newScenarioObs(opts.Obs, opts.Timeline, opts.Logger)
 	d := &supervisor{
 		sc:       sc,
@@ -173,15 +194,25 @@ func newSupervisor(ctx context.Context, sc Scenario, opts UDPOptions, executor s
 		opts:     opts,
 		ctx:      ctx,
 		roster:   newFleetRoster(slots),
-		// Every worker builds the identical static Byzantine schedule
-		// from the scenario; sybil slot assignment happens in the script
-		// and rides the join commands.
-		script: newScript(sc, slots, stats.NewRNG(sc.Seed^0x666c6565742d72), adv, opts.Logger), // "fleet-r"
-		log:    newRunLog(sc, executor, NewValueProgram(sc, slots), adv, sobs),
-		rtt:    obs.NewHistogram(obs.RTTBuckets),
+		script:   newScript(sc, slots, stats.NewRNG(sc.Seed^0x666c6565742d72), adv, opts.Logger), // "fleet-r"
+		log:      newRunLog(sc, executor, prog, adv, sobs),
+		filter:   transport.NewUDPFilter(int64(sc.Seed) + 2),
+		prog:     prog,
+		adv:      adv,
+		rtt:      obs.NewHistogram(obs.RTTBuckets),
+		nodes:    make([]fleetNode, slots),
 	}
-	for i := range opts.Workers {
-		d.workers = append(d.workers, newUDPWorker(sc, i, opts, d.rtt, newNet))
+	// The baseline loss applies from the founding on, exactly as in the
+	// simulator; loss bursts override it cycle by cycle.
+	d.filter.SetLoss(sc.MessageLoss)
+	if adv != nil {
+		d.advStale = make([]liveStaleState, slots)
+	}
+	if c, err := sc.Defense.combiner(); err == nil {
+		d.combiner = c // err pre-screened by Validate
+	}
+	for range opts.Workers {
+		d.workers = append(d.workers, &udpWorker{newNet: newNet})
 	}
 	sobs.bindScript(d.script)
 	d.bindObs(opts.Obs)
@@ -196,9 +227,9 @@ func (d *supervisor) telemetry() fleetTelemetry {
 }
 
 // bindObs registers the fleet aggregates on the supervisor's registry.
-// The funcs read the telemetry refreshed at every sample barrier, so
-// scrapes between barriers see the last consistent fleet snapshot. Lie
-// and rejection counters ride the merged agent totals.
+// The funcs read the telemetry refreshed at every sample, so scrapes
+// between samples see the last consistent fleet snapshot. Lie and
+// rejection counters ride the merged agent totals.
 func (d *supervisor) bindObs(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -222,13 +253,13 @@ func (d *supervisor) bindObs(reg *obs.Registry) {
 }
 
 // run founds the fleet, plays the script against it on the wall clock and
-// winds it down. Every exit path stops every worker.
+// winds it down. Every exit path stops the whole fleet.
 func (d *supervisor) run() (*RunResult, error) {
 	defer d.stop()
-	if err := d.initWorkers(); err != nil {
+	if err := d.init(); err != nil {
 		return nil, err
 	}
-	anchor, err := d.startFleet()
+	anchor, err := d.start()
 	if err != nil {
 		return nil, err
 	}
@@ -287,189 +318,152 @@ func sleepUntil(ctx context.Context, t time.Time) error {
 	}
 }
 
-// owner returns the worker index a slot lives in.
-func (d *supervisor) owner(slot int) int { return slot % len(d.workers) }
-
-// each calls fn on every worker in turn, naming the worker in the first
-// error.
-func (d *supervisor) each(fn func(i int, w *udpWorker) error) error {
+// init builds the workers' networks and binds one endpoint per founding
+// slot.
+func (d *supervisor) init() error {
 	for i, w := range d.workers {
-		if err := fn(i, w); err != nil {
-			return fmt.Errorf("scenario %s: worker %d: %w", d.sc.Name, i, err)
+		net, err := w.newNet(d.sc, d.opts.QueueLen, d.filter)
+		if err != nil {
+			return fmt.Errorf("scenario %s: worker %d: network: %w", d.sc.Name, i, err)
+		}
+		w.net = net
+	}
+	for slot := range d.sc.N {
+		if err := d.bind(slot); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// initWorkers hands every worker its founding slots and learns their
-// bound addresses.
-func (d *supervisor) initWorkers() error {
-	return d.each(func(i int, w *udpWorker) error {
-		var slots []int
-		for slot := i; slot < d.sc.N; slot += len(d.workers) {
-			slots = append(slots, slot)
-		}
-		addrs, err := w.init(slots)
-		d.learnAddrs(addrs)
-		return err
-	})
-}
-
-// learnAddrs folds slot → address reports from init or a cycle into the
-// roster.
-func (d *supervisor) learnAddrs(addrs map[int]string) {
-	for slot, addr := range addrs {
-		d.roster.addr[slot] = addr
-		d.roster.alive[slot] = true
-		if d.script.part.on {
-			if d.pendingAssign == nil {
-				d.pendingAssign = make(map[string]int)
-			}
-			d.pendingAssign[addr] = d.script.part.groupOf[slot]
-		}
+// bind attaches the slot to a fresh endpoint on its worker's network and
+// records it alive at the new address — in the slot's component, while
+// a partition is on.
+func (d *supervisor) bind(slot int) error {
+	ep, err := d.workers[slot%len(d.workers)].net.endpoint()
+	if err != nil {
+		return fmt.Errorf("scenario %s: slot %d: %w", d.sc.Name, slot, err)
 	}
+	d.nodes[slot].ep = ep
+	d.roster.alive[slot], d.roster.addr[slot] = true, ep.Addr()
+	if d.script.part.on {
+		d.filter.AssignGroup(ep.Addr(), d.script.part.groupOf[slot])
+	}
+	return nil
 }
 
-// startFleet anchors the shared schedule and starts every founding node.
-func (d *supervisor) startFleet() (time.Time, error) {
+// start anchors the fleet's schedule and starts the founding nodes,
+// NEWSCAST-bootstrapped from the founding address book.
+func (d *supervisor) start() (time.Time, error) {
 	anchor := time.Now()
-	bootstrap := slices.Clone(d.roster.addr[:d.sc.N])
-	return anchor, d.each(func(_ int, w *udpWorker) error { return w.start(anchor, bootstrap) })
-}
-
-// runCycle scripts this cycle's command batch, runs the barrier, and
-// folds the joiners' addresses back into the roster.
-func (d *supervisor) runCycle(cycle int) error {
-	cmds := d.plan(cycle, d)
-	return d.each(func(i int, w *udpWorker) error {
-		addrs, err := w.cycle(cmds[i])
-		d.learnAddrs(addrs)
-		return err
-	})
-}
-
-// plan lets the script act for one cycle on f — the supervisor itself,
-// or a test's recorder in front of it — and returns the resulting command
-// batch.
-func (d *supervisor) plan(cycle int, f fleet) []cycleCmd {
-	d.cmds = make([]cycleCmd, len(d.workers))
-	for i := range d.cmds {
-		d.cmds[i] = cycleCmd{Cycle: cycle, Assign: d.pendingAssign}
+	d.sched = core.Schedule{
+		Start:    anchor,
+		Delta:    time.Duration(d.sc.EpochLen) * d.opts.CycleLen,
+		CycleLen: d.opts.CycleLen,
+		Gamma:    d.sc.EpochLen,
 	}
-	d.pendingAssign = nil
-	d.pendingJoin = nil
-	d.script.step(cycle, f)
-	return d.cmds
+	bootstrap := slices.Clone(d.roster.addr[:d.sc.N])
+	for slot := range d.sc.N {
+		node, err := d.newNode(slot, nil, bootstrapSubset(bootstrap, d.sc.Seed, slot, d.opts.CacheSize))
+		if err != nil {
+			return anchor, err
+		}
+		d.nodes[slot].node = node
+	}
+	for slot := range d.sc.N {
+		if err := d.nodes[slot].node.Start(d.ctx); err != nil {
+			return anchor, fmt.Errorf("starting node %d: %w", slot, err)
+		}
+	}
+	return anchor, nil
+}
+
+// runCycle lets the script act on the fleet for one cycle.
+func (d *supervisor) runCycle(cycle int) error {
+	d.cycleNow.Store(int64(cycle))
+	d.script.step(cycle, d)
+	return d.err
 }
 
 func (d *supervisor) aliveCount() int { return d.roster.aliveCount() }
 func (d *supervisor) pickAlive() int  { return d.roster.randomAlive(d.script.rng) }
 
-func (d *supervisor) setLoss(p float64) {
-	for i := range d.cmds {
-		d.cmds[i].Loss = p
-	}
-}
+func (d *supervisor) setLoss(p float64) { d.filter.SetLoss(p) }
 
 func (d *supervisor) setDelay(min, max time.Duration) bool {
-	if !d.canDelay {
-		return false
+	ok := true
+	for _, w := range d.workers {
+		ok = w.net.setLatency(min, max) && ok
 	}
-	for i := range d.cmds {
-		d.cmds[i].DelayMin, d.cmds[i].DelayMax = min, max
-	}
-	return true
+	return ok
 }
 
-// crash marks a slot dead and routes the stop command to its worker. A
-// slot whose join was commanded earlier in the same cycle has no node on
-// the worker yet, so the join is cancelled instead — the net effect
-// (nothing running, slot available for restart) matches the simulator's
-// sequential join-then-crash.
+// crash stops a node ungracefully: its endpoint closes mid-protocol and
+// peers time out, exactly as a process crash looks from the network. The
+// stop completes in the background, so one cycle can crash many nodes
+// without stalling the fleet clock.
 func (d *supervisor) crash(slot int) {
+	n := d.nodes[slot]
+	d.nodes[slot] = fleetNode{}
 	d.roster.alive[slot] = false
-	w := d.owner(slot)
-	if d.pendingJoin[slot] {
-		delete(d.pendingJoin, slot)
-		d.cmds[w].Joins = slices.DeleteFunc(d.cmds[w].Joins, func(j udpJoin) bool { return j.Slot == slot })
-		return
-	}
-	d.cmds[w].Crash = append(d.cmds[w].Crash, slot)
+	d.retired.totals.Accumulate(n.node.Metrics())
+	d.retired.queueDrops += n.ep.QueueDrops()
+	d.retired.filterDrops += n.ep.FilterDrops()
+	d.stopping.Add(1)
+	go func() {
+		defer d.stopping.Done()
+		_ = n.node.Stop()
+	}()
 }
 
-// joinAs routes a fresh-identity start command to the slot's worker. The
-// new node performs the §4.2 join against live seed contacts; while a
-// partition is active it lands in the slot's component. A sybil joiner's
-// controlling adversary rides the command, so the owning worker marks the
-// slot on its schedule too.
-func (d *supervisor) joinAs(slot, sybil int) {
-	group := -1
-	if d.script.part.on {
-		group = d.script.part.groupOf[slot]
+// joinAs brings the slot up as a brand-new identity performing the §4.2
+// join: a fresh endpoint (new address), seed contacts among the live
+// nodes, participation from the next epoch on. A sybil slot is already
+// marked on the shared schedule, so its node reports the attacker's value
+// from its first epoch restart on.
+func (d *supervisor) joinAs(slot, _ int) {
+	seeds := d.roster.seedAddrs(d.script.rng, 3)
+	err := d.bind(slot)
+	if err == nil {
+		d.nodes[slot].node, err = d.newNode(slot, seeds, nil)
 	}
-	w := d.owner(slot)
-	d.cmds[w].Joins = append(d.cmds[w].Joins, udpJoin{
-		Slot: slot, Seeds: d.roster.seedAddrs(d.script.rng, 3), Group: group, Sybil: sybil + 1,
-	})
-	if d.pendingJoin == nil {
-		d.pendingJoin = make(map[int]bool)
+	if err == nil {
+		err = d.nodes[slot].node.Start(d.ctx)
 	}
-	d.pendingJoin[slot] = true
-	d.roster.alive[slot] = true
-	// The joiner's address is known only once the worker has brought it
-	// up; blank it so seed sampling cannot hand out the stale address
-	// meanwhile.
-	d.roster.addr[slot] = ""
+	if err != nil && d.err == nil {
+		d.err = fmt.Errorf("joiner %d: %w", slot, err)
+	}
 }
 
-// split broadcasts the addr → component map, so every worker's network
-// drops cross-component datagrams on both the send and the receive path.
+// split installs the partition on the filter every network applies:
+// datagrams between live addresses in different components are dropped
+// on both the send and the receive path.
 func (d *supervisor) split(groupOf []int) {
 	groups := make(map[string]int, len(d.roster.alive))
 	for _, slot := range d.roster.liveSlots() {
-		if d.roster.addr[slot] != "" {
-			groups[d.roster.addr[slot]] = groupOf[slot]
-		}
+		groups[d.roster.addr[slot]] = groupOf[slot]
 	}
-	for i := range d.cmds {
-		d.cmds[i].Groups = groups
-	}
+	d.filter.PartitionGroups(groups)
 }
 
-// heal clears the partition on every worker — joins commanded earlier in
-// the cycle land in no component after all — and routes the rendezvous
-// refresh (see bridgeContacts) to the bridge slots' owners.
+// heal clears the partition and, when one was active, hands the bridge
+// slots their rendezvous contacts (see bridgeContacts).
 func (d *supervisor) heal(groupOf []int, wasActive bool) {
-	for i := range d.cmds {
-		d.cmds[i].Heal = true
-		d.cmds[i].Groups = nil
-		for j := range d.cmds[i].Joins {
-			d.cmds[i].Joins[j].Group = -1
-		}
-	}
+	d.filter.HealGroups()
 	if !wasActive {
 		return
 	}
 	for _, bc := range bridgeContacts(d.script.rng, d.roster, groupOf) {
-		w := d.owner(bc.slot)
-		d.cmds[w].Contacts = append(d.cmds[w].Contacts, udpContacts{Slot: bc.slot, Addrs: bc.addrs})
+		d.nodes[bc.slot].node.AddContacts(bc.addrs)
 	}
 }
 
-// sample gathers the workers' partial aggregates into one metrics row.
+// sample records one metrics row from the fleet's state.
 func (d *supervisor) sample(cycle int) {
-	var s fleetSample
-	for _, w := range d.workers {
-		w.sample(&s)
-	}
-	s.rtt = d.rtt.Snapshot()
+	s := d.gather()
 	d.telMu.Lock()
 	d.tel = s.fleetTelemetry
 	d.telMu.Unlock()
-	if s.alive != d.roster.aliveCount() {
-		d.opts.Logger.Warn(d.executor+" executor: worker fleet drifted from script state",
-			"cycle", cycle, "workersAlive", s.alive, "scriptAlive", d.roster.aliveCount())
-	}
 	d.log.record(cycle, s.alive, s.participating, s.est,
 		func(slot int) bool { return d.roster.alive[slot] },
 		protoTotals{
@@ -481,10 +475,64 @@ func (d *supervisor) sample(cycle int) {
 		})
 }
 
-// stop stops every worker; a worker already stopped, or never
-// initialized, is a no-op.
-func (d *supervisor) stop() {
-	for _, w := range d.workers {
-		w.stop()
+// gather sums the fleet's state: node counts, the honest participants'
+// estimates, the cumulative protocol counters (live nodes plus
+// crash-retired ones) and the networks' transport telemetry.
+func (d *supervisor) gather() fleetSample {
+	s := fleetSample{fleetTelemetry: d.retired}
+	for slot, n := range d.nodes {
+		if n.node == nil {
+			continue
+		}
+		s.alive++
+		s.totals.Accumulate(n.node.Metrics())
+		s.queueDrops += n.ep.QueueDrops()
+		s.filterDrops += n.ep.FilterDrops()
+		if !n.node.Participating() {
+			continue
+		}
+		s.participating++
+		// Honest participants only; see runLog.record.
+		if d.adv != nil && d.adv.hostile(slot) {
+			continue
+		}
+		if v, ok := n.node.Estimate(); ok {
+			s.est.Add(v)
+		}
 	}
+	for _, w := range d.workers {
+		s.queueDepth = max(s.queueDepth, w.net.QueueDepthHighWatermark())
+		if b := w.net.BatchSizes(); s.batch.Counts == nil {
+			s.batch = b
+		} else {
+			s.batch = s.batch.Merge(b)
+		}
+	}
+	s.rtt = d.rtt.Snapshot()
+	return s
+}
+
+// stop stops every node, closes every network and waits for the
+// background stops. It is safe on a fleet whose init failed or never
+// ran, and idempotent.
+func (d *supervisor) stop() {
+	if d.stopped {
+		return
+	}
+	d.stopped = true
+	for slot, n := range d.nodes {
+		switch {
+		case n.node != nil:
+			_ = n.node.Stop()
+		case n.ep != nil:
+			_ = n.ep.Close()
+		}
+		d.nodes[slot] = fleetNode{}
+	}
+	for _, w := range d.workers {
+		if w.net != nil {
+			w.net.close()
+		}
+	}
+	d.stopping.Wait()
 }

@@ -20,12 +20,25 @@ func udpTestOptions(workers int) UDPOptions {
 	return UDPOptions{Workers: workers, CycleLen: 25 * time.Millisecond}
 }
 
-// TestUDPWorkerProtocolHandshake drives one worker through the whole
-// conversation a supervisor holds with it, pinning the protocol: init
-// with one endpoint per slot, start, cycle barriers with a crash and a
-// join, samples with partial aggregates, and stop. The same conversation
-// runs against a worker on a UDP mux and a worker on the in-memory
-// network, and the replies must have the same shape on both.
+// sharedMemNet returns a network builder that hands every worker of one
+// fleet the same in-memory network, so a fleet of several workers keeps
+// one address space (each MemNetwork numbers its endpoints from mem-0).
+func sharedMemNet() netBuilder {
+	var net fleetNet
+	return func(sc Scenario, queueLen int, filter *transport.UDPFilter) (fleetNet, error) {
+		if net == nil {
+			net, _ = newMemNet(sc, queueLen, filter)
+		}
+		return net, nil
+	}
+}
+
+// TestUDPWorkerProtocolHandshake drives a fleet through the whole
+// conversation a run holds with it, pinning the protocol: founding with
+// one endpoint per slot, start, a cycle with a crash and a join, samples
+// with the fleet's aggregates, and stop. The same conversation runs on a
+// UDP mux and on the in-memory network, and the replies must have the
+// same shape on both.
 func TestUDPWorkerProtocolHandshake(t *testing.T) {
 	shapes := make(map[string][]string)
 	for _, tc := range []struct {
@@ -33,11 +46,14 @@ func TestUDPWorkerProtocolHandshake(t *testing.T) {
 		newNet netBuilder
 	}{{"direct+mux", newSocketNet}, {"direct+mem", newMemNet}} {
 		t.Run(tc.name, func(t *testing.T) {
-			sc := Scenario{Name: "proto", N: 4, Cycles: 4, EpochLen: 2, Seed: 3}.WithDefaults()
-			opts := UDPOptions{CacheSize: 8, CycleLen: 20 * time.Millisecond, QueueLen: 64}.withDefaults(sc.N)
-			w := newUDPWorker(sc, 0, opts, obs.NewHistogram(obs.RTTBuckets), tc.newNet)
-			defer w.stop()
-			shapes[tc.name] = workerConversation(t, w)
+			sc := Scenario{
+				Name: "proto", N: 4, Cycles: 4, EpochLen: 2, Seed: 3,
+				Events: []Event{{Kind: KindCrash, At: 2, Count: 1}, {Kind: KindJoin, At: 2, Count: 1}},
+			}.WithDefaults()
+			opts := UDPOptions{Workers: 1, CacheSize: 8, CycleLen: 20 * time.Millisecond, QueueLen: 64}.withDefaults(sc.MaxSlots())
+			d := newSupervisor(context.Background(), sc, opts, "proto", tc.newNet)
+			defer d.stop()
+			shapes[tc.name] = fleetConversation(t, d)
 		})
 	}
 	if a, b := shapes["direct+mux"], shapes["direct+mem"]; !slices.Equal(a, b) {
@@ -45,72 +61,180 @@ func TestUDPWorkerProtocolHandshake(t *testing.T) {
 	}
 }
 
-// workerConversation plays the supervisor's side of a four-founder run
-// and returns the shape of every reply.
-func workerConversation(t *testing.T, w *udpWorker) []string {
+// fleetConversation plays a run's side of a four-founder fleet and
+// returns the shape of every reply.
+func fleetConversation(t *testing.T, d *supervisor) []string {
 	var shapes []string
-	must := func(addrs map[int]string, err error) map[int]string {
+	must := func(err error) {
 		t.Helper()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return addrs
 	}
 	sample := func() fleetSample {
-		var s fleetSample
-		w.sample(&s)
+		s := d.gather()
 		// Participation and estimate counts depend on where the wall clock
 		// stands in the epoch; they are asserted below where they are fixed.
 		shapes = append(shapes, fmt.Sprintf("sample alive=%d batch=%t", s.alive, s.batch.Counts != nil))
 		return s
 	}
 
-	ready := must(w.init([]int{0, 1, 2, 3}))
-	shapes = append(shapes, fmt.Sprintf("init addrs=%d", len(ready)))
-	bootstrap := make([]string, 0, 4)
+	must(d.init())
+	addrs := 0
 	for slot := 0; slot < 4; slot++ {
-		addr, ok := ready[slot]
-		if !ok || addr == "" {
-			t.Fatalf("slot %d missing from init addrs %v", slot, ready)
+		if d.roster.addr[slot] == "" || d.nodes[slot].ep == nil {
+			t.Fatalf("founding slot %d has no endpoint", slot)
 		}
-		bootstrap = append(bootstrap, addr)
+		addrs++
 	}
-	if err := w.start(time.Now(), bootstrap); err != nil {
-		t.Fatal(err)
-	}
+	shapes = append(shapes, fmt.Sprintf("init addrs=%d", addrs))
+	_, err := d.start()
+	must(err)
 
-	if joined := must(w.cycle(cycleCmd{Cycle: 1})); len(joined) != 0 {
-		t.Fatalf("cycle without joins reported addresses %v", joined)
-	}
+	must(d.runCycle(1))
 	s := sample()
 	if s.alive != 4 || s.participating != 4 || s.est.N() != 4 {
 		t.Fatalf("sample = %+v, want 4 participating founders with estimates", s)
 	}
-	// The estimate partial is a full accumulator: founders draw uniform
-	// values in [0, 100), so after at most one exchange each the four
-	// estimates still spread, and the extremes bracket the mean.
+	// The estimate is a full accumulator: founders draw uniform values in
+	// [0, 100), so after at most one exchange each the four estimates
+	// still spread, and the extremes bracket the mean.
 	if est := s.est; est.Min() > est.Mean() || est.Max() < est.Mean() || est.Variance() < 0 {
 		t.Fatalf("estimate moments inconsistent: %+v", est)
 	}
 
-	// Crash one node, join a fresh identity on a new slot: the cycle must
-	// report the joiner's freshly bound address.
-	joined := must(w.cycle(cycleCmd{
-		Cycle: 2,
-		Crash: []int{1},
-		Joins: []udpJoin{{Slot: 4, Seeds: bootstrap[:2], Group: -1}},
-	}))
-	shapes = append(shapes, fmt.Sprintf("cycle joined=%d", len(joined)))
-	if len(joined) != 1 || joined[4] == "" {
-		t.Fatalf("joined = %v, want the joiner address for slot 4", joined)
+	// Crash one node and join a fresh identity on a new slot in one
+	// cycle: the joiner is up at its freshly bound address once the
+	// cycle's actions return.
+	founders := slices.Clone(d.roster.addr[:4])
+	must(d.runCycle(2))
+	joined := d.nodes[4].node != nil && d.roster.alive[4] && !slices.Contains(founders, d.roster.addr[4])
+	shapes = append(shapes, fmt.Sprintf("cycle joined=%t", joined))
+	if !joined {
+		t.Fatalf("slot 4 after the join: node %v at %q", d.nodes[4].node, d.roster.addr[4])
 	}
 	if s := sample(); s.alive != 4 {
 		t.Fatalf("alive after crash+join = %d, want 4", s.alive)
 	}
 
-	w.stop()
-	w.stop() // idempotent
+	d.stop()
+	d.stop() // idempotent
 	return shapes
+}
+
+// TestSameCycleJoinerIsPartitioned: a slot that joins — by churn or a
+// join wave — earlier in the cycle a partition starts lands in its
+// component at once, as on the simulator; it must not talk across the
+// split until some later cycle patches its address in.
+func TestSameCycleJoinerIsPartitioned(t *testing.T) {
+	sc := Scenario{
+		Name: "join-then-split", N: 16, Cycles: 3, EpochLen: 2, Seed: 5,
+		Events: []Event{
+			{Kind: KindChurn, At: 2, Count: 3},
+			{Kind: KindJoin, At: 2, Count: 2},
+			{Kind: KindPartition, At: 2, Groups: []float64{1, 1}},
+		},
+	}.WithDefaults()
+	opts := UDPOptions{Workers: 2, CycleLen: 20 * time.Millisecond}.withDefaults(sc.MaxSlots())
+	d := newSupervisor(context.Background(), sc, opts, "test", sharedMemNet())
+	defer d.stop()
+	if err := d.init(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.runCycle(1); err != nil {
+		t.Fatal(err)
+	}
+	before := slices.Clone(d.roster.addr)
+	if err := d.runCycle(2); err != nil {
+		t.Fatal(err)
+	}
+	groupOf := d.script.part.groupOf
+	live := d.roster.liveSlots()
+	var joiners []int
+	for _, slot := range live {
+		if d.roster.addr[slot] != before[slot] {
+			joiners = append(joiners, slot)
+		}
+	}
+	// Churn may hit one slot twice; the join wave takes the two fresh slots.
+	if len(joiners) < 3 || joiners[len(joiners)-2] != sc.N || joiners[len(joiners)-1] != sc.N+1 {
+		t.Fatalf("slots %v came up at a new address in cycle 2, want churned ones and %d, %d", joiners, sc.N, sc.N+1)
+	}
+	for _, j := range joiners {
+		for _, o := range live {
+			if groupOf[o] == groupOf[j] {
+				continue
+			}
+			a, b := d.roster.addr[j], d.roster.addr[o]
+			if !d.filter.DropOutbound(a, b) || !d.filter.DropOutbound(b, a) {
+				t.Fatalf("joiner slot %d (%s, component %d) talks to slot %d (%s, component %d) across the partition",
+					j, a, groupOf[j], o, b, groupOf[o])
+			}
+		}
+	}
+}
+
+// TestFleetSybilFloodSharedSchedule lands a sybil flood on the one
+// Byzantine schedule the script marks and every node reads, on both fleet
+// executors (run it under -race): each sybil counts once, and the
+// honest-only estimate leaves every sybil out.
+func TestFleetSybilFloodSharedSchedule(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		workers int
+		newNet  netBuilder
+	}{{"udp", 2, newSocketNet}, {"live", 1, newMemNet}} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := Scenario{
+				Name: "sybil", N: 8, Cycles: 4, EpochLen: 2, Seed: 11,
+				Adversaries: []Adversary{{Behavior: BehaviorSybilFlood, At: 1, Until: 2, Rate: 2, Value: 1e6}},
+			}.WithDefaults()
+			opts := UDPOptions{Workers: tc.workers, CycleLen: 20 * time.Millisecond}.withDefaults(sc.MaxSlots())
+			d := newSupervisor(context.Background(), sc, opts, tc.name, tc.newNet)
+			defer d.stop()
+			if err := d.init(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.start(); err != nil {
+				t.Fatal(err)
+			}
+			for cycle := 1; cycle <= 2; cycle++ {
+				if err := d.runCycle(cycle); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := d.adv.HostileCount(); got != 4 {
+				t.Fatalf("HostileCount = %d after 4 sybil joins", got)
+			}
+			var sybils []int
+			for slot := range d.nodes {
+				if d.adv.hostile(slot) {
+					sybils = append(sybils, slot)
+				}
+			}
+			if !slices.Equal(sybils, []int{8, 9, 10, 11}) {
+				t.Fatalf("hostile slots %v, want the four join slots", sybils)
+			}
+			// A joiner sits out the epoch it joined in; wait until every
+			// sybil takes part, so leaving them out of the estimate is a
+			// choice of the sampler, not of the protocol.
+			deadline := time.Now().Add(5 * time.Second)
+			for _, slot := range sybils {
+				for !d.nodes[slot].node.Participating() {
+					if time.Now().After(deadline) {
+						t.Fatalf("sybil slot %d never joined an epoch", slot)
+					}
+					time.Sleep(5 * time.Millisecond)
+				}
+			}
+			if s := d.gather(); s.participating != 12 || s.est.N() != 8 {
+				t.Fatalf("%d participants, %d estimates sampled; want 12 and the 8 honest ones", s.participating, s.est.N())
+			}
+		})
+	}
 }
 
 // openFDs counts the process's open file descriptors, or returns -1 where
@@ -242,7 +366,7 @@ func TestUDPExecutorPartitionHeal(t *testing.T) {
 // TestUDPExecutorChurnJoinCrash exercises the remaining scripted event
 // kinds across three muxes: churn, a join wave, a crash and a loss
 // burst, checking the supervisor's fleet bookkeeping against the
-// workers' reports.
+// sampled node counts.
 func TestUDPExecutorChurnJoinCrash(t *testing.T) {
 	if testing.Short() {
 		t.Skip("UDP fleet test skipped in -short mode")

@@ -282,8 +282,14 @@ type Engine struct {
 	cfg    Config
 	nodes  int
 	shards []*shard
-	// workers bounds the parallel-phase goroutines.
-	workers int
+	// workers bounds the parallel-phase goroutines, which fanOut starts
+	// and fanning waits for. shardJob runs shardFn, the function parallel
+	// was called with, on shards taken in turn from nextShard.
+	workers   int
+	fanning   sync.WaitGroup
+	shardFn   func(s *shard)
+	shardJob  func(part, parts int)
+	nextShard atomic.Int64
 
 	// ctl is the control stream (stream 0): all serial-phase randomness —
 	// scripted victim picks, join reseeds, rendezvous — draws from it, so
@@ -379,6 +385,11 @@ func New(cfg Config) (*Engine, error) {
 		ctl:     stats.NewStreamRNG(cfg.Seed, 0),
 		shards:  make([]*shard, k),
 	}
+	e.shardJob = func(_, _ int) {
+		for k := int(e.nextShard.Add(1)) - 1; k < len(e.shards); k = int(e.nextShard.Add(1)) - 1 {
+			e.shardFn(e.shards[k])
+		}
+	}
 	for s := range e.shards {
 		lo, hi := (s*cfg.N+k-1)/k, ((s+1)*cfg.N+k-1)/k
 		// Shard streams are 1-based; stream 0 is the control stream.
@@ -455,31 +466,47 @@ func (e *Engine) shardOf(i int) int {
 	return i * len(e.shards) / e.nodes
 }
 
-// parallel runs fn over every shard across the worker pool. With one
-// worker (or one shard) it degenerates to a plain loop.
+// parallel runs fn over every shard, each worker taking the next shard
+// left. With one worker it is a plain loop.
 func (e *Engine) parallel(fn func(s *shard)) {
-	if e.workers <= 1 {
-		for _, s := range e.shards {
-			fn(s)
-		}
-		return
+	e.shardFn = fn
+	e.nextShard.Store(0)
+	e.fanOut(e.workers, e.shardJob)
+}
+
+// fanOut is the engine's one way to spread work over its workers: it calls
+// job(part, parts) for every part, part 0 on the calling goroutine and the
+// others on helper goroutines, and returns once all are done. It allocates
+// nothing: jobs are built with the engine, and a helper is a goroutine
+// that captures nothing and takes its part from fanParts. A call starts
+// as many helpers as it sends parts, so any helper may take any engine's
+// part; each takes exactly one.
+func (e *Engine) fanOut(parts int, job func(part, parts int)) {
+	e.fanning.Add(parts - 1)
+	for part := 1; part < parts; part++ {
+		go fanHelper()
+		fanParts <- fanPart{job, part, parts, &e.fanning}
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < e.workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				k := int(next.Add(1)) - 1
-				if k >= len(e.shards) {
-					return
-				}
-				fn(e.shards[k])
-			}
-		}()
-	}
-	wg.Wait()
+	job(0, parts)
+	e.fanning.Wait()
+}
+
+type fanPart struct {
+	job         func(part, parts int)
+	part, parts int
+	done        *sync.WaitGroup
+}
+
+// fanParts is buffered, so a call's parts go out without waiting for each
+// helper to be scheduled. Any size is correct — a send that finds it full
+// waits for a helper already started — and 64 holds every part of a call
+// at up to 65 workers.
+var fanParts = make(chan fanPart, 64)
+
+func fanHelper() {
+	p := <-fanParts
+	p.job(p.part, p.parts)
+	p.done.Done()
 }
 
 // Step advances the simulation by one full cycle: the serial hook and the

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sync"
 
 	"antientropy/internal/overlay"
 	"antientropy/internal/stats"
@@ -86,10 +85,7 @@ func (sp newscastSpec) build(e *Engine) (overlayImpl, error) {
 		// A node initiates at most one gossip a cycle: at most N pairs.
 		o.level, o.pairLevel = make([]int32, e.nodes), make([]int32, e.nodes)
 		o.ends, o.byLevel = make([]int32, e.nodes+1), make([]crossPair, e.nodes)
-		o.helpers = make([]crossJob, e.workers-1)
-		for h := range o.helpers {
-			o.helpers[h].o = o
-		}
+		o.scratch, o.levelJob = make([][]uint64, e.workers), o.applyShare
 	}
 	return o, nil
 }
@@ -108,17 +104,15 @@ type newscast struct {
 	// (out-of-band discovery, paper §4.2).
 	bootstrapSize int
 
-	// scratch is the serial-phase merge buffer (flushCross); the parallel
-	// phase uses the per-shard scratch.
-	scratch []uint64
-
 	// flushCross's level schedule, when there are shards to drain: per
 	// node, per pair in drain order, the end of each level in byLevel,
-	// the pairs grouped by level; the other workers' shares.
+	// the pairs grouped by level; the level being applied at cycle, its
+	// fan-out job and each part's merge buffer.
 	level, pairLevel, ends []int32
-	byLevel                []crossPair
-	helpers                []crossJob
-	helping                sync.WaitGroup
+	byLevel, pairs         []crossPair
+	cycle                  int
+	levelJob               func(part, parts int)
+	scratch                [][]uint64
 }
 
 // neighbor draws a uniform member of the node's current view.
@@ -210,42 +204,15 @@ const crossShare = 256
 // applyLevel applies one level's pairs, which touch disjoint views,
 // across up to the engine's workers.
 func (o *newscast) applyLevel(pairs []crossPair, cycle int) {
-	parts := min(len(o.helpers)+1, len(pairs)/crossShare)
-	if parts <= 1 {
-		o.scratch = applyPairs(o.t, o.scratch, pairs, cycle)
-		return
-	}
-	share := (len(pairs) + parts - 1) / parts
-	o.helping.Add(parts - 1)
-	for h := range parts - 1 {
-		job := &o.helpers[h]
-		job.pairs, job.cycle = pairs[(h+1)*share:min((h+2)*share, len(pairs))], cycle
-		go crossHelper()
-		crossJobs <- job
-	}
-	o.scratch = applyPairs(o.t, o.scratch, pairs[:share], cycle)
-	o.helping.Wait()
+	o.pairs, o.cycle = pairs, cycle
+	o.e.fanOut(max(1, min(o.e.workers, len(pairs)/crossShare)), o.levelJob)
 }
 
-// crossJob is a helper's share of a level and its own merge buffer.
-type crossJob struct {
-	o       *newscast
-	pairs   []crossPair
-	cycle   int
-	scratch []uint64
-}
-
-// crossJobs hands each started crossHelper its job: a goroutine that
-// captures nothing starts without an allocation. Any helper may take any
-// engine's job; each takes exactly one. The buffer lets a level's shares
-// go out without waiting for each helper to be scheduled; a send that
-// finds it full waits for an already started helper.
-var crossJobs = make(chan *crossJob, 64)
-
-func crossHelper() {
-	job := <-crossJobs
-	job.scratch = applyPairs(job.o.t, job.scratch, job.pairs, job.cycle)
-	job.o.helping.Done()
+// applyShare applies one part's share of the level's pairs.
+func (o *newscast) applyShare(part, parts int) {
+	share := (len(o.pairs) + parts - 1) / parts
+	pairs := o.pairs[min(part*share, len(o.pairs)):min((part+1)*share, len(o.pairs))]
+	o.scratch[part] = applyPairs(o.t, o.scratch[part], pairs, o.cycle)
 }
 
 // applyPairs exchanges the pairs in order on the given merge buffer,

@@ -131,8 +131,9 @@ func TestOneShardConservesMassExactly(t *testing.T) {
 type serialDrain struct{ *newscast }
 
 func (o serialDrain) flushCross(cycle int) {
+	var scratch []uint64
 	for _, s := range o.e.shards {
-		o.scratch = applyPairs(o.t, o.scratch, s.gossip, cycle)
+		scratch = applyPairs(o.t, scratch, s.gossip, cycle)
 	}
 }
 
@@ -185,9 +186,9 @@ func TestRowsIndependentOfWorkersAndGOMAXPROCS(t *testing.T) {
 }
 
 // TestStepAllocs bounds the allocations of a steady-state cycle on the
-// NEWSCAST overlay: the two parallel phases' closures and, at K = 4,
-// their worker goroutines. The cross-shard drain adds none, however many
-// levels it splits across the workers.
+// NEWSCAST overlay: the two parallel phases' closures. The fan-out adds
+// none, for the phases or for however many levels the cross-shard drain
+// splits across the workers.
 func TestStepAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates")

@@ -55,6 +55,13 @@ func (f *UDPFilter) SetLoss(p float64) {
 	f.loss = p
 }
 
+// Loss returns the outbound datagram loss probability.
+func (f *UDPFilter) Loss() float64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.loss
+}
+
 // PartitionGroups splits the network into groups: datagrams between
 // addresses assigned to different groups are dropped, exactly as a
 // network partition loses them. Addresses missing from the map are
