@@ -22,13 +22,14 @@
 // What a node owns. The paper's scalability argument is that a node keeps
 // a constant amount of state whatever the size of the network: an
 // estimate, an epoch, a cache of c descriptors (§4, §4.4). A Node at rest
-// is that — its protocol state, its view, and a session (the delta-gossip
-// codec) for each of the 2(c+1) peers it met last, recycled for whoever it
-// meets next (sessionCap). Everything an exchange computes in — decoder,
-// outgoing message, the codec's and the view's merge buffers
-// — is a workspace borrowed for one hold of the node's lock from a pool
-// the whole process shares (workspace.go), so the goroutine that runs 500
-// nodes works in one warm set of buffers, not 500 cold ones.
+// is that — its protocol state and its view — and nothing per peer: every
+// membership frame it sends carries the whole view plus a fresh
+// self-descriptor, and every frame it receives is merged into the view,
+// freshest descriptor wins, whatever the peer it came from. Everything an
+// exchange computes in — decoder, outgoing message, the view's merge
+// buffer — is a workspace borrowed for one hold of the node's lock from a
+// pool the whole process shares (workspace.go), so the goroutine that runs
+// 500 nodes works in one warm set of buffers, not 500 cold ones.
 //
 // Concurrency note. The paper treats an exchange as atomic; over a real
 // network the initiator's state could drift between sending its estimate
@@ -120,10 +121,9 @@ type Config struct {
 	// MaxOutputs bounds the retained epoch outputs (default 16).
 	MaxOutputs int
 	// MaxViewBytes caps the encoded size of the piggybacked membership
-	// view per exchange (0 = unlimited). The overlay tolerates partial
-	// views by design (§4): descriptors trimmed by the cap are resent by
-	// later frames, never starved. The cap may drop even the fresh
-	// self-descriptor from a frame — harmless for the same reason.
+	// view per exchange (0 = unlimited): a frame carries the freshest
+	// descriptors that fit. The overlay tolerates partial views by design
+	// (§4), so the cap may drop even the fresh self-descriptor.
 	MaxViewBytes int
 	// Adversary, when non-nil, corrupts the scalar estimate this node
 	// reports on the wire — the Byzantine hook the scenario executor's
@@ -190,15 +190,15 @@ type Metrics struct {
 	EpochJumps int64
 	// DecodeErrors counts undecodable datagrams.
 	DecodeErrors int64
-	// GossipFramesFull counts outgoing membership frames that carried
-	// the whole view (first contact, or a delta would not have been
-	// smaller).
+	// GossipFramesFull counts outgoing membership frames; every one
+	// carries the whole view.
 	GossipFramesFull int64
-	// GossipFramesDelta counts outgoing delta frames.
+	// GossipFramesDelta is always 0: a node sends no delta frames. It
+	// stays only because the repository benchmark reads it.
 	GossipFramesDelta int64
-	// GossipEntriesSent counts descriptors across all outgoing frames —
-	// divided by the frame counts it measures what the delta codec saves
-	// against always-full gossip (the view size + 1).
+	// GossipEntriesSent counts descriptors across all outgoing frames;
+	// divided by GossipFramesFull it is the view size + 1, less what
+	// MaxViewBytes trims.
 	GossipEntriesSent int64
 	// RTTSamples counts exchange replies whose initiate→reply round
 	// trip was measured; RTTTotal is their summed latency, so the mean
@@ -230,7 +230,6 @@ func (m *Metrics) Accumulate(o Metrics) {
 	m.EpochJumps += o.EpochJumps
 	m.DecodeErrors += o.DecodeErrors
 	m.GossipFramesFull += o.GossipFramesFull
-	m.GossipFramesDelta += o.GossipFramesDelta
 	m.GossipEntriesSent += o.GossipEntriesSent
 	m.RTTSamples += o.RTTSamples
 	m.RTTTotal += o.RTTTotal
@@ -254,7 +253,6 @@ type counters struct {
 	epochJumps         atomic.Int64
 	decodeErrors       atomic.Int64
 	gossipFramesFull   atomic.Int64
-	gossipFramesDelta  atomic.Int64
 	gossipEntriesSent  atomic.Int64
 	rttSamples         atomic.Int64
 	rttTotalNanos      atomic.Int64
@@ -277,7 +275,6 @@ func (c *counters) snapshot() Metrics {
 		EpochJumps:         c.epochJumps.Load(),
 		DecodeErrors:       c.decodeErrors.Load(),
 		GossipFramesFull:   c.gossipFramesFull.Load(),
-		GossipFramesDelta:  c.gossipFramesDelta.Load(),
 		GossipEntriesSent:  c.gossipEntriesSent.Load(),
 		RTTSamples:         c.rttSamples.Load(),
 		RTTTotal:           time.Duration(c.rttTotalNanos.Load()),
@@ -287,8 +284,7 @@ func (c *counters) snapshot() Metrics {
 
 // Node is a live aggregation participant. Create with New, run with
 // Start, stop with Stop. What it holds between exchanges is protocol
-// state, the view and a bounded table of peer sessions; scratch it borrows
-// per hold of mu (see lock).
+// state and the view; scratch it borrows per hold of mu (see lock).
 type Node struct {
 	cfg    Config
 	log    *slog.Logger
@@ -310,11 +306,6 @@ type Node struct {
 	// of the process's address book XORed with salt (see viewKey).
 	view *overlay.Membership
 	salt int32
-	// peers tracks per-peer connection state, by the peer's book id: the
-	// delta-gossip codec (wire.ViewCodec). It holds the sessionCap(c)
-	// peers met most recently and recycles the idlest one's session,
-	// buffers included, for a peer not among them.
-	peers *transport.Sessions[int32, peerSession]
 	// ws is the workspace of the hold in progress: set by lock, nil again
 	// after unlock, and nil throughout a hold of the bare mutex.
 	ws *workspace
@@ -427,7 +418,6 @@ func New(cfg Config) (*Node, error) {
 		sched:   nodeSchedule{slot: -1},
 	}
 	view.Lend(nil) // merges run in the workspace of the hold
-	n.peers = transport.NewSessions[int32, peerSession](sessionCap(cfg.CacheSize), nil)
 	if cfg.Combiner != nil && cfg.Mode == ModeScalar {
 		n.guard = core.NewMergeGuard(cfg.Combiner, cfg.CombinerK, 1)
 	}
@@ -435,16 +425,16 @@ func New(cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// viewKey maps a book id to this node's key for it in the view and in
-// the codecs' snapshots, and such a key back to the id: an XOR with the
-// node's salt, its own inverse. A packed view ranks descriptors of equal
-// stamp by key, lowest first, and stamps are whole cycles, so ties are
-// the rule; a full cache drops the loser. Ranking by the bare id, the
-// same in every node of the process, would make the address interned
-// last lose everywhere at once — measured on a 200-node fleet, the tenth
-// of the nodes with the lowest ids ended up in six times as many caches
-// as the tenth with the highest. With the salt every node breaks ties in
-// an order of its own, as nodes in separate processes do.
+// viewKey maps a book id to this node's key for it in the view, and such
+// a key back to the id: an XOR with the node's salt, its own inverse. A
+// packed view ranks descriptors of equal stamp by key, lowest first, and
+// stamps are whole cycles, so ties are the rule; a full cache drops the
+// loser. Ranking by the bare id, the same in every node of the process,
+// would make the address interned last lose everywhere at once — measured
+// on a 200-node fleet, the tenth of the nodes with the lowest ids ended
+// up in six times as many caches as the tenth with the highest. With the
+// salt every node breaks ties in an order of its own, as nodes in
+// separate processes do.
 func (n *Node) viewKey(id int32) int32 { return id ^ n.salt }
 
 // keyAddr resolves a view key to its address.
@@ -476,46 +466,6 @@ func (n *Node) xidLocked(seq uint64) uint64 {
 		xid = 1
 	}
 	return xid
-}
-
-// sessionCap is how many peers a node with cache size c keeps a session
-// for: two views' worth, counting the node itself in each. A session is
-// worth keeping while the peer may still hold descriptors we sent it —
-// that is what a delta frame saves resending — and a NEWSCAST view turns
-// over within a few cycles, in each of which a node talks to about two
-// peers, so what the peers met before the last 2(c+1) remember of us
-// overlaps nothing in the view any more. Measured at 500 nodes, c = 30:
-// the share of full frames and the bytes per exchange are the same with
-// 62 sessions as with one for every peer ever met. A fleet whose
-// membership fits in two views never evicts.
-func sessionCap(c int) int { return 2 * (c + 1) }
-
-// peerSession is the per-peer connection state kept in the transport
-// session table: the delta-gossip codec.
-type peerSession struct {
-	codec wire.ViewCodec
-}
-
-// Reset is what the session table calls to hand an evicted peer's session
-// to a new one: first-contact state, the codec's buffers kept.
-func (s *peerSession) Reset() { s.codec.Reset() }
-
-// peerSessions and sessionEvictions count over every node of the process:
-// the sessions held now (a stopped node's leave the count) and the
-// sessions recycled for a new peer so far.
-var peerSessions, sessionEvictions atomic.Int64
-
-// sessionLocked returns the session of the peer with the given book id,
-// first-contact state if it is not among the peers met most recently.
-func (n *Node) sessionLocked(id int32) *peerSession {
-	held, evicted := n.peers.Len(), n.peers.Evictions()
-	sess := n.peers.Get(id)
-	if n.peers.Len() != held {
-		peerSessions.Add(1)
-	} else if n.peers.Evictions() != evicted {
-		sessionEvictions.Add(1)
-	}
-	return sess
 }
 
 // tick converts wall-clock time into the logical NEWSCAST stamp: whole
@@ -622,7 +572,6 @@ func (n *Node) Stop() error {
 	err := n.cfg.Endpoint.Close()
 	n.mu.Lock()
 	n.closeSubsLocked()
-	peerSessions.Add(-int64(n.peers.Len()))
 	n.mu.Unlock()
 	return err
 }

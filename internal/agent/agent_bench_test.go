@@ -190,80 +190,100 @@ func BenchmarkSchedulerWorkerSlice(b *testing.B) {
 		float64(after.ExchangesInitiated-before.ExchangesInitiated), "completed-share")
 }
 
-// BenchmarkNodeResidentBytes is the rung of the recency bound: what a node
-// keeps, on the heap, after it has met a number of distinct peers — its
-// protocol state, its view and its sessions, which stop at sessionCap
-// however many peers there are. Hand-driven, no clock: each of 200 nodes
-// serves one exchange request, with a full view, from each of its peers;
-// B/node is the growth of the live heap over the fleet, its construction
-// included.
+// BenchmarkNodeResidentBytes is the rung of a node's constant state: what
+// it keeps, on the heap, after it has met a number of distinct peers — its
+// protocol state and its view, and nothing per peer, however many peers
+// there are. B/node is residentBytesPerNode over a fleet of 200.
 func BenchmarkNodeResidentBytes(b *testing.B) {
 	for _, peers := range []int{150, 450} {
 		b.Run(fmt.Sprintf("peers=%d", peers), func(b *testing.B) {
-			const fleet = 200
-			net := transport.NewMemNetwork(transport.MemNetworkConfig{Seed: 1})
-			defer net.Close()
-			idle := core.Schedule{Start: time.Now(), Delta: time.Hour, CycleLen: time.Hour, Gamma: 1 << 20}
-			from := make([]string, peers)
-			requests := make([][]byte, peers)
-			for i := range requests {
-				ep := net.Endpoint()
-				ep.SetHandler(func(p transport.Packet) { p.Release() })
-				from[i] = ep.Addr()
-			}
-			for i := range requests {
-				view := make([]wire.Descriptor, 0, 31)
-				for k := 0; k < 31; k++ {
-					view = append(view, wire.Descriptor{Addr: from[(i+k)%peers], Stamp: int64(k)})
-				}
-				data, err := wire.Encode(&wire.ExchangeRequest{From: from[i], Payload: wire.Payload{
-					Seq: 1, FuncID: wire.FuncAverage, Scalar: 2,
-					View: wire.ViewFrame{Kind: wire.ViewFull, Gen: 1, Entries: view},
-				}})
-				if err != nil {
-					b.Fatal(err)
-				}
-				requests[i] = data
-			}
 			var perNode float64
 			for i := 0; i < b.N; i++ {
-				var before, after runtime.MemStats
-				runtime.GC()
-				runtime.ReadMemStats(&before)
-				nodes := make([]*Node, fleet)
-				for j := range nodes {
-					node, err := New(Config{
-						Endpoint: net.Endpoint(), Schedule: idle, Value: func() float64 { return 1 },
-						Bootstrap: from[:1], Seed: uint64(j + 1), Logger: quietLogger(),
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if err := node.Start(context.Background()); err != nil {
-						b.Fatal(err)
-					}
-					nodes[j] = node
-					for k, data := range requests {
-						node.handle(from[k], data)
-					}
-				}
-				runtime.GC()
-				runtime.ReadMemStats(&after)
-				perNode = (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / fleet
-				b.StopTimer()
-				var served int64
-				for _, node := range nodes {
-					served += node.Metrics().ExchangesServed
-					_ = node.Stop()
-				}
-				if served != int64(fleet*peers) {
-					b.Fatalf("%d of %d requests served", served, fleet*peers)
-				}
-				b.StartTimer()
+				perNode = residentBytesPerNode(b, 200, peers)
 			}
 			b.ReportMetric(perNode, "B/node")
 		})
 	}
+}
+
+// residentBytesPerNode measures what a node keeps. Hand-driven, no clock:
+// each node of the fleet serves one exchange request, with a full view,
+// from each of peers distinct peers; the result is the growth of the live
+// heap over the fleet per node, from New to the last request served. The
+// endpoints and the book entries of every address exist beforehand: they
+// are the transport's and the process's, not the node's, and a table of
+// either that happened to grow inside the window would be counted.
+func residentBytesPerNode(tb testing.TB, fleet, peers int) float64 {
+	tb.Helper()
+	net := transport.NewMemNetwork(transport.MemNetworkConfig{Seed: 1})
+	defer net.Close()
+	idle := core.Schedule{Start: time.Now(), Delta: time.Hour, CycleLen: time.Hour, Gamma: 1 << 20}
+	from := make([]string, peers)
+	for i := range from {
+		ep := net.Endpoint()
+		ep.SetHandler(func(p transport.Packet) { p.Release() })
+		from[i] = ep.Addr()
+		book.Intern(from[i])
+	}
+	eps := make([]*transport.MemEndpoint, fleet)
+	for j := range eps {
+		eps[j] = net.Endpoint()
+		book.Intern(eps[j].Addr())
+	}
+	requests := make([][]byte, peers)
+	for i := range requests {
+		view := make([]wire.Descriptor, 0, 31)
+		for k := 0; k < 31; k++ {
+			view = append(view, wire.Descriptor{Addr: from[(i+k)%peers], Stamp: int64(k)})
+		}
+		data, err := wire.Encode(&wire.ExchangeRequest{From: from[i], Payload: wire.Payload{
+			Seq: 1, FuncID: wire.FuncAverage, Scalar: 2,
+			View: wire.ViewFrame{Kind: wire.ViewFull, Gen: 1, Entries: view},
+		}})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		requests[i] = data
+	}
+	// Two collections on each side: the first moves what the workspace
+	// and buffer pools hold to their victim caches, the second frees it,
+	// so pooled scratch is counted on neither side.
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	nodes := make([]*Node, fleet)
+	for j := range nodes {
+		node, err := New(Config{
+			Endpoint: eps[j], Schedule: idle, Value: func() float64 { return 1 },
+			Bootstrap: from[:1], Seed: uint64(j + 1), Logger: quietLogger(),
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := node.Start(context.Background()); err != nil {
+			tb.Fatal(err)
+		}
+		nodes[j] = node
+		for k, data := range requests {
+			node.handle(from[k], data)
+		}
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	// Counted on both sides, not freed in between.
+	runtime.KeepAlive(from)
+	runtime.KeepAlive(requests)
+	var served int64
+	for _, node := range nodes {
+		served += node.Metrics().ExchangesServed
+		_ = node.Stop()
+	}
+	if served != int64(fleet*peers) {
+		tb.Fatalf("%d of %d requests served", served, fleet*peers)
+	}
+	return (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(fleet)
 }
 
 // benchEncodeNode builds a node with a full 30-descriptor NEWSCAST view
@@ -298,19 +318,14 @@ func benchEncodeNode(b *testing.B) (*Node, []string) {
 	return node, contacts
 }
 
-// benchAgentCycleEncode measures the per-cycle cost of snapshotting the
-// node state and encoding one exchange request — the live executor's
-// dominant CPU item. Every iteration models one steady-state cycle: two
-// cache descriptors refresh (one served and one initiated exchange's
-// worth of churn) plus the node's own fresh self-descriptor. With
-// established=false every frame carries the full ~30-descriptor view
-// (the pre-delta protocol, and still the first-contact cost); with
-// established=true the peer acknowledges each frame, so the codec ships
-// deltas.
-func benchAgentCycleEncode(b *testing.B, established bool) {
+// BenchmarkAgentCycleEncodeFull measures the per-cycle cost of
+// snapshotting the node state and encoding one exchange request — the
+// live executor's dominant CPU item. Every iteration models one
+// steady-state cycle: two cache descriptors refresh (one served and one
+// initiated exchange's worth of churn) plus the node's own fresh
+// self-descriptor, and the frame carries the whole ~30-descriptor view.
+func BenchmarkAgentCycleEncodeFull(b *testing.B) {
 	node, contacts := benchEncodeNode(b)
-	sess := node.peers.Get(book.Intern("peer-x:7000"))
-	var peerGen uint32
 	refresh := [2]int32{
 		node.viewKey(book.Intern(contacts[0])),
 		node.viewKey(book.Intern(contacts[1])),
@@ -330,32 +345,14 @@ func benchAgentCycleEncode(b *testing.B, established bool) {
 			{Key: refresh[1], Stamp: stamp},
 		})
 		// Snapshot and encode the outgoing exchange request.
-		payload := node.payloadLocked(sess, uint64(i+1), uint64(i+1), now)
+		payload := node.payloadLocked(uint64(i+1), uint64(i+1), now)
 		data, err := wire.Encode(&wire.ExchangeRequest{From: node.Addr(), Payload: payload})
 		node.unlock() // the payload's lists are the workspace's
 		if err != nil {
 			b.Fatal(err)
 		}
 		bytes += int64(len(data))
-		if established {
-			// The peer acks every frame, as a live reply would.
-			peerGen++
-			node.mu.Lock()
-			sess.codec.Observe(wire.ViewFrame{
-				Kind: wire.ViewDelta, Gen: peerGen, Ack: payload.View.Gen,
-			})
-			node.mu.Unlock()
-		}
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(bytes)/float64(b.N), "bytes/op")
 }
-
-// BenchmarkAgentCycleEncodeFull is the full-view baseline: no frame is
-// ever acknowledged, so every cycle re-encodes the whole view.
-func BenchmarkAgentCycleEncodeFull(b *testing.B) { benchAgentCycleEncode(b, false) }
-
-// BenchmarkAgentCycleEncodeDelta is the steady-state delta path: the
-// peer acknowledges frames, so each cycle ships only the refreshed
-// descriptors.
-func BenchmarkAgentCycleEncodeDelta(b *testing.B) { benchAgentCycleEncode(b, true) }

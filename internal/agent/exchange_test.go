@@ -166,7 +166,7 @@ func TestServeExchangeAllocs(t *testing.T) {
 		p := <-h.peer.Recv()
 		p.Release()
 	}
-	serve() // first contact: session, interned addresses, scratch growth
+	serve() // first contact: interned addresses, scratch growth
 	if n := testing.AllocsPerRun(200, serve); n > 4 {
 		t.Fatalf("serving one exchange request allocates %.1f times, want ≤ 4", n)
 	}
@@ -175,24 +175,12 @@ func TestServeExchangeAllocs(t *testing.T) {
 	}
 }
 
-// sessionOf returns the node's session for the peer at addr, if it has
-// one. Caller holds mu.
-func (n *Node) sessionOf(addr string) (*peerSession, bool) {
-	id, ok := book.Lookup(addr)
-	if !ok {
-		return nil, false
-	}
-	return n.peers.Peek(id)
-}
-
 // nodeState is everything a rejected datagram must leave alone. bookLen
 // is the size of the process's shared book: no other test's fleet runs
 // while these do.
 type nodeState struct {
 	bookLen int
 	view    []uint64
-	peers   int
-	codec   string // the peer's ViewCodec, every field, printed
 	scalar  float64
 	metrics Metrics
 }
@@ -200,27 +188,21 @@ type nodeState struct {
 func (h handNode) state() nodeState {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	s := nodeState{
+	return nodeState{
 		bookLen: book.Len(),
 		view:    slices.Clone(h.view.Packed()),
-		peers:   h.peers.Len(),
 		scalar:  h.scalar,
 		metrics: h.Metrics(),
 	}
-	if sess, ok := h.sessionOf(h.peer.Addr()); ok {
-		s.codec = fmt.Sprintf("%+v", sess.codec)
-	}
-	return s
 }
 
 // TestRejectedDatagramLeavesNoTrace: a datagram that names new addresses
 // and then fails validation changes nothing but DecodeErrors — no
-// address is interned in the process's shared book, the view, the
-// sessions and the peer's codec stay as they were.
+// address is interned in the process's shared book, the view stays as it
+// was.
 func TestRejectedDatagramLeavesNoTrace(t *testing.T) {
 	h := newHandNode(t, ModeScalar, 0)
-	// One valid exchange first, so the peer has a session and a codec
-	// state to corrupt.
+	// One valid exchange first, so the view holds state to corrupt.
 	h.deliver(t, &wire.ExchangeRequest{From: h.peer.Addr(), Payload: wire.Payload{
 		Seq: 1, Epoch: h.Epoch(), FuncID: wire.FuncAverage, Scalar: 2,
 		View: fullFrame(h.peer.Addr(), "known", 1),
@@ -302,11 +284,8 @@ func TestDatagramBufferNotAliased(t *testing.T) {
 	if got := h.state(); !reflect.DeepEqual(got, state) {
 		t.Fatalf("node state changed with the datagram buffer:\n got %+v\nwant %+v", got, state)
 	}
-	h.mu.Lock()
-	_, ok := h.sessionOf(h.peer.Addr())
-	h.mu.Unlock()
-	if !ok {
-		t.Fatal("the peer's session cannot be found by its address any more")
+	if _, ok := book.Lookup("fresh-30:7000"); !ok {
+		t.Fatal("an address the datagram named cannot be found in the book any more")
 	}
 }
 
@@ -534,6 +513,35 @@ func TestCountExchangeInPlace(t *testing.T) {
 	h.mu.Unlock()
 	if want := (core.MapState{1: 0.5, 2: 0.375, 3: 0.5}); !reflect.DeepEqual(got, want) {
 		t.Fatalf("state after the exchange %v, want %v", got, want)
+	}
+}
+
+// TestCountRestartReusesMap: an epoch restart clears the COUNT map
+// instead of replacing it, so once an epoch has met k leaders a later
+// epoch that meets k again allocates nothing for them, and what a run
+// allocates does not follow how many leaders each epoch's coins elect.
+func TestCountRestartReusesMap(t *testing.T) {
+	h := newHandNode(t, ModeCount, 0)
+	entries := make([]wire.MapEntry, 20)
+	for i := range entries {
+		entries[i] = wire.MapEntry{Leader: int64(i + 1), Value: 1}
+	}
+	epoch := func() {
+		h.mu.Lock()
+		h.resetStateLocked()
+		mergeEntries(h.mapState, entries)
+		h.mu.Unlock()
+	}
+	epoch() // the first epoch grows the map
+	if n := testing.AllocsPerRun(100, epoch); n != 0 {
+		t.Fatalf("an epoch restart and a merge of %d leaders allocate %.1f times, want 0", len(entries), n)
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for _, e := range entries {
+		if got := h.mapState[core.LeaderID(e.Leader)]; got != 0.5 {
+			t.Fatalf("leader %d holds %v after the restart's merge, want 0.5", e.Leader, got)
+		}
 	}
 }
 

@@ -17,13 +17,14 @@ import (
 	"antientropy/internal/wire"
 )
 
-// TestDeltaGossipEngages runs a small live fleet and verifies the delta
-// handshake forms end to end: after a few cycles of request/reply gossip
-// every node has had a frame acknowledged by some peer, meaning its
-// subsequent piggybacked views to that peer go out as deltas, not full
-// copies. (A 4-node fleet rather than a pair: two nodes whose random
-// phases land within the message-processing latency refuse each other
-// forever — the synchronized-gossip livelock that predates this codec.)
+// TestDeltaGossipEngages runs a small live fleet and verifies that
+// full-view gossip spreads membership end to end: every node is founded
+// knowing only the next one around a ring, and within a few cycles every
+// view names the other three. Every frame sent — one per exchange request
+// and one per served reply — is counted as full, none as a delta. (A
+// 4-node fleet rather than a pair: two nodes whose random phases land
+// within the message-processing latency refuse each other forever — the
+// synchronized-gossip livelock.)
 func TestDeltaGossipEngages(t *testing.T) {
 	net := transport.NewMemNetwork(transport.MemNetworkConfig{Seed: 7})
 	defer net.Close()
@@ -45,7 +46,7 @@ func TestDeltaGossipEngages(t *testing.T) {
 		node, err := New(Config{
 			Endpoint: eps[i], Schedule: sched,
 			Value:     func() float64 { return float64(i) },
-			Bootstrap: addrs,
+			Bootstrap: addrs[(i+1)%fleet : (i+1)%fleet+1],
 			Seed:      uint64(i + 1),
 			Logger:    quietLogger(),
 		})
@@ -57,34 +58,43 @@ func TestDeltaGossipEngages(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	defer func() {
+	stop := func() {
 		for _, n := range nodes {
-			_ = n.Stop()
+			_ = n.Stop() // idempotent
 		}
-	}()
+	}
+	defer stop()
 
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		engaged := 0
+	knowsAll := func() bool {
 		for _, n := range nodes {
-			n.mu.Lock()
-			for _, peer := range addrs {
-				if peer == n.Addr() {
-					continue
-				}
-				if sess, ok := n.sessionOf(peer); ok && sess.codec.AckedGen() > 0 {
-					engaged++
-					break
-				}
+			if n.PeerCount() != fleet-1 {
+				return false
 			}
-			n.mu.Unlock()
 		}
-		if engaged == fleet {
-			return // every node sends deltas to at least one peer
+		return true
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for !knowsAll() {
+		if time.Now().After(deadline) {
+			for _, n := range nodes {
+				t.Logf("%s knows %v", n.Addr(), n.Peers())
+			}
+			t.Fatal("the views do not name the whole fleet after 5s")
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	t.Fatal("delta handshake never formed: no acknowledged generations after 5s")
+	stop()
+	var sum Metrics
+	for _, n := range nodes {
+		sum.Accumulate(n.Metrics())
+	}
+	if frames := sum.ExchangesInitiated + sum.ExchangesServed; sum.GossipFramesFull != frames || sum.GossipFramesDelta != 0 {
+		t.Fatalf("%d full and %d delta frames counted for %d requests and %d served replies",
+			sum.GossipFramesFull, sum.GossipFramesDelta, sum.ExchangesInitiated, sum.ExchangesServed)
+	}
+	if sum.GossipEntriesSent > fleet*sum.GossipFramesFull {
+		t.Fatalf("%d descriptors over %d frames: a frame holds at most the view and self, %d", sum.GossipEntriesSent, sum.GossipFramesFull, fleet)
+	}
 }
 
 // TestSharedBookTieBreakStarvesNobody: all nodes of a process take their

@@ -77,10 +77,15 @@ func (n *Node) resetStateLocked() {
 		}
 	}
 	pLead := core.LeaderProbability(n.cfg.Concurrency, sizeGuess)
-	if n.rng.Bool(pLead) {
-		n.mapState = core.NewLeaderState(n.leaderID)
-	} else {
+	// The map is cleared, not replaced: it keeps the room the busiest
+	// epoch so far grew it to, so an epoch allocates nothing for its
+	// leaders, however many the coins elect.
+	if n.mapState == nil {
 		n.mapState = core.MapState{}
+	}
+	clear(n.mapState)
+	if n.rng.Bool(pLead) {
+		n.mapState[n.leaderID] = 1 // core.NewLeaderState
 	}
 }
 
@@ -113,9 +118,7 @@ func (n *Node) initiate(now time.Time) (deadline time.Time) {
 		n.unlock()
 		return deadline
 	}
-	id := n.viewKey(key)
-	peer := book.Addr(id)
-	sess := n.sessionLocked(id)
+	peer := n.keyAddr(key)
 	seq := n.nextSeqLocked()
 	if !n.participating || n.cfg.Schedule.CycleWithin(now) >= n.cfg.Schedule.Gamma {
 		// Joiners integrate into the overlay while they wait (§4.2), and
@@ -123,14 +126,14 @@ func (n *Node) initiate(now time.Time) (deadline time.Time) {
 		// estimate is this epoch's output and the node idles until the
 		// next epoch — it still answers peers that are behind, and keeps
 		// the overlay fresh with membership gossip.
-		n.ws.out.Membership = wire.Membership{From: n.Addr(), Seq: seq, View: n.frameForLocked(sess, now)}
+		n.ws.out.Membership = wire.Membership{From: n.Addr(), Seq: seq, View: n.frameLocked(now)}
 		buf := n.encode(&n.ws.out.Membership)
 		n.unlock()
 		n.transmit(peer, buf)
 		return deadline
 	}
 	xid := n.xidLocked(seq)
-	n.ws.out.ExchangeRequest = wire.ExchangeRequest{From: n.Addr(), Payload: n.payloadLocked(sess, seq, xid, now)}
+	n.ws.out.ExchangeRequest = wire.ExchangeRequest{From: n.Addr(), Payload: n.payloadLocked(seq, xid, now)}
 	buf := n.encode(&n.ws.out.ExchangeRequest)
 	start := time.Now()
 	epoch := n.epoch
@@ -271,15 +274,15 @@ func mergeEntries(ours core.MapState, entries []wire.MapEntry) {
 	}
 }
 
-// payloadLocked snapshots the node's state for the wire, with the
-// membership frame addressed to the exchange peer's session.
-func (n *Node) payloadLocked(sess *peerSession, seq, xid uint64, now time.Time) wire.Payload {
+// payloadLocked snapshots the node's state for the wire, membership frame
+// included.
+func (n *Node) payloadLocked(seq, xid uint64, now time.Time) wire.Payload {
 	p := wire.Payload{
 		Seq:    seq,
 		XID:    xid,
 		Epoch:  n.epoch,
 		FuncID: n.funcID,
-		View:   n.frameForLocked(sess, now),
+		View:   n.frameLocked(now),
 	}
 	if n.cfg.Mode == ModeScalar {
 		p.Scalar = n.scalar
@@ -308,19 +311,27 @@ func (n *Node) payloadLocked(sess *peerSession, seq, xid uint64, now time.Time) 
 }
 
 // viewDescriptorsLocked unpacks the NEWSCAST view — cache content plus a
-// fresh self-descriptor — into wire form, stamps as ticks, truncated to
-// the wire limit: the seeds of a JoinReply. The list lives in the
-// workspace's desc, like every outgoing descriptor list.
+// fresh self-descriptor at its sort position, freshest first — into wire
+// form, stamps as ticks: what every membership frame and every JoinReply
+// carries. The list is cut to the wire limit and, under MaxViewBytes, to
+// its longest prefix that fits the cap, so the stalest descriptors are
+// the ones trimmed. It lives in the workspace's desc, like every outgoing
+// descriptor list.
 func (n *Node) viewDescriptorsLocked(now time.Time) []wire.Descriptor {
 	packed := n.view.Packed()
+	if len(packed) > wire.MaxDescriptors-1 {
+		packed = packed[:wire.MaxDescriptors-1]
+	}
+	self := overlay.Pack(n.view.Self(), n.tick(now))
+	at, _ := slices.BinarySearch(packed, self)
 	out := n.ws.desc[:0]
-	// The byte cap (MaxViewBytes) applies here too; the fresh
-	// self-descriptor appended last is always included, so its wire size
-	// is reserved up front.
-	budget := n.cfg.MaxViewBytes - wire.DescriptorWireSize(n.Addr())
-	for _, e := range packed {
-		if len(out) == wire.MaxDescriptors-1 {
-			break
+	budget := n.cfg.MaxViewBytes
+	for i := range len(packed) + 1 {
+		e := self
+		if i < at {
+			e = packed[i]
+		} else if i > at {
+			e = packed[i-1]
 		}
 		a := n.keyAddr(overlay.UnpackKey(e))
 		if n.cfg.MaxViewBytes > 0 {
@@ -330,65 +341,19 @@ func (n *Node) viewDescriptorsLocked(now time.Time) []wire.Descriptor {
 			}
 			budget -= sz
 		}
-		out = append(out, wire.Descriptor{
-			Addr:  a,
-			Stamp: int64(overlay.UnpackStamp(e)),
-		})
+		out = append(out, wire.Descriptor{Addr: a, Stamp: int64(overlay.UnpackStamp(e))})
 	}
-	out = append(out, wire.Descriptor{Addr: n.Addr(), Stamp: int64(n.tick(now))})
 	n.ws.desc = out
 	return out
 }
 
-// frameForLocked builds the outgoing membership frame for one peer
-// session. The per-peer delta codec decides between a first-contact full
-// view and a delta against the peer's last-acknowledged snapshot,
-// straight off the packed view so addresses are resolved only for the
-// entries actually sent.
-func (n *Node) frameForLocked(sess *peerSession, now time.Time) wire.ViewFrame {
-	packed := n.view.Packed()
-	if len(packed) > wire.MaxDescriptors-1 {
-		packed = packed[:wire.MaxDescriptors-1]
-	}
-	// Insert the fresh self-descriptor at its sort position: the codec
-	// diffs sorted packed sets.
-	self := overlay.Pack(n.view.Self(), n.tick(now))
-	at, _ := slices.BinarySearch(packed, self)
-	buf := append(n.ws.packed[:0], packed[:at]...)
-	buf = append(buf, self)
-	buf = append(buf, packed[at:]...)
-	n.ws.packed = buf
-	// The codec computes in the workspace for this call only: no session
-	// may point into a workspace after the hold that lent it.
-	sess.codec.Scratch = &n.ws.view
-	frame := sess.codec.AppendView(n.ws.desc, buf, n.keyAddr, n.cfg.MaxViewBytes)
-	sess.codec.Scratch = nil
-	n.ws.desc = frame.Entries
-	if frame.Kind == wire.ViewDelta {
-		n.metrics.gossipFramesDelta.Add(1)
-	} else {
-		n.metrics.gossipFramesFull.Add(1)
-	}
-	n.metrics.gossipEntriesSent.Add(int64(len(frame.Entries)))
-	return frame
-}
-
-// senderSessionLocked returns the session of the sender of the message
-// just decoded, whose From field is from: its book id is the one the
-// decoder's lookup found, or a newly interned one.
-func (n *Node) senderSessionLocked(from string) *peerSession {
-	id, known := n.ws.dec.Sender()
-	if !known {
-		id = book.Intern(from)
-	}
-	return n.sessionLocked(id)
-}
-
-// absorbFrameLocked runs a received membership frame through the peer
-// session's codec (acknowledgement bookkeeping) and merges the carried
-// descriptors into the cache.
-func (n *Node) absorbFrameLocked(sess *peerSession, f wire.ViewFrame) {
-	n.absorbDescriptorsLocked(sess.codec.Observe(f))
+// frameLocked builds the outgoing membership frame: the whole view, as a
+// full frame of generation 0 that acknowledges nothing.
+func (n *Node) frameLocked(now time.Time) wire.ViewFrame {
+	entries := n.viewDescriptorsLocked(now)
+	n.metrics.gossipFramesFull.Add(1)
+	n.metrics.gossipEntriesSent.Add(int64(len(entries)))
+	return wire.ViewFrame{Kind: wire.ViewFull, Entries: entries}
 }
 
 // absorbDescriptorsLocked merges received descriptors into the cache.

@@ -85,11 +85,7 @@ func poisonWorkspace(ws *workspace) {
 	ws.desc = fill(ws.desc, wire.Descriptor{Addr: poison, Stamp: -1})
 	ws.entries = fill(ws.entries, wire.MapEntry{Leader: -1, Value: math.NaN()})
 	ws.absorb = fill(ws.absorb, overlay.Entry{Key: -1, Stamp: -1})
-	ws.packed = fill(ws.packed, ^uint64(0))
 	ws.merge = fill(ws.merge, ^uint64(0))
-	// The codec work space is wire's own; TestViewCodecsShareScratch
-	// scribbles it. Here a later hold starts from none.
-	ws.view = wire.ViewScratch{}
 }
 
 // fill overwrites buf to its capacity with v and returns it empty.
@@ -131,7 +127,7 @@ func TestPoisonReachesEveryBuffer(t *testing.T) {
 	if ws.out.ExchangeReply.From != poison || !math.IsNaN(ws.out.ExchangeReply.Scalar) {
 		t.Fatalf("the outgoing reply reads %+v", ws.out.ExchangeReply)
 	}
-	if len(ws.desc)+len(ws.entries)+len(ws.absorb)+len(ws.packed)+len(ws.merge) != 0 {
+	if len(ws.desc)+len(ws.entries)+len(ws.absorb)+len(ws.merge) != 0 {
 		t.Fatal("a poisoned workspace holds a non-empty buffer")
 	}
 }
@@ -141,8 +137,7 @@ func TestPoisonReachesEveryBuffer(t *testing.T) {
 // whole exchanges inline) and one on a UDP mux (handlers on the mux's
 // readers, so the pool is shared between goroutines) run 40 cycles and
 // converge on the true average with no datagram undecodable. Nothing a
-// hold produces — reply, trace record, log attribute, session state —
-// keeps a reference into the workspace it was produced in.
+// hold produces — reply, trace record, log attribute, view — keeps a reference into the workspace it was produced in.
 func TestFleetsConvergeOnPoisonedWorkspaces(t *testing.T) {
 	withPoison(t)
 	const fleet, cycles = 64, 40

@@ -18,8 +18,10 @@ import (
 //
 // Every address of the datagram is resolved once, by the decoder's
 // lookup in the process's book, and nothing is interned until the
-// datagram has validated: senderSessionLocked and absorbDescriptorsLocked
-// intern only what that lookup missed.
+// datagram has validated: absorbDescriptorsLocked interns only what that
+// lookup missed. A frame is absorbed whatever its kind: a delta frame, as
+// a peer running the delta codec may send, is a subset of its sender's
+// view, and the freshest-wins merge takes it like any other.
 func (n *Node) handle(from string, data []byte) {
 	now := time.Now()
 	n.lock()
@@ -50,7 +52,7 @@ func (n *Node) handle(from string, data []byte) {
 		to = m.From
 		reply = n.handleMembershipLocked(m, now)
 	case *wire.MembershipReply:
-		n.absorbFrameLocked(n.senderSessionLocked(m.From), m.View)
+		n.absorbDescriptorsLocked(m.View.Entries)
 	}
 	var buf *[]byte
 	if reply != nil {
@@ -65,18 +67,11 @@ func (n *Node) handle(from string, data []byte) {
 // the epoch rules of §4.2/§4.3 and the busy rule documented on the
 // package. It returns the reply (nil for none) built in the workspace.
 func (n *Node) handleExchangeRequestLocked(m *wire.ExchangeRequest, now time.Time) wire.Message {
-	sess := n.senderSessionLocked(m.From)
-	// Run the frame through the codec now (the reply must acknowledge
-	// it), but absorb its descriptors only after the reply frame is
-	// built: the reply is the pre-merge state (Figure 1b), and a delta
-	// reply computed post-merge would echo the initiator's own
-	// just-sent descriptors straight back at it.
-	gossip := sess.codec.Observe(m.View)
 	switch core.Synchronize(n.epoch, m.Epoch) {
 	case core.DropStale:
 		n.metrics.staleDropped.Add(1)
 		n.trace(obs.TraceStaleDrop, m.From, m.Seq, m.Epoch, m.XID, now)
-		n.absorbDescriptorsLocked(gossip)
+		n.absorbDescriptorsLocked(m.View.Entries)
 		return nil
 	case core.JumpForward:
 		if n.participating || m.Epoch >= n.joinEpoch {
@@ -112,19 +107,20 @@ func (n *Node) handleExchangeRequestLocked(m *wire.ExchangeRequest, now time.Tim
 	}
 	if refused != 0 {
 		n.trace(refused, m.From, m.Seq, m.Epoch, m.XID, now)
-		n.absorbDescriptorsLocked(gossip)
+		n.absorbDescriptorsLocked(m.View.Entries)
 		// The decline NACK carries no membership frame: a refusal must
-		// stay cheap, and skipping the codec keeps the generation stream
-		// reserved for frames that carry state. The initiator's exchange
-		// identifier is echoed so the decline stitches into its span.
+		// stay cheap. The initiator's exchange identifier is echoed so the
+		// decline stitches into its span.
 		n.ws.out.ExchangeReply = wire.ExchangeReply{From: n.Addr(), Payload: wire.Payload{
 			Seq: m.Seq, XID: m.XID, Epoch: m.Epoch, Flags: wire.FlagRefused,
 		}}
 		return &n.ws.out.ExchangeReply
 	}
-	// Reply with the pre-merge state, then update (Figure 1b).
-	n.ws.out.ExchangeReply = wire.ExchangeReply{From: n.Addr(), Payload: n.payloadLocked(sess, m.Seq, m.XID, now)}
-	n.absorbDescriptorsLocked(gossip)
+	// Reply with the pre-merge state, then update (Figure 1b): a reply
+	// built after the absorb would echo the initiator's own just-sent
+	// descriptors straight back at it.
+	n.ws.out.ExchangeReply = wire.ExchangeReply{From: n.Addr(), Payload: n.payloadLocked(m.Seq, m.XID, now)}
+	n.absorbDescriptorsLocked(m.View.Entries)
 	n.applyLocked(&m.Payload)
 	n.metrics.exchangesServed.Add(1)
 	n.trace(obs.TraceServed, m.From, m.Seq, m.Epoch, m.XID, now)
@@ -137,16 +133,15 @@ func (n *Node) handleExchangeRequestLocked(m *wire.ExchangeRequest, now time.Tim
 // paper's "lost response" (§7.2) — and a duplicate of one already
 // applied both find no matching exchange and are dropped.
 func (n *Node) handleExchangeReplyLocked(m *wire.ExchangeReply, now time.Time) {
-	n.absorbFrameLocked(n.senderSessionLocked(m.From), m.View)
+	n.absorbDescriptorsLocked(m.View.Entries)
 	if n.busy && m.Seq == n.pending.seq {
 		n.completeLocked(&m.Payload, now)
 	}
 }
 
 // handleJoinRequestLocked serves §4.2: hand out the next epoch
-// identifier, the time until it starts, and bootstrap contacts. Seeds
-// are a plain full descriptor list — a join is first contact, there is
-// no delta base yet.
+// identifier, the time until it starts, and bootstrap contacts: the
+// descriptors a membership frame carries.
 func (n *Node) handleJoinRequestLocked(m *wire.JoinRequest, now time.Time) wire.Message {
 	info := n.cfg.Schedule.JoinAt(now)
 	n.ws.out.JoinReply = wire.JoinReply{
@@ -169,13 +164,10 @@ func (n *Node) handleJoinReplyLocked(m *wire.JoinReply) {
 	n.absorbDescriptorsLocked(m.Seeds)
 }
 
-// handleMembershipLocked serves a standalone NEWSCAST exchange: run the
-// frame through the peer's codec, reply with the pre-merge view
-// (acknowledging the received frame), then absorb.
+// handleMembershipLocked serves a standalone NEWSCAST exchange: reply with
+// the pre-merge view, then absorb.
 func (n *Node) handleMembershipLocked(m *wire.Membership, now time.Time) wire.Message {
-	sess := n.senderSessionLocked(m.From)
-	entries := sess.codec.Observe(m.View)
-	n.ws.out.MembershipReply = wire.MembershipReply{From: n.Addr(), Seq: m.Seq, View: n.frameForLocked(sess, now)}
-	n.absorbDescriptorsLocked(entries)
+	n.ws.out.MembershipReply = wire.MembershipReply{From: n.Addr(), Seq: m.Seq, View: n.frameLocked(now)}
+	n.absorbDescriptorsLocked(m.View.Entries)
 	return &n.ws.out.MembershipReply
 }

@@ -11,8 +11,7 @@ import "antientropy/internal/obs"
 // counters authoritative, which crash retirement requires, and keeps
 // the hot path at exactly one atomic add per event. Next to the counters
 // it exports what the process has one of: the size of the shared address
-// book, the peer sessions its nodes hold and have recycled, and the
-// scheduler's node count and cycle lateness.
+// book and the scheduler's node count and cycle lateness.
 func RegisterMetrics(reg *obs.Registry, snap func() Metrics) {
 	if reg == nil || snap == nil {
 		return
@@ -51,11 +50,8 @@ func RegisterMetrics(reg *obs.Registry, snap func() Metrics) {
 		"Undecodable datagrams received.",
 		func(m Metrics) int64 { return m.DecodeErrors })
 	counter("agg_gossip_frames_full_total",
-		"Outgoing membership frames carrying the whole view.",
+		"Outgoing membership frames, each carrying the whole view.",
 		func(m Metrics) int64 { return m.GossipFramesFull })
-	counter("agg_gossip_frames_delta_total",
-		"Outgoing delta-encoded membership frames.",
-		func(m Metrics) int64 { return m.GossipFramesDelta })
 	counter("agg_gossip_entries_sent_total",
 		"Descriptors sent across all outgoing membership frames.",
 		func(m Metrics) int64 { return m.GossipEntriesSent })
@@ -71,12 +67,6 @@ func RegisterMetrics(reg *obs.Registry, snap func() Metrics) {
 	reg.GaugeFunc("agg_address_book_size",
 		"Distinct addresses interned in this process's address book (it only grows).",
 		func() float64 { return float64(book.Len()) })
-	reg.GaugeFunc("agg_peer_sessions",
-		"Per-peer sessions (delta-gossip codec state) held by this process's running nodes; each node keeps at most two views' worth.",
-		func() float64 { return float64(peerSessions.Load()) })
-	reg.CounterFunc("agg_session_evictions_total",
-		"Sessions taken from the peer idle longest and recycled for a peer not among a node's most recent; the evicted peer is met again as a first contact.",
-		sessionEvictions.Load)
 	reg.GaugeFunc("agg_scheduler_nodes",
 		"Started nodes whose cycles and exchange deadlines this process's scheduler serves.",
 		func() float64 { return float64(sched.size()) })

@@ -136,11 +136,16 @@ func TestRegisterMetricsExportsCanonicalNames(t *testing.T) {
 		"agg_epoch_jumps_total":               "6",
 		"agg_decode_errors_total":             "9",
 		"agg_gossip_frames_full_total":        "11",
-		"agg_gossip_frames_delta_total":       "12",
 		"agg_gossip_entries_sent_total":       "13",
 	} {
 		if !strings.Contains(out, name+" "+want+"\n") {
 			t.Errorf("missing %s %s in export", name, want)
+		}
+	}
+	// A node keeps no per-peer sessions and sends no delta frames.
+	for _, gone := range []string{"agg_gossip_frames_delta_total", "agg_peer_sessions", "agg_session_evictions_total"} {
+		if strings.Contains(out, gone) {
+			t.Errorf("%s is still exported", gone)
 		}
 	}
 	// Nil registry and nil snapshot are no-ops, not panics.

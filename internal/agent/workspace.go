@@ -9,8 +9,7 @@ import (
 
 // workspace is everything an exchange computes in and nothing a node has
 // to remember: the decoder and its storage, the outgoing message and the
-// lists that back it, the packed view handed to the delta codec, the
-// codec's and the view's merge buffers. Each is written, encoded or
+// lists that back it, the view's merge buffer. Each is written, encoded or
 // consumed within one hold of a node's lock, so it belongs to the hold,
 // not to the node: lock takes one from the pool, unlock returns it. The
 // goroutine that runs every node of the process — and each reader of a
@@ -31,12 +30,8 @@ type workspace struct {
 	desc    []wire.Descriptor
 	entries []wire.MapEntry
 	absorb  []overlay.Entry
-	// packed is the view plus the fresh self-descriptor, as the gossip
-	// encode path hands it to the peer's codec; view is what that codec
-	// computes in, merge what the node's view merges in.
-	packed []uint64
-	view   wire.ViewScratch
-	merge  []uint64
+	// merge is what the node's view merges in.
+	merge []uint64
 }
 
 // workspaces recycles workspaces between holds. A collection empties the

@@ -68,9 +68,9 @@ var RTTBuckets = []float64{
 	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1,
 }
 
-// FrameBytesBuckets are the default bounds for wire-frame sizes: the
-// delta-gossip steady state sits around 100 B, full 30-descriptor views
-// around 800 B, and COUNT payloads can reach a few KiB.
+// FrameBytesBuckets are the default bounds for wire-frame sizes: a
+// small fleet's frames sit around 100 B, full 30-descriptor views around
+// 800 B, and COUNT payloads can reach a few KiB.
 var FrameBytesBuckets = []float64{64, 128, 256, 512, 1024, 2048, 4096, 8192}
 
 // NewHistogram builds a standalone histogram (not registered anywhere)

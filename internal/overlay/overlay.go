@@ -23,8 +23,8 @@
 // views always are; a view received from a peer is in the sender's
 // order, so Absorb checks that half in one pass and sorts it (at most a
 // view's worth of entries) only when it has to. Absorbing a handful of
-// descriptors, the live agent's delta frames, inserts them one at a time
-// instead.
+// descriptors, a small fleet's frame or a few contacts, inserts them one
+// at a time instead.
 //
 // A Table has no per-row header: row i is backing[i·c:(i+1)·c] and
 // lens[i], found from i alone, and a Membership's count is a pointer —
@@ -191,9 +191,9 @@ func (m *Membership) AppendView(dst []uint64, now int32) []uint64 {
 }
 
 // smallAbsorb is the remote size up to which Absorb updates the view one
-// descriptor at a time instead of running the merge kernel — the steady
-// state of the live agent, whose delta frames carry a handful of
-// descriptors. The kernel costs about the same whatever the remote size
+// descriptor at a time instead of running the merge kernel — the frames
+// of a fleet smaller than a view, and contacts added by hand, carry a
+// handful of descriptors. The kernel costs about the same whatever the remote size
 // (it walks the whole stored view), an insertion about a tenth of that.
 const smallAbsorb = 8
 

@@ -340,7 +340,7 @@ type Scenario struct {
 	LinkFailure float64 `json:"linkFailure,omitempty"`
 	// ViewCapBytes caps the encoded piggybacked membership view per
 	// exchange datagram, in bytes (0 = unlimited). The overlay tolerates
-	// partial views (§4): trimmed descriptors are resent by later frames.
+	// partial views (§4): a frame keeps the freshest descriptors that fit.
 	// Live executors only; the cycle-driven simulator has no wire.
 	ViewCapBytes int `json:"viewCapBytes,omitempty"`
 	// Events are the scripted interventions, applied in order each cycle.

@@ -98,6 +98,43 @@ func TestAPITable(t *testing.T) {
 	}
 }
 
+// TestAPIRejectsTrailingData: a body is one JSON value. A second object
+// after it, or any other trailing data, answers 400 and changes nothing;
+// trailing whitespace is fine.
+func TestAPIRejectsTrailingData(t *testing.T) {
+	api, _, _ := newTestAPI(t, nil, nil)
+	steps := []struct {
+		name, method, path, body string
+		wantStatus               int
+	}{
+		{"create two objects", "POST", "/v1/instances", `{"name":"a","fleet_size":2}{"name":"b"}`, http.StatusBadRequest},
+		{"nothing created", "GET", "/v1/instances/a", "", http.StatusNotFound},
+		{"create trailing garbage", "POST", "/v1/instances", `{"name":"a","fleet_size":2} x`, http.StatusBadRequest},
+		{"create trailing whitespace", "POST", "/v1/instances", "{\"name\":\"a\",\"fleet_size\":2} \n", http.StatusCreated},
+		{"feed two objects", "POST", "/v1/instances/a/values", `{"values":[1,2]}{"reset":true,"bogus":1} trailing garbage`, http.StatusBadRequest},
+		{"feed trailing array", "POST", "/v1/instances/a/values", `{"values":[1,2]}[]`, http.StatusBadRequest},
+		{"feed trailing whitespace", "POST", "/v1/instances/a/values", "{\"values\":[1]}\n\t ", http.StatusOK},
+	}
+	for _, step := range steps {
+		w := doJSON(t, api, step.method, step.path, step.body, nil)
+		if w.Code != step.wantStatus {
+			t.Fatalf("%s: %s %s = %d, want %d (body %s)",
+				step.name, step.method, step.path, w.Code, step.wantStatus, w.Body.String())
+		}
+	}
+	// Only the whitespace-trailed feed reached the instance: one slot.
+	var resp struct {
+		Slots int `json:"slots"`
+	}
+	w := doJSON(t, api, "GET", "/v1/instances/a", "", nil)
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		t.Fatalf("get: %v (%s)", err, w.Body.String())
+	}
+	if resp.Slots != 1 {
+		t.Fatalf("the instance holds %d slots, want 1: a rejected feed was applied", resp.Slots)
+	}
+}
+
 func TestAPIFeedReportsGenerations(t *testing.T) {
 	api, _, _ := newTestAPI(t, nil, nil)
 	w := doJSON(t, api, "POST", "/v1/instances",

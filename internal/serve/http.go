@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -313,11 +314,17 @@ func statusFor(err error) int {
 // few thousand floats.
 const maxBodyBytes = 1 << 20
 
+// decodeJSON reads a body that is exactly one JSON value: unknown fields
+// and anything but whitespace after the value are errors, so a second
+// object concatenated to the first is rejected rather than ignored.
 func decodeJSON(r *http.Request, dst any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		return fmt.Errorf("invalid request body: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("invalid request body: data after the JSON value")
 	}
 	return nil
 }

@@ -2,10 +2,14 @@ package transport
 
 // Sessions is a bounded per-peer session table for connectionless
 // transports: datagram endpoints have no connection object to hang
-// per-peer protocol state on (the delta-gossip codec's), so the runtime
-// keys that state by peer here — by whatever the caller
-// identifies a peer with: the address string, or the address-book id a
-// node has at hand anyway, which compares faster.
+// per-peer protocol state on, so a caller keys that state by peer here —
+// by whatever it identifies a peer with: the address string, or an
+// address-book id, which compares faster.
+//
+// No product code uses it: the live agent keeps no per-peer state. It
+// stays, with its tests, only because the repository benchmark's layer
+// ladder measures it (the transport.sessions_get_ns rung); it goes when
+// the benchmark drops that rung.
 //
 // The table is bounded by recency and its storage is fixed: cap slots,
 // allocated once when the first peer is met, each holding a session by
@@ -18,18 +22,16 @@ package transport
 // nothing.
 //
 // Eviction means first contact: an evicted peer that is met again starts
-// from the state a never-seen peer starts from. The protocol layered on
-// top (wire.ViewCodec's handshake) is built to re-establish itself
-// from nothing, and has to be anyway for a peer that
-// restarts. How much state a node keeps is therefore the caller's choice
-// of cap, not a function of how many peers exist: the agent sizes it by
-// its view, because a session older than a few view turnovers has
-// nothing left to say (see agent.Node).
+// from the state a never-seen peer starts from, so a protocol layered on
+// top (wire.ViewCodec's handshake) must re-establish itself from nothing,
+// as it has to anyway for a peer that restarts. How much state is kept is
+// therefore the caller's choice of cap, not a function of how many peers
+// exist.
 //
 // A *S returned by Get or Peek points into the table and stays the
 // session of that peer until the peer is evicted or forgotten. Sessions
 // is not safe for concurrent use; callers serialize access under their
-// own lock (the agent holds its node mutex).
+// own lock.
 type Sessions[K comparable, S any] struct {
 	cap   int
 	newFn func(peer K) *S

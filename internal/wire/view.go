@@ -10,10 +10,12 @@ import (
 // connection: which snapshot of our view the peer has acknowledged
 // (so the next frame can carry only what changed), which frame of the
 // peer we last received (so our next frame acknowledges it), and the
-// running generation counter. The agent keeps one codec per peer in its
-// transport session table — a bounded table that recycles the codec of
-// the peer idle longest for a new one (Reset); the codec itself is
-// transport- and lock-agnostic.
+// running generation counter. The codec is transport- and lock-agnostic.
+//
+// No product code uses it: the live agent sends every frame full and
+// keeps no per-peer state. It stays, with its tests, only because the
+// repository benchmark's layer ladder measures it (the wire.viewcodec_*
+// rungs); it goes when the benchmark drops those rungs.
 //
 // The codec works directly on the packed uint64 representation of
 // overlay.Membership: both the view and the acknowledged snapshot are

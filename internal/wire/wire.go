@@ -18,18 +18,23 @@
 //
 // # View frames
 //
-// A full NEWSCAST view — ~30 descriptors, most of them unchanged since
-// the previous cycle — on every exchange would dominate the live
-// runtime's per-cycle CPU, so the view travels as a ViewFrame: a full
-// packed view is sent only on first contact (or when a delta would not
-// be smaller), and subsequent frames carry only the descriptors that are
-// new or fresher than the snapshot the peer last acknowledged. Frames
-// are numbered per connection (Gen) and acknowledge the highest frame
-// received from the peer (Ack); ViewCodec maintains the per-peer state
-// on both sides. Because NEWSCAST absorption is a merge that keeps the
-// freshest descriptor per key, a lost delta never corrupts a view — the
-// peer merely misses entries that re-spread epidemically — so the codec
-// needs no retransmission machinery.
+// The NEWSCAST view travels as a ViewFrame. A live node sends every frame
+// full: its whole packed view plus a fresh self-descriptor, Gen 0 and
+// Ack 0 (it numbers nothing and acknowledges nothing), and absorbs every
+// frame it receives whatever its Kind, since NEWSCAST absorption is a
+// merge that keeps the freshest descriptor per key. The format also
+// carries delta frames — only the descriptors new or fresher than the
+// snapshot the peer last acknowledged, numbered per connection (Gen),
+// acknowledging the peer's newest frame (Ack) and naming the snapshot
+// they extend (Base) — which ViewCodec builds. A delta is a subset of its
+// sender's view, so a receiver that merges it as one loses nothing.
+//
+// That is why a fleet that mixes nodes with and without the codec keeps
+// gossiping. A codec sends a delta only once the peer has acknowledged
+// its pending frame; a node that always answers Ack 0 never does, so the
+// codec keeps sending it full frames. A codec whose connection was
+// established before its peer changed over falls back to full frames as
+// the acknowledged snapshot leaves its view.
 //
 // # Exchange identifiers
 //
@@ -48,7 +53,7 @@
 // datagram, which may be recycled at once (transport.Packet.Data, for
 // its part, is the receiver's until Packet.Release). Each address is
 // resolved once, by the Decoder's Lookup as it parses, and the id Lookup
-// found comes back with the message (Descriptor.Key, Decoder.Sender);
+// found comes back with the message (Descriptor.Key);
 // Lookup records nothing, because the datagram may still fail validation
 // further on. AppendEncode and ViewCodec.AppendView write into what the
 // caller passes. Decode, Encode and EncodeView are the same code over
@@ -67,8 +72,8 @@ import (
 // Magic identifies the protocol ("Anti-Entropy, DSN 2004").
 var Magic = [4]byte{'A', 'E', '0', '4'}
 
-// Version is the wire version (delta-encoded membership views plus
-// traceable per-exchange identifiers).
+// Version is the wire version (membership view frames, full or delta,
+// plus traceable per-exchange identifiers).
 const Version = 3
 
 // Limits that keep any message within one UDP datagram.
@@ -455,22 +460,14 @@ type Decoder struct {
 	// Lookup, when set, resolves address bytes to an already-interned
 	// string and its id (overlay.Book.Canonical). It must not record
 	// anything: it is called on datagrams that may yet fail validation. A
-	// miss allocates a copy. The id comes back with the message — in each
-	// Descriptor and from Sender — so the caller looks no address up twice.
+	// miss allocates a copy. The id comes back with the message, in each
+	// Descriptor, so the caller looks no address up twice.
 	Lookup func(addr []byte) (string, int32, bool)
 
 	msgs    Messages
 	descs   []Descriptor
 	entries []MapEntry
-	// sender is the Lookup result for the From field of the message last
-	// decoded (only Known and Key are used).
-	sender Descriptor
 }
-
-// Sender returns the id Lookup gave for the From address of the message
-// last decoded; known is false when Lookup missed, when there is no
-// Lookup and for a JoinReply, which names no sender.
-func (d *Decoder) Sender() (key int32, known bool) { return d.sender.Key, d.sender.Known }
 
 // reader consumes the encoding.
 type reader struct {
@@ -549,11 +546,11 @@ func (r *reader) addr(d *Descriptor) {
 	d.Addr = string(b)
 }
 
-// from reads a message's From field, keeping its Lookup result for
-// Decoder.Sender.
+// from reads a message's From field.
 func (r *reader) from() string {
-	r.addr(&r.dec.sender)
-	return r.dec.sender.Addr
+	var d Descriptor
+	r.addr(&d)
+	return d.Addr
 }
 
 // descriptors reads a descriptor list into the decoder's storage (a
@@ -635,7 +632,6 @@ func Decode(data []byte) (Message, error) {
 // how long the message stays valid.
 func (d *Decoder) Decode(data []byte) (Message, error) {
 	r := reader{buf: data, dec: d}
-	d.sender = Descriptor{}
 	magic := r.take(4)
 	if r.err != nil {
 		return nil, r.err
