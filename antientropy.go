@@ -44,7 +44,6 @@ package antientropy
 import (
 	"context"
 	"io"
-	"net/http"
 
 	"antientropy/internal/agent"
 	"antientropy/internal/core"
@@ -179,41 +178,6 @@ func SimulateSum(cfg DerivedConfig) (*DerivedResult, error) { return sim.RunSum(
 // SimulateVariance estimates Var(values) = E[x²] − E[x]² (§5).
 func SimulateVariance(cfg DerivedConfig) (*DerivedResult, error) { return sim.RunVariance(cfg) }
 
-// SimulateProduct estimates Π values = geometric-mean^N (§5).
-func SimulateProduct(cfg DerivedConfig) (*DerivedResult, error) { return sim.RunProduct(cfg) }
-
-// Multi-epoch simulation (§4.1 automatic restart, §5 COUNT lifecycle).
-type (
-	// EpochChainConfig drives consecutive AVERAGE epochs over changing
-	// values.
-	EpochChainConfig = sim.EpochChainConfig
-	// EpochResult is one epoch's outcome.
-	EpochResult = sim.EpochResult
-	// CountChainConfig drives the COUNT lifecycle: P_lead = C/N̂ leader
-	// election fed by the previous epoch's estimate.
-	CountChainConfig = sim.CountChainConfig
-	// CountEpochResult is one COUNT epoch's outcome.
-	CountEpochResult = sim.CountEpochResult
-)
-
-// SimulateEpochs runs consecutive restarting epochs of AVERAGE (§4.1).
-func SimulateEpochs(cfg EpochChainConfig) ([]EpochResult, error) {
-	return sim.RunEpochChain(cfg)
-}
-
-// SimulateCountEpochs runs the full COUNT lifecycle across epochs (§5).
-func SimulateCountEpochs(cfg CountChainConfig) ([]CountEpochResult, error) {
-	return sim.RunCountEpochChain(cfg)
-}
-
-// NewSimulation builds an engine without running it, for step-by-step
-// control (Engine.Step).
-func NewSimulation(cfg SimConfig) (*SimEngine, error) { return sim.New(cfg) }
-
-// SimCore is the engine surface the failure models and the scenario
-// executor program against; SimEngine implements it.
-type SimCore = sim.Core
-
 // NewRNG returns a deterministic random generator.
 func NewRNG(seed uint64) *RNG { return stats.NewRNG(seed) }
 
@@ -307,10 +271,6 @@ type (
 	TraceRing = obs.TraceRing
 	// TraceEvent is one structured exchange-lifecycle event.
 	TraceEvent = obs.TraceEvent
-	// TraceSpan is one exchange's causally stitched event group: every
-	// event sharing the initiator-stamped exchange identifier, classified
-	// into an outcome with one-way-delay and round-trip estimates.
-	TraceSpan = obs.Span
 	// Timeline is the per-cycle flight recorder: a bounded ring of fleet
 	// snapshots served at /debug/timeline.
 	Timeline = obs.Timeline
@@ -346,10 +306,6 @@ func NewTimeline(capacity int) *Timeline { return obs.NewTimeline(capacity) }
 // NewHealth builds a health-rule engine, registering its alert metric
 // families on reg (may be nil).
 func NewHealth(reg *MetricsRegistry, cfg HealthConfig) *Health { return obs.NewHealth(reg, cfg) }
-
-// StitchTraceSpans groups trace events by exchange identifier into
-// causal cross-node spans, ordered by start time.
-func StitchTraceSpans(events []TraceEvent) []TraceSpan { return obs.StitchSpans(events) }
 
 // ServeTelemetry starts the telemetry HTTP server on addr, exposing reg
 // on /metrics, trace (may be nil) on /debug/trace, timeline (may be
@@ -394,10 +350,6 @@ type (
 	ServeMetrics = serve.Metrics
 )
 
-// ServeFunctions lists the aggregation functions an instance can host
-// ("average", "count", "sum", "variance").
-func ServeFunctions() []string { return serve.Functions() }
-
 // NewServeRegistry builds an empty instance registry.
 func NewServeRegistry(cfg ServeRegistryConfig) *ServeRegistry { return serve.NewRegistry(cfg) }
 
@@ -415,14 +367,6 @@ func NewServeLimiter() *ServeLimiter { return serve.NewLimiter() }
 // NewServeMetrics registers the agg_serve_* families on reg (nil reg
 // returns a no-op recorder).
 func NewServeMetrics(reg *MetricsRegistry) *ServeMetrics { return serve.NewMetrics(reg) }
-
-// ServeTelemetryWith starts the telemetry HTTP server with extra routes
-// mounted on the same mux — how cmd/aggd serves its /v1 API next to
-// /metrics and the /debug endpoints on one listener. mount (may be nil)
-// runs before the server starts.
-func ServeTelemetryWith(addr string, reg *MetricsRegistry, trace *TraceRing, timeline *Timeline, mount func(mux *http.ServeMux)) (*TelemetryServer, error) {
-	return obs.ServeWith(addr, reg, trace, timeline, mount)
-}
 
 // RegisterNodeMetrics exposes aggregated node protocol counters on reg
 // under the canonical agg_* names; snap is called at scrape time and
@@ -559,10 +503,6 @@ func ScenarioByName(name string) (Scenario, error) { return scenario.ByName(name
 // LoadScenario reads and validates one JSON scenario.
 func LoadScenario(r io.Reader) (Scenario, error) { return scenario.Load(r) }
 
-// RunScenarioSim executes a scenario deterministically on the
-// cycle-driven simulator (one shard).
-func RunScenarioSim(sc Scenario) (*ScenarioRun, error) { return scenario.RunSim(sc) }
-
 // RunScenarioSimWith executes a scenario on the selected simulation
 // engine: ScenarioEngineSerial or ScenarioEngineSharded with a shard
 // count (deterministic per seed + shard count).
@@ -615,10 +555,6 @@ type (
 	// ScenarioDecodeError is the typed error strict scenario decoding
 	// returns on unknown fields or malformed JSON.
 	ScenarioDecodeError = scenario.DecodeError
-	// ScenarioBiasReport quantifies an attack's impact as the
-	// per-cycle estimate bias of an attacked run against its honest
-	// twin (same seed, adversaries stripped).
-	ScenarioBiasReport = scenario.BiasReport
 	// ScenarioTwinResult bundles an attacked run, its honest twin and
 	// the bias report between them.
 	ScenarioTwinResult = scenario.TwinResult
@@ -639,13 +575,6 @@ const (
 	// identities each cycle.
 	ScenarioBehaviorSybilFlood = scenario.BehaviorSybilFlood
 )
-
-// ScenarioBias compares an attacked run against its honest twin cycle by
-// cycle. Both runs must cover the same cycle count (same scenario shape,
-// same seed).
-func ScenarioBias(attacked, honest *ScenarioRun) ScenarioBiasReport {
-	return scenario.Bias(attacked, honest)
-}
 
 // RunScenarioSimWithTwin executes the scenario twice on the selected
 // simulation engine — once with adversaries stripped (the honest twin),

@@ -86,7 +86,7 @@ func run() error {
 	}
 
 	opts := antientropy.ExperimentOptions{N: *n, Reps: *reps, Seed: *seed, Engine: *engine, Shards: *shards}
-	for _, id := range ids {
+	for i, id := range ids {
 		start := time.Now()
 		res, err := antientropy.RunExperiment(id, opts)
 		if err != nil {
@@ -103,7 +103,13 @@ func run() error {
 		}
 		fmt.Printf("(%s completed in %v on the %s engine)\n\n", id, time.Since(start).Round(time.Millisecond), res.Engine)
 		if csvFile != nil {
-			if err := res.WriteCSV(csvFile); err != nil {
+			// One header per file: the first result writes it, the rest
+			// append their rows.
+			write := res.WriteCSVRows
+			if i == 0 {
+				write = res.WriteCSV
+			}
+			if err := write(csvFile); err != nil {
 				return fmt.Errorf("writing csv: %w", err)
 			}
 		}

@@ -18,7 +18,10 @@
 //
 // Regenerate an envelope (with -gen, after an intentional behaviour
 // change) from a figure CSV produced by the exact command the nightly
-// workflow runs, and commit the result.
+// workflow runs, and commit the result. Each committed envelope has its
+// own margins, and -gen must be given them: fig2 and fig6b use
+// -rel 0.05 -abs 0.05 (the defaults), advbias-inject-extreme and
+// advbias-sybil-flood use -rel 0.1 -abs 0.01.
 package main
 
 import (
@@ -49,12 +52,12 @@ func run() error {
 		if flag.NArg() != 1 {
 			return fmt.Errorf("usage: envcheck -gen [-rel R] [-abs A] figure.csv")
 		}
-		return generate(flag.Arg(0), *rel, *abs)
+		return generate(os.Stdout, flag.Arg(0), *rel, *abs)
 	}
 	if flag.NArg() != 2 {
 		return fmt.Errorf("usage: envcheck envelope.csv figure.csv")
 	}
-	return check(flag.Arg(0), flag.Arg(1))
+	return check(os.Stdout, flag.Arg(0), flag.Arg(1))
 }
 
 // point identifies one figure data point.
@@ -114,26 +117,31 @@ func readFigure(path string) (map[point]float64, error) {
 	return means, nil
 }
 
-// generate emits an envelope CSV for the figure on stdout.
-func generate(figurePath string, rel, abs float64) error {
+// generate writes an envelope CSV for the figure to w.
+func generate(w io.Writer, figurePath string, rel, abs float64) error {
 	rows, err := readCSV(figurePath, figureHeader)
 	if err != nil {
 		return err
 	}
-	fmt.Println("figure,series,x,lo,hi")
+	if _, err := fmt.Fprintln(w, "figure,series,x,lo,hi"); err != nil {
+		return err
+	}
 	for _, rec := range rows {
 		mean, err := strconv.ParseFloat(rec[3], 64)
 		if err != nil {
 			return fmt.Errorf("%s: bad mean %q: %w", figurePath, rec[3], err)
 		}
 		margin := rel*math.Abs(mean) + abs
-		fmt.Printf("%s,%s,%s,%g,%g\n", rec[0], rec[1], rec[2], mean-margin, mean+margin)
+		if _, err := fmt.Fprintf(w, "%s,%s,%s,%g,%g\n", rec[0], rec[1], rec[2], mean-margin, mean+margin); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// check verifies every envelope point against the figure CSV.
-func check(envelopePath, figurePath string) error {
+// check verifies every envelope point against the figure CSV, writing
+// each breach and the verdict to w.
+func check(w io.Writer, envelopePath, figurePath string) error {
 	envRows, err := readCSV(envelopePath, []string{"figure", "series", "x", "lo", "hi"})
 	if err != nil {
 		return err
@@ -152,18 +160,18 @@ func check(envelopePath, figurePath string) error {
 		}
 		mean, ok := means[p]
 		if !ok {
-			fmt.Printf("MISSING %s/%s x=%s: figure CSV has no such point\n", p.figure, p.series, p.x)
+			fmt.Fprintf(w, "MISSING %s/%s x=%s: figure CSV has no such point\n", p.figure, p.series, p.x)
 			breaches++
 			continue
 		}
 		if mean < lo || mean > hi {
-			fmt.Printf("BREACH  %s/%s x=%s: mean %g outside [%g, %g]\n", p.figure, p.series, p.x, mean, lo, hi)
+			fmt.Fprintf(w, "BREACH  %s/%s x=%s: mean %g outside [%g, %g]\n", p.figure, p.series, p.x, mean, lo, hi)
 			breaches++
 		}
 	}
 	if breaches > 0 {
 		return fmt.Errorf("%d of %d envelope points breached", breaches, len(envRows))
 	}
-	fmt.Printf("OK: %d envelope points within bounds\n", len(envRows))
+	fmt.Fprintf(w, "OK: %d envelope points within bounds\n", len(envRows))
 	return nil
 }

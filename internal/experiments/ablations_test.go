@@ -4,27 +4,24 @@ import (
 	"testing"
 )
 
-func ablationTestConfig() AblationConfig {
-	return AblationConfig{N: 1500, Cycles: 25, Reps: 3, Seed: 31}
+// runAblation runs an ablation row at 1 500 nodes, 3 repetitions and at
+// most 25 cycles (A3 measures 20).
+func runAblation(t *testing.T, id string) *Result {
+	t.Helper()
+	r := rowByID(t, id)
+	r.cycles = min(r.cycles, 25)
+	res, err := r.run(Options{N: 1500, Reps: 3, Seed: 31})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestAblationPushPull(t *testing.T) {
-	res, err := RunAblationPushPull(ablationTestConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pp, err := res.SeriesByLabel("push-pull")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps, err := res.SeriesByLabel("push-sum")
-	if err != nil {
-		t.Fatal(err)
-	}
-	po, err := res.SeriesByLabel("push-only")
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runAblation(t, "ablation-pushpull")
+	pp := seriesOf(t, res, "push-pull")
+	ps := seriesOf(t, res, "push-sum")
+	po := seriesOf(t, res, "push-only")
 	// Loss-free: push-pull and push-sum are exact (error ~ 0); push-only
 	// drifts.
 	if pp.Points[0].Mean > 1e-9 {
@@ -46,18 +43,9 @@ func TestAblationPushPull(t *testing.T) {
 }
 
 func TestAblationCombiner(t *testing.T) {
-	res, err := RunAblationCombiner(ablationTestConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	trimmed, err := res.SeriesByLabel("trimmed mean (paper)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := res.SeriesByLabel("plain mean")
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runAblation(t, "ablation-combiner")
+	trimmed := seriesOf(t, res, "trimmed mean (paper)")
+	plain := seriesOf(t, res, "plain mean")
 	// Averaged over the sweep, trimming should never be much worse and
 	// usually better. Assert it wins or ties (within noise) at the
 	// largest t.
@@ -69,15 +57,9 @@ func TestAblationCombiner(t *testing.T) {
 }
 
 func TestAblationPeerSelection(t *testing.T) {
-	res, err := RunAblationPeerSelection(ablationTestConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runAblation(t, "ablation-peer-selection")
 	rho := func(label string) float64 {
-		s, err := res.SeriesByLabel(label)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := seriesOf(t, res, label)
 		return s.Points[0].Mean
 	}
 	uniform := rho("uniform random (ideal)")

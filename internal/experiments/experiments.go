@@ -1,10 +1,24 @@
 // Package experiments regenerates every table and figure of the DSN'04
-// paper's evaluation (§3, §4, §6, §7). Each figure has a Config with
-// paper-scale defaults, a Run function that executes the sweep across all
-// CPU cores, and a Result that prints the same series the paper plots.
+// paper's evaluation (§3, §4, §6, §7), plus the ablations, extensions and
+// scenario-based figures that rest on it.
+//
+// A figure is a row. Every §7 figure sweeps one axis (N, topology, β, c,
+// Pf, Pd, loss or t), keeps the protocol fixed, repeats each point and
+// summarises one observed value, so each is one entry of the table in
+// figures.go: its ID, labels and paper-scale constants (N, reps, seed,
+// axis), its per-point seed rule, and one per-repetition measurement that
+// returns a value per plotted series. A trajectory row (fig2, fig3b, the
+// epoch chains, the scenario runs) has no axis: one run returns a value
+// per cycle. One driver (row.run, in sweep.go) owns everything else:
+// applying Options, validation, engine selection, the loops over series
+// and points, the parallel repetitions, the summary of each point and the
+// Result.
+//
+// To add a figure, append a row to rows() with its constants and its
+// measure function; Registry picks it up, and cmd/aggsim runs it.
 //
 // Paper-scale runs (10⁵ nodes, 50 repetitions) are reproduced by
-// cmd/aggsim; the test suite and benchmarks run the same code at reduced
+// cmd/aggsim; the test suite and benchmarks run the same rows at reduced
 // scale, which is valid because the paper itself demonstrates (Figure 3a)
 // that the convergence behaviour is independent of network size.
 package experiments
@@ -16,6 +30,7 @@ import (
 	"sort"
 	"strings"
 
+	"antientropy/internal/core"
 	"antientropy/internal/plot"
 	"antientropy/internal/sim"
 	"antientropy/internal/stats"
@@ -51,11 +66,21 @@ type Result struct {
 	Series []Series
 }
 
-// WriteCSV emits the result as CSV: id, series, x, mean, min, max, reps.
+// csvHeader is the column row of the figure CSV stream.
+const csvHeader = "figure,series,x,mean,min,max,reps"
+
+// WriteCSV emits the result as a CSV file: the header, then one row per
+// point (id, series, x, mean, min, max, reps).
 func (r *Result) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "figure,series,x,mean,min,max,reps"); err != nil {
+	if _, err := fmt.Fprintln(w, csvHeader); err != nil {
 		return err
 	}
+	return r.WriteCSVRows(w)
+}
+
+// WriteCSVRows emits the data rows only, for appending several results
+// to one CSV stream after the first result's WriteCSV.
+func (r *Result) WriteCSVRows(w io.Writer) error {
 	for _, s := range r.Series {
 		for _, p := range s.Points {
 			if _, err := fmt.Fprintf(w, "%s,%s,%g,%g,%g,%g,%d\n",
@@ -117,24 +142,20 @@ func (r *Result) Plot() (string, error) {
 		series = append(series, ps)
 	}
 	logY := minY > 0 && maxY/minY > 100
+	suffix := ""
+	if logY {
+		suffix = ", log scale"
+	}
 	return plot.Render(plot.Config{
-		Title: fmt.Sprintf("%s — %s (y: %s%s, x: %s)", r.ID, r.Title, r.YLabel, logSuffix(logY), r.XLabel),
+		Title: fmt.Sprintf("%s — %s (y: %s%s, x: %s)", r.ID, r.Title, r.YLabel, suffix, r.XLabel),
 		LogY:  logY,
 	}, series...)
-}
-
-func logSuffix(log bool) string {
-	if log {
-		return ", log scale"
-	}
-	return ""
 }
 
 // summarize converts per-rep values into a Point, ignoring NaNs and
 // infinities (a COUNT run in which every mass holder crashed reports
 // +Inf; the paper excludes those from its figures too).
 func summarize(x float64, values []float64) Point {
-	p := Point{X: x, Min: math.Inf(1), Max: math.Inf(-1)}
 	var m stats.Moments
 	for _, v := range values {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -142,11 +163,7 @@ func summarize(x float64, values []float64) Point {
 		}
 		m.Add(v)
 	}
-	p.Mean = m.Mean()
-	p.Min = m.Min()
-	p.Max = m.Max()
-	p.Reps = m.N()
-	return p
+	return Point{X: x, Mean: m.Mean(), Min: m.Min(), Max: m.Max(), Reps: m.N()}
 }
 
 // TopologySpec names an overlay construction used across the figure
@@ -156,50 +173,17 @@ type TopologySpec struct {
 	Overlay sim.OverlaySpec
 }
 
-// graphBuilder generates a static graph over n nodes.
-type graphBuilder = func(n int, rng *stats.RNG) (topology.Graph, error)
-
 // graphTopology wraps a static graph generator.
-func graphTopology(name string, build graphBuilder) TopologySpec {
+func graphTopology(name string, build func(n int, rng *stats.RNG) (topology.Graph, error)) TopologySpec {
 	return TopologySpec{Name: name, Overlay: sim.Static(build)}
-}
-
-// NewscastTopology is the NEWSCAST overlay with cache size c.
-func NewscastTopology(c int) TopologySpec {
-	return TopologySpec{Name: "Newscast", Overlay: sim.Newscast(c)}
-}
-
-// CompleteLiveTopology is the fully connected overlay over the live
-// membership.
-func CompleteLiveTopology() TopologySpec {
-	return TopologySpec{Name: "CompleteLive", Overlay: sim.CompleteLive()}
-}
-
-// newscastFrozenTopology is NEWSCAST with gossip disabled after
-// bootstrap (ablation A3).
-func newscastFrozenTopology(c int) TopologySpec {
-	return TopologySpec{Name: "NewscastFrozen", Overlay: sim.NewscastFrozen(c)}
-}
-
-// wattsStrogatzTopology is the small-world family of Figures 3–4.
-func wattsStrogatzTopology(name string, degree int, beta float64) TopologySpec {
-	return graphTopology(name, func(n int, rng *stats.RNG) (topology.Graph, error) {
-		return topology.NewWattsStrogatz(n, fitEvenDegree(degree, n), beta, rng)
-	})
-}
-
-// randomGraph generates the paper's default test overlay: every node
-// knows `degree` random peers.
-func randomGraph(degree int) graphBuilder {
-	return func(n int, rng *stats.RNG) (topology.Graph, error) {
-		return topology.NewRandomKOut(n, min(degree, n-1), rng)
-	}
 }
 
 // RandomTopology is the paper's default test overlay: a random graph
 // where every node knows `degree` random peers.
 func RandomTopology(degree int) TopologySpec {
-	return graphTopology("Random", randomGraph(degree))
+	return graphTopology("Random", func(n int, rng *stats.RNG) (topology.Graph, error) {
+		return topology.NewRandomKOut(n, min(degree, n-1), rng)
+	})
 }
 
 // CompleteTopology is the static fully connected topology.
@@ -209,82 +193,87 @@ func CompleteTopology() TopologySpec {
 	})
 }
 
-// StandardTopologies returns the eight overlay families of Figure 3, all
+// wattsStrogatz is the small-world family of Figures 3–4 over a lattice
+// of the given degree (clamped to something valid for n nodes).
+func wattsStrogatz(degree int, beta float64) sim.OverlaySpec {
+	return sim.Static(func(n int, rng *stats.RNG) (topology.Graph, error) {
+		k := max(min(degree, n-1)&^1, 2)
+		return topology.NewWattsStrogatz(n, k, beta, rng)
+	})
+}
+
+// standardTopologies returns the eight overlay families of Figure 3, all
 // with the paper's parameters: regular degree `degree` (20 in the paper)
 // for the static graphs, cache size `newscastC` (30) for NEWSCAST, and
 // attachment m = degree/2 for the scale-free graphs so the average degree
 // matches.
-func StandardTopologies(degree, newscastC int) []TopologySpec {
+func standardTopologies(degree, newscastC int) []TopologySpec {
 	ws := func(beta float64) TopologySpec {
-		return wattsStrogatzTopology(fmt.Sprintf("W-S (beta=%.2f)", beta), degree, beta)
+		return TopologySpec{fmt.Sprintf("W-S (beta=%.2f)", beta), wattsStrogatz(degree, beta)}
 	}
 	return []TopologySpec{
 		ws(0.00), ws(0.25), ws(0.50), ws(0.75),
-		NewscastTopology(newscastC),
+		{"Newscast", sim.Newscast(newscastC)},
 		graphTopology("Scale-Free", func(n int, rng *stats.RNG) (topology.Graph, error) {
-			m := degree / 2
-			if m >= n {
-				m = n - 1
-			}
-			return topology.NewBarabasiAlbert(n, m, rng)
+			return topology.NewBarabasiAlbert(n, min(degree/2, n-1), rng)
 		}),
 		RandomTopology(degree),
 		CompleteTopology(),
 	}
 }
 
-// fitEvenDegree clamps a lattice degree to something valid for n nodes.
-func fitEvenDegree(degree, n int) int {
-	k := degree
-	if k >= n {
-		k = n - 1
-	}
-	if k%2 != 0 {
-		k--
-	}
-	if k < 2 {
-		k = 2
-	}
-	return k
-}
-
-// measureConvergenceFactor runs the AVERAGE protocol once and returns
-// the average convergence factor over the first `cycles` cycles (the
-// quantity of Figures 3a, 4a, 4b and 7a).
-func measureConvergenceFactor(eng sweepEngine, n, cycles int, seed uint64, topo TopologySpec, pd float64) (float64, error) {
+// convergence runs the AVERAGE protocol once over n nodes and returns
+// the average convergence factor over the first c.cycles cycles (the
+// quantity of Figures 3a, 4a, 4b and ablation A3).
+func convergence(c cell, n int, overlay sim.OverlaySpec) ([]float64, error) {
 	var tracker stats.ConvergenceTracker
-	_, err := eng.run(coreConfig{
-		N:           n,
-		Cycles:      cycles,
-		Seed:        seed,
-		Fn:          averageFn,
-		Init:        sim.UniformInit(0, 1, seed^0xabcdef),
-		Topology:    topo,
-		LinkFailure: pd,
-		Observe: func(_ int, e sim.Core) {
-			m := e.ParticipantMoments()
-			tracker.Record(m.Variance())
+	_, err := sim.Run(c.eng.with(sim.Config{
+		N:       n,
+		Cycles:  c.cycles,
+		Seed:    c.seed,
+		Fn:      core.Average,
+		Init:    sim.UniformInit(0, 1, c.seed^0xabcdef),
+		Overlay: overlay,
+		Observe: func(_ int, e *sim.Engine) {
+			tracker.Record(e.ParticipantMoments().Variance())
 		},
-	})
+	}))
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	return tracker.AverageFactor(cycles)
+	return one(tracker.AverageFactor(c.cycles))
 }
 
-// repMeans runs fn for every repetition in parallel and returns the
-// per-rep results in deterministic (rep-indexed) order.
-func repValues(reps int, seed uint64, fn func(rep int, seed uint64) (float64, error)) ([]float64, error) {
-	out := make([]float64, reps)
-	err := sim.ParallelReps(reps, seed, func(rep int, s uint64) error {
-		v, err := fn(rep, s)
-		if err != nil {
-			return err
-		}
-		out[rep] = v
-		return nil
-	})
-	return out, err
+// countEpoch runs one COUNT epoch (single leader, peak initialization)
+// under the given failure models and message loss and returns the
+// average network-size estimate over the nodes still participating at
+// the end of the epoch — exactly the quantity Figure 6 plots.
+func countEpoch(c cell, failures []sim.FailureModel, loss float64) ([]float64, error) {
+	e, err := sim.Run(c.eng.with(sim.Config{
+		N: c.n, Cycles: c.cycles, Seed: c.seed,
+		Dim: 1, Leaders: []int{0},
+		Overlay:     sim.Newscast(30),
+		Failures:    failures,
+		MessageLoss: loss,
+	}))
+	if err != nil {
+		return nil, err
+	}
+	m := e.SizeMoments()
+	if m.N() == 0 {
+		// Every node holding mass crashed: the estimate diverged (§7.1
+		// notes it "can even become infinite").
+		return []float64{math.Inf(1)}, nil
+	}
+	return []float64{m.Mean()}, nil
+}
+
+// one wraps a single measured value as a row measurement.
+func one(v float64, err error) ([]float64, error) {
+	if err != nil {
+		return nil, err
+	}
+	return []float64{v}, nil
 }
 
 // logGrid returns approximately-log-spaced integer network sizes from lo
@@ -301,9 +290,21 @@ func logGrid(lo, hi int) []int {
 	return out
 }
 
-var averageFn = mustFunction("average")
+// hashLabel derives a seed perturbation from a series label so that each
+// topology family uses an independent random stream.
+func hashLabel(label string) uint64 {
+	var h uint64 = 1469598103934665603 // FNV offset basis
+	for i := 0; i < len(label); i++ {
+		h ^= uint64(label[i])
+		h *= 1099511628211
+	}
+	return h
+}
 
-// leaderRNG builds the dedicated generator used to draw instance leaders.
-func leaderRNG(seed uint64) *stats.RNG {
-	return stats.NewRNG(seed ^ 0x1eade5)
+// leadersFor picks t distinct leader nodes deterministically from seed.
+func leadersFor(n, t int, seed uint64) []int {
+	rng := stats.NewRNG(seed ^ 0x1eade5)
+	leaders := make([]int, t)
+	rng.Sample(leaders, n, nil)
+	return leaders
 }

@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"encoding/csv"
+	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -14,33 +17,56 @@ const (
 	testReps = 3
 )
 
+// rowByID copies a registered row, so a test can shrink its axis.
+func rowByID(t *testing.T, id string) row {
+	t.Helper()
+	t.Parallel()
+	for _, r := range rows() {
+		if r.id == id {
+			return r
+		}
+	}
+	t.Fatalf("no row %q", id)
+	return row{}
+}
+
+// seriesOf returns res's series of that label.
+func seriesOf(t *testing.T, res *Result, label string) Series {
+	t.Helper()
+	s, err := res.SeriesByLabel(label)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// runTest runs r at the test scale.
+func runTest(t *testing.T, r row) *Result {
+	t.Helper()
+	res, err := r.run(Options{N: testN, Reps: testReps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestFig2Shape(t *testing.T) {
-	cfg := DefaultFig2()
-	cfg.N, cfg.Reps = testN, testReps
-	res, err := RunFig2(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	minS, err := res.SeriesByLabel("Minimum")
-	if err != nil {
-		t.Fatal(err)
-	}
-	maxS, err := res.SeriesByLabel("Maximum")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(minS.Points) != cfg.Cycles+1 || len(maxS.Points) != cfg.Cycles+1 {
-		t.Fatalf("series lengths %d/%d, want %d", len(minS.Points), len(maxS.Points), cfg.Cycles+1)
+	r := rowByID(t, "fig2")
+	res := runTest(t, r)
+	minS := seriesOf(t, res, "Minimum")
+	maxS := seriesOf(t, res, "Maximum")
+	if len(minS.Points) != r.cycles+1 || len(maxS.Points) != r.cycles+1 {
+		t.Fatalf("series lengths %d/%d, want %d", len(minS.Points), len(maxS.Points), r.cycles+1)
 	}
 	// Cycle 0: min 0, max N (the peak).
 	if minS.Points[0].Mean != 0 {
 		t.Errorf("initial min = %g", minS.Points[0].Mean)
 	}
-	if maxS.Points[0].Mean != float64(cfg.N) {
+	if maxS.Points[0].Mean != testN {
 		t.Errorf("initial max = %g", maxS.Points[0].Mean)
 	}
 	// Final cycle: both envelopes at the true average 1 within 1%.
-	last := cfg.Cycles
+	last := r.cycles
 	if math.Abs(minS.Points[last].Mean-1) > 0.01 || math.Abs(maxS.Points[last].Mean-1) > 0.01 {
 		t.Errorf("envelopes did not converge to 1: min %g max %g",
 			minS.Points[last].Mean, maxS.Points[last].Mean)
@@ -58,9 +84,9 @@ func TestFig2Shape(t *testing.T) {
 }
 
 func TestFig3aShape(t *testing.T) {
-	cfg := DefaultFig3a()
-	cfg.MinN, cfg.MaxN, cfg.Reps, cfg.Cycles = 100, 1000, testReps, 15
-	res, err := RunFig3a(cfg)
+	r := rowByID(t, "fig3a")
+	r.cycles = 15
+	res, err := r.run(Options{N: 1000, Reps: testReps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,20 +96,14 @@ func TestFig3aShape(t *testing.T) {
 	// Shape 1: random/complete/scale-free/newscast near the theory value
 	// at every size; W-S(0) way above.
 	for _, label := range []string{"Random", "Complete", "Newscast"} {
-		s, err := res.SeriesByLabel(label)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := seriesOf(t, res, label)
 		for _, p := range s.Points {
 			if math.Abs(p.Mean-theory.RhoPushPull) > 0.06 {
 				t.Errorf("%s at n=%g: rho %.3f, want ≈ %.3f", label, p.X, p.Mean, theory.RhoPushPull)
 			}
 		}
 	}
-	ws0, err := res.SeriesByLabel("W-S (beta=0.00)")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ws0 := seriesOf(t, res, "W-S (beta=0.00)")
 	for _, p := range ws0.Points {
 		if p.Mean < 0.5 {
 			t.Errorf("W-S(0) at n=%g: rho %.3f suspiciously good", p.X, p.Mean)
@@ -91,17 +111,14 @@ func TestFig3aShape(t *testing.T) {
 	}
 	// Shape 2: size independence — for the random topology the factor at
 	// the smallest and largest size differ by little.
-	rand, _ := res.SeriesByLabel("Random")
+	rand := seriesOf(t, res, "Random")
 	first, last := rand.Points[0].Mean, rand.Points[len(rand.Points)-1].Mean
 	if math.Abs(first-last) > 0.08 {
 		t.Errorf("convergence factor not size-independent: %.3f vs %.3f", first, last)
 	}
 	// Shape 3: more rewiring converges faster (ordering of W-S curves).
 	rhoAt := func(label string) float64 {
-		s, err := res.SeriesByLabel(label)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := seriesOf(t, res, label)
 		return s.Points[len(s.Points)-1].Mean
 	}
 	if !(rhoAt("W-S (beta=0.00)") > rhoAt("W-S (beta=0.25)") &&
@@ -114,12 +131,9 @@ func TestFig3aShape(t *testing.T) {
 }
 
 func TestFig3bShape(t *testing.T) {
-	cfg := DefaultFig3b()
-	cfg.N, cfg.Reps, cfg.Cycles = testN, testReps, 20
-	res, err := RunFig3b(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := rowByID(t, "fig3b")
+	r.cycles = 20
+	res := runTest(t, r)
 	// Normalized variance starts at 1 and decays monotonically (modulo
 	// tiny noise) for every topology; random reaches below 1e-8 by cycle
 	// 20 while W-S(0) stays orders of magnitude higher.
@@ -131,30 +145,20 @@ func TestFig3bShape(t *testing.T) {
 			t.Errorf("%s: variance grew", s.Label)
 		}
 	}
-	rand, err := res.SeriesByLabel("Random")
-	if err != nil {
-		t.Fatal(err)
-	}
+	rand := seriesOf(t, res, "Random")
 	if final := rand.Points[len(rand.Points)-1].Mean; final > 1e-8 {
 		t.Errorf("random topology reduction after 20 cycles = %g, want < 1e-8", final)
 	}
-	ws0, err := res.SeriesByLabel("W-S (beta=0.00)")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ws0 := seriesOf(t, res, "W-S (beta=0.00)")
 	if final := ws0.Points[len(ws0.Points)-1].Mean; final < 1e-6 {
 		t.Errorf("lattice reduced variance implausibly fast: %g", final)
 	}
 }
 
 func TestFig4aShape(t *testing.T) {
-	cfg := DefaultFig4a()
-	cfg.N, cfg.Reps, cfg.BetaSteps, cfg.Cycles = testN, testReps, 5, 15
-	res, err := RunFig4a(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := res.Series[0].Points
+	r := rowByID(t, "fig4a")
+	r.steps, r.cycles = 5, 15
+	pts := runTest(t, r).Series[0].Points
 	if len(pts) != 5 {
 		t.Fatalf("%d points", len(pts))
 	}
@@ -171,14 +175,9 @@ func TestFig4aShape(t *testing.T) {
 }
 
 func TestFig4bShape(t *testing.T) {
-	cfg := DefaultFig4b()
-	cfg.N, cfg.Reps, cfg.Cycles = testN, testReps, 15
-	cfg.CacheSizes = []int{2, 5, 30}
-	res, err := RunFig4b(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := res.Series[0].Points
+	r := rowByID(t, "fig4b")
+	r.cycles, r.axis = 15, list(2, 5, 30)
+	pts := runTest(t, r).Series[0].Points
 	// c=2 clearly worse than c=30; c=30 near theory.
 	if pts[0].Mean <= pts[2].Mean+0.02 {
 		t.Errorf("c=2 (%.3f) not worse than c=30 (%.3f)", pts[0].Mean, pts[2].Mean)
@@ -189,20 +188,14 @@ func TestFig4bShape(t *testing.T) {
 }
 
 func TestFig5MatchesTheorem1(t *testing.T) {
-	cfg := DefaultFig5()
-	cfg.N, cfg.Reps, cfg.PfSteps = testN, 60, 4
-	res, err := RunFig5(cfg)
+	r := rowByID(t, "fig5")
+	r.steps, r.series = 4, r.series[:1] // the fully connected series only
+	res, err := r.run(Options{N: testN, Reps: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
-	emp, err := res.SeriesByLabel("fully connected topology")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pred, err := res.SeriesByLabel("predicted")
-	if err != nil {
-		t.Fatal(err)
-	}
+	emp := seriesOf(t, res, "fully connected topology")
+	pred := seriesOf(t, res, "predicted")
 	// At Pf = 0 both are 0; at the largest Pf the empirical normalized
 	// variance must be within a factor ~3 of Theorem 1 (it is a variance
 	// estimate from 60 samples — generous band, still catches e.g. a
@@ -227,68 +220,50 @@ func TestFig5MatchesTheorem1(t *testing.T) {
 }
 
 func TestFig6aShape(t *testing.T) {
-	cfg := DefaultFig6a()
-	cfg.N, cfg.Reps, cfg.MaxCycle = testN, testReps, 16
-	res, err := RunFig6a(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := res.Series[0].Points
+	r := rowByID(t, "fig6a")
+	r.steps, r.max = 17, 16
+	pts := runTest(t, r).Series[0].Points
 	// Late sudden death (cycle 16 of 30): estimate ≈ N within a few
 	// percent.
 	last := pts[len(pts)-1]
-	if math.Abs(last.Mean-float64(cfg.N))/float64(cfg.N) > 0.05 {
-		t.Errorf("late death estimate %g, want ≈ %d", last.Mean, cfg.N)
+	if math.Abs(last.Mean-testN)/testN > 0.05 {
+		t.Errorf("late death estimate %g, want ≈ %d", last.Mean, testN)
 	}
 	// Early death must disturb the estimate far more than late death
 	// (often upward by a lot — mass holders die).
 	early := pts[1]
-	lateErr := math.Abs(last.Mean - float64(cfg.N))
-	earlyErr := math.Abs(early.Mean - float64(cfg.N))
+	lateErr := math.Abs(last.Mean - testN)
+	earlyErr := math.Abs(early.Mean - testN)
 	if earlyErr <= lateErr {
 		t.Errorf("early death (err %g) not worse than late (err %g)", earlyErr, lateErr)
 	}
 }
 
 func TestFig6bShape(t *testing.T) {
-	cfg := DefaultFig6b()
-	cfg.N, cfg.Reps, cfg.Steps = testN, testReps, 3
-	cfg.MaxSubstitution = testN / 40 // paper proportion: 2.5% per cycle
-	res, err := RunFig6b(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := res.Series[0].Points
+	r := rowByID(t, "fig6b") // up to testN/40 per cycle: the paper's 2.5%
+	r.steps = 3
+	pts := runTest(t, r).Series[0].Points
 	// No churn: estimate exact. Heavy churn: mean still within ~25% of N
 	// (paper: "most of the estimates are included in a reasonable
 	// range").
-	if math.Abs(pts[0].Mean-float64(cfg.N)) > 1 {
+	if math.Abs(pts[0].Mean-testN) > 1 {
 		t.Errorf("churn-free estimate %g", pts[0].Mean)
 	}
 	heavy := pts[len(pts)-1]
 	if heavy.Reps == 0 {
 		t.Fatal("no finite estimates under churn")
 	}
-	if math.Abs(heavy.Mean-float64(cfg.N))/float64(cfg.N) > 0.25 {
-		t.Errorf("heavy churn estimate %g, want within 25%% of %d", heavy.Mean, cfg.N)
+	if math.Abs(heavy.Mean-testN)/testN > 0.25 {
+		t.Errorf("heavy churn estimate %g, want within 25%% of %d", heavy.Mean, testN)
 	}
 }
 
 func TestFig7aShape(t *testing.T) {
-	cfg := DefaultFig7a()
-	cfg.N, cfg.Reps, cfg.PdSteps, cfg.MaxPd = testN, testReps, 4, 0.75
-	res, err := RunFig7a(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	meas, err := res.SeriesByLabel("Average Convergence Factor")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bound, err := res.SeriesByLabel("Theoretical Upper Bound")
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := rowByID(t, "fig7a")
+	r.steps, r.max = 4, 0.75
+	res := runTest(t, r)
+	meas := seriesOf(t, res, "Average Convergence Factor")
+	bound := seriesOf(t, res, "Theoretical Upper Bound")
 	// Monotone degradation with Pd, always at or below the bound (small
 	// statistical slack).
 	for i := 1; i < len(meas.Points); i++ {
@@ -304,23 +279,14 @@ func TestFig7aShape(t *testing.T) {
 }
 
 func TestFig7bShape(t *testing.T) {
-	cfg := DefaultFig7b()
-	cfg.N, cfg.Reps, cfg.LossSteps = testN, testReps, 3
-	res, err := RunFig7b(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	maxS, err := res.SeriesByLabel("Max values")
-	if err != nil {
-		t.Fatal(err)
-	}
-	minS, err := res.SeriesByLabel("Min values")
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := rowByID(t, "fig7b")
+	r.steps = 3
+	res := runTest(t, r)
+	maxS := seriesOf(t, res, "Max values")
+	minS := seriesOf(t, res, "Min values")
 	// No loss: both envelopes ≈ N. Half the messages lost: spread over
 	// at least an order of magnitude (paper: "several orders").
-	if math.Abs(maxS.Points[0].Mean-float64(cfg.N))/float64(cfg.N) > 0.02 {
+	if math.Abs(maxS.Points[0].Mean-testN)/testN > 0.02 {
 		t.Errorf("loss-free max %g", maxS.Points[0].Mean)
 	}
 	lastMax, lastMin := maxS.Points[len(maxS.Points)-1], minS.Points[len(minS.Points)-1]
@@ -330,21 +296,11 @@ func TestFig7bShape(t *testing.T) {
 }
 
 func TestFig8TightensWithInstances(t *testing.T) {
-	cfg := DefaultFig8b()
-	cfg.N, cfg.Reps = testN, testReps
-	cfg.Instances = []int{1, 20}
-	res, err := RunFig8b(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	maxS, err := res.SeriesByLabel("Max")
-	if err != nil {
-		t.Fatal(err)
-	}
-	minS, err := res.SeriesByLabel("Min")
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := rowByID(t, "fig8b")
+	r.axis = list(1, 20)
+	res := runTest(t, r)
+	maxS := seriesOf(t, res, "Max")
+	minS := seriesOf(t, res, "Min")
 	spread := func(i int) float64 {
 		if minS.Points[i].Mean <= 0 {
 			return math.Inf(1)
@@ -355,7 +311,7 @@ func TestFig8TightensWithInstances(t *testing.T) {
 		t.Errorf("t=20 spread %.2f not tighter than t=1 spread %.2f", spread(1), spread(0))
 	}
 	// With 20 instances the envelopes should be within ~50% of N.
-	n := float64(cfg.N)
+	n := float64(testN)
 	if maxS.Points[1].Mean > 1.5*n || minS.Points[1].Mean < 0.5*n {
 		t.Errorf("t=20 envelopes [%g, %g] too loose around %g",
 			minS.Points[1].Mean, maxS.Points[1].Mean, n)
@@ -363,17 +319,12 @@ func TestFig8TightensWithInstances(t *testing.T) {
 }
 
 func TestFig8aChurn(t *testing.T) {
-	cfg := DefaultFig8a()
-	cfg.N, cfg.Reps = testN, testReps
-	cfg.ChurnPerCycle = testN / 100
-	cfg.Instances = []int{10}
-	res, err := RunFig8a(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	maxS, _ := res.SeriesByLabel("Max")
-	minS, _ := res.SeriesByLabel("Min")
-	n := float64(cfg.N)
+	r := rowByID(t, "fig8a") // churn testN/100 per cycle: the paper's 1%
+	r.axis = list(10)
+	res := runTest(t, r)
+	maxS := seriesOf(t, res, "Max")
+	minS := seriesOf(t, res, "Min")
+	n := float64(testN)
 	if maxS.Points[0].Mean > 1.5*n || minS.Points[0].Mean < 0.6*n {
 		t.Errorf("churned t=10 envelopes [%g, %g] around %g",
 			minS.Points[0].Mean, maxS.Points[0].Mean, n)
@@ -432,42 +383,97 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
+// rejects names, for every registered row, Options the row must refuse:
+// a network below its floor, or one repetition for fig5's variance.
+var rejects = map[string]Options{
+	"fig2": {N: 1}, "fig3a": {N: 99}, "fig3b": {N: 9}, "fig4a": {N: 9}, "fig4b": {N: 9},
+	"fig5": {N: 300, Reps: 1}, "fig6a": {N: 9}, "fig6b": {N: 9}, "fig7a": {N: 9},
+	"fig7b": {N: 9}, "fig8a": {N: 9}, "fig8b": {N: 9},
+	"extension-adaptivity": {N: 9}, "extension-countchain": {N: 9}, "extension-minmax": {N: 9},
+	"scenario-steady-churn": {N: 1}, "scenario-partition-heal": {N: 1},
+	"advbias-inject-extreme": {N: 1}, "advbias-sybil-flood": {N: 1},
+	"ablation-pushpull": {N: 9}, "ablation-combiner": {N: 9}, "ablation-peer-selection": {N: 9},
+}
+
+// checkRejects runs every registered row whose ID has the given prefix
+// (or lacks it, if !has) with its rejects entry.
+func checkRejects(t *testing.T, prefix string, has bool) {
+	for _, r := range Registry() {
+		if strings.HasPrefix(r.ID, prefix) != has {
+			continue
+		}
+		o, ok := rejects[r.ID]
+		if !ok {
+			t.Errorf("%s: no invalid-options case", r.ID)
+			continue
+		}
+		if _, err := r.Run(o); err == nil {
+			t.Errorf("%s accepted %+v", r.ID, o)
+		}
+	}
+}
+
 func TestConfigValidationErrors(t *testing.T) {
-	if _, err := RunFig2(Fig2Config{}); err == nil {
-		t.Error("empty fig2 config accepted")
+	checkRejects(t, "extension-", false)
+}
+
+// TestRegistryRunsEveryRow drives every registered row through
+// Runner.Run, the path cmd/aggsim takes, at K = 1 and K = 4.
+func TestRegistryRunsEveryRow(t *testing.T) {
+	for _, k := range []int{1, 4} {
+		engine := EngineSerial
+		if k > 1 {
+			engine = EngineSharded
+		}
+		for _, r := range Registry() {
+			t.Run(fmt.Sprintf("%s/K=%d", r.ID, k), func(t *testing.T) {
+				t.Parallel()
+				res, err := r.Run(Options{N: 300, Reps: 2, Engine: engine, Shards: k})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.ID != r.ID || res.Engine != engine || len(res.Series) == 0 {
+					t.Fatalf("result %q on %q with %d series", res.ID, res.Engine, len(res.Series))
+				}
+				for _, s := range res.Series {
+					if len(s.Points) == 0 {
+						t.Errorf("series %q is empty", s.Label)
+					}
+					for _, p := range s.Points {
+						if math.IsNaN(p.Mean) || math.IsInf(p.Mean, 0) {
+							t.Errorf("series %q at x=%g: mean %g", s.Label, p.X, p.Mean)
+						}
+					}
+				}
+			})
+		}
 	}
-	if _, err := RunFig3a(Fig3aConfig{}); err == nil {
-		t.Error("empty fig3a config accepted")
+}
+
+// TestCSVOneHeaderPerStream writes two results the way cmd/aggsim -exp
+// all does and reads them back as one CSV table.
+func TestCSVOneHeaderPerStream(t *testing.T) {
+	pt := []Point{{X: 1, Mean: 2, Min: 1, Max: 3, Reps: 2}}
+	a := &Result{ID: "a", Series: []Series{{Label: "s", Points: pt}}}
+	b := &Result{ID: "b", Series: []Series{{Label: "s", Points: pt}, {Label: "u", Points: pt}}}
+	var sb strings.Builder
+	if err := a.WriteCSV(&sb); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := RunFig3b(Fig3bConfig{}); err == nil {
-		t.Error("empty fig3b config accepted")
+	if err := b.WriteCSVRows(&sb); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := RunFig4a(Fig4aConfig{}); err == nil {
-		t.Error("empty fig4a config accepted")
+	recs, err := csv.NewReader(strings.NewReader(sb.String())).ReadAll()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := RunFig4b(Fig4bConfig{}); err == nil {
-		t.Error("empty fig4b config accepted")
+	if len(recs) != 4 || strings.Join(recs[0], ",") != csvHeader {
+		t.Fatalf("want a header and 3 rows, got %q", recs)
 	}
-	if _, err := RunFig5(Fig5Config{}); err == nil {
-		t.Error("empty fig5 config accepted")
-	}
-	if _, err := RunFig6a(Fig6aConfig{}); err == nil {
-		t.Error("empty fig6a config accepted")
-	}
-	if _, err := RunFig6b(Fig6bConfig{}); err == nil {
-		t.Error("empty fig6b config accepted")
-	}
-	if _, err := RunFig7a(Fig7aConfig{}); err == nil {
-		t.Error("empty fig7a config accepted")
-	}
-	if _, err := RunFig7b(Fig7bConfig{}); err == nil {
-		t.Error("empty fig7b config accepted")
-	}
-	if _, err := RunFig8a(Fig8Config{}); err == nil {
-		t.Error("empty fig8 config accepted")
-	}
-	if _, err := RunAblationPushPull(AblationConfig{}); err == nil {
-		t.Error("empty ablation config accepted")
+	for _, rec := range recs[1:] {
+		if _, err := strconv.ParseFloat(rec[3], 64); err != nil {
+			t.Errorf("row %q: %v", rec, err)
+		}
 	}
 }
 

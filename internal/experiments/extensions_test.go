@@ -7,7 +7,7 @@ import (
 )
 
 func TestExtensionAdaptivity(t *testing.T) {
-	res, err := RunExtensionAdaptivity(ExtensionConfig{N: 1000, Reps: 3, Seed: 1})
+	res, err := rowByID(t, "extension-adaptivity").run(Options{N: 1000, Reps: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,18 +25,12 @@ func TestExtensionAdaptivity(t *testing.T) {
 }
 
 func TestExtensionMinMax(t *testing.T) {
-	res, err := RunExtensionMinMax(ExtensionConfig{N: 10000, Reps: 3, Seed: 2})
+	res, err := rowByID(t, "extension-minmax").run(Options{N: 10000, Reps: 3, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	measured, err := res.SeriesByLabel("cycles to full MIN propagation")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bound, err := res.SeriesByLabel("Pittel push bound")
-	if err != nil {
-		t.Fatal(err)
-	}
+	measured := seriesOf(t, res, "cycles to full MIN propagation")
+	bound := seriesOf(t, res, "Pittel push bound")
 	// Logarithmic growth: going from n=100 to n=10000 (100×) should add
 	// only a few cycles, and every point sits below the bound.
 	first := measured.Points[0]
@@ -56,30 +50,16 @@ func TestExtensionMinMax(t *testing.T) {
 }
 
 func TestExtensionConfigValidation(t *testing.T) {
-	if _, err := RunExtensionAdaptivity(ExtensionConfig{}); err == nil {
-		t.Error("empty adaptivity config accepted")
-	}
-	if _, err := RunExtensionMinMax(ExtensionConfig{}); err == nil {
-		t.Error("empty minmax config accepted")
-	}
-	if _, err := RunExtensionCountChain(ExtensionConfig{}); err == nil {
-		t.Error("empty countchain config accepted")
-	}
+	checkRejects(t, "extension-", true)
 }
 
 func TestExtensionCountChain(t *testing.T) {
-	res, err := RunExtensionCountChain(ExtensionConfig{N: 1500, Reps: 3, Seed: 3})
+	res, err := rowByID(t, "extension-countchain").run(Options{N: 1500, Reps: 3, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ests, err := res.SeriesByLabel("size estimate")
-	if err != nil {
-		t.Fatal(err)
-	}
-	leaders, err := res.SeriesByLabel("leaders elected")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ests := seriesOf(t, res, "size estimate")
+	leaders := seriesOf(t, res, "leaders elected")
 	// From epoch 1 on, estimates must sit near the true size despite the
 	// absurd initial guess.
 	for _, p := range ests.Points[1:] {

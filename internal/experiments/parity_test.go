@@ -9,16 +9,16 @@ import (
 
 func TestEngineAutoSelection(t *testing.T) {
 	cases := []struct {
-		sel  EngineSel
+		sel  Options
 		n    int
 		want string
 	}{
-		{EngineSel{}, scenario.AutoEngineThreshold, EngineSharded},
-		{EngineSel{}, scenario.AutoEngineThreshold - 1, EngineSerial},
-		{EngineSel{Engine: EngineAuto}, scenario.AutoEngineThreshold, EngineSharded},
+		{Options{}, scenario.AutoEngineThreshold, EngineSharded},
+		{Options{}, scenario.AutoEngineThreshold - 1, EngineSerial},
+		{Options{Engine: EngineAuto}, scenario.AutoEngineThreshold, EngineSharded},
 		// An explicit choice always wins over size-based selection.
-		{EngineSel{Engine: EngineSerial}, 10 * scenario.AutoEngineThreshold, EngineSerial},
-		{EngineSel{Engine: EngineSharded}, 10, EngineSharded},
+		{Options{Engine: EngineSerial}, 10 * scenario.AutoEngineThreshold, EngineSerial},
+		{Options{Engine: EngineSharded}, 10, EngineSharded},
 	}
 	for i, tc := range cases {
 		eng, err := tc.sel.resolve(tc.n, 3)
@@ -29,7 +29,7 @@ func TestEngineAutoSelection(t *testing.T) {
 			t.Errorf("case %d: resolved %q, want %q", i, eng.name, tc.want)
 		}
 	}
-	if _, err := (EngineSel{Engine: "warp"}).resolve(100, 1); err == nil {
+	if _, err := (Options{Engine: "warp"}).resolve(100, 1); err == nil {
 		t.Error("unknown engine accepted")
 	}
 }
@@ -43,13 +43,15 @@ func TestEngineAutoSelection(t *testing.T) {
 // RNG stream layout and the deferred cross-shard exchange order, so a
 // widening here would indicate an engine-level regression.
 
-func runBothEngines(t *testing.T, run func(sel EngineSel) (*Result, error)) (serial, sharded *Result) {
+func runBothEngines(t *testing.T, r row, o Options) (serial, sharded *Result) {
 	t.Helper()
-	serial, err := run(EngineSel{Engine: EngineSerial})
+	o.Engine = EngineSerial
+	serial, err := r.run(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err = run(EngineSel{Engine: EngineSharded, Shards: 4})
+	o.Engine, o.Shards = EngineSharded, 4
+	sharded, err = r.run(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,22 +62,12 @@ func runBothEngines(t *testing.T, run func(sel EngineSel) (*Result, error)) (ser
 }
 
 func TestFig2SerialShardedParity(t *testing.T) {
-	cfg := DefaultFig2()
-	cfg.N, cfg.Reps, cfg.Cycles = 600, 6, 25
-	serial, sharded := runBothEngines(t, func(sel EngineSel) (*Result, error) {
-		c := cfg
-		c.EngineSel = sel
-		return RunFig2(c)
-	})
+	r := rowByID(t, "fig2")
+	r.cycles = 25
+	serial, sharded := runBothEngines(t, r, Options{N: 600, Reps: 6})
 	for _, label := range []string{"Minimum", "Maximum"} {
-		ss, err := serial.SeriesByLabel(label)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ps, err := sharded.SeriesByLabel(label)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ss := seriesOf(t, serial, label)
+		ps := seriesOf(t, sharded, label)
 		if len(ss.Points) != len(ps.Points) {
 			t.Fatalf("%s: series lengths differ: %d vs %d", label, len(ss.Points), len(ps.Points))
 		}
@@ -90,8 +82,8 @@ func TestFig2SerialShardedParity(t *testing.T) {
 	// rep-averaged means must agree within a small factor once the decay
 	// is underway (the first cycles are dominated by single-exchange
 	// variance).
-	ss, _ := serial.SeriesByLabel("Maximum")
-	ps, _ := sharded.SeriesByLabel("Maximum")
+	ss := seriesOf(t, serial, "Maximum")
+	ps := seriesOf(t, sharded, "Maximum")
 	for c := 5; c < len(ss.Points); c++ {
 		a, b := ss.Points[c].Mean, ps.Points[c].Mean
 		if a <= 1 || b <= 1 {
@@ -106,20 +98,15 @@ func TestFig2SerialShardedParity(t *testing.T) {
 }
 
 func TestFig6bSerialShardedParity(t *testing.T) {
-	cfg := DefaultFig6b()
-	cfg.N, cfg.Reps, cfg.Steps = 1000, 4, 3
-	cfg.MaxSubstitution = cfg.N / 40 // paper proportion: 2.5% per cycle
-	serial, sharded := runBothEngines(t, func(sel EngineSel) (*Result, error) {
-		c := cfg
-		c.EngineSel = sel
-		return RunFig6b(c)
-	})
+	r := rowByID(t, "fig6b") // up to N/40 per cycle: the paper's 2.5%
+	r.steps = 3
+	serial, sharded := runBothEngines(t, r, Options{N: 1000, Reps: 4})
 	ss := serial.Series[0].Points
 	ps := sharded.Series[0].Points
 	if len(ss) != len(ps) {
 		t.Fatalf("series lengths differ: %d vs %d", len(ss), len(ps))
 	}
-	n := float64(cfg.N)
+	n := 1000.0
 	for i := range ss {
 		if ss[i].Reps == 0 || ps[i].Reps == 0 {
 			t.Fatalf("point %d: no finite estimates (serial %d, sharded %d reps)", i, ss[i].Reps, ps[i].Reps)

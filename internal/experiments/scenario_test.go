@@ -3,8 +3,11 @@ package experiments
 import "testing"
 
 func TestScenarioFigRegeneratesSeries(t *testing.T) {
-	cfg := ScenarioFigConfig{Scenario: "partition-heal", N: 120, Reps: 2, Seed: 9}
-	res, err := RunScenarioFig(cfg)
+	r, err := Lookup("scenario-partition-heal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.Run(Options{N: 120, Reps: 2, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,14 +22,11 @@ func TestScenarioFigRegeneratesSeries(t *testing.T) {
 			t.Fatalf("series %q has %d points, want 91", s.Label, len(s.Points))
 		}
 	}
-	final, err := res.SeriesByLabel("rel error")
-	if err != nil {
-		t.Fatal(err)
-	}
+	final := seriesOf(t, res, "rel error")
 	if got := final.Points[len(final.Points)-1].Mean; got > 1e-9 {
 		t.Fatalf("final rel error %g: partition-heal must re-converge", got)
 	}
-	if _, err := RunScenarioFig(ScenarioFigConfig{Scenario: "no-such", Reps: 1}); err == nil {
+	if _, err := Lookup("scenario-no-such"); err == nil {
 		t.Fatal("unknown scenario must be rejected")
 	}
 }
