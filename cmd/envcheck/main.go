@@ -131,6 +131,11 @@ func generate(w io.Writer, figurePath string, rel, abs float64) error {
 		if err != nil {
 			return fmt.Errorf("%s: bad mean %q: %w", figurePath, rec[3], err)
 		}
+		if math.IsNaN(mean) || math.IsInf(mean, 0) {
+			// aggsim writes NaN for a point none of whose repetitions
+			// converged; it has no mean to bound.
+			return fmt.Errorf("%s: point %s/%s x=%s has mean %g, no envelope", figurePath, rec[0], rec[1], rec[2], mean)
+		}
 		margin := rel*math.Abs(mean) + abs
 		if _, err := fmt.Fprintf(w, "%s,%s,%s,%g,%g\n", rec[0], rec[1], rec[2], mean-margin, mean+margin); err != nil {
 			return err
@@ -155,7 +160,7 @@ func check(w io.Writer, envelopePath, figurePath string) error {
 		p := point{rec[0], rec[1], rec[2]}
 		lo, err1 := strconv.ParseFloat(rec[3], 64)
 		hi, err2 := strconv.ParseFloat(rec[4], 64)
-		if err1 != nil || err2 != nil {
+		if err1 != nil || err2 != nil || math.IsNaN(lo) || math.IsNaN(hi) {
 			return fmt.Errorf("%s: bad bounds for %v", envelopePath, p)
 		}
 		mean, ok := means[p]
@@ -164,7 +169,9 @@ func check(w io.Writer, envelopePath, figurePath string) error {
 			breaches++
 			continue
 		}
-		if mean < lo || mean > hi {
+		// A NaN mean (no repetition converged) compares false with
+		// both bounds, so it is named a breach explicitly.
+		if math.IsNaN(mean) || mean < lo || mean > hi {
 			fmt.Fprintf(w, "BREACH  %s/%s x=%s: mean %g outside [%g, %g]\n", p.figure, p.series, p.x, mean, lo, hi)
 			breaches++
 		}

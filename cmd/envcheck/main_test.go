@@ -53,6 +53,24 @@ func TestCheckMissingPointFails(t *testing.T) {
 	}
 }
 
+// TestNaNMeanFails: aggsim writes NaN for a point none of whose
+// repetitions converged. Such a point breaches every envelope, yields
+// no envelope of its own, and NaN bounds are rejected.
+func TestNaNMeanFails(t *testing.T) {
+	nanFig := writeFile(t, "fig.csv", figureCSV+"fig,s,2,NaN,NaN,NaN,0\n")
+	var out strings.Builder
+	err := check(&out, writeFile(t, "env.csv", "figure,series,x,lo,hi\nfig,s,2,-1e9,1e9\n"), nanFig)
+	if err == nil || !strings.Contains(out.String(), "BREACH  fig/s x=2: mean NaN") {
+		t.Errorf("NaN mean: err %v, output %q", err, out.String())
+	}
+	if err := generate(&strings.Builder{}, nanFig, 0.05, 0.05); err == nil {
+		t.Error("envelope generated around a NaN mean")
+	}
+	if _, err := runCheck(t, "figure,series,x,lo,hi\nfig,s,0,NaN,NaN\n"); err == nil {
+		t.Error("NaN bounds accepted")
+	}
+}
+
 func TestWrongHeaderRejected(t *testing.T) {
 	fig := writeFile(t, "fig.csv", figureCSV)
 	if err := check(&strings.Builder{}, writeFile(t, "env.csv", "figure,series,x,low,high\n"), fig); err == nil {

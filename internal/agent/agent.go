@@ -3,7 +3,9 @@
 // pair of Figure 1 over a datagram transport, on real time — δ cycles,
 // exchange timeouts, epoch restarts (§4.1), join handling (§4.2), epidemic
 // epoch synchronization (§4.3) and a NEWSCAST membership service (§4.4)
-// piggybacked on every exchange.
+// piggybacked on every exchange. A node draws each exchange peer two
+// initiations ahead, from a view its last partners' frames have not yet
+// refreshed, so two just-averaged nodes do not pick from one pool.
 //
 // Who runs a node. The paper gives every node two threads; a process here
 // hosts hundreds of nodes, so neither half owns a goroutine. The active
@@ -306,6 +308,9 @@ type Node struct {
 	// of the process's address book XORed with salt (see viewKey).
 	view *overlay.Membership
 	salt int32
+	// ahead queues the next nAhead exchange peers' keys (see peerLead).
+	ahead  [peerLead]int32
+	nAhead int
 	// ws is the workspace of the hold in progress: set by lock, nil again
 	// after unlock, and nil throughout a hold of the bare mutex.
 	ws *workspace

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -307,6 +308,42 @@ func TestDuplicateReplyAppliedOnce(t *testing.T) {
 	h.deliver(t, h.reply(req, 5))
 	if got := h.scalarNow(); got != 10 {
 		t.Fatalf("estimate %g after the second exchange, want 10", got)
+	}
+}
+
+// TestPeerDrawnAhead: initiation k goes to the peer drawn at initiation
+// k−peerLead. A reply whose frame replaces the node's whole view does not
+// redirect the next peerLead exchanges, whose peers were drawn from the
+// view before it; the one after them goes to a peer the frame named.
+func TestPeerDrawnAhead(t *testing.T) {
+	h := newHandNode(t, ModeScalar, 0)
+	// As many descriptors as the cache holds, all fresher than the
+	// bootstrap's and none of them the peer: the frame evicts the view.
+	frame := wire.ViewFrame{Kind: wire.ViewFull}
+	for i := range h.view.Capacity() {
+		frame.Entries = append(frame.Entries, wire.Descriptor{Addr: fmt.Sprintf("ahead-%d:7000", i), Stamp: 5})
+	}
+	reply := h.reply(h.exchange(t), 20)
+	reply.View = frame
+	h.deliver(t, reply)
+	if slices.Contains(h.Peers(), h.peer.Addr()) {
+		t.Fatal("the reply's frame left the peer in the view")
+	}
+	for k := 2; k <= 2+peerLead; k++ {
+		h.initiate(time.Now())
+		h.mu.Lock()
+		to := h.pending.peer
+		h.mu.Unlock()
+		if k == 2+peerLead {
+			if !strings.HasPrefix(to, "ahead-") {
+				t.Fatalf("initiation %d went to %s, want a peer the frame named", k, to)
+			}
+			break
+		}
+		if to != h.peer.Addr() {
+			t.Fatalf("initiation %d went to %s, want the peer drawn before the frame arrived", k, to)
+		}
+		h.deliver(t, h.reply(h.sentRequest(t), 20))
 	}
 }
 

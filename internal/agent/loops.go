@@ -113,7 +113,7 @@ func (n *Node) initiate(now time.Time) (deadline time.Time) {
 		n.unlock()
 		return deadline
 	}
-	key, ok := n.view.Peer(n.rng)
+	key, ok := n.nextPeerLocked()
 	if !ok {
 		n.unlock()
 		return deadline
@@ -149,6 +149,38 @@ func (n *Node) initiate(now time.Time) (deadline time.Time) {
 	deadline = n.deadlineLocked()
 	n.mu.Unlock()
 	return deadline
+}
+
+// peerLead is how many initiations ahead a node draws its exchange peer.
+// Views ride on exchanges, so a peer drawn right after averaging with B
+// comes from the pool B's next one does. Per-cycle variance contraction,
+// 500-node live-mem fleet, 8 epochs each (simulator 0.316–0.322, §3 0.303):
+//
+//	drawn at the initiation            0.350–0.426 (fresh phase each cycle: 0.368–0.426)
+//	uniform random peer, no overlay    0.278–0.301
+//	1 / 2 / 3 initiations ahead        0.314–0.348 / 0.300–0.322 / 0.295–0.314
+//	view sent in its own Membership    0.295–0.315, +25 % UDP CPU
+const peerLead = 2
+
+// nextPeerLocked returns the peer drawn peerLead initiations ago and draws
+// its successor. A peer evicted since costs at worst a timeout (§6.2).
+func (n *Node) nextPeerLocked() (int32, bool) {
+	n.fillAheadLocked()
+	if n.nAhead == 0 {
+		return 0, false
+	}
+	key := n.ahead[0]
+	copy(n.ahead[:], n.ahead[1:])
+	n.nAhead--
+	n.fillAheadLocked()
+	return key, true
+}
+
+// fillAheadLocked tops the peer queue up from the view.
+func (n *Node) fillAheadLocked() {
+	for ; n.nAhead < peerLead && n.view.Len() > 0; n.nAhead++ {
+		n.ahead[n.nAhead], _ = n.view.Peer(n.rng)
+	}
 }
 
 // deadlineLocked is when the outstanding exchange expires, the zero time

@@ -154,7 +154,8 @@ func (r *Result) Plot() (string, error) {
 
 // summarize converts per-rep values into a Point, ignoring NaNs and
 // infinities (a COUNT run in which every mass holder crashed reports
-// +Inf; the paper excludes those from its figures too).
+// +Inf; the paper excludes those from its figures too). A point with no
+// finite repetition has Reps 0 and reads NaN, not the empty moments' 0.
 func summarize(x float64, values []float64) Point {
 	var m stats.Moments
 	for _, v := range values {
@@ -162,6 +163,9 @@ func summarize(x float64, values []float64) Point {
 			continue
 		}
 		m.Add(v)
+	}
+	if m.N() == 0 {
+		return Point{X: x, Mean: math.NaN(), Min: math.NaN(), Max: math.NaN()}
 	}
 	return Point{X: x, Mean: m.Mean(), Min: m.Min(), Max: m.Max(), Reps: m.N()}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -219,23 +220,58 @@ func TestFig5MatchesTheorem1(t *testing.T) {
 	}
 }
 
+// TestSummarizeWithoutFiniteRep: a point whose every repetition diverged
+// has no estimate, so it reads NaN with Reps 0, and Plot leaves it out.
+func TestSummarizeWithoutFiniteRep(t *testing.T) {
+	p := summarize(1, []float64{math.Inf(1), math.NaN()})
+	if p.Reps != 0 || !math.IsNaN(p.Mean) || !math.IsNaN(p.Min) || !math.IsNaN(p.Max) {
+		t.Fatalf("summary of diverged repetitions %+v, want NaN with Reps 0", p)
+	}
+	if p := summarize(2, []float64{math.Inf(1), 4, 6}); p.Reps != 2 || p.Mean != 5 || p.Min != 4 || p.Max != 6 {
+		t.Fatalf("summary %+v, want mean 5 over [4, 6] from 2 repetitions", p)
+	}
+}
+
+// TestFig6aShape: late sudden death leaves the estimate ≈ N, early death
+// disturbs it far more. A death early enough can take every mass holder
+// in every repetition — at N = 1000, death at cycle 1 does — and such a
+// point has no estimate: it reads NaN with Reps 0, not a size of 0, and
+// the comparison uses the earliest death that left one.
 func TestFig6aShape(t *testing.T) {
 	r := rowByID(t, "fig6a")
 	r.steps, r.max = 17, 16
-	pts := runTest(t, r).Series[0].Points
-	// Late sudden death (cycle 16 of 30): estimate ≈ N within a few
-	// percent.
-	last := pts[len(pts)-1]
-	if math.Abs(last.Mean-testN)/testN > 0.05 {
-		t.Errorf("late death estimate %g, want ≈ %d", last.Mean, testN)
-	}
-	// Early death must disturb the estimate far more than late death
-	// (often upward by a lot — mass holders die).
-	early := pts[1]
-	lateErr := math.Abs(last.Mean - testN)
-	earlyErr := math.Abs(early.Mean - testN)
-	if earlyErr <= lateErr {
-		t.Errorf("early death (err %g) not worse than late (err %g)", earlyErr, lateErr)
+	for _, n := range []int{testN, 1000} {
+		res, err := r.run(Options{N: n, Reps: testReps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts := res.Series[0].Points
+		for _, p := range pts {
+			if p.Reps == 0 && !(math.IsNaN(p.Mean) && math.IsNaN(p.Min) && math.IsNaN(p.Max)) {
+				t.Errorf("N=%d, death at cycle %g: no finite repetition, yet it reads %g [%g, %g]", n, p.X, p.Mean, p.Min, p.Max)
+			}
+		}
+		last := pts[len(pts)-1]
+		if last.Reps == 0 {
+			t.Fatalf("N=%d: late death left no finite estimate", n)
+		}
+		// Late sudden death (cycle 16 of 30): estimate ≈ N within a few
+		// percent.
+		if math.Abs(last.Mean-float64(n))/float64(n) > 0.05 {
+			t.Errorf("N=%d: late death estimate %g, want ≈ %d", n, last.Mean, n)
+		}
+		// Early death must disturb the estimate far more than late death
+		// (often upward by a lot — mass holders die).
+		i := slices.IndexFunc(pts[1:], func(p Point) bool { return p.Reps > 0 })
+		if i < 0 || pts[1+i].X > 2 {
+			t.Fatalf("N=%d: no death before cycle 3 left a finite estimate", n)
+		}
+		early := pts[1+i]
+		lateErr := math.Abs(last.Mean - float64(n))
+		earlyErr := math.Abs(early.Mean - float64(n))
+		if earlyErr <= lateErr {
+			t.Errorf("N=%d: early death at cycle %g (err %g) not worse than late (err %g)", n, early.X, earlyErr, lateErr)
+		}
 	}
 }
 
@@ -439,9 +475,11 @@ func TestRegistryRunsEveryRow(t *testing.T) {
 					if len(s.Points) == 0 {
 						t.Errorf("series %q is empty", s.Label)
 					}
+					// Only a point whose every repetition diverged
+					// (fig6a's death at cycle 1, here) may read NaN.
 					for _, p := range s.Points {
-						if math.IsNaN(p.Mean) || math.IsInf(p.Mean, 0) {
-							t.Errorf("series %q at x=%g: mean %g", s.Label, p.X, p.Mean)
+						if math.IsInf(p.Mean, 0) || math.IsNaN(p.Mean) && p.Reps > 0 {
+							t.Errorf("series %q at x=%g: mean %g over %d repetitions", s.Label, p.X, p.Mean, p.Reps)
 						}
 					}
 				}

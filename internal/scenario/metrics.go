@@ -203,13 +203,16 @@ type Divergence struct {
 	// FinalAbsEstimate and FinalAbsRelError compare the last common cycle.
 	FinalAbsEstimate float64 `json:"finalAbsEstimate"`
 	FinalAbsRelError float64 `json:"finalAbsRelError"`
+	// RhoA and RhoB are the two runs' convergence factors (RunResult.rho).
+	RhoA float64 `json:"rhoA"`
+	RhoB float64 `json:"rhoB"`
 }
 
 // Diverge computes the per-cycle divergence of two runs of the same
 // scenario. The runs may come from different executors or engines; they
 // are aligned by cycle index.
 func Diverge(a, b *RunResult) Divergence {
-	d := Divergence{ScenarioName: a.Scenario, ExecutorA: a.Executor, ExecutorB: b.Executor}
+	d := Divergence{ScenarioName: a.Scenario, ExecutorA: a.Executor, ExecutorB: b.Executor, RhoA: a.rho(), RhoB: b.rho()}
 	n := len(a.PerCycle)
 	if len(b.PerCycle) < n {
 		n = len(b.PerCycle)
@@ -238,10 +241,55 @@ func Diverge(a, b *RunResult) Divergence {
 
 // String renders the divergence as one line.
 func (d Divergence) String() string {
-	return fmt.Sprintf("%s: %s vs %s over %d cycles: |Δest| mean %.4g max %.4g (cycle %d), |Δrelerr| mean %.2e, final |Δest| %.4g |Δrelerr| %.2e",
+	return fmt.Sprintf("%s: %s vs %s over %d cycles: |Δest| mean %.4g max %.4g (cycle %d), |Δrelerr| mean %.2e, final |Δest| %.4g |Δrelerr| %.2e, ρ %s %s / %s %s",
 		d.ScenarioName, d.ExecutorA, d.ExecutorB, d.Cycles,
 		d.MeanAbsEstimate, d.MaxAbsEstimate, d.MaxAbsEstimateCycle,
-		d.MeanAbsRelError, d.FinalAbsEstimate, d.FinalAbsRelError)
+		d.MeanAbsRelError, d.FinalAbsEstimate, d.FinalAbsRelError,
+		d.ExecutorA, rhoString(d.RhoA), d.ExecutorB, rhoString(d.RhoB))
+}
+
+// rhoString prints a convergence factor, "n/a" for a run without one.
+func rhoString(rho float64) string {
+	if rho == 0 {
+		return "n/a"
+	}
+	return fmt.Sprintf("%.2f", rho)
+}
+
+// The ρ window: cycles rhoFrom → rhoTo of an epoch, the window the
+// repository benchmark reads its convergence_factor from.
+const rhoFrom, rhoTo = 2, 10
+
+// rho is the run's convergence factor: the geometric mean, over every
+// epoch that reaches its cycle rhoTo, of the per-cycle ratio of
+// EstimateStdDev² between the epoch's cycles rhoFrom and rhoTo. Push-pull
+// averaging contracts it by 1/(2√e) ≈ 0.303 (§3). It is 0 when no epoch
+// has the whole window with a positive spread at both ends.
+func (r *RunResult) rho() float64 {
+	var logSum, from float64
+	cycles, epoch, j := 0, -1, 0
+	for _, c := range r.PerCycle {
+		if c.Cycle == 0 {
+			continue // the initialized state, before epoch 0's first cycle
+		}
+		if c.Epoch != epoch {
+			epoch, j = c.Epoch, 0
+		}
+		j++
+		switch j {
+		case rhoFrom:
+			from = c.EstimateStdDev
+		case rhoTo:
+			if from > 0 && c.EstimateStdDev > 0 {
+				logSum += 2 * math.Log(c.EstimateStdDev/from)
+				cycles += rhoTo - rhoFrom
+			}
+		}
+	}
+	if cycles == 0 {
+		return 0
+	}
+	return math.Exp(logSum / float64(cycles))
 }
 
 // String summarizes the run in one line.

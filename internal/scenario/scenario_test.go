@@ -388,6 +388,46 @@ func TestRunResultCSVAndJSON(t *testing.T) {
 	}
 }
 
+// TestRunResultRho pins the convergence-factor formula on synthetic rows:
+// 12-cycle epochs whose spread contracts by a fixed factor per cycle, 0.25
+// in epoch 0 and 0.36 in epoch 1, give their geometric mean 0.3. Epoch 2
+// has a zero spread in its window and epoch 3 stops at its cycle 9; the
+// window of neither is complete, so neither counts.
+func TestRunResultRho(t *testing.T) {
+	const epochLen = 12
+	rhos := []float64{0.25, 0.36, 0.5, 0.5}
+	res := &RunResult{Scenario: "synthetic", Executor: "sim", PerCycle: []CycleMetrics{{Cycle: 0, EstimateStdDev: 30}}}
+	for e, rho := range rhos {
+		last := epochLen
+		if e == len(rhos)-1 {
+			last = 9
+		}
+		for j := 1; j <= last; j++ {
+			sd := 30 * math.Pow(rho, float64(j)/2) // variance × rho per cycle
+			if e == 2 && j == 10 {
+				sd = 0
+			}
+			res.PerCycle = append(res.PerCycle, CycleMetrics{Cycle: e*epochLen + j, Epoch: e, EstimateStdDev: sd})
+		}
+	}
+	if got := res.rho(); math.Abs(got-0.3) > 1e-12 {
+		t.Fatalf("ρ = %.15g, want 0.3", got)
+	}
+	if got := (&RunResult{PerCycle: res.PerCycle[:10]}).rho(); got != 0 {
+		t.Fatalf("ρ without a complete window = %g, want 0", got)
+	}
+	live := *res
+	live.Executor = "live"
+	live.PerCycle = res.PerCycle[1+epochLen : 1+2*epochLen] // epoch 1 alone
+	d := Diverge(res, &live)
+	if math.Abs(d.RhoA-0.3) > 1e-12 || math.Abs(d.RhoB-0.36) > 1e-12 {
+		t.Fatalf("divergence ρ %g / %g, want 0.3 / 0.36", d.RhoA, d.RhoB)
+	}
+	if s := d.String(); !strings.HasSuffix(s, "ρ sim 0.30 / live 0.36") {
+		t.Fatalf("divergence line %q does not end in the two ρ", s)
+	}
+}
+
 func TestRunSimRejectsInvalidScenario(t *testing.T) {
 	if _, err := RunSim(Scenario{Name: "bad", N: 1, Cycles: 1}); err == nil {
 		t.Fatal("RunSim must validate the scenario")
