@@ -367,7 +367,9 @@ func BenchmarkSimCycleVector32(b *testing.B) {
 
 // BenchmarkTableExchange is the engines' NEWSCAST exchange in the shape
 // of the benchmark ladder's overlay.table_exchange_ns rung: N = 20 000
-// warmed views of c = 30, every node initiating once per cycle.
+// warmed views of c = 30, every node initiating once per cycle. It cannot
+// show an L2 cliff: the merge's per-key flags (one byte per node) are
+// 20 KB here and fit in any layout; BenchmarkTableExchangeMillion can.
 func BenchmarkTableExchange(b *testing.B) { benchTableExchange(b, 20000) }
 
 // BenchmarkTableExchangeMillion is the same exchange at the paper's

@@ -22,8 +22,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -36,7 +38,10 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stdout)
+	stop()
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "aggd:", err)
 		os.Exit(1)
 	}
@@ -70,18 +75,24 @@ func (t *tenantFlags) Set(s string) error {
 	return nil
 }
 
-func run() error {
+// run is the whole daemon: it parses args, serves until ctx is cancelled,
+// then drains. It announces the API's address on stdout; logs go to
+// stderr.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("aggd", flag.ContinueOnError)
 	var tenants tenantFlags
 	var (
-		listen       = flag.String("listen", "127.0.0.1:8080", "HTTP listen address for the /v1 API and the telemetry surfaces")
-		rate         = flag.Float64("rate", 0, "default tenant request rate in req/s when no -tenant is configured (0: unlimited)")
-		burst        = flag.Float64("burst", 0, "default tenant burst when no -tenant is configured")
-		maxInstances = flag.Int("max-instances", 64, "cap on live instances")
-		maxFleet     = flag.Int("max-fleet", 256, "cap on nodes per instance fleet")
+		listen       = fs.String("listen", "127.0.0.1:8080", "HTTP listen address for the /v1 API and the telemetry surfaces")
+		rate         = fs.Float64("rate", 0, "default tenant request rate in req/s when no -tenant is configured (0: unlimited)")
+		burst        = fs.Float64("burst", 0, "default tenant burst when no -tenant is configured")
+		maxInstances = fs.Int("max-instances", 64, "cap on live instances")
+		maxFleet     = fs.Int("max-fleet", 256, "cap on nodes per instance fleet")
 	)
-	flag.Var(&tenants, "tenant", "tenant spec name:key:rate:burst (repeatable; empty key = open tenant)")
-	tf := cliutil.RegisterTelemetry(flag.CommandLine, 256)
-	flag.Parse()
+	fs.Var(&tenants, "tenant", "tenant spec name:key:rate:burst (repeatable; empty key = open tenant)")
+	tf := cliutil.RegisterTelemetry(fs, 256)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	tel, err := tf.Build(true)
 	if err != nil {
@@ -121,8 +132,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	logger.Info("aggd serving", "url", fmt.Sprintf("http://%s/v1/instances", srv.Addr()),
-		"metrics", fmt.Sprintf("http://%s/metrics", srv.Addr()))
+	fmt.Fprintf(stdout, "aggd serving http://%s/v1/instances, metrics on http://%s/metrics\n", srv.Addr(), srv.Addr())
 
 	// -metrics-addr additionally serves the telemetry surfaces on a
 	// second listener, exactly as it does on aggnode — for deployments
@@ -136,15 +146,13 @@ func run() error {
 		logger.Info("telemetry serving", "url", fmt.Sprintf("http://%s/metrics", extra.Addr()))
 	}
 
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer cancel()
 	<-ctx.Done()
 
 	// Context-based drain: stop accepting API traffic (in-flight
 	// requests get their responses), then tear the fleets down, then
 	// release the telemetry listener — never mid-request, never leaking
 	// an epoch timer.
-	logger.Info("signal received, draining")
+	logger.Info("draining")
 	if err := srv.Close(); err != nil {
 		logger.Error("api server close", "err", err)
 	}

@@ -28,6 +28,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -44,31 +45,40 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stdout)
+	stop()
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "aggnode:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run is the whole command: it parses args, runs the node until ctx is
+// cancelled, then drains it. Program output (the node's address, its
+// estimates and epoch outputs) goes to stdout, logs to stderr.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("aggnode", flag.ContinueOnError)
 	var (
-		listen    = flag.String("listen", "127.0.0.1:0", "UDP listen address")
-		value     = flag.Float64("value", 1, "this node's local value (scalar modes)")
-		stdinVals = flag.Bool("stdin", false, "read value updates (one float per line) from stdin; each epoch restart picks up the latest")
-		function  = flag.String("function", "average", "aggregate: average, min, max, geometric-mean")
-		mode      = flag.String("mode", "scalar", "scalar or count (network-size estimation)")
-		bootstrap = flag.String("bootstrap", "", "comma-separated founding-member addresses")
-		join      = flag.String("join", "", "comma-separated seed addresses of a running deployment")
-		delta     = flag.Duration("delta", 30*time.Second, "epoch length Δ")
-		cycle     = flag.Duration("cycle", time.Second, "cycle length δ")
-		gamma     = flag.Int("gamma", 30, "cycles per epoch γ")
-		anchor    = flag.Int64("anchor", 0, "epoch schedule anchor (unix seconds)")
-		cache     = flag.Int("cache", 30, "NEWSCAST cache size c")
-		viewCap   = flag.Int("view-cap", 0, "cap the piggybacked membership view per exchange datagram, in bytes (0 = unlimited)")
-		conc      = flag.Float64("concurrency", 8, "COUNT: desired concurrent instances C")
+		listen    = fs.String("listen", "127.0.0.1:0", "UDP listen address")
+		value     = fs.Float64("value", 1, "this node's local value (scalar modes)")
+		stdinVals = fs.Bool("stdin", false, "read value updates (one float per line) from stdin; each epoch restart picks up the latest")
+		function  = fs.String("function", "average", "aggregate: average, min, max, geometric-mean")
+		mode      = fs.String("mode", "scalar", "scalar or count (network-size estimation)")
+		bootstrap = fs.String("bootstrap", "", "comma-separated founding-member addresses")
+		join      = fs.String("join", "", "comma-separated seed addresses of a running deployment")
+		delta     = fs.Duration("delta", 30*time.Second, "epoch length Δ")
+		cycle     = fs.Duration("cycle", time.Second, "cycle length δ")
+		gamma     = fs.Int("gamma", 30, "cycles per epoch γ")
+		anchor    = fs.Int64("anchor", 0, "epoch schedule anchor (unix seconds)")
+		cache     = fs.Int("cache", 30, "NEWSCAST cache size c")
+		viewCap   = fs.Int("view-cap", 0, "cap the piggybacked membership view per exchange datagram, in bytes (0 = unlimited)")
+		conc      = fs.Float64("concurrency", 8, "COUNT: desired concurrent instances C")
 	)
-	tf := cliutil.RegisterTelemetry(flag.CommandLine, 256)
-	flag.Parse()
+	tf := cliutil.RegisterTelemetry(fs, 256)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	tel, err := tf.Build(false)
 	if err != nil {
@@ -128,7 +138,7 @@ func run() error {
 		return err
 	}
 	if *stdinVals && cfg.Mode == antientropy.ModeScalar {
-		go readValues(os.Stdin, node.SetValue, logger)
+		go readValues(os.Stdin, stdout, node.SetValue, logger)
 	}
 	if reg != nil {
 		antientropy.RegisterNodeMetrics(reg, node.Metrics)
@@ -151,13 +161,11 @@ func run() error {
 		defer srv.Close()
 		logger.Info("telemetry serving", "url", fmt.Sprintf("http://%s/metrics", srv.Addr()))
 	}
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer cancel()
 	if err := node.Start(ctx); err != nil {
 		return err
 	}
-	// Context-based drain: the signal cancels ctx, the status loop
-	// returns, and the deferred stop takes the node off the scheduler and
+	// Context-based drain: cancelling ctx (main's signal) ends the status
+	// loop, and the deferred stop takes the node off the scheduler and
 	// closes its endpoint before the deferred mux and telemetry closes run.
 	defer func() {
 		logger.Info("draining", "addr", node.Addr())
@@ -166,7 +174,7 @@ func run() error {
 		}
 		logger.Info("drained")
 	}()
-	fmt.Printf("node %s up: mode=%s function=%s epoch=%d\n",
+	fmt.Fprintf(stdout, "node %s up: mode=%s function=%s epoch=%d\n",
 		node.Addr(), *mode, *function, node.Epoch())
 
 	// The status loop doubles as this node's flight recorder and health
@@ -182,7 +190,7 @@ func run() error {
 	for {
 		select {
 		case <-ctx.Done():
-			fmt.Println("\nshutting down")
+			fmt.Fprintln(stdout, "\nshutting down")
 			return nil
 		case <-ticker.C:
 			tick++
@@ -193,11 +201,11 @@ func run() error {
 				status = "waiting for epoch"
 				participating = 0
 			}
-			fmt.Printf("[epoch %d] estimate %12.4f (%s, %d peers)\n",
+			fmt.Fprintf(stdout, "[epoch %d] estimate %12.4f (%s, %d peers)\n",
 				node.Epoch(), est, status, node.PeerCount())
 			if out, ok := node.LastOutput(); ok && out.Epoch != lastReported {
 				lastReported = out.Epoch
-				fmt.Printf("== epoch %d output: %.6f (ok=%v)\n", out.Epoch, out.Value, out.OK)
+				fmt.Fprintf(stdout, "== epoch %d output: %.6f (ok=%v)\n", out.Epoch, out.Value, out.OK)
 			}
 			m := node.Metrics()
 			alerts := health.Eval(antientropy.HealthSample{
@@ -239,9 +247,9 @@ func muxAddrs(list string) []string {
 }
 
 // readValues feeds stdin lines into the node's live value via set
-// (Node.SetValue): each epoch restart samples the latest (§4.1
-// adaptivity in a live deployment).
-func readValues(r io.Reader, set func(float64), logger *slog.Logger) {
+// (Node.SetValue), acknowledging each on out: each epoch restart samples
+// the latest (§4.1 adaptivity in a live deployment).
+func readValues(r io.Reader, out io.Writer, set func(float64), logger *slog.Logger) {
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -254,6 +262,6 @@ func readValues(r io.Reader, set func(float64), logger *slog.Logger) {
 			continue
 		}
 		set(v)
-		fmt.Printf(">> local value set to %g (takes effect next epoch)\n", v)
+		fmt.Fprintf(out, ">> local value set to %g (takes effect next epoch)\n", v)
 	}
 }

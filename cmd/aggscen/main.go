@@ -33,79 +33,80 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"antientropy"
+	"antientropy/internal/cliutil"
 )
 
 func main() {
-	if err := run(); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	// The simulator does not watch ctx: a first signal cancels the fleet
+	// executors and restores the default handling, so a second one ends
+	// a long simulation.
+	context.AfterFunc(ctx, stop)
+	err := run(ctx, os.Args[1:], os.Stdout)
+	stop()
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "aggscen:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run is the whole command: tables, CSV and JSON go to stdout, progress,
+// summaries and logs to stderr.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("aggscen", flag.ContinueOnError)
 	var (
-		list     = flag.Bool("list", false, "list the canned scenarios and exit")
-		name     = flag.String("run", "", "run a canned scenario by name")
-		file     = flag.String("file", "", "run a scenario from a JSON file")
-		show     = flag.String("show", "", "print a canned scenario as JSON and exit")
-		compare  = flag.String("compare", "", "comma-separated scenario names to run and summarize (add -executor both/udp/all for sim-vs-fleet divergence)")
-		n        = flag.Int("n", 0, "override the network size")
-		cycles   = flag.Int("cycles", 0, "override the run length")
-		seed     = flag.Uint64("seed", 0, "override the scenario seed")
-		executor = flag.String("executor", "", "executors to use: sim, live, udp, both (= sim,live), all, or a comma list (default: both for -run, sim for -compare)")
-		engine   = flag.String("engine", "auto", "sim executor shard count: serial (one shard), sharded (-shards shards across the cores), or auto (sharded at 20k slots and up)")
-		shards   = flag.Int("shards", 0, "shard count K for -engine sharded (0 = GOMAXPROCS); results are deterministic per seed + shard count")
-		workers  = flag.Int("workers", 3, "udp executor: number of UDP muxes the fleet is sliced across")
-		viewCap  = flag.Int("view-cap", 0, "cap the piggybacked membership view per exchange datagram, in bytes (live/udp executors; 0 = unlimited)")
-		format   = flag.String("format", "csv", "metric output format: csv or json")
-		outPath  = flag.String("out", "", "write metrics to this file instead of stdout")
-		cycleLen = flag.Duration("cycle-len", 0, "live/udp executors: wall-clock cycle length (0 = scale with fleet size and cores)")
-
-		metricsAddr = flag.String("metrics-addr", "", "serve Prometheus /metrics, /debug/trace, /debug/timeline and /debug/pprof on this address for the duration of the run (empty: off)")
-		traceCap    = flag.Int("trace", 0, "retain the newest N exchange trace events fleet-wide (served on /debug/trace and dumped to stderr at the end of the run; 0: off)")
-		timelineCap = flag.Int("timeline", 512, "retain the newest N per-cycle flight-recorder snapshots (served on /debug/timeline; 0: off)")
-		logLevel    = flag.String("log", "info", "stderr log level: debug, info, warn or error")
+		list     = fs.Bool("list", false, "list the canned scenarios and exit")
+		name     = fs.String("run", "", "run a canned scenario by name")
+		file     = fs.String("file", "", "run a scenario from a JSON file")
+		show     = fs.String("show", "", "print a canned scenario as JSON and exit")
+		compare  = fs.String("compare", "", "comma-separated scenario names to run and summarize (add -executor both/udp/all for sim-vs-fleet divergence)")
+		n        = fs.Int("n", 0, "override the network size")
+		cycles   = fs.Int("cycles", 0, "override the run length")
+		seed     = fs.Uint64("seed", 0, "override the scenario seed")
+		executor = fs.String("executor", "", "executors to use: sim, live, udp, both (= sim,live), all, or a comma list (default: both for -run, sim for -compare)")
+		engine   = fs.String("engine", "auto", "sim executor shard count: serial (one shard), sharded (-shards shards across the cores), or auto (sharded at 20k slots and up)")
+		shards   = fs.Int("shards", 0, "shard count K for -engine sharded (0 = GOMAXPROCS); results are deterministic per seed + shard count")
+		workers  = fs.Int("workers", 3, "udp executor: number of UDP muxes the fleet is sliced across")
+		viewCap  = fs.Int("view-cap", 0, "cap the piggybacked membership view per exchange datagram, in bytes (live/udp executors; 0 = unlimited)")
+		format   = fs.String("format", "csv", "metric output format: csv or json")
+		outPath  = fs.String("out", "", "write metrics to this file instead of stdout")
+		cycleLen = fs.Duration("cycle-len", 0, "live/udp executors: wall-clock cycle length (0 = scale with fleet size and cores)")
 	)
-	flag.Parse()
-
-	logger, err := newLogger(*logLevel)
+	// One registry, trace ring and timeline (and one /metrics endpoint)
+	// serve every executor of the invocation; a trace ring is dumped to
+	// stderr at the end of the run.
+	tf := cliutil.RegisterTelemetry(fs, 512)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	tel, err := tf.Build(false)
 	if err != nil {
 		return err
 	}
-
-	// Telemetry is shared across every executor of the invocation: one
-	// registry (and one /metrics endpoint) no matter how many runs. The
-	// trace dump only happens when -trace was actually set, and the
-	// announcement goes through the structured logger.
-	var (
-		reg      *antientropy.MetricsRegistry
-		ring     *antientropy.TraceRing
-		timeline *antientropy.Timeline
-	)
-	if *traceCap > 0 {
-		ring = antientropy.NewTraceRing(*traceCap)
+	logger, reg, ring, timeline := tel.Logger, tel.Registry, tel.Trace, tel.Timeline
+	if ring != nil {
 		defer func() {
 			logger.Info("dumping exchange trace", "retained", len(ring.Events()), "total", ring.Total())
 			_ = ring.WriteJSON(os.Stderr)
 		}()
 	}
-	if *timelineCap > 0 {
-		timeline = antientropy.NewTimeline(*timelineCap)
+	srv, err := tel.Serve()
+	if err != nil {
+		return err
 	}
-	if *metricsAddr != "" {
-		reg = antientropy.NewMetricsRegistry()
-		srv, err := antientropy.ServeTelemetry(*metricsAddr, reg, ring, timeline)
-		if err != nil {
-			return err
-		}
+	if srv != nil {
 		defer srv.Close()
 		logger.Info("telemetry serving", "url", fmt.Sprintf("http://%s/metrics", srv.Addr()))
 	}
@@ -118,15 +119,15 @@ func run() error {
 		Timeline: timeline, Logger: logger}
 	switch {
 	case *list:
-		return listScenarios()
+		return listScenarios(stdout)
 	case *show != "":
-		return showScenario(*show)
+		return showScenario(stdout, *show)
 	case *compare != "":
 		extras, err := parseExecutors(*executor, "sim")
 		if err != nil {
 			return err
 		}
-		return compareScenarios(strings.Split(*compare, ","), *n, *cycles, *viewCap, *seed, extras, simOpts, udpOpts, liveOpts)
+		return compareScenarios(ctx, stdout, strings.Split(*compare, ","), *n, *cycles, *viewCap, *seed, extras, simOpts, udpOpts, liveOpts)
 	case *name != "" || *file != "":
 		sc, err := loadScenario(*name, *file)
 		if err != nil {
@@ -148,9 +149,9 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		return runScenario(sc, execs, *format, *outPath, logger, simOpts, udpOpts, liveOpts)
+		return runScenario(ctx, stdout, sc, execs, *format, *outPath, logger, simOpts, udpOpts, liveOpts)
 	default:
-		flag.Usage()
+		fs.Usage()
 		return fmt.Errorf("nothing to do (use -list, -run, -file, -show or -compare)")
 	}
 }
@@ -188,15 +189,15 @@ func parseExecutors(value, def string) ([]string, error) {
 	return execs, nil
 }
 
-func listScenarios() error {
-	fmt.Println("canned scenarios:")
+func listScenarios(stdout io.Writer) error {
+	fmt.Fprintln(stdout, "canned scenarios:")
 	for _, sc := range antientropy.CannedScenarios() {
-		fmt.Printf("  %-18s n=%-5d cycles=%-4d %s\n", sc.Name, sc.N, sc.Cycles, sc.Description)
+		fmt.Fprintf(stdout, "  %-18s n=%-5d cycles=%-4d %s\n", sc.Name, sc.N, sc.Cycles, sc.Description)
 	}
 	return nil
 }
 
-func showScenario(name string) error {
+func showScenario(stdout io.Writer, name string) error {
 	sc, err := antientropy.ScenarioByName(name)
 	if err != nil {
 		return err
@@ -207,7 +208,7 @@ func showScenario(name string) error {
 	}
 	fmt.Fprintf(os.Stderr, "aggscen: scenario %s, schema version %d (current: %d)\n",
 		sc.Name, sc.Version, antientropy.ScenarioSchemaVersion)
-	fmt.Println(string(data))
+	fmt.Fprintln(stdout, string(data))
 	return nil
 }
 
@@ -224,21 +225,21 @@ func loadScenario(name, file string) (antientropy.Scenario, error) {
 }
 
 // runExecutor dispatches one scenario run to the named executor.
-func runExecutor(sc antientropy.Scenario, executor string, simOpts antientropy.ScenarioSimOptions, udpOpts antientropy.ScenarioUDPOptions, liveOpts antientropy.ScenarioLiveOptions) (*antientropy.ScenarioRun, error) {
+func runExecutor(ctx context.Context, sc antientropy.Scenario, executor string, simOpts antientropy.ScenarioSimOptions, udpOpts antientropy.ScenarioUDPOptions, liveOpts antientropy.ScenarioLiveOptions) (*antientropy.ScenarioRun, error) {
 	switch executor {
 	case "sim":
 		return antientropy.RunScenarioSimWith(sc, simOpts)
 	case "live":
-		return antientropy.RunScenarioLive(context.Background(), sc, liveOpts)
+		return antientropy.RunScenarioLive(ctx, sc, liveOpts)
 	case "udp":
-		return antientropy.RunScenarioUDP(context.Background(), sc, udpOpts)
+		return antientropy.RunScenarioUDP(ctx, sc, udpOpts)
 	default:
 		return nil, fmt.Errorf("unknown executor %q", executor)
 	}
 }
 
-func runScenario(sc antientropy.Scenario, executors []string, format, outPath string, logger *slog.Logger, simOpts antientropy.ScenarioSimOptions, udpOpts antientropy.ScenarioUDPOptions, liveOpts antientropy.ScenarioLiveOptions) error {
-	out := os.Stdout
+func runScenario(ctx context.Context, stdout io.Writer, sc antientropy.Scenario, executors []string, format, outPath string, logger *slog.Logger, simOpts antientropy.ScenarioSimOptions, udpOpts antientropy.ScenarioUDPOptions, liveOpts antientropy.ScenarioLiveOptions) error {
+	out := stdout
 	if outPath != "" {
 		f, err := os.Create(outPath)
 		if err != nil {
@@ -268,7 +269,7 @@ func runScenario(sc antientropy.Scenario, executors []string, format, outPath st
 			res = twin.Attacked
 		} else {
 			var err error
-			res, err = runExecutor(sc, executor, simOpts, udpOpts, liveOpts)
+			res, err = runExecutor(ctx, sc, executor, simOpts, udpOpts, liveOpts)
 			if err != nil {
 				return err
 			}
@@ -309,7 +310,7 @@ func runScenario(sc antientropy.Scenario, executors []string, format, outPath st
 // divergence of each fleet's metric stream from the simulator's is
 // reported (they share the CSV schema and the scripted value signal, so
 // the difference isolates executor effects).
-func compareScenarios(names []string, n, cycles, viewCap int, seed uint64, executors []string, simOpts antientropy.ScenarioSimOptions, udpOpts antientropy.ScenarioUDPOptions, liveOpts antientropy.ScenarioLiveOptions) error {
+func compareScenarios(ctx context.Context, stdout io.Writer, names []string, n, cycles, viewCap int, seed uint64, executors []string, simOpts antientropy.ScenarioSimOptions, udpOpts antientropy.ScenarioUDPOptions, liveOpts antientropy.ScenarioLiveOptions) error {
 	// The simulator is the comparison baseline and always runs first.
 	fleets := make([]string, 0, len(executors))
 	for _, e := range executors {
@@ -317,7 +318,7 @@ func compareScenarios(names []string, n, cycles, viewCap int, seed uint64, execu
 			fleets = append(fleets, e)
 		}
 	}
-	fmt.Printf("%-18s %-12s %6s %7s %9s %9s %12s %10s\n",
+	fmt.Fprintf(stdout, "%-18s %-12s %6s %7s %9s %9s %12s %10s\n",
 		"scenario", "executor", "n", "cycles", "min-alive", "end-alive", "final-relerr", "messages")
 	for _, raw := range names {
 		name := strings.TrimSpace(raw)
@@ -344,41 +345,21 @@ func compareScenarios(names []string, n, cycles, viewCap int, seed uint64, execu
 		if err != nil {
 			return err
 		}
-		printCompareRow(sc, simRes)
+		printCompareRow(stdout, sc, simRes)
 		for _, executor := range fleets {
-			res, err := runExecutor(sc, executor, simOpts, udpOpts, liveOpts)
+			res, err := runExecutor(ctx, sc, executor, simOpts, udpOpts, liveOpts)
 			if err != nil {
 				return err
 			}
-			printCompareRow(sc, res)
-			fmt.Printf("  divergence: %s\n", antientropy.DivergeScenarioRuns(simRes, res))
+			printCompareRow(stdout, sc, res)
+			fmt.Fprintf(stdout, "  divergence: %s\n", antientropy.DivergeScenarioRuns(simRes, res))
 		}
 	}
 	return nil
 }
 
-func printCompareRow(sc antientropy.Scenario, res *antientropy.ScenarioRun) {
+func printCompareRow(stdout io.Writer, sc antientropy.Scenario, res *antientropy.ScenarioRun) {
 	f := res.Final()
-	fmt.Printf("%-18s %-12s %6d %7d %9d %9d %12.2e %10d\n",
+	fmt.Fprintf(stdout, "%-18s %-12s %6d %7d %9d %9d %12.2e %10d\n",
 		sc.Name, res.Executor, sc.N, sc.Cycles, res.MinAlive(), f.Alive, f.RelError, res.TotalMessages())
-}
-
-// newLogger builds the stderr structured logger every subsystem shares:
-// executor progress, health-alert transitions and node debug events all
-// flow through it, replacing the ad-hoc stderr prints.
-func newLogger(level string) (*slog.Logger, error) {
-	var lvl slog.Level
-	switch strings.ToLower(level) {
-	case "debug":
-		lvl = slog.LevelDebug
-	case "info", "":
-		lvl = slog.LevelInfo
-	case "warn":
-		lvl = slog.LevelWarn
-	case "error":
-		lvl = slog.LevelError
-	default:
-		return nil, fmt.Errorf("unknown log level %q (want debug, info, warn or error)", level)
-	}
-	return slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})), nil
 }

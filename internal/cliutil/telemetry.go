@@ -1,8 +1,8 @@
 // Package cliutil holds the daemon wiring the CLI binaries share: the
 // -metrics-addr/-trace/-timeline/-log flag set and the telemetry state
 // (logger, registry, trace ring, flight recorder) built from it, so
-// aggnode and aggd expose identical observability surfaces without
-// duplicating the plumbing.
+// aggnode, aggd and aggscen expose identical observability surfaces
+// without duplicating the plumbing.
 package cliutil
 
 import (
@@ -34,7 +34,7 @@ func RegisterTelemetry(fs *flag.FlagSet, timelineDefault int) *TelemetryFlags {
 		TraceCap: fs.Int("trace", 0,
 			"retain the newest N exchange trace events (served on /debug/trace; 0: off)"),
 		TimelineCap: fs.Int("timeline", timelineDefault,
-			"retain the newest N status-tick flight-recorder snapshots (served on /debug/timeline; 0: off)"),
+			"retain the newest N flight-recorder snapshots, one per status tick or scenario cycle (served on /debug/timeline; 0: off)"),
 		LogLevel: fs.String("log", "info",
 			"stderr log level: debug, info, warn or error"),
 	}

@@ -4,13 +4,17 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"antientropy/internal/obs"
 )
 
 // TestLivePartitionHealReconverges runs a miniature partition-and-heal
 // scenario against a real agent fleet. The run is wall-clock driven, so
 // assertions are deliberately loose: the point is that the live runtime
 // survives the partition and re-converges after the heal, mirroring the
-// simulator executor's prediction.
+// simulator executor's prediction. /metrics is scraped mid-run
+// (runScraped), and the run's divergence from the simulator's on the
+// same script is computed over every cycle.
 func TestLivePartitionHealReconverges(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live fleet test skipped in -short mode")
@@ -22,10 +26,10 @@ func TestLivePartitionHealReconverges(t *testing.T) {
 			{Kind: KindHeal, At: 16},
 		},
 	}.WithDefaults()
-	res, err := RunLive(context.Background(), sc, LiveOptions{CycleLen: 20 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	reg := obs.NewRegistry()
+	res := runScraped(t, reg, func() (*RunResult, error) {
+		return RunLive(context.Background(), sc, LiveOptions{CycleLen: 20 * time.Millisecond, Obs: reg})
+	})
 	if len(res.PerCycle) != sc.Cycles+1 {
 		t.Fatalf("got %d metric rows, want %d", len(res.PerCycle), sc.Cycles+1)
 	}
@@ -38,6 +42,23 @@ func TestLivePartitionHealReconverges(t *testing.T) {
 	}
 	if res.TotalMessages() == 0 {
 		t.Fatal("no exchange attempts recorded")
+	}
+	checkDivergence(t, sc, res)
+}
+
+// checkDivergence compares a fleet run with the simulator's run of the
+// same script: the two must align over every cycle and end within the
+// fleet's 5 % re-convergence tolerance of each other.
+func checkDivergence(t *testing.T, sc Scenario, fleet *RunResult) {
+	t.Helper()
+	sim, err := RunSim(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := Diverge(sim, fleet)
+	t.Log(d)
+	if d.Cycles != sc.Cycles+1 || d.FinalAbsRelError > 0.05 {
+		t.Errorf("divergence %v: want %d aligned cycles ending within 0.05", d, sc.Cycles+1)
 	}
 }
 

@@ -2,7 +2,9 @@ package scenario
 
 import (
 	"context"
+	"net/http/httptest"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -109,8 +111,10 @@ func seriesNames(t *testing.T, reg *obs.Registry) []string {
 // registry, trace ring and timeline attached and checks the agent counters,
 // RTT histogram, trace and the partition's filter drops all populate — and
 // that the live executor exports exactly the series the udp executor does:
-// one fleet host, one schema.
+// one fleet host, one schema. The fleet idles between cycles, so the test
+// runs beside the package's other parallel fleet test.
 func TestLiveObsRegistryExports(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("live fleet test skipped in -short mode")
 	}
@@ -176,4 +180,81 @@ func TestLiveObsRegistryExports(t *testing.T) {
 			t.Errorf("series %s missing from the live export", name)
 		}
 	}
+}
+
+// scrape reads the registry's /metrics page through obs.Handler, as a
+// Prometheus server would.
+func scrape(reg *obs.Registry) string {
+	rec := httptest.NewRecorder()
+	obs.Handler(reg).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	return rec.Body.String()
+}
+
+// seriesValue reads one series' sample from a /metrics page.
+func seriesValue(page, series string) (float64, bool) {
+	for _, line := range strings.Split(page, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			return f, err == nil
+		}
+	}
+	return 0, false
+}
+
+// runScraped runs a fleet that exports on reg and scrapes /metrics while
+// it runs. Once the fleet has initiated an exchange, the core series
+// must all be on the page, and agg_exchanges_initiated_total must not
+// decrease by a scrape one sampled cycle later. After the run, the
+// scripted partition's drops must show in
+// agg_transport_filter_drops_total.
+func runScraped(t *testing.T, reg *obs.Registry, run func() (*RunResult, error)) *RunResult {
+	t.Helper()
+	type outcome struct {
+		res *RunResult
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := run()
+		done <- outcome{res, err}
+	}()
+	var initiated, cycle float64
+	scrapes := 0
+	for scrapes < 2 {
+		select {
+		case o := <-done:
+			t.Fatalf("the run ended (err %v) after %d of 2 mid-run scrapes", o.err, scrapes)
+		case <-time.After(5 * time.Millisecond):
+		}
+		page := scrape(reg)
+		v, _ := seriesValue(page, "agg_exchanges_initiated_total")
+		c, _ := seriesValue(page, "agg_scenario_cycle")
+		switch {
+		case scrapes == 0 && v > 0:
+			for _, series := range []string{
+				"agg_exchanges_initiated_total", "agg_exchanges_served_total",
+				"agg_exchange_rtt_seconds_count", "agg_scenario_cycle",
+				"agg_convergence_theory_rho", "agg_transport_queue_drops_total",
+				"agg_transport_filter_drops_total",
+			} {
+				if _, ok := seriesValue(page, series); !ok {
+					t.Errorf("series %s missing from a mid-run /metrics", series)
+				}
+			}
+			initiated, cycle, scrapes = v, c, 1
+		case scrapes == 1 && c > cycle:
+			if v < initiated {
+				t.Errorf("agg_exchanges_initiated_total fell from %g to %g between mid-run scrapes", initiated, v)
+			}
+			scrapes = 2
+		}
+	}
+	o := <-done
+	if o.err != nil {
+		t.Fatal(o.err)
+	}
+	if d, _ := seriesValue(scrape(reg), "agg_transport_filter_drops_total"); d <= 0 {
+		t.Error("the partition dropped nothing on agg_transport_filter_drops_total")
+	}
+	return o.res
 }

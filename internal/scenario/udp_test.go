@@ -330,6 +330,8 @@ func TestUDPSpawnFailure(t *testing.T) {
 // live-mem equivalent the run is wall-clock driven, so assertions are
 // deliberately loose: the point is that a multi-process fleet on real
 // sockets survives a scripted partition and re-converges after the heal.
+// /metrics is scraped mid-run (runScraped), and the run's divergence from
+// the simulator's on the same script is computed over every cycle.
 func TestUDPExecutorPartitionHeal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("UDP fleet test skipped in -short mode")
@@ -341,10 +343,9 @@ func TestUDPExecutorPartitionHeal(t *testing.T) {
 			{Kind: KindHeal, At: 10},
 		},
 	}.WithDefaults()
-	res, err := RunUDP(context.Background(), sc, udpTestOptions(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	opts := udpTestOptions(2)
+	opts.Obs = obs.NewRegistry()
+	res := runScraped(t, opts.Obs, func() (*RunResult, error) { return RunUDP(context.Background(), sc, opts) })
 	if len(res.PerCycle) != sc.Cycles+1 {
 		t.Fatalf("got %d metric rows, want %d", len(res.PerCycle), sc.Cycles+1)
 	}
@@ -361,6 +362,7 @@ func TestUDPExecutorPartitionHeal(t *testing.T) {
 	if res.TotalMessages() == 0 {
 		t.Fatal("no exchange attempts recorded")
 	}
+	checkDivergence(t, sc, res)
 }
 
 // TestUDPExecutorChurnJoinCrash exercises the remaining scripted event

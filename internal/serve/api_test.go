@@ -193,6 +193,37 @@ func TestAPITenantAuth(t *testing.T) {
 	}
 }
 
+// TestNewTenantsRejectsNonFiniteLimit: a NaN or infinite rate or burst is
+// refused with the tenant's name. Accepted, a NaN burst leaves a bucket
+// that never refills (every request refused, with a Retry-After of
+// -2 562 047 h), and a NaN rate reads as unlimited. A negative rate keeps
+// its meaning, unlimited.
+func TestNewTenantsRejectsNonFiniteLimit(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		limit Limit
+		ok    bool
+	}{
+		{Limit{Rate: 1, Burst: nan}, false},
+		{Limit{Rate: nan, Burst: 2}, false},
+		{Limit{Rate: inf, Burst: 2}, false},
+		{Limit{Rate: -inf, Burst: 2}, false},
+		{Limit{Rate: 1, Burst: inf}, false},
+		{Limit{Rate: 1, Burst: -inf}, false},
+		{Limit{Rate: -1, Burst: 2}, true},
+		{Limit{}, true},
+		{Limit{Rate: 0.02, Burst: 2}, true},
+	} {
+		_, err := NewTenants([]Tenant{{Name: "alpha", Key: "key-a"}, {Name: "beta", Key: "key-b", Limit: tc.limit}})
+		if tc.ok && err != nil {
+			t.Errorf("%+v: %v", tc.limit, err)
+		}
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), `"beta"`)) {
+			t.Errorf("%+v: got %v, want an error naming tenant beta", tc.limit, err)
+		}
+	}
+}
+
 // TestResolveKeylessAllocs: a request without a key resolves to the open
 // tenant without allocating. Asking Header.Get for a non-canonical name
 // such as X-API-Key allocates on every such request.

@@ -33,15 +33,19 @@ type Tenants struct {
 }
 
 // NewTenants builds a resolver. At most one tenant may have an empty
-// key (the open tenant); duplicate keys are an error. An empty list
-// yields a resolver admitting every request as the unlimited tenant
-// "default" — single-user mode.
+// key (the open tenant); duplicate keys are an error, and so is a NaN or
+// infinite Rate or Burst (a NaN bucket never refills, and a NaN rate
+// reads as unlimited). An empty list yields a resolver admitting every
+// request as the unlimited tenant "default" — single-user mode.
 func NewTenants(list []Tenant) (*Tenants, error) {
 	t := &Tenants{byKey: make(map[string]*Tenant)}
 	for i := range list {
 		ten := list[i]
 		if ten.Name == "" {
 			return nil, fmt.Errorf("serve: tenant %d has no name", i)
+		}
+		if l := ten.Limit; math.IsNaN(l.Rate) || math.IsInf(l.Rate, 0) || math.IsNaN(l.Burst) || math.IsInf(l.Burst, 0) {
+			return nil, fmt.Errorf("serve: tenant %q: rate %v and burst %v must be finite", ten.Name, l.Rate, l.Burst)
 		}
 		if ten.Key == "" {
 			if t.open != nil {
