@@ -44,6 +44,7 @@ package antientropy
 import (
 	"context"
 	"io"
+	"log/slog"
 
 	"antientropy/internal/agent"
 	"antientropy/internal/core"
@@ -279,8 +280,6 @@ type (
 	// Health evaluates the fleet health rules once per cycle, exporting
 	// agg_alerts_total / agg_alert_active and logging transitions.
 	Health = obs.Health
-	// HealthConfig tunes the health-rule thresholds.
-	HealthConfig = obs.HealthConfig
 	// HealthSample is one cycle's fleet state fed to the health rules.
 	HealthSample = obs.HealthSample
 	// TelemetryServer serves /metrics, /debug/trace, /debug/timeline and
@@ -304,8 +303,9 @@ func NewTraceRing(capacity int) *TraceRing { return obs.NewTraceRing(capacity) }
 func NewTimeline(capacity int) *Timeline { return obs.NewTimeline(capacity) }
 
 // NewHealth builds a health-rule engine, registering its alert metric
-// families on reg (may be nil).
-func NewHealth(reg *MetricsRegistry, cfg HealthConfig) *Health { return obs.NewHealth(reg, cfg) }
+// families on reg (may be nil) and logging fire/clear events to log (nil:
+// discard).
+func NewHealth(reg *MetricsRegistry, log *slog.Logger) *Health { return obs.NewHealth(reg, log) }
 
 // ServeTelemetry starts the telemetry HTTP server on addr, exposing reg
 // on /metrics, trace (may be nil) on /debug/trace, timeline (may be
@@ -461,12 +461,10 @@ type (
 	// ScenarioSimOptions tune the simulator executor (engine selection,
 	// shard count, overlay override).
 	ScenarioSimOptions = scenario.SimOptions
-	// ScenarioLiveOptions tune the live-fleet executor: one supervisor
-	// and its in-process worker on the in-memory transport.
-	ScenarioLiveOptions = scenario.LiveOptions
-	// ScenarioUDPOptions tune the UDP executor: the same supervisor
-	// with its workers on a UDP mux each, all in this process.
-	ScenarioUDPOptions = scenario.UDPOptions
+	// ScenarioFleetOptions tune the fleet executors: one supervisor on
+	// the in-memory transport (RunScenarioLive) or on a UDP mux per
+	// worker, all in this process (RunScenarioUDP).
+	ScenarioFleetOptions = scenario.FleetOptions
 	// ScenarioDivergence summarizes how two executions of one scenario
 	// differ cycle by cycle.
 	ScenarioDivergence = scenario.Divergence
@@ -520,7 +518,7 @@ func DivergeScenarioRuns(a, b *ScenarioRun) ScenarioDivergence { return scenario
 // the in-memory transport: the supervisor of RunScenarioUDP on the
 // in-memory network, so nodes are built, crashed, joined and sampled by
 // the same code on either wire.
-func RunScenarioLive(ctx context.Context, sc Scenario, opts ScenarioLiveOptions) (*ScenarioRun, error) {
+func RunScenarioLive(ctx context.Context, sc Scenario, opts ScenarioFleetOptions) (*ScenarioRun, error) {
 	return scenario.RunLive(ctx, sc, opts)
 }
 
@@ -529,7 +527,7 @@ func RunScenarioLive(ctx context.Context, sc Scenario, opts ScenarioLiveOptions)
 // muxes. The supervisor performs each scripted action on the fleet the
 // moment the script decides it and injects partitions and loss through
 // one drop-rule filter every mux applies (see transport.UDPFilter).
-func RunScenarioUDP(ctx context.Context, sc Scenario, opts ScenarioUDPOptions) (*ScenarioRun, error) {
+func RunScenarioUDP(ctx context.Context, sc Scenario, opts ScenarioFleetOptions) (*ScenarioRun, error) {
 	return scenario.RunUDP(ctx, sc, opts)
 }
 

@@ -182,7 +182,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	// rules watch the local protocol counters for loss spikes and
 	// partition-shaped timeout skew (the convergence rules need
 	// fleet-wide spread and stay quiet on a single node).
-	health := antientropy.NewHealth(reg, antientropy.HealthConfig{Logger: logger})
+	health := antientropy.NewHealth(reg, logger)
 	ticker := time.NewTicker(*cycle * 5)
 	defer ticker.Stop()
 	var lastReported uint64

@@ -113,10 +113,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 
 	simOpts := antientropy.ScenarioSimOptions{Engine: *engine, Shards: *shards, Obs: reg,
 		Timeline: timeline, Logger: logger}
-	udpOpts := antientropy.ScenarioUDPOptions{Workers: *workers, CycleLen: *cycleLen, Obs: reg,
+	fleetOpts := antientropy.ScenarioFleetOptions{Workers: *workers, CycleLen: *cycleLen, Obs: reg,
 		Trace: ring, Timeline: timeline, Logger: logger}
-	liveOpts := antientropy.ScenarioLiveOptions{CycleLen: *cycleLen, Obs: reg, Trace: ring,
-		Timeline: timeline, Logger: logger}
 	switch {
 	case *list:
 		return listScenarios(stdout)
@@ -127,7 +125,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		return compareScenarios(ctx, stdout, strings.Split(*compare, ","), *n, *cycles, *viewCap, *seed, extras, simOpts, udpOpts, liveOpts)
+		return compareScenarios(ctx, stdout, strings.Split(*compare, ","), *n, *cycles, *viewCap, *seed, extras, simOpts, fleetOpts)
 	case *name != "" || *file != "":
 		sc, err := loadScenario(*name, *file)
 		if err != nil {
@@ -149,7 +147,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		return runScenario(ctx, stdout, sc, execs, *format, *outPath, logger, simOpts, udpOpts, liveOpts)
+		return runScenario(ctx, stdout, sc, execs, *format, *outPath, logger, simOpts, fleetOpts)
 	default:
 		fs.Usage()
 		return fmt.Errorf("nothing to do (use -list, -run, -file, -show or -compare)")
@@ -225,20 +223,20 @@ func loadScenario(name, file string) (antientropy.Scenario, error) {
 }
 
 // runExecutor dispatches one scenario run to the named executor.
-func runExecutor(ctx context.Context, sc antientropy.Scenario, executor string, simOpts antientropy.ScenarioSimOptions, udpOpts antientropy.ScenarioUDPOptions, liveOpts antientropy.ScenarioLiveOptions) (*antientropy.ScenarioRun, error) {
+func runExecutor(ctx context.Context, sc antientropy.Scenario, executor string, simOpts antientropy.ScenarioSimOptions, fleetOpts antientropy.ScenarioFleetOptions) (*antientropy.ScenarioRun, error) {
 	switch executor {
 	case "sim":
 		return antientropy.RunScenarioSimWith(sc, simOpts)
 	case "live":
-		return antientropy.RunScenarioLive(ctx, sc, liveOpts)
+		return antientropy.RunScenarioLive(ctx, sc, fleetOpts)
 	case "udp":
-		return antientropy.RunScenarioUDP(ctx, sc, udpOpts)
+		return antientropy.RunScenarioUDP(ctx, sc, fleetOpts)
 	default:
 		return nil, fmt.Errorf("unknown executor %q", executor)
 	}
 }
 
-func runScenario(ctx context.Context, stdout io.Writer, sc antientropy.Scenario, executors []string, format, outPath string, logger *slog.Logger, simOpts antientropy.ScenarioSimOptions, udpOpts antientropy.ScenarioUDPOptions, liveOpts antientropy.ScenarioLiveOptions) error {
+func runScenario(ctx context.Context, stdout io.Writer, sc antientropy.Scenario, executors []string, format, outPath string, logger *slog.Logger, simOpts antientropy.ScenarioSimOptions, fleetOpts antientropy.ScenarioFleetOptions) error {
 	out := stdout
 	if outPath != "" {
 		f, err := os.Create(outPath)
@@ -269,7 +267,7 @@ func runScenario(ctx context.Context, stdout io.Writer, sc antientropy.Scenario,
 			res = twin.Attacked
 		} else {
 			var err error
-			res, err = runExecutor(ctx, sc, executor, simOpts, udpOpts, liveOpts)
+			res, err = runExecutor(ctx, sc, executor, simOpts, fleetOpts)
 			if err != nil {
 				return err
 			}
@@ -310,7 +308,7 @@ func runScenario(ctx context.Context, stdout io.Writer, sc antientropy.Scenario,
 // divergence of each fleet's metric stream from the simulator's is
 // reported (they share the CSV schema and the scripted value signal, so
 // the difference isolates executor effects).
-func compareScenarios(ctx context.Context, stdout io.Writer, names []string, n, cycles, viewCap int, seed uint64, executors []string, simOpts antientropy.ScenarioSimOptions, udpOpts antientropy.ScenarioUDPOptions, liveOpts antientropy.ScenarioLiveOptions) error {
+func compareScenarios(ctx context.Context, stdout io.Writer, names []string, n, cycles, viewCap int, seed uint64, executors []string, simOpts antientropy.ScenarioSimOptions, fleetOpts antientropy.ScenarioFleetOptions) error {
 	// The simulator is the comparison baseline and always runs first.
 	fleets := make([]string, 0, len(executors))
 	for _, e := range executors {
@@ -347,7 +345,7 @@ func compareScenarios(ctx context.Context, stdout io.Writer, names []string, n, 
 		}
 		printCompareRow(stdout, sc, simRes)
 		for _, executor := range fleets {
-			res, err := runExecutor(ctx, sc, executor, simOpts, udpOpts, liveOpts)
+			res, err := runExecutor(ctx, sc, executor, simOpts, fleetOpts)
 			if err != nil {
 				return err
 			}

@@ -21,11 +21,8 @@ func main() {
 	// A lossy, slow network: 1–5 ms latency and 5% message loss — the
 	// protocol shrugs it off (§6.2, §7.2). The network delays datagrams;
 	// the filter, the same one a UDP mux takes, loses them.
-	net := antientropy.NewMemNetwork(antientropy.MemNetworkConfig{
-		MinLatency: time.Millisecond,
-		MaxLatency: 5 * time.Millisecond,
-		Seed:       1,
-	})
+	net := antientropy.NewMemNetwork(antientropy.MemNetworkConfig{Seed: 1})
+	net.SetLatency(time.Millisecond, 5*time.Millisecond)
 	defer net.Close()
 	loss := antientropy.NewUDPFilter(1)
 	loss.SetLoss(0.05)

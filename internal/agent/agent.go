@@ -120,8 +120,6 @@ type Config struct {
 	// Logger receives debug events (default: slog.Default with the node
 	// address attached).
 	Logger *slog.Logger
-	// MaxOutputs bounds the retained epoch outputs (default 16).
-	MaxOutputs int
 	// MaxViewBytes caps the encoded size of the piggybacked membership
 	// view per exchange (0 = unlimited): a frame carries the freshest
 	// descriptors that fit. The overlay tolerates partial views by design
@@ -317,9 +315,7 @@ type Node struct {
 	// pending is the outstanding exchange while busy. The scheduler
 	// expires it when it is still outstanding at its deadline.
 	pending exchange
-	// pendingValue overrides cfg.Value once SetValue has been called:
-	// the serving layer feeds value updates through it without holding a
-	// reference into its own store.
+	// pendingValue overrides cfg.Value once SetValue has been called.
 	pendingValue float64
 	hasPending   bool
 	busy         bool
@@ -379,9 +375,6 @@ func New(cfg Config) (*Node, error) {
 	}
 	if cfg.RequestTimeout <= 0 {
 		return nil, errors.New("agent: request timeout must be positive")
-	}
-	if cfg.MaxOutputs <= 0 {
-		cfg.MaxOutputs = 16
 	}
 	addr := cfg.Endpoint.Addr()
 	if cfg.Seed == 0 {
@@ -609,9 +602,10 @@ func (n *Node) estimateLocked() (float64, bool) {
 // next epoch restart (§4.1) — mid-epoch mass is never disturbed, so the
 // running instance keeps conserving its invariant. Once called, the
 // stored value supersedes Config.Value for every later restart; the
-// latest call wins. This is the value-update hook of the serving layer:
-// clients feed values over an API and the fleet picks them up at the
-// next restart.
+// latest call wins. It suits a caller that pushes values rather than
+// supplying them; the serving layer does not call it, but gives each node
+// a Config.Value supplier that reads the instance's fed values (serve's
+// Instance.slotValue).
 func (n *Node) SetValue(v float64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -671,7 +665,11 @@ func (n *Node) Participating() bool {
 	return n.participating
 }
 
-// Outputs returns the retained completed-epoch outputs, oldest first.
+// maxOutputs bounds the retained epoch outputs.
+const maxOutputs = 16
+
+// Outputs returns the retained completed-epoch outputs, oldest first (at
+// most the last maxOutputs).
 func (n *Node) Outputs() []Output {
 	n.mu.Lock()
 	defer n.mu.Unlock()

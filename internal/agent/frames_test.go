@@ -232,3 +232,79 @@ func (h handNode) sentVersion(t testing.TB) (wire.Message, uint8) {
 		return nil, 0
 	}
 }
+
+// TestViewCapTrimsFrames pins Config.MaxViewBytes: with a cap of B bytes
+// every frame the node sends — the reply it serves and the request it
+// initiates — totals at most B by wire.DescriptorWireSize, and its entries
+// are a prefix of the uncapped frame, which lists the view freshest first.
+func TestViewCapTrimsFrames(t *testing.T) {
+	h := newHandNode(t, ModeScalar, time.Hour)
+	// The node's view is a crowd of endpoints that hand whatever the node
+	// sends them to requests, so its exchange request is seen wherever it
+	// goes.
+	requests := make(chan wire.ViewFrame, 1)
+	view := wire.ViewFrame{Kind: wire.ViewFull, Gen: 1}
+	for i := range 30 {
+		ep := h.net.Endpoint()
+		ep.SetHandler(func(p transport.Packet) {
+			if m, err := wire.Decode(p.Data); err == nil {
+				if req, ok := m.(*wire.ExchangeRequest); ok {
+					select {
+					case requests <- req.View:
+					default:
+					}
+				}
+			}
+			p.Release()
+		})
+		view.Entries = append(view.Entries, wire.Descriptor{Addr: ep.Addr(), Stamp: int64(100 - i)})
+	}
+	serve := func() wire.ViewFrame {
+		t.Helper()
+		h.handle(h.peer.Addr(), h.requestFrom(t, h.peer, view))
+		reply, ok := h.sent(t).(*wire.ExchangeReply)
+		if !ok {
+			t.Fatal("the node served no exchange reply")
+		}
+		return reply.View
+	}
+	serve() // fills the view
+	full := serve().Entries
+	if len(full) < 10 {
+		t.Fatalf("uncapped frame has %d entries, want a full view", len(full))
+	}
+	for i := 1; i < len(full); i++ {
+		if full[i].Stamp > full[i-1].Stamp {
+			t.Fatalf("uncapped frame is not freshest first: %+v", full)
+		}
+	}
+	// A cap one byte short of the first six descriptors leaves five.
+	const keep = 5
+	budget := -1
+	for _, d := range full[:keep+1] {
+		budget += wire.DescriptorWireSize(d.Addr)
+	}
+	h.mu.Lock()
+	h.cfg.MaxViewBytes = budget
+	h.mu.Unlock()
+
+	capped := map[string]wire.ViewFrame{"reply": serve()}
+	h.initiate(time.Now())
+	select {
+	case capped["request"] = <-requests:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the node sent no exchange request")
+	}
+	for name, frame := range capped {
+		size := 0
+		for _, d := range frame.Entries {
+			size += wire.DescriptorWireSize(d.Addr)
+		}
+		if size > budget {
+			t.Errorf("capped %s carries %d bytes of descriptors, cap %d", name, size, budget)
+		}
+		if !slices.Equal(frame.Entries, full[:keep]) {
+			t.Errorf("capped %s entries %+v, want the uncapped frame's first %d: %+v", name, frame.Entries, keep, full[:keep])
+		}
+	}
+}

@@ -36,8 +36,8 @@ func (n *Node) finishEpochLocked(now time.Time) {
 	v, ok := n.estimateLocked()
 	out := Output{Epoch: n.epoch, Value: v, OK: ok, At: now}
 	n.outputs = append(n.outputs, out)
-	if len(n.outputs) > n.cfg.MaxOutputs {
-		n.outputs = n.outputs[len(n.outputs)-n.cfg.MaxOutputs:]
+	if len(n.outputs) > maxOutputs {
+		n.outputs = n.outputs[len(n.outputs)-maxOutputs:]
 	}
 	n.publishLocked(out)
 }

@@ -12,10 +12,9 @@ import (
 
 // launchLossyCluster starts founding nodes over a network with latency
 // that loses datagrams through filter.
-func launchLossyCluster(t *testing.T, n int, netCfg transport.MemNetworkConfig, filter *transport.UDPFilter,
+func launchLossyCluster(t *testing.T, n int, net *transport.MemNetwork, filter *transport.UDPFilter,
 	sched core.Schedule, values func(i int) float64) []*Node {
 	t.Helper()
-	net := transport.NewMemNetwork(netCfg)
 	net.SetFilter(filter)
 	eps := make([]*transport.MemEndpoint, n)
 	addrs := make([]string, n)
@@ -64,11 +63,9 @@ func TestClusterConvergesUnderLossAndLatency(t *testing.T) {
 	}
 	loss := transport.NewUDPFilter(7)
 	loss.SetLoss(0.1)
-	nodes := launchLossyCluster(t, 10, transport.MemNetworkConfig{
-		MinLatency: 500 * time.Microsecond,
-		MaxLatency: 2 * time.Millisecond,
-		Seed:       7,
-	}, loss, sched, func(i int) float64 { return float64(i) })
+	net := transport.NewMemNetwork(transport.MemNetworkConfig{Seed: 7})
+	net.SetLatency(500*time.Microsecond, 2*time.Millisecond)
+	nodes := launchLossyCluster(t, 10, net, loss, sched, func(i int) float64 { return float64(i) })
 	want := 4.5
 	deadline := time.Now().Add(6 * time.Second)
 	for time.Now().Before(deadline) {
@@ -101,7 +98,7 @@ func TestPartitionHealsAndEstimatesRecover(t *testing.T) {
 		Gamma:    30,
 	}
 	split := transport.NewUDPFilter(8)
-	nodes := launchLossyCluster(t, 6, transport.MemNetworkConfig{Seed: 8}, split,
+	nodes := launchLossyCluster(t, 6, transport.NewMemNetwork(transport.MemNetworkConfig{Seed: 8}), split,
 		sched, func(i int) float64 { return float64(i * 2) }) // avg 5
 	victim := nodes[5]
 	groups := map[string]int{victim.Addr(): 1}
@@ -237,11 +234,8 @@ func TestLateReplyIsIgnored(t *testing.T) {
 		CycleLen: 20 * time.Millisecond,
 		Gamma:    1 << 20,
 	}
-	net := transport.NewMemNetwork(transport.MemNetworkConfig{
-		MinLatency: 15 * time.Millisecond,
-		MaxLatency: 18 * time.Millisecond,
-		Seed:       10,
-	})
+	net := transport.NewMemNetwork(transport.MemNetworkConfig{Seed: 10})
+	net.SetLatency(15*time.Millisecond, 18*time.Millisecond)
 	defer net.Close()
 	epA, epB := net.Endpoint(), net.Endpoint()
 	mk := func(ep *transport.MemEndpoint, v float64, peer string, seed uint64) *Node {

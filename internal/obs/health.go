@@ -33,40 +33,36 @@ type HealthSample struct {
 	Drops int64
 }
 
-// HealthConfig tunes the rule thresholds. The zero value selects the
-// documented defaults.
-type HealthConfig struct {
-	// StallRatio and StallCycles define convergence_stall: ρ̂ >
-	// StallRatio × theory for StallCycles consecutive evaluable
-	// cycles, while the estimate spread is still meaningfully wide
-	// (relative stddev above StallMinSpread). Defaults 2, 5, 1e-3.
-	StallRatio     float64
-	StallCycles    int
-	StallMinSpread float64
-	// DriftRelError and DriftCycles define mass_drift: relative
-	// estimation error above DriftRelError for DriftCycles consecutive
+// Health rule thresholds.
+const (
+	// stallRatio, stallCycles and stallMinSpread define
+	// convergence_stall: ρ̂ > stallRatio × theory for stallCycles
+	// consecutive evaluable cycles, while the estimate spread is still
+	// meaningfully wide (relative stddev above stallMinSpread).
+	stallRatio     = 2
+	stallCycles    = 5
+	stallMinSpread = 1e-3
+	// driftRelError and driftCycles define mass_drift: relative
+	// estimation error above driftRelError for driftCycles consecutive
 	// cycles late in an epoch would mean mass was lost or injected.
-	// Defaults 0.25, 6.
-	DriftRelError float64
-	DriftCycles   int
-	// LossRatio, LossMinAttempts and LossCycles define
-	// exchange_loss_spike: per-cycle (timeouts+declined)/initiated
-	// above LossRatio over at least LossMinAttempts attempts for
-	// LossCycles consecutive cycles. Defaults 0.5, 8, 3.
-	LossRatio       float64
-	LossMinAttempts int64
-	LossCycles      int
-	// PartitionTimeoutShare, PartitionSkew and PartitionCycles define
+	driftRelError = 0.25
+	driftCycles   = 6
+	// lossRatio, lossMinAttempts and lossCycles define
+	// exchange_loss_spike: per-cycle (timeouts+declined)/initiated above
+	// lossRatio over at least lossMinAttempts attempts for lossCycles
+	// consecutive cycles.
+	lossRatio       = 0.5
+	lossMinAttempts = 8
+	lossCycles      = 3
+	// partitionTimeoutShare, partitionSkew and partitionCycles define
 	// partition_suspect: timeouts alone take more than
-	// PartitionTimeoutShare of attempts AND outnumber declines by
-	// PartitionSkew× — peers silently unreachable rather than busy —
-	// for PartitionCycles consecutive cycles. Defaults 0.2, 3, 3.
-	PartitionTimeoutShare float64
-	PartitionSkew         float64
-	PartitionCycles       int
-	// Logger receives structured fire/clear events (nil: discard).
-	Logger *slog.Logger
-}
+	// partitionTimeoutShare of attempts AND outnumber declines by
+	// partitionSkew× — peers silently unreachable rather than busy — for
+	// partitionCycles consecutive cycles.
+	partitionTimeoutShare = 0.2
+	partitionSkew         = 3
+	partitionCycles       = 3
+)
 
 // Health rule names, the `rule` label values of agg_alerts_total.
 const (
@@ -100,7 +96,6 @@ type healthRule struct {
 // agg_alert_active{rule=...} and emit structured slog events. Not
 // safe for concurrent use — drive it from one sampling loop.
 type Health struct {
-	cfg   HealthConfig
 	log   *slog.Logger
 	rules map[string]*healthRule
 
@@ -109,43 +104,9 @@ type Health struct {
 }
 
 // NewHealth builds the engine, registering the alert metric families
-// on reg (nil reg: metrics are kept internally but not exported).
-// Zero-valued config fields take the documented defaults.
-func NewHealth(reg *Registry, cfg HealthConfig) *Health {
-	if cfg.StallRatio <= 0 {
-		cfg.StallRatio = 2
-	}
-	if cfg.StallCycles <= 0 {
-		cfg.StallCycles = 5
-	}
-	if cfg.StallMinSpread <= 0 {
-		cfg.StallMinSpread = 1e-3
-	}
-	if cfg.DriftRelError <= 0 {
-		cfg.DriftRelError = 0.25
-	}
-	if cfg.DriftCycles <= 0 {
-		cfg.DriftCycles = 6
-	}
-	if cfg.LossRatio <= 0 {
-		cfg.LossRatio = 0.5
-	}
-	if cfg.LossMinAttempts <= 0 {
-		cfg.LossMinAttempts = 8
-	}
-	if cfg.LossCycles <= 0 {
-		cfg.LossCycles = 3
-	}
-	if cfg.PartitionTimeoutShare <= 0 {
-		cfg.PartitionTimeoutShare = 0.2
-	}
-	if cfg.PartitionSkew <= 0 {
-		cfg.PartitionSkew = 3
-	}
-	if cfg.PartitionCycles <= 0 {
-		cfg.PartitionCycles = 3
-	}
-	log := cfg.Logger
+// on reg (nil reg: metrics are kept internally but not exported). log
+// receives structured fire/clear events (nil: discard).
+func NewHealth(reg *Registry, log *slog.Logger) *Health {
 	if log == nil {
 		log = slog.New(slog.DiscardHandler)
 	}
@@ -156,12 +117,12 @@ func NewHealth(reg *Registry, cfg HealthConfig) *Health {
 		"Health-rule alert firings (transitions into the active state).", "rule")
 	activeG := reg.GaugeVec("agg_alert_active",
 		"Health rules currently active (1) or clear (0).", "rule")
-	h := &Health{cfg: cfg, log: log, rules: make(map[string]*healthRule)}
+	h := &Health{log: log, rules: make(map[string]*healthRule)}
 	need := map[string]int{
-		RuleConvergenceStall:  cfg.StallCycles,
-		RuleMassDrift:         cfg.DriftCycles,
-		RuleExchangeLossSpike: cfg.LossCycles,
-		RulePartitionSuspect:  cfg.PartitionCycles,
+		RuleConvergenceStall:  stallCycles,
+		RuleMassDrift:         driftCycles,
+		RuleExchangeLossSpike: lossCycles,
+		RulePartitionSuspect:  partitionCycles,
 	}
 	for _, name := range healthRuleNames {
 		r := &healthRule{
@@ -225,13 +186,13 @@ func (h *Health) conditions(s HealthSample) map[string]bool {
 	// variance has stopped halving. The spread floor keeps converged
 	// fleets (where ρ̂ is numerical noise over ~0 variance) quiet.
 	spread := math.Abs(s.EstimateStdDev)
-	floor := h.cfg.StallMinSpread * math.Max(math.Abs(s.MeanEstimate), 1)
+	floor := stallMinSpread * math.Max(math.Abs(s.MeanEstimate), 1)
 	out[RuleConvergenceStall] = s.RhoHat > 0 && s.TheoryRho > 0 &&
-		s.RhoHat > h.cfg.StallRatio*s.TheoryRho && spread > floor
+		s.RhoHat > stallRatio*s.TheoryRho && spread > floor
 
 	// mass_drift: the fleet mean is persistently far from ground
 	// truth — mass left (crashes mid-exchange) or was injected.
-	out[RuleMassDrift] = s.RelError > h.cfg.DriftRelError
+	out[RuleMassDrift] = s.RelError > driftRelError
 
 	// Delta-based rules need a previous sample.
 	var dAttempts, dTimeouts, dDeclined float64
@@ -240,20 +201,20 @@ func (h *Health) conditions(s HealthSample) map[string]bool {
 		dTimeouts = float64(s.Timeouts - h.prev.Timeouts)
 		dDeclined = float64(s.Declined - h.prev.Declined)
 	}
-	enough := h.havePrev && dAttempts >= float64(h.cfg.LossMinAttempts)
+	enough := h.havePrev && dAttempts >= lossMinAttempts
 
 	// exchange_loss_spike: a burst of failed exchanges, whatever the
 	// cause (timeouts or NACKs).
 	out[RuleExchangeLossSpike] = enough &&
-		(dTimeouts+dDeclined)/dAttempts > h.cfg.LossRatio
+		(dTimeouts+dDeclined)/dAttempts > lossRatio
 
 	// partition_suspect: failures dominated by silent timeouts, not
 	// NACKs — peers that answered nothing at all, the skew a network
 	// partition produces (a busy fleet declines, a partitioned one
 	// vanishes).
 	out[RulePartitionSuspect] = enough &&
-		dTimeouts/dAttempts > h.cfg.PartitionTimeoutShare &&
-		dTimeouts > h.cfg.PartitionSkew*dDeclined
+		dTimeouts/dAttempts > partitionTimeoutShare &&
+		dTimeouts > partitionSkew*dDeclined
 
 	return out
 }

@@ -303,7 +303,7 @@ func TestLiveLieEstimateTraceStitches(t *testing.T) {
 	}.WithDefaults()
 	reg := obs.NewRegistry()
 	ring := obs.NewTraceRing(4096)
-	res, err := RunLive(context.Background(), sc, LiveOptions{
+	res, err := RunLive(context.Background(), sc, FleetOptions{
 		CycleLen: 20 * time.Millisecond, Obs: reg, Trace: ring,
 	})
 	if err != nil {

@@ -28,7 +28,7 @@ func TestLivePartitionHealReconverges(t *testing.T) {
 	}.WithDefaults()
 	reg := obs.NewRegistry()
 	res := runScraped(t, reg, func() (*RunResult, error) {
-		return RunLive(context.Background(), sc, LiveOptions{CycleLen: 20 * time.Millisecond, Obs: reg})
+		return RunLive(context.Background(), sc, FleetOptions{CycleLen: 20 * time.Millisecond, Obs: reg})
 	})
 	if len(res.PerCycle) != sc.Cycles+1 {
 		t.Fatalf("got %d metric rows, want %d", len(res.PerCycle), sc.Cycles+1)
@@ -77,7 +77,7 @@ func TestLiveChurnJoinCrash(t *testing.T) {
 			{Kind: KindLoss, At: 15, Until: 20, Rate: 0.2},
 		},
 	}.WithDefaults()
-	res, err := RunLive(context.Background(), sc, LiveOptions{CycleLen: 20 * time.Millisecond})
+	res, err := RunLive(context.Background(), sc, FleetOptions{CycleLen: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

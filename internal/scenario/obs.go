@@ -75,7 +75,7 @@ func newScenarioObs(reg *obs.Registry, timeline *obs.Timeline, logger *slog.Logg
 	}
 	s := &scenarioObs{
 		timeline: timeline,
-		health:   obs.NewHealth(reg, obs.HealthConfig{Logger: logger}),
+		health:   obs.NewHealth(reg, logger),
 		reg:      reg,
 	}
 	if reg == nil {

@@ -126,7 +126,7 @@ func TestLiveObsRegistryExports(t *testing.T) {
 	reg := obs.NewRegistry()
 	ring := obs.NewTraceRing(512)
 	timeline := obs.NewTimeline(sc.Cycles + 1)
-	res, err := RunLive(context.Background(), sc, LiveOptions{
+	res, err := RunLive(context.Background(), sc, FleetOptions{
 		CycleLen: 20 * time.Millisecond, Obs: reg, Trace: ring, Timeline: timeline,
 	})
 	if err != nil {

@@ -139,7 +139,7 @@ func TestFractionalJoinFillsEverySlot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		live, err := RunLive(context.Background(), sc, LiveOptions{CycleLen: 20 * time.Millisecond})
+		live, err := RunLive(context.Background(), sc, FleetOptions{CycleLen: 20 * time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -481,12 +481,12 @@ func TestScriptBackendsAgree(t *testing.T) {
 			onSim := newRecFleet(simScript, 7)
 			onSim.inner = simFleet{e: core, rng: simScript.rng}
 
-			sup := newSupervisor(context.Background(), sc, UDPOptions{Workers: 2}.withDefaults(slots), "test", sharedMemNet())
+			sup := newSupervisor(context.Background(), sc, FleetOptions{Workers: 2, CycleLen: 25 * time.Millisecond}, "test", sharedMemNet())
 			defer sup.stop()
 			if err := sup.init(); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := sup.start(); err != nil {
+			if err := sup.start(); err != nil {
 				t.Fatal(err)
 			}
 			onSup := newRecFleet(sup.script, 7)
@@ -574,7 +574,7 @@ func TestScriptSplitMatchesVeto(t *testing.T) {
 	simFleet{e: core}.split(groupOf)
 
 	sc := Scenario{Name: "split", N: 6, Cycles: 1}.WithDefaults()
-	sup := newSupervisor(context.Background(), sc, UDPOptions{Workers: 2}, "test", newMemNet)
+	sup := newSupervisor(context.Background(), sc, FleetOptions{Workers: 2}, "test", newMemNet)
 	for slot, a := range core.alive {
 		sup.roster.alive[slot] = a
 		sup.roster.addr[slot] = fmt.Sprint("a", slot)

@@ -110,8 +110,8 @@ func TestSimTimelineHealthAlerts(t *testing.T) {
 	})
 }
 
-// theoryRhoStallFloor is the default stall threshold: twice the
-// theoretical reduction factor (HealthConfig.StallRatio × theory).
+// theoryRhoStallFloor is the stall threshold: twice the
+// theoretical reduction factor (obs's stallRatio × theory).
 const theoryRhoStallFloor = 2 * 0.303
 
 // TestUDPExecutorCrossProcessTrace pins trace stitching end to end over

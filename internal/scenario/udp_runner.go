@@ -17,28 +17,25 @@ import (
 	"antientropy/internal/transport"
 )
 
-// UDPOptions tune the UDP executor.
-type UDPOptions struct {
-	// Workers is the number of UDP muxes the fleet's endpoints are spread
-	// over (default 3, capped at the scenario's initial size), one socket
-	// set each; one drop filter serves them all. Slot i binds on mux
-	// i mod Workers whenever it (re)joins.
+// FleetOptions tune the fleet executors, RunLive and RunUDP.
+type FleetOptions struct {
+	// Workers is the number of UDP muxes RunUDP spreads the fleet's
+	// endpoints over (default 3, capped at the scenario's initial size),
+	// one socket set each; one drop filter serves them all. Slot i binds
+	// on mux i mod Workers whenever it (re)joins. RunLive runs the whole
+	// fleet on one in-memory network and ignores it.
 	Workers int
 	// CycleLen is δ, the wall-clock length of one protocol cycle. The
-	// default scales with the fleet size and the machine's cores like the
-	// live executor's, with a higher floor: real sockets add syscall and
-	// reader-wakeup cost per exchange.
+	// default scales with the fleet size and the machine's cores so that
+	// every node can complete its exchange within a cycle — a too-short δ
+	// starves the fleet and convergence stalls.
 	CycleLen time.Duration
-	// CacheSize is the NEWSCAST cache capacity (default 30).
-	CacheSize int
-	// QueueLen sizes each endpoint's inbound buffer (default 1024).
-	QueueLen int
-	// Logger receives node debug events, supervisor progress and drop
-	// accounting (default: discard).
+	// Logger receives node debug events, supervisor progress, drop
+	// accounting and health alert transitions (default: discard).
 	Logger *slog.Logger
 	// Obs, when set, exposes the whole fleet on one metrics registry: the
 	// nodes' cumulative protocol counters, the fleet's RTT histogram and
-	// the muxes' transport series, merged at every sample, alongside the
+	// the networks' transport series, merged at every sample, alongside the
 	// per-cycle scenario gauges and the convergence watch.
 	Obs *obs.Registry
 	// Trace, when set, receives the exchange-trace events of every node:
@@ -52,25 +49,18 @@ type UDPOptions struct {
 	Timeline *obs.Timeline
 }
 
-func (o UDPOptions) withDefaults(fleet int) UDPOptions {
+// withDefaults fills the zero fields for the scenario's fleet on a
+// network where a node costs nodeCost of single-core compute per cycle:
+// the default cycle spreads that budget for every slot across the cores,
+// with floor as its least length, for timer accuracy.
+func (o FleetOptions) withDefaults(sc Scenario, nodeCost, floor time.Duration) FleetOptions {
 	if o.Workers <= 0 {
 		o.Workers = 3
 	}
+	o.Workers = min(o.Workers, sc.N)
 	if o.CycleLen <= 0 {
-		// Budget ~250µs of single-core compute per node per cycle (the
-		// live executor's 150µs plus UDP syscalls and reader wakeups),
-		// spread across the cores, with a 25ms floor for timer accuracy.
-		perCore := 250 * time.Microsecond / time.Duration(runtime.GOMAXPROCS(0))
-		o.CycleLen = time.Duration(fleet) * perCore
-		if o.CycleLen < 25*time.Millisecond {
-			o.CycleLen = 25 * time.Millisecond
-		}
-	}
-	if o.CacheSize <= 0 {
-		o.CacheSize = 30
-	}
-	if o.QueueLen <= 0 {
-		o.QueueLen = 1024
+		perCore := nodeCost / time.Duration(runtime.GOMAXPROCS(0))
+		o.CycleLen = max(time.Duration(sc.MaxSlots())*perCore, floor)
 	}
 	if o.Logger == nil {
 		o.Logger = slog.New(slog.DiscardHandler)
@@ -89,13 +79,14 @@ func (o UDPOptions) withDefaults(fleet int) UDPOptions {
 // driven and therefore not bit-for-bit deterministic, but it chases the
 // identical scripted value signal, so its metric stream is directly
 // comparable to the other executors'.
-func RunUDP(ctx context.Context, sc Scenario, opts UDPOptions) (*RunResult, error) {
+func RunUDP(ctx context.Context, sc Scenario, opts FleetOptions) (*RunResult, error) {
 	sc = sc.WithDefaults()
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults(sc.MaxSlots())
-	opts.Workers = min(opts.Workers, sc.N)
+	// A node's cycle costs the live executor's 150µs plus UDP syscalls
+	// and reader wakeups; real sockets also want a higher floor.
+	opts = opts.withDefaults(sc, 250*time.Microsecond, 25*time.Millisecond)
 	return newSupervisor(ctx, sc, opts, "udp", newSocketNet).run()
 }
 
@@ -110,7 +101,7 @@ func RunUDP(ctx context.Context, sc Scenario, opts UDPOptions) (*RunResult, erro
 type supervisor struct {
 	sc       Scenario
 	executor string
-	opts     UDPOptions
+	opts     FleetOptions
 	ctx      context.Context
 	roster   *fleetRoster
 	script   *script
@@ -183,7 +174,7 @@ type fleetSample struct {
 
 // newSupervisor builds the supervisor of a validated scenario with
 // opts.Workers networks from newNet.
-func newSupervisor(ctx context.Context, sc Scenario, opts UDPOptions, executor string, newNet netBuilder) *supervisor {
+func newSupervisor(ctx context.Context, sc Scenario, opts FleetOptions, executor string, newNet netBuilder) *supervisor {
 	slots := sc.MaxSlots()
 	adv := newAdvSchedule(sc, slots)
 	prog := NewValueProgram(sc, slots)
@@ -259,20 +250,16 @@ func (d *supervisor) run() (*RunResult, error) {
 	if err := d.init(); err != nil {
 		return nil, err
 	}
-	anchor, err := d.start()
-	if err != nil {
+	if err := d.start(); err != nil {
 		return nil, err
 	}
 
-	// Founding a large fleet takes real time, during which the nodes'
-	// wall-clock schedule has been running. Anchor scenario cycle 1 to
-	// the next epoch boundary so scripted cycles line up exactly with the
-	// fleet's epoch restarts, and derive every event/sample instant from
-	// that anchor — a free-running ticker would slowly drift into the
-	// restart edges.
+	// Scenario cycle 1 is the fleet's first epoch restart after founding,
+	// so scripted cycles line up exactly with the fleet's epoch restarts;
+	// every event/sample instant derives from it — a free-running ticker
+	// would slowly drift into the restart edges.
 	cycleLen := d.opts.CycleLen
-	delta := time.Duration(d.sc.EpochLen) * cycleLen
-	base := anchor.Add((time.Since(anchor)/delta + 1) * delta)
+	base := d.sched.StartOf(d.sched.EpochAt(time.Now()) + 1)
 
 	if err := sleepUntil(d.ctx, base.Add(-cycleLen/2)); err != nil {
 		return nil, err
@@ -322,7 +309,7 @@ func sleepUntil(ctx context.Context, t time.Time) error {
 // slot.
 func (d *supervisor) init() error {
 	for i, w := range d.workers {
-		net, err := w.newNet(d.sc, d.opts.QueueLen, d.filter)
+		net, err := w.newNet(d.sc, d.filter)
 		if err != nil {
 			return fmt.Errorf("scenario %s: worker %d: network: %w", d.sc.Name, i, err)
 		}
@@ -353,29 +340,34 @@ func (d *supervisor) bind(slot int) error {
 }
 
 // start anchors the fleet's schedule and starts the founding nodes,
-// NEWSCAST-bootstrapped from the founding address book.
-func (d *supervisor) start() (time.Time, error) {
-	anchor := time.Now()
+// NEWSCAST-bootstrapped from the founding address book. The schedule's
+// next epoch restarts one cycle from now: founding a node costs ~30µs of
+// single-core compute (2.1 GHz Xeon-class vCPU), a small part of the
+// default cycle's 150–250µs budget a node, so the first restart after
+// founding — scenario cycle 1 — follows the last founder's start within a
+// cycle instead of most of an epoch later.
+func (d *supervisor) start() error {
+	delta := time.Duration(d.sc.EpochLen) * d.opts.CycleLen
 	d.sched = core.Schedule{
-		Start:    anchor,
-		Delta:    time.Duration(d.sc.EpochLen) * d.opts.CycleLen,
+		Start:    time.Now().Add(d.opts.CycleLen - delta),
+		Delta:    delta,
 		CycleLen: d.opts.CycleLen,
 		Gamma:    d.sc.EpochLen,
 	}
 	bootstrap := slices.Clone(d.roster.addr[:d.sc.N])
 	for slot := range d.sc.N {
-		node, err := d.newNode(slot, nil, bootstrapSubset(bootstrap, d.sc.Seed, slot, d.opts.CacheSize))
+		node, err := d.newNode(slot, nil, bootstrapSubset(bootstrap, d.sc.Seed, slot))
 		if err != nil {
-			return anchor, err
+			return err
 		}
 		d.nodes[slot].node = node
 	}
 	for slot := range d.sc.N {
 		if err := d.nodes[slot].node.Start(d.ctx); err != nil {
-			return anchor, fmt.Errorf("starting node %d: %w", slot, err)
+			return fmt.Errorf("starting node %d: %w", slot, err)
 		}
 	}
-	return anchor, nil
+	return nil
 }
 
 // runCycle lets the script act on the fleet for one cycle.

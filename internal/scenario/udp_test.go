@@ -16,8 +16,8 @@ import (
 )
 
 // udpTestOptions slices the fleet across the given number of muxes.
-func udpTestOptions(workers int) UDPOptions {
-	return UDPOptions{Workers: workers, CycleLen: 25 * time.Millisecond}
+func udpTestOptions(workers int) FleetOptions {
+	return FleetOptions{Workers: workers, CycleLen: 25 * time.Millisecond}
 }
 
 // sharedMemNet returns a network builder that hands every worker of one
@@ -25,9 +25,9 @@ func udpTestOptions(workers int) UDPOptions {
 // one address space (each MemNetwork numbers its endpoints from mem-0).
 func sharedMemNet() netBuilder {
 	var net fleetNet
-	return func(sc Scenario, queueLen int, filter *transport.UDPFilter) (fleetNet, error) {
+	return func(sc Scenario, filter *transport.UDPFilter) (fleetNet, error) {
 		if net == nil {
-			net, _ = newMemNet(sc, queueLen, filter)
+			net, _ = newMemNet(sc, filter)
 		}
 		return net, nil
 	}
@@ -50,8 +50,7 @@ func TestUDPWorkerProtocolHandshake(t *testing.T) {
 				Name: "proto", N: 4, Cycles: 4, EpochLen: 2, Seed: 3,
 				Events: []Event{{Kind: KindCrash, At: 2, Count: 1}, {Kind: KindJoin, At: 2, Count: 1}},
 			}.WithDefaults()
-			opts := UDPOptions{Workers: 1, CacheSize: 8, CycleLen: 20 * time.Millisecond, QueueLen: 64}.withDefaults(sc.MaxSlots())
-			d := newSupervisor(context.Background(), sc, opts, "proto", tc.newNet)
+			d := newSupervisor(context.Background(), sc, FleetOptions{Workers: 1, CycleLen: 20 * time.Millisecond}, "proto", tc.newNet)
 			defer d.stop()
 			shapes[tc.name] = fleetConversation(t, d)
 		})
@@ -88,8 +87,7 @@ func fleetConversation(t *testing.T, d *supervisor) []string {
 		addrs++
 	}
 	shapes = append(shapes, fmt.Sprintf("init addrs=%d", addrs))
-	_, err := d.start()
-	must(err)
+	must(d.start())
 
 	must(d.runCycle(1))
 	s := sample()
@@ -135,13 +133,12 @@ func TestSameCycleJoinerIsPartitioned(t *testing.T) {
 			{Kind: KindPartition, At: 2, Groups: []float64{1, 1}},
 		},
 	}.WithDefaults()
-	opts := UDPOptions{Workers: 2, CycleLen: 20 * time.Millisecond}.withDefaults(sc.MaxSlots())
-	d := newSupervisor(context.Background(), sc, opts, "test", sharedMemNet())
+	d := newSupervisor(context.Background(), sc, FleetOptions{Workers: 2, CycleLen: 20 * time.Millisecond}, "test", sharedMemNet())
 	defer d.stop()
 	if err := d.init(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.start(); err != nil {
+	if err := d.start(); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.runCycle(1); err != nil {
@@ -192,13 +189,12 @@ func TestFleetSybilFloodSharedSchedule(t *testing.T) {
 				Name: "sybil", N: 8, Cycles: 4, EpochLen: 2, Seed: 11,
 				Adversaries: []Adversary{{Behavior: BehaviorSybilFlood, At: 1, Until: 2, Rate: 2, Value: 1e6}},
 			}.WithDefaults()
-			opts := UDPOptions{Workers: tc.workers, CycleLen: 20 * time.Millisecond}.withDefaults(sc.MaxSlots())
-			d := newSupervisor(context.Background(), sc, opts, tc.name, tc.newNet)
+			d := newSupervisor(context.Background(), sc, FleetOptions{Workers: tc.workers, CycleLen: 20 * time.Millisecond}, tc.name, tc.newNet)
 			defer d.stop()
 			if err := d.init(); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := d.start(); err != nil {
+			if err := d.start(); err != nil {
 				t.Fatal(err)
 			}
 			for cycle := 1; cycle <= 2; cycle++ {
@@ -282,7 +278,7 @@ func TestFleetsLeaveNothingBehind(t *testing.T) {
 	executors := map[string]func(context.Context) (*RunResult, error){
 		"udp": func(ctx context.Context) (*RunResult, error) { return RunUDP(ctx, sc, udpTestOptions(3)) },
 		"live": func(ctx context.Context) (*RunResult, error) {
-			return RunLive(ctx, sc, LiveOptions{CycleLen: 20 * time.Millisecond})
+			return RunLive(ctx, sc, FleetOptions{CycleLen: 20 * time.Millisecond})
 		},
 	}
 	for _, name := range []string{"udp", "live"} {
@@ -297,13 +293,38 @@ func TestFleetsLeaveNothingBehind(t *testing.T) {
 		t.Run(name+"/cancel", func(t *testing.T) {
 			check := leakCheck(t)
 			ctx, cancel := context.WithCancel(context.Background())
-			// A run waits out one epoch before its first cycle, so it
-			// is past its founding and short of its end at 50ms.
+			// A run founds its twelve nodes in about a millisecond and
+			// plays its four cycles from one cycle later, so it is past
+			// its founding and short of its end at 50ms.
 			time.AfterFunc(50*time.Millisecond, cancel)
 			if _, err := run(ctx); !errors.Is(err, context.Canceled) {
 				t.Fatalf("cancelled run returned %v, want context.Canceled", err)
 			}
 			check()
+		})
+	}
+}
+
+// TestFleetFirstCycleFollowsFounding: a fleet's first scripted cycle
+// starts within one cycle of its founding, not at the next epoch boundary
+// after it, so a run with long epochs does not first idle through most of
+// one. Both runs found eight nodes in well under a millisecond and play
+// three cycles of 10ms, against epochs of one second.
+func TestFleetFirstCycleFollowsFounding(t *testing.T) {
+	sc := Scenario{Name: "prompt", N: 8, Cycles: 3, EpochLen: 100, Seed: 6}.WithDefaults()
+	opts := FleetOptions{Workers: 2, CycleLen: 10 * time.Millisecond}
+	epoch := time.Duration(sc.EpochLen) * opts.CycleLen
+	for name, run := range map[string]func(context.Context, Scenario, FleetOptions) (*RunResult, error){
+		"live": RunLive, "udp": RunUDP,
+	} {
+		t.Run(name, func(t *testing.T) {
+			start := time.Now()
+			if _, err := run(context.Background(), sc, opts); err != nil {
+				t.Fatal(err)
+			}
+			if took := time.Since(start); took >= epoch/2 {
+				t.Fatalf("run of %d cycles of %v took %v: it waited for an epoch boundary of %v", sc.Cycles, opts.CycleLen, took, epoch)
+			}
 		})
 	}
 }
@@ -315,8 +336,8 @@ func TestFleetsLeaveNothingBehind(t *testing.T) {
 func TestUDPSpawnFailure(t *testing.T) {
 	check := leakCheck(t)
 	sc := Scenario{Name: "udp-spawn-fail", N: 4, Cycles: 2, EpochLen: 2, Seed: 1}.WithDefaults()
-	d := newSupervisor(context.Background(), sc, udpTestOptions(2).withDefaults(sc.MaxSlots()), "udp", newSocketNet)
-	d.workers[1].newNet = func(Scenario, int, *transport.UDPFilter) (fleetNet, error) {
+	d := newSupervisor(context.Background(), sc, udpTestOptions(2), "udp", newSocketNet)
+	d.workers[1].newNet = func(Scenario, *transport.UDPFilter) (fleetNet, error) {
 		return nil, errors.New("no sockets left")
 	}
 	if _, err := d.run(); err == nil || !strings.Contains(err.Error(), "worker 1: network: no sockets left") {

@@ -8,6 +8,7 @@ import (
 	"antientropy/internal/agent"
 	"antientropy/internal/core"
 	"antientropy/internal/obs"
+	"antientropy/internal/overlay"
 	"antientropy/internal/transport"
 )
 
@@ -33,8 +34,10 @@ type fleetNet interface {
 	close()
 }
 
-// netBuilder builds a worker's network around the fleet's filter.
-type netBuilder func(sc Scenario, queueLen int, filter *transport.UDPFilter) (fleetNet, error)
+// netBuilder builds a worker's network around the fleet's filter. Its
+// endpoints queue nothing once their nodes start, so their inbound
+// buffers keep the transport's default size.
+type netBuilder func(sc Scenario, filter *transport.UDPFilter) (fleetNet, error)
 
 // socketNet is a udp worker's network: its own batched UDP mux on
 // loopback, every endpoint behind the fleet's filter — the userspace
@@ -42,8 +45,8 @@ type netBuilder func(sc Scenario, queueLen int, filter *transport.UDPFilter) (fl
 // It cannot delay a datagram.
 type socketNet struct{ *transport.UDPMux }
 
-func newSocketNet(_ Scenario, queueLen int, filter *transport.UDPFilter) (fleetNet, error) {
-	mux, err := transport.NewUDPMux(transport.UDPMuxConfig{QueueLen: queueLen})
+func newSocketNet(_ Scenario, filter *transport.UDPFilter) (fleetNet, error) {
+	mux, err := transport.NewUDPMux(transport.UDPMuxConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -65,10 +68,8 @@ func (n socketNet) close()                             { _ = n.UDPMux.Close() }
 // delays datagrams itself and loses them through the fleet's filter.
 type memNet struct{ *transport.MemNetwork }
 
-func newMemNet(sc Scenario, queueLen int, filter *transport.UDPFilter) (fleetNet, error) {
-	net := transport.NewMemNetwork(transport.MemNetworkConfig{
-		Seed: int64(sc.Seed) + 1, QueueLen: queueLen,
-	})
+func newMemNet(sc Scenario, filter *transport.UDPFilter) (fleetNet, error) {
+	net := transport.NewMemNetwork(transport.MemNetworkConfig{Seed: int64(sc.Seed) + 1})
 	net.SetFilter(filter)
 	return memNet{net}, nil
 }
@@ -102,8 +103,8 @@ type udpWorker struct {
 // barrier. A random subset a few times the cache size produces the same
 // random out-degree-c overlay the paper assumes (§4). Small fleets pass
 // through unchanged, so CI-scale divergence comparisons are unaffected.
-func bootstrapSubset(all []string, seed uint64, slot, cacheSize int) []string {
-	want := 4 * cacheSize
+func bootstrapSubset(all []string, seed uint64, slot int) []string {
+	want := 4 * overlay.DefaultCacheSize
 	if len(all) <= want+1 {
 		return all
 	}
@@ -135,7 +136,6 @@ func (d *supervisor) newNode(slot int, seeds, bootstrap []string) (*agent.Node, 
 		Schedule:     d.sched,
 		Function:     core.Average,
 		Value:        liveValueSupplier(d.adv, d.prog, slot, &d.cycleNow),
-		CacheSize:    d.opts.CacheSize,
 		Seeds:        seeds,
 		Bootstrap:    bootstrap,
 		Seed:         d.sc.Seed + uint64(slot)*0x9e3779b97f4a7c15 + 1,

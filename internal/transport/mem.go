@@ -10,16 +10,13 @@ import (
 	"antientropy/internal/obs"
 )
 
-// MemNetworkConfig tunes the simulated network conditions.
+// MemNetworkConfig tunes the simulated network. A new network delivers
+// synchronously: before Send returns the datagram has been handled by the
+// destination's handler, on the sender's goroutine, or sits in the
+// destination's inbound buffer when it has no handler (see MemEndpoint).
+// SetLatency adds a one-way delay; a delayed datagram is delivered the
+// same way from the goroutine of its timer.
 type MemNetworkConfig struct {
-	// MinLatency and MaxLatency bound the uniformly distributed one-way
-	// delivery delay. Zero values mean synchronous delivery: before Send
-	// returns the datagram has been handled by the destination's handler,
-	// on the sender's goroutine, or sits in the destination's inbound
-	// buffer when it has no handler (see MemEndpoint). A delayed datagram
-	// is delivered the same way from the goroutine of its timer.
-	MinLatency time.Duration
-	MaxLatency time.Duration
 	// Seed drives the latency randomness (0 picks a time seed).
 	Seed int64
 	// QueueLen is the inbound buffer of an endpoint read through Recv;
@@ -34,14 +31,17 @@ type MemNetworkConfig struct {
 // SetFilter, the same drop policy a UDPMux applies. It is safe for
 // concurrent use.
 type MemNetwork struct {
-	// mu guards cfg's latency and the endpoint table. A send holds it for
-	// reading; only reconfiguration excludes sends.
-	mu        sync.RWMutex
-	cfg       MemNetworkConfig
-	endpoints map[string]*MemEndpoint
-	nextAddr  int
-	wg        sync.WaitGroup
-	closed    bool
+	// queueLen is MemNetworkConfig.QueueLen, fixed at construction.
+	queueLen int
+
+	// mu guards the latency bounds and the endpoint table. A send holds
+	// it for reading; only reconfiguration excludes sends.
+	mu                     sync.RWMutex
+	minLatency, maxLatency time.Duration
+	endpoints              map[string]*MemEndpoint
+	nextAddr               int
+	wg                     sync.WaitGroup
+	closed                 bool
 
 	// filter, when set, drops datagrams by its scripted rules.
 	filter atomic.Pointer[UDPFilter]
@@ -67,7 +67,7 @@ func NewMemNetwork(cfg MemNetworkConfig) *MemNetwork {
 		seed = time.Now().UnixNano()
 	}
 	return &MemNetwork{
-		cfg:       cfg,
+		queueLen:  cfg.QueueLen,
 		rng:       rand.New(rand.NewSource(seed)),
 		endpoints: make(map[string]*MemEndpoint),
 	}
@@ -85,15 +85,16 @@ func (n *MemNetwork) Endpoint() *MemEndpoint {
 	defer n.mu.Unlock()
 	addr := fmt.Sprintf("mem-%d", n.nextAddr)
 	n.nextAddr++
-	ep := &MemEndpoint{net: n, addr: addr, queueLen: n.cfg.QueueLen}
+	ep := &MemEndpoint{net: n, addr: addr, queueLen: n.queueLen}
 	ep.idle.L = &ep.mu
 	n.endpoints[addr] = ep
 	return ep
 }
 
-// SetLatency changes the one-way delivery delay bounds mid-run (scenario
-// delay bursts). Negative values are treated as zero; when max < min, max
-// is raised to min.
+// SetLatency sets the bounds of the uniformly distributed one-way
+// delivery delay, at any time (scenario delay bursts change it mid-run);
+// zero bounds restore synchronous delivery. Negative values are treated
+// as zero; when max < min, max is raised to min.
 func (n *MemNetwork) SetLatency(min, max time.Duration) {
 	if min < 0 {
 		min = 0
@@ -103,7 +104,7 @@ func (n *MemNetwork) SetLatency(min, max time.Duration) {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.cfg.MinLatency, n.cfg.MaxLatency = min, max
+	n.minLatency, n.maxLatency = min, max
 }
 
 // Close shuts down the network and every endpoint, waiting for delayed
@@ -149,9 +150,9 @@ func (n *MemNetwork) route(from *MemEndpoint, to string) (*MemEndpoint, time.Dur
 		return nil, 0, fmt.Errorf("%w: %s", ErrUnknownPeer, to)
 	}
 	var delay time.Duration
-	if n.cfg.MaxLatency > 0 {
-		delay = n.cfg.MinLatency
-		if span := n.cfg.MaxLatency - delay; span > 0 {
+	if n.maxLatency > 0 {
+		delay = n.minLatency
+		if span := n.maxLatency - delay; span > 0 {
 			n.rngMu.Lock()
 			delay += time.Duration(n.rng.Int63n(int64(span)))
 			n.rngMu.Unlock()

@@ -27,7 +27,7 @@ import (
 // node is a mux of one socket and one endpoint, "host:port#0".
 //
 // On linux/amd64 and linux/arm64 the sockets use recvmmsg/sendmmsg to
-// move up to Batch datagrams per syscall; elsewhere a portable
+// move up to muxBatch datagrams per syscall; elsewhere a portable
 // single-datagram fallback keeps identical semantics.
 type UDPMux struct {
 	cfg   UDPMuxConfig
@@ -67,7 +67,7 @@ type UDPMux struct {
 }
 
 // UDPMuxConfig tunes a UDPMux. The zero value is usable: loopback
-// sockets, CPU-scaled socket count, batch 32.
+// sockets, CPU-scaled socket count.
 type UDPMuxConfig struct {
 	// Listen is the bind address for every socket ("host:port"; the
 	// default "127.0.0.1:0" picks free ports).
@@ -77,14 +77,9 @@ type UDPMuxConfig struct {
 	// port: without SO_REUSEPORT one port binds one socket, so more than
 	// one on a fixed port is an error.
 	Sockets int
-	// Batch is the number of datagrams moved per syscall on the batched
-	// path and the flush coalescing limit. Default 64.
-	Batch int
 	// QueueLen sizes each endpoint's inbound buffer (channel mode only;
 	// handler-mode endpoints bypass it). Default 1024.
 	QueueLen int
-	// OutQueueLen sizes each socket's outbound queue. Default 4096.
-	OutQueueLen int
 	// ReadBuffer, when positive, sets SO_RCVBUF on each socket. Shared
 	// sockets carry the traffic of a whole worker slice, so the kernel
 	// default is usually too small; 1 MiB is a reasonable floor.
@@ -105,23 +100,25 @@ func (c *UDPMuxConfig) withDefaults() error {
 	case c.Sockets <= 0:
 		c.Sockets = min(runtime.GOMAXPROCS(0), 4)
 	}
-	if c.Batch <= 0 {
-		c.Batch = 64
-	}
 	if c.QueueLen <= 0 {
 		c.QueueLen = 1024
 	}
-	if c.OutQueueLen <= 0 {
-		c.OutQueueLen = 4096
-	}
 	return nil
 }
+
+const (
+	// muxBatch is the number of datagrams moved per syscall on the
+	// batched path and the flush coalescing limit.
+	muxBatch = 64
+	// muxOutQueueLen sizes each socket's outbound queue.
+	muxOutQueueLen = 4096
+)
 
 // muxHeaderLen is the frame header: 2 magic bytes + dst id + src id.
 const muxHeaderLen = 10
 
 // BatchSizeBuckets are the histogram bounds for datagrams-per-syscall;
-// the top bucket matches the largest sensible Batch.
+// the top bucket covers muxBatch.
 var BatchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128}
 
 // muxSock is one shared socket with its outbound queue.
@@ -200,7 +197,7 @@ func NewUDPMux(cfg UDPMuxConfig) (*UDPMux, error) {
 			conn: conn,
 			bc:   newBatchConn(conn),
 			addr: addrPortString(conn.LocalAddr().(*net.UDPAddr).AddrPort()),
-			out:  make(chan outMsg, cfg.OutQueueLen),
+			out:  make(chan outMsg, muxOutQueueLen),
 		}
 		m.socks = append(m.socks, s)
 	}
@@ -288,8 +285,8 @@ func (m *UDPMux) isClosed() bool {
 // readLoop owns one socket's inbound side: batch-read, parse, route.
 func (m *UDPMux) readLoop(s *muxSock) {
 	defer m.wg.Done()
-	ms := make([]ioMsg, m.cfg.Batch)
-	bufs := make([]*[]byte, m.cfg.Batch)
+	ms := make([]ioMsg, muxBatch)
+	bufs := make([]*[]byte, muxBatch)
 	for i := range ms {
 		bufs[i] = getBuf()
 		ms[i].Buf = *bufs[i]
@@ -344,11 +341,11 @@ func (m *UDPMux) dispatch(data []byte, src netip.AddrPort, buf *[]byte) bool {
 }
 
 // flushLoop owns one socket's outbound side: block for the first queued
-// datagram, coalesce whatever else is ready up to Batch, write.
+// datagram, coalesce whatever else is ready up to muxBatch, write.
 func (m *UDPMux) flushLoop(s *muxSock) {
 	defer m.wg.Done()
-	ms := make([]ioMsg, 0, m.cfg.Batch)
-	bufs := make([]*[]byte, 0, m.cfg.Batch)
+	ms := make([]ioMsg, 0, muxBatch)
+	bufs := make([]*[]byte, 0, muxBatch)
 	for {
 		var first outMsg
 		select {
@@ -358,7 +355,7 @@ func (m *UDPMux) flushLoop(s *muxSock) {
 		}
 		ms = append(ms[:0], ioMsg{Buf: (*first.buf)[:first.n], Addr: first.addr})
 		bufs = append(bufs[:0], first.buf)
-		for len(ms) < m.cfg.Batch {
+		for len(ms) < muxBatch {
 			var om outMsg
 			select {
 			case om = <-s.out:

@@ -294,7 +294,7 @@ func TestMuxFixedPort(t *testing.T) {
 // handler and channel endpoints, filter churn, mid-run endpoint closes —
 // so the race job exercises the shared reader/flusher pool.
 func TestMuxSharedReaderRace(t *testing.T) {
-	m := newTestMux(t, UDPMuxConfig{Sockets: 2, Batch: 8, QueueLen: 64})
+	m := newTestMux(t, UDPMuxConfig{Sockets: 2, QueueLen: 64})
 	const nEps = 16
 	eps := make([]*MuxEndpoint, nEps)
 	var received atomic.Int64

@@ -202,11 +202,8 @@ func TestMemPartialLossStatistics(t *testing.T) {
 
 func TestMemLatency(t *testing.T) {
 	memModes(t, func(t *testing.T, inbox func(*MemEndpoint) <-chan Packet) {
-		net := NewMemNetwork(MemNetworkConfig{
-			MinLatency: 20 * time.Millisecond,
-			MaxLatency: 30 * time.Millisecond,
-			Seed:       1,
-		})
+		net := NewMemNetwork(MemNetworkConfig{Seed: 1})
+		net.SetLatency(20*time.Millisecond, 30*time.Millisecond)
 		defer net.Close()
 		a, b := net.Endpoint(), net.Endpoint()
 		in := inbox(b)
