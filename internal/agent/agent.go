@@ -79,8 +79,8 @@ const (
 
 // Config describes one live node.
 type Config struct {
-	// Endpoint is the node's transport attachment; it must be a
-	// transport.HandlerEndpoint. The node takes ownership: Stop closes it.
+	// Endpoint is the node's transport attachment; Start hands it the
+	// node's handler. The node takes ownership: Stop closes it.
 	Endpoint transport.Endpoint
 	// Schedule fixes δ, Δ and γ; all nodes of a deployment share it
 	// (epoch synchronization absorbs clock drift, §4.3).
@@ -340,8 +340,8 @@ type Node struct {
 
 // New validates cfg and builds a node (not yet started).
 func New(cfg Config) (*Node, error) {
-	if _, ok := cfg.Endpoint.(transport.HandlerEndpoint); !ok {
-		return nil, fmt.Errorf("agent: endpoint %T cannot deliver to a handler", cfg.Endpoint)
+	if cfg.Endpoint == nil {
+		return nil, errors.New("agent: no endpoint")
 	}
 	if err := cfg.Schedule.Validate(); err != nil {
 		return nil, err
@@ -541,7 +541,7 @@ func (n *Node) Start(ctx context.Context) error {
 	// as soon as the datagram is handled. Stop remains safe: Endpoint.Close
 	// is the transport's barrier that waits out any in-flight handler call
 	// before returning.
-	n.cfg.Endpoint.(transport.HandlerEndpoint).SetHandler(func(p transport.Packet) {
+	n.cfg.Endpoint.SetHandler(func(p transport.Packet) {
 		n.handle(p.From, p.Data)
 		p.Release()
 	})
@@ -603,9 +603,10 @@ func (n *Node) estimateLocked() (float64, bool) {
 // running instance keeps conserving its invariant. Once called, the
 // stored value supersedes Config.Value for every later restart; the
 // latest call wins. It suits a caller that pushes values rather than
-// supplying them; the serving layer does not call it, but gives each node
-// a Config.Value supplier that reads the instance's fed values (serve's
-// Instance.slotValue).
+// supplying them: cmd/aggnode -stdin feeds each value it reads from
+// standard input here. The serving layer does not call it, but gives each
+// node a Config.Value supplier that reads the instance's fed values
+// (serve's Instance.slotValue).
 func (n *Node) SetValue(v float64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -355,8 +355,9 @@ func (d *supervisor) start() error {
 		Gamma:    d.sc.EpochLen,
 	}
 	bootstrap := slices.Clone(d.roster.addr[:d.sc.N])
+	seen := make(map[int]struct{})
 	for slot := range d.sc.N {
-		node, err := d.newNode(slot, nil, bootstrapSubset(bootstrap, d.sc.Seed, slot))
+		node, err := d.newNode(slot, nil, bootstrapSubset(bootstrap, d.sc.Seed, slot, seen))
 		if err != nil {
 			return err
 		}

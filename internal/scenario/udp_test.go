@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"os"
 	"runtime"
 	"slices"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"antientropy/internal/obs"
+	"antientropy/internal/overlay"
 	"antientropy/internal/transport"
 )
 
@@ -469,5 +471,46 @@ func TestUDPExecutorLieEstimateTraceStitches(t *testing.T) {
 	}
 	if !strings.Contains(out, "agg_adversary_nodes 4") { // round(0.2 * 20)
 		t.Error("hostile population gauge missing or wrong in supervisor export")
+	}
+}
+
+// bootstrapSubsetOracle is bootstrapSubset as it was with a fresh seen set
+// per call: the reference the shared-scratch sampler must reproduce.
+func bootstrapSubsetOracle(all []string, seed uint64, slot int) []string {
+	want := 4 * overlay.DefaultCacheSize
+	if len(all) <= want+1 {
+		return all
+	}
+	rng := rand.New(rand.NewPCG(seed, uint64(slot)*0x9e3779b97f4a7c15+0x6c62272e07bb0142))
+	out := make([]string, 0, want)
+	seen := make(map[int]struct{}, want)
+	for len(out) < want {
+		i := rng.IntN(len(all))
+		if _, dup := seen[i]; dup {
+			continue
+		}
+		seen[i] = struct{}{}
+		out = append(out, all[i])
+	}
+	return out
+}
+
+// TestBootstrapSubsetSharedScratch: one seen set reused across a founding's
+// slots draws every slot's contacts exactly as a fresh set per slot did.
+func TestBootstrapSubsetSharedScratch(t *testing.T) {
+	for _, n := range []int{48, 121, 122, 500, 10_000} {
+		all := make([]string, n)
+		for i := range all {
+			all[i] = fmt.Sprintf("mem-%d", i)
+		}
+		for _, seed := range []uint64{1, 42, 9191} {
+			seen := make(map[int]struct{})
+			for slot := range min(n, 300) {
+				got := bootstrapSubset(all, seed, slot, seen)
+				if want := bootstrapSubsetOracle(all, seed, slot); !slices.Equal(got, want) {
+					t.Fatalf("n=%d seed=%d slot=%d: contacts differ from a fresh seen set's", n, seed, slot)
+				}
+			}
+		}
 	}
 }

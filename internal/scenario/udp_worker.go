@@ -74,18 +74,12 @@ func newMemNet(sc Scenario, filter *transport.UDPFilter) (fleetNet, error) {
 	return memNet{net}, nil
 }
 
-func (n memNet) endpoint() (nodeEndpoint, error) { return memEndpoint{n.MemNetwork.Endpoint()}, nil }
+func (n memNet) endpoint() (nodeEndpoint, error) { return n.MemNetwork.Endpoint(), nil }
 func (n memNet) setLatency(min, max time.Duration) bool {
 	n.SetLatency(min, max)
 	return true
 }
 func (n memNet) close() { n.Close() }
-
-// memEndpoint reports an in-memory endpoint's inbound-buffer drops in the
-// shape the UDP endpoints do.
-type memEndpoint struct{ *transport.MemEndpoint }
-
-func (e memEndpoint) QueueDrops() int64 { return int64(e.Dropped()) }
 
 // udpWorker is one of a fleet's networks — a UDP mux of its own for udp,
 // the in-memory network for live — which newNet builds at init. The
@@ -103,14 +97,16 @@ type udpWorker struct {
 // barrier. A random subset a few times the cache size produces the same
 // random out-degree-c overlay the paper assumes (§4). Small fleets pass
 // through unchanged, so CI-scale divergence comparisons are unaffected.
-func bootstrapSubset(all []string, seed uint64, slot int) []string {
+// seen is the caller's scratch set, cleared here: one map serves a whole
+// founding instead of one per node.
+func bootstrapSubset(all []string, seed uint64, slot int, seen map[int]struct{}) []string {
 	want := 4 * overlay.DefaultCacheSize
 	if len(all) <= want+1 {
 		return all
 	}
 	rng := rand.New(rand.NewPCG(seed, uint64(slot)*0x9e3779b97f4a7c15+0x6c62272e07bb0142))
 	out := make([]string, 0, want)
-	seen := make(map[int]struct{}, want)
+	clear(seen)
 	for len(out) < want {
 		i := rng.IntN(len(all))
 		if _, dup := seen[i]; dup {

@@ -85,8 +85,8 @@ func (n *MemNetwork) Endpoint() *MemEndpoint {
 	defer n.mu.Unlock()
 	addr := fmt.Sprintf("mem-%d", n.nextAddr)
 	n.nextAddr++
-	ep := &MemEndpoint{net: n, addr: addr, queueLen: n.queueLen}
-	ep.idle.L = &ep.mu
+	ep := &MemEndpoint{net: n}
+	ep.init(addr, n.queueLen, &n.queueDepth)
 	n.endpoints[addr] = ep
 	return ep
 }
@@ -123,7 +123,7 @@ func (n *MemNetwork) Close() {
 	n.mu.Unlock()
 	n.wg.Wait()
 	for _, ep := range eps {
-		ep.close(false)
+		ep.close()
 	}
 }
 
@@ -187,53 +187,38 @@ func (n *MemNetwork) send(from *MemEndpoint, to string, data []byte) error {
 		// enqueues (never blocks — a full buffer drops), a handler-mode
 		// one runs its handler here, and whatever that handler sends is
 		// delivered the same way, nested inside this call.
-		dst.deliver(p)
+		n.deliver(dst, p)
 		return nil
 	}
 	time.AfterFunc(delay, func() {
 		defer n.wg.Done()
-		dst.deliver(p)
+		n.deliver(dst, p)
 	})
 	return nil
 }
 
-// MemEndpoint is one node's attachment to a MemNetwork. It delivers in one
-// of two modes. Until SetHandler is called, inbound datagrams queue in a
-// buffered channel read through Recv. After it, each datagram is passed to
-// the handler on the goroutine that delivers it — the sender's own for a
-// zero-latency network, the latency timer's otherwise — with no queue, no
-// channel and no goroutine of the endpoint's.
-type MemEndpoint struct {
-	net      *MemNetwork
-	addr     string
-	queueLen int
-
-	closed  atomic.Bool
-	handler atomic.Pointer[func(Packet)]
-	// inflight counts handler calls in progress. A delivery counts itself
-	// before it checks closed and Close sets closed before it reads the
-	// count, so either the delivery backs out or Close waits for it.
-	inflight atomic.Int64
-
-	// mu guards the channel mode: in, allocated on first use, and dropped.
-	// A channel-mode delivery holds it; SetHandler takes it to switch
-	// modes, so no datagram is queued behind the drain. idle, on mu, wakes
-	// a Close waiting for inflight to reach zero.
-	mu   sync.Mutex
-	idle sync.Cond
-	in   chan Packet
-	// dropped counts datagrams discarded because the inbound buffer was
-	// full.
-	dropped int
-	// filterDrops counts this endpoint's sends the network's filter
-	// consumed.
-	filterDrops atomic.Int64
+// deliver hands p to dst, counting it or, when dst refuses it, releasing
+// its buffer.
+func (n *MemNetwork) deliver(dst *MemEndpoint, p Packet) {
+	if dst.deliver(p) {
+		n.delivered.Add(1)
+	} else {
+		p.Release()
+	}
 }
 
-var _ HandlerEndpoint = (*MemEndpoint)(nil)
+// MemEndpoint is one node's attachment to a MemNetwork. Until SetHandler
+// is called, inbound datagrams queue in a buffered channel read through
+// Recv. After it, each datagram is passed to the handler on the goroutine
+// that delivers it — the sender's own for a zero-latency network, the
+// latency timer's otherwise — with no queue, no channel and no goroutine
+// of the endpoint's.
+type MemEndpoint struct {
+	inbox
+	net *MemNetwork
+}
 
-// Addr returns the endpoint's address.
-func (e *MemEndpoint) Addr() string { return e.addr }
+var _ Endpoint = (*MemEndpoint)(nil)
 
 // Send transmits a datagram through the network. With a zero-latency
 // network and a handler-mode destination, the destination's handler has
@@ -248,142 +233,20 @@ func (e *MemEndpoint) Send(to string, data []byte) error {
 	return e.net.send(e, to, data)
 }
 
-// queueLocked returns the inbound channel, allocating it on first use: a
-// handler-mode endpoint never pays for a buffer it does not read.
-func (e *MemEndpoint) queueLocked() chan Packet {
-	if e.in == nil {
-		e.in = make(chan Packet, e.queueLen)
-		if e.closed.Load() {
-			close(e.in)
-		}
-	}
-	return e.in
-}
-
-// Recv returns the inbound channel; silent once a handler is set, closed
-// when the endpoint closes.
-func (e *MemEndpoint) Recv() <-chan Packet {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.queueLocked()
-}
-
-// SetHandler switches the endpoint to handler-mode delivery and drains
-// anything already buffered on the Recv channel through the handler. The
-// handler may send, also to the endpoint that is delivering to it; it must
-// not close its own endpoint.
-func (e *MemEndpoint) SetHandler(fn func(Packet)) {
-	e.mu.Lock()
-	e.handler.Store(&fn)
-	in := e.in
-	e.mu.Unlock()
-	if in == nil {
-		return
-	}
-	for {
-		select {
-		case p, ok := <-in:
-			if !ok {
-				return
-			}
-			e.call(fn, p)
-		default:
-			return
-		}
-	}
-}
-
 // Close detaches the endpoint: subsequent sends fail and the receive
 // channel is closed. It waits out handler calls in flight, so after Close
-// returns the handler is not invoked again. Deliveries never wait for a
-// Close — one that finds the endpoint closing returns at once — so
-// concurrent Closes of endpoints whose handlers are sending to each other
-// cannot wedge. Safe to call more than once.
+// returns the handler is not invoked again. Safe to call more than once.
 func (e *MemEndpoint) Close() error {
-	e.close(true)
-	return nil
-}
-
-func (e *MemEndpoint) close(unregister bool) {
-	e.mu.Lock()
-	if e.closed.Load() {
-		e.mu.Unlock()
-		return
-	}
-	e.closed.Store(true)
-	if e.in != nil {
-		close(e.in)
-	}
-	for e.inflight.Load() != 0 {
-		e.idle.Wait()
-	}
-	e.mu.Unlock()
-	if unregister {
+	if e.close() {
 		e.net.mu.Lock()
 		delete(e.net.endpoints, e.addr)
 		e.net.mu.Unlock()
 	}
+	return nil
 }
 
-// Dropped reports how many inbound datagrams were discarded due to a full
-// buffer. A handler-mode endpoint has no buffer and reads 0.
-func (e *MemEndpoint) Dropped() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.dropped
-}
-
-// FilterDrops reports datagrams this endpoint sent that the network's
-// drop-rule filter consumed.
-func (e *MemEndpoint) FilterDrops() int64 { return e.filterDrops.Load() }
-
-// call runs one handler invocation under the Close barrier.
-func (e *MemEndpoint) call(fn func(Packet), p Packet) {
-	e.inflight.Add(1)
-	if e.closed.Load() {
-		p.Release()
-	} else {
-		e.net.delivered.Add(1)
-		fn(p)
-	}
-	if e.inflight.Add(-1) == 0 && e.closed.Load() {
-		e.mu.Lock()
-		e.idle.Broadcast()
-		e.mu.Unlock()
-	}
-}
-
-func (e *MemEndpoint) deliver(p Packet) {
-	h := e.handler.Load()
-	if h == nil {
-		e.mu.Lock()
-		if h = e.handler.Load(); h == nil {
-			// Channel mode, and SetHandler cannot switch it while mu is
-			// held: nothing is queued behind its drain.
-			e.enqueueLocked(p)
-			e.mu.Unlock()
-			return
-		}
-		e.mu.Unlock()
-	}
-	e.call(*h, p)
-}
-
-func (e *MemEndpoint) enqueueLocked(p Packet) {
-	if e.closed.Load() {
-		p.Release()
-		return
-	}
-	in := e.queueLocked()
-	select {
-	case in <- p:
-		e.net.delivered.Add(1)
-		maxInt64(&e.net.queueDepth, int64(len(in)))
-	default:
-		e.dropped++
-		p.Release()
-	}
-}
+// Dropped reports QueueDrops as an int.
+func (e *MemEndpoint) Dropped() int { return int(e.QueueDrops()) }
 
 // QueueDepthHighWatermark reports the deepest any endpoint's inbound
 // buffer has been across the network's lifetime (0 for a network of

@@ -241,12 +241,8 @@ func (m *UDPMux) Endpoint() (*MuxEndpoint, error) {
 	id := m.nextID
 	m.nextID++
 	s := m.socks[int(id)%len(m.socks)]
-	ep := &MuxEndpoint{
-		mux:  m,
-		id:   id,
-		sock: s,
-		addr: s.addr + "#" + strconv.FormatUint(uint64(id), 10),
-	}
+	ep := &MuxEndpoint{mux: m, id: id, sock: s}
+	ep.init(s.addr+"#"+strconv.FormatUint(uint64(id), 10), m.cfg.QueueLen, &m.queueDepth)
 	m.eps.Store(id, ep)
 	return ep, nil
 }
@@ -477,52 +473,17 @@ func maxInt64(w *atomic.Int64, v int64) {
 	}
 }
 
-// MuxEndpoint is one node's attachment to a UDPMux. It satisfies
-// HandlerEndpoint: with SetHandler, inbound packets are delivered on the
-// mux's shared reader goroutines, with no receive goroutine or channel
-// hop of the endpoint's.
+// MuxEndpoint is one node's attachment to a UDPMux. With SetHandler,
+// inbound packets are delivered on the mux's shared reader goroutines,
+// with no receive goroutine or channel hop of the endpoint's.
 type MuxEndpoint struct {
+	inbox
 	mux  *UDPMux
 	id   uint32
 	sock *muxSock
-	addr string
-
-	// qmu guards the inbound channel, which exists from its first use on
-	// (queue): QueueLen packets are 48 KiB at the default, and a
-	// handler-mode endpoint never reads them. qclosed records that Close
-	// has closed it, or will have by the time anyone sees it.
-	qmu     sync.Mutex
-	in      chan Packet
-	qclosed bool
-
-	// hmu guards handler. deliver holds the read side for the whole
-	// handler call, so Close (write side) doubles as the barrier that
-	// waits out in-flight deliveries. closed is written under the write
-	// side but read atomically: a handler's own Send must not re-enter
-	// hmu, or a Close waiting for the write lock in between wedges both.
-	hmu     sync.RWMutex
-	handler func(Packet)
-	closed  atomic.Bool
-
-	// queueDrops counts datagrams this endpoint lost at a full queue
-	// (inbound buffer or shared outbound queue); filterDrops counts
-	// datagrams consumed by the mux's drop-rule filter.
-	queueDrops  atomic.Int64
-	filterDrops atomic.Int64
 }
 
-var _ HandlerEndpoint = (*MuxEndpoint)(nil)
-
-// Addr returns the endpoint's "host:port#id" address.
-func (ep *MuxEndpoint) Addr() string { return ep.addr }
-
-// QueueDrops reports datagrams this endpoint lost at a full queue,
-// inbound and outbound combined.
-func (ep *MuxEndpoint) QueueDrops() int64 { return ep.queueDrops.Load() }
-
-// FilterDrops reports datagrams the drop-rule filter consumed for this
-// endpoint, outbound and inbound combined.
-func (ep *MuxEndpoint) FilterDrops() int64 { return ep.filterDrops.Load() }
+var _ Endpoint = (*MuxEndpoint)(nil)
 
 // Send frames one datagram for a "host:port#id" target and queues it. A
 // full outbound queue behaves as loss (counted in QueueDrops), matching
@@ -558,91 +519,12 @@ func (ep *MuxEndpoint) Send(to string, data []byte) error {
 	return nil
 }
 
-// deliver hands one packet to the endpoint and reports whether buffer
-// ownership transferred.
-func (ep *MuxEndpoint) deliver(p Packet) bool {
-	ep.hmu.RLock()
-	defer ep.hmu.RUnlock()
-	if ep.closed.Load() {
-		return false
-	}
-	if ep.handler != nil {
-		ep.handler(p)
-		return true
-	}
-	in := ep.queue()
-	select {
-	case in <- p:
-		maxInt64(&ep.mux.queueDepth, int64(len(in)))
-		return true
-	default:
-		ep.queueDrops.Add(1)
-		return false
-	}
-}
-
-// SetHandler switches the endpoint to handler-mode delivery and drains
-// anything already buffered on the Recv channel through the handler.
-func (ep *MuxEndpoint) SetHandler(fn func(Packet)) {
-	ep.hmu.Lock()
-	ep.handler = fn
-	ep.hmu.Unlock()
-	ep.qmu.Lock()
-	in := ep.in
-	ep.qmu.Unlock()
-	if in == nil {
-		return
-	}
-	for {
-		select {
-		case p, ok := <-in:
-			if !ok {
-				return
-			}
-			fn(p)
-		default:
-			return
-		}
-	}
-}
-
-// queue returns the inbound channel, allocating it on first use: a
-// handler-mode endpoint never pays for a buffer it does not read.
-func (ep *MuxEndpoint) queue() chan Packet {
-	ep.qmu.Lock()
-	defer ep.qmu.Unlock()
-	switch {
-	case ep.in != nil:
-	case ep.qclosed:
-		ep.in = make(chan Packet)
-		close(ep.in)
-	default:
-		ep.in = make(chan Packet, ep.mux.cfg.QueueLen)
-	}
-	return ep.in
-}
-
-// Recv returns the inbound channel; silent once a handler is set,
-// closed when the endpoint closes.
-func (ep *MuxEndpoint) Recv() <-chan Packet { return ep.queue() }
-
 // Close detaches the endpoint from the mux. It waits out in-flight
 // handler calls, so after Close returns the handler will not be invoked
 // again. Safe to call more than once.
 func (ep *MuxEndpoint) Close() error {
-	ep.hmu.Lock()
-	if ep.closed.Load() {
-		ep.hmu.Unlock()
-		return nil
+	if ep.close() {
+		ep.mux.eps.Delete(ep.id)
 	}
-	ep.closed.Store(true)
-	ep.hmu.Unlock()
-	ep.mux.eps.Delete(ep.id)
-	ep.qmu.Lock()
-	ep.qclosed = true
-	if ep.in != nil {
-		close(ep.in)
-	}
-	ep.qmu.Unlock()
 	return nil
 }

@@ -576,9 +576,9 @@ func TestMuxHandlerEndpointOwnsNoQueue(t *testing.T) {
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
-	b.qmu.Lock()
+	b.mu.Lock()
 	in := b.in
-	b.qmu.Unlock()
+	b.mu.Unlock()
 	if in != nil {
 		t.Fatalf("a handler-mode endpoint allocated a queue of %d packets", cap(in))
 	}
