@@ -22,7 +22,7 @@ func quietLogger() *slog.Logger {
 
 // newTestAPI builds an API over a fresh registry. tenants may be nil
 // (open mode).
-func newTestAPI(t *testing.T, tenants []Tenant, limiter *Limiter) (*API, *Registry, *obs.Registry) {
+func newTestAPI(t testing.TB, tenants []Tenant, limiter *Limiter) (*API, *Registry, *obs.Registry) {
 	t.Helper()
 	reg := NewRegistry(RegistryConfig{Logger: quietLogger()})
 	t.Cleanup(reg.Close)
@@ -41,7 +41,7 @@ func newTestAPI(t *testing.T, tenants []Tenant, limiter *Limiter) (*API, *Regist
 	return api, reg, metricsReg
 }
 
-func doJSON(t *testing.T, api *API, method, path, body string, hdr map[string]string) *httptest.ResponseRecorder {
+func doJSON(t testing.TB, api *API, method, path, body string, hdr map[string]string) *httptest.ResponseRecorder {
 	t.Helper()
 	var rd io.Reader
 	if body != "" {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -160,15 +162,9 @@ func (a *API) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	r.Header.Set(tenantHeader, tenant.Name)
 	a.mux.ServeHTTP(w, r)
 	a.cfg.Metrics.ObserveLatency(time.Since(start))
 }
-
-// tenantHeader carries the resolved tenant name from the admission
-// wrapper to the route handlers (never read from the client: ServeHTTP
-// overwrites it unconditionally).
-const tenantHeader = "X-Resolved-Tenant"
 
 // instanceInfo is the JSON shape of one instance in create/list/get
 // responses.
@@ -196,7 +192,9 @@ func (a *API) create(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	inst, err := a.cfg.Registry.Create(cfg, r.Header.Get(tenantHeader))
+	// ServeHTTP routes only requests whose key resolves.
+	tenant, _ := a.cfg.Tenants.Resolve(r)
+	inst, err := a.cfg.Registry.Create(cfg, tenant.Name)
 	if err != nil {
 		writeError(w, statusFor(err), err.Error())
 		return
@@ -250,14 +248,35 @@ type feedRequest struct {
 	Reset  bool               `json:"reset"`
 }
 
+// reset empties a pooled request for the next body, keeping its storage.
+// The decoder leaves a field the body omits, and a JSON null element of
+// values, as it finds them, where a fresh request holds zero: so every
+// field is cleared, and values over its whole capacity.
+func (q *feedRequest) reset() {
+	clear(q.Values[:cap(q.Values)])
+	clear(q.Slots)
+	*q = feedRequest{Values: q.Values[:0], Slots: q.Slots}
+}
+
+// feedReply is the POST /v1/instances/{name}/values reply; the fields
+// are in key order, as a map of them encoded.
+type feedReply struct {
+	Generation        uint64 `json:"generation"`
+	Slots             int    `json:"slots"`
+	VisibleGeneration uint64 `json:"visible_generation"`
+}
+
 func (a *API) feed(w http.ResponseWriter, r *http.Request) {
 	inst, err := a.lookup(r)
 	if err != nil {
 		writeError(w, statusFor(err), err.Error())
 		return
 	}
-	var req feedRequest
-	if err := decodeJSON(r, &req); err != nil {
+	s := getScratch()
+	defer putScratch(s)
+	req := &s.req
+	req.reset()
+	if err := decodeJSON(r, req); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
@@ -280,11 +299,8 @@ func (a *API) feed(w http.ResponseWriter, r *http.Request) {
 	slots, gen := inst.Feed(req.Values, req.Slots, req.Reset)
 	// The fed values are sampled at the next epoch restart: generation
 	// gen+1 is the first whose estimate reflects this feed.
-	writeJSON(w, http.StatusOK, map[string]any{
-		"slots":              slots,
-		"generation":         gen,
-		"visible_generation": gen + 1,
-	})
+	s.fed = feedReply{Generation: gen, Slots: slots, VisibleGeneration: gen + 1}
+	s.write(w, http.StatusOK, &s.fed)
 }
 
 func (a *API) estimate(w http.ResponseWriter, r *http.Request) {
@@ -293,9 +309,11 @@ func (a *API) estimate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusFor(err), err.Error())
 		return
 	}
-	est := inst.Estimate()
-	a.cfg.Metrics.ObserveEstimate(est)
-	writeJSON(w, http.StatusOK, est)
+	s := getScratch()
+	s.est = inst.Estimate()
+	a.cfg.Metrics.ObserveEstimate(s.est)
+	s.write(w, http.StatusOK, &s.est)
+	putScratch(s)
 }
 
 // statusFor maps registry errors onto HTTP statuses.
@@ -333,20 +351,67 @@ func decodeJSON(r *http.Request, dst any) error {
 	return nil
 }
 
-// writeJSON encodes v before it sends the status, so a value JSON cannot
-// hold (a NaN or an infinity) answers 500 instead of code and no body.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		code = http.StatusInternalServerError
-		// A map of strings always encodes.
-		body, _ = json.Marshal(map[string]string{"error": "encoding response: " + err.Error()})
+// scratch is the pooled storage of one request: the feed body decodes
+// into req, the estimate and feed routes fill est and fed in place, and
+// every reply encodes into buf before the status is sent.
+type scratch struct {
+	req feedRequest
+	est Estimate
+	fed feedReply
+	buf bytes.Buffer
+	enc *json.Encoder // writes to buf
+}
+
+var scratches = sync.Pool{New: func() any {
+	s := new(scratch)
+	s.enc = json.NewEncoder(&s.buf)
+	return s
+}}
+
+// maxPooledBytes bounds the storage a pooled scratch keeps, so one large
+// list reply or feed does not stay pinned in the pool.
+const maxPooledBytes = 64 << 10
+
+func getScratch() *scratch { return scratches.Get().(*scratch) }
+
+func putScratch(s *scratch) {
+	if s.buf.Cap() > maxPooledBytes || cap(s.req.Values)*8 > maxPooledBytes || len(s.req.Slots) > 1024 {
+		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	scratches.Put(s)
+}
+
+// jsonContentType is every reply's Content-Type value, shared so that
+// setting it allocates nothing; nothing writes into a header's values.
+var jsonContentType = []string{"application/json"}
+
+// errorReply is the body of every error answer.
+type errorReply struct {
+	Error string `json:"error"`
+}
+
+// write encodes v before it sends the status, so a value JSON cannot
+// hold (a NaN or an infinity) answers 500 instead of code and no body.
+// The body is json.Marshal(v) and a newline.
+func (s *scratch) write(w http.ResponseWriter, code int, v any) {
+	s.buf.Reset()
+	if err := s.enc.Encode(v); err != nil {
+		code = http.StatusInternalServerError
+		s.buf.Reset()
+		// A string always encodes.
+		_ = s.enc.Encode(errorReply{Error: "encoding response: " + err.Error()})
+	}
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
-	_, _ = w.Write(append(body, '\n'))
+	_, _ = w.Write(s.buf.Bytes())
+}
+
+func writeJSON(w http.ResponseWriter, code int, v any) {
+	s := getScratch()
+	s.write(w, code, v)
+	putScratch(s)
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
+	writeJSON(w, code, errorReply{Error: msg})
 }

@@ -168,6 +168,75 @@ func TestInstanceNamedSlots(t *testing.T) {
 	}
 }
 
+// TestEstimateSummaryFreshness: a read serves a fleet summary taken less
+// than δ/10 before it and in the generation the read reports, and reads
+// closer together than δ/10 in one generation share a summary. On a
+// 10 ms cycle it reads across 22 edges of 100 ms epochs: 1.5 ms apart
+// between edges, and back to back from 2 ms before each edge to 2 ms
+// after it, so that a summary young enough to reuse meets a new
+// generation.
+func TestEstimateSummaryFreshness(t *testing.T) {
+	reg := NewRegistry(RegistryConfig{Logger: quietLogger()})
+	defer reg.Close()
+	inst, err := reg.Create(InstanceConfig{Name: "fresh", FleetSize: 8, EpochMS: 100, CycleMS: 10}, "default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst.Feed([]float64{1, 2, 3}, nil, false)
+	maxAge := inst.schedule.CycleLen / 10
+	var (
+		prev                      fleetSummary
+		prevGen                   uint64
+		prevEnd                   time.Time
+		reused, straddled, spaced int
+	)
+	read := func() {
+		start := time.Now()
+		est := inst.Estimate()
+		inst.sumMu.Lock()
+		s := inst.sum
+		inst.sumMu.Unlock()
+		if s.gen != est.Generation {
+			t.Fatalf("a read reporting generation %d used a summary taken in generation %d", est.Generation, s.gen)
+		}
+		if age := start.Sub(s.at); age >= maxAge {
+			t.Fatalf("a read used a summary taken %v before it, bound %v", age, maxAge)
+		}
+		if !prevEnd.IsZero() {
+			if s.at.Equal(prev.at) {
+				reused++
+			}
+			if est.Generation > prevGen && start.Sub(prev.at) < maxAge {
+				straddled++
+			}
+			if start.Sub(prevEnd) > maxAge {
+				spaced++
+				if !s.at.After(prevEnd) {
+					t.Fatalf("reads %v apart shared one summary", start.Sub(prevEnd))
+				}
+			}
+		}
+		prev, prevGen, prevEnd = s, est.Generation, time.Now()
+	}
+	const edges = 22
+	first := inst.generationAt(time.Now()) + 1
+	for g := first; g < first+edges; g++ {
+		edge := inst.schedule.StartOf(g)
+		for time.Until(edge) > 2*time.Millisecond {
+			read()
+			time.Sleep(maxAge * 3 / 2)
+		}
+		for time.Now().Before(edge.Add(2 * time.Millisecond)) {
+			read()
+		}
+	}
+	t.Logf("%d reads reused a summary, %d met a new generation inside δ/10, %d came more than δ/10 after the last",
+		reused, straddled, spaced)
+	if reused == 0 || straddled == 0 || spaced == 0 {
+		t.Fatal("a case went unexercised")
+	}
+}
+
 // TestDeleteReleasesGoroutines is the leak check of ISSUE satellite 6:
 // create-and-delete cycles must return the process to its baseline
 // goroutine count — every node loop, transport reader and timer freed.

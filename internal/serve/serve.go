@@ -395,6 +395,26 @@ type Instance struct {
 	vals     []float64
 	keys     map[string]int
 	lastFeed time.Time
+
+	// sum is the fleet summary Estimate reads, retaken by the first read
+	// that finds it a tenth of a cycle old or from an earlier generation.
+	sumMu sync.Mutex
+	sum   fleetSummary
+}
+
+// fleetSummary is one reduction of every node snapshot of an instance's
+// fleets, stamped with when it was taken and in which generation.
+type fleetSummary struct {
+	at  time.Time
+	gen uint64
+	// The primary fleet's moments (fleetMoments).
+	mean, spread float64
+	reporting    int
+	epoch        uint64
+	newestOut    time.Time
+	// The E[x²] fleet's moments; variance only.
+	mean2, spread2 float64
+	reporting2     int
 }
 
 // newInstance builds and starts the instance's fleet(s).
@@ -678,32 +698,55 @@ func fleetMoments(f *fleet) (mean, spread float64, reporting int, epoch uint64, 
 	return mean, spread, reporting, epoch, newestOut
 }
 
-// Estimate computes the instance's serving snapshot.
+// summary returns the instance's fleet summary for a read at now, in
+// generation gen, retaking it when it is a tenth of a cycle old or was
+// taken in an earlier generation. A node's estimate moves about twice
+// per cycle, so the summary trails the nodes by under δ/10 and never
+// reaches back across an epoch restart; reads in between lock no node.
+func (in *Instance) summary(now time.Time, gen uint64) fleetSummary {
+	in.sumMu.Lock()
+	defer in.sumMu.Unlock()
+	s := &in.sum
+	if s.gen < gen || now.Sub(s.at) >= in.schedule.CycleLen/10 {
+		s.at, s.gen = now, gen
+		s.mean, s.spread, s.reporting, s.epoch, s.newestOut = fleetMoments(in.primary)
+		if in.squared != nil {
+			s.mean2, s.spread2, s.reporting2, _, _ = fleetMoments(in.squared)
+		}
+	}
+	return *s
+}
+
+// Estimate computes the instance's serving snapshot. Its fleet part
+// (estimate, spread, reporting, epoch and the newest output staleness is
+// measured from) comes from a fleet summary taken less than δ/10 before
+// the call and in no earlier generation than the one it reports;
+// generation, slots, feed lag and staleness are computed at the call.
 func (in *Instance) Estimate() Estimate {
 	now := time.Now()
-	mean, spread, reporting, epoch, newestOut := fleetMoments(in.primary)
+	gen := in.generationAt(now)
+	s := in.summary(now, gen)
 	est := Estimate{
 		Name:       in.cfg.Name,
 		Function:   in.cfg.Function,
-		Estimate:   mean,
-		OK:         reporting > 0,
-		Epoch:      epoch,
-		Generation: in.generationAt(now),
-		RelSpread:  spread,
+		Estimate:   s.mean,
+		OK:         s.reporting > 0,
+		Epoch:      s.epoch,
+		Generation: gen,
+		RelSpread:  s.spread,
 		Nodes:      in.cfg.FleetSize,
-		Reporting:  reporting,
+		Reporting:  s.reporting,
 		Slots:      in.Slots(),
 	}
 	switch in.cfg.Function {
 	case FuncSum:
-		est.Estimate = core.SumFromAverage(mean, float64(est.Slots))
+		est.Estimate = core.SumFromAverage(s.mean, float64(est.Slots))
 	case FuncVariance:
-		m2, spread2, rep2, _, _ := fleetMoments(in.squared)
-		est.Estimate = core.VarianceFromMoments(mean, m2)
-		if spread2 > est.RelSpread {
-			est.RelSpread = spread2
+		est.Estimate = core.VarianceFromMoments(s.mean, s.mean2)
+		if s.spread2 > est.RelSpread {
+			est.RelSpread = s.spread2
 		}
-		if rep2 == 0 {
+		if s.reporting2 == 0 {
 			est.OK = false
 		}
 	}
@@ -725,8 +768,8 @@ func (in *Instance) Estimate() Estimate {
 		}
 	}
 	switch {
-	case !newestOut.IsZero():
-		est.StalenessSeconds = now.Sub(newestOut).Seconds()
+	case !s.newestOut.IsZero():
+		est.StalenessSeconds = now.Sub(s.newestOut).Seconds()
 	default:
 		est.StalenessSeconds = now.Sub(in.createdAt).Seconds()
 	}
