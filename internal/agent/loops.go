@@ -103,20 +103,22 @@ type exchange struct {
 // It returns the deadline of the exchange outstanding when it returns,
 // started now or by an earlier cycle — the zero time when there is none,
 // as when the transport delivers inline and the reply has already been
-// applied.
-func (n *Node) initiate(now time.Time) (deadline time.Time) {
+// applied. started reports that this call sent an exchange request, so
+// that a zero deadline with started set means the exchange completed
+// inside Send.
+func (n *Node) initiate(now time.Time) (deadline time.Time, started bool) {
 	n.lock()
 	if n.busy || n.stopped {
 		// The previous exchange is still outstanding; §6.2 says skipping
 		// is harmless.
 		deadline = n.deadlineLocked()
 		n.unlock()
-		return deadline
+		return deadline, false
 	}
 	key, ok := n.nextPeerLocked()
 	if !ok {
 		n.unlock()
-		return deadline
+		return deadline, false
 	}
 	peer := n.keyAddr(key)
 	seq := n.nextSeqLocked()
@@ -130,7 +132,7 @@ func (n *Node) initiate(now time.Time) (deadline time.Time) {
 		buf := n.encode(&n.ws.out.Membership)
 		n.unlock()
 		n.transmit(peer, buf)
-		return deadline
+		return deadline, false
 	}
 	xid := n.xidLocked(seq)
 	n.ws.out.ExchangeRequest = wire.ExchangeRequest{From: n.Addr(), Payload: n.payloadLocked(seq, xid, now)}
@@ -148,7 +150,7 @@ func (n *Node) initiate(now time.Time) (deadline time.Time) {
 	n.mu.Lock()
 	deadline = n.deadlineLocked()
 	n.mu.Unlock()
-	return deadline
+	return deadline, true
 }
 
 // peerLead is how many initiations ahead a node draws its exchange peer.

@@ -16,10 +16,30 @@ import (
 // not drift. The goroutine starts with the first node and exits when the
 // heap empties.
 //
-// One wake serves every entry within its lead of being due: a cycle runs
-// up to δ/64 early; an expiry is queued that much late (RequestTimeout/64
-// if that is less) and so never runs early. At 500 nodes this turns 500
-// timer wake-ups per δ into ~64 that run ~8 cycles each.
+// One wake serves every entry within its lead of being due, and the lead
+// follows how the node's last exchange ended. A node whose exchange
+// finished inside Send — the mem network delivered request and reply
+// inline, and initiate returned no deadline — is queued with a δ/16 lead:
+// at worst such a cycle starts δ/16 early, which Figure 1's one exchange
+// per δ does not notice, and an exchange done inside Send leaves no node
+// busy for a bunched initiation to meet. A node whose exchange was still
+// outstanding (the UDP mux, a mem network with latency, a silent peer)
+// keeps a δ/64 cycle lead, because bunched initiations on sockets raise
+// busy refusals; a cycle that sent no request leaves the lead as it was.
+// An expiry is queued δ/64 late (RequestTimeout/64 if that is less) and so
+// never runs early. A cycle served early runs at the time it is served:
+// a node enters an epoch only once the wall clock has, so Config.Value is
+// never sampled before the epoch begins, and an inline fleet still
+// crosses epoch edges with no timeout and no stale drop
+// (TestInlineFleetCrossesEpochEdges). At 500 inline nodes this turns 500
+// timer wake-ups per δ into ~16 that run ~32 cycles each. The inline
+// lead against live-mem's cpu_us_per_op (2 vCPUs, one 20 s run each,
+// indicative only):
+//
+//	δ/64   δ/32   δ/16   δ/8
+//	22.8   17.4   15.9   15.3 µs
+//
+// Past δ/16 the curve is flat while the early start keeps growing.
 //
 // Everything a node runs here — Config.Value at an epoch restart, the
 // peer's handler when the transport delivers inline — delays the nodes
@@ -38,6 +58,8 @@ type scheduler struct {
 	wake chan struct{}
 	// lag is the distribution of how late cycles started, in seconds.
 	lag *obs.Histogram
+	// wakes counts the run goroutine's returns from sleep, on mu.
+	wakes int64
 }
 
 // schedEntry is one heap slot. due is on the scheduler's own clock,
@@ -56,6 +78,9 @@ type nodeSchedule struct {
 	// nextCycle is when the next δ cycle is due; deadline, when not zero,
 	// is when the outstanding exchange expires.
 	nextCycle, deadline int64
+	// inline reports that the last exchange the node started completed
+	// inside Send, which earns its next cycle the longer lead.
+	inline bool
 	// removed is set by remove: the node is not pushed again.
 	removed bool
 }
@@ -83,15 +108,25 @@ func (ns *nodeSchedule) expiryFirst() bool {
 	return ns.deadline != 0 && ns.deadline <= ns.nextCycle
 }
 
+// Leads, as fractions of δ: see the type's comment.
+const (
+	inlineLead      = 16
+	outstandingLead = 64
+)
+
 // queue pushes a node at whichever of its next cycle and its deadline
 // comes first.
 func (s *scheduler) queue(n *Node) {
-	lead := int64(n.cfg.Schedule.CycleLen / 64)
+	delta := n.cfg.Schedule.CycleLen
 	if !n.sched.expiryFirst() {
+		lead := int64(delta / outstandingLead)
+		if n.sched.inline {
+			lead = int64(delta / inlineLead)
+		}
 		s.push(schedEntry{due: n.sched.nextCycle, lead: lead, node: n})
 		return
 	}
-	lead = min(lead, int64(n.cfg.RequestTimeout/64))
+	lead := int64(min(delta/outstandingLead, n.cfg.RequestTimeout/outstandingLead))
 	s.push(schedEntry{due: n.sched.deadline + lead, lead: lead, node: n})
 }
 
@@ -168,6 +203,7 @@ func (s *scheduler) run() {
 				timer.Stop()
 			}
 			s.mu.Lock()
+			s.wakes++
 			continue
 		}
 		s.removeAt(0)
@@ -188,12 +224,14 @@ func (s *scheduler) serve(n *Node, now time.Time, t int64) {
 	s.mu.Unlock()
 
 	var deadline int64
+	started := false
 	if expiry {
 		n.expire(now)
 	} else {
 		s.lag.Observe(max(0, time.Duration(t-due).Seconds()))
 		n.advanceEpoch(now)
-		if d := n.initiate(now); !d.IsZero() {
+		var d time.Time
+		if d, started = n.initiate(now); !d.IsZero() {
 			deadline = schedClock(d)
 		}
 	}
@@ -206,6 +244,11 @@ func (s *scheduler) serve(n *Node, now time.Time, t int64) {
 	}
 	ns.deadline = deadline
 	if !expiry {
+		if started {
+			// A cycle that sent no request — membership gossip, idling
+			// past γ, an empty view — says nothing of the transport.
+			ns.inline = deadline == 0
+		}
 		// One δ after the time the cycle was due, not after the time it
 		// ran. A loop that fell behind by whole cycles skips them, as a
 		// ticker would, and keeps the phase.

@@ -11,6 +11,7 @@ import (
 	"antientropy/internal/core"
 	"antientropy/internal/race"
 	"antientropy/internal/transport"
+	"antientropy/internal/wire"
 )
 
 // startFleet builds and starts n scalar nodes over a fresh zero-latency
@@ -276,6 +277,198 @@ func TestCyclesDoNotDrift(t *testing.T) {
 	}
 	if offPhase > cycles/4 {
 		t.Errorf("%d of %d cycles ran more than δ/2 after, or more than δ/64 before, a due time", offPhase, cycles)
+	}
+}
+
+// cycleClock is a mem endpoint that notes every exchange request its
+// node sends: when, when the cycle sending it was due, and in which
+// epoch. Requests sent before node is set go unrecorded.
+type cycleClock struct {
+	*transport.MemEndpoint
+	node  atomic.Pointer[Node]
+	mu    sync.Mutex
+	sends []cycleSend
+}
+
+// cycleSend is one recorded request; at and due are on the scheduler's
+// clock.
+type cycleSend struct {
+	at, due int64
+	epoch   uint64
+}
+
+func (e *cycleClock) Send(to string, data []byte) error {
+	if n := e.node.Load(); n != nil {
+		if m, err := wire.Decode(data); err == nil {
+			if req, ok := m.(*wire.ExchangeRequest); ok {
+				at := schedClock(time.Now())
+				sched.mu.Lock()
+				due := n.sched.nextCycle // moved on only once the cycle has ended
+				sched.mu.Unlock()
+				e.mu.Lock()
+				e.sends = append(e.sends, cycleSend{at: at, due: due, epoch: req.Epoch})
+				e.mu.Unlock()
+			}
+		}
+	}
+	return e.MemEndpoint.Send(to, data)
+}
+
+func (e *cycleClock) recorded() []cycleSend {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return append([]cycleSend(nil), e.sends...)
+}
+
+// startClockedFleet is startFleet with every endpoint a cycleClock.
+func startClockedFleet(t testing.TB, n int, schedule core.Schedule) ([]*Node, []*cycleClock, func()) {
+	t.Helper()
+	clocks := make([]*cycleClock, n)
+	nodes, net := startFleet(t, context.Background(), n, schedule, func(i int, ep *transport.MemEndpoint) transport.Endpoint {
+		clocks[i] = &cycleClock{MemEndpoint: ep}
+		return clocks[i]
+	})
+	for i, node := range nodes {
+		clocks[i].node.Store(node)
+	}
+	return nodes, clocks, func() {
+		for _, node := range nodes {
+			_ = node.Stop()
+		}
+		net.Close()
+	}
+}
+
+// TestInlineCyclesLeadAtMostSixteenth is TestCyclesDoNotDrift for nodes
+// whose exchanges complete inside Send: every cycle is due a whole number
+// of δ after the node's first, runs at most δ/16 before it is due, and on
+// a box that is not starved not much later; and the node is queued with
+// the inline lead.
+func TestInlineCyclesLeadAtMostSixteenth(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector slows the fleet past its cycle length")
+	}
+	const cycles = 40
+	delta := 16 * time.Millisecond
+	nodes, clocks, stop := startClockedFleet(t, 16, core.Schedule{Start: time.Now(), Delta: time.Hour, CycleLen: delta, Gamma: 1 << 20})
+	defer stop()
+	waitFor(t, "40 cycles", func() bool { return len(clocks[0].recorded()) >= cycles })
+	sends := clocks[0].recorded()[:cycles]
+	late := 0
+	for _, s := range sends {
+		if (s.due-sends[0].due)%int64(delta) != 0 {
+			t.Fatalf("the node's phase moved: a cycle due at %d, the first at %d, δ = %d", s.due, sends[0].due, int64(delta))
+		}
+		if early := s.due - s.at; early > int64(delta/inlineLead) {
+			t.Errorf("a cycle ran %v before it was due, more than δ/16 = %v", time.Duration(early), delta/inlineLead)
+		}
+		if s.at-s.due > int64(delta/2) {
+			late++
+		}
+	}
+	if late > cycles/4 {
+		t.Errorf("%d of %d cycles ran more than δ/2 after they were due", late, cycles)
+	}
+	sched.mu.Lock()
+	inline := nodes[0].sched.inline
+	sched.mu.Unlock()
+	if !inline {
+		t.Error("a node whose exchanges complete inline is not queued with the inline lead")
+	}
+}
+
+// TestIdleCycleKeepsTheLead: a cycle that sends no exchange request —
+// here a node idling past γ, which gossips membership only — leaves the
+// node's lead as its last exchange set it, either way. On a mem network
+// the membership reply arrives inline, which on a socket it would not.
+func TestIdleCycleKeepsTheLead(t *testing.T) {
+	postGamma := core.Schedule{Start: time.Now().Add(-90 * time.Minute), Delta: 10 * time.Hour, CycleLen: time.Hour, Gamma: 1}
+	nodes, _ := launchCluster(t, 2, postGamma, func(i int) float64 { return float64(i) })
+	for _, inline := range []bool{false, true} {
+		sched.mu.Lock()
+		nodes[0].sched.inline = inline
+		sched.mu.Unlock()
+		cycleOnScheduler(nodes[0])
+		sched.mu.Lock()
+		got := nodes[0].sched.inline
+		sched.mu.Unlock()
+		if got != inline {
+			t.Errorf("a membership-only cycle turned inline %v into %v", inline, got)
+		}
+	}
+	if m := nodes[0].Metrics(); m.ExchangesInitiated != 0 {
+		t.Fatalf("the node initiated %d exchanges past γ", m.ExchangesInitiated)
+	}
+}
+
+// TestInlineFleetWakeCount: the scheduler serving 256 inline nodes wakes
+// about 16 times per δ — each wake serves every cycle due within δ/16 —
+// not the ~50 a δ/64 lead costs.
+func TestInlineFleetWakeCount(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector slows the fleet past its cycle length")
+	}
+	const cycles = 20
+	delta := 50 * time.Millisecond
+	nodes, net := startFleet(t, context.Background(), 256, core.Schedule{Start: time.Now(), Delta: time.Hour, CycleLen: delta, Gamma: 1 << 20}, nil)
+	defer func() {
+		for _, node := range nodes {
+			_ = node.Stop()
+		}
+		net.Close()
+	}()
+	// Every first cycle is due within 2δ of Start and queued with the
+	// outstanding lead; from the second on every node is inline.
+	time.Sleep(3 * delta)
+	wakes := func() int64 {
+		sched.mu.Lock()
+		defer sched.mu.Unlock()
+		return sched.wakes
+	}
+	before, from := wakes(), time.Now()
+	time.Sleep(cycles * delta)
+	perCycle := float64(wakes()-before) / (float64(time.Since(from)) / float64(delta))
+	t.Logf("%.1f scheduler wakes per δ", perCycle)
+	if perCycle > inlineLead+4 {
+		t.Errorf("the scheduler woke %.1f times per δ for an inline fleet, want at most about %d", perCycle, inlineLead)
+	}
+}
+
+// TestInlineFleetCrossesEpochEdges: a 256-node inline fleet, its cycles
+// served up to δ/16 early, crosses four epoch edges without a timeout or
+// a stale drop (as with the δ/64 lead), and no request is sent in an
+// epoch the wall clock has not reached: a cycle served early before an
+// edge runs in the epoch that is ending.
+func TestInlineFleetCrossesEpochEdges(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector slows the fleet past its cycle length")
+	}
+	const (
+		gamma = 8
+		edges = 4
+	)
+	cycle := 20 * time.Millisecond
+	schedule := core.Schedule{Start: time.Now(), Delta: gamma * cycle, CycleLen: cycle, Gamma: gamma}
+	nodes, clocks, stop := startClockedFleet(t, 256, schedule)
+	defer stop()
+	time.Sleep(time.Until(schedule.StartOf(edges).Add(2 * cycle)))
+	var m Metrics
+	for i, node := range nodes {
+		m.Accumulate(node.Metrics())
+		if e := node.Epoch(); e < edges {
+			t.Errorf("node %d is in epoch %d two cycles after epoch %d began", i, e, edges)
+		}
+	}
+	t.Logf("%d exchanges, %d epoch jumps", m.ExchangesCompleted, m.EpochJumps)
+	if m.Timeouts != 0 || m.StaleDropped != 0 {
+		t.Errorf("%d timeouts and %d stale drops across %d epoch edges, want none", m.Timeouts, m.StaleDropped, edges)
+	}
+	for i, c := range clocks {
+		for _, s := range c.recorded() {
+			if begun := schedule.EpochAt(schedBase.Add(time.Duration(s.at))); s.epoch > begun {
+				t.Fatalf("node %d sent a request of epoch %d in epoch %d", i, s.epoch, begun)
+			}
+		}
 	}
 }
 

@@ -76,6 +76,8 @@ func TestAPITable(t *testing.T) {
 		{"bad json", "POST", "/v1/instances", `{"name":`, http.StatusBadRequest},
 		{"unknown field", "POST", "/v1/instances", `{"name":"y","bogus":1}`, http.StatusBadRequest},
 		{"oversized fleet", "POST", "/v1/instances", `{"name":"big","fleet_size":100000}`, http.StatusTooManyRequests},
+		{"cache beyond a frame", "POST", "/v1/instances", `{"name":"big","fleet_size":2,"cache_size":128}`, http.StatusBadRequest},
+		{"cache a frame carries", "POST", "/v1/instances", `{"name":"wide","fleet_size":2,"cache_size":127}`, http.StatusCreated},
 		{"list", "GET", "/v1/instances", "", http.StatusOK},
 		{"get", "GET", "/v1/instances/temps", "", http.StatusOK},
 		{"get unknown", "GET", "/v1/instances/nope", "", http.StatusNotFound},

@@ -3,14 +3,18 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"antientropy/internal/core"
 )
 
 // fastConfig is the test schedule: 200ms epochs of 10ms cycles — γ=20
@@ -165,6 +169,61 @@ func TestInstanceNamedSlots(t *testing.T) {
 	})
 	if math.Abs(est.Estimate-25) > 1 {
 		t.Fatalf("estimate %g after upsert, want ≈ 25 (%+v)", est.Estimate, est)
+	}
+}
+
+// TestPositionalFeedKeepsNamedSlots: positional values never land on a
+// named slot, and the new names of one update take their places in
+// sorted key order whatever the map's order.
+func TestPositionalFeedKeepsNamedSlots(t *testing.T) {
+	inst := &Instance{schedule: core.Schedule{Start: time.Now(), Delta: time.Second}, keys: map[string]int{}}
+	inst.Feed(nil, map[string]float64{"a": 10}, false)
+	if slots, _ := inst.Feed([]float64{1, 2}, nil, false); slots != 3 {
+		t.Fatalf("slots = %d after one name and two positions, want 3", slots)
+	}
+	inst.Feed([]float64{3}, map[string]float64{"d": 4, "b": 5, "c": 6}, false)
+	vals, keys := stored(inst)
+	if want := []float64{10, 3, 2, 5, 6, 4}; !slices.Equal(vals, want) {
+		t.Errorf("store %v, want %v", vals, want)
+	}
+	if want := map[string]int{"a": 0, "b": 3, "c": 4, "d": 5}; !maps.Equal(keys, want) {
+		t.Errorf("named slots %v, want %v", keys, want)
+	}
+}
+
+// TestFeedJustBeforeEdgeReachesNextGeneration: a feed made in the last
+// δ/32 of a generation — inside the lead with which the scheduler may
+// serve an inline node's cycle early — is what every node restarts from
+// at the next edge, as the generation Feed returns promises. Each of
+// three edges switches the whole fleet between two values, so a single
+// node that restarted before the feed moves the next generation's mean
+// off the fed value.
+func TestFeedJustBeforeEdgeReachesNextGeneration(t *testing.T) {
+	reg := NewRegistry(RegistryConfig{Logger: quietLogger()})
+	defer reg.Close()
+	const nodes = 128
+	inst, err := reg.Create(InstanceConfig{Name: "edge", FleetSize: nodes, EpochMS: 400, CycleMS: 40}, "default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := inst.schedule
+	inst.Feed([]float64{10}, nil, false)
+	edge := inst.generationAt(time.Now()) + 1
+	for _, v := range []float64{50, 10, 50} {
+		time.Sleep(time.Until(s.StartOf(edge).Add(-s.CycleLen / 32)))
+		_, gen := inst.Feed([]float64{v}, nil, false)
+		// Two cycles before the generation ends every node has restarted
+		// and averaged for eight.
+		time.Sleep(time.Until(s.StartOf(gen + 2).Add(-2 * s.CycleLen)))
+		est := inst.Estimate()
+		if est.Generation != gen+1 {
+			t.Fatalf("read in generation %d, want %d: the box fell behind", est.Generation, gen+1)
+		}
+		if est.Reporting != nodes || math.Abs(est.Estimate-v) > 1e-9*v {
+			t.Errorf("generation %d reads %g from %d nodes, want %g from %d: a node restarted before the feed %v ahead of the edge",
+				gen+1, est.Estimate, est.Reporting, v, nodes, s.CycleLen/32)
+		}
+		edge = gen + 2
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -27,6 +28,7 @@ import (
 	"antientropy/internal/agent"
 	"antientropy/internal/core"
 	"antientropy/internal/transport"
+	"antientropy/internal/wire"
 )
 
 // Aggregation functions an instance can host.
@@ -75,7 +77,9 @@ type InstanceConfig struct {
 	// CycleMS is the gossip cycle length δ in milliseconds (default
 	// EpochMS/20, minimum 10): γ = EpochMS/CycleMS cycles run per epoch.
 	CycleMS int `json:"cycle_ms,omitempty"`
-	// CacheSize is the NEWSCAST cache capacity (default 30).
+	// CacheSize is the NEWSCAST cache capacity (default 30, at most
+	// wire.MaxDescriptors−1 = 127: what a membership frame carries
+	// beside the node's own descriptor).
 	CacheSize int `json:"cache_size,omitempty"`
 	// Combiner selects the fleet's per-exchange merge policy (one of
 	// core.CombinerNames; empty keeps the classical push-pull mean) —
@@ -206,6 +210,10 @@ func (r *Registry) normalize(cfg *InstanceConfig) error {
 	}
 	if cfg.CacheSize <= 0 {
 		cfg.CacheSize = 30
+	}
+	if cfg.CacheSize > wire.MaxDescriptors-1 {
+		return fmt.Errorf("serve: cache size %d exceeds %d, the most a membership frame carries beside the node's own descriptor",
+			cfg.CacheSize, wire.MaxDescriptors-1)
 	}
 	switch cfg.Combiner {
 	case "", core.CombinerMean, core.CombinerMedianOfK, core.CombinerTrimmedMean:
@@ -391,8 +399,11 @@ type Instance struct {
 	squared   *fleet // variance only: the E[x²] fleet
 	cancel    context.CancelFunc
 
+	// vals is the fed-value store; pos maps positional slot i to its
+	// index in vals, keys a named slot to its.
 	mu       sync.RWMutex
 	vals     []float64
+	pos      []int
 	keys     map[string]int
 	lastFeed time.Time
 
@@ -575,33 +586,39 @@ func (in *Instance) slotValue(i int, squared bool) float64 {
 }
 
 // Feed applies one value update: values sets positional slots 0..len-1,
-// slots upserts named slots, reset clears the store first. The update
-// is sampled by every fleet node at the next epoch restart (§4.1) —
-// the returned generation is the one whose successor will reflect it.
+// slots upserts named slots, reset clears the store first. Positional
+// and named slots share one store in the order they were first fed, and
+// a positional index never lands on a named slot; the new names of one
+// update take their places in sorted key order. The update is sampled by
+// every fleet node at the next epoch restart (§4.1) — the returned
+// generation is the one whose successor will reflect it.
 func (in *Instance) Feed(values []float64, slots map[string]float64, reset bool) (slotCount int, gen uint64) {
 	now := time.Now()
 	in.mu.Lock()
 	if reset {
 		in.vals = in.vals[:0]
+		in.pos = in.pos[:0]
 		in.keys = make(map[string]int)
 	}
 	for i, v := range values {
-		for len(in.vals) <= i {
+		if i == len(in.pos) {
+			in.pos = append(in.pos, len(in.vals))
 			in.vals = append(in.vals, 0)
 		}
-		in.vals[i] = v
+		in.vals[in.pos[i]] = v
 	}
-	// Named slots live after the positional ones; feeding more
-	// positional values than before never displaces a named slot
-	// because positions were reserved at first use.
+	var fresh []string
 	for key, v := range slots {
-		idx, ok := in.keys[key]
-		if !ok {
-			idx = len(in.vals)
-			in.vals = append(in.vals, 0)
-			in.keys[key] = idx
+		if idx, ok := in.keys[key]; ok {
+			in.vals[idx] = v
+		} else {
+			fresh = append(fresh, key)
 		}
-		in.vals[idx] = v
+	}
+	slices.Sort(fresh)
+	for _, key := range fresh {
+		in.keys[key] = len(in.vals)
+		in.vals = append(in.vals, slots[key])
 	}
 	in.lastFeed = now
 	slotCount = len(in.vals)
