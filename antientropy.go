@@ -173,7 +173,9 @@ type (
 	DerivedResult = sim.DerivedResult
 )
 
-// SimulateSum estimates Σ values = average × network size (§5).
+// SimulateSum estimates Σ values = average × network size (§5). A node
+// that holds no COUNT mass yet (early in the epoch, far from the leader)
+// has no finite size estimate and is left out of the result's Estimates.
 func SimulateSum(cfg DerivedConfig) (*DerivedResult, error) { return sim.RunSum(cfg) }
 
 // SimulateVariance estimates Var(values) = E[x²] − E[x]² (§5).

@@ -8,6 +8,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"antientropy"
+	"antientropy/internal/race"
 )
 
 // writeFile writes content to a file in a fresh temp directory.
@@ -118,6 +121,31 @@ func TestGenerateReproducesCommittedEnvelopes(t *testing.T) {
 					t.Errorf("%s row %d: %s regenerates as %g, committed %g", name, i, rec[:3], have, want)
 				}
 			}
+		}
+	}
+}
+
+// TestAdvbiasFiguresWithinEnvelopes regenerates both adversary-bias
+// figures as `aggsim -exp advbias-… -reps 3 -engine sharded -shards 8`
+// does and checks each against its committed envelope. The sharded engine
+// is deterministic per (seed, K), so a breach means the attack, the
+// defense or the scenario executor behind them moved.
+func TestAdvbiasFiguresWithinEnvelopes(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector slows the two sweeps several-fold")
+	}
+	for _, id := range []string{"advbias-inject-extreme", "advbias-sybil-flood"} {
+		res, err := antientropy.RunExperiment(id, antientropy.ExperimentOptions{Reps: 3, Engine: "sharded", Shards: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fig, out strings.Builder
+		if err := res.WriteCSV(&fig); err != nil {
+			t.Fatal(err)
+		}
+		envelope := filepath.Join("..", "..", "testdata", "envelopes", id+".csv")
+		if err := check(&out, envelope, writeFile(t, id+".csv", fig.String())); err != nil {
+			t.Errorf("%s: %v\n%s", id, err, out.String())
 		}
 	}
 }

@@ -24,7 +24,8 @@
 // What a node owns. The paper's scalability argument is that a node keeps
 // a constant amount of state whatever the size of the network: an
 // estimate, an epoch, a cache of c descriptors (§4, §4.4). A Node at rest
-// is that — its protocol state and its view — and nothing per peer: every
+// is that — its protocol state and its view, about 1.6 KB of heap
+// (BenchmarkNodeResidentBytes) — and nothing per peer: every
 // membership frame it sends carries the whole view plus a fresh
 // self-descriptor, and every frame it receives is merged into the view,
 // freshest descriptor wins, whatever the peer it came from. Everything an

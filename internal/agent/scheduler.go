@@ -43,7 +43,9 @@ import (
 //
 // Everything a node runs here — Config.Value at an epoch restart, the
 // peer's handler when the transport delivers inline — delays the nodes
-// queued behind it; tickLag records by how much.
+// queued behind it; tickLag records by how much. One heap is enough: a
+// 3 000-node slice on one mux at δ = 150 ms starts its cycles with a p99
+// lateness ≤ 2.5 ms (BenchmarkSchedulerWorkerSlice), so it is not sharded.
 type scheduler struct {
 	mu   sync.Mutex
 	heap []schedEntry

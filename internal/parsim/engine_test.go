@@ -18,10 +18,16 @@ func baseConfig(n, cycles int, seed uint64, shards int) Config {
 	}
 }
 
-// script wraps a per-cycle hook as the engine's one way to script events.
-func script(fn func(cycle int, e sim.Core)) []sim.FailureModel {
-	return []sim.FailureModel{sim.Script("test", fn)}
+// script runs fn at the start of every cycle, after BeforeCycle, as the
+// engine's one failure model.
+func script(fn func(cycle int, e *Engine)) []sim.FailureModel {
+	return []sim.FailureModel{scriptModel(fn)}
 }
+
+type scriptModel func(cycle int, e *Engine)
+
+func (m scriptModel) Apply(cycle int, e *Engine) { m(cycle, e) }
+func (m scriptModel) String() string             { return "script" }
 
 // run executes cfg and returns the finished engine.
 func run(t *testing.T, cfg Config) *Engine {
@@ -165,7 +171,7 @@ func TestMassConservation(t *testing.T) {
 			groupOf[i] = i % 2
 		}
 		cfg := baseConfig(600, 30, 9, shards)
-		cfg.Failures = script(func(cycle int, e sim.Core) {
+		cfg.Failures = script(func(cycle int, e *Engine) {
 			switch cycle {
 			case 5:
 				e.SetExchangeFilter(func(i, j int) bool { return groupOf[i] == groupOf[j] })
@@ -199,7 +205,7 @@ func TestMassConservationUnderKills(t *testing.T) {
 	var expected float64
 	started := false
 	cfg := baseConfig(n, 25, 11, 4)
-	cfg.Failures = script(func(cycle int, e sim.Core) {
+	cfg.Failures = script(func(cycle int, e *Engine) {
 		if cycle%5 != 0 {
 			return
 		}
@@ -232,7 +238,7 @@ func TestMassConservationUnderKills(t *testing.T) {
 // engine: a replaced slot refuses the current epoch until Restart.
 func TestJoinerSitsOutEpoch(t *testing.T) {
 	cfg := baseConfig(100, 6, 5, 4)
-	cfg.Failures = script(func(cycle int, e sim.Core) {
+	cfg.Failures = script(func(cycle int, e *Engine) {
 		if cycle == 2 {
 			e.Kill(7)
 			e.Replace(7)
@@ -265,7 +271,7 @@ func TestMetricsAreConsistent(t *testing.T) {
 	cfg := baseConfig(800, 20, 13, 8)
 	cfg.MessageLoss = 0.1
 	cfg.LinkFailure = 0.05
-	cfg.Failures = script(func(cycle int, e sim.Core) {
+	cfg.Failures = script(func(cycle int, e *Engine) {
 		if cycle == 3 {
 			for k := 0; k < 100; k++ {
 				e.Kill(e.RandomAlive())
@@ -289,7 +295,7 @@ func TestMetricsAreConsistent(t *testing.T) {
 func TestCompleteLiveOverlay(t *testing.T) {
 	cfg := baseConfig(300, 15, 17, 4)
 	cfg.Overlay = sim.CompleteLive()
-	cfg.Failures = script(func(cycle int, e sim.Core) {
+	cfg.Failures = script(func(cycle int, e *Engine) {
 		if cycle == 2 {
 			for k := 0; k < 200; k++ {
 				e.Kill(e.RandomAlive())

@@ -124,7 +124,7 @@ func TestVectorCountConverges(t *testing.T) {
 // RestartVec reinstates everyone with a fresh per-component init.
 func TestVectorReplaceAndRestartVec(t *testing.T) {
 	cfg := vectorConfig(100, 8, 2, 5, 4)
-	cfg.Failures = script(func(cycle int, e sim.Core) {
+	cfg.Failures = script(func(cycle int, e *Engine) {
 		if cycle == 2 {
 			e.Kill(7)
 			e.Replace(7)
@@ -201,7 +201,7 @@ func TestFrozenNewscastSharded(t *testing.T) {
 	}
 	kill := baseConfig(n, 30, 17, 4)
 	kill.Overlay = sim.NewscastFrozen(30)
-	kill.Failures = script(func(cycle int, e sim.Core) {
+	kill.Failures = script(func(cycle int, e *Engine) {
 		if cycle == 2 {
 			for k := 0; k < 100; k++ {
 				e.Kill(e.RandomAlive())

@@ -13,7 +13,7 @@ import (
 // — which cycle an event fires in, how many nodes it touches, which slot a
 // join takes, how a partition slices the fleet, when it heals, whether the
 // join cap admits one more identity — and calls a fleet to perform it.
-// Two fleets exist: the simulation engines behind sim.Core (simFleet) and
+// Two fleets exist: the simulation engine (simFleet) and
 // the supervisor of a fleet of real agent nodes (supervisor, which serves
 // the live and the udp executor alike). Both perform each action the
 // moment the script calls, so "cycle 40: crash 10 %" is the same

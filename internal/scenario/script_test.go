@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"antientropy/internal/sim"
 	"antientropy/internal/stats"
 )
 
@@ -439,10 +438,11 @@ func TestScriptEveryKindExact(t *testing.T) {
 	}
 }
 
-// fakeCore is the part of a simulation engine the script's sim backend
-// touches: liveness, the exchange veto, the loss rate and overlay reseeds.
+// fakeCore is a simEngine that records what the script's sim backend
+// does to it: liveness, the exchange veto, the loss rate and overlay
+// reseeds. recFleet draws the victims, so RandomAlive only has to name a
+// live slot.
 type fakeCore struct {
-	sim.Core
 	alive   []bool
 	filter  func(i, j int) bool
 	loss    float64
@@ -458,6 +458,7 @@ func (c *fakeCore) AliveCount() (n int) {
 	return n
 }
 func (c *fakeCore) Alive(node int) bool                     { return c.alive[node] }
+func (c *fakeCore) RandomAlive() int                        { return slices.Index(c.alive, true) }
 func (c *fakeCore) Kill(node int)                           { c.alive[node] = false }
 func (c *fakeCore) Replace(node int)                        { c.alive[node] = true }
 func (c *fakeCore) SetExchangeFilter(f func(i, j int) bool) { c.filter = f }

@@ -75,7 +75,7 @@ func TestShardedRunsAllCannedScenarios(t *testing.T) {
 
 // TestShardedPartitionHealConservesMassAndReconverges: mass holds
 // through the split at every shard count, and the overlay remerges after
-// the heal (the rendezvous reseed works through sim.Core).
+// the heal (the rendezvous reseed works at every shard count).
 func TestShardedPartitionHealConservesMassAndReconverges(t *testing.T) {
 	sc, err := ByName("partition-heal")
 	if err != nil {

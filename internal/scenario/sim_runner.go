@@ -95,8 +95,8 @@ type SimOptions struct {
 func RunSim(sc Scenario) (*RunResult, error) { return RunSimWith(sc, SimOptions{}) }
 
 // RunSimWith executes the scenario on the simulation engine: epoch
-// restarts go through Core.Restart, scripted events through a sim.Script
-// failure model, and partitions through the exchange filter (which the
+// restarts and then the script's events run in the engine's BeforeCycle
+// hook, and partitions go through the exchange filter (which the
 // engine also applies to NEWSCAST gossip, so a partition splits the
 // overlay exactly as the live executor's transport partition does). The
 // whole run is reproducible bit-for-bit from the scenario seed — plus
@@ -142,9 +142,11 @@ func RunSimWith(sc Scenario, opts SimOptions) (*RunResult, error) {
 		Overlay:      sim.Newscast(30),
 		MessageLoss:  sc.MessageLoss,
 		LinkFailure:  sc.LinkFailure,
-		BeforeCycle:  func(cycle int, e *sim.Engine) { d.beforeCycle(cycle, e) },
-		Failures:     []sim.FailureModel{sim.Script(sc.Name, d.applyEvents)},
-		Observe:      func(cycle int, e *sim.Engine) { d.observe(cycle, e) },
+		BeforeCycle: func(cycle int, e *sim.Engine) {
+			d.beforeCycle(cycle, e)
+			d.applyEvents(cycle, e)
+		},
+		Observe: d.observe,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %s executor: %w", sc.Name, executor, err)
@@ -152,8 +154,7 @@ func RunSimWith(sc Scenario, opts SimOptions) (*RunResult, error) {
 	return d.log.result, nil
 }
 
-// simDriver binds one scenario run to the simulation engine. Everything
-// goes through sim.Core, so a script test can substitute a fake.
+// simDriver binds one scenario run to the simulation engine.
 type simDriver struct {
 	sc     Scenario
 	prog   *ValueProgram
@@ -196,7 +197,7 @@ func (d *simDriver) advHook() func(cycle, node int, local float64) (float64, boo
 // restarts from the current scripted values and waiting joiners become
 // participants. Replay-stale attackers snapshot the estimates they will
 // replay just before the restart wipes them.
-func (d *simDriver) beforeCycle(cycle int, e sim.Core) {
+func (d *simDriver) beforeCycle(cycle int, e *sim.Engine) {
 	if cycle > 1 && (cycle-1)%d.sc.EpochLen == 0 {
 		if d.adv != nil {
 			d.adv.snapshotEpoch(func(node int) float64 { return e.Value(node) })
@@ -206,7 +207,7 @@ func (d *simDriver) beforeCycle(cycle int, e sim.Core) {
 }
 
 // applyEvents runs the script for one cycle.
-func (d *simDriver) applyEvents(cycle int, e sim.Core) {
+func (d *simDriver) applyEvents(cycle int, e *sim.Engine) {
 	d.script.step(cycle, simFleet{e: e, rng: d.script.rng})
 }
 
@@ -215,8 +216,21 @@ func (d *simDriver) applyEvents(cycle int, e sim.Core) {
 // place, so a seed's rows do not depend on which fleets exist besides
 // this one. A cycle-driven engine has no sub-cycle time to delay.
 type simFleet struct {
-	e   sim.Core
+	e   simEngine
 	rng *stats.RNG
+}
+
+// simEngine is the part of *sim.Engine a simFleet acts on; a script test
+// substitutes a fake that records the filter, loss rate and reseeds.
+type simEngine interface {
+	AliveCount() int
+	Alive(node int) bool
+	RandomAlive() int
+	Kill(node int)
+	Replace(node int)
+	SetMessageLoss(p float64)
+	SetExchangeFilter(filter func(i, j int) bool)
+	ReseedOverlay(node int)
 }
 
 func (f simFleet) aliveCount() int                  { return f.e.AliveCount() }
@@ -272,7 +286,7 @@ func (f simFleet) heal(groupOf []int, wasActive bool) {
 // declines. Under an adversary the estimate moments cover the honest
 // population only: the attack's impact is what leaks into honest
 // estimates.
-func (d *simDriver) observe(cycle int, e sim.Core) {
+func (d *simDriver) observe(cycle int, e *sim.Engine) {
 	var est stats.Moments
 	if d.adv == nil {
 		est = e.ParticipantMoments()

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"antientropy/internal/core"
 	"antientropy/internal/stats"
@@ -21,8 +22,8 @@ type DerivedConfig struct {
 	Values func(node int) float64
 	// Overlay builds the overlay.
 	Overlay OverlaySpec
-	// Leader is the node that holds the COUNT peak (SUM and PRODUCT need
-	// a size estimate).
+	// Leader is the node that holds the COUNT peak (SUM needs a size
+	// estimate).
 	Leader int
 }
 
@@ -45,7 +46,7 @@ func (c DerivedConfig) validate() error {
 // DerivedResult carries the per-node combined estimates of a derived
 // aggregate at the end of the epoch.
 type DerivedResult struct {
-	// Name of the aggregate ("sum", "variance", "product").
+	// Name of the aggregate ("sum" or "variance").
 	Name string
 	// Estimates summarizes the per-node outputs.
 	Estimates stats.Moments
@@ -53,112 +54,60 @@ type DerivedResult struct {
 
 // RunSum composes SUM exactly as §5 prescribes: one averaging instance
 // over the values and one COUNT instance run concurrently; every node
-// multiplies its two estimates.
+// multiplies its two estimates. A node that holds no COUNT mass yet has
+// no finite size estimate and is left out of Estimates, as SizeMoments
+// leaves it out.
 func RunSum(cfg DerivedConfig) (*DerivedResult, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	e, err := Run(Config{
-		N:      cfg.N,
-		Cycles: cfg.Cycles,
-		Seed:   cfg.Seed,
-		Dim:    2,
-		VecInit: func(node, dim int) float64 {
-			if dim == 0 {
-				return cfg.Values(node)
-			}
-			if node == cfg.Leader {
-				return 1
-			}
-			return 0
-		},
-		Overlay: cfg.Overlay,
-	})
-	if err != nil {
-		return nil, err
-	}
-	res := &DerivedResult{Name: "sum"}
-	e.ForEachParticipantVec(func(_ int, vec []float64) {
+	return runPair(cfg, "sum", func(node, dim int) float64 {
+		if dim == 0 {
+			return cfg.Values(node)
+		}
+		if node == cfg.Leader {
+			return 1
+		}
+		return 0
+	}, func(vec []float64) (float64, bool) {
 		size := core.SizeFromAverage(vec[1])
-		res.Estimates.Add(core.SumFromAverage(vec[0], size))
+		return core.SumFromAverage(vec[0], size), !math.IsInf(size, 1)
 	})
-	return res, nil
 }
 
 // RunVariance composes VARIANCE (§5): two concurrent averaging instances,
 // over the values and over their squares; the estimate is a2 − a².
 func RunVariance(cfg DerivedConfig) (*DerivedResult, error) {
+	return runPair(cfg, "variance", func(node, dim int) float64 {
+		v := cfg.Values(node)
+		if dim == 0 {
+			return v
+		}
+		return v * v
+	}, func(vec []float64) (float64, bool) {
+		return core.VarianceFromMoments(vec[0], vec[1]), true
+	})
+}
+
+// runPair runs two concurrent averaging instances (Dim = 2) from init
+// and folds every participant's combine result into the named result,
+// skipping the nodes combine rejects.
+func runPair(cfg DerivedConfig, name string, init func(node, dim int) float64, combine func(vec []float64) (float64, bool)) (*DerivedResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	e, err := Run(Config{
-		N:      cfg.N,
-		Cycles: cfg.Cycles,
-		Seed:   cfg.Seed,
-		Dim:    2,
-		VecInit: func(node, dim int) float64 {
-			v := cfg.Values(node)
-			if dim == 0 {
-				return v
-			}
-			return v * v
-		},
-		Overlay: cfg.Overlay,
-	})
-	if err != nil {
-		return nil, err
-	}
-	res := &DerivedResult{Name: "variance"}
-	e.ForEachParticipantVec(func(_ int, vec []float64) {
-		res.Estimates.Add(core.VarianceFromMoments(vec[0], vec[1]))
-	})
-	return res, nil
-}
-
-// RunProduct composes PRODUCT (§5): a GEOMETRIC-MEAN instance and a COUNT
-// instance; the estimate is gm^N. Values must be positive. The geometric
-// mean instance uses the scalar engine (its update is not element-wise
-// averaging), sharing the seed-derived overlay with the COUNT run.
-func RunProduct(cfg DerivedConfig) (*DerivedResult, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	for i := 0; i < cfg.N; i++ {
-		if cfg.Values(i) <= 0 {
-			return nil, fmt.Errorf("sim: product needs positive values, node %d has %g", i, cfg.Values(i))
-		}
-	}
-	gm, err := Run(Config{
 		N:       cfg.N,
 		Cycles:  cfg.Cycles,
 		Seed:    cfg.Seed,
-		Fn:      core.GeometricMean,
-		Init:    cfg.Values,
+		Dim:     2,
+		VecInit: init,
 		Overlay: cfg.Overlay,
 	})
 	if err != nil {
 		return nil, err
 	}
-	count, err := Run(Config{
-		N:       cfg.N,
-		Cycles:  cfg.Cycles,
-		Seed:    cfg.Seed + 1,
-		Dim:     1,
-		Leaders: []int{cfg.Leader},
-		Overlay: cfg.Overlay,
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Pair the two runs' estimates per node id.
-	sizes := make([]float64, cfg.N)
-	count.ForEachParticipantVec(func(node int, vec []float64) {
-		sizes[node] = core.SizeFromAverage(vec[0])
-	})
-	res := &DerivedResult{Name: "product"}
-	gm.ForEachParticipant(func(node int, g float64) {
-		if sizes[node] > 0 {
-			res.Estimates.Add(core.ProductFromGeometricMean(g, sizes[node]))
+	res := &DerivedResult{Name: name}
+	e.ForEachParticipantVec(func(_ int, vec []float64) {
+		if v, ok := combine(vec); ok {
+			res.Estimates.Add(v)
 		}
 	})
 	return res, nil

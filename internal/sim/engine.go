@@ -51,9 +51,9 @@
 //   - TrackExchanges/ExchangeCount count inside applyExchange: the
 //     parallel phase touches only its own shard's counters, deferred
 //     exchanges count at the merge.
-//   - Adversary, Guard and every hook take effect at every K; a scripted
-//     event is a FailureModel (Script), applied after BeforeCycle in
-//     Failures order.
+//   - Adversary, Guard and every hook take effect at every K. A cycle
+//     starts with BeforeCycle, then the Failures in order; a scripted
+//     event is a step of BeforeCycle.
 package sim
 
 import (
@@ -274,10 +274,13 @@ type Metrics struct {
 	PartitionDrops int64
 }
 
-// Engine runs the protocol over a simulated overlay; it is the one
-// implementation of Core. All exported mutators are serial-phase
-// operations: call them only from the engine's own hooks or between
-// cycles.
+// Engine runs the protocol over a simulated overlay. All exported
+// mutators are serial-phase operations: call them only from the engine's
+// own hooks (BeforeCycle, failure models, Observe) or between cycles,
+// never concurrently with a running cycle. Scalar-mode observation
+// (Value, ForEachParticipant, ParticipantMoments) is valid only when
+// Dim() == 0, vector-mode observation (ForEachParticipantVec,
+// SizeEstimateAt, SizeMoments, RestartVec) only when Dim() > 0.
 type Engine struct {
 	cfg    Config
 	nodes  int
@@ -657,8 +660,6 @@ func (e *Engine) pushSum(i, j int) {
 	}
 }
 
-var _ Core = (*Engine)(nil)
-
 // Cycle returns the number of completed cycles.
 func (e *Engine) Cycle() int { return e.cycle }
 
@@ -814,15 +815,6 @@ func (e *Engine) RestartVec(init func(node, dim int) float64) {
 	}
 }
 
-// SetScalar overwrites node's scalar estimate (scalar mode only), for
-// scripted interventions that move a local value mid-epoch. Note that
-// this deliberately changes the mass the running instance conserves;
-// the scenario engine's own value dynamics instead take effect at epoch
-// boundaries through Restart.
-func (e *Engine) SetScalar(node int, v float64) {
-	e.scalar[node] = v
-}
-
 // SetExchangeFilter installs (or, with nil, removes) a veto on exchanges:
 // when the filter returns false for a pair (i, j), the exchange is
 // dropped as if the link between them had failed — the scenario engine's
@@ -838,17 +830,7 @@ func (e *Engine) SetExchangeFilter(filter func(i, j int) bool) {
 // SetMessageLoss changes the per-message drop probability mid-run
 // (scenario loss bursts). Values are clamped to [0, 1].
 func (e *Engine) SetMessageLoss(p float64) {
-	e.cfg.MessageLoss = clamp01(p)
-}
-
-// SetLinkFailure changes the per-exchange drop probability P_d mid-run.
-// Values are clamped to [0, 1].
-func (e *Engine) SetLinkFailure(p float64) {
-	e.cfg.LinkFailure = clamp01(p)
-}
-
-func clamp01(p float64) float64 {
-	return min(max(p, 0), 1)
+	e.cfg.MessageLoss = min(max(p, 0), 1)
 }
 
 // RandomAlive returns a uniformly random live node (control stream), or

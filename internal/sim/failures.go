@@ -4,10 +4,10 @@ import "fmt"
 
 // FailureModel injects failures at the beginning of each cycle (§6.1:
 // crashing nodes at cycle start, when the variance among local values is
-// maximal, is the worst case). Models act through the Core surface.
+// maximal, is the worst case). Apply runs serially, after BeforeCycle.
 type FailureModel interface {
 	// Apply injects this cycle's failures into the engine.
-	Apply(cycle int, e Core)
+	Apply(cycle int, e *Engine)
 	// String describes the model for logs and experiment records.
 	String() string
 }
@@ -23,7 +23,7 @@ type CrashFraction struct {
 var _ FailureModel = CrashFraction{}
 
 // Apply kills ⌊P·alive⌋ random live nodes.
-func (c CrashFraction) Apply(_ int, e Core) {
+func (c CrashFraction) Apply(_ int, e *Engine) {
 	count := int(c.P * float64(e.AliveCount()))
 	killRandom(e, count)
 }
@@ -43,7 +43,7 @@ type SuddenDeath struct {
 var _ FailureModel = SuddenDeath{}
 
 // Apply kills the configured fraction once, at the configured cycle.
-func (s SuddenDeath) Apply(cycle int, e Core) {
+func (s SuddenDeath) Apply(cycle int, e *Engine) {
 	if cycle != s.AtCycle {
 		return
 	}
@@ -68,7 +68,7 @@ type Churn struct {
 var _ FailureModel = Churn{}
 
 // Apply substitutes PerCycle random live nodes with fresh ones.
-func (c Churn) Apply(_ int, e Core) {
+func (c Churn) Apply(_ int, e *Engine) {
 	count := c.PerCycle
 	if count > e.AliveCount() {
 		count = e.AliveCount()
@@ -94,7 +94,7 @@ type CrashCount struct {
 var _ FailureModel = CrashCount{}
 
 // Apply kills PerCycle random live nodes.
-func (c CrashCount) Apply(_ int, e Core) {
+func (c CrashCount) Apply(_ int, e *Engine) {
 	killRandom(e, c.PerCycle)
 }
 
@@ -103,36 +103,8 @@ func (c CrashCount) String() string { return fmt.Sprintf("crash-count(%d/cycle)"
 
 // killRandom removes count uniformly random live nodes, never killing the
 // last one (a zero-node network has no defined aggregate).
-func killRandom(e Core, count int) {
+func killRandom(e *Engine, count int) {
 	for k := 0; k < count && e.AliveCount() > 1; k++ {
 		e.Kill(e.RandomAlive())
 	}
-}
-
-// ScriptedFailure adapts an arbitrary per-cycle function into a
-// FailureModel — the hook point declarative scenarios use to drive timed
-// churn waves, partitions, loss bursts and value dynamics through the
-// same pipeline as the paper's fixed failure models.
-type ScriptedFailure struct {
-	// Name describes the script for logs and experiment records.
-	Name string
-	// Fn is invoked at the beginning of every cycle.
-	Fn func(cycle int, e Core)
-}
-
-var _ FailureModel = ScriptedFailure{}
-
-// Apply runs the scripted function.
-func (s ScriptedFailure) Apply(cycle int, e Core) {
-	if s.Fn != nil {
-		s.Fn(cycle, e)
-	}
-}
-
-// String describes the script.
-func (s ScriptedFailure) String() string { return fmt.Sprintf("scripted(%s)", s.Name) }
-
-// Script wraps fn as a named FailureModel.
-func Script(name string, fn func(cycle int, e Core)) FailureModel {
-	return ScriptedFailure{Name: name, Fn: fn}
 }

@@ -99,12 +99,18 @@ func TestCrashCountNeverKillsLastNode(t *testing.T) {
 	})
 }
 
+// probe is a failure model that runs fn at the start of every cycle.
+type probe func(cycle int, e *Engine)
+
+func (p probe) Apply(cycle int, e *Engine) { p(cycle, e) }
+func (p probe) String() string             { return "probe" }
+
 func TestScriptRunsEveryCycleBetweenBeforeCycleAndOverlay(t *testing.T) {
 	forEachK(t, func(t *testing.T, k int) {
 		var order []string
 		cfg := baseConfig(50, 4, k)
 		cfg.BeforeCycle = func(cycle int, _ *Engine) { order = append(order, "hook") }
-		cfg.Failures = []FailureModel{Script("probe", func(cycle int, _ Core) {
+		cfg.Failures = []FailureModel{probe(func(cycle int, _ *Engine) {
 			order = append(order, "script")
 		})}
 		if _, err := Run(cfg); err != nil {
@@ -122,16 +128,13 @@ func TestScriptRunsEveryCycleBetweenBeforeCycleAndOverlay(t *testing.T) {
 				t.Fatalf("order %v: BeforeCycle must run before the failure models", order)
 			}
 		}
-		if got := Script("probe", nil).String(); got != "scripted(probe)" {
-			t.Fatalf("Script.String() = %q", got)
-		}
 	})
 }
 
 func TestSetMessageLossMidRun(t *testing.T) {
 	forEachK(t, func(t *testing.T, k int) {
 		cfg := baseConfig(200, 6, k)
-		cfg.Failures = []FailureModel{Script("loss-burst", func(cycle int, e Core) {
+		cfg.Failures = []FailureModel{probe(func(cycle int, e *Engine) {
 			if cycle == 4 {
 				e.SetMessageLoss(0.5)
 			}
@@ -152,12 +155,11 @@ func TestSetMessageLossMidRun(t *testing.T) {
 		if m := e.Metrics(); m.RequestLosses == 0 {
 			t.Fatalf("no request losses after SetMessageLoss(0.5): %+v", m)
 		}
-		e.SetMessageLoss(-1)
-		e.SetLinkFailure(2)
-		before := e.Metrics().LinkDrops
+		e.SetMessageLoss(2)
+		before := e.Metrics().Completed
 		e.Step()
-		if got := e.Metrics().LinkDrops; got == before {
-			t.Fatal("SetLinkFailure(2) clamped to 1 should drop every exchange")
+		if got := e.Metrics().Completed; got != before {
+			t.Fatal("SetMessageLoss(2) clamped to 1 should lose every request")
 		}
 	})
 }
@@ -177,7 +179,7 @@ func TestExchangeFilterPartitionConservesMass(t *testing.T) {
 		globalMean := float64(n-1) / 2
 
 		cfg := baseConfig(n, 40, k)
-		cfg.Failures = []FailureModel{Script("partition", func(cycle int, e Core) {
+		cfg.Failures = []FailureModel{probe(func(cycle int, e *Engine) {
 			switch cycle {
 			case 1:
 				e.SetExchangeFilter(func(i, j int) bool { return side(i) == side(j) })
@@ -256,10 +258,6 @@ func TestInitialAliveReplaceAndRestart(t *testing.T) {
 		}
 		if got := e.ParticipantCount(); got != 61 {
 			t.Fatalf("participants = %d, want 61 after the restart", got)
-		}
-		e.SetScalar(60, 7)
-		if got := e.Value(60); got != 7 {
-			t.Fatalf("SetScalar: value = %g, want 7", got)
 		}
 	})
 }

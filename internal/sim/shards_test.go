@@ -57,7 +57,7 @@ func TestNothingDeferredAtOneShard(t *testing.T) {
 		Failures: []FailureModel{
 			Churn{PerCycle: 5},
 			CrashCount{PerCycle: 2},
-			Script("partition", func(cycle int, e Core) {
+			probe(func(cycle int, e *Engine) {
 				switch cycle {
 				case 5:
 					e.SetExchangeFilter(func(i, j int) bool { return side(i) == side(j) })

@@ -11,6 +11,11 @@
 // handler is set, the same drop counters and the same close barrier. Both
 // lose datagrams through one UDPFilter: partitions, loss and custom drop
 // rules are scripted once for either wire.
+//
+// The close barrier is a closed flag and an in-flight count, not a lock:
+// a delivery to a closing endpoint returns at once, so endpoints whose
+// handlers are nested in each other's inline sends close concurrently
+// without wedging (internal/agent's TestMemFleetConcurrentStop).
 package transport
 
 import (

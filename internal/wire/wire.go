@@ -28,6 +28,10 @@
 // acknowledging the peer's newest frame (Ack) and naming the snapshot
 // they extend (Base) — which ViewCodec builds. A delta is a subset of its
 // sender's view, so a receiver that merges it as one loses nothing.
+// Nodes stopped sending deltas on the numbers: in a 500-node fleet
+// 92–93 % of frames were full anyway (30.5 descriptors each), so deltas
+// saved 1.6–2 % of descriptors, while the per-peer codecs were 22 KB of a
+// node's 24 KB of heap.
 //
 // That is why a fleet that mixes nodes with and without the codec keeps
 // gossiping. A codec sends a delta only once the peer has acknowledged
