@@ -430,7 +430,7 @@ func (n *Node) encode(msg wire.Message) *[]byte {
 	buf, err := wire.AppendEncode((*bp)[:0], msg)
 	if err != nil {
 		sendBufs.Put(bp)
-		n.log.Error("encode failed", "type", msg.Type().String(), "err", err)
+		n.log.Error("encode failed", "node", n.Addr(), "type", msg.Type().String(), "err", err)
 		return nil
 	}
 	*bp = buf
@@ -446,7 +446,7 @@ func (n *Node) transmit(to string, bp *[]byte) {
 		return
 	}
 	if err := n.cfg.Endpoint.Send(to, *bp); err != nil {
-		n.log.Debug("send failed", "to", to, "err", err)
+		n.log.Debug("send failed", "node", n.Addr(), "to", to, "err", err)
 	}
 	sendBufs.Put(bp)
 }

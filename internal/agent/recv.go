@@ -30,7 +30,7 @@ func (n *Node) handle(from string, data []byte) {
 		n.unlock()
 		n.metrics.decodeErrors.Add(1)
 		n.trace(obs.TraceDecodeError, from, 0, 0, 0, time.Time{})
-		n.log.Debug("undecodable datagram", "from", from, "err", err)
+		n.log.Debug("undecodable datagram", "node", n.Addr(), "from", from, "err", err)
 		return
 	}
 	var (

@@ -118,6 +118,8 @@ func (m *mmsgConn) ReadBatch(ms []ioMsg) (int, error) {
 	return got, nil
 }
 
+func (m *mmsgConn) readSlots() int { return muxReadSlots }
+
 func (m *mmsgConn) WriteBatch(ms []ioMsg) (int, error) {
 	if len(ms) == 0 {
 		return 0, nil

@@ -28,7 +28,9 @@ func parityConn(t *testing.T) (*net.UDPConn, netip.AddrPort) {
 // TestBatchConnParity asserts the recvmmsg/sendmmsg path and the
 // portable single-syscall fallback deliver identical packet streams:
 // same payload multiset, same source addresses, loss-free on loopback.
-// Ordering is not asserted — UDP does not promise it.
+// Ordering is not asserted — UDP does not promise it. Reads use
+// MaxDatagram slots and each window carries one MaxDatagram payload, so
+// both backends must move the largest legal datagram whole.
 func TestBatchConnParity(t *testing.T) {
 	const total = 256
 	const window = 16
@@ -63,32 +65,36 @@ func TestBatchConnParity(t *testing.T) {
 				// contract assumes loss-free transfer.
 				got := make(map[string]int)
 				sent := 0
+				rms := make([]ioMsg, window)
+				for i := range rms {
+					rms[i].Buf = make([]byte, MaxDatagram)
+				}
 				read := func(deadline time.Time) {
-					ms := make([]ioMsg, window)
-					for i := range ms {
-						ms[i].Buf = make([]byte, 512)
-					}
 					for mapTotal(got) < sent {
 						rconn.SetReadDeadline(deadline)
-						n, err := rbc.ReadBatch(ms)
+						n, err := rbc.ReadBatch(rms)
 						if err != nil {
 							t.Fatalf("ReadBatch after %d/%d payloads: %v", mapTotal(got), sent, err)
 						}
 						for i := 0; i < n; i++ {
-							if ms[i].Addr != saddr {
-								t.Fatalf("source addr = %v, want %v", ms[i].Addr, saddr)
+							if rms[i].Addr != saddr {
+								t.Fatalf("source addr = %v, want %v", rms[i].Addr, saddr)
 							}
-							got[string(ms[i].Buf[:ms[i].N])]++
+							got[string(rms[i].Buf[:rms[i].N])]++
 						}
 					}
 				}
 				for sent < total {
 					ms := make([]ioMsg, 0, window)
 					for i := 0; i < window && sent < total; i++ {
-						ms = append(ms, ioMsg{
-							Buf:  []byte(fmt.Sprintf("parity-%03d", sent)),
-							Addr: raddr,
-						})
+						buf := []byte(fmt.Sprintf("parity-%03d", sent))
+						if i == 0 {
+							buf = append(buf, make([]byte, MaxDatagram-len(buf))...)
+							for j := len("parity-000"); j < len(buf); j++ {
+								buf[j] = byte(j + sent)
+							}
+						}
+						ms = append(ms, ioMsg{Buf: buf, Addr: raddr})
 						sent++
 					}
 					for off := 0; off < len(ms); {

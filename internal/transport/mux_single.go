@@ -30,6 +30,10 @@ func (s *singleConn) ReadBatch(ms []ioMsg) (int, error) {
 	return 1, nil
 }
 
+// readSlots is 1: ReadBatch fills ms[0] only, so a wider reader would
+// park MaxDatagram buffers it never reads into.
+func (s *singleConn) readSlots() int { return 1 }
+
 func (s *singleConn) WriteBatch(ms []ioMsg) (int, error) {
 	for i := range ms {
 		if _, err := s.c.WriteToUDPAddrPort(ms[i].Buf, ms[i].Addr); err != nil {

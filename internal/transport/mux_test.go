@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"runtime"
@@ -9,6 +11,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
+
+	"antientropy/internal/race"
 )
 
 func newTestMux(t *testing.T, cfg UDPMuxConfig) *UDPMux {
@@ -250,6 +255,62 @@ func TestMuxTooLarge(t *testing.T) {
 	}
 	if err := a.Send(b.Addr(), big[:MaxDatagram-muxHeaderLen]); err != nil {
 		t.Fatalf("framed max-size send: %v", err)
+	}
+}
+
+// TestMuxFullSizeDatagramsSurvive: a reader of muxReadSlots slots still
+// takes every legal datagram whole. Windows of muxReadSlots + 4
+// datagrams, two of them MaxDatagram-sized, reach a handler
+// byte-identical; 40 small ones go through, five readers' worth. Each
+// window stays inside a default 212 992-byte socket buffer, so loopback
+// loses nothing.
+func TestMuxFullSizeDatagramsSurvive(t *testing.T) {
+	const windows, perWindow = 4, muxReadSlots + 4
+	m := newTestMux(t, UDPMuxConfig{Sockets: 1, ReadBuffer: 1 << 20})
+	a, b := muxEndpoint(t, m), muxEndpoint(t, m)
+	got := make(chan []byte, perWindow)
+	b.SetHandler(func(p Packet) {
+		got <- bytes.Clone(p.Data)
+		p.Release()
+	})
+	payload := func(i int) []byte {
+		n := 16 + i
+		if i%(perWindow/2) == perWindow/2-1 {
+			n = MaxDatagram - muxHeaderLen
+		}
+		d := make([]byte, n)
+		binary.BigEndian.PutUint32(d, uint32(i))
+		for j := 4; j < n; j++ {
+			d[j] = byte(i*31 + j)
+		}
+		return d
+	}
+	seen := make(map[int]bool)
+	for w := 0; w < windows; w++ {
+		for i := w * perWindow; i < (w+1)*perWindow; i++ {
+			if err := a.Send(b.Addr(), payload(i)); err != nil {
+				t.Fatalf("send %d: %v", i, err)
+			}
+		}
+		for k := 0; k < perWindow; k++ {
+			var d []byte
+			select {
+			case d = <-got:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("window %d: %d of %d datagrams arrived", w, k, perWindow)
+			}
+			if len(d) < 4 {
+				t.Fatalf("a %d-byte datagram arrived", len(d))
+			}
+			i := int(binary.BigEndian.Uint32(d))
+			if i < w*perWindow || i >= (w+1)*perWindow || seen[i] {
+				t.Fatalf("window %d: unexpected or repeated datagram %d", w, i)
+			}
+			seen[i] = true
+			if want := payload(i); !bytes.Equal(d, want) {
+				t.Fatalf("datagram %d: %d bytes arrived, %d sent, or the bytes differ", i, len(d), len(want))
+			}
+		}
 	}
 }
 
@@ -585,4 +646,52 @@ func TestMuxHandlerEndpointOwnsNoQueue(t *testing.T) {
 	if _, ok := <-b.Recv(); ok {
 		t.Fatal("Recv after Close returned an open channel")
 	}
+}
+
+// TestMuxHeapAtRest bounds what a mux holds once every socket's reader
+// has taken its slots: per socket, muxReadSlots MaxDatagram buffers and
+// the outbound queue.
+func TestMuxHeapAtRest(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const sockets = 4
+	heap := func() int64 {
+		// The second collection empties the buffer pools' victim caches.
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	m := newTestMux(t, UDPMuxConfig{Sockets: sockets})
+	got := make(chan struct{}, sockets)
+	eps := make([]*MuxEndpoint, sockets)
+	for i := range eps {
+		eps[i] = muxEndpoint(t, m) // endpoint i lands on socket i
+		eps[i].SetHandler(func(p Packet) {
+			p.Release()
+			got <- struct{}{}
+		})
+	}
+	for _, ep := range eps {
+		if err := eps[0].Send(ep.Addr(), []byte("rest")); err != nil {
+			t.Fatalf("send to %s: %v", ep.Addr(), err)
+		}
+	}
+	for k := range eps {
+		select {
+		case <-got:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d datagrams arrived", k, sockets)
+		}
+	}
+	grew := heap() - before
+	perSocket := muxReadSlots*MaxDatagram + muxOutQueueLen*int(unsafe.Sizeof(outMsg{}))
+	t.Logf("a %d-socket mux at rest holds %d bytes of heap", sockets, grew)
+	if limit := int64(sockets*perSocket + 1<<20); grew > limit {
+		t.Fatalf("a %d-socket mux at rest holds %d bytes of heap, want at most %d", sockets, grew, limit)
+	}
+	runtime.KeepAlive(m)
 }
