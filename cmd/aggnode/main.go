@@ -33,10 +33,12 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -115,6 +117,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			"Exchange round-trip latency, initiate to reply, in seconds.",
 			antientropy.RTTBuckets)
 	}
+	var local atomic.Uint64 // math.Float64bits of the latest -value or stdin value
 	switch *mode {
 	case "scalar":
 		fn, err := antientropy.FunctionByName(*function)
@@ -123,8 +126,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 		cfg.Mode = antientropy.ModeScalar
 		cfg.Function = fn
-		initial := *value
-		cfg.Value = func() float64 { return initial }
+		local.Store(math.Float64bits(*value))
+		cfg.Value = func() float64 { return math.Float64frombits(local.Load()) }
 	case "count":
 		cfg.Mode = antientropy.ModeCount
 	default:
@@ -138,7 +141,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return err
 	}
 	if *stdinVals && cfg.Mode == antientropy.ModeScalar {
-		go readValues(os.Stdin, stdout, node.SetValue, logger)
+		go readValues(os.Stdin, stdout, func(v float64) { local.Store(math.Float64bits(v)) }, logger)
 	}
 	if reg != nil {
 		antientropy.RegisterNodeMetrics(reg, node.Metrics)
@@ -246,9 +249,10 @@ func muxAddrs(list string) []string {
 	return addrs
 }
 
-// readValues feeds stdin lines into the node's live value via set
-// (Node.SetValue), acknowledging each on out: each epoch restart samples
-// the latest (§4.1 adaptivity in a live deployment).
+// readValues feeds stdin lines into the node's local value via set, which
+// stores what the node's Config.Value returns, acknowledging each on out:
+// each epoch restart samples the latest (§4.1 adaptivity in a live
+// deployment).
 func readValues(r io.Reader, out io.Writer, set func(float64), logger *slog.Logger) {
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {

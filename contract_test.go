@@ -90,6 +90,17 @@ var deprecatedUses = []string{
 // is one concrete type, and its hooks take *sim.Engine.
 var simInterfaces = []string{"FailureModel", "OverlaySpec"}
 
+// facadeNames pins the root package's exported package-level names:
+// types, functions, constants and variables (ROADMAP item 4 prunes them).
+const facadeNames = 139
+
+// nodeMethods lists agent.Node's exported methods. A node's local value
+// has one path, Config.Value, so no setter is on the list.
+var nodeMethods = []string{
+	"AddContacts", "Addr", "Epoch", "Estimate", "LastOutput", "Metrics", "Outputs",
+	"Participating", "PeerCount", "Peers", "Snapshot", "Start", "Stop", "Subscribe",
+}
+
 func deprecated(docs ...*ast.CommentGroup) bool {
 	return slices.ContainsFunc(docs, func(doc *ast.CommentGroup) bool {
 		return doc != nil && strings.Contains("\n"+doc.Text(), "\nDeprecated:")
@@ -137,9 +148,15 @@ func TestDesignContract(t *testing.T) {
 
 	counts := map[string]int{} // budgets' keys
 	deps := map[string]bool{}  // deprecated package-level "dir.Name"
-	var vars, ifaces []string
+	facade := 0
+	var vars, ifaces, methods []string
 	for name, f := range tree {
 		dir := path.Dir(name)
+		export := func(id *ast.Ident) {
+			if dir == "." && id.IsExported() {
+				facade++
+			}
+		}
 		for _, spec := range f.Imports {
 			p, _ := strconv.Unquote(spec.Path.Value)
 			for _, rule := range layering {
@@ -152,22 +169,35 @@ func TestDesignContract(t *testing.T) {
 		}
 		for _, decl := range f.Decls {
 			gd, ok := decl.(*ast.GenDecl)
-			if !ok {
-				if fd := decl.(*ast.FuncDecl); fd.Recv == nil && deprecated(fd.Doc) {
+			if fd, isFunc := decl.(*ast.FuncDecl); isFunc && fd.Recv == nil {
+				export(fd.Name)
+				if deprecated(fd.Doc) {
 					deps[dir+"."+fd.Name.Name] = true
 				}
+			} else if isFunc && dir == "internal/agent" && fd.Name.IsExported() {
+				recv := fd.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if id, ok := recv.(*ast.Ident); ok && id.Name == "Node" {
+					methods = append(methods, fd.Name.Name)
+				}
+			}
+			if !ok {
 				continue
 			}
 			for _, s := range gd.Specs {
 				switch s := s.(type) {
 				case *ast.ValueSpec:
 					for _, id := range s.Names {
+						export(id)
 						deps[dir+"."+id.Name] = deprecated(gd.Doc, s.Doc)
 						if dir == "internal/agent" && gd.Tok == token.VAR && id.Name != "_" {
 							vars = append(vars, path.Base(name)+": "+id.Name)
 						}
 					}
 				case *ast.TypeSpec:
+					export(s.Name)
 					deps[dir+"."+s.Name.Name] = deprecated(gd.Doc, s.Doc)
 					if _, ok := s.Type.(*ast.InterfaceType); ok && dir == "internal/sim" && s.Name.IsExported() {
 						ifaces = append(ifaces, s.Name.Name)
@@ -244,4 +274,8 @@ func TestDesignContract(t *testing.T) {
 	diffList(t, "internal/agent package-level vars", vars, agentVars)
 	diffList(t, "callers of deprecated identifiers", uses, deprecatedUses)
 	diffList(t, "internal/sim exported interfaces", ifaces, simInterfaces)
+	diffList(t, "agent.Node exported methods", methods, nodeMethods)
+	if facade != facadeNames {
+		t.Errorf("the facade exports %d names, the table pins %d", facade, facadeNames)
+	}
 }

@@ -131,11 +131,14 @@ type Config struct {
 	// adversary schedules drive. Local state stays honest; only the
 	// outgoing payload (request and reply alike) is rewritten, and the
 	// exchange identifier is untouched so traces still stitch. The hook
-	// receives the node's epoch and honest scalar and returns the
-	// reported value, the epoch tag to stamp it with (replay-stale lies
-	// about the epoch too; honest behaviors echo the input epoch), and
-	// whether the node lied. ModeScalar only.
-	Adversary func(epoch uint64, local float64) (value float64, epochTag uint64, lied bool)
+	// receives the node's epoch, its honest scalar and its retained
+	// sealed outputs, oldest first (at most MaxOutputs), and returns the
+	// reported value, the epoch tag to stamp it with (a replay reports a
+	// past output with that output's epoch; honest behaviors echo the
+	// input epoch), and whether the node lied. It runs under the node's
+	// lock: it must not call the node's methods, and must not keep
+	// outputs past its return. ModeScalar only.
+	Adversary func(epoch uint64, local float64, outputs []Output) (value float64, epochTag uint64, lied bool)
 	// Combiner, when non-nil, replaces the hardcoded push-pull merge of
 	// scalar exchanges with the pluggable defense (clamped-mean,
 	// median-of-k, ...) over a window of CombinerK samples (0 =
@@ -316,16 +319,13 @@ type Node struct {
 	// pending is the outstanding exchange while busy. The scheduler
 	// expires it when it is still outstanding at its deadline.
 	pending exchange
-	// pendingValue overrides cfg.Value once SetValue has been called.
-	pendingValue float64
-	hasPending   bool
-	busy         bool
-	seq          uint64
-	xidBase      uint64
-	rng          *stats.RNG
-	outputs      []Output
-	started      bool
-	stopped      bool
+	busy    bool
+	seq     uint64
+	xidBase uint64
+	rng     *stats.RNG
+	outputs []Output
+	started bool
+	stopped bool
 
 	// metrics is deliberately outside the mu regime: its fields are
 	// atomics, incremented on the hot paths and snapshot lock-free.
@@ -600,22 +600,6 @@ func (n *Node) estimateLocked() (float64, bool) {
 	return v, true
 }
 
-// SetValue updates the node's local value (ModeScalar). Exactly like a
-// change observed through Config.Value, the new value is sampled at the
-// next epoch restart (§4.1) — mid-epoch mass is never disturbed, so the
-// running instance keeps conserving its invariant. Once called, the
-// stored value supersedes Config.Value for every later restart; the
-// latest call wins. It suits a caller that pushes values rather than
-// supplying them: cmd/aggnode -stdin feeds each value it reads from
-// standard input here. The serving layer does not call it, but gives each
-// node a Config.Value supplier that reads the instance's fed values
-// (serve's Instance.slotValue).
-func (n *Node) SetValue(v float64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.pendingValue, n.hasPending = v, true
-}
-
 // Snapshot is one consistent read of a node's serving-relevant state:
 // epoch, current estimate and the most recent sealed epoch output, all
 // observed under one acquisition of the node lock. Serving layers use
@@ -669,11 +653,11 @@ func (n *Node) Participating() bool {
 	return n.participating
 }
 
-// maxOutputs bounds the retained epoch outputs.
-const maxOutputs = 16
+// MaxOutputs bounds the retained epoch outputs.
+const MaxOutputs = 16
 
 // Outputs returns the retained completed-epoch outputs, oldest first (at
-// most the last maxOutputs).
+// most the last MaxOutputs).
 func (n *Node) Outputs() []Output {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -32,8 +32,19 @@ func testSchedule() core.Schedule {
 	}
 }
 
-// launchCluster starts n founding scalar nodes over a fresh mem network.
+// launchCluster starts n founding scalar nodes over a fresh mem network,
+// node i with the constant local value values(i).
 func launchCluster(t *testing.T, n int, sched core.Schedule, values func(i int) float64) ([]*Node, *transport.MemNetwork) {
+	t.Helper()
+	return launchSuppliedCluster(t, n, sched, func(i int) func() float64 {
+		v := values(i)
+		return func() float64 { return v }
+	})
+}
+
+// launchSuppliedCluster starts n founding scalar nodes over a fresh mem
+// network, node i with the Config.Value supplier supplier(i).
+func launchSuppliedCluster(t *testing.T, n int, sched core.Schedule, supplier func(i int) func() float64) ([]*Node, *transport.MemNetwork) {
 	t.Helper()
 	net := transport.NewMemNetwork(transport.MemNetworkConfig{Seed: 42})
 	eps := make([]*transport.MemEndpoint, n)
@@ -44,12 +55,11 @@ func launchCluster(t *testing.T, n int, sched core.Schedule, values func(i int) 
 	}
 	nodes := make([]*Node, n)
 	for i := range nodes {
-		v := values(i)
 		node, err := New(Config{
 			Endpoint:  eps[i],
 			Schedule:  sched,
 			Function:  core.Average,
-			Value:     func() float64 { return v },
+			Value:     supplier(i),
 			Bootstrap: addrs,
 			Seed:      uint64(i + 1),
 			Logger:    quietLogger(),

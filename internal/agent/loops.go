@@ -36,8 +36,8 @@ func (n *Node) finishEpochLocked(now time.Time) {
 	v, ok := n.estimateLocked()
 	out := Output{Epoch: n.epoch, Value: v, OK: ok, At: now}
 	n.outputs = append(n.outputs, out)
-	if len(n.outputs) > maxOutputs {
-		n.outputs = n.outputs[len(n.outputs)-maxOutputs:]
+	if len(n.outputs) > MaxOutputs {
+		n.outputs = n.outputs[len(n.outputs)-MaxOutputs:]
 	}
 	n.publishLocked(out)
 }
@@ -60,11 +60,7 @@ func (n *Node) resetStateLocked() {
 		n.guard.ResetAll()
 	}
 	if n.cfg.Mode == ModeScalar {
-		if n.hasPending {
-			n.scalar = n.pendingValue
-		} else {
-			n.scalar = n.cfg.Value()
-		}
+		n.scalar = n.cfg.Value()
 		return
 	}
 	// ModeCount: flip the P_lead coin using the previous epoch's size
@@ -322,10 +318,10 @@ func (n *Node) payloadLocked(seq, xid uint64, now time.Time) wire.Payload {
 		p.Scalar = n.scalar
 		if adv := n.cfg.Adversary; adv != nil {
 			// The single wire-level injection point: requests and replies
-			// alike report the corrupted value (and, for replay-stale, a
-			// past epoch tag), while XID/Seq stay honest so the exchange
-			// still stitches into one trace span.
-			if v, epochTag, lied := adv(n.epoch, n.scalar); lied {
+			// alike report the corrupted value (and, for a replay, a past
+			// output's epoch tag), while XID/Seq stay honest so the
+			// exchange still stitches into one trace span.
+			if v, epochTag, lied := adv(n.epoch, n.scalar, n.outputs); lied {
 				p.Scalar, p.Epoch = v, epochTag
 				n.metrics.adversaryLies.Add(1)
 			}

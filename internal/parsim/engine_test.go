@@ -73,31 +73,32 @@ func TestConfigValidation(t *testing.T) {
 func TestAliasesAreTheOneEngine(t *testing.T) {
 	cfg := baseConfig(400, 10, 5, 1)
 	cfg.MessageLoss = 0.05
-	a, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Shards = 0 // sim reads zero as one shard
-	b, err := sim.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := 0; c < 10; c++ {
-		a.Step()
-		b.Step()
-	}
-	for i := 0; i < cfg.N; i++ {
-		if a.Value(i) != b.Value(i) {
-			t.Fatalf("node %d: parsim.New(Shards: 1) %v, sim.New %v", i, a.Value(i), b.Value(i))
+	same := func(what string, parCfg, simCfg Config) {
+		t.Helper()
+		a, err := New(parCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := sim.New(simCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := 0; c < 10; c++ {
+			a.Step()
+			b.Step()
+		}
+		for i := 0; i < cfg.N; i++ {
+			if a.Value(i) != b.Value(i) {
+				t.Fatalf("%s: node %d: parsim %v, sim %v", what, i, a.Value(i), b.Value(i))
+			}
 		}
 	}
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := e.Shards(), runtime.GOMAXPROCS(0); got != want {
-		t.Fatalf("parsim.New(Shards: 0) built %d shards, want GOMAXPROCS = %d", got, want)
-	}
+	zero := cfg
+	zero.Shards = 0 // sim reads zero as one shard
+	same("parsim.New(Shards: 1) vs sim.New(Shards: 0)", cfg, zero)
+	procs := cfg
+	procs.Shards = runtime.GOMAXPROCS(0)
+	same("parsim.New(Shards: 0) vs sim.New(Shards: GOMAXPROCS)", zero, procs)
 }
 
 // TestDeterminismAcrossRuns is the core of the determinism contract:

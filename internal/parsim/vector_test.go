@@ -84,17 +84,26 @@ func TestVectorDeterminism(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		cfg := vectorConfig(400, 20, 4, 42, shards)
 		cfg.MessageLoss = 0.05
-		a := run(t, cfg)
-		b := run(t, cfg)
-		for i := 0; i < cfg.N; i++ {
-			va, vb := a.Vector(i), b.Vector(i)
-			for d := range va {
-				if va[d] != vb[d] {
-					t.Fatalf("shards=%d: node %d dim %d diverged: %v vs %v", shards, i, d, va[d], vb[d])
-				}
+		va, vb := participantVecs(run(t, cfg)), participantVecs(run(t, cfg))
+		if len(va) != len(vb) {
+			t.Fatalf("shards=%d: %d vs %d participant components", shards, len(va), len(vb))
+		}
+		for k := range va {
+			if va[k] != vb[k] {
+				t.Fatalf("shards=%d: component %d diverged: %v vs %v", shards, k, va[k], vb[k])
 			}
 		}
 	}
+}
+
+// participantVecs concatenates every participant's state vector in the
+// engine's participant order.
+func participantVecs(e *Engine) []float64 {
+	var out []float64
+	e.ForEachParticipantVec(func(_ int, vec []float64) {
+		out = append(out, vec...)
+	})
+	return out
 }
 
 // TestVectorCountConverges runs a two-instance COUNT (leaders hold the
@@ -133,16 +142,38 @@ func TestVectorReplaceAndRestartVec(t *testing.T) {
 			e.RestartVec(func(node, d int) float64 { return float64(d) })
 		}
 	})
+	// The participants' mass after cycle 1, less what slot 7 held then, is
+	// what cycle 2's loss-free exchanges must conserve: the crashed node's
+	// mass leaves with it and the joiner brings none.
+	want := make([]float64, cfg.Dim)
+	sums := func(e *Engine) []float64 {
+		s := make([]float64, cfg.Dim)
+		e.ForEachParticipantVec(func(node int, vec []float64) {
+			for d, v := range vec {
+				s[d] += v
+			}
+		})
+		return s
+	}
 	cfg.Observe = func(cycle int, e *Engine) {
 		switch {
+		case cycle == 1:
+			copy(want, sums(e))
+			e.ForEachParticipantVec(func(node int, vec []float64) {
+				if node == 7 {
+					for d, v := range vec {
+						want[d] -= v
+					}
+				}
+			})
 		case cycle >= 2 && cycle < 5:
 			if e.Participating(7) {
 				t.Fatalf("cycle %d: joiner participates before RestartVec", cycle)
 			}
 			if cycle == 2 {
-				for d, v := range e.Vector(7) {
-					if v != 0 {
-						t.Fatalf("replaced slot kept mass %g in dim %d", v, d)
+				for d, got := range sums(e) {
+					if math.Abs(got-want[d]) > 1e-9*math.Abs(want[d]) {
+						t.Fatalf("dim %d: participants hold mass %g after the replace, want %g", d, got, want[d])
 					}
 				}
 			}

@@ -3,7 +3,7 @@ package scenario
 import (
 	"fmt"
 	"math"
-	"sync"
+	"slices"
 	"sync/atomic"
 
 	"antientropy/internal/agent"
@@ -11,8 +11,9 @@ import (
 )
 
 // advSchedule is the materialized Byzantine plan of one run: which node
-// slots are attacker-controlled, what each reports on the wire, and the
-// bookkeeping the replay attack needs. It is derived from the Scenario
+// slots are attacker-controlled and what each reports, decided by one
+// rule for the wire (report) and one for the epoch restart
+// (restartValue) on every executor. It is derived from the Scenario
 // alone — a dedicated RNG seeded from the scenario seed picks the
 // Byzantine slots — so every executor (serial sim, sharded sim, live
 // and udp fleets) selects the identical attacker set and their metric
@@ -30,14 +31,12 @@ type advSchedule struct {
 	// script marks it while a live fleet's nodes read it, hence atomics.
 	sybilOf []atomic.Int32
 
-	// stale[slot] is the estimate a replay-stale attacker currently
-	// replays; staleQ buffers the per-epoch-boundary snapshots until the
-	// configured lag is reached. Written serially at epoch boundaries
-	// (BeforeCycle), read-only during the exchange phase, so the sharded
-	// engine's parallel shards need no locking.
-	stale     []float64
-	haveStale []bool
-	staleQ    [][]float64
+	// simPast[slot] is the simulator's record of a replay-stale slot's
+	// sealed epoch estimates, oldest first, the last Lag of them — what a
+	// live node keeps in its own outputs. Written serially at epoch
+	// boundaries (BeforeCycle), read-only during the exchange phase, so
+	// the sharded engine's parallel shards need no locking.
+	simPast [][]agent.Output
 
 	byzN   int
 	sybilN atomic.Int64
@@ -53,13 +52,11 @@ func newAdvSchedule(sc Scenario, slots int) *advSchedule {
 		return nil
 	}
 	s := &advSchedule{
-		sc:        sc,
-		total:     sc.Cycles,
-		byzOf:     make([]int, slots),
-		sybilOf:   make([]atomic.Int32, slots),
-		stale:     make([]float64, slots),
-		haveStale: make([]bool, slots),
-		staleQ:    make([][]float64, slots),
+		sc:      sc,
+		total:   sc.Cycles,
+		byzOf:   make([]int, slots),
+		sybilOf: make([]atomic.Int32, slots),
+		simPast: make([][]agent.Output, slots),
 	}
 	for i := range s.byzOf {
 		s.byzOf[i] = -1
@@ -117,199 +114,115 @@ func (s *advSchedule) markSybil(slot, adversary int) {
 	s.sybilN.Add(1)
 }
 
-// initValue resolves the local value an attacker-controlled slot
-// (re)starts an epoch with: inject-extreme poisons the restart value
-// while active, sybil slots always report their configured value, and
-// everyone else keeps the honest scripted value. The honest value is
-// passed in so the schedule never touches the ValueProgram — the truth
-// signal stays honest.
-func (s *advSchedule) initValue(node, cycle int, honest float64) float64 {
-	if ai := s.sybilOf[node].Load(); ai >= 0 {
-		return s.sc.Adversaries[ai].Value
+// liesOnWire reports whether the behavior rewrites what a node reports
+// in its exchanges rather than the value it restarts with.
+func (a Adversary) liesOnWire() bool {
+	return a.Behavior == BehaviorLieEstimate || a.Behavior == BehaviorReplayStale
+}
+
+// restartValue is the value a slot (re)starts an epoch with at the given
+// cycle (§4.1), on every executor: the honest scripted value, except
+// that a sybil slot always reports its attacker's value and an
+// inject-extreme slot poisons it while active. Cycle 0 is the founding
+// restart; the adversary window is 1-based, so it is evaluated as cycle
+// 1. The schedule never touches the ValueProgram, so the truth signal
+// stays honest. adv may be nil.
+func restartValue(adv *advSchedule, prog *ValueProgram, slot, cycle int) float64 {
+	honest := prog.Value(slot, cycle)
+	if adv == nil {
+		return honest
 	}
-	if ai := s.byzOf[node]; ai >= 0 {
-		a := s.sc.Adversaries[ai]
-		if a.Behavior == BehaviorInjectExtreme && a.activeAt(cycle, s.total) {
+	if ai := adv.sybilOf[slot].Load(); ai >= 0 {
+		return adv.sc.Adversaries[ai].Value
+	}
+	if ai := adv.byzOf[slot]; ai >= 0 {
+		a := &adv.sc.Adversaries[ai]
+		if a.Behavior == BehaviorInjectExtreme && a.activeAt(max(cycle, 1), adv.total) {
 			return a.Value
 		}
 	}
 	return honest
 }
 
-// engineHook builds the wire-lying hook the simulation engine installs
-// (sim.Config.Adversary), or nil when no configured behavior lies on the
-// wire. The hook is a pure function of (cycle, node, local) plus the
-// serially-updated replay snapshots, so the engine's shards may call it
-// concurrently.
-func (s *advSchedule) engineHook() func(cycle, node int, local float64) (float64, bool) {
-	need := false
-	for _, a := range s.sc.Adversaries {
-		if a.Behavior == BehaviorLieEstimate || a.Behavior == BehaviorReplayStale {
-			need = true
-		}
+// report decides what a slot reports on the wire at the given cycle, on
+// every executor. local is its honest estimate in epoch, and past its
+// sealed epoch outputs, oldest first. A lie-estimate slot reports Value,
+// or Amplify × local, tagged with epoch. A replay-stale slot reports the
+// output it sealed Lag epochs back, with that output's epoch tag, which
+// is exactly what §4.3's DropStale screens. lied is false where the slot
+// answers honestly: it is honest, its window is not active, or it has
+// sealed fewer than Lag outputs.
+func (s *advSchedule) report(slot, cycle int, local float64, epoch uint64, past []agent.Output) (v float64, tag uint64, lied bool) {
+	ai := s.byzOf[slot]
+	if ai < 0 {
+		return 0, 0, false
 	}
-	if !need {
+	a := &s.sc.Adversaries[ai]
+	if !a.activeAt(cycle, s.total) {
+		return 0, 0, false
+	}
+	switch a.Behavior {
+	case BehaviorLieEstimate:
+		if a.Amplify != 0 {
+			return a.Amplify * local, epoch, true
+		}
+		return a.Value, epoch, true
+	case BehaviorReplayStale:
+		if len(past) < a.Lag {
+			return 0, 0, false
+		}
+		out := past[len(past)-a.Lag]
+		return out.Value, out.Epoch, true
+	}
+	return 0, 0, false
+}
+
+// engineHook adapts report to the simulation engine (sim.Config's
+// Adversary), or returns nil when no slot lies on the wire (s nil
+// included). The engine has no epoch tags; a replay reads the estimates
+// snapshotEpoch records. The engine's shards may call it concurrently.
+func (s *advSchedule) engineHook() func(cycle, node int, local float64) (float64, bool) {
+	if s == nil || !slices.ContainsFunc(s.sc.Adversaries, Adversary.liesOnWire) {
 		return nil
 	}
 	return func(cycle, node int, local float64) (float64, bool) {
-		ai := s.byzOf[node]
-		if ai < 0 {
-			return 0, false
-		}
-		a := s.sc.Adversaries[ai]
-		if !a.activeAt(cycle, s.total) {
-			return 0, false
-		}
-		switch a.Behavior {
-		case BehaviorLieEstimate:
-			v := a.Value
-			if a.Amplify != 0 {
-				v = a.Amplify * local
-			}
+		v, _, lied := s.report(node, cycle, local, 0, s.simPast[node])
+		if lied {
 			s.lies.Add(1)
-			return v, true
-		case BehaviorReplayStale:
-			if !s.haveStale[node] {
-				return 0, false // no snapshot yet: first epochs answer honestly
-			}
-			s.lies.Add(1)
-			return s.stale[node], true
 		}
-		return 0, false
+		return v, lied
 	}
 }
 
-// snapshotEpoch records the replay-stale attackers' current estimates at
-// an epoch boundary (call before the Restart wipes them). Once Lag
-// snapshots have accumulated, the oldest becomes the replayed value —
-// the estimate the node held Lag epochs ago.
+// snapshotEpoch seals the replay-stale slots' current estimates at an
+// epoch boundary (call before the Restart wipes them), keeping the last
+// Lag of them.
 func (s *advSchedule) snapshotEpoch(value func(node int) float64) {
 	for slot, ai := range s.byzOf {
-		if ai < 0 {
+		if ai < 0 || s.sc.Adversaries[ai].Behavior != BehaviorReplayStale {
 			continue
 		}
-		a := s.sc.Adversaries[ai]
-		if a.Behavior != BehaviorReplayStale {
-			continue
+		past := append(s.simPast[slot], agent.Output{Value: value(slot)})
+		if lag := s.sc.Adversaries[ai].Lag; len(past) > lag {
+			past = past[1:]
 		}
-		q := append(s.staleQ[slot], value(slot))
-		if len(q) > a.Lag {
-			q = q[1:]
-		}
-		s.staleQ[slot] = q
-		if len(q) == a.Lag {
-			s.stale[slot], s.haveStale[slot] = q[0], true
-		}
+		s.simPast[slot] = past
 	}
 }
 
-// replayLag returns the replay-stale lag of the adversary controlling
-// the slot, or 0 when the slot doesn't replay.
-func (s *advSchedule) replayLag(slot int) int {
-	if ai := s.byzOf[slot]; ai >= 0 {
-		if a := s.sc.Adversaries[ai]; a.Behavior == BehaviorReplayStale {
-			return a.Lag
-		}
-	}
-	return 0
-}
-
-// liveStaleState hands a replay-stale attacker's lagged snapshot from
-// the output-subscription goroutine to its wire hook. The hook runs
-// under the node's own state mutex and must not call node methods or
-// take driver locks, so the snapshot travels as atomics.
-type liveStaleState struct {
-	have atomic.Bool
-	bits atomic.Uint64 // math.Float64bits of the stale estimate
-	tag  atomic.Uint64 // the epoch the estimate was sealed in
-}
-
-// liveValueSupplier builds a slot's epoch-restart value supplier for
-// the live executors: the honest scripted signal read at the driver's
-// current cycle, overridden by the adversary plan (inject-extreme,
-// sybil) for attacker-controlled slots. Cycle 0 is the pre-run founding
-// restart; the adversary window is 1-based, so poisoning is gated from
-// cycle 1 on.
-func liveValueSupplier(adv *advSchedule, prog *ValueProgram, slot int, cycleNow *atomic.Int64) func() float64 {
-	if adv == nil {
-		return func() float64 { return prog.Value(slot, int(cycleNow.Load())) }
-	}
-	return func() float64 {
-		cycle := int(cycleNow.Load())
-		honest := prog.Value(slot, cycle)
-		w := cycle
-		if w < 1 {
-			w = 1
-		}
-		return adv.initValue(slot, w, honest)
-	}
-}
-
-// wireHook builds a live-fleet slot's wire-lying hook (agent.Config's
-// Adversary), or nil for honest slots. The agent applies it at payload
-// construction — the single point both the exchange request and the
-// pre-merge reply pass through — so lies corrupt the wire while the
-// trace XIDs stay intact and exchange traces still stitch. The hook
-// runs under the node's state mutex: it reads only the immutable
-// schedule, the driver's atomic cycle clock and the replay snapshot
-// atomics. Lying is counted by the agent's own metrics, which the
-// fleet aggregation (agent.RegisterMetrics) exports.
-func (s *advSchedule) wireHook(slot int, st *liveStaleState, cycleNow *atomic.Int64) func(epoch uint64, local float64) (float64, uint64, bool) {
-	ai := s.byzOf[slot]
-	if ai < 0 {
+// wireHook adapts report to a fleet slot's agent (agent.Config's
+// Adversary), or returns nil for a slot that does not lie on the wire
+// (every slot, when s is nil).
+// The agent calls it under the node's lock with the node's own sealed
+// outputs, and counts the lies in its metrics; the hook reads only the
+// immutable schedule and the fleet's atomic cycle clock.
+func (s *advSchedule) wireHook(slot int, cycleNow *atomic.Int64) func(uint64, float64, []agent.Output) (float64, uint64, bool) {
+	if s == nil || s.byzOf[slot] < 0 || !s.sc.Adversaries[s.byzOf[slot]].liesOnWire() {
 		return nil
 	}
-	a := s.sc.Adversaries[ai]
-	if a.Behavior != BehaviorLieEstimate && a.Behavior != BehaviorReplayStale {
-		return nil
+	return func(epoch uint64, local float64, past []agent.Output) (float64, uint64, bool) {
+		return s.report(slot, int(cycleNow.Load()), local, epoch, past)
 	}
-	total := s.total
-	return func(epoch uint64, local float64) (float64, uint64, bool) {
-		if !a.activeAt(int(cycleNow.Load()), total) {
-			return 0, 0, false
-		}
-		switch a.Behavior {
-		case BehaviorLieEstimate:
-			v := a.Value
-			if a.Amplify != 0 {
-				v = a.Amplify * local
-			}
-			return v, epoch, true
-		case BehaviorReplayStale:
-			if !st.have.Load() {
-				return 0, 0, false // no lagged snapshot yet: answer honestly
-			}
-			// Replaying the stale epoch tag along with the stale estimate
-			// hands honest receivers the §4.3 DropStale defense.
-			return math.Float64frombits(st.bits.Load()), st.tag.Load(), true
-		}
-		return 0, 0, false
-	}
-}
-
-// replayWatch feeds a replay-stale attacker's snapshot from the node's
-// sealed epoch outputs: once lag outputs have accumulated the oldest
-// becomes the replayed (estimate, epoch-tag) pair — exactly what the
-// node reported lag epochs ago. The subscription closes when the node
-// stops, ending the goroutine; wg tracks it for driver shutdown.
-func replayWatch(node *agent.Node, st *liveStaleState, lag int, wg *sync.WaitGroup) {
-	ch := node.Subscribe(4)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		var q []agent.Output
-		for out := range ch {
-			q = append(q, out)
-			if len(q) > lag {
-				q = q[1:]
-			}
-			if len(q) == lag {
-				st.bits.Store(math.Float64bits(q[0].Value))
-				st.tag.Store(q[0].Epoch)
-				st.have.Store(true)
-			}
-		}
-	}()
 }
 
 // BiasReport quantifies an attack's impact: the per-cycle difference

@@ -3,10 +3,13 @@ package scenario
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"antientropy/internal/agent"
 	"antientropy/internal/obs"
 )
 
@@ -337,4 +340,136 @@ func TestLiveLieEstimateTraceStitches(t *testing.T) {
 	if !strings.Contains(out, "agg_adversary_nodes 5") { // round(0.2 * 24)
 		t.Error("hostile population gauge missing or wrong in live export")
 	}
+}
+
+// TestReportIsOneRule pins what a Byzantine slot reports, the one rule
+// both the engine hook and the agent hook adapt: lie-estimate reports
+// its value (or amplifies the honest estimate) in the current epoch;
+// replay-stale stays honest until the slot has sealed Lag outputs, then
+// reports the output sealed Lag epochs back with its epoch tag; nothing
+// lies outside its window or from an honest slot.
+func TestReportIsOneRule(t *testing.T) {
+	sc := Scenario{
+		Name: "report", N: 4, Cycles: 20, Seed: 1,
+		Adversaries: []Adversary{
+			{Behavior: BehaviorLieEstimate, Count: 1, Value: 1e6, Until: 10},
+			{Behavior: BehaviorReplayStale, Count: 1, Lag: 2},
+			{Behavior: BehaviorLieEstimate, Count: 1, Amplify: 3},
+		},
+	}.WithDefaults()
+	adv := newAdvSchedule(sc, sc.MaxSlots())
+	slotOf := map[int]int{} // adversary index → slot
+	honest := -1
+	for slot, ai := range adv.byzOf {
+		if ai < 0 {
+			honest = slot
+		} else {
+			slotOf[ai] = slot
+		}
+	}
+	var past []agent.Output
+	for e := range uint64(4) {
+		past = append(past, agent.Output{Epoch: e, Value: float64(10 * (e + 1)), OK: true})
+	}
+	type want struct {
+		v    float64
+		tag  uint64
+		lied bool
+	}
+	for _, tc := range []struct {
+		name        string
+		slot, cycle int
+		past        []agent.Output
+		want        want
+	}{
+		{"honest slot", honest, 5, past, want{}},
+		{"fixed lie", slotOf[0], 5, nil, want{1e6, 7, true}},
+		{"fixed lie after its window", slotOf[0], 11, nil, want{}},
+		{"amplified lie", slotOf[2], 5, nil, want{3 * 2.5, 7, true}},
+		{"replay before lag outputs", slotOf[1], 5, past[:1], want{}},
+		{"replay at lag outputs", slotOf[1], 5, past[:2], want{10, 0, true}},
+		{"replay four sealed", slotOf[1], 5, past, want{30, 2, true}},
+	} {
+		v, tag, lied := adv.report(tc.slot, tc.cycle, 2.5, 7, tc.past)
+		if got := (want{v, tag, lied}); got != tc.want {
+			t.Errorf("%s: reported %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+	var cycle atomic.Int64
+	cycle.Store(5)
+	if adv.wireHook(honest, &cycle) != nil {
+		t.Error("an honest slot got a wire hook")
+	}
+	if v, tag, lied := adv.wireHook(slotOf[1], &cycle)(7, 2.5, past[:3]); !lied || v != 20 || tag != 1 {
+		t.Errorf("wire hook replayed %g in epoch %d (lied %v), want 20 in epoch 1", v, tag, lied)
+	}
+}
+
+// TestReplayLagBoundedByRetainedOutputs: a node keeps agent.MaxOutputs
+// sealed outputs, so a replay-stale lag beyond that is refused by every
+// executor, and the error names the bound.
+func TestReplayLagBoundedByRetainedOutputs(t *testing.T) {
+	sc := Scenario{
+		Name: "lag", N: 20, Cycles: 10, Seed: 1,
+		Adversaries: []Adversary{{Behavior: BehaviorReplayStale, Count: 2, Lag: agent.MaxOutputs}},
+	}
+	if err := sc.WithDefaults().Validate(); err != nil {
+		t.Fatalf("lag %d refused: %v", agent.MaxOutputs, err)
+	}
+	sc.Adversaries[0].Lag = agent.MaxOutputs + 1
+	runs := map[string]func() error{
+		"sim":  func() error { _, err := RunSim(sc); return err },
+		"live": func() error { _, err := RunLive(context.Background(), sc, FleetOptions{}); return err },
+		"udp":  func() error { _, err := RunUDP(context.Background(), sc, FleetOptions{}); return err },
+	}
+	for name, run := range runs {
+		err := run()
+		if err == nil || !strings.Contains(err.Error(), "[1, 16]") {
+			t.Errorf("%s: lag %d gave error %v, want one naming the bound 16", name, agent.MaxOutputs+1, err)
+		}
+	}
+}
+
+// TestLiveReplayStaleDropsAtHonestNodes runs replay-stale on a live
+// fleet: attackers replay the output they sealed two epochs back, with
+// its epoch tag, so the fleet counts lies and honest nodes drop the
+// replays as stale (§4.3). Founders bind in slot order on one mem
+// network, so slot k is the endpoint "mem-k".
+func TestLiveReplayStaleDropsAtHonestNodes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live fleet test skipped in -short mode")
+	}
+	sc := Scenario{
+		Name: "live-replay", N: 24, Cycles: 18, EpochLen: 6, Seed: 11,
+		Adversaries: []Adversary{{Behavior: BehaviorReplayStale, Fraction: 0.2, Lag: 2}},
+	}.WithDefaults()
+	reg := obs.NewRegistry()
+	ring := obs.NewTraceRing(1 << 15)
+	if _, err := RunLive(context.Background(), sc, FleetOptions{
+		CycleLen: 20 * time.Millisecond, Obs: reg, Trace: ring,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if out := sb.String(); strings.Contains(out, "agg_adversary_lies_total 0\n") || !strings.Contains(out, "agg_adversary_lies_total") {
+		t.Fatal("live replay-stale attackers reported no lies")
+	}
+	adv := newAdvSchedule(sc, sc.MaxSlots())
+	hostile := map[string]bool{}
+	for slot := range sc.N {
+		hostile[fmt.Sprintf("mem-%d", slot)] = adv.hostile(slot)
+	}
+	honestDrops := 0
+	for _, ev := range ring.Events() {
+		if ev.Kind == obs.TraceStaleDrop && !hostile[ev.Node] && hostile[ev.Peer] {
+			honestDrops++
+		}
+	}
+	if honestDrops == 0 {
+		t.Fatal("no honest node dropped a replayed message as stale")
+	}
+	t.Logf("honest nodes dropped %d replayed messages as stale", honestDrops)
 }

@@ -31,6 +31,7 @@ import (
 	"io"
 	"math"
 
+	"antientropy/internal/agent"
 	"antientropy/internal/core"
 )
 
@@ -212,9 +213,10 @@ const (
 	// liar's own trajectory.
 	BehaviorLieEstimate Behavior = "lie-estimate"
 	// BehaviorReplayStale makes Byzantine nodes answer with the estimate
-	// (and, on the live executors, the epoch tag) they held Lag epochs
-	// ago — a replay attack the epoch-synchronization rules (§4.3)
-	// already blunt on the live path.
+	// they sealed Lag epochs ago — on the live executors the node's own
+	// retained output, with its epoch tag — a replay attack the
+	// epoch-synchronization rules (§4.3) already blunt on the live path.
+	// A node answers honestly until it has sealed Lag outputs.
 	BehaviorReplayStale Behavior = "replay-stale"
 	// BehaviorSybilFlood joins Rate attacker-controlled nodes per active
 	// cycle, each reporting Value — mass dilution through fake
@@ -249,7 +251,8 @@ type Adversary struct {
 	// Amplify, when non-zero, makes lie-estimate report Amplify × the
 	// honest estimate instead of the fixed Value.
 	Amplify float64 `json:"amplify,omitempty"`
-	// Lag is how many epochs back replay-stale answers from (default 1).
+	// Lag is how many epochs back replay-stale answers from (default 1,
+	// at most agent.MaxOutputs = 16, the epoch outputs a node keeps).
 	Lag int `json:"lag,omitempty"`
 	// Rate is the sybil-flood join rate in attacker nodes per active
 	// cycle.
@@ -474,8 +477,8 @@ func (s Scenario) validateAdversary(a Adversary) error {
 		if a.Behavior == BehaviorLieEstimate && a.Value == 0 && a.Amplify == 0 {
 			return errors.New("lie-estimate needs value or amplify")
 		}
-		if a.Behavior == BehaviorReplayStale && a.Lag < 1 {
-			return errors.New("replay-stale needs lag >= 1")
+		if a.Behavior == BehaviorReplayStale && (a.Lag < 1 || a.Lag > agent.MaxOutputs) {
+			return fmt.Errorf("replay-stale needs lag in [1, %d], the epoch outputs a node keeps; got %d", agent.MaxOutputs, a.Lag)
 		}
 	case BehaviorSybilFlood:
 		if a.Rate < 1 {

@@ -136,8 +136,8 @@ func RunSimWith(sc Scenario, opts SimOptions) (*RunResult, error) {
 		Shards:       shards,
 		Workers:      opts.Workers,
 		Fn:           core.Average,
-		Init:         func(node int) float64 { return d.initValue(node, 0) },
-		Adversary:    d.advHook(),
+		Init:         func(node int) float64 { return restartValue(d.adv, d.prog, node, 0) },
+		Adversary:    d.adv.engineHook(),
 		Guard:        d.guard,
 		Overlay:      sim.Newscast(30),
 		MessageLoss:  sc.MessageLoss,
@@ -168,31 +168,6 @@ type simDriver struct {
 	guard *core.MergeGuard
 }
 
-// initValue resolves a node's (re)start value: the honest scripted value
-// unless the adversary schedule overrides it (inject-extreme poisoning,
-// sybil slots). Cycle 0 is the initial state; its adversary window is
-// evaluated as cycle 1, the first cycle the run executes.
-func (d *simDriver) initValue(node, cycle int) float64 {
-	honest := d.prog.Value(node, cycle)
-	if d.adv == nil {
-		return honest
-	}
-	wcycle := cycle
-	if wcycle < 1 {
-		wcycle = 1
-	}
-	return d.adv.initValue(node, wcycle, honest)
-}
-
-// advHook exposes the wire-lying hook for the engine configs (nil for
-// honest scenarios).
-func (d *simDriver) advHook() func(cycle, node int, local float64) (float64, bool) {
-	if d.adv == nil {
-		return nil
-	}
-	return d.adv.engineHook()
-}
-
 // beforeCycle implements §4.1/§4.2 at epoch boundaries: the protocol
 // restarts from the current scripted values and waiting joiners become
 // participants. Replay-stale attackers snapshot the estimates they will
@@ -202,7 +177,7 @@ func (d *simDriver) beforeCycle(cycle int, e *sim.Engine) {
 		if d.adv != nil {
 			d.adv.snapshotEpoch(func(node int) float64 { return e.Value(node) })
 		}
-		e.Restart(func(node int) float64 { return d.initValue(node, cycle) })
+		e.Restart(func(node int) float64 { return restartValue(d.adv, d.prog, node, cycle) })
 	}
 }
 

@@ -119,11 +119,9 @@ type supervisor struct {
 	cycleNow atomic.Int64
 	prog     *ValueProgram
 	// adv is the run's Byzantine plan: the script marks sybil joins on it
-	// and the nodes read it. advStale carries the replay-stale attackers'
-	// lagged snapshots from the per-node output subscriptions to the wire
-	// hooks; combiner is the defense's merge policy handed to every node.
+	// and the nodes read it; combiner is the defense's merge policy handed
+	// to every node.
 	adv      *advSchedule
-	advStale []liveStaleState
 	combiner core.Combiner
 	// rtt is the fleet's exchange round-trip histogram, fed by every node.
 	rtt *obs.Histogram
@@ -196,9 +194,6 @@ func newSupervisor(ctx context.Context, sc Scenario, opts FleetOptions, executor
 	// The baseline loss applies from the founding on, exactly as in the
 	// simulator; loss bursts override it cycle by cycle.
 	d.filter.SetLoss(sc.MessageLoss)
-	if adv != nil {
-		d.advStale = make([]liveStaleState, slots)
-	}
 	if c, err := sc.Defense.combiner(); err == nil {
 		d.combiner = c // err pre-screened by Validate
 	}
@@ -481,7 +476,10 @@ func (d *supervisor) gather() fleetSample {
 		s.totals.Accumulate(n.node.Metrics())
 		s.queueDrops += n.ep.QueueDrops()
 		s.filterDrops += n.ep.FilterDrops()
-		if !n.node.Participating() {
+		// One lock hold per node: the participation and the estimate
+		// must come from the same side of an epoch edge.
+		snap := n.node.Snapshot()
+		if !snap.Participating {
 			continue
 		}
 		s.participating++
@@ -489,8 +487,8 @@ func (d *supervisor) gather() fleetSample {
 		if d.adv != nil && d.adv.hostile(slot) {
 			continue
 		}
-		if v, ok := n.node.Estimate(); ok {
-			s.est.Add(v)
+		if snap.OK {
+			s.est.Add(snap.Estimate)
 		}
 	}
 	for _, w := range d.workers {

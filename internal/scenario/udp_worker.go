@@ -123,15 +123,11 @@ func bootstrapSubset(all []string, seed uint64, slot int, seen map[int]struct{})
 // adversary wiring happens here, so a Byzantine slot that churns stays
 // Byzantine, mirroring the simulator's slot-indexed schedule.
 func (d *supervisor) newNode(slot int, seeds, bootstrap []string) (*agent.Node, error) {
-	var hook func(uint64, float64) (float64, uint64, bool)
-	if d.adv != nil {
-		hook = d.adv.wireHook(slot, &d.advStale[slot], &d.cycleNow)
-	}
 	node, err := agent.New(agent.Config{
 		Endpoint:     d.nodes[slot].ep,
 		Schedule:     d.sched,
 		Function:     core.Average,
-		Value:        liveValueSupplier(d.adv, d.prog, slot, &d.cycleNow),
+		Value:        func() float64 { return restartValue(d.adv, d.prog, slot, int(d.cycleNow.Load())) },
 		Seeds:        seeds,
 		Bootstrap:    bootstrap,
 		Seed:         d.sc.Seed + uint64(slot)*0x9e3779b97f4a7c15 + 1,
@@ -139,17 +135,12 @@ func (d *supervisor) newNode(slot int, seeds, bootstrap []string) (*agent.Node, 
 		RTT:          d.rtt,
 		Trace:        d.opts.Trace,
 		MaxViewBytes: d.sc.ViewCapBytes,
-		Adversary:    hook,
+		Adversary:    d.adv.wireHook(slot, &d.cycleNow),
 		Combiner:     d.combiner,
 		CombinerK:    d.sc.Defense.Samples,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("building node %d: %w", slot, err)
-	}
-	if d.adv != nil {
-		if lag := d.adv.replayLag(slot); lag > 0 {
-			replayWatch(node, &d.advStale[slot], lag, &d.stopping)
-		}
 	}
 	return node, nil
 }

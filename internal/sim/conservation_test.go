@@ -73,11 +73,13 @@ func TestEngineVectorMassConservationProperty(t *testing.T) {
 		}
 		// Duplicate leader slots stack their mass: compute expected mass
 		// per dimension (1 each).
-		for d := 0; d < dim; d++ {
-			total := 0.0
-			for i := 0; i < n; i++ {
-				total += e.Vector(i)[d]
+		totals := make([]float64, dim)
+		e.ForEachParticipantVec(func(_ int, vec []float64) {
+			for d, v := range vec {
+				totals[d] += v
 			}
+		})
+		for _, total := range totals {
 			if math.Abs(total-1) > 1e-9 {
 				return false
 			}

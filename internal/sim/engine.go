@@ -669,9 +669,6 @@ func (e *Engine) N() int { return e.nodes }
 // Dim returns the state-vector dimension (0 in scalar mode).
 func (e *Engine) Dim() int { return e.cfg.Dim }
 
-// Shards returns the effective shard count K.
-func (e *Engine) Shards() int { return len(e.shards) }
-
 // AliveCount returns the number of currently live nodes.
 func (e *Engine) AliveCount() int { return e.alive.Len() }
 
@@ -713,12 +710,6 @@ func (e *Engine) Metrics() Metrics { return e.metrics }
 
 // Value returns node's scalar estimate (scalar mode).
 func (e *Engine) Value(node int) float64 { return e.scalar[node] }
-
-// Vector returns a copy of node's state vector (vector mode).
-func (e *Engine) Vector(node int) []float64 {
-	dim := e.cfg.Dim
-	return append([]float64(nil), e.vec[node*dim:(node+1)*dim]...)
-}
 
 // ForEachParticipant calls fn for every live, participating node with its
 // scalar estimate (scalar mode).

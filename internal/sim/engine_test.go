@@ -336,11 +336,13 @@ func TestVectorModeMultiInstance(t *testing.T) {
 		}
 		// Every instance conserves unit mass: summed over nodes each
 		// dimension must still hold exactly 1 (no failures configured).
-		for d := 0; d < dim; d++ {
-			total := 0.0
-			for i := 0; i < n; i++ {
-				total += e.Vector(i)[d]
+		totals := make([]float64, dim)
+		e.ForEachParticipantVec(func(_ int, vec []float64) {
+			for d, v := range vec {
+				totals[d] += v
 			}
+		})
+		for d, total := range totals {
 			if math.Abs(total-1) > 1e-9 {
 				t.Fatalf("instance %d mass = %g, want 1", d, total)
 			}

@@ -17,8 +17,8 @@ func TestShardLayoutCoversNodeSpace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := min(tc.k, tc.n); e.Shards() != want {
-			t.Fatalf("n=%d k=%d: %d shards, want %d", tc.n, tc.k, e.Shards(), want)
+		if want := min(tc.k, tc.n); len(e.shards) != want {
+			t.Fatalf("n=%d k=%d: %d shards, want %d", tc.n, tc.k, len(e.shards), want)
 		}
 		covered := 0
 		for _, s := range e.shards {
@@ -37,8 +37,8 @@ func TestShardLayoutCoversNodeSpace(t *testing.T) {
 		}
 	}
 	// A zero shard count is one shard, whatever the machine.
-	if e, err := New(baseConfig(100, 0, 0)); err != nil || e.Shards() != 1 {
-		t.Fatalf("Shards: 0 built %d shards (err %v), want 1", e.Shards(), err)
+	if e, err := New(baseConfig(100, 0, 0)); err != nil || len(e.shards) != 1 {
+		t.Fatalf("Shards: 0 built %d shards (err %v), want 1", len(e.shards), err)
 	}
 }
 
