@@ -29,8 +29,12 @@ if [ $# -ne 3 ]; then
 fi
 parent=$(cd "$1" && pwd)
 change=$(cd "$2" && pwd)
-mkdir -p "$3/runs"
+mkdir -p "$3"
 out=$(cd "$3" && pwd)
+# Recordings of an earlier gate in the same OUT_DIR must neither stand in
+# for a run that wrote none nor join this gate's merge.
+rm -rf "$out/runs"
+mkdir "$out/runs"
 pairs=${PAIRS:-5}
 seconds=${SECONDS_PER_RUN:-20}
 seed=${SEED:-1000000}

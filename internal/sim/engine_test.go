@@ -354,6 +354,52 @@ func TestVectorModeMultiInstance(t *testing.T) {
 	})
 }
 
+// TestReplaceClearsVector checks that a replaced slot in vector mode holds
+// no mass: vector-mode Restart reinstates joiners without reloading their
+// state, so a leftover vector would be counted again in the next epoch.
+func TestReplaceClearsVector(t *testing.T) {
+	forEachK(t, func(t *testing.T, k int) {
+		const node, dim = 7, 2
+		e, err := New(Config{
+			N: 100, Cycles: 4, Seed: 5, Shards: k,
+			Dim: dim, Leaders: []int{node, 50},
+			Overlay: randomOverlay(10),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Step()
+		e.Step()
+		vec := e.vec[node*dim : (node+1)*dim]
+		if vec[0] == 0 {
+			t.Fatalf("slot %d holds no mass before the replace", node)
+		}
+		e.Kill(node)
+		e.Replace(node)
+		for d, v := range vec {
+			if v != 0 {
+				t.Fatalf("replaced slot kept mass %g in dim %d", v, d)
+			}
+		}
+		e.Restart(nil)
+		seen := false
+		e.ForEachParticipantVec(func(i int, vec []float64) {
+			if i != node {
+				return
+			}
+			seen = true
+			for d, v := range vec {
+				if v != 0 {
+					t.Fatalf("rejoined slot carries mass %g in dim %d", v, d)
+				}
+			}
+		})
+		if !seen {
+			t.Fatalf("slot %d does not participate after Restart", node)
+		}
+	})
+}
+
 func TestDeterminism(t *testing.T) {
 	forEachK(t, func(t *testing.T, k int) {
 		run := func() []float64 {
