@@ -277,13 +277,12 @@ type (
 	// Timeline is the per-cycle flight recorder: a bounded ring of fleet
 	// snapshots served at /debug/timeline.
 	Timeline = obs.Timeline
-	// TimelineEntry is one flight-recorder snapshot.
+	// TimelineEntry is one cycle's fleet state: what the health rules
+	// read and the flight recorder keeps.
 	TimelineEntry = obs.TimelineEntry
 	// Health evaluates the fleet health rules once per cycle, exporting
 	// agg_alerts_total / agg_alert_active and logging transitions.
 	Health = obs.Health
-	// HealthSample is one cycle's fleet state fed to the health rules.
-	HealthSample = obs.HealthSample
 	// TelemetryServer serves /metrics, /debug/trace, /debug/timeline and
 	// /debug/pprof.
 	TelemetryServer = obs.Server

@@ -162,23 +162,22 @@ func BenchmarkAblationCombinerSharded(b *testing.B) {
 func BenchmarkRhoTheory(b *testing.B) {
 	var rho float64
 	for i := 0; i < b.N; i++ {
-		var tracker stats.ConvergenceTracker
+		w := stats.RhoWindow{To: 20}
 		_, err := sim.Run(sim.Config{
 			N: benchN, Cycles: 20, Seed: 1,
 			Fn:      core.Average,
 			Init:    sim.UniformInit(0, 1, 2),
 			Overlay: experiments.RandomTopology(20).Overlay,
-			Observe: func(_ int, e *sim.Engine) {
-				m := e.ParticipantMoments()
-				tracker.Record(m.Variance())
+			Observe: func(cycle int, e *sim.Engine) {
+				w.Add(0, cycle, e.ParticipantMoments().Variance())
 			},
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		rho, err = tracker.AverageFactor(20)
-		if err != nil {
-			b.Fatal(err)
+		var ok bool
+		if rho, ok = w.Factor(); !ok {
+			b.Fatal("no convergence factor")
 		}
 	}
 	b.ReportMetric(rho, "rho")

@@ -211,7 +211,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 				fmt.Fprintf(stdout, "== epoch %d output: %.6f (ok=%v)\n", out.Epoch, out.Value, out.OK)
 			}
 			m := node.Metrics()
-			alerts := health.Eval(antientropy.HealthSample{
+			rec := antientropy.TimelineEntry{
 				Cycle:         tick,
 				Epoch:         node.Epoch(),
 				Alive:         node.PeerCount() + 1,
@@ -222,16 +222,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 				Timeouts:      m.Timeouts,
 				Declined:      m.PeerDeclined,
 				Drops:         endpoint.QueueDrops() + endpoint.FilterDrops(),
-			})
-			timeline.Record(antientropy.TimelineEntry{
-				Cycle:         tick,
-				Epoch:         node.Epoch(),
-				Alive:         node.PeerCount() + 1,
-				Participating: participating,
-				MeanEstimate:  est,
-				Drops:         endpoint.QueueDrops() + endpoint.FilterDrops(),
-				Alerts:        alerts,
-			})
+			}
+			rec.Alerts = health.Eval(rec)
+			timeline.Record(rec)
 		}
 	}
 }

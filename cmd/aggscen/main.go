@@ -98,7 +98,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	logger, reg, ring, timeline := tel.Logger, tel.Registry, tel.Trace, tel.Timeline
 	if ring != nil {
 		defer func() {
-			logger.Info("dumping exchange trace", "retained", len(ring.Events()), "total", ring.Total())
+			logger.Info("dumping exchange trace", "retained", len(ring.Entries()), "total", ring.Total())
 			_ = ring.WriteJSON(os.Stderr)
 		}()
 	}

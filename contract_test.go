@@ -73,6 +73,20 @@ var wallClock = []string{
 	"internal/transport/udpfilter.go: time.Now ×1",
 }
 
+// logPowExp lists the references to math.Log, math.Pow and math.Exp
+// outside bench/ ("file: math.Func ×n"). A convergence factor is read by
+// internal/stats's Rho and RhoWindow alone, so no variance ratio is
+// raised to a power or averaged in the log domain anywhere else.
+var logPowExp = []string{
+	"examples/derived/main.go: math.Exp ×1", "examples/derived/main.go: math.Log ×2",
+	"internal/core/core.go: math.Pow ×1", "internal/experiments/figures.go: math.Pow ×1",
+	"internal/plot/plot.go: math.Pow ×1", "internal/stats/convergence.go: math.Pow ×1",
+	"internal/stats/moments.go: math.Exp ×1", "internal/stats/moments.go: math.Log ×1",
+	"internal/stats/rng.go: math.Exp ×1", "internal/stats/rng.go: math.Log ×1",
+	"internal/theory/theory.go: math.Exp ×2", "internal/theory/theory.go: math.Log ×3",
+	"internal/theory/theory.go: math.Pow ×2",
+}
+
 var (
 	wallClockDirs = []string{"internal/agent", "internal/transport", "internal/scenario", "internal/serve"}
 	clockFuncs    = strings.Fields("Now Since Until Sleep After AfterFunc NewTimer NewTicker Tick")
@@ -92,7 +106,7 @@ var simInterfaces = []string{"FailureModel", "OverlaySpec"}
 
 // facadeNames pins the root package's exported package-level names:
 // types, functions, constants and variables (ROADMAP item 4 prunes them).
-const facadeNames = 139
+const facadeNames = 138
 
 // nodeMethods lists agent.Node's exported methods. A node's local value
 // has one path, Config.Value, so no setter is on the list.
@@ -218,6 +232,7 @@ func TestDesignContract(t *testing.T) {
 
 	var uses []string
 	clock := map[string]int{} // "file: time.Func" → references
+	logs := map[string]int{}  // "file: math.Func" → references
 	for name, f := range tree {
 		dir := path.Dir(name)
 		imported := map[string]string{} // local name → package dir, or "time"
@@ -248,6 +263,9 @@ func TestDesignContract(t *testing.T) {
 					if pkg == "time" && slices.Contains(clockFuncs, fn) && slices.Contains(wallClockDirs, dir) {
 						clock[name+": time."+fn]++
 					}
+					if pkg == "math" && (fn == "Log" || fn == "Pow" || fn == "Exp") && !strings.HasPrefix(name, "bench/") {
+						logs[name+": math."+fn]++
+					}
 					if pkg != dir && deps[pkg+"."+fn] {
 						uses = append(uses, name+": "+x.Name+"."+fn)
 					}
@@ -271,6 +289,11 @@ func TestDesignContract(t *testing.T) {
 		sites = append(sites, fmt.Sprintf("%s ×%d", site, n))
 	}
 	diffList(t, "wall clock", sites, wallClock)
+	var logSites []string
+	for site, n := range logs {
+		logSites = append(logSites, fmt.Sprintf("%s ×%d", site, n))
+	}
+	diffList(t, "math.Log/Pow/Exp", logSites, logPowExp)
 	diffList(t, "internal/agent package-level vars", vars, agentVars)
 	diffList(t, "callers of deprecated identifiers", uses, deprecatedUses)
 	diffList(t, "internal/sim exported interfaces", ifaces, simInterfaces)

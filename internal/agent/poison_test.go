@@ -214,7 +214,7 @@ func TestFleetsConvergeOnPoisonedWorkspaces(t *testing.T) {
 				}
 			}
 		}
-		for _, ev := range ring.Events() {
+		for _, ev := range ring.Entries() {
 			if ev.Node == poison || ev.Peer == poison || ev.Seq == math.MaxUint64 || ev.Epoch == math.MaxUint64 {
 				t.Fatalf("a trace record kept workspace contents: %+v", ev)
 			}

@@ -2,8 +2,6 @@ package agent
 
 import (
 	"context"
-	"math"
-	"slices"
 	"testing"
 	"time"
 
@@ -87,17 +85,17 @@ func TestLiveFleetContractsAtPaperRate(t *testing.T) {
 		}
 		return m.PopVariance()
 	}
-	var rhos []float64
+	w := stats.RhoWindow{From: from, To: to}
 	for e := 1; e <= epochs; e++ {
 		v0, v1 := variance(e*gamma+from), variance(e*gamma+to)
 		if v0 <= 0 || v1 <= 0 {
 			t.Fatalf("epoch %d: variance %g at cycle %d, %g at cycle %d", e, v0, from, v1, to)
 		}
-		rhos = append(rhos, math.Pow(v1/v0, 1.0/(to-from)))
+		w.Add(e, from, v0)
+		w.Add(e, to, v1)
 	}
-	slices.Sort(rhos)
-	rho := (rhos[epochs/2-1] + rhos[epochs/2]) / 2
-	t.Logf("ρ per epoch %.3f, median %.3f", rhos, rho)
+	rho, _ := stats.Median(w.Factors())
+	t.Logf("ρ per epoch %.3f, median %.3f", w.Factors(), rho)
 	if rho > 0.35 {
 		t.Errorf("the fleet contracts the variance by %.3f per cycle, want ≤ 0.35 (paper 0.303)", rho)
 	}

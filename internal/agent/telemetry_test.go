@@ -43,7 +43,7 @@ func TestRTTAndTraceTelemetry(t *testing.T) {
 		t.Error("shared RTT histogram received no observations")
 	}
 	kinds := make(map[obs.TraceKind]int)
-	for _, ev := range ring.Events() {
+	for _, ev := range ring.Entries() {
 		kinds[ev.Kind]++
 		if ev.Node == "" {
 			t.Error("trace event without node address")

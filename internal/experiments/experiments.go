@@ -24,6 +24,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -230,22 +231,29 @@ func standardTopologies(degree, newscastC int) []TopologySpec {
 // the average convergence factor over the first c.cycles cycles (the
 // quantity of Figures 3a, 4a, 4b and ablation A3).
 func convergence(c cell, n int, overlay sim.OverlaySpec) ([]float64, error) {
-	var tracker stats.ConvergenceTracker
-	_, err := sim.Run(c.eng.with(sim.Config{
+	return factor(c, sim.Config{
 		N:       n,
-		Cycles:  c.cycles,
-		Seed:    c.seed,
 		Fn:      core.Average,
 		Init:    sim.UniformInit(0, 1, c.seed^0xabcdef),
 		Overlay: overlay,
-		Observe: func(_ int, e *sim.Engine) {
-			tracker.Record(e.ParticipantMoments().Variance())
-		},
-	}))
-	if err != nil {
+	}, func(e *sim.Engine) float64 { return e.ParticipantMoments().Variance() })
+}
+
+// factor runs cfg for c.cycles cycles from c.seed and returns its
+// average convergence factor over them as a row measurement, reading
+// each cycle's estimate variance with variance.
+func factor(c cell, cfg sim.Config, variance func(*sim.Engine) float64) ([]float64, error) {
+	w := stats.RhoWindow{To: c.cycles}
+	cfg.Cycles, cfg.Seed = c.cycles, c.seed
+	cfg.Observe = func(cycle int, e *sim.Engine) { w.Add(0, cycle, variance(e)) }
+	if _, err := sim.Run(c.eng.with(cfg)); err != nil {
 		return nil, err
 	}
-	return one(tracker.AverageFactor(c.cycles))
+	rho, ok := w.Factor()
+	if !ok {
+		return nil, errors.New("experiments: zero initial variance, no convergence factor")
+	}
+	return []float64{rho}, nil
 }
 
 // countEpoch runs one COUNT epoch (single leader, peak initialization)
@@ -270,14 +278,6 @@ func countEpoch(c cell, failures []sim.FailureModel, loss float64) ([]float64, e
 		return []float64{math.Inf(1)}, nil
 	}
 	return []float64{m.Mean()}, nil
-}
-
-// one wraps a single measured value as a row measurement.
-func one(v float64, err error) ([]float64, error) {
-	if err != nil {
-		return nil, err
-	}
-	return []float64{v}, nil
 }
 
 // logGrid returns approximately-log-spaced integer network sizes from lo

@@ -71,19 +71,19 @@ func rows() []row {
 			n: 100000, reps: 10, seed: 4, cycles: 50,
 			series: labels(standard), perSeries: true, seedLabel: true,
 			measure: func(c cell) ([]float64, error) {
-				var tracker stats.ConvergenceTracker
+				var variances []float64
 				_, err := sim.Run(c.eng.with(sim.Config{
 					N: c.n, Cycles: c.cycles, Seed: c.seed,
 					Fn: core.Average, Init: sim.UniformInit(0, 1, c.seed^0x5eed),
 					Overlay: standard[c.series].Overlay,
 					Observe: func(_ int, e *sim.Engine) {
-						tracker.Record(e.ParticipantMoments().Variance())
+						variances = append(variances, e.ParticipantMoments().Variance())
 					},
 				}))
 				if err != nil {
 					return nil, err
 				}
-				return tracker.NormalizedReduction(), nil
+				return stats.NormalizedReduction(variances), nil
 			},
 		},
 		{
@@ -159,22 +159,14 @@ func rows() []row {
 			measure: func(c cell) ([]float64, error) {
 				// COUNT is an averaging instance over the peak
 				// distribution; its factor is measured on the estimates.
-				var tracker stats.ConvergenceTracker
-				_, err := sim.Run(c.eng.with(sim.Config{
-					N: c.n, Cycles: c.cycles, Seed: c.seed,
-					Dim: 1, Leaders: []int{0},
-					Overlay:     sim.Newscast(30),
-					LinkFailure: c.x,
-					Observe: func(_ int, e *sim.Engine) {
-						var m stats.Moments
-						e.ForEachParticipantVec(func(_ int, vec []float64) { m.Add(vec[0]) })
-						tracker.Record(m.Variance())
-					},
-				}))
-				if err != nil {
-					return nil, err
-				}
-				return one(tracker.AverageFactor(c.cycles))
+				return factor(c, sim.Config{
+					N: c.n, Dim: 1, Leaders: []int{0},
+					Overlay: sim.Newscast(30), LinkFailure: c.x,
+				}, func(e *sim.Engine) float64 {
+					var m stats.Moments
+					e.ForEachParticipantVec(func(_ int, vec []float64) { m.Add(vec[0]) })
+					return m.Variance()
+				})
 			},
 			theory: "Theoretical Upper Bound",
 			theoryAt: func(c cell) (float64, error) {

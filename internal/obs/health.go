@@ -3,42 +3,17 @@ package obs
 import (
 	"log/slog"
 	"math"
-)
 
-// HealthSample is one cycle's worth of fleet state fed to the health
-// engine: the scenario snapshot plus the cumulative protocol counters
-// the rules difference between cycles.
-type HealthSample struct {
-	Cycle int
-	Epoch uint64
-	// Alive and Participating count the fleet.
-	Alive         int
-	Participating int
-	// Estimate quality.
-	TrueMean       float64
-	MeanEstimate   float64
-	EstimateStdDev float64
-	RelError       float64
-	// RhoHat is the observed per-cycle variance-reduction factor, 0
-	// when not computable this cycle (epoch boundary, zero variance).
-	// TheoryRho is the expected value (theory.RhoPushPull).
-	RhoHat    float64
-	TheoryRho float64
-	// Cumulative protocol counters (fleet-wide totals).
-	Initiated int64
-	Completed int64
-	Timeouts  int64
-	Declined  int64
-	// Drops is the cumulative transport drop count (queue + filter).
-	Drops int64
-}
+	"antientropy/internal/theory"
+)
 
 // Health rule thresholds.
 const (
 	// stallRatio, stallCycles and stallMinSpread define
-	// convergence_stall: ρ̂ > stallRatio × theory for stallCycles
-	// consecutive evaluable cycles, while the estimate spread is still
-	// meaningfully wide (relative stddev above stallMinSpread).
+	// convergence_stall: ρ̂ > stallRatio × theory.RhoPushPull for
+	// stallCycles consecutive evaluable cycles, while the estimate
+	// spread is still meaningfully wide (relative stddev above
+	// stallMinSpread).
 	stallRatio     = 2
 	stallCycles    = 5
 	stallMinSpread = 1e-3
@@ -100,7 +75,7 @@ type Health struct {
 	rules map[string]*healthRule
 
 	havePrev bool
-	prev     HealthSample
+	prev     TimelineEntry
 }
 
 // NewHealth builds the engine, registering the alert metric families
@@ -137,10 +112,10 @@ func NewHealth(reg *Registry, log *slog.Logger) *Health {
 	return h
 }
 
-// Eval feeds one cycle's sample through every rule and returns the
+// Eval feeds one cycle's record through every rule and returns the
 // names of the rules active after this cycle (sorted by the canonical
-// rule order), for the timeline's alerts column.
-func (h *Health) Eval(s HealthSample) []string {
+// rule order), for the record's Alerts.
+func (h *Health) Eval(s TimelineEntry) []string {
 	conds := h.conditions(s)
 	h.prev, h.havePrev = s, true
 	var active []string
@@ -155,7 +130,7 @@ func (h *Health) Eval(s HealthSample) []string {
 
 // step advances one rule's streak machine and reports whether it is
 // active after this cycle.
-func (h *Health) step(r *healthRule, cond bool, s HealthSample) bool {
+func (h *Health) step(r *healthRule, cond bool, s TimelineEntry) bool {
 	if !cond {
 		r.streak = 0
 		if r.active {
@@ -177,7 +152,7 @@ func (h *Health) step(r *healthRule, cond bool, s HealthSample) bool {
 }
 
 // conditions evaluates each rule's raw per-cycle condition.
-func (h *Health) conditions(s HealthSample) map[string]bool {
+func (h *Health) conditions(s TimelineEntry) map[string]bool {
 	out := make(map[string]bool, len(healthRuleNames))
 
 	// convergence_stall: the variance-reduction factor is computable
@@ -187,8 +162,7 @@ func (h *Health) conditions(s HealthSample) map[string]bool {
 	// fleets (where ρ̂ is numerical noise over ~0 variance) quiet.
 	spread := math.Abs(s.EstimateStdDev)
 	floor := stallMinSpread * math.Max(math.Abs(s.MeanEstimate), 1)
-	out[RuleConvergenceStall] = s.RhoHat > 0 && s.TheoryRho > 0 &&
-		s.RhoHat > stallRatio*s.TheoryRho && spread > floor
+	out[RuleConvergenceStall] = s.RhoHat > stallRatio*theory.RhoPushPull && spread > floor
 
 	// mass_drift: the fleet mean is persistently far from ground
 	// truth — mass left (crashes mid-exchange) or was injected.

@@ -32,8 +32,8 @@ func TestHealthSeriesExistBeforeFiring(t *testing.T) {
 func TestHealthStallFiresAfterStreakAndClears(t *testing.T) {
 	reg := NewRegistry()
 	h := NewHealth(reg, nil)
-	stalled := HealthSample{
-		MeanEstimate: 10, EstimateStdDev: 2, RhoHat: 0.95, TheoryRho: 0.303,
+	stalled := TimelineEntry{
+		MeanEstimate: 10, EstimateStdDev: 2, RhoHat: 0.95,
 	}
 	for i := 1; i < stallCycles; i++ {
 		stalled.Cycle = i
@@ -72,7 +72,7 @@ func TestHealthStallQuietOnceConverged(t *testing.T) {
 	h := NewHealth(nil, nil)
 	// ρ̂ above threshold but the spread is numerical noise — a converged
 	// fleet must not page.
-	s := HealthSample{MeanEstimate: 10, EstimateStdDev: 1e-9, RhoHat: 2, TheoryRho: 0.303}
+	s := TimelineEntry{MeanEstimate: 10, EstimateStdDev: 1e-9, RhoHat: 2}
 	for s.Cycle = 1; s.Cycle <= stallCycles; s.Cycle++ {
 		if active := h.Eval(s); len(active) != 0 {
 			t.Fatalf("cycle %d: stall fired on a converged fleet: %v", s.Cycle, active)
@@ -83,7 +83,7 @@ func TestHealthStallQuietOnceConverged(t *testing.T) {
 func TestHealthLossSpikeAndPartitionSuspect(t *testing.T) {
 	h := NewHealth(nil, nil)
 	// Cycle 1 just primes the deltas.
-	s := HealthSample{Cycle: 1, Initiated: 10, Timeouts: 0, Declined: 0}
+	s := TimelineEntry{Cycle: 1, Initiated: 10, Timeouts: 0, Declined: 0}
 	if active := h.Eval(s); len(active) != 0 {
 		t.Fatalf("fired without a previous sample: %v", active)
 	}
@@ -119,7 +119,7 @@ func TestHealthLossSpikeAndPartitionSuspect(t *testing.T) {
 
 func TestHealthMassDrift(t *testing.T) {
 	h := NewHealth(nil, nil)
-	s := HealthSample{TrueMean: 10, MeanEstimate: 14, RelError: 0.4}
+	s := TimelineEntry{TrueMean: 10, MeanEstimate: 14, RelError: 0.4}
 	for s.Cycle = 1; s.Cycle < driftCycles; s.Cycle++ {
 		if active := h.Eval(s); len(active) != 0 {
 			t.Fatalf("cycle %d: drift fired before the streak: %v", s.Cycle, active)
@@ -136,10 +136,10 @@ func TestHealthMassDrift(t *testing.T) {
 
 func TestHealthLossSpikeIgnoresThinSamples(t *testing.T) {
 	h := NewHealth(nil, nil)
-	h.Eval(HealthSample{Cycle: 1})
+	h.Eval(TimelineEntry{Cycle: 1})
 	// 3 attempts a cycle, all failed: ratio 1.0 but far below the attempt
 	// floor — too thin to mean anything, however long it lasts.
-	s := HealthSample{Cycle: 1}
+	s := TimelineEntry{Cycle: 1}
 	for range lossCycles {
 		s.Cycle++
 		s.Initiated += 3

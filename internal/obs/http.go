@@ -21,32 +21,6 @@ func Handler(r *Registry) http.Handler {
 	})
 }
 
-// TraceHandler serves a trace ring as JSON — raw events plus stitched
-// spans (404 when tracing is off).
-func TraceHandler(t *TraceRing) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if t == nil {
-			http.Error(w, "tracing disabled (no trace ring attached)", http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = t.WriteJSON(w)
-	})
-}
-
-// TimelineHandler serves the per-cycle flight recorder as JSON (404
-// when no timeline is attached).
-func TimelineHandler(t *Timeline) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if t == nil {
-			http.Error(w, "flight recorder disabled (no timeline attached)", http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = t.WriteJSON(w)
-	})
-}
-
 // getOnly rejects non-GET/HEAD methods with 405: the telemetry
 // surfaces are read-only and a stray POST should say so rather than
 // render a scrape.
@@ -94,8 +68,8 @@ func ServeWith(addr string, reg *Registry, trace *TraceRing, timeline *Timeline,
 	}
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", getOnly(Handler(reg)))
-	mux.Handle("/debug/trace", getOnly(TraceHandler(trace)))
-	mux.Handle("/debug/timeline", getOnly(TimelineHandler(timeline)))
+	mux.Handle("/debug/trace", getOnly(trace))
+	mux.Handle("/debug/timeline", getOnly(timeline))
 	// net/http/pprof self-registers on http.DefaultServeMux at import;
 	// wire its handlers onto this private mux explicitly so the
 	// telemetry port is the only place they are exposed.

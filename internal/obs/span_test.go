@@ -78,44 +78,6 @@ func TestStitchSpansPending(t *testing.T) {
 	}
 }
 
-func TestTraceRingEventsSince(t *testing.T) {
-	ring := NewTraceRing(4)
-	rec := func(seq uint64) {
-		ring.Record(TraceEvent{At: at(int(seq)), Node: "a", Kind: TraceInitiate, Seq: seq})
-	}
-	rec(1)
-	rec(2)
-	batch, cursor := ring.EventsSince(0)
-	if len(batch) != 2 || batch[0].Seq != 1 || batch[1].Seq != 2 || cursor != 2 {
-		t.Fatalf("first pull = %d events cursor %d", len(batch), cursor)
-	}
-	// Nothing new: empty batch, cursor unchanged.
-	batch, cursor = ring.EventsSince(cursor)
-	if len(batch) != 0 || cursor != 2 {
-		t.Fatalf("idle pull = %d events cursor %d", len(batch), cursor)
-	}
-	// Overflow the ring: events 3..8 recorded, only 5..8 retained. The
-	// pull returns what survived and the cursor catches up — overwritten
-	// events are silently lost, the ring's retention contract.
-	for seq := uint64(3); seq <= 8; seq++ {
-		rec(seq)
-	}
-	batch, cursor = ring.EventsSince(cursor)
-	if len(batch) != 4 || cursor != 8 {
-		t.Fatalf("overflow pull = %d events cursor %d, want 4 events cursor 8", len(batch), cursor)
-	}
-	for i, want := range []uint64{5, 6, 7, 8} {
-		if batch[i].Seq != want {
-			t.Errorf("overflow batch[%d].Seq = %d, want %d", i, batch[i].Seq, want)
-		}
-	}
-	// Nil ring: no-ops.
-	var nilRing *TraceRing
-	if b, c := nilRing.EventsSince(3); b != nil || c != 3 {
-		t.Errorf("nil ring pull = %v cursor %d", b, c)
-	}
-}
-
 func TestTimelineRing(t *testing.T) {
 	tl := NewTimeline(3)
 	for c := 1; c <= 5; c++ {
@@ -132,6 +94,11 @@ func TestTimelineRing(t *testing.T) {
 		if entries[i].Cycle != want {
 			t.Errorf("entries[%d].Cycle = %d, want %d", i, entries[i].Cycle, want)
 		}
+	}
+	stamped := NewTimeline(1)
+	stamped.Record(TimelineEntry{Cycle: 1})
+	if stamped.Entries()[0].At.IsZero() {
+		t.Error("zero At not stamped with the record time")
 	}
 	// Nil timeline: records are ignored, reads are empty.
 	var nilTL *Timeline

@@ -1,18 +1,13 @@
 package obs
 
-import (
-	"encoding/json"
-	"io"
-	"sync"
-	"time"
-)
+import "time"
 
 // TimelineEntry is one per-cycle snapshot of a running fleet: the
-// flight-recorder row all three scenario executors (and aggnode's
-// status loop) record every cycle, so a post-mortem can replay the
-// last N cycles — who was alive, how far the estimate was from truth,
-// whether convergence was on the theoretical ρ trajectory, and which
-// health alerts were active.
+// record all three scenario executors (and aggnode's status loop) build
+// every cycle, evaluate the health rules on and keep in the flight
+// recorder, so a post-mortem can replay the last N cycles — who was
+// alive, how far the estimate was from truth, whether convergence was on
+// the theoretical ρ trajectory, and which health alerts were active.
 type TimelineEntry struct {
 	// At is when the snapshot was taken.
 	At time.Time `json:"at"`
@@ -33,88 +28,30 @@ type TimelineEntry struct {
 	// (zero on cycles where it is not computable: epoch boundaries,
 	// zero variance).
 	RhoHat float64 `json:"rho_hat,omitempty"`
-	// Drops is the cumulative transport drop count (queue + filter).
-	Drops int64 `json:"drops,omitempty"`
+	// Initiated, Completed, Timeouts and Declined are the cumulative
+	// protocol counters (fleet-wide totals) the health rules difference
+	// between cycles; Drops is the cumulative transport drop count
+	// (queue + filter).
+	Initiated int64 `json:"initiated,omitempty"`
+	Completed int64 `json:"completed,omitempty"`
+	Timeouts  int64 `json:"timeouts,omitempty"`
+	Declined  int64 `json:"declined,omitempty"`
+	Drops     int64 `json:"drops,omitempty"`
 	// Alerts names the health rules active at this cycle.
 	Alerts []string `json:"alerts,omitempty"`
 }
 
-// Timeline is a bounded ring of per-cycle snapshots, the scenario
-// analogue of the exchange TraceRing: recording is O(1), the newest
-// Cap entries are retained. A nil timeline ignores records. Safe for
-// concurrent use.
-type Timeline struct {
-	mu    sync.Mutex
-	buf   []TimelineEntry
-	next  int
-	total uint64
-}
+// Timeline is the flight recorder: the bounded ring of per-cycle
+// snapshots that /debug/timeline dumps.
+type Timeline = Ring[TimelineEntry]
 
 // NewTimeline builds a timeline retaining the newest capacity entries
 // (minimum 1).
-func NewTimeline(capacity int) *Timeline {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Timeline{buf: make([]TimelineEntry, 0, capacity)}
-}
+func NewTimeline(capacity int) *Timeline { return newRing[TimelineEntry](capacity) }
 
-// Record appends one snapshot, overwriting the oldest when full. A
-// zero At is stamped with the current time. No-op on a nil timeline.
-func (t *Timeline) Record(e TimelineEntry) {
-	if t == nil {
-		return
-	}
-	if e.At.IsZero() {
-		e.At = time.Now()
-	}
-	t.mu.Lock()
-	if len(t.buf) < cap(t.buf) {
-		t.buf = append(t.buf, e)
-	} else {
-		t.buf[t.next] = e
-		t.next = (t.next + 1) % cap(t.buf)
-	}
-	t.total++
-	t.mu.Unlock()
-}
-
-// Entries returns the retained snapshots, oldest first.
-func (t *Timeline) Entries() []TimelineEntry {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]TimelineEntry, 0, len(t.buf))
-	out = append(out, t.buf[t.next:]...)
-	out = append(out, t.buf[:t.next]...)
-	return out
-}
-
-// Total reports how many snapshots were ever recorded.
-func (t *Timeline) Total() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
-}
-
-// timelineDump is the JSON shape of WriteJSON.
+// timelineDump is the JSON document of a timeline.
 type timelineDump struct {
 	Total    uint64          `json:"total"`
 	Retained int             `json:"retained"`
 	Entries  []TimelineEntry `json:"entries"`
-}
-
-// WriteJSON dumps the timeline as one JSON document: total recorded,
-// number retained, entries oldest first. This is what /debug/timeline
-// serves.
-func (t *Timeline) WriteJSON(w io.Writer) error {
-	entries := t.Entries()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(timelineDump{Total: t.Total(), Retained: len(entries), Entries: entries})
 }

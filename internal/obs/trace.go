@@ -2,8 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"io"
-	"sync"
 	"time"
 )
 
@@ -112,118 +110,18 @@ type TraceEvent struct {
 	XID uint64 `json:"xid,omitempty"`
 }
 
-// TraceRing is a bounded ring buffer of TraceEvents: recording is O(1),
-// the newest Cap events are retained, older ones are overwritten. A nil
-// ring ignores records, so callers thread an optional ring without
-// branching. Safe for concurrent use.
-type TraceRing struct {
-	mu    sync.Mutex
-	buf   []TraceEvent
-	next  int
-	total uint64
-}
+// TraceRing is the bounded ring of exchange-lifecycle events that
+// /debug/trace and the aggscen -trace flag dump.
+type TraceRing = Ring[TraceEvent]
 
 // NewTraceRing builds a ring retaining the newest capacity events
 // (minimum 1).
-func NewTraceRing(capacity int) *TraceRing {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &TraceRing{buf: make([]TraceEvent, 0, capacity)}
-}
+func NewTraceRing(capacity int) *TraceRing { return newRing[TraceEvent](capacity) }
 
-// Record appends one event, overwriting the oldest when full. A zero At
-// is stamped with the current time. No-op on a nil ring.
-func (t *TraceRing) Record(ev TraceEvent) {
-	if t == nil {
-		return
-	}
-	if ev.At.IsZero() {
-		ev.At = time.Now()
-	}
-	t.mu.Lock()
-	if len(t.buf) < cap(t.buf) {
-		t.buf = append(t.buf, ev)
-	} else {
-		t.buf[t.next] = ev
-		t.next = (t.next + 1) % cap(t.buf)
-	}
-	t.total++
-	t.mu.Unlock()
-}
-
-// Events returns the retained events, oldest first.
-func (t *TraceRing) Events() []TraceEvent {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]TraceEvent, 0, len(t.buf))
-	out = append(out, t.buf[t.next:]...)
-	out = append(out, t.buf[:t.next]...)
-	return out
-}
-
-// EventsSince returns, oldest first, the retained events whose
-// all-time record index is >= cursor, plus the new cursor (pass 0 on
-// the first call, then the returned cursor on subsequent calls): a
-// reader follows the ring without re-reading events, each pull
-// returning only what was recorded since the last one. Events that
-// were overwritten before being pulled are silently lost, which is the
-// ring's retention contract.
-func (t *TraceRing) EventsSince(cursor uint64) ([]TraceEvent, uint64) {
-	if t == nil {
-		return nil, cursor
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := uint64(len(t.buf))
-	oldest := t.total - n // all-time index of the oldest retained event
-	skip := uint64(0)
-	if cursor > oldest {
-		skip = cursor - oldest
-	}
-	if skip >= n {
-		return nil, t.total
-	}
-	out := make([]TraceEvent, 0, n-skip)
-	out = append(out, t.buf[t.next:]...)
-	out = append(out, t.buf[:t.next]...)
-	return out[skip:], t.total
-}
-
-// Total reports how many events were ever recorded (retained or
-// overwritten).
-func (t *TraceRing) Total() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
-}
-
-// traceDump is the JSON shape of WriteJSON.
+// traceDump is the JSON document of a trace ring.
 type traceDump struct {
 	Total    uint64       `json:"total"`
 	Retained int          `json:"retained"`
 	Spans    []Span       `json:"spans,omitempty"`
 	Events   []TraceEvent `json:"events"`
-}
-
-// WriteJSON dumps the ring as one JSON document: total recorded, number
-// retained, the retained events stitched into causal exchange spans
-// (see StitchSpans), and the raw retained events oldest first. This is
-// what the /debug/trace endpoint and the aggscen -trace flag emit.
-func (t *TraceRing) WriteJSON(w io.Writer) error {
-	events := t.Events()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(traceDump{
-		Total:    t.Total(),
-		Retained: len(events),
-		Spans:    StitchSpans(events),
-		Events:   events,
-	})
 }

@@ -194,19 +194,34 @@ func (s *advSchedule) engineHook() func(cycle, node int, local float64) (float64
 	}
 }
 
-// snapshotEpoch seals the replay-stale slots' current estimates at an
-// epoch boundary (call before the Restart wipes them), keeping the last
-// Lag of them.
-func (s *advSchedule) snapshotEpoch(value func(node int) float64) {
+// snapshotEpoch seals the participating replay-stale slots' current
+// estimates at an epoch boundary (call before the Restart wipes them),
+// keeping the last Lag of them. estimate reports a slot's estimate and
+// whether it took part in the ending epoch: as on a live node, a slot
+// that sat the epoch out (a joiner) seals nothing.
+func (s *advSchedule) snapshotEpoch(estimate func(node int) (float64, bool)) {
 	for slot, ai := range s.byzOf {
 		if ai < 0 || s.sc.Adversaries[ai].Behavior != BehaviorReplayStale {
 			continue
 		}
-		past := append(s.simPast[slot], agent.Output{Value: value(slot)})
+		v, ok := estimate(slot)
+		if !ok {
+			continue
+		}
+		past := append(s.simPast[slot], agent.Output{Value: v})
 		if lag := s.sc.Adversaries[ai].Lag; len(past) > lag {
 			past = past[1:]
 		}
 		s.simPast[slot] = past
+	}
+}
+
+// forget drops a slot's replay record when the simulator crashes or
+// replaces the node in it: a new node has sealed nothing, so it answers
+// honestly for its first Lag epochs, as a new live node does.
+func (s *advSchedule) forget(slot int) {
+	if s != nil {
+		s.simPast[slot] = nil
 	}
 }
 

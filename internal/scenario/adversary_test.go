@@ -247,6 +247,44 @@ func TestReplayStaleInducesLagBias(t *testing.T) {
 	}
 }
 
+// TestReplayStaleRecordDiesWithItsSlot runs the simulator with a lag-1
+// replay-stale attacker through a crash of every node but one at cycle 1,
+// the crashed slots restarted as joiners at once. The joiners sit out
+// epoch 0 and join at the cycle-7 restart, as a new live node does, so
+// the attacker in its slot has sealed nothing and must answer honestly
+// through epoch 1: no lie in a 12-cycle run. Sealing the joiner's
+// non-estimate at the cycle-7 edge, or keeping its predecessor's record,
+// makes it replay at once. After its first participating epoch it seals
+// an output and replays it through epoch 2. Seed 1's crash takes the
+// attacker: a surviving one would have lied in epoch 1.
+func TestReplayStaleRecordDiesWithItsSlot(t *testing.T) {
+	lies := func(cycles int) float64 {
+		sc := Scenario{
+			Name: "replay-churn", N: 12, Cycles: cycles, EpochLen: 6, Seed: 1,
+			Adversaries: []Adversary{{Behavior: BehaviorReplayStale, Count: 1, Lag: 1}},
+			Events: []Event{
+				{Kind: KindCrash, At: 1, Count: 11},
+				{Kind: KindRestart, At: 1, Count: 11},
+			},
+		}
+		reg := obs.NewRegistry()
+		if _, err := RunSimWith(sc, SimOptions{Obs: reg}); err != nil {
+			t.Fatal(err)
+		}
+		v, ok := seriesValue(scrape(reg), "agg_adversary_lies_total")
+		if !ok {
+			t.Fatal("agg_adversary_lies_total missing")
+		}
+		return v
+	}
+	if n := lies(12); n != 0 {
+		t.Errorf("a replaced replay-stale slot lied %g times before sealing an output", n)
+	}
+	if n := lies(18); n == 0 {
+		t.Error("the replaced attacker never replayed its first sealed output")
+	}
+}
+
 // TestAdversaryObsExports: an attacked sim run with a registry attached
 // exports the adversary telemetry family — hostile population, lie and
 // rejection counters, join refusals and the live bias gauge.
@@ -315,7 +353,7 @@ func TestLiveLieEstimateTraceStitches(t *testing.T) {
 	if res.TotalMessages() == 0 {
 		t.Fatal("no exchanges attempted")
 	}
-	spans := obs.StitchSpans(ring.Events())
+	spans := obs.StitchSpans(ring.Entries())
 	completed := 0
 	for _, sp := range spans {
 		if sp.Outcome == "completed" {
@@ -324,7 +362,7 @@ func TestLiveLieEstimateTraceStitches(t *testing.T) {
 	}
 	if completed == 0 {
 		t.Fatalf("no completed spans stitched from %d events — lying broke exchange identity",
-			len(ring.Events()))
+			len(ring.Entries()))
 	}
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
@@ -463,7 +501,7 @@ func TestLiveReplayStaleDropsAtHonestNodes(t *testing.T) {
 		hostile[fmt.Sprintf("mem-%d", slot)] = adv.hostile(slot)
 	}
 	honestDrops := 0
-	for _, ev := range ring.Events() {
+	for _, ev := range ring.Entries() {
 		if ev.Kind == obs.TraceStaleDrop && !hostile[ev.Node] && hostile[ev.Peer] {
 			honestDrops++
 		}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 
+	"antientropy/internal/obs"
 	"antientropy/internal/stats"
 )
 
@@ -83,13 +84,15 @@ func newRunLog(sc Scenario, executor string, prog *ValueProgram, adv *advSchedul
 }
 
 // record logs one sampled cycle: est are the participants' estimate
-// moments, isAlive tells which slots the true mean ranges over, proto the
-// fleet-cumulative protocol counters. Under an adversary estimate and
-// truth cover the honest population only — the attack's impact is what
-// leaks into honest estimates, and the value signal attacker-controlled
-// slots would contribute is fake — while alive and participating still
-// count everyone: hostile nodes are real nodes.
-func (l *runLog) record(cycle, alive, participating int, est stats.Moments, isAlive func(slot int) bool, proto protoTotals) {
+// moments, isAlive tells which slots the true mean ranges over, proto
+// holds the fleet-cumulative protocol counters (the start of the cycle's
+// record for the health rules and the flight recorder). Under an
+// adversary estimate and truth cover the honest population only — the
+// attack's impact is what leaks into honest estimates, and the value
+// signal attacker-controlled slots would contribute is fake — while
+// alive and participating still count everyone: hostile nodes are real
+// nodes.
+func (l *runLog) record(cycle, alive, participating int, est stats.Moments, isAlive func(slot int) bool, proto obs.TimelineEntry) {
 	var truth stats.Moments
 	for slot := 0; slot < l.result.Slots; slot++ {
 		if isAlive(slot) && (l.adv == nil || !l.adv.hostile(slot)) {
@@ -261,13 +264,15 @@ func rhoString(rho float64) string {
 const rhoFrom, rhoTo = 2, 10
 
 // rho is the run's convergence factor: the geometric mean, over every
-// epoch that reaches its cycle rhoTo, of the per-cycle ratio of
-// EstimateStdDev² between the epoch's cycles rhoFrom and rhoTo. Push-pull
-// averaging contracts it by 1/(2√e) ≈ 0.303 (§3). It is 0 when no epoch
-// has the whole window with a positive spread at both ends.
+// epoch with a positive EstimateStdDev at both its cycles rhoFrom and
+// rhoTo, of the per-cycle factor of EstimateStdDev² between them (see
+// stats.RhoWindow). Push-pull averaging contracts it by 1/(2√e) ≈ 0.303
+// (§3). A row with no spread is no sample, so an epoch that converged
+// exactly inside the window is left out. It is 0 when no epoch has the
+// whole window.
 func (r *RunResult) rho() float64 {
-	var logSum, from float64
-	cycles, epoch, j := 0, -1, 0
+	w := stats.RhoWindow{From: rhoFrom, To: rhoTo}
+	epoch, j := -1, 0
 	for _, c := range r.PerCycle {
 		if c.Cycle == 0 {
 			continue // the initialized state, before epoch 0's first cycle
@@ -276,20 +281,12 @@ func (r *RunResult) rho() float64 {
 			epoch, j = c.Epoch, 0
 		}
 		j++
-		switch j {
-		case rhoFrom:
-			from = c.EstimateStdDev
-		case rhoTo:
-			if from > 0 && c.EstimateStdDev > 0 {
-				logSum += 2 * math.Log(c.EstimateStdDev/from)
-				cycles += rhoTo - rhoFrom
-			}
+		if c.EstimateStdDev > 0 {
+			w.Add(c.Epoch, j, c.EstimateStdDev*c.EstimateStdDev)
 		}
 	}
-	if cycles == 0 {
-		return 0
-	}
-	return math.Exp(logSum / float64(cycles))
+	rho, _ := w.Factor()
+	return rho
 }
 
 // String summarizes the run in one line.

@@ -4,21 +4,10 @@ import (
 	"log/slog"
 
 	"antientropy/internal/obs"
+	"antientropy/internal/stats"
 	"antientropy/internal/theory"
 	"antientropy/internal/transport"
 )
-
-// protoTotals carries the fleet-cumulative protocol counters of one
-// cycle sample to the health rules, which difference them between
-// cycles. Each executor maps its own counter set onto this shape so
-// the rules (and their thresholds) apply unchanged across executors.
-type protoTotals struct {
-	Initiated int64
-	Completed int64
-	Timeouts  int64
-	Declined  int64
-	Drops     int64
-}
 
 // scenarioObs publishes the per-cycle scenario gauges, the convergence
 // watch, the flight-recorder timeline and the health rules. All three
@@ -47,9 +36,12 @@ type scenarioObs struct {
 	baseline []CycleMetrics
 	reg      *obs.Registry
 
-	watch    convergenceWatch
-	timeline *obs.Timeline
-	health   *obs.Health
+	// prevEpoch and prevVar are the last cycle's epoch and estimate
+	// variance, the baseline of the observed ρ.
+	prevEpoch int
+	prevVar   float64
+	timeline  *obs.Timeline
+	health    *obs.Health
 }
 
 // Help strings of the adversary instruments, shared between the
@@ -170,9 +162,13 @@ func (s *scenarioObs) bindAdversary(d *simDriver, baseline []CycleMetrics) {
 	})
 }
 
-// observe publishes one cycle's metrics row: gauges, convergence watch,
-// health-rule evaluation, and the flight-recorder snapshot.
-func (s *scenarioObs) observe(c CycleMetrics, proto protoTotals) {
+// observe publishes one cycle's metrics row: gauges, the observed ρ,
+// health-rule evaluation, and the flight-recorder snapshot. rec carries
+// the executor's cumulative protocol counters; observe completes it with
+// the row. The observed ρ is the one-cycle factor against the previous
+// cycle of the same epoch — estimates restart from fresh local values at
+// every epoch boundary (§4.1), so the first cycle of an epoch reports none.
+func (s *scenarioObs) observe(c CycleMetrics, rec obs.TimelineEntry) {
 	if s == nil {
 		return
 	}
@@ -189,65 +185,19 @@ func (s *scenarioObs) observe(c CycleMetrics, proto protoTotals) {
 			s.advBias.Set(c.MeanEstimate - s.baseline[c.Cycle].MeanEstimate)
 		}
 	}
-	rho, ok := s.watch.observe(c)
-	if !ok {
-		rho = 0
-	} else if s.observedRho != nil {
-		s.observedRho.Set(rho)
-		s.rhoRatio.Set(rho / theory.RhoPushPull)
-	}
-	alerts := s.health.Eval(obs.HealthSample{
-		Cycle:          c.Cycle,
-		Epoch:          uint64(c.Epoch),
-		Alive:          c.Alive,
-		Participating:  c.Participating,
-		TrueMean:       c.TrueMean,
-		MeanEstimate:   c.MeanEstimate,
-		EstimateStdDev: c.EstimateStdDev,
-		RelError:       c.RelError,
-		RhoHat:         rho,
-		TheoryRho:      theory.RhoPushPull,
-		Initiated:      proto.Initiated,
-		Completed:      proto.Completed,
-		Timeouts:       proto.Timeouts,
-		Declined:       proto.Declined,
-		Drops:          proto.Drops,
-	})
-	s.timeline.Record(obs.TimelineEntry{
-		Cycle:          c.Cycle,
-		Epoch:          uint64(c.Epoch),
-		Alive:          c.Alive,
-		Participating:  c.Participating,
-		TrueMean:       c.TrueMean,
-		MeanEstimate:   c.MeanEstimate,
-		EstimateStdDev: c.EstimateStdDev,
-		RelError:       c.RelError,
-		RhoHat:         rho,
-		Drops:          proto.Drops,
-		Alerts:         alerts,
-	})
-}
-
-// convergenceWatch derives the observed per-cycle variance reduction
-// factor ρ̂_i = σ²_i / σ²_{i−1} from consecutive same-epoch samples —
-// the measured counterpart of the paper's §3 convergence factor. The
-// ratio is only meaningful within one epoch: estimates restart from
-// fresh local values at every epoch boundary (§4.1), so the first cycle
-// of an epoch resets the baseline instead of reporting a bogus blow-up.
-type convergenceWatch struct {
-	havePrev  bool
-	prevEpoch int
-	prevVar   float64
-}
-
-// observe folds in one sample and reports the reduction factor when the
-// previous cycle of the same epoch had positive estimate variance.
-func (w *convergenceWatch) observe(c CycleMetrics) (rho float64, ok bool) {
 	variance := c.EstimateStdDev * c.EstimateStdDev
-	prevVar, usable := w.prevVar, w.havePrev && c.Epoch == w.prevEpoch
-	w.havePrev, w.prevEpoch, w.prevVar = true, c.Epoch, variance
-	if !usable || prevVar <= 0 {
-		return 0, false
+	if rho, ok := stats.Rho(s.prevVar, variance, 1); ok && c.Epoch == s.prevEpoch {
+		rec.RhoHat = rho
+		if s.observedRho != nil {
+			s.observedRho.Set(rho)
+			s.rhoRatio.Set(rho / theory.RhoPushPull)
+		}
 	}
-	return variance / prevVar, true
+	s.prevEpoch, s.prevVar = c.Epoch, variance
+	rec.Cycle, rec.Epoch = c.Cycle, uint64(c.Epoch)
+	rec.Alive, rec.Participating = c.Alive, c.Participating
+	rec.TrueMean, rec.MeanEstimate = c.TrueMean, c.MeanEstimate
+	rec.EstimateStdDev, rec.RelError = c.EstimateStdDev, c.RelError
+	rec.Alerts = s.health.Eval(rec)
+	s.timeline.Record(rec)
 }

@@ -13,45 +13,50 @@ import (
 	"antientropy/internal/theory"
 )
 
+// watchRho feeds rows through a scenario observer that keeps only a
+// timeline and returns each cycle's observed ρ (0: none reported).
+func watchRho(rows ...CycleMetrics) []float64 {
+	timeline := obs.NewTimeline(len(rows))
+	s := newScenarioObs(nil, timeline, nil)
+	for i, c := range rows {
+		c.Cycle = i + 1
+		s.observe(c, obs.TimelineEntry{})
+	}
+	var rhos []float64
+	for _, e := range timeline.Entries() {
+		rhos = append(rhos, e.RhoHat)
+	}
+	return rhos
+}
+
 func TestConvergenceWatchWithinEpoch(t *testing.T) {
-	var w convergenceWatch
-	// First sample only primes the window — nothing to report yet.
-	if _, ok := w.observe(CycleMetrics{Epoch: 1, EstimateStdDev: 4}); ok {
-		t.Error("first sample reported a rho")
-	}
-	// Variance 16 → 4 within the same epoch: rho = 0.25.
-	rho, ok := w.observe(CycleMetrics{Epoch: 1, EstimateStdDev: 2})
-	if !ok || rho != 0.25 {
-		t.Errorf("rho = %g ok=%v, want 0.25 true", rho, ok)
-	}
-	rho, ok = w.observe(CycleMetrics{Epoch: 1, EstimateStdDev: 1})
-	if !ok || rho != 0.25 {
-		t.Errorf("second rho = %g ok=%v, want 0.25 true", rho, ok)
+	// The first sample only primes the window; then variance 16 → 4 → 1
+	// within the same epoch: ρ = 0.25 twice.
+	got := watchRho(CycleMetrics{Epoch: 1, EstimateStdDev: 4},
+		CycleMetrics{Epoch: 1, EstimateStdDev: 2}, CycleMetrics{Epoch: 1, EstimateStdDev: 1})
+	if want := []float64{0, 0.25, 0.25}; !slices.Equal(got, want) {
+		t.Errorf("ρ per cycle = %v, want %v", got, want)
 	}
 }
 
 func TestConvergenceWatchEpochBoundaryResets(t *testing.T) {
-	var w convergenceWatch
-	w.observe(CycleMetrics{Epoch: 1, EstimateStdDev: 2})
 	// Epoch restart: estimates reset to fresh local values, so the ratio
-	// across the boundary is meaningless and must be suppressed.
-	if _, ok := w.observe(CycleMetrics{Epoch: 2, EstimateStdDev: 10}); ok {
-		t.Error("cross-epoch ratio reported")
-	}
-	// But the new epoch's window is primed: the next same-epoch sample
-	// reports again.
-	rho, ok := w.observe(CycleMetrics{Epoch: 2, EstimateStdDev: 5})
-	if !ok || rho != 0.25 {
-		t.Errorf("post-reset rho = %g ok=%v, want 0.25 true", rho, ok)
+	// across the boundary is meaningless and must be suppressed. But the
+	// new epoch's window is primed: the next same-epoch sample reports
+	// again.
+	got := watchRho(CycleMetrics{Epoch: 1, EstimateStdDev: 2},
+		CycleMetrics{Epoch: 2, EstimateStdDev: 10}, CycleMetrics{Epoch: 2, EstimateStdDev: 5})
+	if want := []float64{0, 0, 0.25}; !slices.Equal(got, want) {
+		t.Errorf("ρ per cycle = %v, want %v", got, want)
 	}
 }
 
 func TestConvergenceWatchZeroVarianceGuard(t *testing.T) {
-	var w convergenceWatch
-	w.observe(CycleMetrics{Epoch: 1, EstimateStdDev: 0})
-	// prevVar == 0 would divide by zero; the watch must stay silent.
-	if _, ok := w.observe(CycleMetrics{Epoch: 1, EstimateStdDev: 1}); ok {
-		t.Error("rho reported against zero previous variance")
+	// A zero previous variance would divide by zero; the watch must stay
+	// silent.
+	got := watchRho(CycleMetrics{Epoch: 1, EstimateStdDev: 0}, CycleMetrics{Epoch: 1, EstimateStdDev: 1})
+	if want := []float64{0, 0}; !slices.Equal(got, want) {
+		t.Errorf("ρ per cycle = %v, want %v", got, want)
 	}
 }
 

@@ -175,7 +175,7 @@ type simDriver struct {
 func (d *simDriver) beforeCycle(cycle int, e *sim.Engine) {
 	if cycle > 1 && (cycle-1)%d.sc.EpochLen == 0 {
 		if d.adv != nil {
-			d.adv.snapshotEpoch(func(node int) float64 { return e.Value(node) })
+			d.adv.snapshotEpoch(func(node int) (float64, bool) { return e.Value(node), e.Participating(node) })
 		}
 		e.Restart(func(node int) float64 { return restartValue(d.adv, d.prog, node, cycle) })
 	}
@@ -183,16 +183,19 @@ func (d *simDriver) beforeCycle(cycle int, e *sim.Engine) {
 
 // applyEvents runs the script for one cycle.
 func (d *simDriver) applyEvents(cycle int, e *sim.Engine) {
-	d.script.step(cycle, simFleet{e: e, rng: d.script.rng})
+	d.script.step(cycle, simFleet{e: e, rng: d.script.rng, adv: d.adv})
 }
 
 // simFleet performs the script's actions on a simulation engine. Victims
 // are drawn by the engine's own RNG and a heal reseeds overlay views in
 // place, so a seed's rows do not depend on which fleets exist besides
-// this one. A cycle-driven engine has no sub-cycle time to delay.
+// this one. A cycle-driven engine has no sub-cycle time to delay. A
+// crashed or replaced slot loses its replay record in adv (nil for an
+// honest run).
 type simFleet struct {
 	e   simEngine
 	rng *stats.RNG
+	adv *advSchedule
 }
 
 // simEngine is the part of *sim.Engine a simFleet acts on; a script test
@@ -210,8 +213,8 @@ type simEngine interface {
 
 func (f simFleet) aliveCount() int                  { return f.e.AliveCount() }
 func (f simFleet) pickAlive() int                   { return f.e.RandomAlive() }
-func (f simFleet) crash(slot int)                   { f.e.Kill(slot) }
-func (f simFleet) joinAs(slot, _ int)               { f.e.Replace(slot) }
+func (f simFleet) crash(slot int)                   { f.e.Kill(slot); f.adv.forget(slot) }
+func (f simFleet) joinAs(slot, _ int)               { f.e.Replace(slot); f.adv.forget(slot) }
 func (f simFleet) setLoss(p float64)                { f.e.SetMessageLoss(p) }
 func (f simFleet) setDelay(_, _ time.Duration) bool { return false }
 
@@ -274,7 +277,7 @@ func (d *simDriver) observe(cycle int, e *sim.Engine) {
 	}
 	cur := e.Metrics()
 	silent := cur.LinkDrops + cur.RequestLosses + cur.ReplyLosses + cur.PartitionDrops
-	d.log.record(cycle, e.AliveCount(), e.ParticipantCount(), est, e.Alive, protoTotals{
+	d.log.record(cycle, e.AliveCount(), e.ParticipantCount(), est, e.Alive, obs.TimelineEntry{
 		Initiated: cur.Attempts,
 		Completed: cur.Completed,
 		Timeouts:  cur.Timeouts + silent,

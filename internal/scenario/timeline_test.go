@@ -103,7 +103,7 @@ func TestSimTimelineHealthAlerts(t *testing.T) {
 			t.Error("convergence_stall did not clear after the heal")
 		}
 		rec := httptest.NewRecorder()
-		obs.TimelineHandler(opts.Timeline).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/timeline", nil))
+		opts.Timeline.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/timeline", nil))
 		if !strings.Contains(rec.Body.String(), obs.RuleConvergenceStall) {
 			t.Error("/debug/timeline shows no convergence_stall alert")
 		}
@@ -132,7 +132,7 @@ func TestUDPExecutorCrossProcessTrace(t *testing.T) {
 	if res.TotalMessages() == 0 {
 		t.Fatal("no exchange attempts recorded")
 	}
-	events := opts.Trace.Events()
+	events := opts.Trace.Entries()
 	if len(events) == 0 {
 		t.Fatal("the workers' nodes recorded no trace events")
 	}

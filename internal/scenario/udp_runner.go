@@ -454,7 +454,7 @@ func (d *supervisor) sample(cycle int) {
 	d.telMu.Unlock()
 	d.log.record(cycle, s.alive, s.participating, s.est,
 		func(slot int) bool { return d.roster.alive[slot] },
-		protoTotals{
+		obs.TimelineEntry{
 			Initiated: s.totals.ExchangesInitiated,
 			Completed: s.totals.ExchangesCompleted,
 			Timeouts:  s.totals.Timeouts,

@@ -447,7 +447,7 @@ func TestUDPExecutorLieEstimateTraceStitches(t *testing.T) {
 	if got := res.Final().Alive; got != sc.N {
 		t.Fatalf("final alive = %d, want %d (lying must not change membership)", got, sc.N)
 	}
-	spans := obs.StitchSpans(ring.Events())
+	spans := obs.StitchSpans(ring.Entries())
 	completed := 0
 	for _, sp := range spans {
 		if sp.Outcome == "completed" {
@@ -456,7 +456,7 @@ func TestUDPExecutorLieEstimateTraceStitches(t *testing.T) {
 	}
 	if completed == 0 {
 		t.Fatalf("no completed spans stitched from %d events — lying broke exchange identity",
-			len(ring.Events()))
+			len(ring.Entries()))
 	}
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {

@@ -171,7 +171,7 @@ func TestConvergenceFactorMatchesTheory(t *testing.T) {
 				values[i] = draw(i)
 			}
 			for r, rule := range rules {
-				var tracker stats.ConvergenceTracker
+				w := stats.RhoWindow{To: cycles}
 				cfg := Config{
 					N:       n,
 					Cycles:  cycles,
@@ -181,12 +181,12 @@ func TestConvergenceFactorMatchesTheory(t *testing.T) {
 					Overlay: randomOverlay(20),
 					Observe: func(cycle int, e *Engine) {
 						if rule != PushSum {
-							tracker.Record(e.ParticipantMoments().Variance())
+							w.Add(0, cycle, e.ParticipantMoments().Variance())
 							return
 						}
 						var m stats.Moments
 						e.ForEachParticipantVec(func(_ int, v []float64) { m.Add(v[0] / v[1]) })
-						tracker.Record(m.Variance())
+						w.Add(0, cycle, m.Variance())
 					},
 				}
 				if rule == PushSum {
@@ -199,9 +199,9 @@ func TestConvergenceFactorMatchesTheory(t *testing.T) {
 				if _, err := Run(cfg); err != nil {
 					return err
 				}
-				f, err := tracker.AverageFactor(cycles)
-				if err != nil {
-					return err
+				f, ok := w.Factor()
+				if !ok {
+					return fmt.Errorf("rule %d: no convergence factor", r)
 				}
 				factors[r][rep] = f
 			}
@@ -498,7 +498,7 @@ func TestReplyLossChangesMass(t *testing.T) {
 func TestLinkFailureSlowsConvergence(t *testing.T) {
 	forEachK(t, func(t *testing.T, k int) {
 		rho := func(pd float64) float64 {
-			var tracker stats.ConvergenceTracker
+			w := stats.RhoWindow{To: 12}
 			_, err := Run(Config{
 				N:           3000,
 				Cycles:      12,
@@ -508,17 +508,16 @@ func TestLinkFailureSlowsConvergence(t *testing.T) {
 				Init:        UniformInit(0, 1, 11),
 				Overlay:     randomOverlay(20),
 				LinkFailure: pd,
-				Observe: func(_ int, e *Engine) {
-					m := e.ParticipantMoments()
-					tracker.Record(m.Variance())
+				Observe: func(cycle int, e *Engine) {
+					w.Add(0, cycle, e.ParticipantMoments().Variance())
 				},
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			f, err := tracker.AverageFactor(12)
-			if err != nil {
-				t.Fatal(err)
+			f, ok := w.Factor()
+			if !ok {
+				t.Fatal("no convergence factor")
 			}
 			return f
 		}

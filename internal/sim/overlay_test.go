@@ -137,7 +137,7 @@ func TestNewscastAggregationConvergesLikeRandom(t *testing.T) {
 	forEachK(t, func(t *testing.T, k int) {
 		// §4.4 / Figure 4(b): with c = 30 NEWSCAST converges about as fast as
 		// a random graph (rho within a few percent of 1/(2√e)).
-		var tracker stats.ConvergenceTracker
+		w := stats.RhoWindow{To: 15}
 		_, err := Run(Config{
 			N:       3000,
 			Cycles:  15,
@@ -146,17 +146,16 @@ func TestNewscastAggregationConvergesLikeRandom(t *testing.T) {
 			Fn:      core.Average,
 			Init:    UniformInit(0, 1, 8),
 			Overlay: Newscast(30),
-			Observe: func(_ int, e *Engine) {
-				m := e.ParticipantMoments()
-				tracker.Record(m.Variance())
+			Observe: func(cycle int, e *Engine) {
+				w.Add(0, cycle, e.ParticipantMoments().Variance())
 			},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rho, err := tracker.AverageFactor(15)
-		if err != nil {
-			t.Fatal(err)
+		rho, ok := w.Factor()
+		if !ok {
+			t.Fatal("no convergence factor")
 		}
 		if math.Abs(rho-theory.RhoPushPull) > 0.05 {
 			t.Fatalf("NEWSCAST rho = %.4f, want ≈ %.4f", rho, theory.RhoPushPull)
@@ -168,7 +167,7 @@ func TestNewscastSmallCacheConvergesSlower(t *testing.T) {
 	forEachK(t, func(t *testing.T, k int) {
 		// Figure 4(b): tiny caches (c = 2) hurt convergence.
 		rho := func(c int) float64 {
-			var tracker stats.ConvergenceTracker
+			w := stats.RhoWindow{To: 15}
 			_, err := Run(Config{
 				N:       1500,
 				Cycles:  15,
@@ -177,17 +176,16 @@ func TestNewscastSmallCacheConvergesSlower(t *testing.T) {
 				Fn:      core.Average,
 				Init:    UniformInit(0, 1, 10),
 				Overlay: Newscast(c),
-				Observe: func(_ int, e *Engine) {
-					m := e.ParticipantMoments()
-					tracker.Record(m.Variance())
+				Observe: func(cycle int, e *Engine) {
+					w.Add(0, cycle, e.ParticipantMoments().Variance())
 				},
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			f, err := tracker.AverageFactor(15)
-			if err != nil {
-				t.Fatal(err)
+			f, ok := w.Factor()
+			if !ok {
+				t.Fatal("no convergence factor")
 			}
 			return f
 		}

@@ -1,101 +1,106 @@
 package stats
 
 import (
-	"errors"
 	"math"
+	"slices"
 )
 
-// ConvergenceTracker records the empirical variance of the local estimates
-// at the end of each cycle and derives the per-cycle convergence factor
-// ρ_i = σ²_i / σ²_{i−1} (paper §3) and its average over a window of
-// cycles (used throughout the paper's Figures 3, 4 and 7).
+// Rho is the per-cycle convergence factor (v/v0)^(1/cycles) of an
+// estimate variance that went from v0 to v over cycles cycles (paper
+// §3; push-pull averaging reads 1/(2√e) ≈ 0.303). It reports false when
+// v0 is not positive: a spread that is already gone has no rate.
+func Rho(v0, v float64, cycles int) (float64, bool) {
+	if v0 <= 0 {
+		return 0, false
+	}
+	return math.Pow(v/v0, 1/float64(cycles)), true
+}
+
+// RhoWindow estimates the convergence factor from per-cycle variance
+// samples of the estimates: for each epoch whose samples cover cycles
+// From and To, the factor Rho between them, pooled across epochs by
+// their geometric mean — the "average convergence factor over a period
+// of cycles" of the paper's Figures 3, 4 and 7. Estimates restart at
+// every epoch (§4.1), so no factor spans two epochs.
 //
-// The zero value is ready to use; record the cycle-0 (initial) variance
-// first, then one variance per completed cycle.
-type ConvergenceTracker struct {
-	variances []float64
+// When the variance underflows to zero before To, the factor is read
+// from the last positive sample instead, so that extremely fast
+// topologies do not report a spurious zero; an epoch with no positive
+// sample after From reads 0 (it converged at once). An epoch whose
+// variance at From is zero, or whose samples stop before To, has no
+// factor.
+//
+// Feed samples in cycle order within an epoch; a new epoch number
+// starts a new epoch. The zero value has the window [0, 0]: set From
+// and To before the first Add.
+type RhoWindow struct {
+	From, To int
+
+	epoch   int
+	v0      float64 // variance at From in the current epoch; 0 once its factor is taken
+	last    int     // last cycle in (From, To] with positive variance
+	vLast   float64 // its variance, 0 when there is none
+	factors []float64
 }
 
-// Record appends the variance observed at the end of the current cycle.
-func (c *ConvergenceTracker) Record(variance float64) {
-	c.variances = append(c.variances, variance)
-}
-
-// Cycles returns the number of completed cycles recorded (excluding the
-// initial variance).
-func (c *ConvergenceTracker) Cycles() int {
-	if len(c.variances) == 0 {
-		return 0
+// Add records the estimate variance at cycle (counted within the epoch)
+// of epoch.
+func (w *RhoWindow) Add(epoch, cycle int, variance float64) {
+	if epoch != w.epoch {
+		w.epoch, w.v0 = epoch, 0
 	}
-	return len(c.variances) - 1
-}
-
-// Variance returns the variance recorded after cycle i, where i = 0 is the
-// initial distribution.
-func (c *ConvergenceTracker) Variance(i int) (float64, error) {
-	if i < 0 || i >= len(c.variances) {
-		return 0, errors.New("stats: cycle index out of range")
-	}
-	return c.variances[i], nil
-}
-
-// Factor returns ρ_i = σ²_i / σ²_{i−1} for cycle i ≥ 1. Cycles in which
-// the previous variance was already zero (fully converged) report a factor
-// of 0.
-func (c *ConvergenceTracker) Factor(i int) (float64, error) {
-	if i < 1 || i >= len(c.variances) {
-		return 0, errors.New("stats: cycle index out of range")
-	}
-	prev := c.variances[i-1]
-	if prev == 0 {
-		return 0, nil
-	}
-	return c.variances[i] / prev, nil
-}
-
-// AverageFactor returns the geometric mean of the per-cycle convergence
-// factors over cycles [1, upTo], i.e. (σ²_upTo / σ²_0)^(1/upTo). The
-// geometric mean is the right average for multiplicative reduction rates
-// and is what the paper plots as the "average convergence factor over a
-// period of 20 cycles". When the variance underflows to zero before upTo
-// cycles, the last positive variance is used and the exponent adjusted, so
-// that extremely fast topologies do not report a spurious zero.
-func (c *ConvergenceTracker) AverageFactor(upTo int) (float64, error) {
-	if upTo < 1 || upTo >= len(c.variances) {
-		return 0, errors.New("stats: cycle index out of range")
-	}
-	v0 := c.variances[0]
-	if v0 == 0 {
-		return 0, errors.New("stats: initial variance is zero")
-	}
-	// Find the last cycle ≤ upTo with positive variance.
-	last := 0
-	for i := 1; i <= upTo; i++ {
-		if c.variances[i] > 0 {
-			last = i
+	switch {
+	case cycle == w.From:
+		w.v0, w.vLast = variance, 0
+	case w.v0 > 0 && cycle > w.From && cycle <= w.To:
+		if variance > 0 {
+			w.last, w.vLast = cycle, variance
+		}
+		if cycle == w.To {
+			span := w.To - w.From
+			if w.vLast > 0 {
+				span = w.last - w.From
+			}
+			f, _ := Rho(w.v0, w.vLast, span)
+			w.factors = append(w.factors, f)
+			w.v0 = 0
 		}
 	}
-	if last == 0 {
-		return 0, nil
-	}
-	ratio := c.variances[last] / v0
-	return math.Pow(ratio, 1/float64(last)), nil
 }
 
-// NormalizedReduction returns σ²_i / σ²_0 for every recorded cycle i,
-// the series plotted in Figure 3(b).
-func (c *ConvergenceTracker) NormalizedReduction() []float64 {
-	if len(c.variances) == 0 {
+// Factors returns each complete epoch's factor, in the order the
+// epochs were fed.
+func (w *RhoWindow) Factors() []float64 { return w.factors }
+
+// Factor pools the epochs' factors by their geometric mean; a single
+// epoch's factor is returned as it is. It reports false when no epoch
+// has a factor.
+func (w *RhoWindow) Factor() (float64, bool) {
+	switch {
+	case len(w.factors) == 0:
+		return 0, false
+	case len(w.factors) == 1:
+		return w.factors[0], true
+	case slices.Min(w.factors) == 0:
+		return 0, true
+	}
+	// Pooled in the log domain: a product of many epochs' factors
+	// underflows.
+	gm, _ := GeometricMean(w.factors)
+	return gm, true
+}
+
+// NormalizedReduction returns σ²_i / σ²_0 for every variance of a run,
+// the series plotted in Figure 3(b); all zeros when σ²_0 is zero.
+func NormalizedReduction(variances []float64) []float64 {
+	if len(variances) == 0 {
 		return nil
 	}
-	v0 := c.variances[0]
-	out := make([]float64, len(c.variances))
-	for i, v := range c.variances {
-		if v0 == 0 {
-			out[i] = 0
-			continue
+	out := make([]float64, len(variances))
+	for i, v := range variances {
+		if variances[0] != 0 {
+			out[i] = v / variances[0]
 		}
-		out[i] = v / v0
 	}
 	return out
 }

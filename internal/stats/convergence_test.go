@@ -5,104 +5,131 @@ import (
 	"testing"
 )
 
-func TestConvergenceTrackerFactors(t *testing.T) {
-	var c ConvergenceTracker
-	c.Record(100) // cycle 0 (initial)
-	c.Record(25)  // cycle 1: factor 0.25
-	c.Record(5)   // cycle 2: factor 0.2
+// oneEpoch feeds variances as cycles 0, 1, … of one epoch into a window
+// over cycles [from, to] and returns its factor.
+func oneEpoch(from, to int, variances ...float64) (float64, bool) {
+	w := RhoWindow{From: from, To: to}
+	for c, v := range variances {
+		w.Add(0, c, v)
+	}
+	return w.Factor()
+}
 
-	if c.Cycles() != 2 {
-		t.Fatalf("Cycles = %d, want 2", c.Cycles())
+func TestConvergenceTrackerFactors(t *testing.T) {
+	vs := []float64{100, 25, 5} // cycle factors 0.25, then 0.2
+	f1, ok := oneEpoch(0, 1, vs...)
+	if !ok || !almostEqual(f1, 0.25, 1e-12) {
+		t.Fatalf("factor over cycle 1 = %g, %v", f1, ok)
 	}
-	f1, err := c.Factor(1)
-	if err != nil || !almostEqual(f1, 0.25, 1e-12) {
-		t.Fatalf("Factor(1) = %g, %v", f1, err)
+	f2, ok := oneEpoch(1, 2, vs...)
+	if !ok || !almostEqual(f2, 0.2, 1e-12) {
+		t.Fatalf("factor over cycle 2 = %g, %v", f2, ok)
 	}
-	f2, err := c.Factor(2)
-	if err != nil || !almostEqual(f2, 0.2, 1e-12) {
-		t.Fatalf("Factor(2) = %g, %v", f2, err)
+	if f, ok := Rho(25, 5, 1); !ok || f != 0.2 {
+		t.Fatalf("Rho(25, 5, 1) = %g, %v; want exactly 0.2", f, ok)
 	}
 }
 
 func TestConvergenceTrackerAverageFactorIsGeometricMean(t *testing.T) {
-	var c ConvergenceTracker
-	c.Record(1)
-	c.Record(0.5)  // factor 0.5
-	c.Record(0.1)  // factor 0.2
-	c.Record(0.05) // factor 0.5
-	avg, err := c.AverageFactor(3)
-	if err != nil {
-		t.Fatal(err)
+	// Factors 0.5, 0.2, 0.5.
+	avg, ok := oneEpoch(0, 3, 1, 0.5, 0.1, 0.05)
+	if !ok {
+		t.Fatal("no factor")
 	}
 	want := math.Pow(0.5*0.2*0.5, 1.0/3)
 	if !almostEqual(avg, want, 1e-12) {
-		t.Fatalf("AverageFactor = %g, want %g", avg, want)
+		t.Fatalf("average factor = %g, want %g", avg, want)
+	}
+	// One epoch reads exactly (v_last/v_0)^(1/last), bit for bit.
+	vs := []float64{0.7, 0.31, 0.093, 0.0301, 0.0088}
+	got, _ := oneEpoch(0, 4, vs...)
+	if exact := math.Pow(vs[4]/vs[0], 1/float64(4)); got != exact {
+		t.Fatalf("one epoch = %.17g, want exactly %.17g", got, exact)
 	}
 }
 
 func TestConvergenceTrackerUnderflowHandling(t *testing.T) {
 	// Once the variance underflows to exactly zero the average factor
 	// must use the last positive cycle instead of reporting 0.
-	var c ConvergenceTracker
-	c.Record(1)
-	c.Record(0.25)
-	c.Record(0) // converged exactly
-	avg, err := c.AverageFactor(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(avg, 0.25, 1e-12) {
-		t.Fatalf("AverageFactor with underflow = %g, want 0.25", avg)
+	avg, ok := oneEpoch(0, 2, 1, 0.25, 0)
+	if !ok || !almostEqual(avg, 0.25, 1e-12) {
+		t.Fatalf("average factor with underflow = %g, %v; want 0.25", avg, ok)
 	}
 }
 
 func TestConvergenceTrackerZeroFromStart(t *testing.T) {
-	var c ConvergenceTracker
-	c.Record(1)
-	c.Record(0)
-	c.Record(0)
-	avg, err := c.AverageFactor(2)
-	if err != nil {
-		t.Fatal(err)
+	avg, ok := oneEpoch(0, 2, 1, 0, 0)
+	if !ok || avg != 0 {
+		t.Fatalf("average factor = %g, %v; want 0 (instant convergence)", avg, ok)
 	}
-	if avg != 0 {
-		t.Fatalf("AverageFactor = %g, want 0 (instant convergence)", avg)
-	}
-	f, err := c.Factor(2)
-	if err != nil || f != 0 {
-		t.Fatalf("Factor after zero variance = %g, %v; want 0", f, err)
+	// A window that opens on a zero variance has no rate to read.
+	if f, ok := oneEpoch(1, 2, 1, 0, 0); ok {
+		t.Fatalf("factor after zero variance = %g, want none", f)
 	}
 }
 
 func TestConvergenceTrackerErrors(t *testing.T) {
-	var c ConvergenceTracker
-	if _, err := c.Variance(0); err == nil {
-		t.Error("Variance on empty tracker should error")
+	if _, ok := oneEpoch(0, 1); ok {
+		t.Error("an empty window reported a factor")
 	}
-	c.Record(1)
-	if _, err := c.Factor(1); err == nil {
-		t.Error("Factor(1) with a single record should error")
+	if _, ok := oneEpoch(0, 1, 1); ok {
+		t.Error("a window without its end sample reported a factor")
 	}
-	if _, err := c.AverageFactor(1); err == nil {
-		t.Error("AverageFactor(1) with a single record should error")
+	if _, ok := oneEpoch(0, 1, 0, 0); ok {
+		t.Error("zero initial variance reported a factor")
 	}
-	if _, err := c.Factor(0); err == nil {
-		t.Error("Factor(0) should error (cycle 0 is the initial state)")
+}
+
+// TestRhoWindowPoolsEpochs: per epoch the window reads cycles From → To
+// only, a new epoch number restarts it, an epoch that stops early or
+// opens on no spread is left out, and the epochs' factors pool by their
+// geometric mean — in the log domain, so a hundred epochs whose product
+// underflows still pool.
+func TestRhoWindowPoolsEpochs(t *testing.T) {
+	w := RhoWindow{From: 2, To: 4}
+	feed := func(epoch int, rho float64, last int) {
+		for c := 1; c <= last; c++ {
+			w.Add(epoch, c, math.Pow(rho, float64(c)))
+		}
 	}
-	c2 := ConvergenceTracker{}
-	c2.Record(0)
-	c2.Record(0)
-	if _, err := c2.AverageFactor(1); err == nil {
-		t.Error("zero initial variance should error")
+	feed(0, 0.25, 6)
+	feed(1, 0.36, 4)
+	feed(2, 0.5, 3) // stops before To
+	w.Add(3, 2, 0)  // no spread at From
+	w.Add(3, 4, 1)
+	if f := w.Factors(); len(f) != 2 || !almostEqual(f[0], 0.25, 1e-12) || !almostEqual(f[1], 0.36, 1e-12) {
+		t.Fatalf("factors = %v, want [0.25 0.36]", f)
+	}
+	if got, ok := w.Factor(); !ok || !almostEqual(got, 0.3, 1e-12) {
+		t.Fatalf("pooled = %g, %v; want 0.3", got, ok)
+	}
+	w.Add(4, 2, 1) // underflows at To: read from cycle 3
+	w.Add(4, 3, 1e-2)
+	w.Add(4, 4, 0)
+	if got, ok := w.Factor(); !ok || !almostEqual(got, math.Pow(0.25*0.36*1e-2, 1.0/3), 1e-12) {
+		t.Fatalf("pooled with an underflowing epoch = %g, %v", got, ok)
+	}
+
+	many := RhoWindow{From: 0, To: 1}
+	for e := range 100 {
+		many.Add(e, 0, 1)
+		many.Add(e, 1, 1e-5)
+	}
+	if got, ok := many.Factor(); !ok || !almostEqual(got, 1e-5, 1e-15) {
+		t.Fatalf("100 epochs pooled = %g, %v; want 1e-5", got, ok)
+	}
+	zero := RhoWindow{From: 0, To: 1}
+	zero.Add(0, 0, 1)
+	zero.Add(0, 1, 0.5)
+	zero.Add(1, 0, 1)
+	zero.Add(1, 1, 0)
+	if got, ok := zero.Factor(); !ok || got != 0 {
+		t.Fatalf("pooled with an instantly converged epoch = %g, %v; want 0", got, ok)
 	}
 }
 
 func TestNormalizedReduction(t *testing.T) {
-	var c ConvergenceTracker
-	c.Record(10)
-	c.Record(5)
-	c.Record(1)
-	got := c.NormalizedReduction()
+	got := NormalizedReduction([]float64{10, 5, 1})
 	want := []float64{1, 0.5, 0.1}
 	if len(got) != len(want) {
 		t.Fatalf("length %d, want %d", len(got), len(want))
@@ -112,23 +139,7 @@ func TestNormalizedReduction(t *testing.T) {
 			t.Errorf("reduction[%d] = %g, want %g", i, got[i], want[i])
 		}
 	}
-	var empty ConvergenceTracker
-	if empty.NormalizedReduction() != nil {
-		t.Error("empty tracker should return nil")
-	}
-}
-
-func TestVarianceAccessor(t *testing.T) {
-	var c ConvergenceTracker
-	c.Record(3)
-	v, err := c.Variance(0)
-	if err != nil || v != 3 {
-		t.Fatalf("Variance(0) = %g, %v", v, err)
-	}
-	if _, err := c.Variance(1); err == nil {
-		t.Error("out-of-range access should error")
-	}
-	if _, err := c.Variance(-1); err == nil {
-		t.Error("negative access should error")
+	if NormalizedReduction(nil) != nil {
+		t.Error("no variances should return nil")
 	}
 }
