@@ -463,8 +463,8 @@ type (
 	// shard count, overlay override).
 	ScenarioSimOptions = scenario.SimOptions
 	// ScenarioFleetOptions tune the fleet executors: one supervisor on
-	// the in-memory transport (RunScenarioLive) or on a UDP mux per
-	// worker, all in this process (RunScenarioUDP).
+	// the in-memory transport (RunScenarioLive) or on one UDP mux
+	// (RunScenarioUDP), in this process.
 	ScenarioFleetOptions = scenario.FleetOptions
 	// ScenarioDivergence summarizes how two executions of one scenario
 	// differ cycle by cycle.
@@ -524,10 +524,10 @@ func RunScenarioLive(ctx context.Context, sc Scenario, opts ScenarioFleetOptions
 }
 
 // RunScenarioUDP executes a scenario against a fleet of live nodes on
-// real UDP loopback sockets, their endpoints spread over in-process UDP
-// muxes. The supervisor performs each scripted action on the fleet the
-// moment the script decides it and injects partitions and loss through
-// one drop-rule filter every mux applies (see transport.UDPFilter).
+// real UDP loopback sockets, their endpoints on one in-process UDP mux.
+// The supervisor performs each scripted action on the fleet the moment
+// the script decides it and injects partitions and loss through the
+// drop-rule filter the mux applies (see transport.UDPFilter).
 func RunScenarioUDP(ctx context.Context, sc Scenario, opts ScenarioFleetOptions) (*ScenarioRun, error) {
 	return scenario.RunUDP(ctx, sc, opts)
 }

@@ -1,18 +1,11 @@
-// Benchmarks regenerating every table and figure of the DSN'04 paper at
-// laptop scale (the paper shows behaviour is network-size independent;
-// cmd/aggsim reruns any figure at the full 10⁵–10⁶ scale). Each figure
-// benchmark prints the regenerated series once, so
-//
-//	go test -bench=Fig -benchmem
-//
-// reproduces the paper's evaluation tables in one run. Micro-benchmarks
-// cover the protocol's hot paths.
+// Micro- and scenario benchmarks of the protocol's hot paths, and the
+// §3/§4.5 results measured as benchmark metrics. The paper's figures are
+// regenerated by cmd/aggsim (aggsim -exp all).
 package antientropy_test
 
 import (
 	"fmt"
 	"slices"
-	"sync"
 	"testing"
 
 	"antientropy"
@@ -26,136 +19,9 @@ import (
 	"antientropy/internal/wire"
 )
 
-// Bench scale: large enough for the paper's shapes, small enough that the
-// whole root-package run (all twelve figures plus ablations and micros)
-// stays well inside go test's default 10-minute timeout.
-const (
-	benchN    = 8000
-	benchReps = 3
-)
-
-// logOnce prints a figure's series a single time per benchmark.
-var logOnce sync.Map
-
-func runFigure(b *testing.B, id string, opts antientropy.ExperimentOptions) {
-	b.Helper()
-	var res *antientropy.ExperimentResult
-	var err error
-	for i := 0; i < b.N; i++ {
-		res, err = antientropy.RunExperiment(id, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if _, done := logOnce.LoadOrStore(id, true); !done && res != nil {
-		b.Logf("\n%s", res.String())
-	}
-}
-
-func benchOpts() antientropy.ExperimentOptions {
-	return antientropy.ExperimentOptions{N: benchN, Reps: benchReps}
-}
-
-func BenchmarkFig2AveragePeak(b *testing.B) {
-	runFigure(b, "fig2", benchOpts())
-}
-
-func BenchmarkFig3aConvergenceVsSize(b *testing.B) {
-	// N here is the sweep's maximum size.
-	runFigure(b, "fig3a", antientropy.ExperimentOptions{N: benchN, Reps: 3})
-}
-
-func BenchmarkFig3bVarianceReduction(b *testing.B) {
-	runFigure(b, "fig3b", antientropy.ExperimentOptions{N: benchN, Reps: 3})
-}
-
-func BenchmarkFig4aWattsStrogatzBeta(b *testing.B) {
-	runFigure(b, "fig4a", antientropy.ExperimentOptions{N: benchN, Reps: 3})
-}
-
-func BenchmarkFig4bNewscastCacheSize(b *testing.B) {
-	runFigure(b, "fig4b", antientropy.ExperimentOptions{N: benchN, Reps: 3})
-}
-
-func BenchmarkFig5CrashVariance(b *testing.B) {
-	// Fig 5 estimates a variance across repetitions; it needs more reps
-	// than the envelope figures (EXPERIMENTS.md records a 100-rep run).
-	runFigure(b, "fig5", antientropy.ExperimentOptions{N: benchN, Reps: 25})
-}
-
-func BenchmarkFig6aSuddenDeath(b *testing.B) {
-	runFigure(b, "fig6a", benchOpts())
-}
-
-func BenchmarkFig6bChurn(b *testing.B) {
-	runFigure(b, "fig6b", benchOpts())
-}
-
-// BenchmarkFig6bSerialPacked pins K = 1 explicitly on the
-// NEWSCAST-heaviest figure (COUNT under churn, cache exchanges every
-// cycle); the name is kept so the CI bench artifact stays comparable.
-func BenchmarkFig6bSerialPacked(b *testing.B) {
-	opts := benchOpts()
-	opts.Engine = experiments.EngineSerial
-	runFigure(b, "fig6b", opts)
-}
-
-func BenchmarkFig7aLinkFailure(b *testing.B) {
-	runFigure(b, "fig7a", benchOpts())
-}
-
-func BenchmarkFig7bMessageLoss(b *testing.B) {
-	runFigure(b, "fig7b", benchOpts())
-}
-
-func BenchmarkFig8aMultiInstanceChurn(b *testing.B) {
-	runFigure(b, "fig8a", benchOpts())
-}
-
-func BenchmarkFig8bMultiInstanceLoss(b *testing.B) {
-	runFigure(b, "fig8b", benchOpts())
-}
-
-func BenchmarkAblationPushPull(b *testing.B) {
-	runFigure(b, "ablation-pushpull", antientropy.ExperimentOptions{N: 5000, Reps: 3})
-}
-
-func BenchmarkAblationCombiner(b *testing.B) {
-	runFigure(b, "ablation-combiner", antientropy.ExperimentOptions{N: 5000, Reps: 3})
-}
-
-func BenchmarkAblationPeerSelection(b *testing.B) {
-	runFigure(b, "ablation-peer-selection", antientropy.ExperimentOptions{N: 5000, Reps: 3})
-}
-
-// --- Figure sweeps at K = 8 ---
-//
-// Reduced-scale reruns of a figure and an ablation with -engine sharded
-// -shards 8: the CI bench job times them next to their K = 1
-// counterparts above (same N, same reps), so the figure-sweep perf
-// baseline of both shard counts lands in the scenario-engine-bench
-// artifact.
-
-func BenchmarkFig2Sharded(b *testing.B) {
-	runFigure(b, "fig2", antientropy.ExperimentOptions{
-		N: benchN, Reps: benchReps,
-		Engine: antientropy.ScenarioEngineSharded, Shards: 8,
-	})
-}
-
-func BenchmarkAblationPushPullSharded(b *testing.B) {
-	runFigure(b, "ablation-pushpull", antientropy.ExperimentOptions{
-		N: 5000, Reps: 3,
-		Engine: antientropy.ScenarioEngineSharded, Shards: 8,
-	})
-}
-
-func BenchmarkAblationCombinerSharded(b *testing.B) {
-	runFigure(b, "ablation-combiner", antientropy.ExperimentOptions{
-		N: 5000, Reps: 3,
-		Engine: antientropy.ScenarioEngineSharded, Shards: 8,
-	})
-}
+// benchN is the network size of the simulation benchmarks: large enough
+// for the paper's shapes, small enough for a quick run.
+const benchN = 8000
 
 // BenchmarkRhoTheory verifies the §3 headline result ρ ≈ 1/(2√e) and
 // reports the measured factor as a metric.

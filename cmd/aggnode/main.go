@@ -197,26 +197,34 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			return nil
 		case <-ticker.C:
 			tick++
-			est, ok := node.Estimate()
+			// One Snapshot per tick: the epoch, estimate, participation
+			// and sealed output on a line come from one side of an
+			// epoch restart.
+			snap, peers := node.Snapshot(), node.PeerCount()
 			status := "converging"
-			participating := 1
-			if !ok {
+			switch {
+			case !snap.Participating:
 				status = "waiting for epoch"
-				participating = 0
+			case !snap.OK:
+				status = "no estimate" // COUNT: no instance's mass reached it
 			}
 			fmt.Fprintf(stdout, "[epoch %d] estimate %12.4f (%s, %d peers)\n",
-				node.Epoch(), est, status, node.PeerCount())
-			if out, ok := node.LastOutput(); ok && out.Epoch != lastReported {
+				snap.Epoch, snap.Estimate, status, peers)
+			if out := snap.LastOutput; snap.HasOutput && out.Epoch != lastReported {
 				lastReported = out.Epoch
 				fmt.Fprintf(stdout, "== epoch %d output: %.6f (ok=%v)\n", out.Epoch, out.Value, out.OK)
+			}
+			participating := 0
+			if snap.Participating {
+				participating = 1
 			}
 			m := node.Metrics()
 			rec := antientropy.TimelineEntry{
 				Cycle:         tick,
-				Epoch:         node.Epoch(),
-				Alive:         node.PeerCount() + 1,
+				Epoch:         snap.Epoch,
+				Alive:         peers + 1,
 				Participating: participating,
-				MeanEstimate:  est,
+				MeanEstimate:  snap.Estimate,
 				Initiated:     m.ExchangesInitiated,
 				Completed:     m.ExchangesCompleted,
 				Timeouts:      m.Timeouts,

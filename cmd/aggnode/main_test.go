@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"log/slog"
 	"math"
@@ -160,6 +161,60 @@ func TestFoundersAndJoinerOnLoopback(t *testing.T) {
 			}
 		case <-time.After(5 * time.Second):
 			t.Errorf("node %d did not drain", i)
+		}
+	}
+}
+
+// TestLoneCountNodeParticipates runs one founding COUNT node whose
+// -concurrency is so small that it never leads an instance, so it holds
+// no mass and no estimate. It still takes part in every epoch from its
+// start, and its flight recorder, served on /debug/timeline, must say so
+// on every tick: participation comes from the node, not from whether it
+// has an estimate.
+func TestLoneCountNodeParticipates(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live UDP nodes skipped in -short mode")
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metricsAddr := ln.Addr().String()
+	ln.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	var out syncBuffer
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, []string{"-mode", "count", "-concurrency", "1e-12", "-cycle", "20ms",
+			"-delta", "500ms", "-gamma", "20", "-log", "warn", "-metrics-addr", metricsAddr}, &out)
+	}()
+	var dump struct {
+		Entries []antientropy.TimelineEntry `json:"entries"`
+	}
+	for deadline := time.Now().Add(10 * time.Second); len(dump.Entries) < 3; time.Sleep(50 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timeline holds %d entries after 10 s:\n%s", len(dump.Entries), out.String())
+		}
+		resp, err := http.Get("http://" + metricsAddr + "/debug/timeline")
+		if err != nil {
+			continue // not serving yet
+		}
+		err = json.NewDecoder(resp.Body).Decode(&dump)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "(no estimate, 0 peers)") || strings.Contains(out.String(), "waiting for epoch") {
+		t.Errorf("status lines of a participating node without an estimate:\n%s", out.String())
+	}
+	for _, e := range dump.Entries {
+		if e.Participating != 1 {
+			t.Fatalf("tick %d (epoch %d) records participating %d, want 1", e.Cycle, e.Epoch, e.Participating)
 		}
 	}
 }

@@ -12,17 +12,17 @@
 // explicit -engine serial or -engine sharded always wins, and the choice
 // is echoed in the per-run summary ("sim" vs "sim-sharded").
 //
-// The UDP executor slices the fleet across -workers UDP muxes in this
-// process, each running its nodes on its own sockets; partitions and
-// loss are injected through per-mux drop rules, so the same scripts
-// apply to all three executors.
+// The UDP executor runs the fleet on one UDP mux in this process, which
+// spreads the nodes' endpoints over its own sockets; partitions and loss
+// are injected through the mux's drop rules, so the same scripts apply to
+// all three executors.
 //
 // Usage:
 //
 //	aggscen -list
 //	aggscen -run partition-heal -n 1000            # sim + live, CSV
 //	aggscen -run loss-burst -executor sim -format json
-//	aggscen -run partition-heal -executor udp -workers 3
+//	aggscen -run partition-heal -executor udp -n 48 -cycle-len 25ms
 //	aggscen -run partition-heal -n 100000 -executor sim -engine sharded -shards 8
 //	aggscen -file my-scenario.json -out metrics.csv
 //	aggscen -compare steady-churn,loss-burst,partition-heal
@@ -78,7 +78,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		executor = fs.String("executor", "", "executors to use: sim, live, udp, both (= sim,live), all, or a comma list (default: both for -run, sim for -compare)")
 		engine   = fs.String("engine", "auto", "sim executor shard count: serial (one shard), sharded (-shards shards across the cores), or auto (sharded at 20k slots and up)")
 		shards   = fs.Int("shards", 0, "shard count K for -engine sharded (0 = GOMAXPROCS); results are deterministic per seed + shard count")
-		workers  = fs.Int("workers", 3, "udp executor: number of UDP muxes the fleet is sliced across")
 		viewCap  = fs.Int("view-cap", 0, "cap the piggybacked membership view per exchange datagram, in bytes (live/udp executors; 0 = unlimited)")
 		format   = fs.String("format", "csv", "metric output format: csv or json")
 		outPath  = fs.String("out", "", "write metrics to this file instead of stdout")
@@ -113,7 +112,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 
 	simOpts := antientropy.ScenarioSimOptions{Engine: *engine, Shards: *shards, Obs: reg,
 		Timeline: timeline, Logger: logger}
-	fleetOpts := antientropy.ScenarioFleetOptions{Workers: *workers, CycleLen: *cycleLen, Obs: reg,
+	fleetOpts := antientropy.ScenarioFleetOptions{CycleLen: *cycleLen, Obs: reg,
 		Trace: ring, Timeline: timeline, Logger: logger}
 	switch {
 	case *list:

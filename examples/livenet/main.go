@@ -73,11 +73,10 @@ func main() {
 		sensors, schedule.CycleLen, schedule.Delta)
 
 	report := func(label string) {
-		est, _ := nodes[0].Estimate()
-		out, ok := nodes[0].LastOutput()
-		fmt.Printf("%-28s current estimate %6.2f°C", label, est)
-		if ok {
-			fmt.Printf("   last epoch output %6.2f°C (epoch %d)", out.Value, out.Epoch)
+		s := nodes[0].Snapshot()
+		fmt.Printf("%-28s current estimate %6.2f°C", label, s.Estimate)
+		if s.HasOutput {
+			fmt.Printf("   last epoch output %6.2f°C (epoch %d)", s.LastOutput.Value, s.LastOutput.Epoch)
 		}
 		fmt.Println()
 	}
@@ -109,11 +108,11 @@ func main() {
 		log.Fatal(err)
 	}
 	defer joiner.Stop()
-	fmt.Printf("\n>> new node joins via seeds (participating: %v)\n", joiner.Participating())
+	fmt.Printf("\n>> new node joins via seeds (participating: %v)\n", joiner.Snapshot().Participating)
 	time.Sleep(time.Second)
-	est, ok := joiner.Estimate()
+	s := joiner.Snapshot()
 	fmt.Printf("after the next epoch:        joiner participating=%v estimate %6.2f°C (ok=%v)\n",
-		joiner.Participating(), est, ok)
+		s.Participating, s.Estimate, s.OK)
 	fmt.Printf("joiner peers known: %d\n", joiner.PeerCount())
 
 	m := nodes[0].Metrics()

@@ -220,7 +220,7 @@ type Metrics struct {
 }
 
 // Accumulate adds o's counts into m — the fleet-aggregation and
-// crash-retirement primitive: a worker sums its live nodes plus the
+// crash-retirement primitive: a fleet sums its live nodes plus the
 // counters of nodes it already stopped, and the sums stay monotone.
 func (m *Metrics) Accumulate(o Metrics) {
 	m.ExchangesInitiated += o.ExchangesInitiated
@@ -335,8 +335,6 @@ type Node struct {
 	sched nodeSchedule
 	// unwatch stops watching Start's context; set in Start under mu.
 	unwatch func() bool
-
-	subs []chan Output
 }
 
 // New validates cfg and builds a node (not yet started).
@@ -570,11 +568,7 @@ func (n *Node) Stop() error {
 	n.mu.Unlock()
 	n.unwatch()
 	sched.remove(n)
-	err := n.cfg.Endpoint.Close()
-	n.mu.Lock()
-	n.closeSubsLocked()
-	n.mu.Unlock()
-	return err
+	return n.cfg.Endpoint.Close()
 }
 
 // Estimate returns the node's current (converging) estimate. In
@@ -600,11 +594,12 @@ func (n *Node) estimateLocked() (float64, bool) {
 	return v, true
 }
 
-// Snapshot is one consistent read of a node's serving-relevant state:
-// epoch, current estimate and the most recent sealed epoch output, all
-// observed under one acquisition of the node lock. Serving layers use
-// it instead of separate Epoch/Estimate/LastOutput calls, whose values
-// could straddle an epoch restart.
+// Snapshot is one consistent read of a node's state: epoch,
+// participation, current estimate and the most recent sealed epoch
+// output, all observed under one acquisition of the node lock. Every
+// reader that needs more than one of them — a serving layer, the fleet
+// supervisor, aggnode's status line — takes a Snapshot, whose values
+// cannot straddle an epoch restart.
 type Snapshot struct {
 	// Epoch is the node's current epoch identifier.
 	Epoch uint64
@@ -621,7 +616,7 @@ type Snapshot struct {
 	HasOutput  bool
 }
 
-// Snapshot atomically reads the node's serving-relevant state.
+// Snapshot reads the node's state under one lock hold.
 func (n *Node) Snapshot() Snapshot {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -646,13 +641,6 @@ func (n *Node) Epoch() uint64 {
 	return n.epoch
 }
 
-// Participating reports whether the node takes part in the current epoch.
-func (n *Node) Participating() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.participating
-}
-
 // MaxOutputs bounds the retained epoch outputs.
 const MaxOutputs = 16
 
@@ -664,16 +652,6 @@ func (n *Node) Outputs() []Output {
 	return append([]Output(nil), n.outputs...)
 }
 
-// LastOutput returns the most recent epoch output.
-func (n *Node) LastOutput() (Output, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if len(n.outputs) == 0 {
-		return Output{}, false
-	}
-	return n.outputs[len(n.outputs)-1], true
-}
-
 // Metrics returns a snapshot of the node's protocol counters. It takes
 // no lock: the counters are atomics, so scraping a running fleet never
 // contends with the exchange path.
@@ -683,56 +661,6 @@ func (n *Node) Metrics() Metrics {
 		m.DefenseRejected = n.guard.Rejected()
 	}
 	return m
-}
-
-// Subscribe returns a channel that receives every completed epoch's
-// output — the paper's motivating monitoring pattern ("some aggregate
-// reaching a specific value may trigger the execution of certain
-// operations", §1). The channel is buffered; if the subscriber falls
-// behind, the oldest unread outputs are dropped rather than blocking the
-// protocol — outputs are published from the goroutine that runs every
-// node of the process, which must never wait for a reader. The channel is
-// closed when the node stops.
-func (n *Node) Subscribe(buffer int) <-chan Output {
-	if buffer < 1 {
-		buffer = 8
-	}
-	ch := make(chan Output, buffer)
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.stopped {
-		close(ch)
-		return ch
-	}
-	n.subs = append(n.subs, ch)
-	return ch
-}
-
-// publishLocked delivers an epoch output to all subscribers without ever
-// blocking: a full buffer drops its oldest entry first.
-func (n *Node) publishLocked(out Output) {
-	for _, ch := range n.subs {
-		for {
-			select {
-			case ch <- out:
-			default:
-				select {
-				case <-ch: // evict the oldest
-					continue
-				default:
-				}
-			}
-			break
-		}
-	}
-}
-
-// closeSubsLocked closes all subscriber channels (at Stop).
-func (n *Node) closeSubsLocked() {
-	for _, ch := range n.subs {
-		close(ch)
-	}
-	n.subs = nil
 }
 
 // contactEntries interns a contact address list into packed membership
@@ -768,16 +696,4 @@ func (n *Node) PeerCount() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.view.Len()
-}
-
-// Peers returns the current NEWSCAST view (addresses only).
-func (n *Node) Peers() []string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	packed := n.view.Packed()
-	out := make([]string, 0, len(packed))
-	for _, e := range packed {
-		out = append(out, n.keyAddr(overlay.UnpackKey(e)))
-	}
-	return out
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"antientropy/internal/core"
+	"antientropy/internal/overlay"
 	"antientropy/internal/transport"
 )
 
@@ -20,6 +21,17 @@ func quietLogger() *slog.Logger {
 type discard struct{}
 
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
+
+// peers returns the node's NEWSCAST view as addresses.
+func (n *Node) peers() []string {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	var out []string
+	for _, e := range n.view.Packed() {
+		out = append(out, n.keyAddr(overlay.UnpackKey(e)))
+	}
+	return out
+}
 
 // testSchedule returns a fast schedule: δ = 10ms, γ = 25 cycles,
 // Δ = 250ms, anchored in the recent past so every node agrees on epochs.
@@ -210,8 +222,9 @@ func TestEpochOutputsRecorded(t *testing.T) {
 		if len(outs) == 0 {
 			t.Fatalf("node %d recorded no epoch outputs", i)
 		}
-		last, ok := node.LastOutput()
-		if !ok {
+		s := node.Snapshot()
+		last := s.LastOutput
+		if !s.HasOutput {
 			t.Fatalf("node %d has no last output", i)
 		}
 		if !last.OK {
@@ -282,7 +295,7 @@ func TestRestartAdaptsToChangedValues(t *testing.T) {
 		time.Sleep(100 * time.Millisecond)
 		adapted := 0
 		for _, node := range nodes {
-			if out, ok := node.LastOutput(); ok && math.Abs(out.Value-100) < 1 {
+			if s := node.Snapshot(); s.HasOutput && math.Abs(s.LastOutput.Value-100) < 1 {
 				adapted++
 			}
 		}
@@ -291,8 +304,8 @@ func TestRestartAdaptsToChangedValues(t *testing.T) {
 		}
 	}
 	for i, node := range nodes {
-		out, ok := node.LastOutput()
-		t.Logf("node %d: last output %+v ok=%v", i, out, ok)
+		s := node.Snapshot()
+		t.Logf("node %d: last output %+v ok=%v", i, s.LastOutput, s.HasOutput)
 	}
 	t.Fatal("outputs never adapted to the new values")
 }
@@ -316,7 +329,7 @@ func TestJoinerWaitsForNextEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer joiner.Stop()
-	if joiner.Participating() {
+	if joiner.Snapshot().Participating {
 		t.Fatal("joiner participated immediately")
 	}
 	if _, ok := joiner.Estimate(); ok {
@@ -334,7 +347,7 @@ func TestJoinerWaitsForNextEpoch(t *testing.T) {
 		}
 	}
 	t.Fatalf("joiner never integrated: participating=%v metrics=%+v",
-		joiner.Participating(), joiner.Metrics())
+		joiner.Snapshot().Participating, joiner.Metrics())
 }
 
 func TestEpochJumpForward(t *testing.T) {
@@ -467,7 +480,7 @@ func TestCountModeEstimatesSize(t *testing.T) {
 		time.Sleep(100 * time.Millisecond)
 		good := 0
 		for _, node := range nodes {
-			if out, ok := node.LastOutput(); ok && out.OK && out.Value > n/3 && out.Value < n*3 {
+			if out := node.Snapshot().LastOutput; out.OK && out.Value > n/3 && out.Value < n*3 {
 				good++
 			}
 		}
@@ -476,8 +489,8 @@ func TestCountModeEstimatesSize(t *testing.T) {
 		}
 	}
 	for i, node := range nodes {
-		out, ok := node.LastOutput()
-		t.Logf("node %d: output %+v ok=%v", i, out, ok)
+		s := node.Snapshot()
+		t.Logf("node %d: output %+v ok=%v", i, s.LastOutput, s.HasOutput)
 	}
 	t.Fatal("COUNT estimates never landed near the true size")
 }

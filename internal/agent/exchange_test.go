@@ -272,14 +272,14 @@ func TestDatagramBufferNotAliased(t *testing.T) {
 	}
 	h.handle(h.peer.Addr(), data)
 	h.sent(t)
-	peers, state := h.Peers(), h.state()
+	peers, state := h.peers(), h.state()
 	if !slices.Contains(peers, "fresh-30:7000") {
 		t.Fatalf("the request's view was not absorbed: %v", peers)
 	}
 	for i := range data {
 		data[i] = 0xaa
 	}
-	if got := h.Peers(); !reflect.DeepEqual(got, peers) {
+	if got := h.peers(); !reflect.DeepEqual(got, peers) {
 		t.Fatalf("view addresses changed with the datagram buffer:\n got %v\nwant %v", got, peers)
 	}
 	if got := h.state(); !reflect.DeepEqual(got, state) {
@@ -326,7 +326,7 @@ func TestPeerDrawnAhead(t *testing.T) {
 	reply := h.reply(h.exchange(t), 20)
 	reply.View = frame
 	h.deliver(t, reply)
-	if slices.Contains(h.Peers(), h.peer.Addr()) {
+	if slices.Contains(h.peers(), h.peer.Addr()) {
 		t.Fatal("the reply's frame left the peer in the view")
 	}
 	for k := 2; k <= 2+peerLead; k++ {
@@ -375,7 +375,7 @@ func TestReplyAfterTimeoutAbsorbsViewOnly(t *testing.T) {
 	if m := h.Metrics(); m.ExchangesCompleted != 0 || m.Timeouts != 1 {
 		t.Fatalf("completed %d, timeouts %d; want 0 and 1", m.ExchangesCompleted, m.Timeouts)
 	}
-	if !slices.Contains(h.Peers(), "late:1") {
+	if !slices.Contains(h.peers(), "late:1") {
 		t.Fatal("the late reply's view was not absorbed")
 	}
 	// The timeout freed the node (its next peer may be the unreachable

@@ -206,7 +206,7 @@ func TestParentDeltaFrameAbsorbed(t *testing.T) {
 	if !slices.Equal(sent, want) {
 		t.Fatalf("the reply carries %v, want the pre-merge view and the node itself, %v", sent, want)
 	}
-	if peers := h.Peers(); !slices.Contains(peers, "upgrade-1:7000") || !slices.Contains(peers, "upgrade-2:7000") {
+	if peers := h.peers(); !slices.Contains(peers, "upgrade-1:7000") || !slices.Contains(peers, "upgrade-2:7000") {
 		t.Fatalf("the delta's descriptors were not absorbed: %v", peers)
 	}
 	if got := h.scalarNow(); got != 6 {

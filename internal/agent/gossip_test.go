@@ -77,7 +77,7 @@ func TestDeltaGossipEngages(t *testing.T) {
 	for !knowsAll() {
 		if time.Now().After(deadline) {
 			for _, n := range nodes {
-				t.Logf("%s knows %v", n.Addr(), n.Peers())
+				t.Logf("%s knows %v", n.Addr(), n.peers())
 			}
 			t.Fatal("the views do not name the whole fleet after 5s")
 		}
@@ -150,7 +150,7 @@ func TestSharedBookTieBreakStarvesNobody(t *testing.T) {
 
 	indegree := make(map[string]int, fleet)
 	for _, n := range nodes {
-		for _, a := range n.Peers() {
+		for _, a := range n.peers() {
 			indegree[a]++
 		}
 	}
@@ -212,7 +212,7 @@ func TestLegacyPeerNegotiation(t *testing.T) {
 	if reply, v := h.sentVersion(t); v != wire.Version || reply.Type() != wire.TMembershipReply {
 		t.Fatalf("the current hello was answered with a %v at version %d", reply.Type(), v)
 	}
-	if peers := h.Peers(); !containsAddr(peers, "n2") || !containsAddr(peers, "n3") {
+	if peers := h.peers(); !containsAddr(peers, "n2") || !containsAddr(peers, "n3") {
 		t.Fatalf("the current hello's view was not absorbed: %v", peers)
 	}
 }

@@ -29,7 +29,7 @@ func TestSetValueTakesEffectNextEpoch(t *testing.T) {
 	// Wait for the first sealed output at the old value.
 	deadline := time.Now().Add(3 * time.Second)
 	for {
-		if out, ok := nodes[0].LastOutput(); ok && out.OK {
+		if out := nodes[0].Snapshot().LastOutput; out.OK {
 			if out.Value < 9.9 || out.Value > 10.1 {
 				t.Fatalf("pre-update output %g, want ≈ 10", out.Value)
 			}
@@ -44,11 +44,11 @@ func TestSetValueTakesEffectNextEpoch(t *testing.T) {
 	// Within a few epochs every node must seal an output at the new mean.
 	deadline = time.Now().Add(3 * time.Second)
 	for {
-		if out, ok := nodes[0].LastOutput(); ok && out.OK && out.Value > 39 && out.Value < 41 {
+		if out := nodes[0].Snapshot().LastOutput; out.OK && out.Value > 39 && out.Value < 41 {
 			return
 		}
 		if time.Now().After(deadline) {
-			out, _ := nodes[0].LastOutput()
+			out := nodes[0].Snapshot().LastOutput
 			t.Fatalf("fleet never converged to updated value; last output %+v", out)
 		}
 		time.Sleep(10 * time.Millisecond)

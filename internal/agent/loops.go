@@ -34,12 +34,10 @@ func (n *Node) finishEpochLocked(now time.Time) {
 		return
 	}
 	v, ok := n.estimateLocked()
-	out := Output{Epoch: n.epoch, Value: v, OK: ok, At: now}
-	n.outputs = append(n.outputs, out)
+	n.outputs = append(n.outputs, Output{Epoch: n.epoch, Value: v, OK: ok, At: now})
 	if len(n.outputs) > MaxOutputs {
 		n.outputs = n.outputs[len(n.outputs)-MaxOutputs:]
 	}
-	n.publishLocked(out)
 }
 
 // startEpochLocked re-initializes the protocol instance for n.epoch.

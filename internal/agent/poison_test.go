@@ -208,7 +208,7 @@ func TestFleetsConvergeOnPoisonedWorkspaces(t *testing.T) {
 				lo, hi, cycles, mean, sum.Timeouts, sum.ExchangesInitiated)
 		}
 		for _, node := range nodes {
-			for _, peer := range node.Peers() {
+			for _, peer := range node.peers() {
 				if peer == poison {
 					t.Fatalf("%s gossips about %s", node.Addr(), poison)
 				}
@@ -283,7 +283,7 @@ func TestPathsOutsideExchangesHoldWhatTheyUse(t *testing.T) {
 	if got := node.PeerCount(); got != len(contacts) {
 		t.Fatalf("the view holds %d of %d contacts", got, len(contacts))
 	}
-	for _, peer := range node.Peers() {
+	for _, peer := range node.peers() {
 		if peer == poison {
 			t.Fatal("the view holds a poisoned contact")
 		}

@@ -72,7 +72,7 @@ func TestClusterConvergesUnderLossAndLatency(t *testing.T) {
 		time.Sleep(100 * time.Millisecond)
 		good := 0
 		for _, node := range nodes {
-			if out, ok := node.LastOutput(); ok && out.OK && math.Abs(out.Value-want) < 0.25 {
+			if out := node.Snapshot().LastOutput; out.OK && math.Abs(out.Value-want) < 0.25 {
 				good++
 			}
 		}
@@ -81,7 +81,7 @@ func TestClusterConvergesUnderLossAndLatency(t *testing.T) {
 		}
 	}
 	for i, node := range nodes {
-		out, _ := node.LastOutput()
+		out := node.Snapshot().LastOutput
 		t.Logf("node %d: %+v metrics=%+v", i, out, node.Metrics())
 	}
 	t.Fatal("cluster never produced accurate epoch outputs under loss")
@@ -116,7 +116,7 @@ func TestPartitionHealsAndEstimatesRecover(t *testing.T) {
 		time.Sleep(100 * time.Millisecond)
 		outs := make([]Output, 0, 5)
 		for _, node := range nodes[:5] {
-			if out, ok := node.LastOutput(); ok && out.OK {
+			if out := node.Snapshot().LastOutput; out.OK {
 				outs = append(outs, out)
 			}
 		}
@@ -304,5 +304,5 @@ func TestJoinReplySeedsMembership(t *testing.T) {
 			return
 		}
 	}
-	t.Fatalf("joiner knows only %d peers (%v)", joiner.PeerCount(), joiner.Peers())
+	t.Fatalf("joiner knows only %d peers (%v)", joiner.PeerCount(), joiner.peers())
 }

@@ -5,8 +5,7 @@ import "antientropy/internal/obs"
 // RegisterMetrics exposes one aggregated agent counter set on reg under
 // the canonical agg_* names. snap is called at scrape time and should
 // return the summed Metrics of whatever population the process hosts —
-// a single node, a live fleet plus its retired crash victims, or a UDP
-// supervisor's merged worker totals. Registering funcs (rather than
+// a single node, or a scenario fleet plus its retired crash victims. Registering funcs (rather than
 // having nodes increment registry counters directly) keeps the per-node
 // counters authoritative, which crash retirement requires, and keeps
 // the hot path at exactly one atomic add per event. Next to the counters

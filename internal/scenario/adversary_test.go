@@ -14,9 +14,9 @@ import (
 )
 
 // TestAdvScheduleDeterministic pins the cross-executor contract: the
-// Byzantine plan is a pure function of the scenario, so the supervisor,
-// every UDP worker and both sim engines — each rebuilding the schedule
-// independently — select the identical attacker set.
+// Byzantine plan is a pure function of the scenario, so the supervisor
+// and both sim engines — each rebuilding the schedule independently —
+// select the identical attacker set.
 func TestAdvScheduleDeterministic(t *testing.T) {
 	sc, err := ByName("inject-extreme")
 	if err != nil {

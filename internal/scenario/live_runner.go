@@ -21,7 +21,6 @@ func RunLive(ctx context.Context, sc Scenario, opts FleetOptions) (*RunResult, e
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	opts.Workers = 1
 	// A node's cycle costs ~150µs of single-core compute (two piggybacked
 	// gossip datagrams, a scheduler wakeup, timer churn); the 15ms floor is
 	// for timer accuracy. Measured on one core, a 1000-node fleet

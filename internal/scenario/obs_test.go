@@ -170,7 +170,7 @@ func TestLiveObsRegistryExports(t *testing.T) {
 	}
 
 	udpReg := obs.NewRegistry()
-	udpOpts := udpTestOptions(2)
+	udpOpts := udpTestOptions()
 	udpOpts.Obs = udpReg
 	tiny := Scenario{Name: "obs-udp", N: 4, Cycles: 2, EpochLen: 2, Seed: 9}.WithDefaults()
 	if _, err := RunUDP(context.Background(), tiny, udpOpts); err != nil {

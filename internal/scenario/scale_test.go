@@ -12,13 +12,13 @@ import (
 
 // TestUDPPartitionHeal10k is the scale gate, kept out of tier-1 by its
 // build tag (go test -tags scale -run 10k ./internal/scenario): 10⁴ nodes
-// across four UDP muxes in one process (2 500 endpoints per socket set)
-// run partition-heal to cycle 55, past the heal at cycle 40, with every
+// on one UDP mux in this process, whose sockets (min(GOMAXPROCS, 4)) take
+// the endpoints in turn, run partition-heal to cycle 55, past the heal at cycle 40, with every
 // scripted crash, join, split and heal applied by the supervisor the
 // moment the script decides it. The run must complete, its divergence
 // from the simulator's run of the same script must cover every cycle, the
 // fleet must contract variance within a quarter of the simulator's
-// convergence factor, and every datagram the muxes accepted must decode
+// convergence factor, and every datagram the mux accepted must decode
 // (mux framing and the exchange codec at full fan-in):
 // agg_decode_errors_total reads 0. Cycles are 400ms: on 2 vCPUs, 100ms
 // cycles starve the fleet (ρ 0.86 against the simulator's 0.35) and 250ms
@@ -31,7 +31,7 @@ func TestUDPPartitionHeal10k(t *testing.T) {
 	sc.N, sc.Cycles = 10_000, 55
 	reg := obs.NewRegistry()
 	start := time.Now()
-	res, err := RunUDP(context.Background(), sc, FleetOptions{Workers: 4, CycleLen: 400 * time.Millisecond, Obs: reg})
+	res, err := RunUDP(context.Background(), sc, FleetOptions{CycleLen: 400 * time.Millisecond, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

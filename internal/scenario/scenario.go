@@ -10,11 +10,11 @@
 //     internal/sim (partitions enforced via the engine's exchange filter,
 //     epoch restarts via Engine.Restart),
 //   - RunLive executes it on a fleet of real internal/agent nodes over the
-//     in-memory transport, and RunUDP on the same fleet over UDP muxes on
-//     loopback. One supervisor runs both: it performs each scripted
+//     in-memory transport, and RunUDP on the same fleet over one UDP mux
+//     on loopback. One supervisor runs both: it performs each scripted
 //     action on the fleet the moment the script decides it, and injects
-//     partitions and loss through one transport.UDPFilter that every
-//     network applies.
+//     partitions and loss through the transport.UDPFilter that the
+//     fleet's network applies.
 //
 // All emit the same per-cycle metrics (estimate mean/spread/error,
 // message counts, live-node count), so simulator predictions can be

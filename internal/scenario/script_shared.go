@@ -57,7 +57,7 @@ type fleet interface {
 //   - a partition fires once, at its At cycle, and heals at Until + 1 or
 //     at an explicit heal, whichever comes first;
 //   - loss and delay bursts reach every fleet every cycle; a fleet that
-//     cannot inject latency (simulation engines, UDP muxes) is named
+//     cannot inject latency (simulation engines, the UDP mux) is named
 //     once on the Logger and the burst is otherwise ignored.
 //
 // The founding fleet is not the script's business, but its rule is stated

@@ -466,7 +466,7 @@ func (c *fakeCore) SetMessageLoss(p float64)                { c.loss = p }
 func (c *fakeCore) ReseedOverlay(int)                       { c.reseeds++ }
 
 // TestScriptBackendsAgree drives the two real backends — the simulator's
-// and the supervisor's, on a real in-memory fleet of two workers — with
+// and the supervisor's, on a real in-memory fleet — with
 // the same script and the same live-slot picks: the script must ask both
 // for the same actions, and after every cycle both must hold the same
 // fleet: who is alive (and, on the supervisor, a node on exactly those
@@ -482,7 +482,7 @@ func TestScriptBackendsAgree(t *testing.T) {
 			onSim := newRecFleet(simScript, 7)
 			onSim.inner = simFleet{e: core, rng: simScript.rng}
 
-			sup := newSupervisor(context.Background(), sc, FleetOptions{Workers: 2, CycleLen: 25 * time.Millisecond}, "test", sharedMemNet())
+			sup := newSupervisor(context.Background(), sc, FleetOptions{CycleLen: 25 * time.Millisecond}, "test", newMemNet)
 			defer sup.stop()
 			if err := sup.init(); err != nil {
 				t.Fatal(err)
@@ -575,7 +575,7 @@ func TestScriptSplitMatchesVeto(t *testing.T) {
 	simFleet{e: core}.split(groupOf)
 
 	sc := Scenario{Name: "split", N: 6, Cycles: 1}.WithDefaults()
-	sup := newSupervisor(context.Background(), sc, FleetOptions{Workers: 2}, "test", newMemNet)
+	sup := newSupervisor(context.Background(), sc, FleetOptions{}, "test", newMemNet)
 	for slot, a := range core.alive {
 		sup.roster.alive[slot] = a
 		sup.roster.addr[slot] = fmt.Sprint("a", slot)

@@ -23,7 +23,7 @@ import (
 // that replaced it (the canned seed 18 is one of those that flipped), so
 // the test pins seed 3, which passes on both.
 //
-// The udp case runs the same script on 48 nodes across three UDP muxes on
+// The udp case runs the same script on 48 nodes on a UDP mux on
 // loopback, whose wall-clock timing moves the alert window from run to
 // run: there the alert must fire at least once (agg_alerts_total), show
 // on /debug/timeline, and be clear again (agg_alert_active 0) at a
@@ -84,7 +84,7 @@ func TestSimTimelineHealthAlerts(t *testing.T) {
 		}
 		sc := sc
 		sc.N = 48
-		opts := udpTestOptions(3)
+		opts := udpTestOptions()
 		opts.Obs = obs.NewRegistry()
 		opts.Timeline = obs.NewTimeline(sc.Cycles + 1)
 		if _, err := RunUDP(context.Background(), sc, opts); err != nil {
@@ -115,15 +115,16 @@ func TestSimTimelineHealthAlerts(t *testing.T) {
 const theoryRhoStallFloor = 2 * 0.303
 
 // TestUDPExecutorCrossProcessTrace pins trace stitching end to end over
-// real sockets: with one node per worker every exchange crosses from one
-// mux to another, and the fleet's trace ring must stitch the initiator's
-// and responder's events into one span via the shared exchange ID.
+// real sockets: every exchange crosses the mux's loopback sockets (the
+// two endpoints sit on different ones wherever the mux opens two), and
+// the fleet's trace ring must stitch the initiator's and responder's
+// events into one span via the shared exchange ID.
 func TestUDPExecutorCrossProcessTrace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("UDP fleet test skipped in -short mode")
 	}
 	sc := Scenario{Name: "udp-xproc-trace", N: 2, Cycles: 10, EpochLen: 5, Seed: 4}.WithDefaults()
-	opts := udpTestOptions(2)
+	opts := udpTestOptions()
 	opts.Trace = obs.NewTraceRing(512)
 	res, err := RunUDP(context.Background(), sc, opts)
 	if err != nil {
@@ -134,14 +135,14 @@ func TestUDPExecutorCrossProcessTrace(t *testing.T) {
 	}
 	events := opts.Trace.Entries()
 	if len(events) == 0 {
-		t.Fatal("the workers' nodes recorded no trace events")
+		t.Fatal("the fleet's nodes recorded no trace events")
 	}
 	nodes := make(map[string]bool)
 	for _, ev := range events {
 		nodes[ev.Node] = true
 	}
 	if len(nodes) != 2 {
-		t.Fatalf("trace covers nodes %v, want both workers' nodes", nodes)
+		t.Fatalf("trace covers nodes %v, want both", nodes)
 	}
 
 	stitched := 0
@@ -158,6 +159,6 @@ func TestUDPExecutorCrossProcessTrace(t *testing.T) {
 		stitched++
 	}
 	if stitched == 0 {
-		t.Fatal("no completed cross-worker span: XIDs did not stitch across workers")
+		t.Fatal("no completed span: XIDs did not stitch across the two nodes")
 	}
 }

@@ -19,12 +19,6 @@ import (
 
 // FleetOptions tune the fleet executors, RunLive and RunUDP.
 type FleetOptions struct {
-	// Workers is the number of UDP muxes RunUDP spreads the fleet's
-	// endpoints over (default 3, capped at the scenario's initial size),
-	// one socket set each; one drop filter serves them all. Slot i binds
-	// on mux i mod Workers whenever it (re)joins. RunLive runs the whole
-	// fleet on one in-memory network and ignores it.
-	Workers int
 	// CycleLen is δ, the wall-clock length of one protocol cycle. The
 	// default scales with the fleet size and the machine's cores so that
 	// every node can complete its exchange within a cycle — a too-short δ
@@ -40,7 +34,7 @@ type FleetOptions struct {
 	Obs *obs.Registry
 	// Trace, when set, receives the exchange-trace events of every node:
 	// events sharing an exchange identifier stitch into causal spans
-	// across muxes (see obs.StitchSpans).
+	// across sockets (see obs.StitchSpans).
 	Trace *obs.TraceRing
 	// Timeline, when set, receives one flight-recorder snapshot per
 	// sampled cycle (see obs.Timeline). Health rules are evaluated
@@ -54,10 +48,6 @@ type FleetOptions struct {
 // the default cycle spreads that budget for every slot across the cores,
 // with floor as its least length, for timer accuracy.
 func (o FleetOptions) withDefaults(sc Scenario, nodeCost, floor time.Duration) FleetOptions {
-	if o.Workers <= 0 {
-		o.Workers = 3
-	}
-	o.Workers = min(o.Workers, sc.N)
 	if o.CycleLen <= 0 {
 		perCore := nodeCost / time.Duration(runtime.GOMAXPROCS(0))
 		o.CycleLen = max(time.Duration(sc.MaxSlots())*perCore, floor)
@@ -71,14 +61,14 @@ func (o FleetOptions) withDefaults(sc Scenario, nodeCost, floor time.Duration) F
 // RunUDP executes the scenario against a fleet of real agent nodes over
 // UDP loopback sockets: the paper's runtime on a real network stack, with
 // kernel scheduling, packet reordering and socket-buffer pressure in the
-// loop. The fleet's endpoints are spread over Workers batched UDP muxes
-// in this process; the supervisor acts on the fleet directly as the
-// script decides, and injects partitions and loss through the one
-// UDPFilter every mux applies — the userspace stand-in for the iptables
-// rules a privileged supervisor would install. The run is wall-clock
-// driven and therefore not bit-for-bit deterministic, but it chases the
-// identical scripted value signal, so its metric stream is directly
-// comparable to the other executors'.
+// loop. The fleet's endpoints share one batched UDP mux in this process,
+// which spreads them over its own sockets; the supervisor acts on the
+// fleet directly as the script decides, and injects partitions and loss
+// through the UDPFilter the mux applies — the userspace stand-in for the
+// iptables rules a privileged supervisor would install. The run is
+// wall-clock driven and therefore not bit-for-bit deterministic, but it
+// chases the identical scripted value signal, so its metric stream is
+// directly comparable to the other executors'.
 func RunUDP(ctx context.Context, sc Scenario, opts FleetOptions) (*RunResult, error) {
 	sc = sc.WithDefaults()
 	if err := sc.Validate(); err != nil {
@@ -95,9 +85,8 @@ func RunUDP(ctx context.Context, sc Scenario, opts FleetOptions) (*RunResult, er
 // effect the moment the script decides it, as on the simulator. It owns
 // the script interpreter, the roster, a slot-indexed node table and the
 // one value program, Byzantine schedule, drop filter and cycle clock the
-// whole fleet shares; the nodes' endpoints come from its workers'
-// networks, slot i from worker i mod Workers. Its cycle loop is the one
-// wall-clock loop both fleet executors share.
+// whole fleet shares; the nodes' endpoints come from its one network.
+// Its cycle loop is the one wall-clock loop both fleet executors share.
 type supervisor struct {
 	sc       Scenario
 	executor string
@@ -107,10 +96,11 @@ type supervisor struct {
 	script   *script
 	log      *runLog
 
-	// workers hold the networks; every one applies filter, which carries
-	// the scripted partitions and loss.
-	workers []*udpWorker
-	filter  *transport.UDPFilter
+	// net is the fleet's network, built by newNet at init; it applies
+	// filter, which carries the scripted partitions and loss.
+	newNet netBuilder
+	net    fleetNet
+	filter *transport.UDPFilter
 
 	// sched is the fleet's schedule, anchored at start. cycleNow is the
 	// script's cycle clock; node value suppliers and wire hooks read it,
@@ -170,8 +160,8 @@ type fleetSample struct {
 	fleetTelemetry
 }
 
-// newSupervisor builds the supervisor of a validated scenario with
-// opts.Workers networks from newNet.
+// newSupervisor builds the supervisor of a validated scenario, whose
+// network newNet builds at init.
 func newSupervisor(ctx context.Context, sc Scenario, opts FleetOptions, executor string, newNet netBuilder) *supervisor {
 	slots := sc.MaxSlots()
 	adv := newAdvSchedule(sc, slots)
@@ -185,6 +175,7 @@ func newSupervisor(ctx context.Context, sc Scenario, opts FleetOptions, executor
 		roster:   newFleetRoster(slots),
 		script:   newScript(sc, slots, stats.NewRNG(sc.Seed^0x666c6565742d72), adv, opts.Logger), // "fleet-r"
 		log:      newRunLog(sc, executor, prog, adv, sobs),
+		newNet:   newNet,
 		filter:   transport.NewUDPFilter(int64(sc.Seed) + 2),
 		prog:     prog,
 		adv:      adv,
@@ -196,9 +187,6 @@ func newSupervisor(ctx context.Context, sc Scenario, opts FleetOptions, executor
 	d.filter.SetLoss(sc.MessageLoss)
 	if c, err := sc.Defense.combiner(); err == nil {
 		d.combiner = c // err pre-screened by Validate
-	}
-	for range opts.Workers {
-		d.workers = append(d.workers, &udpWorker{newNet: newNet})
 	}
 	sobs.bindScript(d.script)
 	d.bindObs(opts.Obs)
@@ -278,7 +266,7 @@ func (d *supervisor) run() (*RunResult, error) {
 	}
 	tel := d.telemetry()
 	d.opts.Logger.Info(d.executor+" executor finished",
-		"scenario", d.sc.Name, "workers", len(d.workers),
+		"scenario", d.sc.Name,
 		"queueDrops", tel.queueDrops, "filterDrops", tel.filterDrops,
 		"decodeErrors", tel.totals.DecodeErrors)
 	return d.log.result, nil
@@ -300,16 +288,14 @@ func sleepUntil(ctx context.Context, t time.Time) error {
 	}
 }
 
-// init builds the workers' networks and binds one endpoint per founding
+// init builds the fleet's network and binds one endpoint per founding
 // slot.
 func (d *supervisor) init() error {
-	for i, w := range d.workers {
-		net, err := w.newNet(d.sc, d.filter)
-		if err != nil {
-			return fmt.Errorf("scenario %s: worker %d: network: %w", d.sc.Name, i, err)
-		}
-		w.net = net
+	net, err := d.newNet(d.sc, d.filter)
+	if err != nil {
+		return fmt.Errorf("scenario %s: network: %w", d.sc.Name, err)
 	}
+	d.net = net
 	for slot := range d.sc.N {
 		if err := d.bind(slot); err != nil {
 			return err
@@ -318,11 +304,11 @@ func (d *supervisor) init() error {
 	return nil
 }
 
-// bind attaches the slot to a fresh endpoint on its worker's network and
+// bind attaches the slot to a fresh endpoint on the fleet's network and
 // records it alive at the new address — in the slot's component, while
 // a partition is on.
 func (d *supervisor) bind(slot int) error {
-	ep, err := d.workers[slot%len(d.workers)].net.endpoint()
+	ep, err := d.net.endpoint()
 	if err != nil {
 		return fmt.Errorf("scenario %s: slot %d: %w", d.sc.Name, slot, err)
 	}
@@ -378,13 +364,7 @@ func (d *supervisor) pickAlive() int  { return d.roster.randomAlive(d.script.rng
 
 func (d *supervisor) setLoss(p float64) { d.filter.SetLoss(p) }
 
-func (d *supervisor) setDelay(min, max time.Duration) bool {
-	ok := true
-	for _, w := range d.workers {
-		ok = w.net.setLatency(min, max) && ok
-	}
-	return ok
-}
+func (d *supervisor) setDelay(min, max time.Duration) bool { return d.net.setLatency(min, max) }
 
 // crash stops a node ungracefully: its endpoint closes mid-protocol and
 // peers time out, exactly as a process crash looks from the network. The
@@ -423,7 +403,7 @@ func (d *supervisor) joinAs(slot, _ int) {
 	}
 }
 
-// split installs the partition on the filter every network applies:
+// split installs the partition on the filter the network applies:
 // datagrams between live addresses in different components are dropped
 // on both the send and the receive path.
 func (d *supervisor) split(groupOf []int) {
@@ -465,7 +445,7 @@ func (d *supervisor) sample(cycle int) {
 
 // gather sums the fleet's state: node counts, the honest participants'
 // estimates, the cumulative protocol counters (live nodes plus
-// crash-retired ones) and the networks' transport telemetry.
+// crash-retired ones) and the network's transport telemetry.
 func (d *supervisor) gather() fleetSample {
 	s := fleetSample{fleetTelemetry: d.retired}
 	for slot, n := range d.nodes {
@@ -491,19 +471,13 @@ func (d *supervisor) gather() fleetSample {
 			s.est.Add(snap.Estimate)
 		}
 	}
-	for _, w := range d.workers {
-		s.queueDepth = max(s.queueDepth, w.net.QueueDepthHighWatermark())
-		if b := w.net.BatchSizes(); s.batch.Counts == nil {
-			s.batch = b
-		} else {
-			s.batch = s.batch.Merge(b)
-		}
-	}
+	s.queueDepth = d.net.QueueDepthHighWatermark()
+	s.batch = d.net.BatchSizes()
 	s.rtt = d.rtt.Snapshot()
 	return s
 }
 
-// stop stops every node, closes every network and waits for the
+// stop stops every node, closes the network and waits for the
 // background stops. It is safe on a fleet whose init failed or never
 // ran, and idempotent.
 func (d *supervisor) stop() {
@@ -520,10 +494,8 @@ func (d *supervisor) stop() {
 		}
 		d.nodes[slot] = fleetNode{}
 	}
-	for _, w := range d.workers {
-		if w.net != nil {
-			w.net.close()
-		}
+	if d.net != nil {
+		d.net.close()
 	}
 	d.stopping.Wait()
 }

@@ -17,22 +17,9 @@ import (
 	"antientropy/internal/transport"
 )
 
-// udpTestOptions slices the fleet across the given number of muxes.
-func udpTestOptions(workers int) FleetOptions {
-	return FleetOptions{Workers: workers, CycleLen: 25 * time.Millisecond}
-}
-
-// sharedMemNet returns a network builder that hands every worker of one
-// fleet the same in-memory network, so a fleet of several workers keeps
-// one address space (each MemNetwork numbers its endpoints from mem-0).
-func sharedMemNet() netBuilder {
-	var net fleetNet
-	return func(sc Scenario, filter *transport.UDPFilter) (fleetNet, error) {
-		if net == nil {
-			net, _ = newMemNet(sc, filter)
-		}
-		return net, nil
-	}
+// udpTestOptions runs a test fleet on 25 ms cycles.
+func udpTestOptions() FleetOptions {
+	return FleetOptions{CycleLen: 25 * time.Millisecond}
 }
 
 // TestUDPWorkerProtocolHandshake drives a fleet through the whole
@@ -52,7 +39,7 @@ func TestUDPWorkerProtocolHandshake(t *testing.T) {
 				Name: "proto", N: 4, Cycles: 4, EpochLen: 2, Seed: 3,
 				Events: []Event{{Kind: KindCrash, At: 2, Count: 1}, {Kind: KindJoin, At: 2, Count: 1}},
 			}.WithDefaults()
-			d := newSupervisor(context.Background(), sc, FleetOptions{Workers: 1, CycleLen: 20 * time.Millisecond}, "proto", tc.newNet)
+			d := newSupervisor(context.Background(), sc, FleetOptions{CycleLen: 20 * time.Millisecond}, "proto", tc.newNet)
 			defer d.stop()
 			shapes[tc.name] = fleetConversation(t, d)
 		})
@@ -135,7 +122,7 @@ func TestSameCycleJoinerIsPartitioned(t *testing.T) {
 			{Kind: KindPartition, At: 2, Groups: []float64{1, 1}},
 		},
 	}.WithDefaults()
-	d := newSupervisor(context.Background(), sc, FleetOptions{Workers: 2, CycleLen: 20 * time.Millisecond}, "test", sharedMemNet())
+	d := newSupervisor(context.Background(), sc, FleetOptions{CycleLen: 20 * time.Millisecond}, "test", newMemNet)
 	defer d.stop()
 	if err := d.init(); err != nil {
 		t.Fatal(err)
@@ -182,16 +169,15 @@ func TestSameCycleJoinerIsPartitioned(t *testing.T) {
 // honest-only estimate leaves every sybil out.
 func TestFleetSybilFloodSharedSchedule(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		workers int
-		newNet  netBuilder
-	}{{"udp", 2, newSocketNet}, {"live", 1, newMemNet}} {
+		name   string
+		newNet netBuilder
+	}{{"udp", newSocketNet}, {"live", newMemNet}} {
 		t.Run(tc.name, func(t *testing.T) {
 			sc := Scenario{
 				Name: "sybil", N: 8, Cycles: 4, EpochLen: 2, Seed: 11,
 				Adversaries: []Adversary{{Behavior: BehaviorSybilFlood, At: 1, Until: 2, Rate: 2, Value: 1e6}},
 			}.WithDefaults()
-			d := newSupervisor(context.Background(), sc, FleetOptions{Workers: tc.workers, CycleLen: 20 * time.Millisecond}, tc.name, tc.newNet)
+			d := newSupervisor(context.Background(), sc, FleetOptions{CycleLen: 20 * time.Millisecond}, tc.name, tc.newNet)
 			defer d.stop()
 			if err := d.init(); err != nil {
 				t.Fatal(err)
@@ -221,7 +207,7 @@ func TestFleetSybilFloodSharedSchedule(t *testing.T) {
 			// choice of the sampler, not of the protocol.
 			deadline := time.Now().Add(5 * time.Second)
 			for _, slot := range sybils {
-				for !d.nodes[slot].node.Participating() {
+				for !d.nodes[slot].node.Snapshot().Participating {
 					if time.Now().After(deadline) {
 						t.Fatalf("sybil slot %d never joined an epoch", slot)
 					}
@@ -278,7 +264,7 @@ func TestFleetsLeaveNothingBehind(t *testing.T) {
 		Events: []Event{{Kind: KindJoin, At: 2, Count: 2}, {Kind: KindCrash, At: 3, Count: 2}},
 	}.WithDefaults()
 	executors := map[string]func(context.Context) (*RunResult, error){
-		"udp": func(ctx context.Context) (*RunResult, error) { return RunUDP(ctx, sc, udpTestOptions(3)) },
+		"udp": func(ctx context.Context) (*RunResult, error) { return RunUDP(ctx, sc, udpTestOptions()) },
 		"live": func(ctx context.Context) (*RunResult, error) {
 			return RunLive(ctx, sc, FleetOptions{CycleLen: 20 * time.Millisecond})
 		},
@@ -314,7 +300,7 @@ func TestFleetsLeaveNothingBehind(t *testing.T) {
 // three cycles of 10ms, against epochs of one second.
 func TestFleetFirstCycleFollowsFounding(t *testing.T) {
 	sc := Scenario{Name: "prompt", N: 8, Cycles: 3, EpochLen: 100, Seed: 6}.WithDefaults()
-	opts := FleetOptions{Workers: 2, CycleLen: 10 * time.Millisecond}
+	opts := FleetOptions{CycleLen: 10 * time.Millisecond}
 	epoch := time.Duration(sc.EpochLen) * opts.CycleLen
 	for name, run := range map[string]func(context.Context, Scenario, FleetOptions) (*RunResult, error){
 		"live": RunLive, "udp": RunUDP,
@@ -331,28 +317,51 @@ func TestFleetFirstCycleFollowsFounding(t *testing.T) {
 	}
 }
 
-// TestUDPSpawnFailure pins the error path when one worker's network
-// cannot be built after another worker has bound its sockets: the run
-// must surface the error, not panic tearing down a half-initialized
-// fleet, and leave nothing behind.
+// TestUDPSpawnFailure pins the error paths of a fleet's founding: a
+// network that cannot be built, and one that runs out of endpoints after
+// two slots have bound theirs. The run must surface the error, not panic
+// tearing down a half-initialized fleet, and leave nothing behind — the
+// built mux's sockets included.
 func TestUDPSpawnFailure(t *testing.T) {
 	check := leakCheck(t)
 	sc := Scenario{Name: "udp-spawn-fail", N: 4, Cycles: 2, EpochLen: 2, Seed: 1}.WithDefaults()
-	d := newSupervisor(context.Background(), sc, udpTestOptions(2), "udp", newSocketNet)
-	d.workers[1].newNet = func(Scenario, *transport.UDPFilter) (fleetNet, error) {
-		return nil, errors.New("no sockets left")
-	}
-	if _, err := d.run(); err == nil || !strings.Contains(err.Error(), "worker 1: network: no sockets left") {
+	noNet := func(Scenario, *transport.UDPFilter) (fleetNet, error) { return nil, errors.New("no sockets left") }
+	d := newSupervisor(context.Background(), sc, udpTestOptions(), "udp", noNet)
+	if _, err := d.run(); err == nil || !strings.Contains(err.Error(), "network: no sockets left") {
 		t.Fatalf("run with an unbuildable network returned %v", err)
+	}
+	twoSlots := func(sc Scenario, filter *transport.UDPFilter) (fleetNet, error) {
+		net, err := newSocketNet(sc, filter)
+		if err != nil {
+			return nil, err
+		}
+		return &scarceNet{fleetNet: net, left: 2}, nil
+	}
+	d = newSupervisor(context.Background(), sc, udpTestOptions(), "udp", twoSlots)
+	if _, err := d.run(); err == nil || !strings.Contains(err.Error(), "slot 2: no endpoints left") {
+		t.Fatalf("run on a network of two endpoints returned %v", err)
 	}
 	check()
 }
 
+// scarceNet is a fleet network that hands out left more endpoints.
+type scarceNet struct {
+	fleetNet
+	left int
+}
+
+func (n *scarceNet) endpoint() (nodeEndpoint, error) {
+	if n.left == 0 {
+		return nil, errors.New("no endpoints left")
+	}
+	n.left--
+	return n.fleetNet.endpoint()
+}
+
 // TestUDPExecutorPartitionHeal runs a miniature partition-and-heal
-// scenario across two UDP muxes on loopback. Like the
-// live-mem equivalent the run is wall-clock driven, so assertions are
-// deliberately loose: the point is that a multi-process fleet on real
-// sockets survives a scripted partition and re-converges after the heal.
+// scenario on one UDP mux on loopback. Like the live-mem equivalent the
+// run is wall-clock driven, so assertions are deliberately loose: the
+// point is that a fleet on real sockets survives a scripted partition and re-converges after the heal.
 // /metrics is scraped mid-run (runScraped), and the run's divergence from
 // the simulator's on the same script is computed over every cycle.
 func TestUDPExecutorPartitionHeal(t *testing.T) {
@@ -366,7 +375,7 @@ func TestUDPExecutorPartitionHeal(t *testing.T) {
 			{Kind: KindHeal, At: 10},
 		},
 	}.WithDefaults()
-	opts := udpTestOptions(2)
+	opts := udpTestOptions()
 	opts.Obs = obs.NewRegistry()
 	res := runScraped(t, opts.Obs, func() (*RunResult, error) { return RunUDP(context.Background(), sc, opts) })
 	if len(res.PerCycle) != sc.Cycles+1 {
@@ -389,7 +398,7 @@ func TestUDPExecutorPartitionHeal(t *testing.T) {
 }
 
 // TestUDPExecutorChurnJoinCrash exercises the remaining scripted event
-// kinds across three muxes: churn, a join wave, a crash and a loss
+// kinds over UDP: churn, a join wave, a crash and a loss
 // burst, checking the supervisor's fleet bookkeeping against the
 // sampled node counts.
 func TestUDPExecutorChurnJoinCrash(t *testing.T) {
@@ -405,7 +414,7 @@ func TestUDPExecutorChurnJoinCrash(t *testing.T) {
 			{Kind: KindLoss, At: 12, Until: 15, Rate: 0.2},
 		},
 	}.WithDefaults()
-	res, err := RunUDP(context.Background(), sc, udpTestOptions(3))
+	res, err := RunUDP(context.Background(), sc, udpTestOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +434,7 @@ func TestUDPExecutorChurnJoinCrash(t *testing.T) {
 // TestUDPExecutorLieEstimateTraceStitches is the UDP half of the
 // wire-lying acceptance: Byzantine nodes corrupt their replies at the
 // wire layer without touching the exchange ID, so the fleet's one trace
-// ring still stitches spans to completion, and the merged worker metrics
+// ring still stitches spans to completion, and the merged node metrics
 // surface the lie count.
 func TestUDPExecutorLieEstimateTraceStitches(t *testing.T) {
 	if testing.Short() {
@@ -437,7 +446,7 @@ func TestUDPExecutorLieEstimateTraceStitches(t *testing.T) {
 	}.WithDefaults()
 	reg := obs.NewRegistry()
 	ring := obs.NewTraceRing(8192)
-	opts := udpTestOptions(2)
+	opts := udpTestOptions()
 	opts.Obs = reg
 	opts.Trace = ring
 	res, err := RunUDP(context.Background(), sc, opts)
@@ -467,7 +476,7 @@ func TestUDPExecutorLieEstimateTraceStitches(t *testing.T) {
 		t.Fatal("lie counter missing from the supervisor export")
 	}
 	if strings.Contains(out, "agg_adversary_lies_total 0\n") {
-		t.Error("Byzantine workers reported no lies")
+		t.Error("Byzantine nodes reported no lies")
 	}
 	if !strings.Contains(out, "agg_adversary_nodes 4") { // round(0.2 * 20)
 		t.Error("hostile population gauge missing or wrong in supervisor export")

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"maps"
@@ -14,7 +15,9 @@ import (
 	"testing"
 	"time"
 
+	"antientropy/internal/agent"
 	"antientropy/internal/core"
+	"antientropy/internal/transport"
 )
 
 // fastConfig is the test schedule: 200ms epochs of 10ms cycles — γ=20
@@ -43,6 +46,43 @@ func waitEstimate(t *testing.T, inst *Instance, timeout time.Duration, cond func
 		time.Sleep(20 * time.Millisecond)
 	}
 	return est
+}
+
+// TestFleetMomentsSpreadAtLargeMean: four founders that know no peer
+// never exchange, so each keeps its own value, 1e9 plus 0, 1, 2 and
+// 3 × 10⁻⁴, and the fleet's spread is that of the values. It must read
+// that spread, not the noise that raw sums Σx and Σx² leave once the
+// spread sits thirteen orders of magnitude below the mean.
+func TestFleetMomentsSpreadAtLargeMean(t *testing.T) {
+	net := transport.NewMemNetwork(transport.MemNetworkConfig{Seed: 1})
+	f := &fleet{mem: net}
+	defer f.stop()
+	vals := []float64{1e9, 1e9 + 1e-4, 1e9 + 2e-4, 1e9 + 3e-4}
+	sched := core.Schedule{Start: time.Now(), Delta: time.Hour, CycleLen: time.Hour, Gamma: 1 << 20}
+	for i, v := range vals {
+		node, err := agent.New(agent.Config{Endpoint: net.Endpoint(), Schedule: sched,
+			Function: core.Average, Value: func() float64 { return v }, Seed: uint64(i + 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.nodes = append(f.nodes, node)
+		if err := node.Start(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mean, spread, reporting, _, _ := fleetMoments(f)
+	// Offsets from 1e9 are exact in float64; their spread is the values'.
+	var off, ss float64
+	for _, v := range vals {
+		off += (v - 1e9) / 4
+	}
+	for _, v := range vals {
+		ss += (v - 1e9 - off) * (v - 1e9 - off)
+	}
+	want := math.Sqrt(ss/4) / 1e9
+	if reporting != 4 || math.Abs(mean-1e9) > 1e-3 || math.Abs(spread-want) > 0.01*want {
+		t.Fatalf("fleetMoments = mean %.9f, spread %.3g over %d reporting; want 1e9, %.3g over 4", mean, spread, reporting, want)
+	}
 }
 
 func TestInstanceAverageConvergesToFedMean(t *testing.T) {

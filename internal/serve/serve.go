@@ -27,6 +27,7 @@ import (
 
 	"antientropy/internal/agent"
 	"antientropy/internal/core"
+	"antientropy/internal/stats"
 	"antientropy/internal/transport"
 	"antientropy/internal/wire"
 )
@@ -679,11 +680,14 @@ type Estimate struct {
 // plateau, loose enough for small fleets' COUNT jitter.
 const convergedSpread = 0.02
 
-// fleetMoments reads every node snapshot of a fleet and reduces it. With
-// no node reporting there is no spread to measure, and it is 0: JSON has
-// no +Inf, and reporting is what says the estimate is missing.
+// fleetMoments reads every node snapshot of a fleet and reduces the
+// reporting nodes' estimates through stats.Moments, whose spread stays
+// exact where raw sums Σx, Σx² cancel once the fleet has converged far
+// below its mean. With no node reporting there is no spread to measure,
+// and it is 0: JSON has no +Inf, and reporting is what says the estimate
+// is missing.
 func fleetMoments(f *fleet) (mean, spread float64, reporting int, epoch uint64, newestOut time.Time) {
-	var sum, sumSq float64
+	var est stats.Moments
 	for _, n := range f.nodes {
 		s := n.Snapshot()
 		if s.Epoch > epoch {
@@ -692,27 +696,15 @@ func fleetMoments(f *fleet) (mean, spread float64, reporting int, epoch uint64, 
 		if s.HasOutput && s.LastOutput.At.After(newestOut) {
 			newestOut = s.LastOutput.At
 		}
-		if !s.OK {
-			continue
+		if s.OK {
+			est.Add(s.Estimate)
 		}
-		reporting++
-		sum += s.Estimate
-		sumSq += s.Estimate * s.Estimate
 	}
-	if reporting == 0 {
+	if est.N() == 0 {
 		return 0, 0, 0, epoch, newestOut
 	}
-	mean = sum / float64(reporting)
-	variance := sumSq/float64(reporting) - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-	denom := math.Abs(mean)
-	if denom < 1e-9 {
-		denom = 1e-9
-	}
-	spread = math.Sqrt(variance) / denom
-	return mean, spread, reporting, epoch, newestOut
+	spread = math.Sqrt(est.PopVariance()) / max(math.Abs(est.Mean()), 1e-9)
+	return est.Mean(), spread, est.N(), epoch, newestOut
 }
 
 // summary returns the instance's fleet summary for a read at now, in

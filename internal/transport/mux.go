@@ -17,8 +17,8 @@ import (
 
 // UDPMux multiplexes many lightweight endpoints over a small fixed set
 // of UDP sockets: one reader goroutine and one flusher goroutine per
-// socket instead of one socket + goroutine per node. A scenario worker
-// carrying thousands of agent.Nodes shares the sockets, the receive
+// socket instead of one socket + goroutine per node. A scenario fleet
+// of thousands of agent.Nodes shares the sockets, the receive
 // buffers (pooled, no per-datagram copy) and one resolve/address cache.
 //
 // Every address is "host:port#id": the socket's address plus a per-mux
@@ -85,7 +85,7 @@ type UDPMuxConfig struct {
 	// handler-mode endpoints bypass it). Default 1024.
 	QueueLen int
 	// ReadBuffer, when positive, sets SO_RCVBUF on each socket. Shared
-	// sockets carry the traffic of a whole worker slice, so the kernel
+	// sockets carry the traffic of a whole fleet, so the kernel
 	// default is usually too small; 1 MiB is a reasonable floor.
 	ReadBuffer int
 }

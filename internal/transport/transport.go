@@ -5,8 +5,8 @@
 // Two implementations are provided: an in-memory network with
 // configurable latency (for tests, simulation of deployments and the
 // fleets a serving daemon hosts), and for real networks a UDP mux
-// (UDPMux), whose endpoints share a few batched sockets — thousands per
-// scenario worker, or one for a single node. Both share one receive side
+// (UDPMux), whose endpoints share a few batched sockets — a scenario
+// fleet's thousands, or one for a single node. Both share one receive side
 // (Endpoint's Recv, SetHandler and Close): the same buffering until a
 // handler is set, the same drop counters and the same close barrier. Both
 // lose datagrams through one UDPFilter: partitions, loss and custom drop
